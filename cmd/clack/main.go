@@ -37,7 +37,7 @@ func main() {
 		upgrade    = flag.Bool("upgrade", false, "with -shards, live-upgrade the classifiers mid-stream via canary rollout")
 		overloadF  = flag.Bool("overload", false, "with -shards, run the overload soak: open-loop traffic at -multiple x measured capacity with admission control, breakers, re-steering, and redelivery")
 		multiple   = flag.Float64("multiple", 3, "with -overload, offered load as a multiple of measured capacity")
-		killEvery  = flag.Int("kill-every", 50, "with -overload, kill the serving shard every N processed packets (0 = none)")
+		killEvery  = flag.Int("kill-every", 50, "with -overload, kill each shard after every N packets it serves (0 = none)")
 		canaryN    = flag.Int("canary", 1, "with -upgrade, number of canary shards")
 		badCanary  = flag.Bool("bad-canary", false, "with -upgrade, trial the injected-regression classifier; the run must end in a verified rollback")
 		backendF   = flag.String("backend", "", "execution backend: interp (reference, default) or compiled (closure-compiled; cycle columns exclude i-fetch stalls)")
@@ -197,8 +197,8 @@ func runFleet(shards, packets, faultEvery int, metrics bool, backend machine.Bac
 }
 
 // runOverload is the overload-control drill: measure the fleet's
-// closed-loop capacity, then offer a multiple of it open-loop while a
-// shard is killed on schedule. The overload layer must shed honestly
+// closed-loop capacity, then offer a multiple of it open-loop while
+// each shard is killed after every killEvery packets it serves. The overload layer must shed honestly
 // (conservation balances exactly), finish everything it admitted
 // (accepted goodput >= 0.99), recover every killed batch via
 // redelivery (0 drops), and hold per-flow order through every re-steer

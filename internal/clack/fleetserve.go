@@ -1,6 +1,7 @@
 package clack
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -22,7 +23,7 @@ import (
 // transmit order equal per-flow arrival order; the __tx builtin checks
 // that invariant on every transmitted packet via per-flow sequence
 // numbers the generator stamps into the payload (payload words ride
-// through every element untouched).
+// through every element untouched), against one fleet-global oracle.
 
 // FlowSpec describes flow-structured traffic: spec.Flows distinct flow
 // keys with Zipf(Skew) popularity, each flow owning a fixed
@@ -116,89 +117,6 @@ func (spec FlowSpec) Generate() []FlowPacket {
 	return out
 }
 
-// shardIO is one shard's host-side NIC state: the ingress queues its
-// handler fills, the device statistics, and the per-flow order check.
-// It lives and dies with one machine boot; ServeFleet folds retired
-// generations into per-shard totals at respawn.
-type shardIO struct {
-	rx    [2][]Packet
-	head  [2]int
-	stats DeviceStats
-	// lastSeq tracks the highest sequence transmitted per flow; a
-	// transmit at or below it is an ordering violation.
-	lastSeq map[int64]int64
-	// oracle, when set, replaces lastSeq with a fleet-global order check
-	// that survives respawns and follows a flow across a re-steer — the
-	// overload rig's end-to-end ordering proof.
-	oracle          *orderOracle
-	orderViolations int
-	faults          int
-	calls           int
-}
-
-func (io *shardIO) remaining() int {
-	return (len(io.rx[0]) - io.head[0]) + (len(io.rx[1]) - io.head[1])
-}
-
-// installShardDevices mirrors InstallDevices but reads from refillable
-// per-shard queues and verifies per-flow transmit order.
-func installShardDevices(m *machine.M, io *shardIO) {
-	bufAddr := func(dev int64) int64 {
-		return int64(len(m.Mem)) - (dev+1)*PktWords
-	}
-	m.RegisterBuiltin("__rx_poll", func(mm *machine.M, args []int64) (int64, error) {
-		dev := args[0]
-		if dev < 0 || dev > 1 {
-			return 0, fmt.Errorf("clack: rx on bad device %d", dev)
-		}
-		if io.head[dev] >= len(io.rx[dev]) {
-			return 0, nil
-		}
-		p := io.rx[dev][io.head[dev]]
-		io.head[dev]++
-		io.stats.Rx[dev]++
-		addr := bufAddr(dev)
-		if err := mm.WriteWords(addr, p.words()); err != nil {
-			return 0, err
-		}
-		return addr, nil
-	})
-	m.RegisterBuiltin("__tx", func(mm *machine.M, args []int64) (int64, error) {
-		dev, addr := args[0], args[1]
-		if dev < 0 || dev > 1 {
-			return 0, fmt.Errorf("clack: tx on bad device %d", dev)
-		}
-		io.stats.Tx[dev]++
-		kind := mm.Mem[addr]
-		ttl := mm.Mem[addr+1]
-		if kind == KindIP {
-			if ttl <= 0 {
-				io.stats.TxBad = append(io.stats.TxBad,
-					fmt.Sprintf("tx dev%d: IP packet with ttl %d", dev, ttl))
-			} else {
-				io.stats.TxTTLOK++
-			}
-		}
-		flow := mm.Mem[addr+6+payloadFlowWord]
-		seq := mm.Mem[addr+6+payloadSeqWord]
-		if io.oracle != nil {
-			if !io.oracle.check(flow, seq) {
-				io.orderViolations++
-			}
-		} else {
-			if seq <= io.lastSeq[flow] {
-				io.orderViolations++
-			}
-			io.lastSeq[flow] = seq
-		}
-		return 0, nil
-	})
-	m.RegisterBuiltin("__drop", func(mm *machine.M, args []int64) (int64, error) {
-		io.stats.Dropped++
-		return 0, nil
-	})
-}
-
 // ShardServeStats is one shard's cumulative serving record, summed over
 // every machine generation the shard went through.
 type ShardServeStats struct {
@@ -219,8 +137,9 @@ type FleetReport struct {
 	Dropped  int
 	Goodput  float64 // (Tx + Dropped) / Rx, fleet-wide
 	PerShard []ShardServeStats
-	// OrderViolations counts per-flow sequence inversions observed at
-	// transmit, fleet-wide. The flow-hash design makes this 0.
+	// OrderViolations counts per-flow sequence inversions the
+	// fleet-global order oracle observed at transmit. The flow-hash
+	// design makes this 0.
 	OrderViolations int
 	// Converged reports every shard's supervisor ended with all
 	// instances serving (healthy or degraded), and no shard died.
@@ -231,29 +150,49 @@ type FleetReport struct {
 	Metrics *observe.Report
 }
 
-// serveRig is the host side of a serving fleet — per-shard NIC queues,
-// generation totals, the fleet Setup and batch handler, and report
-// assembly — shared by ServeFleet and ServeFleetUpgrade so a live
-// reconfiguration serves through exactly the machinery a plain run
-// does.
-type serveRig struct {
+// rig is the host side of every sharded serving mode — ServeFleet,
+// ServeFleetUpgrade, ServeOverload and its capacity probe: per-shard NIC
+// queues and generation totals, the fleet-global order oracle, the
+// fault injector and the kill lever, the fleet's Setup and batch
+// handler, and report assembly. A live upgrade or an overload soak
+// therefore serves through exactly the machinery a plain run does.
+type rig struct {
+	fl *fleet.Fleet[FlowPacket]
 	// ios holds each shard's current-generation IO; totals accumulate
 	// retired generations at respawn time (Setup runs again on the same
 	// ID).
-	ios        []*shardIO
-	totals     []ShardServeStats
+	ios    []*shardIO
+	totals []ShardServeStats
+	oracle *orderOracle
+	// perItem is set when the fleet redelivers: the handler then drives
+	// and acks one packet at a time, so a kill lands between packets and
+	// the replay resumes at the exact packet.
+	perItem    bool
 	faultEvery int
 	victimSym  string
+	// killEvery > 0 kills a shard after every killEvery packets it has
+	// served; sinceKill counts them, each entry on its shard's goroutine.
+	killEvery int
+	sinceKill []int
 }
 
-func newServeRig(res *build.Result, shards, faultEvery int) (*serveRig, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("clack: fleet needs at least 1 shard, got %d", shards)
+var errShardKilled = errors.New("clack: serving rig killed this shard")
+
+// newRig builds a rig and the fleet it serves. faultEvery > 0 arms a
+// fault injector on shard 0's Classifier; killEvery > 0 arms the kill
+// lever. cfg.Setup is the rig's own.
+func newRig(res *build.Result, cfg fleet.Config, faultEvery, killEvery int) (*rig, error) {
+	if cfg.Shards < 1 {
+		return nil, fmt.Errorf("clack: fleet needs at least 1 shard, got %d", cfg.Shards)
 	}
-	rg := &serveRig{
-		ios:        make([]*shardIO, shards),
-		totals:     make([]ShardServeStats, shards),
+	rg := &rig{
+		ios:        make([]*shardIO, cfg.Shards),
+		totals:     make([]ShardServeStats, cfg.Shards),
+		oracle:     &orderOracle{lastSeq: map[int64]int64{}},
+		perItem:    cfg.RedeliverAttempts > 0,
 		faultEvery: faultEvery,
+		killEvery:  killEvery,
+		sinceKill:  make([]int, cfg.Shards),
 	}
 	if faultEvery > 0 {
 		victim := FirstInstanceOf(res, "Classifier")
@@ -262,10 +201,16 @@ func newServeRig(res *build.Result, shards, faultEvery int) (*serveRig, error) {
 		}
 		rg.victimSym = victim.ExportSyms["in"]["push"]
 	}
+	cfg.Setup = rg.setup
+	fl, err := fleet.New[FlowPacket](res, cfg, rg.handle)
+	if err != nil {
+		return nil, err
+	}
+	rg.fl = fl
 	return rg, nil
 }
 
-func (rg *serveRig) retire(id int) {
+func (rg *rig) retire(id int) {
 	io := rg.ios[id]
 	if io == nil {
 		return
@@ -278,16 +223,16 @@ func (rg *serveRig) retire(id int) {
 	rg.totals[id].OrderViolations += io.orderViolations
 }
 
-func (rg *serveRig) setup(id int, m *machine.M) error {
+func (rg *rig) setup(id int, m *machine.M) error {
 	machine.InstallStopWatch(m)
 	if id == fleet.Prototype {
 		// The prototype only runs the init schedule; give it inert
 		// devices in case an initializer touches them.
-		installShardDevices(m, &shardIO{lastSeq: map[int64]int64{}})
+		installShardDevices(m, &shardIO{})
 		return nil
 	}
 	rg.retire(id)
-	rg.ios[id] = &shardIO{lastSeq: map[int64]int64{}}
+	rg.ios[id] = &shardIO{oracle: rg.oracle}
 	installShardDevices(m, rg.ios[id])
 	if rg.faultEvery > 0 && id == 0 {
 		faultinject.Attach(m).TrapCallEvery(rg.victimSym, rg.faultEvery)
@@ -295,33 +240,56 @@ func (rg *serveRig) setup(id int, m *machine.M) error {
 	return nil
 }
 
-func (rg *serveRig) handler(sh *fleet.Shard[FlowPacket], batch []FlowPacket) error {
+// handle feeds the batch into the shard's lanes a chunk at a time,
+// drives kmain until the lanes are dry, and acks each chunk. The chunk
+// is one packet when the fleet redelivers and the whole batch
+// otherwise: kmain(1) polls both lanes and runs os_work after each
+// poll, so a batch-fed shard serves up to two packets per call, and
+// per-packet driving costs 1.3-1.6x the machine instructions per packet.
+func (rg *rig) handle(sh *fleet.Shard[FlowPacket], batch []FlowPacket) error {
 	io := rg.ios[sh.ID]
-	for _, fp := range batch {
-		lane := fleet.FlowLane(fp.Flow, 2)
-		io.rx[lane] = append(io.rx[lane], fp.Pkt)
+	chunk := len(batch)
+	if rg.perItem {
+		chunk = 1
 	}
-	// Drive kmain one iteration at a time (a fault costs at most the
-	// packets in flight) until the ingress queues are dry. The bound
-	// mirrors ServeSupervised: a healthy or degraded shard consumes
-	// at least one packet per iteration; only a machine the
-	// supervisor has given up on (dead instance, every call failing)
-	// exhausts it, and that is exactly the respawn case.
-	limit := io.calls + 4*len(batch) + 64
-	for io.remaining() > 0 {
-		if io.calls >= limit {
-			return fmt.Errorf("no progress after %d kmain calls (%d packets stuck)",
-				limit, io.remaining())
+	for done := 0; done < len(batch); done += chunk {
+		if rg.killEvery > 0 && rg.sinceKill[sh.ID] >= rg.killEvery {
+			rg.sinceKill[sh.ID] = 0
+			return errShardKilled
 		}
-		io.calls++
-		if _, err := sh.Sup.Call("main", "kmain", 1); err != nil {
-			io.faults++
+		next := min(done+chunk, len(batch))
+		for _, fp := range batch[done:next] {
+			lane := fleet.FlowLane(fp.Flow, 2)
+			io.rx[lane] = append(io.rx[lane], fp.Pkt)
 		}
+		// Drive kmain one iteration at a time (a fault costs at most the
+		// packets in flight) until the lanes are dry. The bound mirrors
+		// ServeSupervised: a healthy or degraded shard consumes at least
+		// one packet per iteration; only a machine the supervisor has
+		// given up on (dead instance, every call failing) exhausts it,
+		// and that is exactly the respawn case.
+		limit := io.calls + 4*(next-done) + 64
+		for io.remaining() > 0 {
+			if io.calls >= limit {
+				return fmt.Errorf("no progress after %d kmain calls (%d packets stuck)",
+					limit, io.remaining())
+			}
+			io.calls++
+			if _, err := sh.Sup.Call("main", "kmain", 1); err != nil {
+				io.faults++
+			}
+		}
+		rg.sinceKill[sh.ID] += next - done
+		sh.Ack(next)
 	}
 	return nil
 }
 
-func (rg *serveRig) report(fl *fleet.Fleet[FlowPacket], closeErr error) *FleetReport {
+// report retires every shard's live generation and rolls the totals up
+// into the fleet's serving report. Call it after the fleet closed, with
+// Close's error.
+func (rg *rig) report(closeErr error) *FleetReport {
+	fl := rg.fl
 	rep := &FleetReport{Shards: len(rg.totals), Converged: closeErr == nil}
 	rep.Statuses = fl.Statuses()
 	rep.Metrics = fl.Report()
@@ -357,21 +325,12 @@ func (rg *serveRig) report(fl *fleet.Fleet[FlowPacket], closeErr error) *FleetRe
 func ServeFleet(res *build.Result, spec FlowSpec, shards int, pol *supervise.Policy,
 	clk func(int) supervise.Clock, faultEvery int) (*FleetReport, error) {
 
-	rg, err := newServeRig(res, shards, faultEvery)
-	if err != nil {
-		return nil, err
-	}
-	fl, err := fleet.New[FlowPacket](res, fleet.Config{
-		Shards: shards,
-		Policy: pol,
-		Clock:  clk,
-		Setup:  rg.setup,
-	}, rg.handler)
+	rg, err := newRig(res, fleet.Config{Shards: shards, Policy: pol, Clock: clk}, faultEvery, 0)
 	if err != nil {
 		return nil, err
 	}
 	for _, fp := range spec.Generate() {
-		fl.Submit(fp.Flow, fp)
+		rg.fl.Submit(fp.Flow, fp)
 	}
-	return rg.report(fl, fl.Close()), nil
+	return rg.report(rg.fl.Close()), nil
 }

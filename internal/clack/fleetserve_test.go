@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"knit/internal/knit/supervise"
+	"knit/internal/machine"
 )
 
 func fakeClocks(int) supervise.Clock { return supervise.NewFakeClock() }
@@ -167,5 +168,79 @@ func TestFlowTrafficGeneratorInvariants(t *testing.T) {
 	// Determinism: a second generation is byte-identical.
 	if !reflect.DeepEqual(pkts, spec.Generate()) {
 		t.Error("generator is not deterministic for a fixed spec")
+	}
+}
+
+// TestServeFleetBatchDriveCalls pins the batch drive: a fleet that does
+// not redeliver feeds each batch into both lanes at once, so one kmain
+// call serves up to two packets. Driving packet by packet instead would
+// raise these totals to one call per packet on every backend.
+func TestServeFleetBatchDriveCalls(t *testing.T) {
+	want := map[int]int{1: 1182, 2: 1310, 4: 1502}
+	for _, bk := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
+		res, err := BuildRouter(Variant{})
+		if err != nil {
+			t.Fatalf("BuildRouter: %v", err)
+		}
+		res.Backend = bk
+		for _, shards := range []int{1, 2, 4} {
+			rep, err := ServeFleet(res, DefaultFlowTraffic(2000), shards, nil, fakeClocks, 0)
+			if err != nil {
+				t.Fatalf("%s, %d shards: ServeFleet: %v", bk, shards, err)
+			}
+			calls := 0
+			for _, st := range rep.PerShard {
+				calls += st.Calls
+			}
+			if calls != want[shards] {
+				t.Errorf("%s, %d shards: %d kmain calls for 2000 packets, want %d",
+					bk, shards, calls, want[shards])
+			}
+		}
+	}
+}
+
+// TestOrderOracleCountsInversions proves the order check can fire: one
+// flow's packets run through the shard devices of a real router
+// machine, and a duplicated or inverted sequence number is counted
+// exactly once.
+func TestOrderOracleCountsInversions(t *testing.T) {
+	res, err := BuildRouter(Variant{})
+	if err != nil {
+		t.Fatalf("BuildRouter: %v", err)
+	}
+	cases := []struct {
+		name string
+		seqs []int64
+		want int
+	}{
+		{"in order", []int64{1, 2, 3, 4}, 0},
+		{"duplicate", []int64{1, 2, 2, 3}, 1},
+		{"inverted", []int64{1, 3, 2, 4}, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := res.NewMachine()
+			installTicks(m)
+			io := &shardIO{oracle: &orderOracle{lastSeq: map[int64]int64{}}}
+			installShardDevices(m, io)
+			// One flow, plain IP only: every packet is forwarded, in lane
+			// order, so transmit order is exactly the sequence list.
+			for i, fp := range (FlowSpec{Packets: len(c.seqs), Flows: 1, Seed: 1}).Generate() {
+				p := fp.Pkt
+				p.Payload[payloadSeqWord] = c.seqs[i]
+				p.Checksum = fold(p.TTL, p.Dst, p.Payload)
+				io.rx[0] = append(io.rx[0], p)
+			}
+			if _, err := res.Run(m, "main", "kmain", 100); err != nil {
+				t.Fatalf("kmain: %v", err)
+			}
+			if tx := io.stats.Tx[0] + io.stats.Tx[1]; tx != len(c.seqs) {
+				t.Fatalf("transmitted %d of %d packets", tx, len(c.seqs))
+			}
+			if io.orderViolations != c.want {
+				t.Fatalf("order violations = %d, want %d", io.orderViolations, c.want)
+			}
+		})
 	}
 }

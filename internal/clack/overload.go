@@ -2,25 +2,22 @@ package clack
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"knit/internal/knit/build"
 	"knit/internal/knit/fleet"
 	"knit/internal/knit/observe"
 	"knit/internal/knit/overload"
-	"knit/internal/knit/supervise"
-	"knit/internal/machine"
 )
 
 // This file is the overload soak: an open-loop generator offers the
-// fleet a multiple of its measured capacity while a shard is killed
-// every KillEvery packets, and the overload layer has to keep the
-// accepted traffic flowing — admission control sheds by class, the
-// killed shard's breaker trips and its flows re-steer, redelivery
-// replays the in-flight batch on each respawn, and a fleet-global
-// order oracle proves per-flow order held through all of it.
+// fleet a multiple of its measured capacity while each shard is killed
+// after every KillEvery packets it serves, and the overload layer has
+// to keep the accepted traffic flowing — admission control sheds by
+// class, the killed shard's breaker trips and its flows re-steer,
+// redelivery replays the in-flight batch on each respawn, and the
+// rig's fleet-global order oracle proves per-flow order held through
+// all of it.
 
 // OverloadSpec shapes an overload soak.
 type OverloadSpec struct {
@@ -28,7 +25,7 @@ type OverloadSpec struct {
 	Flows     int     // distinct flow keys
 	Shards    int     // fleet width
 	Multiple  float64 // offered load as a multiple of measured capacity (default 3)
-	KillEvery int     // kill the serving shard every N processed packets (0 = none)
+	KillEvery int     // kill each shard after every N packets it serves (0 = none)
 	Redeliver int     // fleet RedeliverAttempts (0 = at-most-once)
 	Seed      int64
 }
@@ -64,119 +61,6 @@ type OverloadReport struct {
 	Rx, Tx, RouterDropped int // device-level accounting (drops here are router policy, not losses)
 }
 
-// orderOracle is the fleet-global per-flow order check: one monotonic
-// sequence ledger shared by every shard's __tx builtin, surviving
-// respawns and re-steers. Mutexed — shard goroutines transmit
-// concurrently.
-type orderOracle struct {
-	mu         sync.Mutex
-	lastSeq    map[int64]int64
-	violations int
-}
-
-func (o *orderOracle) check(flow, seq int64) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	ok := seq > o.lastSeq[flow]
-	if !ok {
-		o.violations++
-	}
-	o.lastSeq[flow] = seq
-	return ok
-}
-
-func (o *orderOracle) count() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.violations
-}
-
-// overloadRig is the host side of an overload soak. Unlike serveRig's
-// batch-at-once handler, it serves packet by packet and acks each one,
-// so a kill mid-batch loses nothing recoverable: the unacked remainder
-// is journaled by the fleet and replayed onto the respawned machine.
-type overloadRig struct {
-	ios    []*shardIO
-	totals []ShardServeStats
-	oracle *orderOracle
-
-	processed atomic.Int64 // packets fully served, fleet-wide
-	nextKill  atomic.Int64
-	killEvery int64
-}
-
-var errShardKilled = fmt.Errorf("clack: overload soak killed this shard")
-
-func newOverloadRig(shards, killEvery int) *overloadRig {
-	rg := &overloadRig{
-		ios:       make([]*shardIO, shards),
-		totals:    make([]ShardServeStats, shards),
-		oracle:    &orderOracle{lastSeq: map[int64]int64{}},
-		killEvery: int64(killEvery),
-	}
-	rg.nextKill.Store(int64(killEvery))
-	return rg
-}
-
-func (rg *overloadRig) retire(id int) {
-	io := rg.ios[id]
-	if io == nil {
-		return
-	}
-	rg.totals[id].Rx += io.stats.Rx[0] + io.stats.Rx[1]
-	rg.totals[id].Tx += io.stats.Tx[0] + io.stats.Tx[1]
-	rg.totals[id].Dropped += io.stats.Dropped
-	rg.totals[id].Faults += io.faults
-	rg.totals[id].Calls += io.calls
-	rg.totals[id].OrderViolations += io.orderViolations
-}
-
-func (rg *overloadRig) setup(id int, m *machine.M) error {
-	machine.InstallStopWatch(m)
-	if id == fleet.Prototype {
-		installShardDevices(m, &shardIO{lastSeq: map[int64]int64{}})
-		return nil
-	}
-	rg.retire(id)
-	rg.ios[id] = &shardIO{oracle: rg.oracle}
-	installShardDevices(m, rg.ios[id])
-	return nil
-}
-
-// handler serves one packet at a time, acking each, and pulls the kill
-// lever between packets: whichever shard crosses the fleet-wide
-// processed-count threshold dies, transiently — its machine is gone,
-// but the unacked remainder replays on the respawn, and the device
-// queues are empty between packets, so the recoverable path drops
-// nothing.
-func (rg *overloadRig) handler(sh *fleet.Shard[FlowPacket], batch []FlowPacket) error {
-	io := rg.ios[sh.ID]
-	for i, fp := range batch {
-		if rg.killEvery > 0 {
-			next := rg.nextKill.Load()
-			if rg.processed.Load() >= next && rg.nextKill.CompareAndSwap(next, next+rg.killEvery) {
-				return errShardKilled
-			}
-		}
-		lane := fleet.FlowLane(fp.Flow, 2)
-		io.rx[lane] = append(io.rx[lane], fp.Pkt)
-		limit := io.calls + 68 // mirrors serveRig's 4-per-packet + 64 bound
-		for io.remaining() > 0 {
-			if io.calls >= limit {
-				return fmt.Errorf("no progress after %d kmain calls (%d packets stuck)",
-					limit, io.remaining())
-			}
-			io.calls++
-			if _, err := sh.Sup.Call("main", "kmain", 1); err != nil {
-				io.faults++
-			}
-		}
-		sh.Ack(i + 1)
-		rg.processed.Add(1)
-	}
-	return nil
-}
-
 // classOf assigns deterministic priority classes by flow key: 20% High,
 // 60% Normal, 20% Low.
 func classOf(flow uint64) overload.Class {
@@ -192,15 +76,13 @@ func classOf(flow uint64) overload.Class {
 
 // measureCapacity runs a short closed-loop burst through a throwaway
 // fleet of the same shape (no kills, no controller) and returns the
-// sustained packets/sec — the capacity the open-loop phase multiplies.
-func measureCapacity(res *build.Result, spec OverloadSpec, pkts []FlowPacket) (float64, error) {
-	rg := newOverloadRig(spec.Shards, 0)
-	fl, err := fleet.New[FlowPacket](res, fleet.Config{
-		Shards: spec.Shards,
-		Setup:  rg.setup,
-	}, rg.handler)
+// sustained packets/sec — the capacity the open-loop phase multiplies —
+// with the probe's serving report. The probe redelivers like the soak
+// does, so its rig drives the machine the same way.
+func measureCapacity(res *build.Result, spec OverloadSpec, pkts []FlowPacket) (float64, *FleetReport, error) {
+	rg, err := newRig(res, fleet.Config{Shards: spec.Shards, RedeliverAttempts: spec.Redeliver}, 0, 0)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	n := len(pkts) / 4
 	if n < 256 {
@@ -211,18 +93,18 @@ func measureCapacity(res *build.Result, spec OverloadSpec, pkts []FlowPacket) (f
 	}
 	start := time.Now()
 	for _, fp := range pkts[:n] {
-		if err := fl.Submit(fp.Flow, fp); err != nil {
-			return 0, err
+		if err := rg.fl.Submit(fp.Flow, fp); err != nil {
+			return 0, nil, err
 		}
 	}
-	if err := fl.Close(); err != nil {
-		return 0, fmt.Errorf("clack: capacity run: %w", err)
+	if err := rg.fl.Close(); err != nil {
+		return 0, nil, fmt.Errorf("clack: capacity run: %w", err)
 	}
 	elapsed := time.Since(start)
 	if elapsed <= 0 {
 		elapsed = time.Nanosecond
 	}
-	return float64(n) / elapsed.Seconds(), nil
+	return float64(n) / elapsed.Seconds(), rg.report(nil), nil
 }
 
 // ServeOverload runs the overload soak: measure capacity closed-loop,
@@ -241,21 +123,17 @@ func ServeOverload(res *build.Result, spec OverloadSpec) (*OverloadReport, error
 	}
 	pkts := fspec.Generate()
 
-	capacity, err := measureCapacity(res, spec, pkts)
+	capacity, _, err := measureCapacity(res, spec, pkts)
 	if err != nil {
 		return nil, err
 	}
 	offered := capacity * spec.Multiple
 
-	rg := newOverloadRig(spec.Shards, spec.KillEvery)
-	fl, err := fleet.New[FlowPacket](res, fleet.Config{
-		Shards:            spec.Shards,
-		RedeliverAttempts: spec.Redeliver,
-		Setup:             rg.setup,
-	}, rg.handler)
+	rg, err := newRig(res, fleet.Config{Shards: spec.Shards, RedeliverAttempts: spec.Redeliver}, 0, spec.KillEvery)
 	if err != nil {
 		return nil, err
 	}
+	fl := rg.fl
 	ctrl := overload.NewController(fl, overload.Config{
 		SLO:       observe.SLO{MinCalls: 16, Windows: 4, PromoteAfter: 2},
 		TripAfter: 2,
@@ -299,42 +177,37 @@ func ServeOverload(res *build.Result, spec OverloadSpec) (*OverloadReport, error
 		return nil, closeErr // with kills, shard errors are the point
 	}
 
+	fr := rg.report(closeErr)
+	totals := fr.Metrics.Totals()
 	st := ctrl.Stats()
 	rep := &OverloadReport{
-		Shards:      spec.Shards,
-		CapacityPPS: capacity,
-		OfferedPPS:  offered,
-		Submitted:   st.Submitted,
-		Admitted:    st.Admitted,
-		Shed:        st.Shed,
-		ShedTotal:   st.ShedTotal,
-		Stats:       st,
+		Shards:          spec.Shards,
+		CapacityPPS:     capacity,
+		OfferedPPS:      offered,
+		Submitted:       st.Submitted,
+		Admitted:        st.Admitted,
+		Shed:            st.Shed,
+		ShedTotal:       st.ShedTotal,
+		P99Cycles:       totals.P99(),
+		OrderViolations: fr.OrderViolations,
+		Stats:           st,
+		Rx:              fr.Rx,
+		Tx:              fr.Tx,
+		RouterDropped:   fr.Dropped,
 	}
-	for id, sh := range fl.Shards() {
-		rg.retire(id)
-		rg.ios[id] = nil
+	for _, sh := range fl.Shards() {
 		rep.Served += sh.Served()
 		rep.Dropped += sh.Dropped()
 		rep.Redelivered += sh.Redelivered()
 		rep.Respawns += sh.Respawns()
-		rep.Rx += rg.totals[id].Rx
-		rep.Tx += rg.totals[id].Tx
-		rep.RouterDropped += rg.totals[id].Dropped
 	}
-	rep.OrderViolations = rg.oracle.count()
 	if rep.Admitted > 0 {
 		rep.AcceptedGoodput = float64(rep.Served) / float64(rep.Admitted)
 	}
 	if rep.Submitted > 0 {
 		rep.ShedFraction = float64(rep.ShedTotal) / float64(rep.Submitted)
 	}
-	totals := fl.Report().Totals()
-	rep.P99Cycles = totals.P99()
 	rep.ConservationOK = rep.Submitted == rep.Served+rep.Dropped+rep.ShedTotal &&
 		rep.Admitted == rep.Served+rep.Dropped
 	return rep, nil
 }
-
-// NewOverloadFleetPolicy exists for symmetry with the other serving
-// modes: the soak uses the default decorrelated policy per shard.
-func NewOverloadFleetPolicy() *supervise.Policy { return supervise.Default() }

@@ -66,3 +66,68 @@ func TestServeOverloadSoak(t *testing.T) {
 		})
 	}
 }
+
+// TestServeOverloadSoakKillBelowBatch kills each shard after every 40
+// packets it serves, below the fleet's batch of 64, so one batch can be
+// killed twice. Redelivery's three attempts must still recover every
+// batch on both backends: the kill lever counts per shard, so a batch
+// sees at most two kills however the shards interleave.
+func TestServeOverloadSoakKillBelowBatch(t *testing.T) {
+	for _, bk := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
+		res, err := BuildRouter(Variant{})
+		if err != nil {
+			t.Fatalf("BuildRouter: %v", err)
+		}
+		res.Backend = bk
+		rep, err := ServeOverload(res, OverloadSpec{
+			Packets:   1200,
+			Flows:     64,
+			Shards:    3,
+			Multiple:  3,
+			KillEvery: 40,
+			Redeliver: 3,
+			Seed:      1,
+		})
+		if err != nil {
+			t.Fatalf("%s: ServeOverload: %v", bk, err)
+		}
+		if !rep.ConservationOK {
+			t.Fatalf("%s: conservation broken: submitted=%d admitted=%d served=%d dropped=%d shed=%d",
+				bk, rep.Submitted, rep.Admitted, rep.Served, rep.Dropped, rep.ShedTotal)
+		}
+		if rep.Dropped != 0 {
+			t.Fatalf("%s: dropped = %d, want 0", bk, rep.Dropped)
+		}
+		if rep.OrderViolations != 0 {
+			t.Fatalf("%s: order violations = %d, want 0", bk, rep.OrderViolations)
+		}
+		if rep.Respawns == 0 || rep.Redelivered == 0 {
+			t.Fatalf("%s: soak too tame: respawns=%d redelivered=%d", bk, rep.Respawns, rep.Redelivered)
+		}
+	}
+}
+
+// TestOverloadCapacityProbeDrivesPerPacket pins the capacity probe's
+// drive: it redelivers like the soak, so it serves one packet per kmain
+// call — 2000 calls for its 2000 packets.
+func TestOverloadCapacityProbeDrivesPerPacket(t *testing.T) {
+	for _, bk := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
+		res, err := BuildRouter(Variant{})
+		if err != nil {
+			t.Fatalf("BuildRouter: %v", err)
+		}
+		res.Backend = bk
+		pkts := (FlowSpec{Packets: 8000, Flows: 64, Skew: 1.05, Seed: 1}).Generate()
+		_, probe, err := measureCapacity(res, OverloadSpec{Shards: 3, Redeliver: 3}, pkts)
+		if err != nil {
+			t.Fatalf("%s: measureCapacity: %v", bk, err)
+		}
+		calls := 0
+		for _, st := range probe.PerShard {
+			calls += st.Calls
+		}
+		if probe.Rx != 2000 || calls != 2000 {
+			t.Fatalf("%s: probe served %d packets in %d kmain calls, want 2000 in 2000", bk, probe.Rx, calls)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package clack
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"knit/internal/machine"
 )
@@ -126,23 +127,50 @@ func (s *DeviceStats) Forwardable() int { return s.Tx[0] + s.Tx[1] }
 // per-device buffers placed at the top of simulated memory, well above
 // the stack region.
 func InstallDevices(m *machine.M, streams [2][]Packet) *DeviceStats {
-	stats := &DeviceStats{}
-	next := [2]int{}
+	io := &shardIO{rx: streams}
+	installShardDevices(m, io)
+	return &io.stats
+}
+
+// shardIO is one machine's host-side NIC state: the ingress queues, the
+// device statistics, and — on a serving fleet — the order oracle that
+// every transmit is checked against. On a fleet it lives and dies with
+// one machine boot; the serving rig folds retired generations into
+// per-shard totals at respawn.
+type shardIO struct {
+	rx    [2][]Packet
+	head  [2]int
+	stats DeviceStats
+	// oracle, when set, checks per-flow transmit order fleet-wide; each
+	// inversion it reports is also counted here.
+	oracle          *orderOracle
+	orderViolations int
+	faults          int
+	calls           int
+}
+
+func (io *shardIO) remaining() int {
+	return (len(io.rx[0]) - io.head[0]) + (len(io.rx[1]) - io.head[1])
+}
+
+// installShardDevices registers the NIC builtins on m over io. The
+// ingress queues are refillable: a serving rig appends to io.rx between
+// kmain calls.
+func installShardDevices(m *machine.M, io *shardIO) {
 	bufAddr := func(dev int64) int64 {
-		return int64(len(m.Mem)) - int64(dev+1)*PktWords
+		return int64(len(m.Mem)) - (dev+1)*PktWords
 	}
 	m.RegisterBuiltin("__rx_poll", func(mm *machine.M, args []int64) (int64, error) {
 		dev := args[0]
 		if dev < 0 || dev > 1 {
 			return 0, fmt.Errorf("clack: rx on bad device %d", dev)
 		}
-		q := streams[dev]
-		if next[dev] >= len(q) {
+		if io.head[dev] >= len(io.rx[dev]) {
 			return 0, nil
 		}
-		p := q[next[dev]]
-		next[dev]++
-		stats.Rx[dev]++
+		p := io.rx[dev][io.head[dev]]
+		io.head[dev]++
+		io.stats.Rx[dev]++
 		addr := bufAddr(dev)
 		if err := mm.WriteWords(addr, p.words()); err != nil {
 			return 0, err
@@ -154,22 +182,47 @@ func InstallDevices(m *machine.M, streams [2][]Packet) *DeviceStats {
 		if dev < 0 || dev > 1 {
 			return 0, fmt.Errorf("clack: tx on bad device %d", dev)
 		}
-		stats.Tx[dev]++
+		io.stats.Tx[dev]++
 		kind := mm.Mem[addr]
 		ttl := mm.Mem[addr+1]
 		if kind == KindIP {
 			if ttl <= 0 {
-				stats.TxBad = append(stats.TxBad,
+				io.stats.TxBad = append(io.stats.TxBad,
 					fmt.Sprintf("tx dev%d: IP packet with ttl %d", dev, ttl))
 			} else {
-				stats.TxTTLOK++
+				io.stats.TxTTLOK++
+			}
+		}
+		if io.oracle != nil {
+			flow := mm.Mem[addr+6+payloadFlowWord]
+			seq := mm.Mem[addr+6+payloadSeqWord]
+			if !io.oracle.check(flow, seq) {
+				io.orderViolations++
 			}
 		}
 		return 0, nil
 	})
 	m.RegisterBuiltin("__drop", func(mm *machine.M, args []int64) (int64, error) {
-		stats.Dropped++
+		io.stats.Dropped++
 		return 0, nil
 	})
-	return stats
+}
+
+// orderOracle is the fleet-global per-flow order check: one monotonic
+// sequence ledger shared by every shard's __tx builtin, surviving
+// respawns and following a flow across a re-steer. Mutexed — shard
+// goroutines transmit concurrently.
+type orderOracle struct {
+	mu      sync.Mutex
+	lastSeq map[int64]int64
+}
+
+// check records a transmit of flow's packet seq and reports whether seq
+// is above the flow's previous transmit.
+func (o *orderOracle) check(flow, seq int64) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	ok := seq > o.lastSeq[flow]
+	o.lastSeq[flow] = seq
+	return ok
 }

@@ -106,19 +106,11 @@ func ServeFleetUpgrade(res *build.Result, spec FlowSpec, shards, canaries int, b
 		return nil, fmt.Errorf("clack: diff against %s: %w", unitName, err)
 	}
 
-	rg, err := newServeRig(res, shards, 0)
+	rg, err := newRig(res, fleet.Config{Shards: shards, Policy: pol, Clock: clk}, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	fl, err := fleet.New[FlowPacket](res, fleet.Config{
-		Shards: shards,
-		Policy: pol,
-		Clock:  clk,
-		Setup:  rg.setup,
-	}, rg.handler)
-	if err != nil {
-		return nil, err
-	}
+	fl := rg.fl
 	if canaries < 1 {
 		canaries = 1
 	}
@@ -197,6 +189,6 @@ func ServeFleetUpgrade(res *build.Result, spec FlowSpec, shards, canaries int, b
 			return nil, err
 		}
 	}
-	rep.FleetReport = rg.report(fl, fl.Close())
+	rep.FleetReport = rg.report(fl.Close())
 	return rep, nil
 }

@@ -115,7 +115,7 @@ func (r *Result) PostInitSnapshot(setup func(*machine.M) error) (*machine.Snapsh
 		return nil, err
 	}
 	snap := m.Snapshot()
-	r.forget(m)
+	r.Forget(m)
 	return snap, nil
 }
 
@@ -134,9 +134,11 @@ func (r *Result) NewMachineFrom(snap *machine.Snapshot, initialized bool) *machi
 	return m
 }
 
-// forget drops the per-machine state entry for a discarded machine so
-// short-lived prototypes do not accumulate in the state map.
-func (r *Result) forget(m *machine.M) {
+// Forget drops the per-machine state entry for a discarded machine, so
+// prototypes and respawned-away machines do not accumulate in the state
+// map (it holds the machine, its loaded modules, and its observer). Call
+// it only for a machine that will not run again.
+func (r *Result) Forget(m *machine.M) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.mach, m)

@@ -20,8 +20,7 @@ import (
 // for the prototype is discarded with it.
 const Prototype = -1
 
-// ErrClosed is returned by submissions after Close; each such attempt
-// is also counted in ShedAfterClose.
+// ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("fleet: submit after Close")
 
 // Config shapes a fleet. The zero value of every optional field has a
@@ -36,8 +35,8 @@ type Config struct {
 	Batch int
 	// Queue is the per-shard queue depth in batches (default 8). A full
 	// queue blocks Submit — backpressure, not drops. Producers that must
-	// not stall on one sick shard use TrySubmit / SubmitShardDeadline
-	// instead and shed on refusal (the overload layer's admission path).
+	// not stall on one sick shard use SubmitTo with a deadline instead
+	// and shed on refusal (the overload layer's admission path).
 	Queue int
 	// RedeliverAttempts is the in-flight batch redelivery policy applied
 	// when a handler failure kills a shard's machine: 0 (at-most-once,
@@ -98,12 +97,14 @@ func (c Config) withDefaults() (Config, error) {
 type Handler[T any] func(sh *Shard[T], batch []T) error
 
 // Fleet is N shards of one build.Result behind a flow-hash balancer.
-// Submit/TrySubmit/Flush/Close are single-producer: one goroutine feeds
-// the fleet. Report, Statuses, and the per-shard accessors are valid
-// after Close returns; the atomic health accessors (Served, Dropped,
-// Respawns, Completed, HealthSample, QueueDepth) may additionally be
-// read live from the producer goroutine — that is what the overload
-// layer's circuit breakers do.
+// Submit, SubmitTo, Flush, Exec, TryExec, and Close are single-producer:
+// one goroutine feeds the fleet. Submit blocks on a full queue; SubmitTo
+// and Flush wait at most until a deadline; every hand-off goes through
+// one internal send. Report, Statuses, and the per-shard accessors are
+// valid after Close returns; the atomic health accessors (Served,
+// Dropped, Respawns, Completed, HealthSample, QueueDepth) may
+// additionally be read live from the producer goroutine — that is what
+// the overload layer's circuit breakers do.
 type Fleet[T any] struct {
 	res    *build.Result
 	cfg    Config
@@ -115,10 +116,9 @@ type Fleet[T any] struct {
 	// enq counts envelopes (batches and control functions) handed to
 	// each shard's queue. Producer-owned; paired with Shard.Completed it
 	// gives the drain barrier the re-steering layer needs.
-	enq        []uint64
-	closed     bool
-	closeErr   error
-	shedClosed uint64
+	enq      []uint64
+	closed   bool
+	closeErr error
 }
 
 // Shard is one machine's worth of the fleet. M, Sup, and Col are owned
@@ -337,6 +337,7 @@ func (sh *Shard[T]) respawn() {
 	if sh.Col != nil {
 		sh.retired = append(sh.retired, sh.Col.Report())
 	}
+	sh.fl.res.Forget(sh.M)
 	sh.respawns.Add(1)
 	if err := sh.boot(); err != nil {
 		// A snapshot restore cannot fail, so only Setup can land here;
@@ -349,94 +350,102 @@ func (sh *Shard[T]) respawn() {
 // Submit routes one item by its flow key. Identical flows always reach
 // the same shard, preserving per-flow order; the item rides in the
 // shard's current batch and is handed off when the batch fills (or at
-// Flush). Submit blocks when the target shard's queue is full —
+// Flush or Close). Submit blocks when the target shard's queue is full —
 // backpressure for closed-loop producers; open-loop producers use
-// TrySubmit and shed instead. After Close it returns ErrClosed and the
-// attempt is counted in ShedAfterClose (it used to panic).
+// SubmitTo and shed instead. After Close it returns ErrClosed.
 func (fl *Fleet[T]) Submit(flow uint64, item T) error {
-	return fl.SubmitShard(FlowShard(flow, fl.cfg.Shards), item)
-}
-
-// SubmitShard is Submit with the shard chosen by the caller — the door
-// the overload layer's re-steering table walks through to move a flow
-// off its sick home shard. Choosing shards by anything other than a
-// stable function of the flow key forfeits per-flow ordering unless the
-// caller provides its own drain barrier, as the re-steerer does.
-func (fl *Fleet[T]) SubmitShard(id int, item T) error {
 	if fl.closed {
-		fl.shedClosed++
 		return ErrClosed
 	}
-	if id < 0 || id >= len(fl.shards) {
-		return fmt.Errorf("fleet: submit to unknown shard %d", id)
-	}
-	fl.pending[id] = append(fl.pending[id], item)
-	if len(fl.pending[id]) >= fl.cfg.Batch {
-		fl.shards[id].in <- envelope[T]{batch: fl.pending[id]}
-		fl.enq[id]++
-		fl.pending[id] = make([]T, 0, fl.cfg.Batch)
-	}
+	fl.add(FlowShard(flow, len(fl.shards)), item, true, time.Time{})
 	return nil
 }
 
-// TrySubmit is the non-blocking Submit: it never stalls the producer,
-// not even when the target shard is sick with a full queue (the
-// head-of-line scenario that motivates the overload layer). It refuses
-// — returning false with the fleet untouched — exactly when admitting
-// the item would need a queue slot the shard cannot give right now.
-func (fl *Fleet[T]) TrySubmit(flow uint64, item T) bool {
-	return fl.TrySubmitShard(FlowShard(flow, fl.cfg.Shards), item)
-}
-
-// TrySubmitShard is TrySubmit with the shard chosen by the caller.
-func (fl *Fleet[T]) TrySubmitShard(id int, item T) bool {
-	if fl.closed {
-		fl.shedClosed++
-		return false
-	}
-	if id < 0 || id >= len(fl.shards) {
-		return false
-	}
-	p := fl.pending[id]
-	if len(p)+1 < fl.cfg.Batch {
-		fl.pending[id] = append(p, item)
-		return true
-	}
-	select {
-	case fl.shards[id].in <- envelope[T]{batch: append(p, item)}:
-		fl.enq[id]++
-		fl.pending[id] = make([]T, 0, fl.cfg.Batch)
-		return true
-	default:
-		return false
-	}
-}
-
-// SubmitShardDeadline admits like TrySubmitShard but, when the hand-off
-// would block, waits for a queue slot until the deadline instead of
-// refusing immediately — the budgeted middle ground between Submit's
-// unbounded backpressure and TrySubmit's instant shed.
-func (fl *Fleet[T]) SubmitShardDeadline(id int, item T, deadline time.Time) bool {
-	if fl.TrySubmitShard(id, item) {
-		return true
-	}
+// SubmitTo adds item to shard id's batch — the door the overload
+// layer's re-steering table walks through to move a flow off its sick
+// home shard. When the batch fills and the shard's queue has no slot,
+// it waits for one until deadline; a past deadline, the zero Time
+// included, means no wait. A false return leaves the fleet untouched:
+// the item was not admitted (also after Close, or for an unknown
+// shard). Choosing shards by anything other than a stable function of
+// the flow key forfeits per-flow ordering unless the caller provides
+// its own drain barrier, as the re-steerer does.
+func (fl *Fleet[T]) SubmitTo(id int, item T, deadline time.Time) bool {
 	if fl.closed || id < 0 || id >= len(fl.shards) {
 		return false
 	}
-	wait := time.Until(deadline)
-	if wait <= 0 {
+	return fl.add(id, item, false, deadline)
+}
+
+// Flush hands off shard id's partial batch under SubmitTo's deadline
+// rule: true when the shard has no partial batch left (flushed now, or
+// there was none), false when no queue slot freed in time, the fleet is
+// closed, or the shard is unknown. The re-steering layer flushes with
+// no wait to start a drain barrier without stalling behind the very
+// congestion it is routing around.
+func (fl *Fleet[T]) Flush(id int, deadline time.Time) bool {
+	if fl.closed || id < 0 || id >= len(fl.shards) {
 		return false
 	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case fl.shards[id].in <- envelope[T]{batch: append(fl.pending[id], item)}:
-		fl.enq[id]++
-		fl.pending[id] = make([]T, 0, fl.cfg.Batch)
+	return fl.flush(id, false, deadline)
+}
+
+// add appends item to shard id's partial batch and hands the batch off
+// once it is full.
+func (fl *Fleet[T]) add(id int, item T, block bool, deadline time.Time) bool {
+	batch := append(fl.pending[id], item)
+	if len(batch) < fl.cfg.Batch {
+		fl.pending[id] = batch
 		return true
-	case <-t.C:
+	}
+	return fl.handOff(id, batch, block, deadline)
+}
+
+// flush hands off shard id's partial batch, if it has one.
+func (fl *Fleet[T]) flush(id int, block bool, deadline time.Time) bool {
+	if len(fl.pending[id]) == 0 {
+		return true
+	}
+	return fl.handOff(id, fl.pending[id], block, deadline)
+}
+
+// handOff queues batch on shard id and starts a fresh partial batch.
+// A refused hand-off leaves the partial batch as it was.
+func (fl *Fleet[T]) handOff(id int, batch []T, block bool, deadline time.Time) bool {
+	if !fl.send(id, envelope[T]{batch: batch}, block, deadline) {
 		return false
 	}
+	fl.pending[id] = make([]T, 0, fl.cfg.Batch)
+	return true
+}
+
+// send is the fleet's one hand-off: it queues env on shard id and counts
+// it toward the drain barrier. With block it waits as long as the queue
+// is full; otherwise it waits for a slot until deadline, and a past
+// deadline means no wait.
+func (fl *Fleet[T]) send(id int, env envelope[T], block bool, deadline time.Time) bool {
+	in := fl.shards[id].in
+	select {
+	case in <- env:
+	default:
+		var expired <-chan time.Time // nil: never fires, so the send blocks
+		if !block {
+			wait := time.Until(deadline)
+			if wait <= 0 {
+				return false
+			}
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			expired = t.C
+		}
+		select {
+		case in <- env:
+		case <-expired:
+			return false
+		}
+	}
+	fl.enq[id]++
+	return true
 }
 
 // Exec runs fn on shard id's goroutine, after everything already queued
@@ -454,14 +463,9 @@ func (fl *Fleet[T]) Exec(id int, fn func(*Shard[T]) error) error {
 	}
 	// Flush the shard's partial batch first so fn observes (and follows)
 	// all traffic submitted before it.
-	if len(fl.pending[id]) > 0 {
-		fl.shards[id].in <- envelope[T]{batch: fl.pending[id]}
-		fl.enq[id]++
-		fl.pending[id] = make([]T, 0, fl.cfg.Batch)
-	}
+	fl.flush(id, true, time.Time{})
 	reply := make(chan error, 1)
-	fl.shards[id].in <- envelope[T]{ctrl: fn, reply: reply}
-	fl.enq[id]++
+	fl.send(id, envelope[T]{ctrl: fn, reply: reply}, true, time.Time{})
 	return <-reply
 }
 
@@ -477,13 +481,7 @@ func (fl *Fleet[T]) TryExec(id int, fn func(*Shard[T]) error) bool {
 	if fl.closed || id < 0 || id >= len(fl.shards) {
 		return false
 	}
-	select {
-	case fl.shards[id].in <- envelope[T]{ctrl: fn}:
-		fl.enq[id]++
-		return true
-	default:
-		return false
-	}
+	return fl.send(id, envelope[T]{ctrl: fn}, false, time.Time{})
 }
 
 // ShardPolicy returns the restart policy shard id was booted with — the
@@ -525,49 +523,6 @@ func (fl *Fleet[T]) Enqueued(id int) uint64 { return fl.enq[id] }
 // Safe from any goroutine.
 func (sh *Shard[T]) Completed() uint64 { return sh.completed.Load() }
 
-// ShedAfterClose counts submissions refused because the fleet was
-// already closed.
-func (fl *Fleet[T]) ShedAfterClose() uint64 { return fl.shedClosed }
-
-// TryFlushShard hands off shard id's partial batch without blocking:
-// true when the shard has no partial batch left (flushed now, or there
-// was none), false when the queue had no slot. The re-steering layer
-// uses it to start a drain barrier without stalling behind the very
-// congestion it is routing around.
-func (fl *Fleet[T]) TryFlushShard(id int) bool {
-	if fl.closed || id < 0 || id >= len(fl.shards) {
-		return false
-	}
-	p := fl.pending[id]
-	if len(p) == 0 {
-		return true
-	}
-	select {
-	case fl.shards[id].in <- envelope[T]{batch: p}:
-		fl.enq[id]++
-		fl.pending[id] = make([]T, 0, fl.cfg.Batch)
-		return true
-	default:
-		return false
-	}
-}
-
-// Flush hands off every partial batch. No-op after Close (Close already
-// flushed; the queues are gone).
-func (fl *Fleet[T]) Flush() {
-	if fl.closed {
-		return
-	}
-	for id, batch := range fl.pending {
-		if len(batch) == 0 {
-			continue
-		}
-		fl.shards[id].in <- envelope[T]{batch: batch}
-		fl.enq[id]++
-		fl.pending[id] = make([]T, 0, fl.cfg.Batch)
-	}
-}
-
 // Close flushes, stops every shard, and waits for them to drain. It
 // returns the accumulated shard errors (each already attributed to its
 // shard and respawn generation). Idempotent: repeated calls return the
@@ -577,7 +532,9 @@ func (fl *Fleet[T]) Close() error {
 	if fl.closed {
 		return fl.closeErr
 	}
-	fl.Flush()
+	for id := range fl.shards {
+		fl.flush(id, true, time.Time{})
+	}
 	fl.closed = true
 	for _, sh := range fl.shards {
 		close(sh.in)

@@ -9,7 +9,7 @@ import (
 
 // TestFleetCloseIdempotentAndSubmitAfterClose covers the graceful-
 // shutdown contract: Close and Flush may be called repeatedly, and a
-// late Submit is a counted shed with ErrClosed, not a panic.
+// late Submit returns ErrClosed, not a panic.
 func TestFleetCloseIdempotentAndSubmitAfterClose(t *testing.T) {
 	res := buildCounter(t)
 	handler := func(sh *Shard[int64], batch []int64) error {
@@ -33,23 +33,20 @@ func TestFleetCloseIdempotentAndSubmitAfterClose(t *testing.T) {
 	if err := fl.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	fl.Flush() // must be a no-op, not a send on a closed channel
+	fl.Flush(0, time.Now().Add(time.Second)) // must be a no-op, not a send on a closed channel
 
 	if err := fl.Submit(1, 9); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
-	if fl.TrySubmit(1, 9) {
-		t.Fatal("TrySubmit after Close must refuse")
+	if fl.SubmitTo(FlowShard(1, 2), 9, time.Time{}) {
+		t.Fatal("no-wait SubmitTo after Close must refuse")
 	}
-	if fl.SubmitShardDeadline(0, 9, time.Now().Add(time.Second)) {
-		t.Fatal("SubmitShardDeadline after Close must refuse")
-	}
-	if got := fl.ShedAfterClose(); got != 3 {
-		t.Fatalf("ShedAfterClose = %d, want 3", got)
+	if fl.SubmitTo(0, 9, time.Now().Add(time.Second)) {
+		t.Fatal("deadline SubmitTo after Close must refuse")
 	}
 }
 
-// TestFleetTrySubmitBackpressure pins TrySubmit's refusal semantics: a
+// TestFleetTrySubmitBackpressure pins SubmitTo's refusal semantics: a
 // full shard queue refuses admission without blocking the producer and
 // without disturbing fleet state, and admission resumes once the shard
 // drains.
@@ -75,7 +72,7 @@ func TestFleetTrySubmitBackpressure(t *testing.T) {
 	}
 
 	// First item: picked up by the shard, which parks in the handler.
-	if !fl.TrySubmitShard(0, 1) {
+	if !fl.SubmitTo(0, 1, time.Time{}) {
 		t.Fatal("first admission must succeed")
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -84,19 +81,19 @@ func TestFleetTrySubmitBackpressure(t *testing.T) {
 	}
 	// Second: occupies the single queue slot. Third must be refused —
 	// the shard is parked, the queue full, and the producer never blocks.
-	if !fl.TrySubmitShard(0, 2) {
+	if !fl.SubmitTo(0, 2, time.Time{}) {
 		t.Fatal("second item should take the queue slot")
 	}
-	if fl.TrySubmitShard(0, 3) {
+	if fl.SubmitTo(0, 3, time.Time{}) {
 		t.Fatal("third item must be refused: shard parked, queue full")
 	}
-	if fl.SubmitShardDeadline(0, 3, time.Now().Add(10*time.Millisecond)) {
+	if fl.SubmitTo(0, 3, time.Now().Add(10*time.Millisecond)) {
 		t.Fatal("deadline submit must expire against a parked shard")
 	}
 
 	gated.Store(false)
 	close(gate)
-	if !fl.SubmitShardDeadline(0, 3, time.Now().Add(2*time.Second)) {
+	if !fl.SubmitTo(0, 3, time.Now().Add(2*time.Second)) {
 		t.Fatal("deadline submit must succeed once the shard drains")
 	}
 	if err := fl.Close(); err != nil {
@@ -144,8 +141,8 @@ func TestFleetRedeliveryResumesAtAck(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	for _, x := range []int64{7, poison, 5} {
-		if err := fl.SubmitShard(0, x); err != nil {
-			t.Fatalf("SubmitShard: %v", err)
+		if err := fl.Submit(0, x); err != nil {
+			t.Fatalf("Submit: %v", err)
 		}
 	}
 	if err := fl.Close(); err == nil {
@@ -184,8 +181,8 @@ func TestFleetRedeliveryGivesUp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	fl.SubmitShard(0, 7)
-	fl.SubmitShard(0, poison)
+	fl.Submit(0, 7)
+	fl.Submit(0, poison)
 	if err := fl.Close(); err == nil {
 		t.Fatal("Close: want poisoned-attempt errors, got nil")
 	}
@@ -212,8 +209,8 @@ func TestFleetHealthSample(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	fl.SubmitShard(0, 1)
-	fl.SubmitShard(0, 2)
+	fl.Submit(0, 1)
+	fl.Submit(0, 2)
 	deadline := time.Now().Add(2 * time.Second)
 	for fl.Shards()[0].HealthSample().Calls < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

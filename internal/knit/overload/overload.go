@@ -227,7 +227,7 @@ func NewController[T any](fl *fleet.Fleet[T], cfg Config) *Controller[T] {
 // until then they are in limbo, visible via Parked). A false return
 // means the item was shed and counted.
 func (c *Controller[T]) TrySubmit(flow uint64, class Class, item T) bool {
-	return c.submit(flow, class, item, nil)
+	return c.submit(flow, class, item, time.Time{})
 }
 
 // SubmitDeadline is TrySubmit with a time budget: when the target shard
@@ -235,10 +235,10 @@ func (c *Controller[T]) TrySubmit(flow uint64, class Class, item T) bool {
 // until the deadline before shedding. Reserve it for High traffic — the
 // wait blocks the producer.
 func (c *Controller[T]) SubmitDeadline(flow uint64, class Class, item T, deadline time.Time) bool {
-	return c.submit(flow, class, item, &deadline)
+	return c.submit(flow, class, item, deadline)
 }
 
-func (c *Controller[T]) submit(flow uint64, class Class, item T, deadline *time.Time) bool {
+func (c *Controller[T]) submit(flow uint64, class Class, item T, deadline time.Time) bool {
 	c.stats.Submitted++
 	home := int(fleet.FlowShard(flow, c.shards))
 	e := c.remap[flow]
@@ -264,19 +264,13 @@ func (c *Controller[T]) submit(flow uint64, class Class, item T, deadline *time.
 // admit applies class gating against the target shard's pressure, then
 // hands the item to the fleet without blocking (or within the deadline
 // budget). Refusals are shed and counted.
-func (c *Controller[T]) admit(target int, class Class, item T, deadline *time.Time) bool {
+func (c *Controller[T]) admit(target int, class Class, item T, deadline time.Time) bool {
 	p := c.fl.Pressure(target)
 	if (class == Low && p >= c.cfg.LowWater) || (class == Normal && p >= c.cfg.HighWater) {
 		c.shed(class)
 		return false
 	}
-	var ok bool
-	if deadline != nil {
-		ok = c.fl.SubmitShardDeadline(target, item, *deadline)
-	} else {
-		ok = c.fl.TrySubmitShard(target, item)
-	}
-	if !ok {
+	if !c.fl.SubmitTo(target, item, deadline) {
 		c.shed(class)
 		return false
 	}
@@ -331,7 +325,7 @@ func (c *Controller[T]) resteer(flow uint64, home int) *entry[T] {
 // partial batch is handed off, every envelope the flow could ride is in
 // the first Enqueued(id) envelopes, and the barrier is that count.
 func (c *Controller[T]) captureBarrier(e *entry[T], id int) {
-	if c.fl.TryFlushShard(id) {
+	if c.fl.Flush(id, time.Time{}) {
 		e.barrier = c.fl.Enqueued(id)
 		e.barrierSet = true
 	}
@@ -377,7 +371,7 @@ func (c *Controller[T]) flushParked(e *entry[T], id int) bool {
 			c.shed(pi.class)
 			continue
 		}
-		if !c.fl.TrySubmitShard(id, pi.item) {
+		if !c.fl.SubmitTo(id, pi.item, time.Time{}) {
 			break
 		}
 		c.stats.Admitted++
