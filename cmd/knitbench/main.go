@@ -4,7 +4,8 @@
 //
 // Usage:
 //
-//	knitbench [-table1] [-table2] [-micro] [-census] [-buildtime] [-fig1c] [-packets N]
+//	knitbench [-table1] [-table2] [-micro] [-census] [-buildtime] [-fig1c]
+//	          [-ablations] [-recovery] [-packets N]
 //
 // With no selection flags, everything runs.
 package main
@@ -25,7 +26,6 @@ import (
 	"knit/internal/knit/build"
 	"knit/internal/knit/supervise"
 	"knit/internal/ldlink"
-	"knit/internal/machine"
 	"knit/internal/oskit"
 )
 
@@ -39,43 +39,10 @@ func main() {
 		fig1c     = flag.Bool("fig1c", false, "interposition with ld vs Knit (Figure 1c)")
 		ablations = flag.Bool("ablations", false, "mechanism ablations for the Table 1 result")
 		recovery  = flag.Bool("recovery", false, "fault-to-restored-service latency, restart vs fallback swap")
-		observeF  = flag.Bool("observe", false, "observability overhead: clack router with a metrics collector attached vs not")
-		fleetF    = flag.Bool("fleet", false, "sharded serving scaling curve: pps at 1, 2, and 4 shards")
-		overloadB = flag.Bool("overload", false, "overload soak quality envelope: goodput, shed fraction, p99 at 3x capacity with shard kills")
-		jsonOut   = flag.Bool("json", false, "write BENCH_router.json and BENCH_buildtime.json (see -out) and exit")
-		outDir    = flag.String("out", ".", "with -json, output directory for the BENCH_*.json files")
-		gateDir   = flag.String("gate", "", "compare fresh measurements against the BENCH_*.json baselines in this directory and fail on regression")
-		tolerance = flag.Float64("tolerance", 0.25, "with -gate, allowed fractional regression (0.25 = 25%)")
 		packets   = flag.Int("packets", 2000, "router workload size")
-		backendF  = flag.String("backend", "", "execution backend for -fleet serving runs: interp (default) or compiled")
 	)
 	flag.Parse()
 
-	backend, err := machine.ParseBackend(*backendF)
-	if err != nil {
-		fail(err)
-	}
-
-	if *jsonOut {
-		runJSON(*outDir, *packets)
-		return
-	}
-	if *gateDir != "" {
-		runGate(*gateDir, *tolerance, *packets)
-		return
-	}
-	if *observeF {
-		runObserve(*packets)
-		return
-	}
-	if *fleetF {
-		runFleetBench(*packets, backend)
-		return
-	}
-	if *overloadB {
-		runOverloadBench(*packets, backend)
-		return
-	}
 	all := !(*table1 || *table2 || *micro || *census || *buildtime || *fig1c || *ablations || *recovery)
 
 	if all || *fig1c {

@@ -174,8 +174,8 @@ func RunRouter(res *build.Result, spec TrafficSpec) (*Measurement, error) {
 }
 
 // RunRouterWith is RunRouter with a hook over the fresh machine before
-// the run starts — the observability benchmark uses it to attach a
-// metrics collector (observe.Attach) to an otherwise identical run.
+// the run starts — TestTable1Shape uses it to attach a metrics
+// collector (observe.Attach) to an otherwise identical run.
 func RunRouterWith(res *build.Result, spec TrafficSpec, prep func(*machine.M)) (*Measurement, error) {
 	m := res.NewMachine()
 	streams := spec.Generate()

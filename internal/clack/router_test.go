@@ -1,8 +1,12 @@
 package clack
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"knit/internal/knit/observe"
+	"knit/internal/machine"
 )
 
 func TestParseStandardConfig(t *testing.T) {
@@ -89,38 +93,75 @@ func TestAllVariantsAgreeOnBehavior(t *testing.T) {
 	}
 }
 
+// TestTable1Shape pins Table 1 on DefaultTraffic(2000) exactly: each
+// variant's cycle and i-fetch stall totals over its 2000 measured
+// windows and its text bytes, on the interpreter and on the compiled
+// engine. The compiled engine models no fetch, so its stalls are 0 and
+// its cycles are the interpreter's minus the stalls. Attaching an
+// observe collector with a tracer must leave every counter unchanged.
+// The paper's ordering (modular > hand > flattened >= both) is checked
+// on top of the pins.
 func TestTable1Shape(t *testing.T) {
-	spec := DefaultTraffic(400)
-	get := func(v Variant) *Measurement {
-		m, err := MeasureVariant(v, spec)
-		if err != nil {
-			t.Fatalf("%s: %v", v, err)
+	spec := DefaultTraffic(2000)
+	pins := []struct {
+		v                              Variant
+		cycles, stalls, compiled, text int64
+	}{
+		{Variant{}, 1001428, 293764, 707664, 11960},
+		{Variant{HandOptimized: true}, 754140, 166178, 587962, 9944},
+		{Variant{Flattened: true}, 673138, 121690, 551448, 22992},
+		{Variant{HandOptimized: true, Flattened: true}, 638995, 112468, 526527, 13532},
+	}
+	check := func(label string, m *Measurement, cycles, stalls, text int64) {
+		t.Helper()
+		c, s := windowTotals(m)
+		if c != cycles || s != stalls || m.Packets != 2000 || m.TextBytes != text {
+			t.Errorf("%s: %d cycles, %d stalls, %d windows, %d text bytes; want %d, %d, 2000, %d",
+				label, c, s, m.Packets, m.TextBytes, cycles, stalls, text)
 		}
-		return m
 	}
-	modular := get(Variant{})
-	hand := get(Variant{HandOptimized: true})
-	flat := get(Variant{Flattened: true})
-	both := get(Variant{HandOptimized: true, Flattened: true})
+	var perPk []float64
+	for _, p := range pins {
+		res, err := BuildRouter(p.v)
+		if err != nil {
+			t.Fatalf("%s: %v", p.v, err)
+		}
+		mi, err := RunRouter(res, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", p.v, err)
+		}
+		check(p.v.String()+"/interp", mi, p.cycles, p.stalls, p.text)
+		perPk = append(perPk, mi.CyclesPerPk)
+		if p.v == (Variant{}) {
+			mo, err := RunRouterWith(res, spec, func(m *machine.M) { observe.Attach(m).Trace(1024) })
+			if err != nil {
+				t.Fatalf("%s with collector: %v", p.v, err)
+			}
+			check(p.v.String()+"/interp+observe", mo, p.cycles, p.stalls, p.text)
+		}
+		res.Backend = machine.BackendCompiled
+		mc, err := RunRouter(res, spec)
+		if err != nil {
+			t.Fatalf("%s compiled: %v", p.v, err)
+		}
+		check(p.v.String()+"/compiled", mc, p.compiled, 0, p.text)
+		if mc.Forwarded != mi.Forwarded || mc.Dropped != mi.Dropped {
+			t.Errorf("%s: compiled forwarded/dropped %d/%d, interp %d/%d",
+				p.v, mc.Forwarded, mc.Dropped, mi.Forwarded, mi.Dropped)
+		}
+	}
+	if !(perPk[0] > perPk[1] && perPk[1] > perPk[2] && perPk[2] >= perPk[3]) {
+		t.Errorf("cycles/packet modular %.0f, hand %.0f, flattened %.0f, both %.0f; want that order",
+			perPk[0], perPk[1], perPk[2], perPk[3])
+	}
+}
 
-	t.Logf("modular:  %.0f cycles, %.0f stalls, %d bytes", modular.CyclesPerPk, modular.StallsPerPk, modular.TextBytes)
-	t.Logf("hand:     %.0f cycles, %.0f stalls, %d bytes", hand.CyclesPerPk, hand.StallsPerPk, hand.TextBytes)
-	t.Logf("flat:     %.0f cycles, %.0f stalls, %d bytes", flat.CyclesPerPk, flat.StallsPerPk, flat.TextBytes)
-	t.Logf("both:     %.0f cycles, %.0f stalls, %d bytes", both.CyclesPerPk, both.StallsPerPk, both.TextBytes)
-
-	// Table 1's ordering: modular > hand > flattened > both.
-	if !(modular.CyclesPerPk > hand.CyclesPerPk) {
-		t.Errorf("hand optimization should beat modular: %.0f vs %.0f",
-			hand.CyclesPerPk, modular.CyclesPerPk)
-	}
-	if !(hand.CyclesPerPk > flat.CyclesPerPk) {
-		t.Errorf("flattening should beat hand optimization: %.0f vs %.0f",
-			flat.CyclesPerPk, hand.CyclesPerPk)
-	}
-	if !(flat.CyclesPerPk >= both.CyclesPerPk) {
-		t.Errorf("hand+flat should be at least as fast as flat: %.0f vs %.0f",
-			both.CyclesPerPk, flat.CyclesPerPk)
-	}
+// windowTotals recovers the integer cycle and stall totals behind a
+// measurement's per-packet means: the stopwatch divides each total by
+// Packets, and at these magnitudes the product rounds back exactly.
+func windowTotals(m *Measurement) (cycles, stalls int64) {
+	w := float64(m.Packets)
+	return int64(math.Round(m.CyclesPerPk * w)), int64(math.Round(m.StallsPerPk * w))
 }
 
 func TestConfigErrors(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"knit/internal/knit/build/faultinject"
 	"knit/internal/knit/observe"
 	"knit/internal/knit/supervise"
+	"knit/internal/machine"
 )
 
 // TestSupervisedRouterKeepsGoodput is the issue's acceptance scenario:
@@ -113,6 +114,49 @@ func TestSupervisedRouterNoFaults(t *testing.T) {
 	}
 	if got := rep.Stats.Tx[0] + rep.Stats.Tx[1]; got != meas.Forwarded {
 		t.Errorf("supervised run forwarded %d, unsupervised %d", got, meas.Forwarded)
+	}
+}
+
+// TestSupervisedRouterOutlivesStepLimit: a long-lived serving machine
+// whose Executed counter crosses the default StepLimit mid-traffic must
+// keep serving every packet. The limit bounds each supervised call, not
+// the machine's life; a lifetime cap would fault every call past it and
+// leave the supervisor nothing to recover.
+func TestSupervisedRouterOutlivesStepLimit(t *testing.T) {
+	res, err := BuildRouter(Variant{})
+	if err != nil {
+		t.Fatalf("BuildRouter: %v", err)
+	}
+	spec := DefaultTraffic(400)
+	m := res.NewMachine()
+	stats := InstallDevices(m, spec.Generate())
+	machine.InstallStopWatch(m)
+	if err := res.RunInit(m); err != nil {
+		t.Fatalf("init: %v", err)
+	}
+	m.Executed = 1<<32 - 100000
+	sup := supervise.New(res, m, supervise.Default(), supervise.NewFakeClock())
+	for calls := 0; ; calls++ {
+		if calls > 2*spec.Packets {
+			t.Fatal("router made no progress")
+		}
+		got, err := sup.Call("main", "kmain", 1)
+		if err != nil {
+			t.Fatalf("call %d at Executed %d: %v", calls, m.Executed, err)
+		}
+		if got == 0 {
+			break
+		}
+	}
+	if m.Executed <= 1<<32 {
+		t.Fatalf("Executed %d never crossed the default step limit", m.Executed)
+	}
+	rx := stats.Rx[0] + stats.Rx[1]
+	if done := stats.Tx[0] + stats.Tx[1] + stats.Dropped; rx == 0 || done != rx {
+		t.Errorf("received %d packets, accounted for %d", rx, done)
+	}
+	if !sup.Healthy() {
+		t.Errorf("supervisor not healthy: %+v", sup.Report())
 	}
 }
 

@@ -1,6 +1,7 @@
 package click
 
 import (
+	"math"
 	"testing"
 
 	"knit/internal/clack"
@@ -84,17 +85,28 @@ func TestXFormFusesElements(t *testing.T) {
 // TestTable2Shape reproduces Table 2: the optimized Click router is
 // roughly twice as fast as the unoptimized one (the paper: 2486 -> 1146
 // cycles, a 54% improvement), and the unoptimized Click router is
-// slightly slower than the Clack base (the paper: ~3%).
+// slightly slower than the Clack base (the paper: ~3%). Both builds'
+// cycle and i-fetch stall totals over their 2000 measured windows and
+// their text bytes are pinned exactly; Click runs on the interpreter
+// only.
 func TestTable2Shape(t *testing.T) {
-	spec := clack.DefaultTraffic(400)
-	base, err := Measure(Options{}, spec)
-	if err != nil {
-		t.Fatal(err)
+	spec := clack.DefaultTraffic(2000)
+	measure := func(opts Options, cycles, stalls, text int64) *Measurement {
+		t.Helper()
+		m, err := Measure(opts, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := float64(m.Packets)
+		c, s := int64(math.Round(m.CyclesPerPk*w)), int64(math.Round(m.StallsPerPk*w))
+		if c != cycles || s != stalls || m.Packets != 2000 || m.TextBytes != text {
+			t.Errorf("%s: %d cycles, %d stalls, %d windows, %d text bytes; want %d, %d, 2000, %d",
+				opts, c, s, m.Packets, m.TextBytes, cycles, stalls, text)
+		}
+		return m
 	}
-	optim, err := Measure(All(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := measure(Options{}, 1237456, 323098, 15580)
+	optim := measure(All(), 666734, 132494, 20652)
 	clackBase, err := clack.MeasureVariant(clack.Variant{}, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +115,6 @@ func TestTable2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("click base:      %.0f cycles", base.CyclesPerPk)
-	t.Logf("click optimized: %.0f cycles (%.0f%% improvement)",
-		optim.CyclesPerPk, 100*(1-optim.CyclesPerPk/base.CyclesPerPk))
-	t.Logf("clack base:      %.0f cycles", clackBase.CyclesPerPk)
-	t.Logf("clack hand+flat: %.0f cycles", clackBoth.CyclesPerPk)
 
 	// Click base is slower than Clack base (indirect dispatch), but in
 	// the same ballpark.

@@ -16,8 +16,9 @@
 // The design constraint is the hot path: a detached collector costs one
 // nil check per call inside the machine, and an attached one performs
 // no heap allocation on the no-fault path (map reads, array increments,
-// and ring-slot writes only) — benchmarked in knitbench -observe
-// against the Clack router at <5% throughput overhead.
+// and ring-slot writes only). Its wall cost per packet is perfbench's
+// observe.ns_per_packet; clack.TestTable1Shape checks that attaching it
+// leaves the simulated machine's counters unchanged.
 package observe
 
 import (

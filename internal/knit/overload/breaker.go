@@ -13,7 +13,8 @@ const (
 	// the breaker cools down before probing.
 	Open
 	// HalfOpen: probation — unremapped flows serve on the shard again as
-	// probe traffic; sustained healthy judgments close the breaker, any
+	// probe traffic (when none reach it, its steered flows return home
+	// to probe); sustained healthy judgments close the breaker, any
 	// breach or respawn reopens it.
 	HalfOpen
 

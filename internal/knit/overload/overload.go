@@ -20,7 +20,8 @@
 //     and serves probe traffic; sustained Meeting verdicts close it.
 //  4. Flow re-steering: flows homed on an open shard migrate to a
 //     healthy sibling through a bounded remap table. Each migration
-//     (and each return migration when the breaker closes) runs a drain
+//     (and each return migration when the breaker closes, or when it is
+//     half-open and no unremapped flow reaches it to probe) runs a drain
 //     barrier — the flow's new shard serves nothing until every
 //     envelope the flow could ride on its old shard has completed — so
 //     per-flow order holds end to end across the move.
@@ -143,7 +144,8 @@ type Stats struct {
 	Reopens int // half-open probes that failed back to open
 	Closes  int // breakers closed from half-open
 	// Resteers counts migrations started; Returns counts flows moved
-	// back home after their shard's breaker closed.
+	// back home after their shard's breaker closed, or to probe it
+	// half-open when no other flow reached it.
 	Resteers int
 	Returns  int
 
@@ -404,8 +406,14 @@ func (c *Controller[T]) Tick() {
 	}
 	for _, e := range c.remap {
 		c.progress(e)
-		if e.phase == phaseSteered && c.brk[e.from].state == Closed {
-			// Home is healthy again: drain the sibling and move back.
+		if e.phase != phaseSteered {
+			continue
+		}
+		// Home is healthy again, or half-open with no probe traffic
+		// because every flow it carried is steered away: drain the
+		// sibling and move back, the returning flows being the probe.
+		home := c.brk[e.from]
+		if home.state == Closed || (home.state == HalfOpen && home.cur.Calls == 0) {
 			e.phase = phaseHome
 			e.barrierSet = false
 			c.captureBarrier(e, e.to)

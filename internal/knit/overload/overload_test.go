@@ -209,6 +209,72 @@ func TestBreakerTripResteerAndReturn(t *testing.T) {
 	}
 }
 
+// TestHalfOpenBreakerProbesWithSteeredFlows: when re-steering took
+// every flow a shard carried, no probe traffic reaches it half-open, so
+// the steered flows come home through the drain barrier as the probe;
+// the breaker closes and the victim serves again.
+func TestHalfOpenBreakerProbesWithSteeredFlows(t *testing.T) {
+	res := buildOverload(t, machine.BackendInterp)
+	const poison = int64(-1)
+	fl, err := fleet.New[int64](res, fleet.Config{Shards: 2, Batch: 1, Queue: 8}, workHandler(poison))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	c := NewController(fl, Config{SLO: observeSLO(), TripAfter: 1, CoolTicks: 1})
+	victim := 0
+	flow := flowFor(t, victim, 2) // the victim's only flow
+	shs := fl.Shards()
+	settled := func() bool {
+		c.Tick()
+		var done uint64
+		for _, sh := range shs {
+			done += sh.Served() + sh.Dropped()
+		}
+		return c.Parked() == 0 && done == c.Stats().Admitted
+	}
+
+	if !c.TrySubmit(flow, High, poison) {
+		t.Fatal("poison submit refused")
+	}
+	waitFor(t, func() bool { return shs[victim].Completed() == 1 })
+	c.Tick()
+	if c.BreakerState(victim) != Open {
+		t.Fatalf("breaker = %v after respawn tick, want open", c.BreakerState(victim))
+	}
+	for round := 0; round < 400; round++ {
+		if c.BreakerState(victim) == Closed && c.Remapped() == 0 {
+			break
+		}
+		if !c.TrySubmit(flow, High, 1) {
+			t.Fatalf("round %d: submit refused", round)
+		}
+		waitFor(t, settled)
+	}
+	if c.BreakerState(victim) != Closed || c.Remapped() != 0 {
+		t.Fatalf("breaker = %v with %d flows remapped; victim served %d, sibling %d",
+			c.BreakerState(victim), c.Remapped(), shs[victim].Served(), shs[1].Served())
+	}
+	st := c.Stats()
+	if st.Trips != 1 || st.Resteers != 1 || st.Returns != 1 || st.Closes != 1 {
+		t.Fatalf("trips/resteers/returns/closes = %d/%d/%d/%d, want 1/1/1/1",
+			st.Trips, st.Resteers, st.Returns, st.Closes)
+	}
+
+	// Home again: the flow serves on the victim.
+	before := shs[victim].Served()
+	if !c.TrySubmit(flow, High, 3) {
+		t.Fatal("post-return submit refused")
+	}
+	waitFor(t, settled)
+	if shs[victim].Served() != before+1 {
+		t.Fatalf("victim served %d, want %d", shs[victim].Served(), before+1)
+	}
+	c.Drain(time.Now().Add(2 * time.Second))
+	if err := fl.Close(); err == nil {
+		t.Fatal("Close: want the poisoned batch's error, got nil")
+	}
+}
+
 // TestBrownoutDegradesFleetAndRestores: sustained pressure flips the
 // fleet to its fallback wiring (Lite's counter seed is unmistakable);
 // pressure release restores the primary.

@@ -290,11 +290,7 @@ func (m *M) runCompiled(cf *cfunc, regs []int64, fp int64) (int64, error) {
 		b := &cf.blocks[bi]
 		for si := range b.segs {
 			s := &b.segs[si]
-			lim := m.StepLimit
-			if m.fuelEnd > 0 && m.fuelEnd < lim {
-				lim = m.fuelEnd
-			}
-			if m.Executed+s.n > lim {
+			if m.Executed+s.n > m.budgetEnd {
 				// A limit fires somewhere in this segment: let the
 				// interpreter find the exact instruction.
 				return m.execLoop(cf.fn, regs, fp, s.startPC, false)

@@ -336,8 +336,7 @@ func TestBackendFuelTrapParity(t *testing.T) {
 	}
 }
 
-// TestBackendStepLimitParity: same sweep for the machine-lifetime step
-// limit.
+// TestBackendStepLimitParity: same sweep for the per-Run step limit.
 func TestBackendStepLimitParity(t *testing.T) {
 	probe := loadFile(t, fibProgram())
 	if _, err := probe.Run("fib", 5); err != nil {

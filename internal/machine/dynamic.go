@@ -342,12 +342,17 @@ func (m *M) UnloadDynamic(name string) error {
 	// Interposition redirects aimed *at* this module pin it too: calls
 	// are being routed into its code right now. (Redirect sources may
 	// vanish freely — a key with no definition is never dispatched.)
+	// The least pinning source is named, so the error is deterministic.
+	pin := ""
 	for from, to := range m.redirect {
-		if owned[to] {
-			return &LoadError{Msg: fmt.Sprintf(
-				"dynamic: cannot unload module %q: calls to %q are interposed onto its symbol %q",
-				name, from, to)}
+		if owned[to] && (pin == "" || from < pin) {
+			pin = from
 		}
+	}
+	if pin != "" {
+		return &LoadError{Msg: fmt.Sprintf(
+			"dynamic: cannot unload module %q: calls to %q are interposed onto its symbol %q",
+			name, pin, m.redirect[pin])}
 	}
 
 	// Reclaim symbol-table entries.

@@ -11,6 +11,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"knit/internal/cmini"
@@ -322,13 +323,16 @@ type M struct {
 	ICacheRefs int64
 	ICacheMiss int64
 
-	// StepLimit aborts runaway programs (0 means a large default).
+	// StepLimit bounds the instructions a single top-level Run may
+	// execute before trapping with TrapBudgetExhausted ("step limit
+	// exceeded"), so runaway programs stop (0 means a large default,
+	// 1<<32). It is re-armed at every Run, so a long-lived machine never
+	// outgrows it.
 	StepLimit int64
-	// Fuel, when positive, bounds the instructions a single top-level Run
-	// may execute before trapping with TrapBudgetExhausted. Unlike
-	// StepLimit (a machine-lifetime cap), Fuel is re-armed at every Run,
-	// so one buggy component's infinite loop becomes a reported trap
-	// without starving later, well-behaved calls.
+	// Fuel, when positive, is a tighter per-Run budget: a top-level Run
+	// may execute min(Fuel, StepLimit) instructions, so one buggy
+	// component's infinite loop becomes a reported trap without starving
+	// later, well-behaved calls.
 	Fuel int64
 	// PreRun, when non-nil, is consulted at every top-level Run entry
 	// with the entry symbol; a non-nil error aborts the run before any
@@ -366,7 +370,8 @@ type M struct {
 	icache     []int64 // tag per line; -1 empty
 	prevLine   int64
 	depth      int
-	fuelEnd    int64             // absolute Executed bound for the current Run (0 = none)
+	budgetEnd  int64             // absolute Executed bound for the current Run
+	fuelBound  bool              // budgetEnd comes from Fuel, not StepLimit
 	dyn        *dynState         // dynamically loaded modules (nil until used)
 	redirect   map[string]string // interposed function symbols (nil until used)
 	// regStack and argStack are per-call frame pools: every call's
@@ -419,10 +424,9 @@ const MaxCallDepth = 256
 // New creates a machine for a loaded image.
 func New(img *Image) *M {
 	m := &M{
-		Img:       img,
-		Costs:     img.costs,
-		Builtins:  map[string]Builtin{},
-		StepLimit: 1 << 32,
+		Img:      img,
+		Costs:    img.costs,
+		Builtins: map[string]Builtin{},
 	}
 	m.Reset()
 	return m
@@ -447,7 +451,7 @@ func (m *M) Reset() {
 	m.dyn = nil // dynamic modules do not survive a reset
 	m.redirect = nil
 	m.depth = 0
-	m.fuelEnd = 0
+	m.budgetEnd = 0
 	m.regTop, m.argTop = 0, 0 // arenas keep their capacity across resets
 	m.sites = nil
 	m.nextSite = 0
@@ -463,8 +467,8 @@ func (m *M) RegisterBuiltin(name string, fn Builtin) {
 
 // Run calls the named function with the given arguments and returns its
 // result. At the top level (not from within simulated code) it re-arms
-// the fuel budget and, on a trap, attributes the fault to the owning
-// unit instance via the link-time symbol owner table.
+// the instruction budget and, on a trap, attributes the fault to the
+// owning unit instance via the link-time symbol owner table.
 func (m *M) Run(entry string, args ...int64) (int64, error) {
 	if m.depth == 0 && m.PreRun != nil {
 		if err := m.PreRun(entry); err != nil {
@@ -480,17 +484,35 @@ func (m *M) Run(entry string, args ...int64) (int64, error) {
 		return 0, &LoadError{Msg: fmt.Sprintf("entry function %q not defined", entry)}
 	}
 	if m.depth == 0 {
-		if m.Fuel > 0 {
-			m.fuelEnd = m.Executed + m.Fuel
-		} else {
-			m.fuelEnd = 0
-		}
+		m.armBudget()
 	}
 	v, err := m.call(fn, args)
 	if t, ok := err.(*Trap); ok && t.Unit == "" {
 		t.Unit = m.OwnerOf(t.Func)
 	}
 	return v, err
+}
+
+// defaultStepLimit is the per-Run instruction bound when StepLimit is 0.
+const defaultStepLimit = 1 << 32
+
+// armBudget sets the one instruction bound a top-level Run executes
+// under: Executed plus the tighter of Fuel (when positive) and
+// StepLimit, saturating at MaxInt64.
+func (m *M) armBudget() {
+	n := m.StepLimit
+	if n == 0 {
+		n = defaultStepLimit
+	}
+	m.fuelBound = m.Fuel > 0 && m.Fuel < n
+	if m.fuelBound {
+		n = m.Fuel
+	}
+	if n > math.MaxInt64-m.Executed {
+		m.budgetEnd = math.MaxInt64
+	} else {
+		m.budgetEnd = m.Executed + n
+	}
 }
 
 // OwnerOf maps a (renamed, program-unique) function or data symbol back
@@ -626,13 +648,12 @@ func (m *M) execLoop(fn *obj.Func, regs []int64, fp int64, pc int, model bool) (
 		if pc < 0 || pc >= len(fn.Code) {
 			return 0, &Trap{Msg: "pc out of range", Func: fn.Name, PC: pc}
 		}
-		if m.Executed >= m.StepLimit {
-			return 0, &Trap{Kind: TrapBudgetExhausted, Msg: "step limit exceeded", Func: fn.Name, PC: pc}
-		}
-		if m.fuelEnd > 0 && m.Executed >= m.fuelEnd {
-			return 0, &Trap{Kind: TrapBudgetExhausted,
-				Msg:  fmt.Sprintf("fuel budget of %d instructions exhausted", m.Fuel),
-				Func: fn.Name, PC: pc}
+		if m.Executed >= m.budgetEnd {
+			msg := "step limit exceeded"
+			if m.fuelBound {
+				msg = fmt.Sprintf("fuel budget of %d instructions exhausted", m.Fuel)
+			}
+			return 0, &Trap{Kind: TrapBudgetExhausted, Msg: msg, Func: fn.Name, PC: pc}
 		}
 		in := &fn.Code[pc]
 		m.Executed++

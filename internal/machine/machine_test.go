@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -112,6 +113,46 @@ func TestTrapStepLimit(t *testing.T) {
 	_, err := m.Run("loop")
 	if err == nil || !strings.Contains(err.Error(), "step limit") {
 		t.Errorf("err = %v, want step limit trap", err)
+	}
+}
+
+// TestStepLimitBoundsEachRun: StepLimit bounds each top-level Run, as
+// Fuel does, so a long-lived machine whose Executed counter has passed
+// the limit keeps serving on both engines. A limit near MaxInt64
+// saturates instead of wrapping, and 0 takes the default instead of
+// trapping at once.
+func TestStepLimitBoundsEachRun(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		limit, executed int64
+	}{
+		{"past the limit", 1000, 1 << 32},
+		{"saturating", math.MaxInt64, 1 << 40},
+		{"default", 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mi, mc := compiledPair(t, fibProgram())
+			for _, m := range []*M{mi, mc} {
+				m.StepLimit, m.Executed = tc.limit, tc.executed
+			}
+			vi, ei := mi.Run("fib", 5)
+			vc, ec := mc.Run("fib", 5)
+			if ei != nil || vi != 5 {
+				t.Fatalf("fib(5) = %d, %v; want 5", vi, ei)
+			}
+			assertBackendParity(t, mi, mc, vi, vc, ei, ec)
+		})
+	}
+
+	// Within one Run the limit still fires, under its own message.
+	m := loadFile(t, fileWith(spinFunc("spin")))
+	m.StepLimit, m.Executed = 1000, 1<<32
+	_, err := m.Run("spin")
+	if err == nil || !strings.Contains(err.Error(), "step limit exceeded") {
+		t.Fatalf("err = %v, want step limit trap", err)
+	}
+	if m.Executed != 1<<32+1000 {
+		t.Fatalf("trapped at Executed %d, want %d", m.Executed, int64(1<<32+1000))
 	}
 }
 
