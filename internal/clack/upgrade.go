@@ -8,6 +8,7 @@ import (
 	"knit/internal/knit/build"
 	"knit/internal/knit/fleet"
 	"knit/internal/knit/link"
+	"knit/internal/knit/observe"
 	"knit/internal/knit/reconfigure"
 	"knit/internal/knit/supervise"
 )
@@ -79,8 +80,8 @@ type UpgradeReport struct {
 
 // upgradeSLO gates a serving-mode canary. MinCalls is sized so a window
 // fills within a few observation ticks even on small CI runs.
-func upgradeSLO() reconfigure.SLO {
-	return reconfigure.SLO{MinCalls: 64, Windows: 4, PromoteAfter: 2}
+func upgradeSLO() observe.SLO {
+	return observe.SLO{MinCalls: 64, Windows: 4, PromoteAfter: 2}
 }
 
 // ServeFleetUpgrade serves spec's traffic over a sharded router fleet

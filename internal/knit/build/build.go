@@ -113,7 +113,7 @@ func Build(opts Options) (*Result, error) {
 
 	// Parse the unit-definition files.
 	start := time.Now()
-	files, err := parseUnitFiles(opts.UnitFiles)
+	files, err := ParseUnitFiles(opts.UnitFiles)
 	res.Timings.Parse = time.Since(start)
 	if err != nil {
 		return nil, err
@@ -331,9 +331,9 @@ func runCompileJobs(jobs []compileJob, copts compile.Options, cache *Cache, par 
 	return objs, int(hits.Load()), nil
 }
 
-// parseUnitFiles parses every unit file in deterministic (sorted-name)
-// order.
-func parseUnitFiles(unitFiles map[string]string) ([]*lang.File, error) {
+// ParseUnitFiles parses unit-definition files in deterministic
+// (sorted-name) order, ready for link.NewRegistry.
+func ParseUnitFiles(unitFiles map[string]string) ([]*lang.File, error) {
 	names := make([]string, 0, len(unitFiles))
 	for name := range unitFiles {
 		names = append(names, name)

@@ -2,10 +2,12 @@ package build
 
 import (
 	"fmt"
+	"slices"
 
 	"knit/internal/knit/constraint"
 	"knit/internal/knit/lang"
 	"knit/internal/knit/link"
+	"knit/internal/knit/sched"
 	"knit/internal/machine"
 )
 
@@ -63,9 +65,7 @@ func (lu *LoadedUnit) ExportSymbol(bundle, sym string) (string, error) {
 // rejected module leaves zero residue. A loaded module lives until
 // LoadedUnit.Unload (or machine reset); its finalizers run at unload.
 func (r *Result) LoadDynamic(m *machine.M, du DynamicUnit) (*LoadedUnit, error) {
-	st := r.stateOf(m)
-
-	files, err := parseUnitFiles(du.UnitFiles)
+	files, err := ParseUnitFiles(du.UnitFiles)
 	if err != nil {
 		return nil, err
 	}
@@ -74,28 +74,11 @@ func (r *Result) LoadDynamic(m *machine.M, du DynamicUnit) (*LoadedUnit, error) 
 		return nil, err
 	}
 
-	// The elaboration base is the static program plus this machine's
-	// previously loaded modules: their instances (so fresh instance IDs
-	// stay unique) and their exports (so modules can wire to modules).
-	// Cloned, not aliased: appending onto the shared r.Program.Instances
-	// backing array would race across machines loading concurrently.
-	base := &link.Program{
-		Registry:  reg,
-		Top:       r.Program.Top,
-		Instances: append([]*link.Instance(nil), r.Program.Instances...),
-		Exports:   map[string]*link.Wire{},
-	}
-	for name, w := range r.Program.Exports {
-		base.Exports[name] = w
-	}
-	for _, prev := range st.loaded {
-		base.Instances = append(base.Instances, prev)
-		for name, w := range link.DynamicExports(prev) {
-			base.Exports[name] = w
-		}
-	}
-
-	inst, err := link.ElaborateDynamic(reg, base, du.Unit, du.Sources, du.Wiring)
+	// The elaboration base is the live program, so fresh instance IDs
+	// stay unique and modules can wire to modules.
+	live := r.LiveProgram(m)
+	live.Registry = reg
+	inst, err := link.ElaborateDynamic(reg, live, du.Unit, du.Sources, du.Wiring)
 	if err != nil {
 		return nil, err
 	}
@@ -103,52 +86,101 @@ func (r *Result) LoadDynamic(m *machine.M, du DynamicUnit) (*LoadedUnit, error) 
 	// Constraint check over the whole live configuration, before any of
 	// the module's code is compiled or loaded.
 	if du.Check {
-		combined := &link.Program{
-			Registry:  reg,
-			Top:       base.Top,
-			Instances: append(append([]*link.Instance{}, base.Instances...), inst),
-			Exports:   base.Exports,
-		}
-		if _, err := constraint.Check(combined); err != nil {
+		live.Instances = append(live.Instances, inst)
+		if _, err := constraint.Check(live); err != nil {
 			return nil, fmt.Errorf("knit: dynamic unit %s rejected: %w", du.Unit, err)
 		}
 	}
+	return r.LoadElaborated(m, inst)
+}
 
+// moduleName is the machine-level name of a dynamic instance's module.
+// It carries the instance ID so repeated loads of the same unit stay
+// distinguishable, and it is also the module's attribution: calls,
+// traps and lifecycle steps of the module all report under it.
+func moduleName(inst *link.Instance) string {
+	return fmt.Sprintf("%s#%d", inst.Path, inst.ID)
+}
+
+// liveModules returns the modules this build loaded that are live on m,
+// in load order. The machine's module table is the record of what is
+// live — Snapshot and Restore cover it — and the per-machine index only
+// maps its names back to instances, so the list follows every restore.
+func (r *Result) liveModules(m *machine.M) []*link.Instance {
+	st := r.stateOf(m)
+	var out []*link.Instance
+	for _, name := range m.DynModules() {
+		if inst := st.mods[name]; inst != nil {
+			out = append(out, inst)
+		}
+	}
+	return out
+}
+
+// load is the one transactional load path: compile inst, ship it to m
+// as a module, and run its initializers, with a failing initializer
+// reported as op. then, when non-nil, runs last under the same
+// snapshot; any failure restores the pre-load state.
+func (r *Result) load(m *machine.M, inst *link.Instance, op string, then func() error) (*LoadedUnit, error) {
 	o, err := compileInstance(inst, r.copts)
 	if err != nil {
 		return nil, err
 	}
-	// The module name and attribution carry the instance ID so repeated
-	// loads of the same unit stay distinguishable.
-	modName := fmt.Sprintf("%s#%d", inst.Path, inst.ID)
+	name := moduleName(inst)
 	snap := m.Snapshot()
-	if err := m.LoadDynamicAs(modName, modName, o); err != nil {
+	if err := m.LoadDynamicAs(name, name, o); err != nil {
 		return nil, err
 	}
-	// A failed dynamic initializer rolls the machine back to its
-	// pre-load snapshot: the module's code, data, and symbols vanish
-	// along with any partial initialization.
-	for _, ini := range inst.Inits {
-		if ini.Finalizer {
-			continue
+	r.stateOf(m).mods[name] = inst
+	if err := r.runSteps(m, snap, op, lifecycleSteps(name, inst, false)); err != nil {
+		return nil, err
+	}
+	if then != nil {
+		if err := then(); err != nil {
+			m.Restore(snap)
+			return nil, err
 		}
-		_, err := m.Run(ini.GlobalName)
-		r.event(m, modName, "init")
+	}
+	return &LoadedUnit{Instance: inst, res: r, modName: name}, nil
+}
+
+// lifecycleSteps lists inst's initializers in declaration order, or
+// its finalizers in reverse, as steps of the unit named name.
+func lifecycleSteps(name string, inst *link.Instance, fini bool) []sched.Step {
+	var steps []sched.Step
+	for _, ini := range inst.Inits {
+		if ini.Finalizer == fini {
+			steps = append(steps, sched.Step{
+				Global: ini.GlobalName, Func: ini.Func, Instance: name, Bundle: ini.Bundle,
+			})
+		}
+	}
+	if fini {
+		slices.Reverse(steps)
+	}
+	return steps
+}
+
+// runSteps is the step runner of loads, restarts and unloads: it runs
+// steps in order, reporting each to m's observer as "fini" for an
+// unload and "init" otherwise. On the first failure it restores snap
+// and returns the step's *LifecycleError for op.
+func (r *Result) runSteps(m *machine.M, snap *machine.Snapshot, op string, steps []sched.Step) error {
+	ev := "init"
+	if op == "unload" {
+		ev = "fini"
+	}
+	for _, s := range steps {
+		_, err := m.Run(s.Global)
+		r.event(m, s.Instance, ev)
 		if err != nil {
 			m.Restore(snap)
-			return nil, &LifecycleError{
-				Op:         "dynamic-init",
-				Unit:       modName,
-				Func:       ini.Func,
-				Global:     ini.GlobalName,
-				Err:        err,
-				RolledBack: true,
+			return &LifecycleError{
+				Op: op, Unit: s.Instance, Func: s.Func, Global: s.Global, Err: err, RolledBack: true,
 			}
 		}
 	}
-
-	st.loaded = append(st.loaded, inst)
-	return &LoadedUnit{Instance: inst, res: r, modName: modName}, nil
+	return nil
 }
 
 // Unload reverses a LoadDynamic on m: it verifies that no still-live
@@ -164,23 +196,13 @@ func (lu *LoadedUnit) Unload(m *machine.M) error {
 	if r == nil {
 		return fmt.Errorf("knit: unload: module handle was not produced by LoadDynamic")
 	}
-	st := r.stateOf(m)
-	idx := -1
-	for i, inst := range st.loaded {
-		if inst == lu.Instance {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	live := r.liveModules(m)
+	if !slices.Contains(live, lu.Instance) {
 		return fmt.Errorf("knit: unload %s: module is not loaded on this machine", lu.modName)
 	}
 	// Liveness re-check at the dynamic boundary: a module whose exports
 	// are wired into a still-live importer must stay.
-	for _, other := range st.loaded {
-		if other == lu.Instance {
-			continue
-		}
+	for _, other := range live {
 		for local, w := range other.ImportWires {
 			if w != nil && w.Provider == lu.Instance {
 				return fmt.Errorf(
@@ -190,30 +212,13 @@ func (lu *LoadedUnit) Unload(m *machine.M) error {
 		}
 	}
 	snap := m.Snapshot()
-	for i := len(lu.Instance.Inits) - 1; i >= 0; i-- {
-		ini := lu.Instance.Inits[i]
-		if !ini.Finalizer {
-			continue
-		}
-		_, err := m.Run(ini.GlobalName)
-		r.event(m, lu.modName, "fini")
-		if err != nil {
-			m.Restore(snap)
-			return &LifecycleError{
-				Op:         "unload",
-				Unit:       lu.modName,
-				Func:       ini.Func,
-				Global:     ini.GlobalName,
-				Err:        err,
-				RolledBack: true,
-			}
-		}
+	if err := r.runSteps(m, snap, "unload", lifecycleSteps(lu.modName, lu.Instance, true)); err != nil {
+		return err
 	}
 	if err := m.UnloadDynamic(lu.modName); err != nil {
 		m.Restore(snap)
 		return err
 	}
-	st.loaded = append(st.loaded[:idx], st.loaded[idx+1:]...)
 	r.event(m, lu.modName, "unload")
 	return nil
 }

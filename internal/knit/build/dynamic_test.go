@@ -1,10 +1,15 @@
 package build
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"knit/internal/knit/build/faultinject"
 	"knit/internal/knit/link"
+	"knit/internal/knit/observe"
+	"knit/internal/machine"
 )
 
 // The dynamic-boundary fixture: a base kernel with a counter service and
@@ -265,5 +270,120 @@ int alarm_over(int limit) { return sample() > limit; }
 	}
 	if v, err := m.Run(over, 10); err != nil || v != 0 {
 		t.Errorf("alarm_over(10) = %d, %v; want 0", v, err)
+	}
+}
+
+// loadMonitor links the monitor module into m, wired to the live counter.
+func loadMonitor(t *testing.T, res *Result, m *machine.M) *LoadedUnit {
+	t.Helper()
+	lu, err := res.LoadDynamic(m, DynamicUnit{
+		Unit:      "MonitorU",
+		UnitFiles: map[string]string{"mon.unit": dynMonitorUnits},
+		Sources:   dynMonitorSources,
+		Wiring:    map[string]string{"count": "count"},
+		Check:     true,
+	})
+	if err != nil {
+		t.Fatalf("LoadDynamic monitor: %v", err)
+	}
+	return lu
+}
+
+// TestRestorePastLoadForgetsModule restores a snapshot taken before a
+// LoadDynamic. The machine's module table is the one record of what is
+// loaded, so the build layer must see the module gone without being
+// told: no lookup finds it, the live program is the static one, a
+// program-scope restart does not try to re-run its initializer, and a
+// reload gets the module name the first load had.
+func TestRestorePastLoadForgetsModule(t *testing.T) {
+	res := buildDynBase(t)
+	m := res.NewMachine()
+	if err := res.RunInit(m); err != nil {
+		t.Fatalf("RunInit: %v", err)
+	}
+	snap := m.Snapshot()
+	first := loadMonitor(t, res, m)
+	m.Restore(snap)
+
+	if inst := res.InstanceByPath(m, first.Instance.Path); inst != nil {
+		t.Errorf("InstanceByPath(%q) found the restored-away module", first.Instance.Path)
+	}
+	live := res.LiveProgram(m)
+	if !slices.Equal(live.Instances, res.Program.Instances) {
+		t.Errorf("live program has %d instances, want the %d static ones",
+			len(live.Instances), len(res.Program.Instances))
+	}
+	if _, ok := live.Exports["mon"]; ok {
+		t.Error("live program still exports the restored-away module's bundle")
+	}
+	if err := res.RestartScope(m, ""); err != nil {
+		t.Errorf("RestartScope(\"\") after restore: %v", err)
+	}
+	if again := loadMonitor(t, res, m); again.Name() != first.Name() {
+		t.Errorf("reload named %s, want %s again", again.Name(), first.Name())
+	}
+}
+
+// TestDynamicRestartKeepsOneLedgerRow restarts a dynamic module under
+// an observe collector: its calls, its load and restart initializers,
+// and the restart itself must all land on the module's one row, and a
+// failed restart must name the module too.
+func TestDynamicRestartKeepsOneLedgerRow(t *testing.T) {
+	res, err := Build(Options{
+		Top:       "Counter",
+		UnitFiles: map[string]string{"base.unit": dynBaseUnits},
+		Sources:   dynBaseSources,
+		Check:     true,
+	})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	m := res.NewMachine()
+	col := observe.Attach(m)
+	res.SetObserver(m, col)
+	if err := res.RunInit(m); err != nil {
+		t.Fatalf("RunInit: %v", err)
+	}
+	mon := loadMonitor(t, res, m)
+	if mon.Name() != "dynamic/MonitorU#1" {
+		t.Fatalf("monitor module is %s, want dynamic/MonitorU#1", mon.Name())
+	}
+	sample, err := mon.ExportSymbol("mon", "sample")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(sample); err != nil {
+		t.Fatalf("sample: %v", err)
+	}
+	if err := res.RestartInstance(m, mon.Instance); err != nil {
+		t.Fatalf("RestartInstance: %v", err)
+	}
+
+	var rows []observe.InstanceMetrics
+	for _, im := range col.Report().Instances {
+		if strings.HasPrefix(im.Path, "dynamic/") {
+			rows = append(rows, im)
+		}
+	}
+	if len(rows) != 1 {
+		t.Fatalf("monitor ledger rows = %+v, want one", rows)
+	}
+	row := rows[0]
+	if row.Path != mon.Name() || row.Calls != 3 || row.Inits != 2 || row.Restarts != 1 {
+		t.Errorf("monitor row %s: calls=%d inits=%d restarts=%d, want %s calls=3 inits=2 restarts=1",
+			row.Path, row.Calls, row.Inits, row.Restarts, mon.Name())
+	}
+
+	in := faultinject.Attach(m)
+	defer in.Detach()
+	in.FailEntryMatching("mon_init", errBoom)
+	err = res.RestartInstance(m, mon.Instance)
+	var lerr *LifecycleError
+	if !errors.As(err, &lerr) {
+		t.Fatalf("failed restart error = %T (%v), want *LifecycleError", err, err)
+	}
+	if lerr.Op != "restart" || lerr.Unit != mon.Name() || !lerr.RolledBack {
+		t.Errorf("failed restart: op %q unit %q rolledBack %v, want restart/%s/true",
+			lerr.Op, lerr.Unit, lerr.RolledBack, mon.Name())
 	}
 }

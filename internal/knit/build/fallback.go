@@ -16,10 +16,6 @@ import (
 // export symbols is redirected — machine.M.Interpose — to the freshly
 // loaded fallback, which is wired to the very same import providers.
 
-// FallbackUnit returns the name of the fallback unit declared for the
-// instance's unit, or "" when it has none.
-func FallbackUnit(inst *link.Instance) string { return inst.Unit.Fallback }
-
 // SwapFallback loads the fallback unit declared for failing and
 // redirects the failing instance's exports to it. The fallback must be
 // an atomic unit exporting the same bundles (same locals, same types)
@@ -69,74 +65,36 @@ func (r *Result) SwapFallback(m *machine.M, failing *link.Instance) (*LoadedUnit
 		env[imp.Local] = w
 	}
 
-	// Fresh instance IDs must clear both static instances and the
-	// modules already live on this machine. The instance slice is cloned,
-	// not aliased: appending to a slice whose backing array is the shared
-	// r.Program.Instances would let two machines swapping concurrently
-	// scribble over each other's element (the Image sharing contract says
-	// the static program is read-only once built).
-	st := r.stateOf(m)
-	base := &link.Program{
-		Registry:  reg,
-		Top:       r.Program.Top,
-		Instances: append([]*link.Instance(nil), r.Program.Instances...),
-		Exports:   r.Program.Exports,
-	}
-	base.Instances = append(base.Instances, st.loaded...)
-	inst, err := link.ElaborateDynamicEnv(reg, base, fbName, r.sources, env)
+	// Elaborating against the live program keeps the fallback's instance
+	// ID clear of the static instances and of the modules live on m.
+	inst, err := link.ElaborateDynamicEnv(reg, r.LiveProgram(m), fbName, r.sources, env)
 	if err != nil {
 		return nil, err
-	}
-	o, err := compileInstance(inst, r.copts)
-	if err != nil {
-		return nil, err
-	}
-
-	modName := fmt.Sprintf("%s#%d", inst.Path, inst.ID)
-	snap := m.Snapshot()
-	if err := m.LoadDynamicAs(modName, modName, o); err != nil {
-		return nil, err
-	}
-	for _, ini := range inst.Inits {
-		if ini.Finalizer {
-			continue
-		}
-		_, err := m.Run(ini.GlobalName)
-		r.event(m, modName, "init")
-		if err != nil {
-			m.Restore(snap)
-			return nil, &LifecycleError{
-				Op:         "swap",
-				Unit:       modName,
-				Func:       ini.Func,
-				Global:     ini.GlobalName,
-				Err:        err,
-				RolledBack: true,
-			}
-		}
 	}
 	// Circuit-break: every export symbol of the failing instance now
 	// resolves to the fallback's implementation. A redirect failure
-	// mid-way restores the snapshot, which also rewinds the redirects
+	// mid-way rolls the load back, which also rewinds the redirects
 	// already installed.
-	for local, syms := range failing.ExportSyms {
-		for sym, global := range syms {
-			target, ok := inst.ExportSyms[local][sym]
-			if !ok {
-				m.Restore(snap)
-				return nil, fmt.Errorf(
-					"knit: swap %s -> %s: fallback bundle %q lacks symbol %q",
-					failing.Unit.Name, fbName, local, sym)
-			}
-			if err := m.Interpose(global, target); err != nil {
-				m.Restore(snap)
-				return nil, fmt.Errorf("knit: swap %s -> %s: %w", failing.Unit.Name, fbName, err)
+	lu, err := r.load(m, inst, "swap", func() error {
+		for local, syms := range failing.ExportSyms {
+			for sym, global := range syms {
+				target, ok := inst.ExportSyms[local][sym]
+				if !ok {
+					return fmt.Errorf("knit: swap %s -> %s: fallback bundle %q lacks symbol %q",
+						failing.Unit.Name, fbName, local, sym)
+				}
+				if err := m.Interpose(global, target); err != nil {
+					return fmt.Errorf("knit: swap %s -> %s: %w", failing.Unit.Name, fbName, err)
+				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	st.loaded = append(st.loaded, inst)
 	r.event(m, failing.Path, "swap")
-	return &LoadedUnit{Instance: inst, res: r, modName: modName}, nil
+	return lu, nil
 }
 
 // ReleaseSuperseded unloads a dynamic module that a later SwapFallback

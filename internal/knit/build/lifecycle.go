@@ -6,14 +6,14 @@ import (
 )
 
 // LifecycleError is the structured failure report for every component
-// lifecycle operation — initialization, finalization, dynamic load, and
-// unload. It names the unit instance and the function that failed, says
+// lifecycle operation — initialization, finalization, dynamic load,
+// fallback swap, restart, and unload. It names the unit instance and the function that failed, says
 // whether the machine was rolled back to its pre-operation state, and
 // collects (rather than masks) any finalizer failures that happened
 // while rolling back.
 type LifecycleError struct {
 	// Op is the lifecycle operation that failed: "init", "fini",
-	// "dynamic-init", or "unload".
+	// "dynamic-init", "swap", "restart", or "unload".
 	Op string
 	// Unit is the owning unit-instance path, e.g. "LogServe/Log#1" or
 	// "dynamic/MonitorU#4".

@@ -18,12 +18,7 @@ import (
 // the static program and the dynamic modules live on m. Returns nil
 // when no such instance exists.
 func (r *Result) InstanceByPath(m *machine.M, path string) *link.Instance {
-	for _, inst := range r.Program.Instances {
-		if inst.Path == path {
-			return inst
-		}
-	}
-	for _, inst := range r.stateOf(m).loaded {
+	for _, inst := range r.LiveProgram(m).Instances {
 		if inst.Path == path {
 			return inst
 		}
@@ -44,27 +39,18 @@ func (r *Result) InstanceByPath(m *machine.M, path string) *link.Instance {
 // The restart is transactional: a failing initializer restores the
 // machine to its pre-restart state and the error reports Op "restart".
 func (r *Result) RestartInstance(m *machine.M, inst *link.Instance) error {
+	// A module this build loaded on m reports under its module name,
+	// like its calls; a static instance under its path.
+	name := inst.Path
+	if mod := moduleName(inst); r.stateOf(m).mods[mod] == inst {
+		name = mod
+	}
 	snap := m.Snapshot()
 	m.ResetData(link.InstanceSymbols(inst))
-	for _, ini := range inst.Inits {
-		if ini.Finalizer {
-			continue
-		}
-		_, err := m.Run(ini.GlobalName)
-		r.event(m, inst.Path, "init")
-		if err != nil {
-			m.Restore(snap)
-			return &LifecycleError{
-				Op:         "restart",
-				Unit:       inst.Path,
-				Func:       ini.Func,
-				Global:     ini.GlobalName,
-				Err:        err,
-				RolledBack: true,
-			}
-		}
+	if err := r.runSteps(m, snap, "restart", lifecycleSteps(name, inst, false)); err != nil {
+		return err
 	}
-	r.event(m, inst.Path, "restart")
+	r.event(m, name, "restart")
 	return nil
 }
 
@@ -75,62 +61,37 @@ func (r *Result) RestartInstance(m *machine.M, inst *link.Instance) error {
 // empty scope restarts the whole program. Like RestartInstance it is
 // transactional and skips finalizers.
 func (r *Result) RestartScope(m *machine.M, scope string) error {
-	var inScope []*link.Instance
+	var static []*link.Instance
+	var names []string // every instance restarted, as its events name it
 	for _, inst := range r.Program.Instances {
 		if sched.ScopeContains(scope, inst.Path) {
-			inScope = append(inScope, inst)
+			static = append(static, inst)
+			names = append(names, inst.Path)
 		}
 	}
-	var dynInScope []*link.Instance
-	for _, inst := range r.stateOf(m).loaded {
+	var steps []sched.Step
+	for _, i := range r.Schedule.InitsForScope(scope) {
+		steps = append(steps, r.Schedule.InitSteps[i])
+	}
+	for _, inst := range r.liveModules(m) {
 		if sched.ScopeContains(scope, inst.Path) {
-			dynInScope = append(dynInScope, inst)
+			name := moduleName(inst)
+			names = append(names, name)
+			steps = append(steps, lifecycleSteps(name, inst, false)...)
 		}
 	}
-	if len(inScope) == 0 && len(dynInScope) == 0 {
+	if len(names) == 0 {
 		return fmt.Errorf("knit: restart: no instances in scope %q", scope)
 	}
 	snap := m.Snapshot()
-	for _, inst := range inScope {
+	for _, inst := range static {
 		m.ResetData(link.InstanceSymbols(inst))
 	}
-	fail := func(step sched.Step, err error) error {
-		m.Restore(snap)
-		return &LifecycleError{
-			Op:         "restart",
-			Unit:       step.Instance,
-			Func:       step.Func,
-			Global:     step.Global,
-			Err:        err,
-			RolledBack: true,
-		}
+	if err := r.runSteps(m, snap, "restart", steps); err != nil {
+		return err
 	}
-	for _, i := range r.Schedule.InitsForScope(scope) {
-		_, err := m.Run(r.Schedule.Inits[i])
-		r.event(m, r.Schedule.InitSteps[i].Instance, "init")
-		if err != nil {
-			return fail(r.Schedule.InitSteps[i], err)
-		}
-	}
-	for _, inst := range dynInScope {
-		for _, ini := range inst.Inits {
-			if ini.Finalizer {
-				continue
-			}
-			_, err := m.Run(ini.GlobalName)
-			r.event(m, inst.Path, "init")
-			if err != nil {
-				return fail(sched.Step{
-					Global: ini.GlobalName, Func: ini.Func, Instance: inst.Path, Bundle: ini.Bundle,
-				}, err)
-			}
-		}
-	}
-	for _, inst := range inScope {
-		r.event(m, inst.Path, "restart")
-	}
-	for _, inst := range dynInScope {
-		r.event(m, inst.Path, "restart")
+	for _, name := range names {
+		r.event(m, name, "restart")
 	}
 	return nil
 }

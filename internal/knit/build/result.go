@@ -59,8 +59,13 @@ type Observer interface {
 type machState struct {
 	initDone bool
 	finiDone bool
-	loaded   []*link.Instance // dynamically loaded units, in load order
-	obs      Observer
+	// mods maps the name of every module this build loaded on the
+	// machine to its instance. It is an index, not a record of what is
+	// live: the machine's module table is, so entries outlive unloads
+	// and rolled-back loads, and a Restore that brings a module back
+	// finds it here again.
+	mods map[string]*link.Instance
+	obs  Observer
 }
 
 func (r *Result) stateOf(m *machine.M) *machState {
@@ -71,7 +76,7 @@ func (r *Result) stateOf(m *machine.M) *machState {
 	}
 	st, ok := r.mach[m]
 	if !ok {
-		st = &machState{}
+		st = &machState{mods: map[string]*link.Instance{}}
 		r.mach[m] = st
 	}
 	return st
@@ -136,7 +141,7 @@ func (r *Result) NewMachineFrom(snap *machine.Snapshot, initialized bool) *machi
 
 // Forget drops the per-machine state entry for a discarded machine, so
 // prototypes and respawned-away machines do not accumulate in the state
-// map (it holds the machine, its loaded modules, and its observer). Call
+// map (it holds the machine, its module index, and its observer). Call
 // it only for a machine that will not run again.
 func (r *Result) Forget(m *machine.M) {
 	r.mu.Lock()

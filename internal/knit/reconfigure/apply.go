@@ -21,17 +21,11 @@ type Applied struct {
 	plan *Plan
 	m    *machine.M
 
-	// mods are the modules this apply loaded, in load order, with their
-	// slots aligned index-wise.
-	mods  []*build.LoadedUnit
-	slots []string
+	// mods are the modules this apply loaded, in load order.
+	mods []*build.LoadedUnit
 	// Anchors are the interposed symbols (redirect sources) this apply
 	// installed: the base globals every live caller still calls.
 	Anchors []string
-	// Retired are the previous apply's modules this one unloaded; a
-	// rollback must re-adopt them because restoring Snap resurrects
-	// them on the machine.
-	Retired []*build.LoadedUnit
 
 	rolledBack bool
 }
@@ -90,12 +84,6 @@ func (p *Plan) Apply(m *machine.M, prev *Applied) (*Applied, error) {
 	a.Snap = m.Snapshot()
 	fail := func(err error) (*Applied, error) {
 		m.Restore(a.Snap)
-		for _, lu := range a.mods {
-			res.ForgetModule(m, lu)
-		}
-		for _, lu := range a.Retired {
-			res.AdoptModule(m, lu)
-		}
 		return nil, err
 	}
 
@@ -113,7 +101,6 @@ func (p *Plan) Apply(m *machine.M, prev *Applied) (*Applied, error) {
 			return fail(fmt.Errorf("reconfigure: load %s: %w", c.slot, err))
 		}
 		a.mods = append(a.mods, lu)
-		a.slots = append(a.slots, c.slot)
 		if c.base == nil {
 			continue
 		}
@@ -174,7 +161,6 @@ func (p *Plan) Apply(m *machine.M, prev *Applied) (*Applied, error) {
 			if err := lu.Unload(m); err != nil {
 				return fail(fmt.Errorf("reconfigure: retire %s: %w", lu.Name(), err))
 			}
-			a.Retired = append(a.Retired, lu)
 		}
 	}
 	// Statically linked instances that lost their wiring stay in the
@@ -186,25 +172,17 @@ func (p *Plan) Apply(m *machine.M, prev *Applied) (*Applied, error) {
 	return a, nil
 }
 
-// Rollback restores the machine to its pre-apply snapshot and squares
-// the build layer's books: the modules this apply loaded are forgotten,
-// the ones it retired are re-adopted (the snapshot resurrected them).
-// Idempotent.
+// Rollback restores the machine to its pre-apply snapshot: the modules
+// this apply loaded vanish and the ones it retired come back, in the
+// machine's module table that the build layer reads. Idempotent.
 func (a *Applied) Rollback() {
 	if a.rolledBack {
 		return
 	}
 	a.m.Restore(a.Snap)
-	res := a.plan.res
-	for _, lu := range a.mods {
-		res.ForgetModule(a.m, lu)
-	}
-	for _, lu := range a.Retired {
-		res.AdoptModule(a.m, lu)
-	}
 	for _, c := range a.plan.ordered {
 		if c.base != nil {
-			res.Notify(a.m, c.base.Path, "rollback")
+			a.plan.res.Notify(a.m, c.base.Path, "rollback")
 		}
 	}
 	a.rolledBack = true

@@ -9,13 +9,6 @@ import (
 	"knit/internal/knit/observe"
 )
 
-// SLO gates a canary trial: the canary shards' windowed trap rate and
-// cycle tail are judged against the stable shards' over the same
-// interval. It is the shared observe.SLO judge — the same
-// implementation the overload layer's circuit breakers trip on — with
-// the canaries as candidate and the stable shards as baseline.
-type SLO = observe.SLO
-
 // Decision is a canary judgment.
 type Decision int
 
@@ -51,7 +44,7 @@ func (d Decision) String() string {
 type Canary[T any] struct {
 	fl   *fleet.Fleet[T]
 	plan *Plan
-	slo  SLO
+	slo  observe.SLO
 
 	canaries []int
 	stables  []int
@@ -71,8 +64,11 @@ type Canary[T any] struct {
 
 // NewCanary plans a trial of plan on fraction of fl's shards (at least
 // one canary, at least one stable shard — fleets of one shard cannot
-// canary; upgrade them directly with Plan.Apply).
-func NewCanary[T any](fl *fleet.Fleet[T], plan *Plan, fraction float64, slo SLO) (*Canary[T], error) {
+// canary; upgrade them directly with Plan.Apply). slo judges the
+// canaries' windowed trap rate and cycle tail as candidate against the
+// stable shards' over the same interval as baseline — the same judge
+// the overload layer's circuit breakers trip on.
+func NewCanary[T any](fl *fleet.Fleet[T], plan *Plan, fraction float64, slo observe.SLO) (*Canary[T], error) {
 	n := len(fl.Shards())
 	if n < 2 {
 		return nil, fmt.Errorf("reconfigure: canary needs >= 2 shards, fleet has %d", n)

@@ -5,6 +5,7 @@ import (
 
 	"knit/internal/knit/build"
 	"knit/internal/knit/fleet"
+	"knit/internal/knit/observe"
 )
 
 // chainFleet boots a fleet whose handler serves one c.get call per item
@@ -38,8 +39,8 @@ func feed(fl *fleet.Fleet[int], flows int) {
 	}
 }
 
-func testSLO() SLO {
-	return SLO{MinCalls: 16, Windows: 2, PromoteAfter: 2}
+func testSLO() observe.SLO {
+	return observe.SLO{MinCalls: 16, Windows: 2, PromoteAfter: 2}
 }
 
 func TestCanaryPromote(t *testing.T) {
@@ -191,7 +192,7 @@ func TestCanaryNeedsTwoShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCanary(fl, plan, 0.5, SLO{}); err == nil {
+	if _, err := NewCanary(fl, plan, 0.5, observe.SLO{}); err == nil {
 		t.Fatal("NewCanary accepted a one-shard fleet")
 	}
 }

@@ -1,6 +1,7 @@
 package reconfigure
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -372,15 +373,54 @@ func TestApplySecondUpgradeRetiresFirst(t *testing.T) {
 	if v := callC(t, res, m); v != 212 {
 		t.Fatalf("re-upgraded c.get = %d, want 212", v)
 	}
-	if len(a2.Retired) != 1 {
-		t.Fatalf("second apply retired %d modules, want 1", len(a2.Retired))
-	}
 	mods := m.DynModules()
 	if len(mods) != 1 {
 		t.Fatalf("live modules = %v, want exactly the second upgrade's", mods)
 	}
 	if mods[0] != a2.Modules()[0] {
 		t.Fatalf("live module %s is not the second upgrade's %s", mods[0], a2.Modules()[0])
+	}
+}
+
+// TestRollbackRestoresRetiredUpgrade rolls back a second upgrade that
+// retired the first one's module. The restore brings that module back
+// on the machine, and the build layer must know it again without being
+// told: it is in the live program, and a later apply retires it.
+func TestRollbackRestoresRetiredUpgrade(t *testing.T) {
+	res := buildChain(t, "B")
+	m := res.NewMachine()
+	if err := res.RunInit(m); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Diff(res, target("B2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a1, err := plan.Apply(m, nil)
+	if err != nil {
+		t.Fatalf("first Apply: %v", err)
+	}
+	a2, err := plan.Apply(m, a1)
+	if err != nil {
+		t.Fatalf("second Apply: %v", err)
+	}
+	a2.Rollback()
+	if mods := m.DynModules(); !slices.Equal(mods, a1.Modules()) {
+		t.Fatalf("live modules after rollback = %v, want the first upgrade's %v", mods, a1.Modules())
+	}
+	if v := callC(t, res, m); v != 212 {
+		t.Fatalf("c.get after rollback = %d, want 212 from the first upgrade", v)
+	}
+	live := res.LiveProgram(m)
+	if got := len(live.Instances) - len(res.Program.Instances); got != 1 {
+		t.Fatalf("live program has %d dynamic instances after rollback, want the first upgrade's one", got)
+	}
+	a3, err := plan.Apply(m, a1)
+	if err != nil {
+		t.Fatalf("third Apply: %v", err)
+	}
+	if mods := m.DynModules(); !slices.Equal(mods, a3.Modules()) {
+		t.Fatalf("live modules = %v, want only the third upgrade's %v", mods, a3.Modules())
 	}
 }
 

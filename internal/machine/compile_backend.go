@@ -3,10 +3,11 @@ package machine
 // This file is the machine's second execution engine: a closure
 // compiler. Each function of the loaded Image is translated, once, into
 // a chain of Go closures per basic block — with fused superinstructions
-// for common pairs (compare+branch, const+ALU, address+load/store,
-// load+call) — and the per-instruction interpreter overhead (opcode
-// switch, pc bounds check, fetch model, step/fuel checks) is replaced
-// by one bulk check per straight-line segment.
+// for the shapes element code runs hot (compare+branch, const+ALU,
+// global address+load, ALU+load/mov, mov pairs, indexed loads, and
+// strided accumulate runs) — and the per-instruction interpreter
+// overhead (opcode switch, pc bounds check, fetch model, step/fuel
+// checks) is replaced by one bulk check per straight-line segment.
 //
 // The compiled path preserves the interpreter's full runtime contract:
 //
@@ -666,42 +667,6 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 			pc++
 
 		case obj.OpLoad:
-			// Fused load+call: the loaded value (often a vtable-style
-			// function address or an argument) feeds a direct call. The
-			// load can trap with the call already pre-counted, so the
-			// error path self-adjusts by the one instruction that did
-			// not execute.
-			if pc+1 < end && code[pc+1].Op == obj.OpCall {
-				in2 := &code[pc+1]
-				site := *next
-				*next++
-				lA, lDst, lpc := in.A, in.Dst, pc
-				sym, argRegs, cDst, cpc := in2.Sym, in2.Args, in2.Dst, pc+1
-				emit(func(m *M, regs []int64, fp int64) error {
-					addr := regs[lA]
-					if addr < nullGuard || addr >= int64(len(m.Mem)) {
-						m.Executed--
-						m.Cycles -= m.Costs.Instr
-						return &Trap{Kind: TrapBadAddress,
-							Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-					}
-					regs[lDst] = m.Mem[addr]
-					v, err := m.compiledDispatch(site, sym, regs, argRegs, fname, cpc)
-					if err != nil {
-						return err
-					}
-					regs[cDst] = v
-					return nil
-				}, 2)
-				closeSeg(pc + 2)
-				pc += 2
-				continue
-			}
-			if op, w := fuseLoadBin(code, pc, end, fname); op != nil {
-				emit(op, w)
-				pc += int(w)
-				continue
-			}
 			a, dst, lpc := in.A, in.Dst, pc
 			emit(func(m *M, regs []int64, fp int64) error {
 				addr := regs[a]
@@ -728,42 +693,6 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 			pc++
 
 		case obj.OpAddrLocal:
-			// Fused frame-slot access: the computed address feeds the
-			// next load or store. The address is still written to its
-			// register (later code may reuse it).
-			if pc+1 < end {
-				in2 := &code[pc+1]
-				if in2.Op == obj.OpLoad && in2.A == in.Dst {
-					ad, off, dst, lpc := in.Dst, in.Imm, in2.Dst, pc+1
-					emit(func(m *M, regs []int64, fp int64) error {
-						addr := fp + off
-						regs[ad] = addr
-						if addr < nullGuard || addr >= int64(len(m.Mem)) {
-							return &Trap{Kind: TrapBadAddress,
-								Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-						}
-						regs[dst] = m.Mem[addr]
-						return nil
-					}, 2)
-					pc += 2
-					continue
-				}
-				if in2.Op == obj.OpStore && in2.A == in.Dst {
-					ad, off, vReg, spc := in.Dst, in.Imm, in2.B, pc+1
-					emit(func(m *M, regs []int64, fp int64) error {
-						addr := fp + off
-						regs[ad] = addr
-						if addr < nullGuard || addr >= int64(len(m.Mem)) {
-							return &Trap{Kind: TrapBadAddress,
-								Msg: fmt.Sprintf("store to invalid address %d", addr), Func: fname, PC: spc}
-						}
-						m.Mem[addr] = regs[vReg]
-						return nil
-					}, 2)
-					pc += 2
-					continue
-				}
-			}
 			dst, off := in.Dst, in.Imm
 			emit(func(m *M, regs []int64, fp int64) error {
 				regs[dst] = fp + off
@@ -1137,14 +1066,12 @@ type ixRound struct {
 	lpc                                                    int
 }
 
-// fuseIndexedRun batches consecutive identical-shape accumulate
+// fuseIndexedRun decodes consecutive identical-shape accumulate
 // 6-grams — the body of a compiler-unrolled "for { acc += base[i] }"
-// loop — into a single closure driven by a pre-decoded descriptor
-// array. An unrolled loop of N array reads costs N descriptor
-// iterations instead of N closure dispatches. A trapping load inside
-// round i rolls the bulk pre-count back to the 6i+4 instructions that
-// architecturally ran (the round's mov, const, and address add, plus
-// the trapping load itself).
+// loop — and batches them into one closure when
+// fuseIndexedRunStrided accepts the run, so an unrolled loop of N
+// array reads costs N loop iterations instead of N closure dispatches.
+// Otherwise it reports no fusion and the rounds compile op by op.
 func fuseIndexedRun(code []obj.Instr, pc, end int, fname string) (copFn, int64) {
 	matches := func(p int) bool {
 		return p+5 < end &&
@@ -1173,31 +1100,10 @@ func fuseIndexedRun(code []obj.Instr, pc, end int, fname string) (copFn, int64) 
 	if op := fuseIndexedRunStrided(code, pc, int(width), rs, fname); op != nil {
 		return op, width
 	}
-	return func(m *M, regs []int64, fp int64) error {
-		mem := m.Mem
-		memLen := int64(len(mem))
-		for i := range rs {
-			r := &rs[i]
-			regs[r.lmD] = regs[r.lmA]
-			regs[r.kd] = r.imm
-			regs[r.bd] = regs[r.bA] + regs[r.bB]
-			addr := regs[r.lA]
-			if addr < nullGuard || addr >= memLen {
-				adj := width - (6*int64(i) + 4)
-				m.Executed -= adj
-				m.Cycles -= adj * m.Costs.Instr
-				return &Trap{Kind: TrapBadAddress,
-					Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: r.lpc}
-			}
-			regs[r.ld] = mem[addr]
-			regs[r.td] = regs[r.tA] + regs[r.tB]
-			regs[r.tmD] = regs[r.tmA]
-		}
-		return nil
-	}, width
+	return nil, 0
 }
 
-// fuseIndexedRunStrided is the fast path of fuseIndexedRun: when every
+// fuseIndexedRunStrided compiles fuseIndexedRun's rounds when every
 // round implements exactly "acc += Mem[base+imm]" — the dataflow chains
 // round-internally and each round's five temporaries are read by
 // nothing else in the function — base and acc stay in host locals and
@@ -1355,32 +1261,6 @@ func fuseBinChain(code []obj.Instr, pc, end int, fname string) (copFn, int64) {
 		}
 	}
 	return nil, 0
-}
-
-// fuseLoadBin fuses "load; bin(pure)". The load is the group's first
-// instruction, so its trap rolls back the pre-counted ALU op.
-func fuseLoadBin(code []obj.Instr, pc, end int, fname string) (copFn, int64) {
-	if pc+1 >= end || code[pc+1].Op != obj.OpBin {
-		return nil, 0
-	}
-	f := pureBin(cmini.Tok(code[pc+1].Tok))
-	if f == nil {
-		return nil, 0
-	}
-	ld, lA, lpc := code[pc].Dst, code[pc].A, pc
-	bd, bA, bB := code[pc+1].Dst, code[pc+1].A, code[pc+1].B
-	return func(m *M, regs []int64, fp int64) error {
-		addr := regs[lA]
-		if addr < nullGuard || addr >= int64(len(m.Mem)) {
-			m.Executed--
-			m.Cycles -= m.Costs.Instr
-			return &Trap{Kind: TrapBadAddress,
-				Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-		}
-		regs[ld] = m.Mem[addr]
-		regs[bd] = f(regs[bA], regs[bB])
-		return nil
-	}, 2
 }
 
 // compileUn specializes a unary ALU op.
