@@ -156,6 +156,39 @@ func TestTable1Shape(t *testing.T) {
 	}
 }
 
+// TestTable1RegisterTotals pins what register renumbering buys every
+// Table 1 build: the virtual registers summed over all functions stay
+// under 150 unflattened and 250 flattened (2094 and 4424 with one
+// register per temporary), and os_work's frame holds at most 8.
+func TestTable1RegisterTotals(t *testing.T) {
+	for _, v := range []Variant{{}, {HandOptimized: true}, {Flattened: true}, {HandOptimized: true, Flattened: true}} {
+		res, err := BuildRouter(v)
+		if err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		limit := 150
+		if v.Flattened {
+			limit = 250
+		}
+		total, osWork := 0, 0
+		for name, fn := range res.Object.Funcs {
+			total += fn.NRegs
+			if strings.HasPrefix(name, "os_work") {
+				osWork++
+				if fn.NRegs > 8 {
+					t.Errorf("%s: %s has %d registers, want at most 8", v, name, fn.NRegs)
+				}
+			}
+		}
+		if osWork != 1 {
+			t.Errorf("%s: found %d os_work functions, want 1", v, osWork)
+		}
+		if total >= limit {
+			t.Errorf("%s: %d registers over %d functions, want under %d", v, total, len(res.Object.Funcs), limit)
+		}
+	}
+}
+
 // windowTotals recovers the integer cycle and stall totals behind a
 // measurement's per-packet means: the stopwatch divides each total by
 // Packets, and at these magnitudes the product rounds back exactly.

@@ -144,32 +144,10 @@ func inlineCalls(f *obj.File, fn *obj.Func, inlineLimit, growthLimit int) bool {
 			if cin.Args != nil {
 				cin.Args = append([]obj.Reg(nil), cin.Args...)
 			}
-			remap := func(r obj.Reg) obj.Reg {
-				if r == obj.NoReg {
-					return r
-				}
-				return r + regBase
-			}
-			if defines(cin.Op) {
-				cin.Dst = remap(cin.Dst)
-			}
+			operands(&cin, func(r *obj.Reg, _ bool) { *r += regBase })
 			switch cin.Op {
-			case obj.OpMov, obj.OpUn, obj.OpLoad, obj.OpBranch, obj.OpCallInd:
-				cin.A = remap(cin.A)
-			case obj.OpBin, obj.OpStore:
-				cin.A = remap(cin.A)
-				cin.B = remap(cin.B)
 			case obj.OpAddrLocal:
 				cin.Imm += int64(frameBase)
-			case obj.OpRet:
-				if cin.HasVal {
-					cin.A = remap(cin.A)
-				}
-			}
-			for ai := range cin.Args {
-				cin.Args[ai] = remap(cin.Args[ai])
-			}
-			switch cin.Op {
 			case obj.OpJump:
 				cin.Targets[0] = calleeNew[cin.Targets[0]]
 			case obj.OpBranch:

@@ -33,14 +33,21 @@ const (
 	DefaultGrowthLimit = 4096
 )
 
-// Key returns a canonical fingerprint of the options that affect
-// generated code, for content-addressed build caches: two Options with
-// the same Key compile any given file to the same object. Unset limits
-// normalize to their defaults, and options the optimizer ignores when
-// Opt is off do not contribute.
+// outputVersion numbers the compiler's output for Key. Bump it whenever
+// the same source and options start compiling to a different object, so
+// caches persisted by an older compiler miss instead of serving stale
+// objects. Version 2 renumbers registers by liveness.
+const outputVersion = 2
+
+// Key returns a canonical fingerprint of the compiler version and the
+// options that affect generated code, for content-addressed build
+// caches: two Options with the same Key compile any given file to the
+// same object. Unset limits normalize to their defaults, and options
+// the optimizer ignores when Opt is off do not contribute.
 func (o Options) Key() string {
+	v := fmt.Sprintf("v%d ", outputVersion)
 	if !o.Opt {
-		return "O0"
+		return v + "O0"
 	}
 	il := o.InlineLimit
 	if il == 0 {
@@ -53,11 +60,29 @@ func (o Options) Key() string {
 	if il < 0 {
 		il, gl = -1, 0 // every negative limit means "inlining off"
 	}
-	return fmt.Sprintf("O1 inline=%d growth=%d cse=%t", il, gl, !o.DisableCSE)
+	return v + fmt.Sprintf("O1 inline=%d growth=%d cse=%t", il, gl, !o.DisableCSE)
 }
 
-// Compile translates one cmini file into an object file.
+// Compile translates one cmini file into an object file: lower, then
+// optimize when opts.Opt is set, then renumber every function's
+// registers.
 func Compile(f *cmini.File, opts Options) (*obj.File, error) {
+	out, err := lower(f)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Opt {
+		optimize(out, opts)
+	}
+	for _, fn := range out.Funcs {
+		renumber(fn)
+	}
+	return out, nil
+}
+
+// lower translates f into unoptimized IR with one virtual register per
+// temporary and in-register local.
+func lower(f *cmini.File) (*obj.File, error) {
 	structs, err := layouts(f)
 	if err != nil {
 		return nil, err
@@ -86,9 +111,6 @@ func Compile(f *cmini.File, opts Options) (*obj.File, error) {
 				order++
 			}
 		}
-	}
-	if opts.Opt {
-		optimize(c.out, opts)
 	}
 	return c.out, nil
 }

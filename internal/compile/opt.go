@@ -34,9 +34,19 @@ func optimize(f *obj.File, opts Options) {
 	pass()
 }
 
-// blockLeaders returns a sorted set of basic-block leader indexes.
-func blockLeaders(fn *obj.Func) []bool {
-	leader := make([]bool, len(fn.Code)+1)
+// basicBlock is a maximal straight-line run fn.Code[start:end) and the
+// blocks control can reach from its last instruction.
+type basicBlock struct {
+	start, end int
+	succs      []int
+}
+
+// basicBlocks splits fn's code at its leaders — entry, branch and jump
+// targets, and the instruction after every control transfer — and links
+// each block to its successors, in code order.
+func basicBlocks(fn *obj.Func) []basicBlock {
+	n := len(fn.Code)
+	leader := make([]bool, n+1)
 	leader[0] = true
 	for i, in := range fn.Code {
 		switch in.Op {
@@ -51,7 +61,38 @@ func blockLeaders(fn *obj.Func) []bool {
 			leader[i+1] = true
 		}
 	}
-	return leader
+	var blocks []basicBlock
+	blockAt := make([]int, n)
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && !leader[j] {
+			j++
+		}
+		for k := i; k < j; k++ {
+			blockAt[k] = len(blocks)
+		}
+		blocks = append(blocks, basicBlock{start: i, end: j})
+		i = j
+	}
+	for b := range blocks {
+		blk := &blocks[b]
+		edge := func(to int) {
+			if to < n {
+				blk.succs = append(blk.succs, blockAt[to])
+			}
+		}
+		switch last := &fn.Code[blk.end-1]; last.Op {
+		case obj.OpJump:
+			edge(last.Targets[0])
+		case obj.OpBranch:
+			edge(last.Targets[0])
+			edge(last.Targets[1])
+		case obj.OpRet:
+		default:
+			edge(blk.end)
+		}
+	}
+	return blocks
 }
 
 // vnKey identifies a pure computation for value numbering.
@@ -70,6 +111,7 @@ type vnState struct {
 	hasConst map[int]bool
 	exprVN   map[vnKey]int
 	vnReg    map[int]obj.Reg
+	regHeld  map[obj.Reg]int // inverse of vnReg: a register holds at most one entry
 	loadVNs  map[vnKey]bool
 }
 
@@ -80,6 +122,7 @@ func newVNState() *vnState {
 		hasConst: map[int]bool{},
 		exprVN:   map[vnKey]int{},
 		vnReg:    map[int]obj.Reg{},
+		regHeld:  map[obj.Reg]int{},
 		loadVNs:  map[vnKey]bool{},
 	}
 }
@@ -101,6 +144,9 @@ func (s *vnState) clone() *vnState {
 	for k, v := range s.vnReg {
 		cp.vnReg[k] = v
 	}
+	for k, v := range s.regHeld {
+		cp.regHeld[k] = v
+	}
 	for k, v := range s.loadVNs {
 		cp.loadVNs[k] = v
 	}
@@ -116,49 +162,18 @@ func (s *vnState) clone() *vnState {
 // This is the pass that, after flattening + inlining, "eliminates
 // redundant reads via common subexpression elimination" (§6).
 func valueNumber(fn *obj.Func) {
-	leaders := blockLeaders(fn)
-	// Identify blocks and predecessor counts.
-	type block struct {
-		start, end int // [start, end)
-	}
-	var blocks []block
-	blockAt := make([]int, len(fn.Code)+1)
-	for i := 0; i < len(fn.Code); {
-		j := i + 1
-		for j < len(fn.Code) && !leaders[j] {
-			j++
-		}
-		for k := i; k < j; k++ {
-			blockAt[k] = len(blocks)
-		}
-		blocks = append(blocks, block{start: i, end: j})
-		i = j
-	}
-	// preds[b] = (count, soleEarlierPred or -1).
+	blocks := basicBlocks(fn)
+	// Predecessor counts, and each block's last-linked predecessor: its
+	// sole one when the count is 1.
 	predCount := make([]int, len(blocks))
 	solePred := make([]int, len(blocks))
 	for b := range solePred {
 		solePred[b] = -1
 	}
-	addEdge := func(from, toInstr int) {
-		if toInstr >= len(fn.Code) {
-			return
-		}
-		tb := blockAt[toInstr]
-		predCount[tb]++
-		solePred[tb] = from
-	}
 	for b, blk := range blocks {
-		last := &fn.Code[blk.end-1]
-		switch last.Op {
-		case obj.OpJump:
-			addEdge(b, last.Targets[0])
-		case obj.OpBranch:
-			addEdge(b, last.Targets[0])
-			addEdge(b, last.Targets[1])
-		case obj.OpRet:
-		default:
-			addEdge(b, blk.end)
+		for _, s := range blk.succs {
+			predCount[s]++
+			solePred[s] = b
 		}
 	}
 	endState := make([]*vnState, len(blocks))
@@ -180,11 +195,24 @@ func valueNumber(fn *obj.Func) {
 			delete(st.loadVNs, k)
 		}
 	}
+	// release drops the reverse mapping of the value dst held, if any:
+	// dst is being redefined.
+	release := func(dst obj.Reg) {
+		if vn, ok := st.regHeld[dst]; ok {
+			delete(st.vnReg, vn)
+			delete(st.regHeld, dst)
+		}
+	}
+	hold := func(dst obj.Reg, vn int) {
+		release(dst)
+		st.vnReg[vn] = dst
+		st.regHeld[dst] = vn
+	}
 	setDst := func(dst obj.Reg, key vnKey, isLoad bool) {
 		vn := newVN()
 		st.regVN[dst] = vn
 		st.exprVN[key] = vn
-		st.vnReg[vn] = dst
+		hold(dst, vn)
 		if isLoad {
 			st.loadVNs[key] = true
 		}
@@ -195,7 +223,7 @@ func valueNumber(fn *obj.Func) {
 		st.constVal[vn] = v
 		st.hasConst[vn] = true
 		st.exprVN[vnKey{op: obj.OpConst, imm: v}] = vn
-		st.vnReg[vn] = dst
+		hold(dst, vn)
 	}
 	// reuse replaces the instruction with a Mov from the register that
 	// already holds the value, if one is live; it reports success.
@@ -203,6 +231,7 @@ func valueNumber(fn *obj.Func) {
 		if vn, ok := st.exprVN[key]; ok {
 			if r, live := st.vnReg[vn]; live && r != in.Dst {
 				*in = obj.Instr{Op: obj.OpMov, Dst: in.Dst, A: r, B: obj.NoReg}
+				release(in.Dst)
 				st.regVN[in.Dst] = vn
 				return true
 			}
@@ -282,14 +311,11 @@ func valueNumber(fn *obj.Func) {
 				killLoads()
 				st.regVN[in.Dst] = newVN()
 			}
-			// A register redefined above loses stale reverse mappings:
-			// vnReg holds the *latest* register for each vn; if Dst was the
-			// holder of an older vn, drop that mapping.
+			// A register redefined by a mov or call loses its stale
+			// reverse mapping: if Dst held an older vn, drop it.
 			if defines(in.Op) {
-				for vn, r := range st.vnReg {
-					if r == in.Dst && st.regVN[in.Dst] != vn {
-						delete(st.vnReg, vn)
-					}
+				if vn, ok := st.regHeld[in.Dst]; ok && st.regVN[in.Dst] != vn {
+					release(in.Dst)
 				}
 			}
 		}
@@ -308,37 +334,30 @@ func defines(op obj.Op) bool {
 	return false
 }
 
-// uses returns the registers read by an instruction.
-func uses(in *obj.Instr) []obj.Reg {
-	var out []obj.Reg
-	add := func(r obj.Reg) {
-		if r != obj.NoReg {
-			out = append(out, r)
-		}
-	}
+// operands calls f with a pointer to each register operand of in: the
+// registers it reads, then the one it defines. Call argument slices may
+// be shared between instructions; copy in.Args before writing through
+// its pointers.
+func operands(in *obj.Instr, f func(r *obj.Reg, def bool)) {
 	switch in.Op {
-	case obj.OpMov, obj.OpUn, obj.OpLoad:
-		add(in.A)
-	case obj.OpBin:
-		add(in.A)
-		add(in.B)
-	case obj.OpStore:
-		add(in.A)
-		add(in.B)
-	case obj.OpBranch:
-		add(in.A)
+	case obj.OpMov, obj.OpUn, obj.OpLoad, obj.OpBranch, obj.OpCallInd:
+		f(&in.A, false)
+	case obj.OpBin, obj.OpStore:
+		f(&in.A, false)
+		f(&in.B, false)
 	case obj.OpRet:
 		if in.HasVal {
-			add(in.A)
+			f(&in.A, false)
 		}
-	case obj.OpCall:
-	case obj.OpCallInd:
-		add(in.A)
 	}
 	if in.Op == obj.OpCall || in.Op == obj.OpCallInd {
-		out = append(out, in.Args...)
+		for i := range in.Args {
+			f(&in.Args[i], false)
+		}
 	}
-	return out
+	if defines(in.Op) {
+		f(&in.Dst, true)
+	}
 }
 
 // pure reports whether an instruction can be deleted if its result is
@@ -362,9 +381,11 @@ func deadCode(fn *obj.Func) {
 			if !reach[i] {
 				continue
 			}
-			for _, r := range uses(&fn.Code[i]) {
-				read[r] = true
-			}
+			operands(&fn.Code[i], func(r *obj.Reg, def bool) {
+				if !def {
+					read[*r] = true
+				}
+			})
 		}
 		// Parameters are implicitly live on entry (their registers are
 		// the calling convention), but an unread parameter costs nothing.

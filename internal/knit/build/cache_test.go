@@ -1,10 +1,15 @@
 package build
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"sync"
 	"testing"
 
 	"knit/internal/asm"
+	"knit/internal/cmini"
+	"knit/internal/compile"
 	"knit/internal/knit/link"
 	"knit/internal/machine"
 )
@@ -97,6 +102,54 @@ func TestCacheInvalidationOnOptions(t *testing.T) {
 	if res.Timings.CacheHits != 0 {
 		t.Errorf("optimized rebuild hit %d cached unoptimized objects, want 0",
 			res.Timings.CacheHits)
+	}
+}
+
+// TestCacheMissesOlderCompilerEntries: an object persisted by a
+// compiler that predates register renumbering — keyed by the same
+// source and options, when Options.Key() carried no compiler version —
+// must be a miss for a later process, not a stale hit.
+func TestCacheMissesOlderCompilerEntries(t *testing.T) {
+	file, err := cmini.Parse("f.c", "int f(int a) { int x = a * 3; int y = x + 1; return y * x; }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	copts := compile.Options{}
+	// fileCacheKey's framing around a given options key.
+	keyWith := func(optsKey string) string {
+		h := sha256.New()
+		io.WriteString(h, "file\x00"+optsKey+"\x00"+file.Name+"\x00"+cmini.Print(file))
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	if keyWith(copts.Key()) != fileCacheKey(copts, file) {
+		t.Fatal("keyWith no longer mirrors fileCacheKey")
+	}
+	want, err := compile.Compile(file, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := want.Clone()
+	stale.Funcs["f"].NRegs += 5 // one register per temporary, as before
+	dir := t.TempDir()
+	older, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	older.store(keyWith("O0"), stale)
+
+	later, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs, hits, err := runCompileJobs([]compileJob{{label: "f.c", file: file}}, copts, later, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits != 0 {
+		t.Errorf("served %d objects stored under the pre-version key, want 0", hits)
+	}
+	if got, w := objs[0].Funcs["f"].NRegs, want.Funcs["f"].NRegs; got != w {
+		t.Errorf("f has %d registers, want the current compiler's %d", got, w)
 	}
 }
 

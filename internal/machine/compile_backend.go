@@ -21,6 +21,13 @@ package machine
 //     instruction the reference backend would.
 //   - Traps carry the same Kind, message, Func and PC, so unit
 //     attribution (Trap.Unit via SymbolOwner) is unchanged.
+//   - After every op the frame's registers equal the interpreter's, with
+//     no liveness assumption, so any register sharing the compiler's
+//     renumbering produces is safe. Fused ops perform the sequential
+//     writes of the instructions they replace, except the strided
+//     accumulate run, which keeps base and sum in host locals and then
+//     writes each register the run writes with its last writer's value
+//     (see fuseIndexedRunStrided).
 //   - PreCall/PostCall/PreRun hooks, Fuel, StepLimit, Interpose/Unpose,
 //     Snapshot/Restore and dynamic load/unload all behave identically.
 //     Call targets are resolved through a per-machine dispatch cache
@@ -28,8 +35,9 @@ package machine
 //     can change the name→code mapping bumps the version, so a cached
 //     target is never stale — an interposition takes effect at the very
 //     next call, even within a running frame.
-//   - The hot call path stays allocation-free (same arena discipline as
-//     the interpreter).
+//   - Both engines enter frames through one prologue (M.frame), so the
+//     checks, trap messages and arena discipline are shared, and the hot
+//     call path stays allocation-free.
 //
 // The one deliberate difference is the fetch model: compiled code does
 // not simulate the instruction cache, so Stalls and ICacheRefs/ICacheMiss
@@ -222,61 +230,6 @@ func (m *M) growSites(n int) {
 	m.sites = ns
 }
 
-// invoke runs one compiled function body, firing the PostCall hook
-// exactly like the interpreter's call wrapper.
-func (m *M) invoke(cf *cfunc, args []int64) (int64, error) {
-	if m.PostCall == nil {
-		return m.enterCompiled(cf, args)
-	}
-	depth := m.depth
-	start := m.Cycles
-	v, err := m.enterCompiled(cf, args)
-	m.PostCall(CallInfo{Fn: cf.fn.Name, Depth: depth, Start: start, Cycles: m.Cycles - start, Err: err})
-	return v, err
-}
-
-// enterCompiled mirrors exec's frame prologue instruction for
-// instruction — same checks in the same order, same trap messages, same
-// arena discipline — then runs the compiled body.
-func (m *M) enterCompiled(cf *cfunc, args []int64) (int64, error) {
-	fn := cf.fn
-	if m.depth >= MaxCallDepth {
-		return 0, &Trap{Kind: TrapStackOverflow, Msg: "call stack overflow", Func: fn.Name}
-	}
-	if m.PreCall != nil {
-		if err := m.PreCall(fn.Name); err != nil {
-			return 0, err
-		}
-	}
-	if len(args) != fn.NArgs {
-		return 0, &Trap{Msg: fmt.Sprintf("called with %d args, want %d", len(args), fn.NArgs), Func: fn.Name}
-	}
-	m.depth++
-	rbase := m.regTop
-	defer func() { m.depth--; m.regTop = rbase }()
-
-	if rbase+fn.NRegs > len(m.regStack) {
-		m.regStack = growArena(m.regStack, rbase+fn.NRegs)
-	}
-	regs := m.regStack[rbase : rbase+fn.NRegs : rbase+fn.NRegs]
-	m.regTop = rbase + fn.NRegs
-	copy(regs, args)
-	for i := len(args); i < len(regs); i++ {
-		regs[i] = 0
-	}
-	fp := m.sp
-	if fp+int64(fn.Frame) > m.stackLimit {
-		return 0, &Trap{Kind: TrapStackOverflow, Msg: "simulated stack overflow", Func: fn.Name}
-	}
-	for i := int64(0); i < int64(fn.Frame); i++ {
-		m.Mem[fp+i] = 0
-	}
-	m.sp = fp + int64(fn.Frame)
-	defer func() { m.sp = fp }()
-
-	return m.runCompiled(cf, regs, fp)
-}
-
 // runCompiled drives a compiled function body: per segment, one bulk
 // step/fuel check and one bulk counter update, then the ops; per block,
 // the terminator. When a segment could cross a limit, the rest of the
@@ -334,7 +287,7 @@ func (m *M) compiledDispatch(site int, sym string, regs []int64, argRegs []obj.R
 		m.Calls++
 		m.Cycles += m.Costs.CallBase + m.Costs.CallPerArg*int64(len(argRegs))
 		argv, abase := m.pushArgs(regs, argRegs)
-		v, err := m.invoke(cf, argv)
+		v, err := m.invoke(cf.fn, cf, argv)
 		m.argTop = abase
 		return v, err
 	case siteBuiltin:
@@ -392,7 +345,7 @@ func (m *M) compiledCallInd(site int, regs []int64, aReg obj.Reg, argRegs []obj.
 	m.IndCalls++
 	m.Cycles += m.Costs.CallBase + m.Costs.Indirect + m.Costs.CallPerArg*int64(len(argRegs))
 	argv, abase := m.pushArgs(regs, argRegs)
-	v, err := m.invoke(cf, argv)
+	v, err := m.invoke(cf.fn, cf, argv)
 	m.argTop = abase
 	return v, err
 }
@@ -1096,86 +1049,93 @@ func fuseIndexedRun(code []obj.Instr, pc, end int, fname string) (copFn, int64) 
 	if len(rs) < 2 {
 		return nil, 0
 	}
-	width := int64(6 * len(rs))
-	if op := fuseIndexedRunStrided(code, pc, int(width), rs, fname); op != nil {
-		return op, width
+	if op := fuseIndexedRunStrided(rs, fname); op != nil {
+		return op, int64(6 * len(rs))
 	}
 	return nil, 0
 }
 
+// What a register written by a strided run holds once the run is over:
+// the value of the last instruction in the run that wrote it.
+const (
+	ixBase = iota // a mov's copy of base
+	ixImm         // a const's immediate
+	ixAddr        // base + immediate
+	ixWord        // the word loaded from base + immediate
+	ixSum         // the final running sum
+)
+
+// ixWrite is one register write a fused strided run performs after its
+// loop.
+type ixWrite struct {
+	reg  obj.Reg
+	kind int
+	imm  int64
+}
+
 // fuseIndexedRunStrided compiles fuseIndexedRun's rounds when every
-// round implements exactly "acc += Mem[base+imm]" — the dataflow chains
-// round-internally and each round's five temporaries are read by
-// nothing else in the function — base and acc stay in host locals and
-// the per-round register churn is skipped. A function frame's register
-// file is observable only by the function's own instructions (traps,
-// hooks and snapshots never expose it), so skipping writes to registers
-// the rest of the function provably never reads cannot change any
-// observable behaviour. The final round's writes are materialized: its
-// registers are the only ones later code can legitimately consume.
-// Returns nil when the shape or the liveness condition does not hold.
-func fuseIndexedRunStrided(code []obj.Instr, pc, width int, rs []ixRound, fname string) copFn {
-	r0 := &rs[0]
-	base, acc := r0.lmA, r0.tA
+// round implements exactly "acc += Mem[base+imm]": base and acc stay in
+// host locals and the per-round register writes are skipped. After the
+// loop the op writes every register the run writes with the value of
+// that register's last writer in the run — the base copy, the
+// immediate, the address, the reloaded word (no round stores), or the
+// running sum — so the register file afterwards equals the unfused
+// run's, whatever the rest of the function reads; no liveness is
+// needed. It declines when a round's own dataflow is aliased (a
+// non-final round overwrites base, a temporary overwrites acc before
+// the sum, or the const overwrites the mov's copy), and when a sum
+// register's last writer is not the final round, since only the final
+// sum is kept.
+func fuseIndexedRunStrided(rs []ixRound, fname string) copFn {
+	base, acc := rs[0].lmA, rs[0].tA
 	if base == acc {
 		return nil
 	}
+	var writes []ixWrite
+	at := map[obj.Reg]int{} // register -> its entry in writes
+	write := func(reg obj.Reg, kind int, imm int64) {
+		if i, ok := at[reg]; ok {
+			writes[i] = ixWrite{reg, kind, imm}
+			return
+		}
+		at[reg] = len(writes)
+		writes = append(writes, ixWrite{reg, kind, imm})
+	}
+	final := len(rs) - 1
 	for i := range rs {
 		r := &rs[i]
 		if r.lmA != base || r.tA != acc || r.tmD != acc || r.tmA != r.td ||
-			r.bA != r.lmD || r.bB != r.kd || r.lA != r.bd || r.tB != r.ld {
+			r.bA != r.lmD || r.bB != r.kd || r.lA != r.bd || r.tB != r.ld ||
+			r.kd == r.lmD {
 			return nil
 		}
-		for _, tmp := range [5]obj.Reg{r.lmD, r.kd, r.bd, r.ld, r.td} {
-			if tmp == base || tmp == acc {
+		for _, tmp := range [4]obj.Reg{r.lmD, r.kd, r.bd, r.ld} {
+			if tmp == acc || (tmp == base && i < final) {
 				return nil
 			}
 		}
-	}
-	// Registers read as sources anywhere outside the run's own
-	// instructions.
-	readOutside := map[obj.Reg]bool{}
-	read := func(r obj.Reg) {
-		if r != obj.NoReg {
-			readOutside[r] = true
+		if r.td == base && i < final {
+			return nil
 		}
+		write(r.lmD, ixBase, 0)
+		write(r.kd, ixImm, r.imm)
+		write(r.bd, ixAddr, r.imm)
+		write(r.ld, ixWord, r.imm)
+		write(r.td, ixSum, 0)
+		write(acc, ixSum, 0)
 	}
-	for i := range code {
-		if i >= pc && i < pc+width {
-			continue
-		}
-		in := &code[i]
-		switch in.Op {
-		case obj.OpMov, obj.OpUn, obj.OpLoad, obj.OpBranch:
-			read(in.A)
-		case obj.OpBin, obj.OpStore:
-			read(in.A)
-			read(in.B)
-		case obj.OpRet:
-			if in.HasVal {
-				read(in.A)
-			}
-		case obj.OpCall, obj.OpCallInd:
-			read(in.A)
-			for _, r := range in.Args {
-				read(r)
-			}
-		}
-	}
-	for i := range rs[:len(rs)-1] {
-		r := &rs[i]
-		for _, tmp := range [5]obj.Reg{r.lmD, r.kd, r.bd, r.ld, r.td} {
-			if readOutside[tmp] {
-				return nil
-			}
+	for _, wr := range writes {
+		// The final round writes its td and acc last; any other sum
+		// register would need an intermediate sum the loop does not keep.
+		if wr.kind == ixSum && wr.reg != acc && wr.reg != rs[final].td {
+			return nil
 		}
 	}
 	imms := make([]int64, len(rs))
 	for i := range rs {
 		imms[i] = rs[i].imm
 	}
-	last := rs[len(rs)-1]
-	w := int64(width)
+	w := int64(6 * len(rs))
 	return func(m *M, regs []int64, fp int64) error {
 		mem := m.Mem
 		memLen := int64(len(mem))
@@ -1194,12 +1154,20 @@ func fuseIndexedRunStrided(code []obj.Instr, pc, width int, rs []ixRound, fname 
 			}
 			a += mem[addr]
 		}
-		regs[last.lmD] = b
-		regs[last.kd] = last.imm
-		regs[last.bd] = b + last.imm
-		regs[last.ld] = mem[b+last.imm]
-		regs[last.td] = a
-		regs[acc] = a
+		for _, wr := range writes {
+			switch wr.kind {
+			case ixBase:
+				regs[wr.reg] = b
+			case ixImm:
+				regs[wr.reg] = wr.imm
+			case ixAddr:
+				regs[wr.reg] = b + wr.imm
+			case ixWord:
+				regs[wr.reg] = mem[b+wr.imm]
+			case ixSum:
+				regs[wr.reg] = a
+			}
+		}
 		return nil
 	}
 }

@@ -3,9 +3,11 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"knit/internal/cmini"
+	"knit/internal/compile"
 	"knit/internal/obj"
 )
 
@@ -262,6 +264,184 @@ func TestBackendParityTraps(t *testing.T) {
 		runBoth(t, f, nil, "f", 3)  // load traps
 		runBoth(t, f, nil, "f", 20) // load fine, call runs
 	})
+}
+
+// stridedRound is one round of an unrolled "acc += base[imm]", the
+// six-instruction shape fuseIndexedRun batches, over the given
+// registers: mov lm = base; const k = imm; ad = lm + k; ld = [ad];
+// td = acc + ld; mov acc = td.
+func stridedRound(base, acc, lm, k, ad, ld, td obj.Reg, imm int64) []obj.Instr {
+	return []obj.Instr{
+		{Op: obj.OpMov, Dst: lm, A: base, B: obj.NoReg},
+		{Op: obj.OpConst, Dst: k, Imm: imm, A: obj.NoReg, B: obj.NoReg},
+		{Op: obj.OpBin, Dst: ad, A: lm, B: k, Tok: int(cmini.PLUS)},
+		{Op: obj.OpLoad, Dst: ld, A: ad, B: obj.NoReg},
+		{Op: obj.OpBin, Dst: td, A: acc, B: ld, Tok: int(cmini.PLUS)},
+		{Op: obj.OpMov, Dst: acc, A: td, B: obj.NoReg},
+	}
+}
+
+// widestOp returns the most instructions any one compiled op of the
+// named function covers.
+func widestOp(m *M, name string) int64 {
+	var widest int64
+	for _, b := range m.compiledFor(m.Img.Entry[name]).blocks {
+		for _, s := range b.segs {
+			prev := int64(0)
+			for _, d := range s.done {
+				widest = max(widest, d-prev)
+				prev = d
+			}
+		}
+	}
+	return widest
+}
+
+// stridedProgram wraps runs of strided rounds in a function f(x) over a
+// global array g: r0 = x, r1 = 100 is read (acc = r2 = x + r1) before
+// the rounds reuse it, r3 = &g is the base, and afterwards every
+// register r0..r5 is folded into the result, so any register the fused
+// run leaves different from the unfused one changes f's value.
+func stridedProgram(rounds ...[]obj.Instr) *obj.File {
+	code := []obj.Instr{
+		{Op: obj.OpConst, Dst: 1, Imm: 100, A: obj.NoReg, B: obj.NoReg},
+		{Op: obj.OpBin, Dst: 2, A: 0, B: 1, Tok: int(cmini.PLUS)},
+		{Op: obj.OpAddrGlobal, Dst: 3, Sym: "g", A: obj.NoReg, B: obj.NoReg},
+	}
+	for _, r := range rounds {
+		code = append(code, r...)
+	}
+	code = append(code, obj.Instr{Op: obj.OpConst, Dst: 6, Imm: 31, A: obj.NoReg, B: obj.NoReg})
+	for _, r := range []obj.Reg{1, 2, 3, 4, 5} {
+		code = append(code,
+			obj.Instr{Op: obj.OpBin, Dst: 0, A: 0, B: 6, Tok: int(cmini.STAR)},
+			obj.Instr{Op: obj.OpBin, Dst: 0, A: 0, B: r, Tok: int(cmini.PLUS)})
+	}
+	code = append(code, obj.Instr{Op: obj.OpRet, A: 0, HasVal: true})
+	f := fileWith(buildFunc("f", 1, 7, 0, code))
+	f.Datas["g"] = &obj.Data{Name: "g", Size: 8}
+	f.AddSym(&obj.Symbol{Name: "g", Kind: obj.SymData, Defined: true})
+	return f
+}
+
+func fillG(m *M) {
+	a := m.Img.GlobalAddr["g"]
+	for i := int64(0); i < 8; i++ {
+		m.Mem[a+i] = i*i + 3
+	}
+}
+
+// TestBackendParityStridedRuns holds the fused strided run to the
+// unfused register file for the register-reuse shapes renumbering
+// produces, and checks which shapes fuse.
+func TestBackendParityStridedRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		rounds [][]obj.Instr
+		fused  bool
+	}{
+		// Temporaries share registers, including the preamble's r1,
+		// which the result reads after the run as well.
+		{"shared-temps", [][]obj.Instr{
+			stridedRound(3, 2, 1, 4, 1, 1, 1, 1),
+			stridedRound(3, 2, 1, 4, 1, 1, 1, 2),
+			stridedRound(3, 2, 1, 4, 1, 1, 1, 3),
+		}, true},
+		// Distinct temporaries in every slot of every round.
+		{"distinct-temps", [][]obj.Instr{
+			stridedRound(3, 2, 1, 4, 5, 1, 4, 0),
+			stridedRound(3, 2, 5, 1, 4, 4, 5, 7),
+		}, true},
+		// The final round's const overwrites the now-dead base.
+		{"final-const-overwrites-base", [][]obj.Instr{
+			stridedRound(3, 2, 1, 4, 1, 1, 1, 1),
+			stridedRound(3, 2, 1, 4, 1, 1, 1, 2),
+			stridedRound(3, 2, 1, 3, 1, 1, 1, 5),
+		}, true},
+		// An earlier round's sum survives in r5: declined.
+		{"early-sum-survives", [][]obj.Instr{
+			stridedRound(3, 2, 1, 4, 1, 1, 5, 1),
+			stridedRound(3, 2, 1, 4, 1, 1, 1, 2),
+		}, false},
+		// A non-final round's const overwrites base: declined.
+		{"early-round-overwrites-base", [][]obj.Instr{
+			stridedRound(3, 2, 1, 4, 1, 3, 1, 1),
+			stridedRound(3, 2, 1, 4, 1, 1, 1, 2),
+		}, false},
+		// A temporary overwrites acc before the sum: declined.
+		{"temp-overwrites-acc", [][]obj.Instr{
+			stridedRound(3, 2, 1, 4, 2, 1, 1, 1),
+			stridedRound(3, 2, 1, 4, 1, 1, 1, 2),
+		}, false},
+		// The const overwrites the mov's copy of base: declined.
+		{"const-overwrites-copy", [][]obj.Instr{
+			stridedRound(3, 2, 1, 1, 1, 1, 1, 1),
+			stridedRound(3, 2, 1, 4, 1, 1, 1, 2),
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := stridedProgram(tc.rounds...)
+			runBoth(t, f, fillG, "f", 9)
+			_, mc := compiledPair(t, f)
+			width := int64(6 * len(tc.rounds))
+			if got := widestOp(mc, "f"); (got == width) != tc.fused {
+				t.Errorf("widest op covers %d instructions; want fused=%v for a %d-instruction run", got, tc.fused, width)
+			}
+		})
+	}
+	t.Run("trap-in-round-k", func(t *testing.T) {
+		// base = r0 = x; round 2 of 4 loads past the end of memory.
+		var rounds [][]obj.Instr
+		for _, imm := range []int64{0, 1, 1 << 40, 2} {
+			rounds = append(rounds, stridedRound(0, 2, 1, 4, 1, 1, 1, imm))
+		}
+		f := stridedProgram(rounds...)
+		_, mc := compiledPair(t, f)
+		if got := widestOp(mc, "f"); got != 24 {
+			t.Fatalf("widest op covers %d instructions, want the fused 24", got)
+		}
+		runBoth(t, f, fillG, "f", 20)
+	})
+}
+
+// osWorkSource is the router's os_work: 320 unrolled reads of a static
+// pool into one accumulator.
+func osWorkSource() string {
+	var b strings.Builder
+	b.WriteString("static int pool[512];\nint os_work(void) {\n    int s = 0;\n")
+	for i := 0; i < 320; i++ {
+		fmt.Fprintf(&b, "    s += pool[%d];\n", i)
+	}
+	b.WriteString("    return s;\n}\n")
+	return b.String()
+}
+
+// TestOSWorkRunFuses pins that os_work, compiled by the real compiler
+// with registers renumbered, keeps a frame of at most 8 registers and
+// runs its strided run — rounds 1..319; round 0 reuses the constant 0
+// and has no const — as one fused op, with interpreter parity.
+func TestOSWorkRunFuses(t *testing.T) {
+	cf, err := cmini.Parse("oswork.c", osWorkSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := compile.Compile(cf, compile.Options{Opt: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := o.Funcs["os_work"].NRegs; n > 8 {
+		t.Errorf("os_work has %d registers, want at most 8", n)
+	}
+	_, mc := compiledPair(t, o)
+	if got, want := widestOp(mc, "os_work"), int64(6*319); got != want {
+		t.Errorf("os_work's widest compiled op covers %d instructions, want the fused run's %d", got, want)
+	}
+	runBoth(t, o, func(m *M) {
+		a := m.Img.GlobalAddr["pool"]
+		for i := int64(0); i < 512; i++ {
+			m.Mem[a+i] = i*7 - 100
+		}
+	}, "os_work")
 }
 
 // postCallRecord is the backend-comparable slice of a CallInfo: cycles

@@ -552,22 +552,25 @@ func (m *M) fetch(textOff int64) {
 	m.prevLine = line
 }
 
-// call runs one simulated function body via exec, firing the PostCall
-// hook (when installed) with the call's frame identity, fuel delta, and
-// outcome. The disabled path is a single nil check so that detached
-// observability costs nothing measurable. Under the compiled backend
-// the body runs as closure-compiled code instead; invoke carries the
-// same hook contract.
+// call runs one simulated function body on the machine's engine.
 func (m *M) call(fn *obj.Func, args []int64) (int64, error) {
 	if m.backend == BackendCompiled {
-		return m.invoke(m.compiledFor(fn), args)
+		return m.invoke(fn, m.compiledFor(fn), args)
 	}
+	return m.invoke(fn, nil, args)
+}
+
+// invoke runs fn's body in a new frame — as cf when cf is non-nil —
+// firing the PostCall hook (when installed) with the call's frame
+// identity, fuel delta, and outcome. The disabled path is a single nil
+// check so that detached observability costs nothing measurable.
+func (m *M) invoke(fn *obj.Func, cf *cfunc, args []int64) (int64, error) {
 	if m.PostCall == nil {
-		return m.exec(fn, args)
+		return m.frame(fn, cf, args)
 	}
 	depth := m.depth
 	start := m.Cycles
-	v, err := m.exec(fn, args)
+	v, err := m.frame(fn, cf, args)
 	m.PostCall(CallInfo{Fn: fn.Name, Depth: depth, Start: start, Cycles: m.Cycles - start, Err: err})
 	return v, err
 }
@@ -586,7 +589,12 @@ func growArena(s []int64, need int) []int64 {
 	return ns
 }
 
-func (m *M) exec(fn *obj.Func, args []int64) (int64, error) {
+// frame is the one frame prologue of both engines: it checks call depth,
+// fires PreCall, checks the argument count, takes the frame's registers
+// from the arena and its words from the simulated stack, then runs the
+// body — compiled when cf is non-nil, else on the interpreter — and
+// releases both on return.
+func (m *M) frame(fn *obj.Func, cf *cfunc, args []int64) (int64, error) {
 	if m.depth >= MaxCallDepth {
 		return 0, &Trap{Kind: TrapStackOverflow, Msg: "call stack overflow", Func: fn.Name}
 	}
@@ -599,8 +607,8 @@ func (m *M) exec(fn *obj.Func, args []int64) (int64, error) {
 		return 0, &Trap{Msg: fmt.Sprintf("called with %d args, want %d", len(args), fn.NArgs), Func: fn.Name}
 	}
 	m.depth++
-	rbase := m.regTop
-	defer func() { m.depth--; m.regTop = rbase }()
+	rbase, fp := m.regTop, m.sp
+	defer func() { m.depth--; m.regTop = rbase; m.sp = fp }()
 
 	// The frame's virtual registers come from the LIFO register arena:
 	// no per-call allocation, at the price of explicit zeroing (the
@@ -611,20 +619,17 @@ func (m *M) exec(fn *obj.Func, args []int64) (int64, error) {
 	regs := m.regStack[rbase : rbase+fn.NRegs : rbase+fn.NRegs]
 	m.regTop = rbase + fn.NRegs
 	copy(regs, args)
-	for i := len(args); i < len(regs); i++ {
-		regs[i] = 0
-	}
-	fp := m.sp
+	clear(regs[len(args):])
 	if fp+int64(fn.Frame) > m.stackLimit {
 		return 0, &Trap{Kind: TrapStackOverflow, Msg: "simulated stack overflow", Func: fn.Name}
 	}
 	// Frame memory must start zeroed for deterministic behaviour.
-	for i := int64(0); i < int64(fn.Frame); i++ {
-		m.Mem[fp+i] = 0
-	}
 	m.sp = fp + int64(fn.Frame)
-	defer func() { m.sp = fp }()
+	clear(m.Mem[fp:m.sp])
 
+	if cf != nil {
+		return m.runCompiled(cf, regs, fp)
+	}
 	return m.execLoop(fn, regs, fp, 0, true)
 }
 
