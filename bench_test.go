@@ -19,6 +19,7 @@ import (
 	"knit/internal/knit/constraint"
 	"knit/internal/knit/lang"
 	"knit/internal/knit/link"
+	"knit/internal/knit/supervise"
 	"knit/internal/ldlink"
 	"knit/internal/machine"
 	"knit/internal/obj"
@@ -257,6 +258,38 @@ func mustCompile(b *testing.B, name, src string) *obj.File {
 		b.Fatal(err)
 	}
 	return o
+}
+
+// ---- the supervised serving path ----
+
+// BenchmarkServeSupervised runs clack.ServeSupervised over b.N packets
+// of DefaultTraffic on each engine and reports host ns/packet. Each
+// packet is one supervised kmain(1) with a collector attached: a fleet
+// shard's per-packet path, without perfbench's fleet. The timed region
+// is all of ServeSupervised, so it also holds generating the traffic
+// (every packet's payload), creating the machine, installing the
+// devices and running the initializers — a few percent of the profile,
+// nearly all of it generation (see EXPERIMENTS.md). Profile it with
+// -cpuprofile to see where a served packet's time goes.
+func BenchmarkServeSupervised(b *testing.B) {
+	for _, backend := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
+		b.Run(backend.String(), func(b *testing.B) {
+			res, err := clack.BuildRouterTuned(clack.Variant{}, func(o *build.Options) { o.Backend = backend })
+			if err != nil {
+				b.Fatal(err)
+			}
+			packets := max(b.N, 50)
+			b.ResetTimer()
+			rep, err := clack.ServeSupervised(res, clack.DefaultTraffic(packets), nil, supervise.NewFakeClock(), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.Goodput != 1 {
+				b.Fatalf("goodput %.4f with no faults, want 1", rep.Goodput)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(packets), "ns/packet")
+		})
+	}
 }
 
 // ---- build-time: the cache and the parallel compile stage ----

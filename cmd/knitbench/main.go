@@ -304,12 +304,15 @@ func runBuildTime() {
 			p.Name, (p.D / rounds).Round(time.Microsecond), pctOf(p.D, cold.Total()),
 			(w.D / rounds).Round(time.Microsecond), pctOf(w.D, warm.Total()))
 	}
-	fmt.Printf("      cache: cold %d/%d hits, warm %d/%d hits\n",
+	// The warm build's target is deterministic: the cache serves every
+	// compile job. Its time relative to the cold build is reported
+	// without a target, since it moves with the compiler's cold speed.
+	fmt.Printf("      cache: cold %d/%d hits, warm %d/%d hits (target: every warm job a hit)\n",
 		cold.CacheHits/rounds, cold.CompileJobs/rounds,
 		warm.CacheHits/rounds, warm.CompileJobs/rounds)
 	fmt.Printf("   (clack router) compiler+loader: %.1f%% of cold build time\n",
 		pctOf(cold.CompilerAndLoader(), cold.Total()))
-	fmt.Printf("   (clack router) warm compiler+loader %v = %.1f%% of cold %v (target <= 20%%)\n",
+	fmt.Printf("   (clack router) warm compiler+loader %v = %.1f%% of cold %v\n",
 		(warm.CompilerAndLoader() / rounds).Round(time.Microsecond),
 		pctOf(warm.CompilerAndLoader(), cold.CompilerAndLoader()),
 		(cold.CompilerAndLoader() / rounds).Round(time.Microsecond))

@@ -171,14 +171,6 @@ func (in *Injector) FailBuiltinAfter(name string, calls int, err error) error {
 	return nil
 }
 
-// Runs reports how many top-level runs the hook has observed since
-// Attach or the last Clear.
-func (in *Injector) Runs() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.runs
-}
-
 // Clear disarms every fault, restores wrapped builtins, and resets the
 // run counter, leaving the injector attached for the next scenario.
 func (in *Injector) Clear() {

@@ -35,12 +35,13 @@ type callTree struct {
 // genTree builds a random call tree rooted at depth 0. Errors originate
 // at leaves (a fresh *machine.Trap per tree, as in the real machine,
 // where the innermost frame mints the error value and every enclosing
-// frame repeats it).
+// frame repeats it). A symbol's function index is its position in syms.
 func genTree(rng *rand.Rand, syms []string) callTree {
 	var tr callTree
 	var build func(depth int) (inclusive int64, err error)
 	build = func(depth int) (int64, error) {
-		sym := syms[rng.Intn(len(syms))]
+		index := rng.Intn(len(syms))
+		sym := syms[index]
 		var childSum int64
 		var propagated error
 		if depth < 4 {
@@ -57,7 +58,7 @@ func genTree(rng *rand.Rand, syms []string) callTree {
 		}
 		inclusive := childSum + 1 + int64(rng.Intn(5000))
 		tr.events = append(tr.events, machine.CallInfo{
-			Fn: sym, Depth: depth, Cycles: inclusive, Err: propagated,
+			Fn: sym, Index: index, Depth: depth, Cycles: inclusive, Err: propagated,
 		})
 		return inclusive, propagated
 	}

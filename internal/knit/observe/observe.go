@@ -8,17 +8,21 @@
 // attributes every simulated call — and every trap, initializer,
 // finalizer, restart, and fallback swap reported by the build and
 // supervision layers — to the unit instance owning it, via the
-// link-time symbol owner table (machine.Image.SymbolOwner). Per
-// instance it maintains call and cycle counters, a log2 histogram of
-// per-call fuel, and per-TrapKind fault counters; an optional
-// ring-buffer Tracer records recent call spans for JSON-lines export.
+// link-time symbol owner table (machine.Image.SymbolOwner) and the
+// owners of live dynamic modules (machine.M.OwnerOf). Per instance it
+// maintains call and cycle counters, a log2 histogram of per-call fuel,
+// and per-TrapKind fault counters; an optional ring-buffer Tracer
+// records recent call spans for JSON-lines export.
 //
 // The design constraint is the hot path: a detached collector costs one
 // nil check per call inside the machine, and an attached one performs
-// no heap allocation on the no-fault path (map reads, array increments,
-// and ring-slot writes only). Its wall cost per packet is perfbench's
-// observe.ns_per_packet; clack.TestTable1Shape checks that attaching it
-// leaves the simulated machine's counters unchanged.
+// no heap allocation on the no-fault path. A call is attributed by its
+// function index (machine.CallInfo.Index), which names one function for
+// the machine's life: the collector asks OwnerOf once per index and
+// afterwards reads a slice, so a call costs a slice read, array
+// increments, and ring-slot writes. Its wall cost per packet is
+// perfbench's observe.ns_per_packet; clack.TestTable1Shape checks that
+// attaching it leaves the simulated machine's counters unchanged.
 package observe
 
 import (
@@ -94,10 +98,12 @@ func histBucket(cycles int64) int {
 // per machine; it is not safe for concurrent use (drive it from the
 // machine's single execution loop, as the supervisor does).
 type Collector struct {
-	m     *machine.M
-	prev  func(machine.CallInfo) // chained PostCall hook, if any
-	inst  map[string]*InstanceMetrics
-	bySym map[string]*InstanceMetrics // symbol -> owner metrics, memoized
+	m    *machine.M
+	prev func(machine.CallInfo) // chained PostCall hook, if any
+	inst map[string]*InstanceMetrics
+	// owners[i] is the ledger of the instance owning function index i,
+	// filled on the index's first call; nil until then.
+	owners []*InstanceMetrics
 	// childCycles[d] accumulates the inclusive cycles of completed calls
 	// at depth d, so a parent frame at depth d-1 can compute its self
 	// cycles as inclusive minus childCycles[d]. Fixed-size: the machine
@@ -111,10 +117,9 @@ type Collector struct {
 // present (the chained hook fires after the collector).
 func Attach(m *machine.M) *Collector {
 	c := &Collector{
-		m:     m,
-		prev:  m.PostCall,
-		inst:  map[string]*InstanceMetrics{},
-		bySym: map[string]*InstanceMetrics{},
+		m:    m,
+		prev: m.PostCall,
+		inst: map[string]*InstanceMetrics{},
 	}
 	m.PostCall = c.postCall
 	return c
@@ -139,10 +144,12 @@ func (c *Collector) Trace(capacity int) *Tracer {
 }
 
 func (c *Collector) postCall(ci machine.CallInfo) {
-	im := c.bySym[ci.Fn]
+	var im *InstanceMetrics
+	if ci.Index < len(c.owners) {
+		im = c.owners[ci.Index]
+	}
 	if im == nil {
-		im = c.metricsFor(c.m.OwnerOf(ci.Fn))
-		c.bySym[ci.Fn] = im
+		im = c.resolve(ci)
 	}
 	im.Calls++
 	im.Hist[histBucket(ci.Cycles)]++
@@ -163,6 +170,17 @@ func (c *Collector) postCall(ci machine.CallInfo) {
 	if c.prev != nil {
 		c.prev(ci)
 	}
+}
+
+// resolve attributes a function index on its first call, through the
+// owner of the function's name.
+func (c *Collector) resolve(ci machine.CallInfo) *InstanceMetrics {
+	if n := ci.Index + 1; n > len(c.owners) {
+		c.owners = append(c.owners, make([]*InstanceMetrics, n-len(c.owners))...)
+	}
+	im := c.metricsFor(c.m.OwnerOf(ci.Fn))
+	c.owners[ci.Index] = im
+	return im
 }
 
 // countTrap attributes one fault. The innermost erroring frame is the

@@ -260,7 +260,7 @@ func TestCollectorZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm bySym memoization, instance ledgers, frame arenas
+	run() // warm the owner slice, instance ledgers, frame arenas
 	if n := testing.AllocsPerRun(200, run); n != 0 {
 		t.Errorf("attached collector+tracer path: %.1f allocs/op, want 0", n)
 	}

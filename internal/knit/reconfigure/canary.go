@@ -101,10 +101,6 @@ func NewCanary[T any](fl *fleet.Fleet[T], plan *Plan, fraction float64, slo obse
 // Canaries returns the shard IDs under trial.
 func (c *Canary[T]) Canaries() []int { return append([]int(nil), c.canaries...) }
 
-// AppliedOn returns the plan's footprint on one shard (nil if the plan
-// never applied there).
-func (c *Canary[T]) AppliedOn(id int) *Applied { return c.applied[id] }
-
 // Start applies the plan to the canary shards and re-bases every
 // shard's SLO window at this instant, so judgment sees only
 // post-upgrade traffic. Canaries run under Policy.ForCanary for the

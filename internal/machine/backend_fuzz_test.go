@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 
 	"knit/internal/obj"
@@ -27,7 +28,8 @@ func beOp(b byte) (op int, tpl int) {
 // lockstep: one on the reference interpreter, one on the compiled
 // closure backend. At every step both must produce identical values,
 // identical error text, identical instruction counts, identical memory
-// images, and clean dynamic-table invariants. This is the harness for
+// images, the same function indices on every call, and clean
+// dynamic-table invariants. This is the harness for
 // the guarantee that the compiled backend's dispatch caches can never
 // go stale: any sequence where a cached call target survives an
 // interposition, unload, or restore shows up as a divergence here.
@@ -52,6 +54,9 @@ func FuzzBackendEquivalence(f *testing.F) {
 		mi := loadFile(t, base)
 		mc := loadFile(t, base)
 		mc.SetBackend(BackendCompiled)
+		var callsI, callsC []CallInfo
+		mi.PostCall = func(ci CallInfo) { callsI = append(callsI, CallInfo{Fn: ci.Fn, Index: ci.Index}) }
+		mc.PostCall = func(ci CallInfo) { callsC = append(callsC, CallInfo{Fn: ci.Fn, Index: ci.Index}) }
 
 		var snapI, snapC *Snapshot
 
@@ -84,6 +89,10 @@ func FuzzBackendEquivalence(f *testing.F) {
 			if mi.Executed != mc.Executed {
 				t.Fatalf("step %d %s: Executed interp=%d compiled=%d", i, name, mi.Executed, mc.Executed)
 			}
+			if !slices.Equal(callsI, callsC) {
+				t.Fatalf("step %d %s: calls (fn, index) interp=%v compiled=%v", i, name, callsI, callsC)
+			}
+			callsI, callsC = callsI[:0], callsC[:0]
 			if len(mi.Mem) != len(mc.Mem) {
 				t.Fatalf("step %d %s: memory size interp=%d compiled=%d", i, name, len(mi.Mem), len(mc.Mem))
 			}

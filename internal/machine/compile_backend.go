@@ -28,6 +28,11 @@ package machine
 //     accumulate run, which keeps base and sum in host locals and then
 //     writes each register the run writes with its last writer's value
 //     (see fuseIndexedRunStrided).
+//   - A strided run with contiguous offsets, as os_work's, checks its
+//     address window once: when the whole window lies in mapped memory
+//     one slice loop sums it without per-round checks. Any other run
+//     takes the per-round loop, so a trapping round's PC, Executed and
+//     Cycles stay exact.
 //   - PreCall/PostCall/PreRun hooks, Fuel, StepLimit, Interpose/Unpose,
 //     Snapshot/Restore and dynamic load/unload all behave identically.
 //     Call targets are resolved through a per-machine dispatch cache
@@ -36,8 +41,11 @@ package machine
 //     target is never stale — an interposition takes effect at the very
 //     next call, even within a running frame.
 //   - Both engines enter frames through one prologue (M.frame), so the
-//     checks, trap messages and arena discipline are shared, and the hot
-//     call path stays allocation-free.
+//     checks, trap messages and arena discipline are shared, each
+//     argument is copied once, from the caller's registers into the
+//     callee's, and the hot call path stays allocation-free. A compiled
+//     function carries its dense index (CallInfo.Index), so the PostCall
+//     hook gets it without a lookup.
 //
 // The one deliberate difference is the fetch model: compiled code does
 // not simulate the instruction cache, so Stalls and ICacheRefs/ICacheMiss
@@ -51,6 +59,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"knit/internal/cmini"
 	"knit/internal/obj"
@@ -143,6 +152,7 @@ type cblock struct {
 // cfunc is one compiled function.
 type cfunc struct {
 	fn      *obj.Func
+	index   int // the function's dense index (CallInfo.Index)
 	blocks  []cblock
 	siteEnd int // one past the highest dispatch-cache slot the code uses
 }
@@ -150,7 +160,7 @@ type cfunc struct {
 // imageProg is the once-compiled static program, shared read-only by
 // every machine on the image.
 type imageProg struct {
-	byFunc map[*obj.Func]*cfunc
+	funcs  []*cfunc // by static function index
 	nsites int
 }
 
@@ -179,16 +189,11 @@ type callSite struct {
 // first use.
 func (img *Image) prog() *imageProg {
 	img.compileOnce.Do(func() {
-		p := &imageProg{byFunc: make(map[*obj.Func]*cfunc, len(img.Entry))}
-		var names []string
-		for name := range img.Entry {
-			names = append(names, name)
-		}
-		sortStrings(names) // deterministic dispatch-slot numbering
+		p := &imageProg{funcs: make([]*cfunc, len(img.funcs))}
 		next := 0
-		for _, name := range names {
-			fn := img.Entry[name]
-			p.byFunc[fn] = compileFunc(fn, nil, img, &next)
+		for i, fn := range img.funcs { // text order: deterministic slot numbering
+			p.funcs[i] = compileFunc(fn, nil, img, &next)
+			p.funcs[i].index = i
 		}
 		p.nsites = next
 		img.compiled = p
@@ -207,13 +212,14 @@ func (m *M) compiledFor(fn *obj.Func) *cfunc {
 	if m.nextSite < p.nsites {
 		m.nextSite = p.nsites
 	}
-	if cf, ok := p.byFunc[fn]; ok {
-		return cf
+	if i, ok := m.Img.index[fn]; ok {
+		return p.funcs[i]
 	}
 	if cf, ok := m.dynCompiled[fn]; ok {
 		return cf
 	}
 	cf := compileFunc(fn, m, m.Img, &m.nextSite)
+	cf.index = m.dyn.index[fn.Name]
 	if m.dynCompiled == nil {
 		m.dynCompiled = map[*obj.Func]*cfunc{}
 	}
@@ -286,18 +292,11 @@ func (m *M) compiledDispatch(site int, sym string, regs []int64, argRegs []obj.R
 		cf := c.cf
 		m.Calls++
 		m.Cycles += m.Costs.CallBase + m.Costs.CallPerArg*int64(len(argRegs))
-		argv, abase := m.pushArgs(regs, argRegs)
-		v, err := m.invoke(cf.fn, cf, argv)
-		m.argTop = abase
-		return v, err
+		return m.invoke(cf.fn, cf, regs, argRegs)
 	case siteBuiltin:
-		b := c.b
 		m.BuiltinCnt++
 		m.Cycles += m.Costs.Builtin
-		argv, abase := m.pushArgs(regs, argRegs)
-		v, err := b(m, argv)
-		m.argTop = abase
-		return v, err
+		return m.callBuiltin(c.b, regs, argRegs)
 	default:
 		return 0, &Trap{Kind: TrapUndefinedCall, Msg: "call to undefined function " + m.interposed(sym), Func: caller, PC: pc}
 	}
@@ -344,10 +343,7 @@ func (m *M) compiledCallInd(site int, regs []int64, aReg obj.Reg, argRegs []obj.
 	}
 	m.IndCalls++
 	m.Cycles += m.Costs.CallBase + m.Costs.Indirect + m.Costs.CallPerArg*int64(len(argRegs))
-	argv, abase := m.pushArgs(regs, argRegs)
-	v, err := m.invoke(cf.fn, cf, argv)
-	m.argTop = abase
-	return v, err
+	return m.invoke(cf.fn, cf, regs, argRegs)
 }
 
 // trapTerm builds a terminator that traps. The Trap is allocated per
@@ -1086,6 +1082,15 @@ type ixWrite struct {
 // the sum, or the const overwrites the mov's copy), and when a sum
 // register's last writer is not the final round, since only the final
 // sum is kept.
+//
+// When the offsets are contiguous, as os_work's are, the rounds read
+// each word of [base+lo, base+hi] once, so the op checks that window
+// once per run: when base+lo ≥ nullGuard, base+hi < len(Mem) and
+// base+lo ≤ base+hi (the last clause rules out a window whose end
+// wrapped around int64), no round can trap and one slice loop sums the
+// window. Otherwise the run goes round by round, checking each address
+// as the interpreter does, so a trap fires at the same round with the
+// same PC, Executed and Cycles.
 func fuseIndexedRunStrided(rs []ixRound, fname string) copFn {
 	base, acc := rs[0].lmA, rs[0].tA
 	if base == acc {
@@ -1135,24 +1140,37 @@ func fuseIndexedRunStrided(rs []ixRound, fname string) copFn {
 	for i := range rs {
 		imms[i] = rs[i].imm
 	}
+	sorted := slices.Clone(imms)
+	slices.Sort(sorted)
+	lo, hi := sorted[0], sorted[final]
+	contiguous := true
+	for i, imm := range sorted {
+		contiguous = contiguous && imm == lo+int64(i)
+	}
 	w := int64(6 * len(rs))
 	return func(m *M, regs []int64, fp int64) error {
 		mem := m.Mem
 		memLen := int64(len(mem))
 		b := regs[base]
 		a := regs[acc]
-		for i, imm := range imms {
-			addr := b + imm
-			if addr < nullGuard || addr >= memLen {
-				// The frame is dead after a trap — no later instruction
-				// will read regs — so only the counters need fixing.
-				adj := w - (6*int64(i) + 4)
-				m.Executed -= adj
-				m.Cycles -= adj * m.Costs.Instr
-				return &Trap{Kind: TrapBadAddress,
-					Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: rs[i].lpc}
+		if first, last := b+lo, b+hi; contiguous && first >= nullGuard && last < memLen && first <= last {
+			for _, word := range mem[first : last+1] {
+				a += word
 			}
-			a += mem[addr]
+		} else {
+			for i, imm := range imms {
+				addr := b + imm
+				if addr < nullGuard || addr >= memLen {
+					// The frame is dead after a trap — no later instruction
+					// will read regs — so only the counters need fixing.
+					adj := w - (6*int64(i) + 4)
+					m.Executed -= adj
+					m.Cycles -= adj * m.Costs.Instr
+					return &Trap{Kind: TrapBadAddress,
+						Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: rs[i].lpc}
+				}
+				a += mem[addr]
+			}
 		}
 		for _, wr := range writes {
 			switch wr.kind {

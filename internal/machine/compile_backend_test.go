@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -402,6 +403,40 @@ func TestBackendParityStridedRuns(t *testing.T) {
 		}
 		runBoth(t, f, fillG, "f", 20)
 	})
+
+	// A fused run with contiguous offsets checks its whole window
+	// [base+min, base+max] once and falls back to per-round checks when
+	// the window leaves memory or wraps; any other run always goes round
+	// by round. Base r0 = x places the window; base r3 = &g keeps it
+	// inside g. Trapping cases must stop at the interpreter's exact round.
+	end := int64(len(loadFile(t, stridedProgram()).Mem))
+	for _, tc := range []struct {
+		name string
+		base obj.Reg
+		x    int64
+		imms []int64
+	}{
+		{"straddles-null-guard", 0, nullGuard - 2, []int64{3, 2, 1, 0}},
+		{"straddles-end-of-memory", 0, end - 2, []int64{0, 1, 2, 3}},
+		{"base-plus-max-wraps", 0, math.MaxInt64 - 1, []int64{0, 1, 2, 3}},
+		{"stride-2", 3, 9, []int64{0, 2, 4, 6}},
+		{"stride-2-straddles-end", 0, end - 5, []int64{0, 2, 4, 6}},
+		{"descending", 3, 9, []int64{7, 5, 3, 1}},
+		{"repeated", 3, 9, []int64{1, 1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rounds [][]obj.Instr
+			for _, imm := range tc.imms {
+				rounds = append(rounds, stridedRound(tc.base, 2, 1, 4, 1, 1, 1, imm))
+			}
+			f := stridedProgram(rounds...)
+			_, mc := compiledPair(t, f)
+			if got, want := widestOp(mc, "f"), int64(6*len(tc.imms)); got != want {
+				t.Fatalf("widest op covers %d instructions, want the fused %d", got, want)
+			}
+			runBoth(t, f, fillG, "f", tc.x)
+		})
+	}
 }
 
 // osWorkSource is the router's os_work: 320 unrolled reads of a static

@@ -26,6 +26,7 @@ type dynState struct {
 	funcByAddr map[int64]*obj.Func
 	globalAddr map[string]int64
 	textOff    map[string]int64
+	index      map[string]int    // function -> dense index (CallInfo.Index)
 	owner      map[string]string // symbol -> owning unit instance (attribution)
 	textSize   int64
 	modules    []*dynModule // live modules, in load order
@@ -52,6 +53,7 @@ func newDynState() *dynState {
 		funcByAddr: map[int64]*obj.Func{},
 		globalAddr: map[string]int64{},
 		textOff:    map[string]int64{},
+		index:      map[string]int{},
 		owner:      map[string]string{},
 	}
 }
@@ -75,12 +77,27 @@ func (d *dynState) clone() *dynState {
 	for k, v := range d.textOff {
 		c.textOff[k] = v
 	}
+	for k, v := range d.index {
+		c.index[k] = v
+	}
 	for k, v := range d.owner {
 		c.owner[k] = v
 	}
 	c.textSize = d.textSize
 	c.modules = append([]*dynModule(nil), d.modules...)
 	return c
+}
+
+// renumber draws fresh indices for every live function from *next, in
+// load order: what a snapshot taken on another machine needs, since its
+// indices were drawn from that machine's counter.
+func (d *dynState) renumber(next *int) {
+	for _, mod := range d.modules {
+		for _, s := range mod.funcs {
+			d.index[s] = *next
+			*next++
+		}
+	}
 }
 
 func (d *dynState) module(name string) *dynModule {
@@ -239,19 +256,21 @@ func (m *M) LoadDynamicAs(name, owner string, o *obj.File) error {
 			m.dyn.owner[gname] = owner
 		}
 	}
-	for fname, fn := range newFuncs {
+	for _, fname := range fnames { // text order: indices drawn in it
+		fn := newFuncs[fname]
 		m.dyn.funcs[fname] = fn
 		a := newFuncAddr[fname]
 		m.dyn.funcAddr[fname] = a
 		m.dyn.funcByAddr[a] = fn
 		m.dyn.textOff[fname] = newTextOff[fname]
+		m.dyn.index[fname] = m.nextIndex
+		m.nextIndex++
 		mod.funcs = append(mod.funcs, fname)
 		if owner != "" {
 			m.dyn.owner[fname] = owner
 		}
 	}
 	mod.refs = moduleRefs(o, newGlobals, newFuncs)
-	sortStrings(mod.funcs)
 	sortStrings(mod.globals)
 	m.dyn.textSize = text - m.Img.TextSize
 	m.dyn.modules = append(m.dyn.modules, mod)
@@ -363,6 +382,7 @@ func (m *M) UnloadDynamic(name string) error {
 		delete(m.dyn.funcs, s)
 		delete(m.dyn.funcAddr, s)
 		delete(m.dyn.textOff, s)
+		delete(m.dyn.index, s)
 		delete(m.dyn.owner, s)
 	}
 	for _, s := range mod.globals {
@@ -504,7 +524,19 @@ func (m *M) CheckDynInvariants() error {
 			return fail("dangling global table entry %q (no live module owns it)", s)
 		}
 	}
+	indexOf := map[int]string{}
 	for s, modName := range ownedFunc {
+		i, ok := d.index[s]
+		if !ok {
+			return fail("func %q has no index", s)
+		}
+		if i < len(m.Img.funcs) || i >= m.nextIndex {
+			return fail("func %q has index %d outside [%d,%d)", s, i, len(m.Img.funcs), m.nextIndex)
+		}
+		if other, dup := indexOf[i]; dup {
+			return fail("funcs %q and %q share index %d", other, s, i)
+		}
+		indexOf[i] = s
 		fn, ok := d.funcs[s]
 		if !ok {
 			return fail("module %q func %q missing from func table", modName, s)
@@ -531,9 +563,10 @@ func (m *M) CheckDynInvariants() error {
 			return fail("dynamic global %q shadows an image symbol", s)
 		}
 	}
-	if len(d.funcAddr) != len(d.funcs) || len(d.funcByAddr) != len(d.funcs) || len(d.textOff) != len(d.funcs) {
-		return fail("func table sizes disagree: funcs=%d addr=%d byAddr=%d textOff=%d",
-			len(d.funcs), len(d.funcAddr), len(d.funcByAddr), len(d.textOff))
+	if len(d.funcAddr) != len(d.funcs) || len(d.funcByAddr) != len(d.funcs) ||
+		len(d.textOff) != len(d.funcs) || len(d.index) != len(d.funcs) {
+		return fail("func table sizes disagree: funcs=%d addr=%d byAddr=%d textOff=%d index=%d",
+			len(d.funcs), len(d.funcAddr), len(d.funcByAddr), len(d.textOff), len(d.index))
 	}
 	// Attribution entries may only name symbols of live modules.
 	for s := range d.owner {

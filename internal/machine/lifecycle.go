@@ -14,6 +14,7 @@ type Snapshot struct {
 	stackLimit int64
 	dyn        *dynState
 	redirect   map[string]string
+	origin     uint64 // serial of the machine that took it
 }
 
 // Snapshot captures the machine's current program state. The snapshot
@@ -24,6 +25,7 @@ func (m *M) Snapshot() *Snapshot {
 		mem:        append([]int64(nil), m.Mem...),
 		sp:         m.sp,
 		stackLimit: m.stackLimit,
+		origin:     m.serial,
 	}
 	if m.dyn != nil {
 		s.dyn = m.dyn.clone()
@@ -41,13 +43,18 @@ func (m *M) Snapshot() *Snapshot {
 // contents (including any since-loaded dynamic modules' data), stack
 // pointer, the dynamic symbol tables, and the interposition redirects.
 // Modules loaded after the snapshot vanish; modules unloaded after it
-// come back. Statistics and registered builtins are left alone.
+// come back, their functions under their old indices (CallInfo.Index).
+// A snapshot taken on another machine gives its functions fresh indices
+// on this one. Statistics and registered builtins are left alone.
 func (m *M) Restore(s *Snapshot) {
 	m.Mem = append([]int64(nil), s.mem...)
 	m.sp = s.sp
 	m.stackLimit = s.stackLimit
 	if s.dyn != nil {
 		m.dyn = s.dyn.clone()
+		if s.origin != m.serial {
+			m.dyn.renumber(&m.nextIndex)
+		}
 	} else {
 		m.dyn = nil
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"knit/internal/cmini"
 	"knit/internal/obj"
@@ -90,6 +91,10 @@ type Image struct {
 	TextSize   int64
 	DataWords  int
 	costs      Costs
+	// funcs holds the static functions in text order, and index maps
+	// each back to its position there: its dense index (CallInfo.Index).
+	funcs []*obj.Func
+	index map[*obj.Func]int
 	// SymbolOwner, when set by the build layer, maps program-unique
 	// symbol names to the unit-instance path that defined them, so traps
 	// are attributed to components (fault isolation, not just fault
@@ -124,6 +129,7 @@ func Load(f *obj.File, costs Costs) (*Image, error) {
 		FuncAddr:   map[string]int64{},
 		funcByAddr: map[int64]*obj.Func{},
 		textOff:    map[string]int64{},
+		index:      map[*obj.Func]int{},
 		costs:      costs,
 	}
 	// Data placement: globals first, then string literals.
@@ -153,7 +159,8 @@ func Load(f *obj.File, costs Costs) (*Image, error) {
 			img.initMem[base+int64(j)] = int64(s[j])
 		}
 	}
-	// Text placement, deterministic by name.
+	// Text placement, deterministic by name. Text order numbers the
+	// static functions 0…n−1.
 	var fnames []string
 	for name := range f.Funcs {
 		fnames = append(fnames, name)
@@ -162,6 +169,8 @@ func Load(f *obj.File, costs Costs) (*Image, error) {
 	text := int64(0)
 	for _, name := range fnames {
 		fn := f.Funcs[name]
+		img.index[fn] = len(img.funcs)
+		img.funcs = append(img.funcs, fn)
 		img.textOff[name] = text
 		a := textBase + text
 		img.FuncAddr[name] = a
@@ -374,16 +383,23 @@ type M struct {
 	fuelBound  bool              // budgetEnd comes from Fuel, not StepLimit
 	dyn        *dynState         // dynamically loaded modules (nil until used)
 	redirect   map[string]string // interposed function symbols (nil until used)
-	// regStack and argStack are per-call frame pools: every call's
-	// virtual registers and outgoing argument vector are slices of these
-	// LIFO arenas rather than fresh allocations, so the no-fault call
-	// path performs zero heap allocations. MaxCallDepth bounds their
+	// regStack and argStack are per-call pools: every frame's virtual
+	// registers, and every builtin call's argument vector, are slices of
+	// these LIFO arenas rather than fresh allocations, so the no-fault
+	// call path performs zero heap allocations. MaxCallDepth bounds their
 	// growth; stale backing arrays left behind by a mid-call grow are
 	// harmless because each frame only ever touches its own slice.
 	regStack []int64
 	regTop   int
 	argStack []int64
 	argTop   int
+
+	// serial identifies the machine, so Restore can tell a snapshot
+	// taken here from one taken on another machine. nextIndex is the
+	// index the next dynamically loaded function draws; nothing rewinds
+	// it, so no index is reused on this machine.
+	serial    uint64
+	nextIndex int
 
 	// Compiled-backend state (see compile_backend.go). backend selects
 	// the execution engine. sites is the per-machine dispatch cache the
@@ -408,6 +424,14 @@ type CallInfo struct {
 	Fn    string // program-unique (renamed) function name
 	Depth int    // nesting depth at entry: 0 for a top-level Run
 	Start int64  // M.Cycles when the call began
+	// Index is the function's dense index on this machine: static
+	// functions are 0…n−1 in text order, and each dynamically loaded
+	// function draws the next number when its module loads. An index
+	// names one function for the machine's whole life — UnloadDynamic,
+	// Restore and Reset never hand it to another, and a Restore brings a
+	// function back under its old index — and both engines report the
+	// same index, so a hook may key per-function state by it.
+	Index int
 	// Cycles is the cycles-of-fuel the call consumed, callees included
 	// (an exclusive figure is Cycles minus the callees' CallInfo.Cycles,
 	// which nest strictly inside this one).
@@ -421,12 +445,17 @@ type CallInfo struct {
 // MaxCallDepth bounds simulated recursion.
 const MaxCallDepth = 256
 
+// machineSerial numbers machines as they are created (see M.serial).
+var machineSerial atomic.Uint64
+
 // New creates a machine for a loaded image.
 func New(img *Image) *M {
 	m := &M{
-		Img:      img,
-		Costs:    img.costs,
-		Builtins: map[string]Builtin{},
+		Img:       img,
+		Costs:     img.costs,
+		Builtins:  map[string]Builtin{},
+		serial:    machineSerial.Add(1),
+		nextIndex: len(img.funcs),
 	}
 	m.Reset()
 	return m
@@ -486,11 +515,28 @@ func (m *M) Run(entry string, args ...int64) (int64, error) {
 	if m.depth == 0 {
 		m.armBudget()
 	}
-	v, err := m.call(fn, args)
+	v, err := m.call(fn, args, runArgRegs(len(args)))
 	if t, ok := err.(*Trap); ok && t.Unit == "" {
 		t.Unit = m.OwnerOf(t.Func)
 	}
 	return v, err
+}
+
+// selfRegs lists registers 0, 1, 2, …: Run hands its argument vector to
+// frame as the registers of a caller whose argument list is 0…n−1.
+var selfRegs = [...]obj.Reg{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+
+// runArgRegs returns the argument list 0…n−1, allocating only for a Run
+// with more arguments than selfRegs lists.
+func runArgRegs(n int) []obj.Reg {
+	if n <= len(selfRegs) {
+		return selfRegs[:n:n]
+	}
+	r := make([]obj.Reg, n)
+	for i := range r {
+		r[i] = obj.Reg(i)
+	}
+	return r
 }
 
 // defaultStepLimit is the per-Run instruction bound when StepLimit is 0.
@@ -552,27 +598,47 @@ func (m *M) fetch(textOff int64) {
 	m.prevLine = line
 }
 
-// call runs one simulated function body on the machine's engine.
-func (m *M) call(fn *obj.Func, args []int64) (int64, error) {
+// call runs one simulated function body on the machine's engine. Its
+// arguments are src[argRegs[0]], src[argRegs[1]], …: the caller's
+// registers for a call from simulated code, Run's vector for a Run.
+func (m *M) call(fn *obj.Func, src []int64, argRegs []obj.Reg) (int64, error) {
 	if m.backend == BackendCompiled {
-		return m.invoke(fn, m.compiledFor(fn), args)
+		return m.invoke(fn, m.compiledFor(fn), src, argRegs)
 	}
-	return m.invoke(fn, nil, args)
+	return m.invoke(fn, nil, src, argRegs)
 }
 
 // invoke runs fn's body in a new frame — as cf when cf is non-nil —
-// firing the PostCall hook (when installed) with the call's frame
-// identity, fuel delta, and outcome. The disabled path is a single nil
-// check so that detached observability costs nothing measurable.
-func (m *M) invoke(fn *obj.Func, cf *cfunc, args []int64) (int64, error) {
+// firing the PostCall hook (when installed) with the call's function
+// index, frame identity, fuel delta, and outcome. The disabled path is
+// a single nil check so that detached observability costs nothing
+// measurable. The compiled function carries its index; the interpreter
+// looks it up at entry, while fn is still certainly live.
+func (m *M) invoke(fn *obj.Func, cf *cfunc, src []int64, argRegs []obj.Reg) (int64, error) {
 	if m.PostCall == nil {
-		return m.frame(fn, cf, args)
+		return m.frame(fn, cf, src, argRegs)
+	}
+	var index int
+	if cf != nil {
+		index = cf.index
+	} else {
+		index = m.funcIndex(fn)
 	}
 	depth := m.depth
 	start := m.Cycles
-	v, err := m.frame(fn, cf, args)
-	m.PostCall(CallInfo{Fn: fn.Name, Depth: depth, Start: start, Cycles: m.Cycles - start, Err: err})
+	v, err := m.frame(fn, cf, src, argRegs)
+	m.PostCall(CallInfo{Fn: fn.Name, Index: index, Depth: depth, Start: start, Cycles: m.Cycles - start, Err: err})
 	return v, err
+}
+
+// funcIndex returns the dense index (CallInfo.Index) of a live
+// function: its text-order number when static, the number its load drew
+// when dynamic.
+func (m *M) funcIndex(fn *obj.Func) int {
+	if i, ok := m.Img.index[fn]; ok {
+		return i
+	}
+	return m.dyn.index[fn.Name]
 }
 
 // growArena extends a frame arena to at least need words. Growth
@@ -590,11 +656,14 @@ func growArena(s []int64, need int) []int64 {
 }
 
 // frame is the one frame prologue of both engines: it checks call depth,
-// fires PreCall, checks the argument count, takes the frame's registers
-// from the arena and its words from the simulated stack, then runs the
-// body — compiled when cf is non-nil, else on the interpreter — and
-// releases both on return.
-func (m *M) frame(fn *obj.Func, cf *cfunc, args []int64) (int64, error) {
+// fires PreCall, checks the argument count and the simulated stack,
+// takes the frame's registers from the arena — copying each argument
+// once, from src[argRegs[i]] straight into register i — and its words
+// from the simulated stack, then runs the body, compiled when cf is
+// non-nil, else on the interpreter. Every check precedes the first
+// change to machine state, so the one exit path after the body is the
+// only place depth, register top and stack pointer are restored.
+func (m *M) frame(fn *obj.Func, cf *cfunc, src []int64, argRegs []obj.Reg) (int64, error) {
 	if m.depth >= MaxCallDepth {
 		return 0, &Trap{Kind: TrapStackOverflow, Msg: "call stack overflow", Func: fn.Name}
 	}
@@ -603,34 +672,44 @@ func (m *M) frame(fn *obj.Func, cf *cfunc, args []int64) (int64, error) {
 			return 0, err
 		}
 	}
-	if len(args) != fn.NArgs {
-		return 0, &Trap{Msg: fmt.Sprintf("called with %d args, want %d", len(args), fn.NArgs), Func: fn.Name}
+	if len(argRegs) != fn.NArgs {
+		return 0, &Trap{Msg: fmt.Sprintf("called with %d args, want %d", len(argRegs), fn.NArgs), Func: fn.Name}
 	}
-	m.depth++
 	rbase, fp := m.regTop, m.sp
-	defer func() { m.depth--; m.regTop = rbase; m.sp = fp }()
-
-	// The frame's virtual registers come from the LIFO register arena:
-	// no per-call allocation, at the price of explicit zeroing (the
-	// arena holds stale values from earlier frames).
-	if rbase+fn.NRegs > len(m.regStack) {
-		m.regStack = growArena(m.regStack, rbase+fn.NRegs)
-	}
-	regs := m.regStack[rbase : rbase+fn.NRegs : rbase+fn.NRegs]
-	m.regTop = rbase + fn.NRegs
-	copy(regs, args)
-	clear(regs[len(args):])
 	if fp+int64(fn.Frame) > m.stackLimit {
 		return 0, &Trap{Kind: TrapStackOverflow, Msg: "simulated stack overflow", Func: fn.Name}
 	}
+
+	// The frame's virtual registers come from the LIFO register arena:
+	// no per-call allocation, at the price of explicit zeroing (the
+	// arena holds stale values from earlier frames). A grow leaves the
+	// caller's registers (src) in the old backing array, where the copy
+	// below still reads them.
+	rtop := rbase + fn.NRegs
+	if rtop > len(m.regStack) {
+		m.regStack = growArena(m.regStack, rtop)
+	}
+	regs := m.regStack[rbase:rtop:rtop]
+	for i, r := range argRegs {
+		regs[i] = src[r]
+	}
+	clear(regs[len(argRegs):])
+	m.depth++
+	m.regTop = rtop
 	// Frame memory must start zeroed for deterministic behaviour.
 	m.sp = fp + int64(fn.Frame)
 	clear(m.Mem[fp:m.sp])
 
+	var v int64
+	var err error
 	if cf != nil {
-		return m.runCompiled(cf, regs, fp)
+		v, err = m.runCompiled(cf, regs, fp)
+	} else {
+		v, err = m.execLoop(fn, regs, fp, 0, true)
 	}
-	return m.execLoop(fn, regs, fp, 0, true)
+	m.depth--
+	m.regTop, m.sp = rbase, fp
+	return v, err
 }
 
 // execLoop is the interpreter proper: it executes fn's body over an
@@ -729,9 +808,7 @@ func (m *M) execLoop(fn *obj.Func, regs []int64, fp int64, pc int, model bool) (
 			m.IndCalls++
 			m.Cycles += m.Costs.CallBase + m.Costs.Indirect +
 				m.Costs.CallPerArg*int64(len(in.Args))
-			argv, abase := m.pushArgs(regs, in.Args)
-			v, err := m.call(callee, argv)
-			m.argTop = abase
+			v, err := m.call(callee, regs, in.Args)
 			if err != nil {
 				return 0, err
 			}
@@ -765,42 +842,38 @@ func (m *M) execLoop(fn *obj.Func, regs []int64, fp int64, pc int, model bool) (
 // callers.
 func (m *M) dispatch(sym string, regs []int64, argRegs []obj.Reg, fn *obj.Func, pc int) (int64, error) {
 	sym = m.interposed(sym)
-	argv, abase := m.pushArgs(regs, argRegs)
-	defer func() { m.argTop = abase }()
-	if callee, ok := m.Img.Entry[sym]; ok {
+	if callee, ok := m.funcBySym(sym); ok {
 		m.Calls++
-		m.Cycles += m.Costs.CallBase + m.Costs.CallPerArg*int64(len(argv))
-		return m.call(callee, argv)
-	}
-	if callee, ok := m.dynFunc(sym); ok {
-		m.Calls++
-		m.Cycles += m.Costs.CallBase + m.Costs.CallPerArg*int64(len(argv))
-		return m.call(callee, argv)
+		m.Cycles += m.Costs.CallBase + m.Costs.CallPerArg*int64(len(argRegs))
+		return m.call(callee, regs, argRegs)
 	}
 	if b, ok := m.Builtins[sym]; ok {
 		m.BuiltinCnt++
 		m.Cycles += m.Costs.Builtin
-		return b(m, argv)
+		return m.callBuiltin(b, regs, argRegs)
 	}
 	return 0, &Trap{Kind: TrapUndefinedCall, Msg: "call to undefined function " + sym, Func: fn.Name, PC: pc}
 }
 
-// pushArgs gathers an outgoing argument vector from the caller's
-// registers into the LIFO argument arena, returning the vector and the
-// arena watermark the caller must restore once the callee returns. Like
-// the register arena, this keeps the per-call path allocation-free; a
-// builtin must not retain its argument slice past its own return.
-func (m *M) pushArgs(regs []int64, argRegs []obj.Reg) (argv []int64, base int) {
-	base = m.argTop
-	if base+len(argRegs) > len(m.argStack) {
-		m.argStack = growArena(m.argStack, base+len(argRegs))
+// callBuiltin calls a builtin with an argument vector gathered from the
+// caller's registers into the LIFO argument arena, which keeps the
+// builtin path allocation-free like the register arena keeps simulated
+// calls; a builtin must not retain its argument slice past its own
+// return.
+func (m *M) callBuiltin(b Builtin, regs []int64, argRegs []obj.Reg) (int64, error) {
+	base := m.argTop
+	top := base + len(argRegs)
+	if top > len(m.argStack) {
+		m.argStack = growArena(m.argStack, top)
 	}
-	argv = m.argStack[base : base+len(argRegs) : base+len(argRegs)]
-	m.argTop = base + len(argRegs)
+	argv := m.argStack[base:top:top]
 	for i, r := range argRegs {
 		argv[i] = regs[r]
 	}
-	return argv, base
+	m.argTop = top
+	v, err := b(m, argv)
+	m.argTop = base
+	return v, err
 }
 
 func (m *M) load(addr int64, fn *obj.Func, pc int) (int64, error) {
