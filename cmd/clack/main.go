@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"knit/internal/clack"
+	"knit/internal/diag"
 	"knit/internal/knit/build"
 	"knit/internal/knit/link"
 	"knit/internal/knit/supervise"
@@ -326,10 +328,15 @@ func runCustom(path string, packets int, dumpUnits bool, backend machine.Backend
 		fail(err)
 	}
 	g, err := clack.ParseConfig(string(data))
-	if err != nil {
-		fail(err)
+	var units, top string
+	var genSources link.Sources
+	if err == nil {
+		units, genSources, top, err = g.CompileToKnit("CustomRouter")
 	}
-	units, genSources, top, err := g.CompileToKnit("CustomRouter")
+	var de *diag.Error
+	if errors.As(err, &de) {
+		de.Pos.File = path // print FILE:line:col
+	}
 	if err != nil {
 		fail(err)
 	}

@@ -402,7 +402,7 @@ func runSupervised(res *build.Result, m *machine.M, bundle, sym string,
 		if err != nil {
 			fail(err)
 		}
-		pol, err = supervise.Parse(string(data))
+		pol, err = supervise.Parse(policyPath, string(data))
 		if err != nil {
 			fail(err)
 		}
@@ -476,41 +476,31 @@ func printTimings(w io.Writer, t build.Timings) {
 	}
 }
 
-// loadSources reads every file mentioned in any unit's files{} section.
-// It scans the unit sources textually for quoted names and loads those
-// that exist under dir; the builder reports precisely which file is
-// missing if one is needed but absent.
+// loadSources reads every file named in any unit's files{} section
+// that exists under dir; the builder reports precisely which file is
+// missing if one is needed but absent. A unit file that does not parse
+// fails here, at its position, before the build starts.
 func loadSources(unitFiles map[string]string, dir string) (link.Sources, error) {
+	files, err := build.ParseUnitFiles(unitFiles)
+	if err != nil {
+		return nil, err
+	}
 	sources := link.Sources{}
-	for _, text := range unitFiles {
-		for _, name := range quotedStrings(text) {
-			if _, done := sources[name]; done {
-				continue
+	for _, f := range files {
+		for _, u := range f.Units {
+			for _, name := range u.Files {
+				if _, done := sources[name]; done {
+					continue
+				}
+				data, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					continue // the builder errors if the unit actually needs it
+				}
+				sources[name] = string(data)
 			}
-			data, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				continue // the builder errors if the unit actually needs it
-			}
-			sources[name] = string(data)
 		}
 	}
 	return sources, nil
-}
-
-func quotedStrings(s string) []string {
-	var out []string
-	for {
-		i := strings.IndexByte(s, '"')
-		if i < 0 {
-			return out
-		}
-		j := strings.IndexByte(s[i+1:], '"')
-		if j < 0 {
-			return out
-		}
-		out = append(out, s[i+1:i+1+j])
-		s = s[i+j+2:]
-	}
 }
 
 func fail(err error) {

@@ -14,20 +14,6 @@ import (
 	"knit/internal/oskit"
 )
 
-func TestQuotedStrings(t *testing.T) {
-	got := quotedStrings(`files { "a.c", "b.c" }; flags F = { "-O" }`)
-	want := []string{"a.c", "b.c", "-O"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("quotedStrings = %v, want %v", got, want)
-	}
-	if quotedStrings("no strings here") != nil {
-		t.Error("expected nil for no strings")
-	}
-	if quotedStrings(`unterminated "abc`) != nil {
-		t.Error("unterminated quote should yield nothing")
-	}
-}
-
 // TestCLIEndToEnd drives the same path the knit command does, against
 // the on-disk testdata: read unit file, load referenced sources, build,
 // run.

@@ -32,28 +32,20 @@
 package asm
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"knit/internal/cmini"
+	"knit/internal/diag"
 	"knit/internal/obj"
 )
 
-// Error is an assembly syntax error.
-type Error struct {
-	File string
-	Line int
-	Msg  string
-}
-
-func (e *Error) Error() string { return fmt.Sprintf("%s:%d: %s", e.File, e.Line, e.Msg) }
-
 // Parse assembles source into an object file.
 func Parse(file, src string) (*obj.File, error) {
-	p := &parser{file: file, out: obj.NewFile(file)}
+	p := &parser{out: obj.NewFile(file)}
 	for i, raw := range strings.Split(src, "\n") {
-		p.line = i + 1
+		p.pos = diag.Pos{File: file, Line: i + 1, Col: len(raw) - len(strings.TrimLeftFunc(raw, unicode.IsSpace)) + 1}
 		line := raw
 		if j := strings.Index(line, "#"); j >= 0 {
 			line = line[:j]
@@ -79,13 +71,12 @@ type pendingTarget struct {
 	instr int
 	slot  int
 	label string
-	line  int
+	pos   diag.Pos
 }
 
 type parser struct {
-	file string
-	line int
-	out  *obj.File
+	pos diag.Pos // the current line's first non-space column
+	out *obj.File
 
 	fn      *obj.Func
 	fnLocal bool
@@ -96,7 +87,7 @@ type parser struct {
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return &Error{File: p.file, Line: p.line, Msg: fmt.Sprintf(format, args...)}
+	return diag.Errorf(p.pos, format, args...)
 }
 
 // finishFunc closes the open function, resolving label references.
@@ -107,8 +98,7 @@ func (p *parser) finishFunc() error {
 	for _, pt := range p.pending {
 		idx, ok := p.labels[pt.label]
 		if !ok {
-			return &Error{File: p.file, Line: pt.line,
-				Msg: fmt.Sprintf("undefined label %q in %s", pt.label, p.fn.Name)}
+			return diag.Errorf(pt.pos, "undefined label %q in %s", pt.label, p.fn.Name)
 		}
 		p.fn.Code[pt.instr].Targets[pt.slot] = idx
 	}
@@ -502,7 +492,7 @@ func (p *parser) instruction(line string) error {
 			return err
 		}
 		p.pending = append(p.pending, pendingTarget{
-			instr: len(p.fn.Code), slot: 0, label: args[0], line: p.line})
+			instr: len(p.fn.Code), slot: 0, label: args[0], pos: p.pos})
 		emit(obj.Instr{Op: obj.OpJump})
 	case "branch":
 		if err := need(3); err != nil {
@@ -513,8 +503,8 @@ func (p *parser) instruction(line string) error {
 			return err
 		}
 		p.pending = append(p.pending,
-			pendingTarget{instr: len(p.fn.Code), slot: 0, label: args[1], line: p.line},
-			pendingTarget{instr: len(p.fn.Code), slot: 1, label: args[2], line: p.line})
+			pendingTarget{instr: len(p.fn.Code), slot: 0, label: args[1], pos: p.pos},
+			pendingTarget{instr: len(p.fn.Code), slot: 1, label: args[2], pos: p.pos})
 		emit(obj.Instr{Op: obj.OpBranch, A: c})
 	case "ret":
 		switch len(args) {

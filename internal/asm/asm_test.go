@@ -1,9 +1,12 @@
 package asm
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
+	"knit/internal/diag/diagtest"
 	"knit/internal/machine"
 	"knit/internal/obj"
 )
@@ -178,24 +181,27 @@ func nothing nargs=0 nregs=1
 	}
 }
 
+// assembleErrors are sources Parse refuses, with what the error says
+// and where it points.
+var assembleErrors = []struct{ name, src, want, pos string }{
+	{"bad reg", "func f nargs=0 nregs=1\n  const rX, 1", "bad register", "2:3"},
+	{"reg range", "func f nargs=0 nregs=1\n  const r5, 1", "out of range", "2:3"},
+	{"unknown instr", "func f nargs=0 nregs=1\n  frobnicate r0", "unknown instruction", "2:3"},
+	{"undefined label", "func f nargs=0 nregs=1\n  jump nowhere", "undefined label", "2:3"},
+	{"label redef", "func f nargs=0 nregs=1\nl:\nl:\n  ret", "redefined", "3:1"},
+	{"instr outside func", "const r0, 1", "outside a function", "1:1"},
+	{"init outside data", "init 0 = 1", "outside a data block", "1:1"},
+	{"init out of range", "data d size=2\n  init 5 = 1", "bad init offset", "2:3"},
+	{"missing nregs", "func f nargs=0 frame=0 local", "needs nargs= and nregs=", "1:1"},
+	{"args gt regs", "func f nargs=3 nregs=2", "more args than registers", "1:1"},
+	{"dup func", "func f nargs=0 nregs=1\n  ret\nfunc f nargs=0 nregs=1", "redefined", "3:1"},
+	{"dup data", "data d size=1\ndata d size=1", "redefined", "2:1"},
+	{"bad op", "func f nargs=0 nregs=2\n  bin r1, r0, @, r0", "unknown binary op", "2:3"},
+	{"bad string", `string hey`, "bad string literal", "1:1"},
+}
+
 func TestAssembleErrors(t *testing.T) {
-	cases := []struct{ name, src, want string }{
-		{"bad reg", "func f nargs=0 nregs=1\n  const rX, 1", "bad register"},
-		{"reg range", "func f nargs=0 nregs=1\n  const r5, 1", "out of range"},
-		{"unknown instr", "func f nargs=0 nregs=1\n  frobnicate r0", "unknown instruction"},
-		{"undefined label", "func f nargs=0 nregs=1\n  jump nowhere", "undefined label"},
-		{"label redef", "func f nargs=0 nregs=1\nl:\nl:\n  ret", "redefined"},
-		{"instr outside func", "const r0, 1", "outside a function"},
-		{"init outside data", "init 0 = 1", "outside a data block"},
-		{"init out of range", "data d size=2\n  init 5 = 1", "bad init offset"},
-		{"missing nregs", "func f nargs=0 frame=0 local", "needs nargs= and nregs="},
-		{"args gt regs", "func f nargs=3 nregs=2", "more args than registers"},
-		{"dup func", "func f nargs=0 nregs=1\n  ret\nfunc f nargs=0 nregs=1", "redefined"},
-		{"dup data", "data d size=1\ndata d size=1", "redefined"},
-		{"bad op", "func f nargs=0 nregs=2\n  bin r1, r0, @, r0", "unknown binary op"},
-		{"bad string", `string hey`, "bad string literal"},
-	}
-	for _, c := range cases {
+	for _, c := range assembleErrors {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Parse("t.s", c.src)
 			if err == nil {
@@ -204,6 +210,33 @@ func TestAssembleErrors(t *testing.T) {
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not contain %q", err, c.want)
 			}
+			if got := diagtest.At(t, err, c.src); got != c.pos {
+				t.Errorf("error %q at %s, want %s", err, got, c.pos)
+			}
 		})
 	}
+}
+
+// FuzzAsm: any text either assembles or is refused with an error
+// positioned inside it. It is seeded with the error table and with every
+// raw string literal in this package's tests, which are the assembly
+// sources they assemble.
+func FuzzAsm(f *testing.F) {
+	for _, c := range assembleErrors {
+		f.Add(c.src)
+	}
+	for _, name := range []string{"asm_test.go", "format_test.go"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, lit := range regexp.MustCompile("`[^`]*`").FindAllString(string(data), -1) {
+			f.Add(strings.Trim(lit, "`"))
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if _, err := Parse("fuzz.s", src); err != nil {
+			diagtest.At(t, err, src)
+		}
+	})
 }

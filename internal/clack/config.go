@@ -3,8 +3,11 @@ package clack
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
+	"knit/internal/cmini"
+	"knit/internal/diag"
 	"knit/internal/knit/link"
 )
 
@@ -54,6 +57,7 @@ type Element struct {
 	Arg  int // device number for FromDevice/EthEncap/ToDevice
 	// conns[i] = name of the element connected to output port i.
 	conns []string
+	pos   diag.Pos // of the declaration
 }
 
 // NumPorts returns the element's output port count.
@@ -66,57 +70,30 @@ func (e *Element) Conn(i int) string { return e.conns[i] }
 type Graph struct {
 	Elements []*Element
 	byName   map[string]*Element
+	end      diag.Pos // of the configuration text
 }
 
-// ConfigError is a configuration syntax or consistency error.
-type ConfigError struct {
-	Line int
-	Msg  string
-}
-
-func (e *ConfigError) Error() string {
-	return fmt.Sprintf("clack config line %d: %s", e.Line, e.Msg)
-}
-
-// ParseConfig parses the Click-syntax configuration language.
-// Statements end with ';'. Declarations are "name :: Type" or
-// "name :: Type(arg)". Connections are "a -> b", "a [n] -> b",
-// chained "a -> b -> c" (chaining uses output port 0 of each hop).
+// ParseConfig parses the Click-syntax configuration language, which is
+// lexically C: C identifiers, integers and comments. Statements end
+// with ';', which the last may omit. Declarations are "name :: Type" or
+// "name :: Type(arg)". Connections are "a -> b" and chains "a -> b -> c".
+// A hop's one port selector, "a [n]" or "[n] a", picks the output port
+// it sends from (default 0); on the receiving side it must be [0], as
+// Clack elements have a single input. Errors are *diag.Error values
+// positioned in src.
 func ParseConfig(src string) (*Graph, error) {
-	g := &Graph{byName: map[string]*Element{}}
-	line := 0
-	for _, rawStmt := range strings.Split(src, ";") {
-		line++
-		stmt := strings.TrimSpace(rawStmt)
-		// Strip comments.
-		for {
-			i := strings.Index(stmt, "//")
-			if i < 0 {
-				break
-			}
-			j := strings.IndexByte(stmt[i:], '\n')
-			if j < 0 {
-				stmt = strings.TrimSpace(stmt[:i])
-				break
-			}
-			stmt = strings.TrimSpace(stmt[:i] + stmt[i+j:])
-		}
-		if stmt == "" {
+	toks, err := cmini.LexAll("", src)
+	if err != nil {
+		return nil, err
+	}
+	g := &Graph{byName: map[string]*Element{}, end: diag.End("", src)}
+	for _, s := range cmini.Statements(toks) {
+		if len(s) == 0 {
 			continue
 		}
-		if strings.Contains(stmt, "::") {
-			if err := g.parseDecl(stmt, line); err != nil {
-				return nil, err
-			}
-			continue
+		if err := g.statement(s); err != nil {
+			return nil, err
 		}
-		if strings.Contains(stmt, "->") {
-			if err := g.parseConn(stmt, line); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		return nil, &ConfigError{Line: line, Msg: fmt.Sprintf("cannot parse statement %q", stmt)}
 	}
 	if err := g.validate(); err != nil {
 		return nil, err
@@ -124,119 +101,163 @@ func ParseConfig(src string) (*Graph, error) {
 	return g, nil
 }
 
-func (g *Graph) parseDecl(stmt string, line int) error {
-	parts := strings.SplitN(stmt, "::", 2)
-	name := strings.TrimSpace(parts[0])
-	typeStr := strings.TrimSpace(parts[1])
+// statement parses one declaration or connection.
+func (g *Graph) statement(s []cmini.Token) error {
+	for c := 0; c+1 < len(s); c++ {
+		if s[c].Kind == cmini.COLON && s[c+1].Kind == cmini.COLON {
+			return g.parseDecl(s, c)
+		}
+	}
+	for _, t := range s {
+		if t.Kind == cmini.ARROW {
+			return g.parseConn(s)
+		}
+	}
+	return diag.Errorf(s[0].Pos, "cannot parse statement %q", cmini.Text(s))
+}
+
+// parseDecl handles "name :: Type" and "name :: Type(arg)", whose "::"
+// is at s[c].
+func (g *Graph) parseDecl(s []cmini.Token, c int) error {
+	name, class, at := s[:c], s[c+2:], s[c+1].Pos
 	arg := 0
-	if i := strings.IndexByte(typeStr, '('); i >= 0 {
-		j := strings.IndexByte(typeStr, ')')
-		if j < i {
-			return &ConfigError{Line: line, Msg: "unbalanced parentheses"}
+	if len(class) > 1 && class[1].Kind == cmini.LPAREN {
+		args := class[2:]
+		if len(args) == 0 || args[len(args)-1].Kind != cmini.RPAREN {
+			return diag.Errorf(class[1].Pos, "unbalanced parentheses")
 		}
-		argStr := strings.TrimSpace(typeStr[i+1 : j])
-		if argStr != "" {
-			if _, err := fmt.Sscanf(argStr, "%d", &arg); err != nil {
-				return &ConfigError{Line: line, Msg: fmt.Sprintf("bad argument %q", argStr)}
+		if args = args[:len(args)-1]; len(args) > 0 {
+			n, ok := number(args)
+			if !ok {
+				return diag.Errorf(args[0].Pos, "bad argument %q", cmini.Text(args))
 			}
+			arg = n
 		}
-		typeStr = strings.TrimSpace(typeStr[:i])
+		class = class[:1]
 	}
-	et, ok := elemTypes[typeStr]
+	if len(class) > 0 {
+		at = class[0].Pos
+	}
+	et, ok := elemTypes[cmini.Text(class)]
 	if !ok {
-		return &ConfigError{Line: line, Msg: fmt.Sprintf("unknown element class %q", typeStr)}
+		return diag.Errorf(at, "unknown element class %q", cmini.Text(class))
 	}
-	if name == "" || strings.ContainsAny(name, " \t[]") {
-		return &ConfigError{Line: line, Msg: fmt.Sprintf("bad element name %q", name)}
+	if len(name) != 1 || !name[0].IsWord() {
+		return diag.Errorf(s[0].Pos, "bad element name %q", cmini.Text(name))
 	}
-	if _, dup := g.byName[name]; dup {
-		return &ConfigError{Line: line, Msg: fmt.Sprintf("element %q redeclared", name)}
+	if _, dup := g.byName[name[0].Lit]; dup {
+		return diag.Errorf(name[0].Pos, "element %q redeclared", name[0].Lit)
 	}
-	e := &Element{Name: name, Type: typeStr, Arg: arg, conns: make([]string, len(et.outs))}
+	e := &Element{Name: name[0].Lit, Type: class[0].Lit, Arg: arg, conns: make([]string, len(et.outs)), pos: name[0].Pos}
 	g.Elements = append(g.Elements, e)
-	g.byName[name] = e
+	g.byName[e.Name] = e
 	return nil
 }
 
-// parseConn handles "a [p] -> b [q] -> c". Input port selectors on the
-// right side are accepted but must be [0] (Clack elements have a single
-// input).
-func (g *Graph) parseConn(stmt string, line int) error {
-	hops := strings.Split(stmt, "->")
+// parseConn handles "a [p] -> b -> c": each hop sends from the output
+// port its selector names into the next hop, whose selector, if any,
+// must be [0].
+func (g *Graph) parseConn(s []cmini.Token) error {
+	hops := [][]cmini.Token{nil}
+	for _, t := range s {
+		if t.Kind == cmini.ARROW {
+			hops = append(hops, nil)
+		} else {
+			hops[len(hops)-1] = append(hops[len(hops)-1], t)
+		}
+	}
 	for h := 0; h+1 < len(hops); h++ {
-		from, outPort, err := parseEndpoint(hops[h], line, h > 0)
+		from, outPort, fromAt, err := g.endpoint(hops[h], s[0].Pos)
 		if err != nil {
 			return err
 		}
-		to, inPort, err := parseEndpoint(hops[h+1], line, true)
+		to, inPort, toAt, err := g.endpoint(hops[h+1], s[0].Pos)
 		if err != nil {
 			return err
 		}
 		if inPort != 0 && h+1 < len(hops)-1 {
-			return &ConfigError{Line: line, Msg: "input port selector on a chained hop"}
+			return diag.Errorf(toAt, "input port selector on a chained hop")
 		}
 		if inPort != 0 {
-			return &ConfigError{Line: line, Msg: fmt.Sprintf("element %q has a single input port", to)}
+			return diag.Errorf(toAt, "element %q has a single input port", to.Name)
 		}
-		fe, ok := g.byName[from]
-		if !ok {
-			return &ConfigError{Line: line, Msg: fmt.Sprintf("unknown element %q", from)}
+		if outPort < 0 || outPort >= len(from.conns) {
+			return diag.Errorf(fromAt, "element %q (%s) has %d output ports, port %d used",
+				from.Name, from.Type, len(from.conns), outPort)
 		}
-		if _, ok := g.byName[to]; !ok {
-			return &ConfigError{Line: line, Msg: fmt.Sprintf("unknown element %q", to)}
+		if from.conns[outPort] != "" {
+			return diag.Errorf(fromAt, "output port %d of %q connected twice", outPort, from.Name)
 		}
-		if outPort >= len(fe.conns) {
-			return &ConfigError{Line: line, Msg: fmt.Sprintf(
-				"element %q (%s) has %d output ports, port %d used", from, fe.Type, len(fe.conns), outPort)}
+		if elemTypes[to.Type].noInput {
+			return diag.Errorf(toAt, "%q connects to %q (%s), which has no input", from.Name, to.Name, to.Type)
 		}
-		if fe.conns[outPort] != "" {
-			return &ConfigError{Line: line, Msg: fmt.Sprintf(
-				"output port %d of %q connected twice", outPort, from)}
-		}
-		fe.conns[outPort] = to
+		from.conns[outPort] = to.Name
 	}
 	return nil
 }
 
-// parseEndpoint parses "name", "name [p]" or "[p] name" (the latter is
-// an input-port selector).
-func parseEndpoint(s string, line int, allowLeading bool) (name string, port int, err error) {
-	s = strings.TrimSpace(s)
-	if strings.HasPrefix(s, "[") {
-		j := strings.IndexByte(s, ']')
-		if j < 0 {
-			return "", 0, &ConfigError{Line: line, Msg: "unbalanced port selector"}
-		}
-		fmt.Sscanf(s[1:j], "%d", &port)
-		name = strings.TrimSpace(s[j+1:])
-		return name, port, nil
+// endpoint parses one hop of a connection, "name", "name [p]" or
+// "[p] name", into its element, its port and its position; at stands in
+// for the position of an empty hop.
+func (g *Graph) endpoint(hop []cmini.Token, at diag.Pos) (*Element, int, diag.Pos, error) {
+	if len(hop) > 0 {
+		at = hop[0].Pos
 	}
-	if i := strings.IndexByte(s, '['); i >= 0 {
-		j := strings.IndexByte(s, ']')
-		if j < i {
-			return "", 0, &ConfigError{Line: line, Msg: "unbalanced port selector"}
+	var sel []cmini.Token
+	switch {
+	case len(hop) > 0 && hop[0].Kind == cmini.LBRACK:
+		j := 1
+		for j < len(hop) && hop[j].Kind != cmini.RBRACK {
+			j++
 		}
-		fmt.Sscanf(s[i+1:j], "%d", &port)
-		name = strings.TrimSpace(s[:i])
-		return name, port, nil
+		if j == len(hop) {
+			return nil, 0, at, diag.Errorf(at, "unbalanced port selector")
+		}
+		sel, hop = hop[1:j], hop[j+1:]
+	case len(hop) > 1 && hop[1].Kind == cmini.LBRACK:
+		if hop[len(hop)-1].Kind != cmini.RBRACK {
+			return nil, 0, at, diag.Errorf(hop[1].Pos, "unbalanced port selector")
+		}
+		sel, hop = hop[2:len(hop)-1], hop[:1]
 	}
-	return s, 0, nil
+	var e *Element
+	if len(hop) == 1 {
+		e = g.byName[hop[0].Lit]
+	}
+	if e == nil {
+		return nil, 0, at, diag.Errorf(at, "unknown element %q", cmini.Text(hop))
+	}
+	port, ok := 0, true
+	if sel != nil {
+		port, ok = number(sel)
+	}
+	if !ok {
+		return nil, 0, at, diag.Errorf(at, "bad port selector %q", cmini.Text(sel))
+	}
+	return e, port, at, nil
+}
+
+// number reads the optionally signed decimal integer that is all of s.
+func number(s []cmini.Token) (int, bool) {
+	sign := ""
+	if len(s) == 2 && (s[0].Kind == cmini.MINUS || s[0].Kind == cmini.PLUS) {
+		sign, s = s[0].Kind.String(), s[1:]
+	}
+	if len(s) != 1 || s[0].Kind != cmini.INT {
+		return 0, false
+	}
+	n, err := strconv.Atoi(sign + s[0].Lit)
+	return n, err == nil
 }
 
 func (g *Graph) validate() error {
 	if len(g.Elements) == 0 {
-		return &ConfigError{Msg: "empty configuration"}
+		return diag.Errorf(g.end, "empty configuration")
 	}
 	for _, e := range g.Elements {
 		for p, to := range e.conns {
 			if to == "" {
-				return &ConfigError{Msg: fmt.Sprintf(
-					"output port %d of %q (%s) is not connected", p, e.Name, e.Type)}
-			}
-			te := g.byName[to]
-			if elemTypes[te.Type].noInput {
-				return &ConfigError{Msg: fmt.Sprintf(
-					"%q connects to %q (%s), which has no input", e.Name, to, te.Type)}
+				return diag.Errorf(e.pos, "output port %d of %q (%s) is not connected", p, e.Name, e.Type)
 			}
 		}
 	}
@@ -275,7 +296,7 @@ func (g *Graph) CompileToKnit(topName string) (units string, sources link.Source
 
 	srcs := g.Sources()
 	if len(srcs) == 0 {
-		return "", nil, "", &ConfigError{Msg: "configuration has no FromDevice"}
+		return "", nil, "", diag.Errorf(g.end, "configuration has no FromDevice")
 	}
 
 	// Driver unit: polls every source until the traffic runs dry,
@@ -329,6 +350,9 @@ unit RouterDriver = {
 	devs := map[int]bool{}
 	for _, e := range g.Elements {
 		if elemTypes[e.Type].needsDev {
+			if e.Arg != 0 && e.Arg != 1 {
+				return "", nil, "", diag.Errorf(e.pos, "device %d not available (devices 0 and 1 exist)", e.Arg)
+			}
 			devs[e.Arg] = true
 		}
 	}
@@ -338,9 +362,6 @@ unit RouterDriver = {
 	}
 	sort.Ints(devNums)
 	for _, d := range devNums {
-		if d != 0 && d != 1 {
-			return "", nil, "", &ConfigError{Msg: fmt.Sprintf("device %d not available (devices 0 and 1 exist)", d)}
-		}
 		fmt.Fprintf(&b, "    [dev%d] <- DevNo%d <- [];\n", d, d)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"knit/internal/diag/diagtest"
 	"knit/internal/knit/observe"
 	"knit/internal/machine"
 )
@@ -197,20 +198,29 @@ func windowTotals(m *Measurement) (cycles, stalls int64) {
 	return int64(math.Round(m.CyclesPerPk * w)), int64(math.Round(m.StallsPerPk * w))
 }
 
+// configErrors are configurations ParseConfig or CompileToKnit refuse,
+// with what the error says and where it points.
+var configErrors = []struct{ name, cfg, want, pos string }{
+	{"unknown class", "x :: Bogus;", "unknown element class", "1:6"},
+	{"redeclared", "x :: Discard; x :: Discard;", "redeclared", "1:15"},
+	{"unknown element", "x :: Discard; y -> x;", "unknown element", "1:15"},
+	{"unconnected port", "f :: FromDevice(0);", "not connected", "1:1"},
+	{"bad port", "d :: Discard; q :: Queue; q [3] -> d; ", "output ports", "1:27"},
+	{"double connect", "q :: Queue; a :: Discard; b :: Discard; q -> a; q -> b;", "connected twice", "1:49"},
+	{"into source", "q :: Queue; f :: FromDevice(0); q -> f; f -> q;", "no input", "1:38"},
+	{"empty", "  ", "empty configuration", "1:3"},
+	{"garbage", "hello world;", "cannot parse", "1:1"},
+	{"bad device", "f :: FromDevice(7); d :: Discard; f -> d;", "not available", "1:1"},
+	// The class is on line 4, not statement 2.
+	{"class line", "fd0 :: FromDevice(0);\n\n\nbad :: Nope;", `unknown element class "Nope"`, "4:8"},
+	// A ';' inside a comment does not end a statement.
+	{"semicolon in comment", "// wire it; carefully\nfd0 :: FromDevice(0);", `output port 0 of "fd0" (FromDevice) is not connected`, "2:1"},
+	{"non-numeric port", "fd0 :: FromDevice(0); cl0 :: Classifier; fd0 [x] -> cl0;", `bad port selector "x"`, "1:42"},
+	{"negative port", "fd0 :: FromDevice(0); cl0 :: Classifier; fd0 [-1] -> cl0;", "port -1 used", "1:42"},
+}
+
 func TestConfigErrors(t *testing.T) {
-	cases := []struct{ name, cfg, want string }{
-		{"unknown class", "x :: Bogus;", "unknown element class"},
-		{"redeclared", "x :: Discard; x :: Discard;", "redeclared"},
-		{"unknown element", "x :: Discard; y -> x;", "unknown element"},
-		{"unconnected port", "f :: FromDevice(0);", "not connected"},
-		{"bad port", "d :: Discard; q :: Queue; q [3] -> d; ", "output ports"},
-		{"double connect", "q :: Queue; a :: Discard; b :: Discard; q -> a; q -> b;", "connected twice"},
-		{"into source", "q :: Queue; f :: FromDevice(0); q -> f; f -> q;", "no input"},
-		{"empty", "  ", "empty configuration"},
-		{"garbage", "hello world;", "cannot parse"},
-		{"bad device", "f :: FromDevice(7); d :: Discard; f -> d;", "not available"},
-	}
-	for _, c := range cases {
+	for _, c := range configErrors {
 		t.Run(c.name, func(t *testing.T) {
 			g, err := ParseConfig(c.cfg)
 			if err == nil {
@@ -222,8 +232,42 @@ func TestConfigErrors(t *testing.T) {
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not contain %q", err, c.want)
 			}
+			if got := diagtest.At(t, err, c.cfg); got != c.pos {
+				t.Errorf("error %q at %s, want %s", err, got, c.pos)
+			}
 		})
 	}
+}
+
+// TestConfigNamesMayBeCKeywords: the configuration language borrows C's
+// lexer but not C's keywords.
+func TestConfigNamesMayBeCKeywords(t *testing.T) {
+	g, err := ParseConfig("int :: FromDevice(0); for :: Discard; int -> for;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := g.Elements[0]; e.Name != "int" || e.Conn(0) != "for" || g.Elements[1].Name != "for" {
+		t.Errorf("elements = %+v, %+v", *g.Elements[0], *g.Elements[1])
+	}
+}
+
+// FuzzConfig: any text either parses into a graph that compiles to a
+// Knit unit, or is refused with an error positioned inside it. Nothing
+// panics.
+func FuzzConfig(f *testing.F) {
+	f.Add(StandardRouterConfig)
+	for _, c := range configErrors {
+		f.Add(c.cfg)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		g, err := ParseConfig(src)
+		if err == nil {
+			_, _, _, err = g.CompileToKnit("Fuzz")
+		}
+		if err != nil {
+			diagtest.At(t, err, src)
+		}
+	})
 }
 
 func TestSimpleCountDiscardConfig(t *testing.T) {

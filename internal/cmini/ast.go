@@ -1,5 +1,7 @@
 package cmini
 
+import "knit/internal/diag"
+
 // File is a parsed cmini translation unit: a sequence of struct
 // definitions, global variable definitions, extern declarations, and
 // function definitions.
@@ -14,12 +16,12 @@ type Decl interface {
 	// DeclName returns the declared name ("" for anonymous declarations).
 	DeclName() string
 	// DeclPos returns the source position of the declaration.
-	DeclPos() Pos
+	DeclPos() diag.Pos
 }
 
 // StructDecl defines a named struct type.
 type StructDecl struct {
-	Pos    Pos
+	Pos    diag.Pos
 	Name   string
 	Fields []Field
 }
@@ -34,7 +36,7 @@ type Field struct {
 // initializer and refer to a definition in another component. Static
 // variables are file-local (hidden from linking).
 type VarDecl struct {
-	Pos    Pos
+	Pos    diag.Pos
 	Name   string
 	Type   Type
 	Init   Expr // optional constant initializer; nil means zero
@@ -45,7 +47,7 @@ type VarDecl struct {
 // FuncDecl declares or defines a function. A nil Body together with
 // Extern=true is an import declaration; a non-nil Body is a definition.
 type FuncDecl struct {
-	Pos    Pos
+	Pos    diag.Pos
 	Name   string
 	Params []Param
 	Result Type // nil means void
@@ -74,13 +76,13 @@ func (d *VarDecl) DeclName() string { return d.Name }
 func (d *FuncDecl) DeclName() string { return d.Name }
 
 // DeclPos returns the declaration position.
-func (d *StructDecl) DeclPos() Pos { return d.Pos }
+func (d *StructDecl) DeclPos() diag.Pos { return d.Pos }
 
 // DeclPos returns the declaration position.
-func (d *VarDecl) DeclPos() Pos { return d.Pos }
+func (d *VarDecl) DeclPos() diag.Pos { return d.Pos }
 
 // DeclPos returns the declaration position.
-func (d *FuncDecl) DeclPos() Pos { return d.Pos }
+func (d *FuncDecl) DeclPos() diag.Pos { return d.Pos }
 
 // Type is a cmini type.
 type Type interface{ typeNode() }
@@ -129,13 +131,13 @@ type Stmt interface{ stmtNode() }
 
 // Block is a brace-delimited statement list.
 type Block struct {
-	Pos   Pos
+	Pos   diag.Pos
 	Stmts []Stmt
 }
 
 // DeclStmt declares a local variable.
 type DeclStmt struct {
-	Pos  Pos
+	Pos  diag.Pos
 	Name string
 	Type Type
 	Init Expr // optional
@@ -143,13 +145,13 @@ type DeclStmt struct {
 
 // ExprStmt evaluates an expression for effect.
 type ExprStmt struct {
-	Pos Pos
+	Pos diag.Pos
 	X   Expr
 }
 
 // IfStmt is if/else.
 type IfStmt struct {
-	Pos  Pos
+	Pos  diag.Pos
 	Cond Expr
 	Then *Block
 	Else Stmt // *Block, *IfStmt (else-if), or nil
@@ -157,7 +159,7 @@ type IfStmt struct {
 
 // WhileStmt is a while loop.
 type WhileStmt struct {
-	Pos  Pos
+	Pos  diag.Pos
 	Cond Expr
 	Body *Block
 }
@@ -165,7 +167,7 @@ type WhileStmt struct {
 // ForStmt is a C-style for loop. Init and Post are optional expressions,
 // Cond is optional (nil means true).
 type ForStmt struct {
-	Pos  Pos
+	Pos  diag.Pos
 	Init Stmt // *DeclStmt or *ExprStmt or nil
 	Cond Expr
 	Post Expr
@@ -174,15 +176,15 @@ type ForStmt struct {
 
 // ReturnStmt returns from the enclosing function; X may be nil.
 type ReturnStmt struct {
-	Pos Pos
+	Pos diag.Pos
 	X   Expr
 }
 
 // BreakStmt exits the innermost loop.
-type BreakStmt struct{ Pos Pos }
+type BreakStmt struct{ Pos diag.Pos }
 
 // ContinueStmt continues the innermost loop.
-type ContinueStmt struct{ Pos Pos }
+type ContinueStmt struct{ Pos diag.Pos }
 
 func (*Block) stmtNode()        {}
 func (*DeclStmt) stmtNode()     {}
@@ -198,38 +200,38 @@ func (*ContinueStmt) stmtNode() {}
 type Expr interface {
 	exprNode()
 	// ExprPos returns the source position of the expression.
-	ExprPos() Pos
+	ExprPos() diag.Pos
 }
 
 // IntLit is an integer literal.
 type IntLit struct {
-	Pos Pos
+	Pos diag.Pos
 	Val int64
 }
 
 // StrLit is a string literal; its value is the address of a NUL-terminated
 // word array in read-only data.
 type StrLit struct {
-	Pos Pos
+	Pos diag.Pos
 	Val string
 }
 
 // Ident names a variable, parameter, or function.
 type Ident struct {
-	Pos  Pos
+	Pos  diag.Pos
 	Name string
 }
 
 // Unary is a prefix operator: - ! ~ * (deref) & (address-of).
 type Unary struct {
-	Pos Pos
+	Pos diag.Pos
 	Op  Tok
 	X   Expr
 }
 
 // Binary is an infix operator.
 type Binary struct {
-	Pos Pos
+	Pos diag.Pos
 	Op  Tok
 	X   Expr
 	Y   Expr
@@ -238,7 +240,7 @@ type Binary struct {
 // Assign is an assignment, possibly compound (+=, <<=, ...). Op is ASSIGN
 // for plain assignment.
 type Assign struct {
-	Pos Pos
+	Pos diag.Pos
 	Op  Tok
 	LHS Expr
 	RHS Expr
@@ -246,7 +248,7 @@ type Assign struct {
 
 // IncDec is a postfix ++ or --.
 type IncDec struct {
-	Pos Pos
+	Pos diag.Pos
 	Op  Tok // INC or DEC
 	X   Expr
 }
@@ -255,21 +257,21 @@ type IncDec struct {
 // to a function symbol the call is direct; otherwise the callee value is
 // computed at run time (indirect call).
 type Call struct {
-	Pos  Pos
+	Pos  diag.Pos
 	Fun  Expr
 	Args []Expr
 }
 
 // Index is array/pointer indexing x[i].
 type Index struct {
-	Pos Pos
+	Pos diag.Pos
 	X   Expr
 	I   Expr
 }
 
 // Member is struct member access: x.f (Arrow=false) or x->f (Arrow=true).
 type Member struct {
-	Pos   Pos
+	Pos   diag.Pos
 	X     Expr
 	Name  string
 	Arrow bool
@@ -277,7 +279,7 @@ type Member struct {
 
 // Cond is the ternary operator c ? a : b.
 type Cond struct {
-	Pos  Pos
+	Pos  diag.Pos
 	C    Expr
 	Then Expr
 	Else Expr
@@ -285,7 +287,7 @@ type Cond struct {
 
 // SizeofExpr is sizeof(type), in words.
 type SizeofExpr struct {
-	Pos  Pos
+	Pos  diag.Pos
 	Type Type
 }
 
@@ -303,37 +305,37 @@ func (*Cond) exprNode()       {}
 func (*SizeofExpr) exprNode() {}
 
 // ExprPos returns the literal's position.
-func (e *IntLit) ExprPos() Pos { return e.Pos }
+func (e *IntLit) ExprPos() diag.Pos { return e.Pos }
 
 // ExprPos returns the literal's position.
-func (e *StrLit) ExprPos() Pos { return e.Pos }
+func (e *StrLit) ExprPos() diag.Pos { return e.Pos }
 
 // ExprPos returns the identifier's position.
-func (e *Ident) ExprPos() Pos { return e.Pos }
+func (e *Ident) ExprPos() diag.Pos { return e.Pos }
 
 // ExprPos returns the operator's position.
-func (e *Unary) ExprPos() Pos { return e.Pos }
+func (e *Unary) ExprPos() diag.Pos { return e.Pos }
 
 // ExprPos returns the operator's position.
-func (e *Binary) ExprPos() Pos { return e.Pos }
+func (e *Binary) ExprPos() diag.Pos { return e.Pos }
 
 // ExprPos returns the assignment's position.
-func (e *Assign) ExprPos() Pos { return e.Pos }
+func (e *Assign) ExprPos() diag.Pos { return e.Pos }
 
 // ExprPos returns the operator's position.
-func (e *IncDec) ExprPos() Pos { return e.Pos }
+func (e *IncDec) ExprPos() diag.Pos { return e.Pos }
 
 // ExprPos returns the call's position.
-func (e *Call) ExprPos() Pos { return e.Pos }
+func (e *Call) ExprPos() diag.Pos { return e.Pos }
 
 // ExprPos returns the index expression's position.
-func (e *Index) ExprPos() Pos { return e.Pos }
+func (e *Index) ExprPos() diag.Pos { return e.Pos }
 
 // ExprPos returns the member access's position.
-func (e *Member) ExprPos() Pos { return e.Pos }
+func (e *Member) ExprPos() diag.Pos { return e.Pos }
 
 // ExprPos returns the conditional's position.
-func (e *Cond) ExprPos() Pos { return e.Pos }
+func (e *Cond) ExprPos() diag.Pos { return e.Pos }
 
 // ExprPos returns the sizeof's position.
-func (e *SizeofExpr) ExprPos() Pos { return e.Pos }
+func (e *SizeofExpr) ExprPos() diag.Pos { return e.Pos }

@@ -5,10 +5,12 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"knit/internal/diag/diagtest"
 )
 
 // TestQuickCminiParserNeverPanics: random C-ish token soup must never
-// panic the parser.
+// panic the parser, and every error is positioned inside the soup.
 func TestQuickCminiParserNeverPanics(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	pieces := []string{
@@ -31,7 +33,9 @@ func TestQuickCminiParserNeverPanics(t *testing.T) {
 				t.Fatalf("parser panicked on %q: %v", b.String(), p)
 			}
 		}()
-		_, _ = Parse("fuzz.c", b.String())
+		if _, err := Parse("fuzz.c", b.String()); err != nil {
+			diagtest.At(t, err, b.String())
+		}
 		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 2000}); err != nil {
@@ -39,7 +43,8 @@ func TestQuickCminiParserNeverPanics(t *testing.T) {
 	}
 }
 
-// TestQuickCminiLexerNeverPanics: arbitrary bytes.
+// TestQuickCminiLexerNeverPanics: arbitrary bytes, with every error
+// positioned inside them.
 func TestQuickCminiLexerNeverPanics(t *testing.T) {
 	fn := func(data []byte) bool {
 		defer func() {
@@ -47,7 +52,9 @@ func TestQuickCminiLexerNeverPanics(t *testing.T) {
 				t.Fatalf("lexer panicked on %q: %v", data, p)
 			}
 		}()
-		_, _ = LexAll("fuzz.c", string(data))
+		if _, err := LexAll("fuzz.c", string(data)); err != nil {
+			diagtest.At(t, err, string(data))
+		}
 		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 1000}); err != nil {

@@ -3,6 +3,8 @@ package cmini
 import (
 	"fmt"
 	"strings"
+
+	"knit/internal/diag"
 )
 
 // Lexer turns cmini source text into a stream of tokens.
@@ -20,15 +22,7 @@ func NewLexer(file, src string) *Lexer {
 	return &Lexer{file: file, src: src, line: 1, col: 1}
 }
 
-// LexError is a lexical error with a source position.
-type LexError struct {
-	Pos Pos
-	Msg string
-}
-
-func (e *LexError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
-
-func (l *Lexer) pos() Pos { return Pos{File: l.file, Line: l.line, Col: l.col} }
+func (l *Lexer) pos() diag.Pos { return diag.Pos{File: l.file, Line: l.line, Col: l.col} }
 
 func (l *Lexer) peek() byte {
 	if l.off >= len(l.src) {
@@ -81,7 +75,7 @@ func (l *Lexer) skipSpaceAndComments() error {
 				l.advance()
 			}
 			if !closed {
-				return &LexError{Pos: start, Msg: "unterminated block comment"}
+				return diag.Errorf(start, "unterminated block comment")
 			}
 		default:
 			return nil
@@ -144,12 +138,12 @@ func (l *Lexer) Next() (Token, error) {
 	return l.lexOperator(p)
 }
 
-func (l *Lexer) lexString(p Pos) (Token, error) {
+func (l *Lexer) lexString(p diag.Pos) (Token, error) {
 	l.advance() // opening quote
 	var b strings.Builder
 	for {
 		if l.off >= len(l.src) {
-			return Token{}, &LexError{Pos: p, Msg: "unterminated string literal"}
+			return Token{}, diag.Errorf(p, "unterminated string literal")
 		}
 		c := l.advance()
 		if c == '"' {
@@ -157,40 +151,40 @@ func (l *Lexer) lexString(p Pos) (Token, error) {
 		}
 		if c == '\\' {
 			if l.off >= len(l.src) {
-				return Token{}, &LexError{Pos: p, Msg: "unterminated string escape"}
+				return Token{}, diag.Errorf(p, "unterminated string escape")
 			}
 			e, err := unescape(l.advance())
 			if err != nil {
-				return Token{}, &LexError{Pos: p, Msg: err.Error()}
+				return Token{}, &diag.Error{Pos: p, Err: err}
 			}
 			b.WriteByte(e)
 			continue
 		}
 		if c == '\n' {
-			return Token{}, &LexError{Pos: p, Msg: "newline in string literal"}
+			return Token{}, diag.Errorf(p, "newline in string literal")
 		}
 		b.WriteByte(c)
 	}
 }
 
-func (l *Lexer) lexChar(p Pos) (Token, error) {
+func (l *Lexer) lexChar(p diag.Pos) (Token, error) {
 	l.advance() // opening quote
 	if l.off >= len(l.src) {
-		return Token{}, &LexError{Pos: p, Msg: "unterminated char literal"}
+		return Token{}, diag.Errorf(p, "unterminated char literal")
 	}
 	c := l.advance()
 	if c == '\\' {
 		if l.off >= len(l.src) {
-			return Token{}, &LexError{Pos: p, Msg: "unterminated char escape"}
+			return Token{}, diag.Errorf(p, "unterminated char escape")
 		}
 		e, err := unescape(l.advance())
 		if err != nil {
-			return Token{}, &LexError{Pos: p, Msg: err.Error()}
+			return Token{}, &diag.Error{Pos: p, Err: err}
 		}
 		c = e
 	}
 	if l.off >= len(l.src) || l.advance() != '\'' {
-		return Token{}, &LexError{Pos: p, Msg: "unterminated char literal"}
+		return Token{}, diag.Errorf(p, "unterminated char literal")
 	}
 	return Token{Kind: CHAR, Lit: string(c), Pos: p}, nil
 }
@@ -234,7 +228,7 @@ var oneCharOps = map[byte]Tok{
 	'.': DOT,
 }
 
-func (l *Lexer) lexOperator(p Pos) (Token, error) {
+func (l *Lexer) lexOperator(p diag.Pos) (Token, error) {
 	if l.off+2 < len(l.src) {
 		if k, ok := threeCharOps[l.src[l.off:l.off+3]]; ok {
 			l.advance()
@@ -255,7 +249,7 @@ func (l *Lexer) lexOperator(p Pos) (Token, error) {
 		l.advance()
 		return Token{Kind: k, Pos: p}, nil
 	}
-	return Token{}, &LexError{Pos: p, Msg: fmt.Sprintf("unexpected character %q", c)}
+	return Token{}, diag.Errorf(p, "unexpected character %q", c)
 }
 
 // LexAll tokenizes the whole input, returning every token up to and

@@ -1,6 +1,10 @@
 package cmini
 
-import "testing"
+import (
+	"testing"
+
+	"knit/internal/diag/diagtest"
+)
 
 func TestLexBasicTokens(t *testing.T) {
 	toks, err := LexAll("t.c", "int x = 42; /* c */ // line\nchar *s = \"hi\\n\";")
@@ -99,18 +103,23 @@ func TestLexErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
+		pos  string
 	}{
-		{"unterminated string", `char *s = "abc`},
-		{"unterminated comment", "/* never ends"},
-		{"bad char", "int x = $;"},
-		{"newline in string", "char *s = \"a\nb\";"},
-		{"bad escape", `char *s = "\q";`},
-		{"unterminated char", "'a"},
+		{"unterminated string", `char *s = "abc`, "1:11"},
+		{"unterminated comment", "/* never ends", "1:1"},
+		{"bad char", "int x = $;", "1:9"},
+		{"newline in string", "char *s = \"a\nb\";", "1:11"},
+		{"bad escape", `char *s = "\q";`, "1:11"},
+		{"unterminated char", "'a", "1:1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := LexAll("t.c", c.src); err == nil {
-				t.Errorf("LexAll(%q) succeeded, want error", c.src)
+			_, err := LexAll("t.c", c.src)
+			if err == nil {
+				t.Fatalf("LexAll(%q) succeeded, want error", c.src)
+			}
+			if got := diagtest.At(t, err, c.src); got != c.pos {
+				t.Errorf("error %q at %s, want %s", err, got, c.pos)
 			}
 		})
 	}

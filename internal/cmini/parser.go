@@ -3,21 +3,15 @@ package cmini
 import (
 	"fmt"
 	"strconv"
+
+	"knit/internal/diag"
 )
-
-// ParseError is a syntax error with a source position.
-type ParseError struct {
-	Pos Pos
-	Msg string
-}
-
-func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 // Parser is a recursive-descent parser for cmini.
 type Parser struct {
 	toks []Token
 	pos  int
-	file string
+	end  diag.Pos // of the source, where EOF is
 }
 
 // Parse parses a cmini source file.
@@ -26,7 +20,7 @@ func Parse(file, src string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks, file: file}
+	p := &Parser{toks: toks, end: diag.End(file, src)}
 	f := &File{Name: file}
 	for !p.atEOF() {
 		d, err := p.parseTopDecl()
@@ -42,11 +36,7 @@ func (p *Parser) atEOF() bool { return p.pos >= len(p.toks) }
 
 func (p *Parser) cur() Token {
 	if p.atEOF() {
-		last := Pos{File: p.file, Line: 1, Col: 1}
-		if len(p.toks) > 0 {
-			last = p.toks[len(p.toks)-1].Pos
-		}
-		return Token{Kind: EOF, Pos: last}
+		return Token{Kind: EOF, Pos: p.end}
 	}
 	return p.toks[p.pos]
 }
@@ -94,7 +84,7 @@ func describe(t Token) string {
 }
 
 func (p *Parser) errorf(format string, args ...any) error {
-	return &ParseError{Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...)}
+	return diag.Errorf(p.cur().Pos, format, args...)
 }
 
 // isTypeStart reports whether the current token can begin a type.
@@ -159,7 +149,7 @@ func (p *Parser) parseTopDecl() (Decl, error) {
 		break
 	}
 	if static && extern {
-		return nil, &ParseError{Pos: start, Msg: "declaration cannot be both static and extern"}
+		return nil, diag.Errorf(start, "declaration cannot be both static and extern")
 	}
 	typ, err := p.parseType()
 	if err != nil {
@@ -194,7 +184,7 @@ func (p *Parser) parseStructDecl() (Decl, error) {
 			return nil, err
 		}
 		if seen[fn.Lit] {
-			return nil, &ParseError{Pos: fn.Pos, Msg: fmt.Sprintf("duplicate field %q in struct %s", fn.Lit, name.Lit)}
+			return nil, diag.Errorf(fn.Pos, "duplicate field %q in struct %s", fn.Lit, name.Lit)
 		}
 		seen[fn.Lit] = true
 		if p.accept(LBRACK) {
@@ -204,7 +194,7 @@ func (p *Parser) parseStructDecl() (Decl, error) {
 			}
 			length, err := strconv.Atoi(n.Lit)
 			if err != nil || length <= 0 {
-				return nil, &ParseError{Pos: n.Pos, Msg: "invalid array length"}
+				return nil, diag.Errorf(n.Pos, "invalid array length")
 			}
 			if _, err := p.expect(RBRACK); err != nil {
 				return nil, err
@@ -222,7 +212,7 @@ func (p *Parser) parseStructDecl() (Decl, error) {
 	return &StructDecl{Pos: start, Name: name.Lit, Fields: fields}, nil
 }
 
-func (p *Parser) parseVarRest(start Pos, typ Type, name string, static, extern bool) (Decl, error) {
+func (p *Parser) parseVarRest(start diag.Pos, typ Type, name string, static, extern bool) (Decl, error) {
 	if p.accept(LBRACK) {
 		n, err := p.expect(INT)
 		if err != nil {
@@ -230,7 +220,7 @@ func (p *Parser) parseVarRest(start Pos, typ Type, name string, static, extern b
 		}
 		length, err := strconv.Atoi(n.Lit)
 		if err != nil || length <= 0 {
-			return nil, &ParseError{Pos: n.Pos, Msg: "invalid array length"}
+			return nil, diag.Errorf(n.Pos, "invalid array length")
 		}
 		if _, err := p.expect(RBRACK); err != nil {
 			return nil, err
@@ -240,7 +230,7 @@ func (p *Parser) parseVarRest(start Pos, typ Type, name string, static, extern b
 	d := &VarDecl{Pos: start, Name: name, Type: typ, Static: static, Extern: extern}
 	if p.accept(ASSIGN) {
 		if extern {
-			return nil, &ParseError{Pos: start, Msg: fmt.Sprintf("extern variable %q cannot have an initializer", name)}
+			return nil, diag.Errorf(start, "extern variable %q cannot have an initializer", name)
 		}
 		init, err := p.parseExpr()
 		if err != nil {
@@ -254,7 +244,7 @@ func (p *Parser) parseVarRest(start Pos, typ Type, name string, static, extern b
 	return d, nil
 }
 
-func (p *Parser) parseFuncRest(start Pos, result Type, name string, static, extern bool) (Decl, error) {
+func (p *Parser) parseFuncRest(start diag.Pos, result Type, name string, static, extern bool) (Decl, error) {
 	p.next() // (
 	var params []Param
 	if !p.accept(RPAREN) {
@@ -292,7 +282,7 @@ func (p *Parser) parseFuncRest(start Pos, result Type, name string, static, exte
 		return d, nil
 	}
 	if extern {
-		return nil, &ParseError{Pos: start, Msg: fmt.Sprintf("extern function %q cannot have a body", name)}
+		return nil, diag.Errorf(start, "extern function %q cannot have a body", name)
 	}
 	body, err := p.parseBlock()
 	if err != nil {
@@ -310,7 +300,7 @@ func (p *Parser) parseBlock() (*Block, error) {
 	b := &Block{Pos: start}
 	for !p.accept(RBRACE) {
 		if p.atEOF() {
-			return nil, &ParseError{Pos: start, Msg: "unterminated block"}
+			return nil, diag.Errorf(start, "unterminated block")
 		}
 		s, err := p.parseStmt()
 		if err != nil {
@@ -404,7 +394,7 @@ func (p *Parser) parseDeclStmt() (Stmt, error) {
 		}
 		length, err := strconv.Atoi(n.Lit)
 		if err != nil || length <= 0 {
-			return nil, &ParseError{Pos: n.Pos, Msg: "invalid array length"}
+			return nil, diag.Errorf(n.Pos, "invalid array length")
 		}
 		if _, err := p.expect(RBRACK); err != nil {
 			return nil, err
@@ -549,7 +539,7 @@ func (p *Parser) parseAssign() (Expr, error) {
 			return nil, err
 		}
 		if !isLvalue(lhs) {
-			return nil, &ParseError{Pos: pos, Msg: "left side of assignment is not assignable"}
+			return nil, diag.Errorf(pos, "left side of assignment is not assignable")
 		}
 		return &Assign{Pos: pos, Op: ASSIGN, LHS: lhs, RHS: rhs}, nil
 	}
@@ -560,7 +550,7 @@ func (p *Parser) parseAssign() (Expr, error) {
 			return nil, err
 		}
 		if !isLvalue(lhs) {
-			return nil, &ParseError{Pos: pos, Msg: "left side of assignment is not assignable"}
+			return nil, diag.Errorf(pos, "left side of assignment is not assignable")
 		}
 		return &Assign{Pos: pos, Op: k, LHS: lhs, RHS: rhs}, nil
 	}
@@ -630,7 +620,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 			return nil, err
 		}
 		if t.Kind == AMP && !isAddressable(x) {
-			return nil, &ParseError{Pos: t.Pos, Msg: "cannot take address of expression"}
+			return nil, diag.Errorf(t.Pos, "cannot take address of expression")
 		}
 		return &Unary{Pos: t.Pos, Op: t.Kind, X: x}, nil
 	case KwSizeof:
@@ -715,7 +705,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 		case INC, DEC:
 			p.next()
 			if !isLvalue(x) {
-				return nil, &ParseError{Pos: t.Pos, Msg: "operand of ++/-- is not assignable"}
+				return nil, diag.Errorf(t.Pos, "operand of ++/-- is not assignable")
 			}
 			x = &IncDec{Pos: t.Pos, Op: t.Kind, X: x}
 		default:
@@ -731,7 +721,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		p.next()
 		v, err := strconv.ParseInt(t.Lit, 0, 64)
 		if err != nil {
-			return nil, &ParseError{Pos: t.Pos, Msg: fmt.Sprintf("invalid integer literal %q", t.Lit)}
+			return nil, diag.Errorf(t.Pos, "invalid integer literal %q", t.Lit)
 		}
 		return &IntLit{Pos: t.Pos, Val: v}, nil
 	case CHAR:

@@ -3,6 +3,8 @@ package cmini
 import (
 	"strings"
 	"testing"
+
+	"knit/internal/diag/diagtest"
 )
 
 func mustParse(t *testing.T, src string) *File {
@@ -210,17 +212,17 @@ int f(void) {
 
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
-		name, src, want string
+		name, src, want, pos string
 	}{
-		{"missing semi", "int x = 1", "expected"},
-		{"extern with init", "extern int x = 1;", "cannot have an initializer"},
-		{"extern with body", "extern int f(void) { return 1; }", "cannot have a body"},
-		{"static extern", "static extern int x;", "both static and extern"},
-		{"assign to literal", "int f(void) { 3 = 4; return 0; }", "not assignable"},
-		{"address of literal", "int f(void) { int *p = &3; return 0; }", "cannot take address"},
-		{"bad array len", "int a[0];", "invalid array length"},
-		{"dup struct field", "struct s { int a; int a; };", "duplicate field"},
-		{"garbage", "$$$", "unexpected character"},
+		{"missing semi", "int x = 1", "expected", "1:10"},
+		{"extern with init", "extern int x = 1;", "cannot have an initializer", "1:1"},
+		{"extern with body", "extern int f(void) { return 1; }", "cannot have a body", "1:1"},
+		{"static extern", "static extern int x;", "both static and extern", "1:1"},
+		{"assign to literal", "int f(void) { 3 = 4; return 0; }", "not assignable", "1:17"},
+		{"address of literal", "int f(void) { int *p = &3; return 0; }", "cannot take address", "1:24"},
+		{"bad array len", "int a[0];", "invalid array length", "1:7"},
+		{"dup struct field", "struct s { int a; int a; };", "duplicate field", "1:23"},
+		{"garbage", "$$$", "unexpected character", "1:1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -230,6 +232,9 @@ func TestParseErrors(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not contain %q", err, c.want)
+			}
+			if got := diagtest.At(t, err, c.src); got != c.pos {
+				t.Errorf("error %q at %s, want %s", err, got, c.pos)
 			}
 		})
 	}

@@ -16,7 +16,12 @@
 // cares about.
 package cmini
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+
+	"knit/internal/diag"
+)
 
 // Tok identifies a lexical token kind.
 type Tok int
@@ -129,24 +134,47 @@ var keywords = map[string]Tok{
 	"sizeof": KwSizeof, "NULL": KwNull,
 }
 
-// Pos is a source position within a named file.
-type Pos struct {
-	File string
-	Line int
-	Col  int
-}
-
-// String formats the position as file:line:col.
-func (p Pos) String() string {
-	if p.File == "" {
-		return fmt.Sprintf("%d:%d", p.Line, p.Col)
-	}
-	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
-}
-
 // Token is a single lexed token with its position and literal text.
 type Token struct {
 	Kind Tok
 	Lit  string // literal text for IDENT, INT, CHAR, STRING
-	Pos  Pos
+	Pos  diag.Pos
+}
+
+// IsWord reports whether t is an identifier or a keyword, which the
+// languages that borrow this lexer (Click configurations, assembly
+// goals) read as a name.
+func (t Token) IsWord() bool { return t.Kind == IDENT || t.Kind >= KwInt }
+
+// String returns t's literal text, or its kind's for punctuation.
+func (t Token) String() string {
+	if t.Lit == "" {
+		return t.Kind.String()
+	}
+	return t.Lit
+}
+
+// Text renders toks one space apart, as a diagnostic quotes them.
+func Text(toks []Token) string {
+	words := make([]string, len(toks))
+	for i, t := range toks {
+		words[i] = t.String()
+	}
+	return strings.Join(words, " ")
+}
+
+// Statements splits toks into the statements that each ';' ends; the
+// last may lack its ';'. Empty statements are kept, so an index counts
+// statements as a reader does.
+func Statements(toks []Token) [][]Token {
+	var out [][]Token
+	for len(toks) > 0 {
+		n := 0
+		for n < len(toks) && toks[n].Kind != SEMI {
+			n++
+		}
+		out = append(out, toks[:n])
+		toks = toks[min(n+1, len(toks)):]
+	}
+	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"knit/internal/cmini"
+	"knit/internal/diag/diagtest"
 	"knit/internal/machine"
 	"knit/internal/obj"
 )
@@ -295,18 +296,18 @@ int f(void) {
 }
 
 func TestCompileErrors(t *testing.T) {
-	cases := []struct{ name, src, want string }{
-		{"undeclared", `int f(void) { return nope; }`, "undeclared"},
-		{"undeclared call", `int f(void) { return nope(); }`, "undeclared"},
-		{"redefined func", "int f(void) { return 1; }\nint f(void) { return 2; }", "redefined"},
-		{"redefined global", "int x;\nint x;", "redefined"},
-		{"arity", "int g(int a) { return a; }\nint f(void) { return g(1, 2); }", "2 args, want 1"},
-		{"bad member", "struct s { int a; };\nint f(struct s *p) { return p->b; }", "no field"},
-		{"member of int", "int f(int x) { return x.a; }", "non-struct"},
-		{"nonconst global init", "int g(void) { return 1; }\nint x = g();", "constant"},
-		{"struct param", "struct s { int a; };\nint f(struct s v) { return 0; }", "by pointer"},
-		{"unknown struct", "int f(struct nope *p) { return p->x; }", "unknown struct"},
-		{"void size", "int f(void) { return sizeof(void); }", "void has no size"},
+	cases := []struct{ name, src, want, pos string }{
+		{"undeclared", `int f(void) { return nope; }`, "undeclared", "1:22"},
+		{"undeclared call", `int f(void) { return nope(); }`, "undeclared", "1:26"},
+		{"redefined func", "int f(void) { return 1; }\nint f(void) { return 2; }", "redefined", "2:1"},
+		{"redefined global", "int x;\nint x;", "redefined", "2:1"},
+		{"arity", "int g(int a) { return a; }\nint f(void) { return g(1, 2); }", "2 args, want 1", "2:23"},
+		{"bad member", "struct s { int a; };\nint f(struct s *p) { return p->b; }", "no field", "2:30"},
+		{"member of int", "int f(int x) { return x.a; }", "non-struct", "1:24"},
+		{"nonconst global init", "int g(void) { return 1; }\nint x = g();", "constant", "2:10"},
+		{"struct param", "struct s { int a; };\nint f(struct s v) { return 0; }", "by pointer", "2:1"},
+		{"unknown struct", "int f(struct nope *p) { return p->x; }", "unknown struct", "1:33"},
+		{"void size", "int f(void) { return sizeof(void); }", "void has no size", "1:22"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -320,6 +321,9 @@ func TestCompileErrors(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not contain %q", err, c.want)
+			}
+			if got := diagtest.At(t, err, c.src); got != c.pos {
+				t.Errorf("error %q at %s, want %s", err, got, c.pos)
 			}
 		})
 	}

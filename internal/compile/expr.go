@@ -2,6 +2,7 @@ package compile
 
 import (
 	"knit/internal/cmini"
+	"knit/internal/diag"
 	"knit/internal/obj"
 )
 
@@ -22,7 +23,7 @@ func (fc *funcCompiler) expr(e cmini.Expr) (obj.Reg, cmini.Type, error) {
 	case *cmini.SizeofExpr:
 		sz, err := typeSize(e.Type, fc.structs)
 		if err != nil {
-			return 0, nil, errf(e.Pos, "sizeof: %v", err)
+			return 0, nil, diag.Errorf(e.Pos, "sizeof: %v", err)
 		}
 		return fc.emitConst(int64(sz)), cmini.TypeInt, nil
 	case *cmini.Unary:
@@ -49,7 +50,7 @@ func (fc *funcCompiler) expr(e cmini.Expr) (obj.Reg, cmini.Type, error) {
 	case *cmini.Cond:
 		return fc.cond(e)
 	}
-	return 0, nil, errf(e.ExprPos(), "compile: unhandled expression")
+	return 0, nil, diag.Errorf(e.ExprPos(), "compile: unhandled expression")
 }
 
 // identValue lowers a name in value context.
@@ -68,7 +69,7 @@ func (fc *funcCompiler) identValue(e *cmini.Ident) (obj.Reg, cmini.Type, error) 
 	}
 	gi, ok := fc.globals[e.Name]
 	if !ok {
-		return 0, nil, errf(e.Pos, "undeclared identifier %q", e.Name)
+		return 0, nil, diag.Errorf(e.Pos, "undeclared identifier %q", e.Name)
 	}
 	r := fc.newReg()
 	fc.emit(obj.Instr{Op: obj.OpAddrGlobal, Dst: r, Sym: e.Name, A: obj.NoReg, B: obj.NoReg})
@@ -103,13 +104,13 @@ func (fc *funcCompiler) addr(e cmini.Expr) (obj.Reg, cmini.Type, error) {
 	case *cmini.Ident:
 		if li := fc.lookupLocal(e.Name); li != nil {
 			if li.inReg {
-				return 0, nil, errf(e.Pos, "internal: register local %q used in address context", e.Name)
+				return 0, nil, diag.Errorf(e.Pos, "internal: register local %q used in address context", e.Name)
 			}
 			return fc.emitAddrLocal(li.frameOff), li.typ, nil
 		}
 		gi, ok := fc.globals[e.Name]
 		if !ok {
-			return 0, nil, errf(e.Pos, "undeclared identifier %q", e.Name)
+			return 0, nil, diag.Errorf(e.Pos, "undeclared identifier %q", e.Name)
 		}
 		r := fc.newReg()
 		fc.emit(obj.Instr{Op: obj.OpAddrGlobal, Dst: r, Sym: e.Name, A: obj.NoReg, B: obj.NoReg})
@@ -120,7 +121,7 @@ func (fc *funcCompiler) addr(e cmini.Expr) (obj.Reg, cmini.Type, error) {
 		return r, typ, nil
 	case *cmini.Unary:
 		if e.Op != cmini.STAR {
-			return 0, nil, errf(e.Pos, "expression is not addressable")
+			return 0, nil, diag.Errorf(e.Pos, "expression is not addressable")
 		}
 		v, t, err := fc.expr(e.X)
 		if err != nil {
@@ -135,7 +136,7 @@ func (fc *funcCompiler) addr(e cmini.Expr) (obj.Reg, cmini.Type, error) {
 		elem := pointee(t)
 		esz, err := typeSize(elem, fc.structs)
 		if err != nil {
-			return 0, nil, errf(e.Pos, "index: %v", err)
+			return 0, nil, diag.Errorf(e.Pos, "index: %v", err)
 		}
 		idx, _, err := fc.expr(e.I)
 		if err != nil {
@@ -164,7 +165,7 @@ func (fc *funcCompiler) addr(e cmini.Expr) (obj.Reg, cmini.Type, error) {
 			if id, ok := e.X.(*cmini.Ident); ok {
 				li := fc.lookupLocal(id.Name)
 				if li != nil && li.inReg {
-					return 0, nil, errf(e.Pos,
+					return 0, nil, diag.Errorf(e.Pos,
 						"member access on non-struct value (type %s)", cmini.PrintType(li.typ))
 				}
 			}
@@ -175,15 +176,15 @@ func (fc *funcCompiler) addr(e cmini.Expr) (obj.Reg, cmini.Type, error) {
 		}
 		st, ok := baseType.(*cmini.StructType)
 		if !ok {
-			return 0, nil, errf(e.Pos, "member access on non-struct value (type %s)", cmini.PrintType(baseType))
+			return 0, nil, diag.Errorf(e.Pos, "member access on non-struct value (type %s)", cmini.PrintType(baseType))
 		}
 		l, ok := fc.structs[st.Name]
 		if !ok {
-			return 0, nil, errf(e.Pos, "unknown struct %q", st.Name)
+			return 0, nil, diag.Errorf(e.Pos, "unknown struct %q", st.Name)
 		}
 		off, ok := l.offset[e.Name]
 		if !ok {
-			return 0, nil, errf(e.Pos, "struct %s has no field %q", st.Name, e.Name)
+			return 0, nil, diag.Errorf(e.Pos, "struct %s has no field %q", st.Name, e.Name)
 		}
 		addr := base
 		if off != 0 {
@@ -193,7 +194,7 @@ func (fc *funcCompiler) addr(e cmini.Expr) (obj.Reg, cmini.Type, error) {
 		}
 		return addr, l.ftype[e.Name], nil
 	}
-	return 0, nil, errf(e.ExprPos(), "expression is not addressable")
+	return 0, nil, diag.Errorf(e.ExprPos(), "expression is not addressable")
 }
 
 // pointee returns the element type of a pointer, or int for untyped
@@ -375,7 +376,7 @@ func (fc *funcCompiler) assign(e *cmini.Assign) (obj.Reg, cmini.Type, error) {
 		return 0, nil, err
 	}
 	if isAggregate(typ) {
-		return 0, nil, errf(e.Pos, "cannot assign to aggregate value")
+		return 0, nil, diag.Errorf(e.Pos, "cannot assign to aggregate value")
 	}
 	val, err := fc.assignValue(e, func() (obj.Reg, error) {
 		r := fc.newReg()
@@ -402,7 +403,7 @@ func (fc *funcCompiler) assignValue(e *cmini.Assign, cur func() (obj.Reg, error)
 	}
 	binOp, ok := compoundOps[e.Op]
 	if !ok {
-		return 0, errf(e.Pos, "unknown compound assignment %v", e.Op)
+		return 0, diag.Errorf(e.Pos, "unknown compound assignment %v", e.Op)
 	}
 	c, err := cur()
 	if err != nil {
@@ -474,7 +475,7 @@ func (fc *funcCompiler) call(e *cmini.Call) (obj.Reg, cmini.Type, error) {
 		gi, ok := fc.globals[id.Name]
 		if ok && gi.isFunc {
 			if len(gi.params) != len(args) {
-				return 0, nil, errf(e.Pos, "call to %s with %d args, want %d",
+				return 0, nil, diag.Errorf(e.Pos, "call to %s with %d args, want %d",
 					id.Name, len(args), len(gi.params))
 			}
 			dst := fc.newReg()
@@ -486,7 +487,7 @@ func (fc *funcCompiler) call(e *cmini.Call) (obj.Reg, cmini.Type, error) {
 			return dst, res, nil
 		}
 		if !ok {
-			return 0, nil, errf(e.Pos, "call to undeclared function %q", id.Name)
+			return 0, nil, diag.Errorf(e.Pos, "call to undeclared function %q", id.Name)
 		}
 	}
 	// Indirect call through a computed function value.

@@ -10,19 +10,8 @@ import (
 	"fmt"
 
 	"knit/internal/cmini"
+	"knit/internal/diag"
 )
-
-// CompileError is a semantic error with a source position.
-type CompileError struct {
-	Pos cmini.Pos
-	Msg string
-}
-
-func (e *CompileError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
-
-func errf(pos cmini.Pos, format string, args ...any) error {
-	return &CompileError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
-}
 
 // structLayout is the word layout of a named struct.
 type structLayout struct {
@@ -43,7 +32,7 @@ func layouts(f *cmini.File) (map[string]*structLayout, error) {
 	for _, d := range f.Decls {
 		if sd, ok := d.(*cmini.StructDecl); ok {
 			if _, dup := table[sd.Name]; dup {
-				return nil, errf(sd.Pos, "struct %q redefined", sd.Name)
+				return nil, diag.Errorf(sd.Pos, "struct %q redefined", sd.Name)
 			}
 			table[sd.Name] = &structLayout{name: sd.Name}
 		}
@@ -60,7 +49,7 @@ func layouts(f *cmini.File) (map[string]*structLayout, error) {
 		for _, fld := range sd.Fields {
 			sz, err := typeSize(fld.Type, table)
 			if err != nil {
-				return nil, errf(sd.Pos, "struct %s field %s: %v", sd.Name, fld.Name, err)
+				return nil, diag.Errorf(sd.Pos, "struct %s field %s: %v", sd.Name, fld.Name, err)
 			}
 			l.offset[fld.Name] = off
 			l.ftype[fld.Name] = fld.Type

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"knit/internal/cmini"
+	"knit/internal/diag"
 	"knit/internal/obj"
 )
 
@@ -137,17 +138,17 @@ func (c *compiler) collectGlobals() error {
 		case *cmini.VarDecl:
 			if prev, ok := c.globals[d.Name]; ok {
 				if !prev.extern && !d.Extern {
-					return errf(d.Pos, "global %q redefined", d.Name)
+					return diag.Errorf(d.Pos, "global %q redefined", d.Name)
 				}
 			}
 			c.globals[d.Name] = &globalInfo{typ: d.Type, extern: d.Extern, static: d.Static}
 		case *cmini.FuncDecl:
 			if prev, ok := c.globals[d.Name]; ok {
 				if prev.isFunc && !prev.extern && d.Body != nil {
-					return errf(d.Pos, "function %q redefined", d.Name)
+					return diag.Errorf(d.Pos, "function %q redefined", d.Name)
 				}
 				if !prev.isFunc {
-					return errf(d.Pos, "%q declared as both variable and function", d.Name)
+					return diag.Errorf(d.Pos, "%q declared as both variable and function", d.Name)
 				}
 			}
 			gi := &globalInfo{isFunc: true, typ: d.Result, params: d.Params,
@@ -167,7 +168,7 @@ func (c *compiler) emitVar(d *cmini.VarDecl) error {
 	}
 	size, err := typeSize(d.Type, c.structs)
 	if err != nil {
-		return errf(d.Pos, "variable %s: %v", d.Name, err)
+		return diag.Errorf(d.Pos, "variable %s: %v", d.Name, err)
 	}
 	data := &obj.Data{Name: d.Name, Size: size, Local: d.Static}
 	if d.Init != nil {
@@ -230,11 +231,11 @@ func (c *compiler) constEval(e cmini.Expr) (int64, error) {
 	case *cmini.SizeofExpr:
 		sz, err := typeSize(e.Type, c.structs)
 		if err != nil {
-			return 0, errf(e.Pos, "sizeof: %v", err)
+			return 0, diag.Errorf(e.Pos, "sizeof: %v", err)
 		}
 		return int64(sz), nil
 	}
-	return 0, errf(e.ExprPos(), "global initializer must be a constant expression")
+	return 0, diag.Errorf(e.ExprPos(), "global initializer must be a constant expression")
 }
 
 func (c *compiler) internString(s string) int {
@@ -263,7 +264,7 @@ func (c *compiler) emitFunc(d *cmini.FuncDecl, order int) error {
 	fc.addrTaken = addrTaken
 	for _, p := range d.Params {
 		if isAggregate(p.Type) {
-			return errf(d.Pos, "parameter %q: aggregates must be passed by pointer", p.Name)
+			return diag.Errorf(d.Pos, "parameter %q: aggregates must be passed by pointer", p.Name)
 		}
 		reg := fc.newReg()
 		fc.pushLocal(p.Name, &localInfo{inReg: !addrTaken[p.Name], reg: reg, typ: p.Type})
@@ -477,7 +478,7 @@ func (fc *funcCompiler) stmt(s cmini.Stmt) error {
 		return nil
 	case *cmini.BreakStmt:
 		if len(fc.breaks) == 0 {
-			return errf(s.Pos, "break outside loop")
+			return diag.Errorf(s.Pos, "break outside loop")
 		}
 		j := fc.emit(obj.Instr{Op: obj.OpJump})
 		top := len(fc.breaks) - 1
@@ -485,7 +486,7 @@ func (fc *funcCompiler) stmt(s cmini.Stmt) error {
 		return nil
 	case *cmini.ContinueStmt:
 		if len(fc.conts) == 0 {
-			return errf(s.Pos, "continue outside loop")
+			return diag.Errorf(s.Pos, "continue outside loop")
 		}
 		j := fc.emit(obj.Instr{Op: obj.OpJump})
 		top := len(fc.conts) - 1
@@ -498,7 +499,7 @@ func (fc *funcCompiler) stmt(s cmini.Stmt) error {
 func (fc *funcCompiler) declStmt(s *cmini.DeclStmt) error {
 	size, err := typeSize(s.Type, fc.structs)
 	if err != nil {
-		return errf(s.Pos, "local %s: %v", s.Name, err)
+		return diag.Errorf(s.Pos, "local %s: %v", s.Name, err)
 	}
 	li := &localInfo{typ: s.Type}
 	if isAggregate(s.Type) || fc.addrTaken[s.Name] {
@@ -512,7 +513,7 @@ func (fc *funcCompiler) declStmt(s *cmini.DeclStmt) error {
 	var initReg obj.Reg = obj.NoReg
 	if s.Init != nil {
 		if isAggregate(s.Type) {
-			return errf(s.Pos, "local aggregate %q cannot have an initializer", s.Name)
+			return diag.Errorf(s.Pos, "local aggregate %q cannot have an initializer", s.Name)
 		}
 		r, _, err := fc.expr(s.Init)
 		if err != nil {

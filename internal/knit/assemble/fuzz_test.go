@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"knit/internal/diag/diagtest"
 	"knit/internal/knit/assemble"
 	"knit/internal/knit/build"
 	"knit/internal/machine"
@@ -17,11 +18,12 @@ func installDevices(m *machine.M) {
 	machine.InstallStopWatch(m)
 }
 
-// FuzzAssemble is the assembler's end-to-end oracle: for any parseable
-// goal over the oskit repository, every emitted assembly must pass the
-// constraint checker, build cold from its printed source alone, and run
-// its init schedule transactionally — and an unsatisfiable goal must
-// yield an explanation, never a wiring.
+// FuzzAssemble is the assembler's end-to-end oracle: a goal that does
+// not parse must be refused with an error positioned inside it; for any
+// parseable goal over the oskit repository, every emitted assembly must
+// pass the constraint checker, build cold from its printed source alone,
+// and run its init schedule transactionally — and an unsatisfiable goal
+// must yield an explanation, never a wiring.
 func FuzzAssemble(f *testing.F) {
 	seeds := []string{
 		`goal Console; export out : PutChar;`,
@@ -43,6 +45,7 @@ func FuzzAssemble(f *testing.F) {
 		}
 		goal, err := assemble.ParseGoal("fuzz.goal", src)
 		if err != nil {
+			diagtest.At(t, err, src)
 			return
 		}
 		if len(goal.Exports) > 4 {

@@ -22,6 +22,8 @@ import (
 	"strconv"
 	"strings"
 
+	"knit/internal/cmini"
+	"knit/internal/diag"
 	"knit/internal/knit/lang"
 )
 
@@ -90,8 +92,8 @@ func (g *Goal) String() string {
 	return sb.String()
 }
 
-// ParseGoal parses a goal-spec file. The format is statement-per-
-// semicolon:
+// ParseGoal parses a goal-spec file. The format is lexically C, with
+// one statement per semicolon:
 //
 //	goal SafeConsole;              // optional label
 //	export out : PutChar;          // repeatable
@@ -101,22 +103,30 @@ func (g *Goal) String() string {
 //	top HelloKernel;               // optional fixed entry provider
 //	limit 12;                      // optional instance cap
 //
-// Comments run from "//" or "#" to end of line.
+// Comments are C's, and also run from "#" to end of line. Errors are
+// *diag.Error values positioned in the file.
 func ParseGoal(name, text string) (*Goal, error) {
+	lexed, err := cmini.LexAll(name, blankHashComments(text))
+	if err != nil {
+		return nil, err
+	}
 	g := &Goal{}
 	seenLocal := map[string]bool{}
-	for ln, stmt := range splitStatements(text) {
-		toks := tokenize(stmt)
-		if len(toks) == 0 {
+	for ln, stmt := range cmini.Statements(lexed) {
+		if len(stmt) == 0 {
 			continue
 		}
+		toks := make([]string, len(stmt))
+		for i, t := range stmt {
+			toks[i] = t.String()
+		}
 		fail := func(format string, args ...any) error {
-			return fmt.Errorf("%s: statement %d (%q): %s", name, ln+1,
-				strings.Join(toks, " "), fmt.Sprintf(format, args...))
+			return diag.Errorf(stmt[0].Pos, "statement %d (%q): %s", ln+1,
+				cmini.Text(stmt), fmt.Sprintf(format, args...))
 		}
 		switch toks[0] {
 		case "goal":
-			if len(toks) != 2 || !isIdent(toks[1]) {
+			if len(toks) != 2 || !stmt[1].IsWord() {
 				return nil, fail("want 'goal Name'")
 			}
 			if g.Name != "" {
@@ -124,7 +134,7 @@ func ParseGoal(name, text string) (*Goal, error) {
 			}
 			g.Name = toks[1]
 		case "export":
-			if len(toks) != 4 || toks[2] != ":" || !isIdent(toks[1]) || !isIdent(toks[3]) {
+			if len(toks) != 4 || toks[2] != ":" || !stmt[1].IsWord() || !stmt[3].IsWord() {
 				return nil, fail("want 'export local : BundleType'")
 			}
 			if seenLocal[toks[1]] {
@@ -135,7 +145,7 @@ func ParseGoal(name, text string) (*Goal, error) {
 		case "bound":
 			// bound prop ( arg ) op Value
 			if len(toks) != 7 || toks[2] != "(" || toks[4] != ")" ||
-				!isIdent(toks[1]) || !isIdent(toks[3]) || !isIdent(toks[6]) {
+				!stmt[1].IsWord() || !stmt[3].IsWord() || !stmt[6].IsWord() {
 				return nil, fail("want 'bound prop(arg) <=|>=|= Value'")
 			}
 			op, ok := parseOp(toks[5])
@@ -147,21 +157,21 @@ func ParseGoal(name, text string) (*Goal, error) {
 			if len(toks) < 2 {
 				return nil, fail("want '%s Unit[, Unit...]'", toks[0])
 			}
-			for _, u := range toks[1:] {
-				if u == "," {
+			for _, u := range stmt[1:] {
+				if u.Kind == cmini.COMMA {
 					continue
 				}
-				if !isIdent(u) {
+				if !u.IsWord() {
 					return nil, fail("bad unit name %q", u)
 				}
 				if toks[0] == "use" {
-					g.Use = appendIfAbsent(g.Use, u)
+					g.Use = appendIfAbsent(g.Use, u.Lit)
 				} else {
-					g.Avoid = appendIfAbsent(g.Avoid, u)
+					g.Avoid = appendIfAbsent(g.Avoid, u.Lit)
 				}
 			}
 		case "top":
-			if len(toks) != 2 || !isIdent(toks[1]) {
+			if len(toks) != 2 || !stmt[1].IsWord() {
 				return nil, fail("want 'top Unit'")
 			}
 			if g.Top != "" {
@@ -169,12 +179,12 @@ func ParseGoal(name, text string) (*Goal, error) {
 			}
 			g.Top = toks[1]
 		case "limit":
-			if len(toks) != 2 {
+			if len(toks) < 2 {
 				return nil, fail("want 'limit N'")
 			}
-			n, err := strconv.Atoi(toks[1])
+			n, err := strconv.Atoi(cmini.Text(stmt[1:]))
 			if err != nil || n <= 0 {
-				return nil, fail("bad limit %q", toks[1])
+				return nil, fail("bad limit %q", cmini.Text(stmt[1:]))
 			}
 			g.Limit = n
 		default:
@@ -182,71 +192,23 @@ func ParseGoal(name, text string) (*Goal, error) {
 		}
 	}
 	if len(g.Exports) == 0 {
-		return nil, fmt.Errorf("%s: goal declares no exports", name)
+		return nil, diag.Errorf(diag.End(name, text), "goal declares no exports")
 	}
 	sort.Strings(g.Use)
 	sort.Strings(g.Avoid)
 	return g, nil
 }
 
-// splitStatements strips comments and splits on semicolons.
-func splitStatements(text string) []string {
-	var clean strings.Builder
-	for _, line := range strings.Split(text, "\n") {
-		if i := strings.Index(line, "//"); i >= 0 {
-			line = line[:i]
-		}
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		clean.WriteString(line)
-		clean.WriteByte('\n')
-	}
-	parts := strings.Split(clean.String(), ";")
-	// Trailing text after the last semicolon must be blank.
-	out := parts[:len(parts)-1]
-	if strings.TrimSpace(parts[len(parts)-1]) != "" {
-		out = parts // surface it as a malformed statement
-	}
-	return out
-}
-
-// tokenize splits a statement into words and punctuation.
-func tokenize(stmt string) []string {
-	var toks []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			toks = append(toks, cur.String())
-			cur.Reset()
+// blankHashComments turns each "#" comment, which C lacks, into spaces,
+// so that every other byte keeps its position.
+func blankHashComments(text string) string {
+	lines := strings.Split(text, "\n")
+	for i, l := range lines {
+		if j := strings.IndexByte(l, '#'); j >= 0 {
+			lines[i] = l[:j] + strings.Repeat(" ", len(l)-j)
 		}
 	}
-	rs := []rune(stmt)
-	for i := 0; i < len(rs); i++ {
-		c := rs[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			flush()
-		case c == '(' || c == ')' || c == ':' || c == ',':
-			flush()
-			toks = append(toks, string(c))
-		case c == '<' || c == '>':
-			flush()
-			if i+1 < len(rs) && rs[i+1] == '=' {
-				toks = append(toks, string(c)+"=")
-				i++
-			} else {
-				toks = append(toks, string(c))
-			}
-		case c == '=':
-			flush()
-			toks = append(toks, "=")
-		default:
-			cur.WriteRune(c)
-		}
-	}
-	flush()
-	return toks
+	return strings.Join(lines, "\n")
 }
 
 func parseOp(s string) (lang.ConstraintOp, bool) {
@@ -259,24 +221,6 @@ func parseOp(s string) (lang.ConstraintOp, bool) {
 		return lang.OpGe, true
 	}
 	return 0, false
-}
-
-func isIdent(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, c := range s {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 func appendIfAbsent(dst []string, s string) []string {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"knit/internal/diag/diagtest"
 	"knit/internal/knit/lang"
 )
 
@@ -61,19 +62,20 @@ limit 7;
 
 func TestParseGoalErrors(t *testing.T) {
 	cases := []struct {
-		name, src, want string
+		name, src, want, pos string
 	}{
-		{"no exports", `goal G;`, "no exports"},
-		{"dup local", `export a : T; export a : U;`, "declared twice"},
-		{"dup goal", `goal A; goal B; export a : T;`, "twice"},
-		{"dup top", `export a : T; top A; top B;`, "twice"},
-		{"bad bound", `export a : T; bound context a <= V;`, "bound"},
-		{"bad op", `export a : T; bound context(a) < V;`, "bad operator"},
-		{"bad limit", `export a : T; limit zero;`, "bad limit"},
-		{"neg limit", `export a : T; limit -3;`, "bad limit"},
-		{"unknown directive", `export a : T; wibble;`, "unknown directive"},
-		{"trailing junk", `export a : T; garbage here`, "unknown directive"},
-		{"bad ident", `export 9a : T;`, "export"},
+		{"no exports", `goal G;`, "no exports", "1:8"},
+		{"dup local", `export a : T; export a : U;`, "declared twice", "1:15"},
+		{"dup goal", `goal A; goal B; export a : T;`, "twice", "1:9"},
+		{"dup top", `export a : T; top A; top B;`, "twice", "1:22"},
+		{"bad bound", `export a : T; bound context a <= V;`, "bound", "1:15"},
+		{"bad op", `export a : T; bound context(a) < V;`, "bad operator", "1:15"},
+		{"bad limit", `export a : T; limit zero;`, "bad limit", "1:15"},
+		{"neg limit", `export a : T; limit -3;`, "bad limit", "1:15"},
+		{"unknown directive", `export a : T; wibble;`, "unknown directive", "1:15"},
+		{"trailing junk", `export a : T; garbage here`, "unknown directive", "1:15"},
+		{"bad ident", `export 9a : T;`, "export", "1:1"},
+		{"columns after a # comment", "export a : T; # one; two\n  use 9;", "bad unit name", "2:3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,6 +85,9 @@ func TestParseGoalErrors(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+			if got := diagtest.At(t, err, tc.src); got != tc.pos {
+				t.Errorf("error %q at %s, want %s", err, got, tc.pos)
 			}
 		})
 	}

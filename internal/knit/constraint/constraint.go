@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 
+	"knit/internal/diag"
 	"knit/internal/knit/lang"
 	"knit/internal/knit/link"
 )
@@ -196,7 +197,7 @@ func CheckAssembly(reg *link.Registry, instances []*link.Instance, bounds []Boun
 				return []Var{{inst, arg, prop}}, nil
 			}
 		}
-		return nil, fmt.Errorf("knit: %s: constraint names unknown bundle %q", inst.Path, arg)
+		return nil, fmt.Errorf("%s: constraint names unknown bundle %q", inst.Path, arg)
 	}
 
 	// Gather constraints from every instance.
@@ -221,22 +222,22 @@ func CheckAssembly(reg *link.Registry, instances []*link.Instance, bounds []Boun
 			}
 			ps, ok := posets[prop]
 			if !ok {
-				return nil, fmt.Errorf("knit: %s: unknown property %q", inst.Path, prop)
+				return nil, diag.Errorf(c.Pos, "%s: unknown property %q", inst.Path, prop)
 			}
 			lvars, err := expandRef(expand, inst, c.LHS, prop)
 			if err != nil {
-				return nil, err
+				return nil, &diag.Error{Pos: c.Pos, Err: err}
 			}
 			rvars, err := expandRef(expand, inst, c.RHS, prop)
 			if err != nil {
-				return nil, err
+				return nil, &diag.Error{Pos: c.Pos, Err: err}
 			}
 			// Value forms narrow domains directly; var-var forms are
 			// relational.
 			switch {
 			case c.RHS.IsValue():
 				if !ps.Has(c.RHS.Value) {
-					return nil, fmt.Errorf("knit: %s: %q is not a value of property %s",
+					return nil, diag.Errorf(c.Pos, "%s: %q is not a value of property %s",
 						inst.Path, c.RHS.Value, prop)
 				}
 				for _, v := range lvars {
@@ -250,7 +251,7 @@ func CheckAssembly(reg *link.Registry, instances []*link.Instance, bounds []Boun
 				}
 			case c.LHS.IsValue():
 				if !ps.Has(c.LHS.Value) {
-					return nil, fmt.Errorf("knit: %s: %q is not a value of property %s",
+					return nil, diag.Errorf(c.Pos, "%s: %q is not a value of property %s",
 						inst.Path, c.LHS.Value, prop)
 				}
 				for _, v := range rvars {
@@ -437,7 +438,7 @@ func expandRef(expand func(*link.Instance, string, string) ([]Var, error),
 		return nil, nil
 	}
 	if r.Prop != prop {
-		return nil, fmt.Errorf("knit: %s: constraint mixes properties %q and %q",
+		return nil, fmt.Errorf("%s: constraint mixes properties %q and %q",
 			inst.Path, prop, r.Prop)
 	}
 	return expand(inst, prop, r.Arg)

@@ -1,10 +1,12 @@
 package constraint
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"knit/internal/diag/diagtest"
 	"knit/internal/knit/lang"
 	"knit/internal/knit/link"
 )
@@ -305,8 +307,8 @@ unit T = { exports [ a : A ]; link { [a] <- P <- []; }; }
 }
 
 func TestCheckErrors(t *testing.T) {
-	mk := func(constraint string) (*link.Program, error) {
-		units := contextHeader + `
+	text := func(constraint string) string {
+		return contextHeader + `
 bundletype A = { fa }
 unit P = {
   exports [ a : A ];
@@ -315,6 +317,8 @@ unit P = {
 }
 unit T = { exports [ a : A ]; link { [a] <- P <- []; }; }
 `
+	}
+	mk := func(units string) (*link.Program, error) {
 		f, err := lang.Parse("t.unit", units)
 		if err != nil {
 			return nil, err
@@ -325,15 +329,19 @@ unit T = { exports [ a : A ]; link { [a] <- P <- []; }; }
 		}
 		return link.Elaborate(reg, "T", link.Sources{"a.c": `int fa(void) { return 1; }`})
 	}
-	cases := []struct{ name, constraint, want string }{
-		{"unknown property", "ghost(a) = NoContext;", "unknown property"},
-		{"unknown bundle", "context(ghost) = NoContext;", "unknown bundle"},
-		{"unknown value", "context(a) = Sideways;", "not a value"},
-		{"contradiction", "context(a) = NoContext; context(a) = ProcessContext;", "no value satisfies"},
+	// pos is where a clause's error points; a Violation (pos "") is not
+	// about one clause.
+	cases := []struct{ name, constraint, want, pos string }{
+		{"unknown property", "ghost(a) = NoContext;", "unknown property", "10:17"},
+		{"unknown bundle", "context(ghost) = NoContext;", "unknown bundle", "10:17"},
+		{"unknown value", "context(a) = Sideways;", "not a value", "10:17"},
+		{"unknown value on the left", "context(a) = NoContext; Sideways = context(a);", "not a value", "10:41"},
+		{"contradiction", "context(a) = NoContext; context(a) = ProcessContext;", "no value satisfies", ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			p, err := mk(c.constraint)
+			units := text(c.constraint)
+			p, err := mk(units)
 			if err != nil {
 				t.Fatalf("setup: %v", err)
 			}
@@ -343,6 +351,14 @@ unit T = { exports [ a : A ]; link { [a] <- P <- []; }; }
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not contain %q", err, c.want)
+			}
+			var v *Violation
+			if c.pos == "" {
+				if !errors.As(err, &v) {
+					t.Errorf("error %q is not a *Violation", err)
+				}
+			} else if got := diagtest.At(t, err, units); got != c.pos {
+				t.Errorf("error %q at %s, want %s", err, got, c.pos)
 			}
 		})
 	}

@@ -1,5 +1,7 @@
 package lang
 
+import "knit/internal/diag"
+
 // File is a parsed unit-language file.
 type File struct {
 	Name        string
@@ -12,7 +14,7 @@ type File struct {
 // BundleType names a set of symbols that are imported and exported as a
 // group ("bundletype Stdio = { fopen, fprintf }").
 type BundleType struct {
-	Pos  Pos
+	Pos  diag.Pos
 	Name string
 	Syms []string
 }
@@ -21,7 +23,7 @@ type BundleType struct {
 // include paths, so flags are carried through for fidelity and recorded
 // on units, but do not alter compilation.
 type FlagSet struct {
-	Pos    Pos
+	Pos    diag.Pos
 	Name   string
 	Values []string
 }
@@ -37,7 +39,7 @@ type FlagSet struct {
 // repetition between different constraints": in the paper's census, 70%
 // of annotated units carried exactly that propagation clause.
 type Property struct {
-	Pos        Pos
+	Pos        diag.Pos
 	Name       string
 	Values     []PropValue
 	Propagates bool
@@ -46,7 +48,7 @@ type Property struct {
 // PropValue is one value of a property; Below names a value this one is
 // less than ("" for maximal values).
 type PropValue struct {
-	Pos   Pos
+	Pos   diag.Pos
 	Name  string
 	Below string
 }
@@ -54,7 +56,7 @@ type PropValue struct {
 // Unit is an atomic or compound unit. Atomic units have Files; compound
 // units have Links. (Exactly one must be present.)
 type Unit struct {
-	Pos         Pos
+	Pos         diag.Pos
 	Name        string
 	Imports     []Binding
 	Exports     []Binding
@@ -78,7 +80,7 @@ func (u *Unit) IsCompound() bool { return len(u.Links) > 0 }
 // Binding introduces a local bundle name with a bundle type
 // ("serveFile : Serve").
 type Binding struct {
-	Pos   Pos
+	Pos   diag.Pos
 	Local string
 	Type  string
 }
@@ -87,7 +89,7 @@ type Binding struct {
 // export bundle locals, initializer/finalizer function names, or the
 // keyword "exports"; RHS terms are import bundle locals or "imports".
 type DepClause struct {
-	Pos Pos
+	Pos diag.Pos
 	LHS []string
 	RHS []string
 }
@@ -103,7 +105,7 @@ const (
 // implementation actually uses ("rename serveWeb.serve_web to
 // serve_unlogged").
 type Rename struct {
-	Pos    Pos
+	Pos    diag.Pos
 	Bundle string
 	Sym    string
 	To     string
@@ -112,7 +114,7 @@ type Rename struct {
 // InitDecl declares an initializer or finalizer function for an export
 // bundle.
 type InitDecl struct {
-	Pos       Pos
+	Pos       diag.Pos
 	Func      string
 	Bundle    string
 	Finalizer bool
@@ -141,7 +143,7 @@ func (op ConstraintOp) String() string {
 // Ref is a constraint operand: a property applied to a bundle local (or
 // "imports"/"exports"), e.g. context(serveLog), or a bare property value.
 type Ref struct {
-	Pos   Pos
+	Pos   diag.Pos
 	Prop  string // non-empty for prop(arg) form
 	Arg   string
 	Value string // non-empty for a bare value
@@ -153,7 +155,7 @@ func (r Ref) IsValue() bool { return r.Value != "" }
 // Constraint is one clause in a constraints section:
 // prop(x) <= prop(y), prop(x) = Value, etc.
 type Constraint struct {
-	Pos Pos
+	Pos diag.Pos
 	LHS Ref
 	Op  ConstraintOp
 	RHS Ref
@@ -166,7 +168,7 @@ type Constraint struct {
 // Outs bind local names to the sub-unit's exports positionally; Ins
 // supply the sub-unit's imports positionally from local names.
 type LinkLine struct {
-	Pos  Pos
+	Pos  diag.Pos
 	Outs []string
 	Unit string
 	Ins  []string

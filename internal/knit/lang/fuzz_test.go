@@ -5,11 +5,14 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"knit/internal/diag/diagtest"
 )
 
 // TestQuickParserNeverPanics throws random token soup at the parser: it
-// must always return (possibly an error), never panic — the robustness a
-// configuration language needs when users hand-edit unit files.
+// must always return (possibly an error positioned inside the soup),
+// never panic — the robustness a configuration language needs when users
+// hand-edit unit files.
 func TestQuickParserNeverPanics(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	pieces := []string{
@@ -32,7 +35,9 @@ func TestQuickParserNeverPanics(t *testing.T) {
 				t.Fatalf("parser panicked on %q: %v", b.String(), p)
 			}
 		}()
-		_, _ = Parse("fuzz.unit", b.String())
+		if _, err := Parse("fuzz.unit", b.String()); err != nil {
+			diagtest.At(t, err, b.String())
+		}
 		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 2000}); err != nil {
@@ -40,7 +45,8 @@ func TestQuickParserNeverPanics(t *testing.T) {
 	}
 }
 
-// TestQuickLexerNeverPanics: arbitrary bytes.
+// TestQuickLexerNeverPanics: arbitrary bytes, with every error
+// positioned inside them.
 func TestQuickLexerNeverPanics(t *testing.T) {
 	fn := func(data []byte) bool {
 		defer func() {
@@ -48,7 +54,9 @@ func TestQuickLexerNeverPanics(t *testing.T) {
 				t.Fatalf("lexer panicked on %q: %v", data, p)
 			}
 		}()
-		_, _ = Parse("fuzz.unit", string(data))
+		if _, err := Parse("fuzz.unit", string(data)); err != nil {
+			diagtest.At(t, err, string(data))
+		}
 		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 1000}); err != nil {

@@ -7,6 +7,8 @@ package lang
 import (
 	"fmt"
 	"strings"
+
+	"knit/internal/diag"
 )
 
 // Tok is a lexical token kind in the unit language.
@@ -86,41 +88,26 @@ var keywords = map[string]Tok{
 	"property": KwProperty, "type": KwType, "fallback": KwFallback,
 }
 
-// Pos is a source position.
-type Pos struct {
-	File string
-	Line int
-	Col  int
-}
-
-func (p Pos) String() string {
-	if p.File == "" {
-		return fmt.Sprintf("%d:%d", p.Line, p.Col)
-	}
-	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
+// ops maps each operator's text to its token kind.
+var ops = map[string]Tok{
+	"{": LBRACE, "}": RBRACE, "[": LBRACK, "]": RBRACK, "(": LPAREN,
+	")": RPAREN, ";": SEMI, ",": COMMA, ":": COLON, ".": DOT, "+": PLUS,
+	"=": EQ, "<": LT, "<-": LARROW, "<=": LE, ">=": GE,
 }
 
 // Token is one lexed token.
 type Token struct {
 	Kind Tok
 	Lit  string
-	Pos  Pos
+	Pos  diag.Pos
 }
-
-// Error is a lexical or syntax error in a unit file.
-type Error struct {
-	Pos Pos
-	Msg string
-}
-
-func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 // lex tokenizes a unit file.
 func lex(file, src string) ([]Token, error) {
 	var toks []Token
 	line, col := 1, 1
 	i := 0
-	pos := func() Pos { return Pos{File: file, Line: line, Col: col} }
+	pos := func() diag.Pos { return diag.Pos{File: file, Line: line, Col: col} }
 	adv := func() byte {
 		c := src[i]
 		i++
@@ -156,7 +143,7 @@ func lex(file, src string) ([]Token, error) {
 				adv()
 			}
 			if !closed {
-				return nil, &Error{Pos: p, Msg: "unterminated comment"}
+				return nil, diag.Errorf(p, "unterminated comment")
 			}
 		case c == '"':
 			p := pos()
@@ -170,12 +157,12 @@ func lex(file, src string) ([]Token, error) {
 					break
 				}
 				if ch == '\n' {
-					return nil, &Error{Pos: p, Msg: "newline in string"}
+					return nil, diag.Errorf(p, "newline in string")
 				}
 				b.WriteByte(ch)
 			}
 			if !closed {
-				return nil, &Error{Pos: p, Msg: "unterminated string"}
+				return nil, diag.Errorf(p, "unterminated string")
 			}
 			toks = append(toks, Token{Kind: STRING, Lit: b.String(), Pos: p})
 		case isIdentStart(c):
@@ -192,58 +179,19 @@ func lex(file, src string) ([]Token, error) {
 			}
 		default:
 			p := pos()
-			two := ""
-			if i+1 < len(src) {
-				two = src[i : i+2]
+			n := min(2, len(src)-i) // the longer operator wins
+			k, ok := ops[src[i:i+n]]
+			if !ok {
+				n = 1
+				k, ok = ops[src[i:i+1]]
 			}
-			switch {
-			case two == "<-":
-				adv()
-				adv()
-				toks = append(toks, Token{Kind: LARROW, Pos: p})
-			case two == "<=":
-				adv()
-				adv()
-				toks = append(toks, Token{Kind: LE, Pos: p})
-			case two == ">=":
-				adv()
-				adv()
-				toks = append(toks, Token{Kind: GE, Pos: p})
-			default:
-				var k Tok
-				switch c {
-				case '{':
-					k = LBRACE
-				case '}':
-					k = RBRACE
-				case '[':
-					k = LBRACK
-				case ']':
-					k = RBRACK
-				case '(':
-					k = LPAREN
-				case ')':
-					k = RPAREN
-				case ';':
-					k = SEMI
-				case ',':
-					k = COMMA
-				case ':':
-					k = COLON
-				case '.':
-					k = DOT
-				case '+':
-					k = PLUS
-				case '=':
-					k = EQ
-				case '<':
-					k = LT
-				default:
-					return nil, &Error{Pos: p, Msg: fmt.Sprintf("unexpected character %q", c)}
-				}
-				adv()
-				toks = append(toks, Token{Kind: k, Pos: p})
+			if !ok {
+				return nil, diag.Errorf(p, "unexpected character %q", c)
 			}
+			for ; n > 0; n-- {
+				adv()
+			}
+			toks = append(toks, Token{Kind: k, Pos: p})
 		}
 	}
 	return toks, nil

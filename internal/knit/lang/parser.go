@@ -1,6 +1,10 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+
+	"knit/internal/diag"
+)
 
 // Parse parses a unit-language file.
 func Parse(file, src string) (*File, error) {
@@ -8,7 +12,7 @@ func Parse(file, src string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, file: file}
+	p := &parser{toks: toks, end: diag.End(file, src)}
 	out := &File{Name: file}
 	for !p.atEOF() {
 		switch p.cur().Kind {
@@ -56,18 +60,14 @@ func Parse(file, src string) (*File, error) {
 type parser struct {
 	toks []Token
 	pos  int
-	file string
+	end  diag.Pos // of the source, where EOF is
 }
 
 func (p *parser) atEOF() bool { return p.pos >= len(p.toks) }
 
 func (p *parser) cur() Token {
 	if p.atEOF() {
-		pp := Pos{File: p.file, Line: 1, Col: 1}
-		if len(p.toks) > 0 {
-			pp = p.toks[len(p.toks)-1].Pos
-		}
-		return Token{Kind: EOF, Pos: pp}
+		return Token{Kind: EOF, Pos: p.end}
 	}
 	return p.toks[p.pos]
 }
@@ -104,7 +104,7 @@ func (p *parser) describe() string {
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return &Error{Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...)}
+	return diag.Errorf(p.cur().Pos, format, args...)
 }
 
 // identLike accepts an identifier or a keyword used as a name (bundle
@@ -133,7 +133,7 @@ func (p *parser) bundleType() (*BundleType, error) {
 			return nil, err
 		}
 		if seen[sym.Lit] {
-			return nil, &Error{Pos: sym.Pos, Msg: fmt.Sprintf("duplicate symbol %q in bundletype %s", sym.Lit, name.Lit)}
+			return nil, diag.Errorf(sym.Pos, "duplicate symbol %q in bundletype %s", sym.Lit, name.Lit)
 		}
 		seen[sym.Lit] = true
 		bt.Syms = append(bt.Syms, sym.Lit)
@@ -145,7 +145,7 @@ func (p *parser) bundleType() (*BundleType, error) {
 		}
 	}
 	if len(bt.Syms) == 0 {
-		return nil, &Error{Pos: pos, Msg: fmt.Sprintf("bundletype %s is empty", name.Lit)}
+		return nil, diag.Errorf(pos, "bundletype %s is empty", name.Lit)
 	}
 	return bt, nil
 }
@@ -225,14 +225,14 @@ func (p *parser) unit() (*Unit, error) {
 	u := &Unit{Pos: pos, Name: name.Lit}
 	for !p.accept(RBRACE) {
 		if p.atEOF() {
-			return nil, &Error{Pos: pos, Msg: fmt.Sprintf("unterminated unit %s", name.Lit)}
+			return nil, diag.Errorf(pos, "unterminated unit %s", name.Lit)
 		}
 		if err := p.unitSection(u); err != nil {
 			return nil, err
 		}
 	}
 	if len(u.Files) > 0 && len(u.Links) > 0 {
-		return nil, &Error{Pos: pos, Msg: fmt.Sprintf("unit %s has both files and link sections", name.Lit)}
+		return nil, diag.Errorf(pos, "unit %s has both files and link sections", name.Lit)
 	}
 	return u, nil
 }
@@ -338,10 +338,10 @@ func (p *parser) unitSection(u *Unit) error {
 			return err
 		}
 		if u.Fallback != "" {
-			return p.errf("unit %s declares more than one fallback", u.Name)
+			return diag.Errorf(fb.Pos, "unit %s declares more than one fallback", u.Name)
 		}
 		if fb.Lit == u.Name {
-			return p.errf("unit %s names itself as fallback", u.Name)
+			return diag.Errorf(fb.Pos, "unit %s names itself as fallback", u.Name)
 		}
 		u.Fallback = fb.Lit
 		if _, err := p.expect(SEMI); err != nil {
@@ -562,7 +562,7 @@ func (p *parser) constraint() (Constraint, error) {
 		return Constraint{}, err
 	}
 	if lhs.IsValue() && rhs.IsValue() {
-		return Constraint{}, &Error{Pos: lhs.Pos, Msg: "constraint relates two literal values"}
+		return Constraint{}, diag.Errorf(lhs.Pos, "constraint relates two literal values")
 	}
 	return Constraint{Pos: lhs.Pos, LHS: lhs, Op: op, RHS: rhs}, nil
 }

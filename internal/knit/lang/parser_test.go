@@ -3,6 +3,8 @@ package lang
 import (
 	"strings"
 	"testing"
+
+	"knit/internal/diag/diagtest"
 )
 
 // paperExample is (nearly verbatim) the code from the paper's Figure 5.
@@ -227,18 +229,18 @@ unit Classifier = {
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := []struct{ name, src, want string }{
-		{"type before property", "type X", "before any 'property'"},
-		{"empty bundletype", "bundletype T = { }", "is empty"},
-		{"dup bundle sym", "bundletype T = { a, a }", "duplicate symbol"},
-		{"files and link", `unit U = { files { "a.c" }; link { [x] <- V <- []; }; }`, "both files and link"},
-		{"value-value constraint", `unit U = { constraints { A = B; }; }`, "two literal values"},
-		{"bad section", `unit U = { bogus; }`, "expected unit section"},
-		{"unterminated string", `flags F = { "abc`, "unterminated string"},
-		{"bad char", `unit U @ {}`, "unexpected character"},
-		{"missing needs", `unit U = { depends { a b; }; }`, "needs"},
-		{"dup fallback", `unit U = { fallback A; fallback B; }`, "more than one fallback"},
-		{"self fallback", `unit U = { fallback U; }`, "names itself"},
+	cases := []struct{ name, src, want, pos string }{
+		{"type before property", "type X", "before any 'property'", "1:1"},
+		{"empty bundletype", "bundletype T = { }", "is empty", "1:1"},
+		{"dup bundle sym", "bundletype T = { a, a }", "duplicate symbol", "1:21"},
+		{"files and link", `unit U = { files { "a.c" }; link { [x] <- V <- []; }; }`, "both files and link", "1:1"},
+		{"value-value constraint", `unit U = { constraints { A = B; }; }`, "two literal values", "1:26"},
+		{"bad section", `unit U = { bogus; }`, "expected unit section", "1:12"},
+		{"unterminated string", `flags F = { "abc`, "unterminated string", "1:13"},
+		{"bad char", `unit U @ {}`, "unexpected character", "1:8"},
+		{"missing needs", `unit U = { depends { a b; }; }`, "needs", "1:24"},
+		{"dup fallback", `unit U = { fallback A; fallback B; }`, "more than one fallback", "1:33"},
+		{"self fallback", `unit U = { fallback U; }`, "names itself", "1:21"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -248,6 +250,9 @@ func TestParseErrors(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not contain %q", err, c.want)
+			}
+			if got := diagtest.At(t, err, c.src); got != c.pos {
+				t.Errorf("error %q at %s, want %s", err, got, c.pos)
 			}
 		})
 	}

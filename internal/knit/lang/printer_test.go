@@ -4,12 +4,14 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"knit/internal/diag"
 )
 
 // stripPos removes positions so parsed files can be compared
 // structurally.
 func stripPos(f *File) {
-	zero := Pos{}
+	zero := diag.Pos{}
 	for _, bt := range f.BundleTypes {
 		bt.Pos = zero
 	}

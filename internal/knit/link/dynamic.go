@@ -2,6 +2,7 @@ package link
 
 import (
 	"knit/internal/cmini"
+	"knit/internal/diag"
 	"knit/internal/obj"
 )
 
@@ -18,17 +19,17 @@ func ElaborateDynamic(reg *Registry, base *Program, unitName string,
 	sources Sources, wiring map[string]string) (*Instance, error) {
 	u, ok := reg.Units[unitName]
 	if !ok {
-		return nil, &Err{Msg: "unknown unit " + unitName}
+		return nil, diag.Errorf(diag.Pos{}, "unknown unit %s", unitName)
 	}
 	env := map[string]*Wire{}
 	for _, imp := range u.Imports {
 		target, ok := wiring[imp.Local]
 		if !ok {
-			return nil, errAt(imp.Pos, "dynamic unit %s: import %q not wired", unitName, imp.Local)
+			return nil, diag.Errorf(imp.Pos, "dynamic unit %s: import %q not wired", unitName, imp.Local)
 		}
 		w, ok := base.Exports[target]
 		if !ok {
-			return nil, errAt(imp.Pos,
+			return nil, diag.Errorf(imp.Pos,
 				"dynamic unit %s: base program has no top-level export %q", unitName, target)
 		}
 		env[imp.Local] = w
@@ -41,7 +42,7 @@ func ElaborateDynamic(reg *Registry, base *Program, unitName string,
 			}
 		}
 		if !known {
-			return nil, errAt(u.Pos, "dynamic unit %s has no import %q", unitName, local)
+			return nil, diag.Errorf(u.Pos, "dynamic unit %s has no import %q", unitName, local)
 		}
 	}
 	return ElaborateDynamicEnv(reg, base, unitName, sources, env)
@@ -56,18 +57,18 @@ func ElaborateDynamicEnv(reg *Registry, base *Program, unitName string,
 	sources Sources, env map[string]*Wire) (*Instance, error) {
 	u, ok := reg.Units[unitName]
 	if !ok {
-		return nil, &Err{Msg: "unknown unit " + unitName}
+		return nil, diag.Errorf(diag.Pos{}, "unknown unit %s", unitName)
 	}
 	if u.IsCompound() {
-		return nil, errAt(u.Pos, "dynamic unit %s must be atomic (link compound units statically)", unitName)
+		return nil, diag.Errorf(u.Pos, "dynamic unit %s must be atomic (link compound units statically)", unitName)
 	}
 	for _, imp := range u.Imports {
 		w, ok := env[imp.Local]
 		if !ok || w == nil {
-			return nil, errAt(imp.Pos, "dynamic unit %s: import %q not wired", unitName, imp.Local)
+			return nil, diag.Errorf(imp.Pos, "dynamic unit %s: import %q not wired", unitName, imp.Local)
 		}
 		if w.Type != imp.Type {
-			return nil, errAt(imp.Pos,
+			return nil, diag.Errorf(imp.Pos,
 				"dynamic unit %s: import %q has bundle type %s, wired bundle has %s",
 				unitName, imp.Local, imp.Type, w.Type)
 		}

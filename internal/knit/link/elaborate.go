@@ -7,6 +7,7 @@ import (
 
 	"knit/internal/asm"
 	"knit/internal/cmini"
+	"knit/internal/diag"
 	"knit/internal/knit/lang"
 	"knit/internal/obj"
 )
@@ -99,10 +100,10 @@ func (p *Program) ExportSymbol(bundleLocal, sym string) (string, error) {
 func Elaborate(reg *Registry, topName string, sources Sources) (*Program, error) {
 	top, ok := reg.Units[topName]
 	if !ok {
-		return nil, &Err{Msg: fmt.Sprintf("unknown unit %q", topName)}
+		return nil, diag.Errorf(diag.Pos{}, "unknown unit %q", topName)
 	}
 	if len(top.Imports) > 0 {
-		return nil, errAt(top.Pos, "top unit %s has unsatisfied imports (%d); link it inside a compound unit",
+		return nil, diag.Errorf(top.Pos, "top unit %s has unsatisfied imports (%d); link it inside a compound unit",
 			topName, len(top.Imports))
 	}
 	e := &elab{reg: reg, sources: sources,
@@ -138,15 +139,15 @@ func (e *elab) elaborate(u *lang.Unit, env map[string]*Wire, path string, prog *
 	e.depth++
 	defer func() { e.depth-- }()
 	if e.depth > maxDepth {
-		return nil, errAt(u.Pos, "unit nesting too deep at %s (recursive compound unit?)", path)
+		return nil, diag.Errorf(u.Pos, "unit nesting too deep at %s (recursive compound unit?)", path)
 	}
 	for _, imp := range u.Imports {
 		w, ok := env[imp.Local]
 		if !ok {
-			return nil, errAt(u.Pos, "%s: import %q not supplied", path, imp.Local)
+			return nil, diag.Errorf(u.Pos, "%s: import %q not supplied", path, imp.Local)
 		}
 		if w.Type != imp.Type {
-			return nil, errAt(u.Pos, "%s: import %q has bundle type %s, supplied %s",
+			return nil, diag.Errorf(u.Pos, "%s: import %q has bundle type %s, supplied %s",
 				path, imp.Local, imp.Type, w.Type)
 		}
 	}
@@ -167,19 +168,19 @@ func (e *elab) elaborateCompound(u *lang.Unit, env map[string]*Wire, path string
 	for li, line := range u.Links {
 		child, ok := e.reg.Units[line.Unit]
 		if !ok {
-			return nil, errAt(line.Pos, "%s: unknown unit %q in link", path, line.Unit)
+			return nil, diag.Errorf(line.Pos, "%s: unknown unit %q in link", path, line.Unit)
 		}
 		if len(line.Outs) != len(child.Exports) {
-			return nil, errAt(line.Pos, "%s: unit %s exports %d bundles, link line binds %d",
+			return nil, diag.Errorf(line.Pos, "%s: unit %s exports %d bundles, link line binds %d",
 				path, line.Unit, len(child.Exports), len(line.Outs))
 		}
 		if len(line.Ins) != len(child.Imports) {
-			return nil, errAt(line.Pos, "%s: unit %s imports %d bundles, link line supplies %d",
+			return nil, diag.Errorf(line.Pos, "%s: unit %s imports %d bundles, link line supplies %d",
 				path, line.Unit, len(child.Imports), len(line.Ins))
 		}
 		for oi, out := range line.Outs {
 			if _, dup := scope[out]; dup {
-				return nil, errAt(line.Pos, "%s: name %q bound twice in compound unit %s (line %d)",
+				return nil, diag.Errorf(line.Pos, "%s: name %q bound twice in compound unit %s (line %d)",
 					path, out, u.Name, li+1)
 			}
 			scope[out] = &Wire{Type: child.Exports[oi].Type}
@@ -192,7 +193,7 @@ func (e *elab) elaborateCompound(u *lang.Unit, env map[string]*Wire, path string
 		for ii, argName := range line.Ins {
 			w, ok := scope[argName]
 			if !ok {
-				return nil, errAt(line.Pos, "%s: unknown name %q supplied to %s", path, argName, line.Unit)
+				return nil, diag.Errorf(line.Pos, "%s: unknown name %q supplied to %s", path, argName, line.Unit)
 			}
 			childEnv[child.Imports[ii].Local] = w
 		}
@@ -208,7 +209,7 @@ func (e *elab) elaborateCompound(u *lang.Unit, env map[string]*Wire, path string
 			dst.Bundle = src.Bundle
 			// Type already set; verify agreement.
 			if src.Type != dst.Type {
-				return nil, errAt(line.Pos, "%s: export type mismatch for %q: %s vs %s",
+				return nil, diag.Errorf(line.Pos, "%s: export type mismatch for %q: %s vs %s",
 					path, out, src.Type, dst.Type)
 			}
 		}
@@ -218,10 +219,10 @@ func (e *elab) elaborateCompound(u *lang.Unit, env map[string]*Wire, path string
 	for _, exp := range u.Exports {
 		w, ok := scope[exp.Local]
 		if !ok {
-			return nil, errAt(u.Pos, "%s: exported name %q is not bound in the link section", path, exp.Local)
+			return nil, diag.Errorf(u.Pos, "%s: exported name %q is not bound in the link section", path, exp.Local)
 		}
 		if w.Type != exp.Type {
-			return nil, errAt(u.Pos, "%s: export %q has type %s, bound value has type %s",
+			return nil, diag.Errorf(u.Pos, "%s: export %q has type %s, bound value has type %s",
 				path, exp.Local, exp.Type, w.Type)
 		}
 		out[exp.Local] = w
@@ -231,7 +232,7 @@ func (e *elab) elaborateCompound(u *lang.Unit, env map[string]*Wire, path string
 
 func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, prog *Program) (map[string]*Wire, error) {
 	if len(u.Files) == 0 {
-		return nil, errAt(u.Pos, "%s: atomic unit %s has no files", path, u.Name)
+		return nil, diag.Errorf(u.Pos, "%s: atomic unit %s has no files", path, u.Name)
 	}
 	inst := &Instance{
 		ID:          e.nextID,
@@ -254,7 +255,7 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 	for _, exp := range u.Exports {
 		bt := e.reg.BundleTypes[exp.Type]
 		if bt == nil {
-			return nil, errAt(exp.Pos, "%s: unknown bundle type %q", path, exp.Type)
+			return nil, diag.Errorf(exp.Pos, "%s: unknown bundle type %q", path, exp.Type)
 		}
 		syms := map[string]string{}
 		for _, s := range bt.Syms {
@@ -272,7 +273,7 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 	for _, fname := range u.Files {
 		src, ok := e.sources[fname]
 		if !ok {
-			return nil, errAt(u.Pos, "%s: source file %q not provided", path, fname)
+			return nil, diag.Errorf(u.Pos, "%s: source file %q not provided", path, fname)
 		}
 		if strings.HasSuffix(fname, ".s") {
 			base, ok := e.assembled[fname]
@@ -319,17 +320,17 @@ func (e *elab) resolveDepends(u *lang.Unit, inst *Instance, path string) error {
 	initByFunc := map[string]*Init{}
 	for _, d := range u.Inits {
 		if !exportLocals[d.Bundle] {
-			return errAt(d.Pos, "%s: %s %q is for unknown export bundle %q",
+			return diag.Errorf(d.Pos, "%s: %s %q is for unknown export bundle %q",
 				path, initOrFin(d.Finalizer), d.Func, d.Bundle)
 		}
 		if _, dup := initByFunc[d.Func]; dup {
-			return errAt(d.Pos, "%s: duplicate initializer/finalizer %q", path, d.Func)
+			return diag.Errorf(d.Pos, "%s: duplicate initializer/finalizer %q", path, d.Func)
 		}
 		ini := &Init{Func: d.Func, Bundle: d.Bundle, Finalizer: d.Finalizer}
 		inst.Inits = append(inst.Inits, ini)
 		initByFunc[d.Func] = ini
 	}
-	expandRHS := func(rhs []string, pos lang.Pos) ([]string, error) {
+	expandRHS := func(rhs []string, pos diag.Pos) ([]string, error) {
 		var out []string
 		for _, t := range rhs {
 			if t == lang.ImportsKeyword {
@@ -339,7 +340,7 @@ func (e *elab) resolveDepends(u *lang.Unit, inst *Instance, path string) error {
 				continue
 			}
 			if !importLocals[t] {
-				return nil, errAt(pos, "%s: depends right-hand side %q is not an import", path, t)
+				return nil, diag.Errorf(pos, "%s: depends right-hand side %q is not an import", path, t)
 			}
 			out = append(out, t)
 		}
@@ -367,7 +368,7 @@ func (e *elab) resolveDepends(u *lang.Unit, inst *Instance, path string) error {
 			case initByFunc[t] != nil:
 				initByFunc[t].Needs = appendUnique(initByFunc[t].Needs, rhs)
 			default:
-				return errAt(d.Pos, "%s: depends left-hand side %q is neither an export bundle nor an initializer", path, t)
+				return diag.Errorf(d.Pos, "%s: depends left-hand side %q is neither an export bundle nor an initializer", path, t)
 			}
 		}
 	}
@@ -417,7 +418,7 @@ func cidentMap(reg *Registry, u *lang.Unit) (map[bkey]string, error) {
 	}
 	for _, r := range u.Renames {
 		if !valid[r.Bundle] {
-			return nil, errAt(r.Pos, "unit %s: rename of unknown bundle %q", u.Name, r.Bundle)
+			return nil, diag.Errorf(r.Pos, "unit %s: rename of unknown bundle %q", u.Name, r.Bundle)
 		}
 		renames[bkey{r.Bundle, r.Sym}] = r.To
 	}
@@ -427,7 +428,7 @@ func cidentMap(reg *Registry, u *lang.Unit) (map[bkey]string, error) {
 		for _, b := range bs {
 			bt, ok := reg.BundleTypes[b.Type]
 			if !ok {
-				return errAt(b.Pos, "unit %s: unknown bundle type %q", u.Name, b.Type)
+				return diag.Errorf(b.Pos, "unit %s: unknown bundle type %q", u.Name, b.Type)
 			}
 			for _, s := range bt.Syms {
 				id := s
@@ -435,7 +436,7 @@ func cidentMap(reg *Registry, u *lang.Unit) (map[bkey]string, error) {
 					id = to
 				}
 				if prev, clash := owner[id]; clash {
-					return errAt(b.Pos,
+					return diag.Errorf(b.Pos,
 						"unit %s: C identifier %q is claimed by both %s.%s and %s.%s — add a rename",
 						u.Name, id, prev.local, prev.sym, b.Local, s)
 				}
@@ -454,7 +455,7 @@ func cidentMap(reg *Registry, u *lang.Unit) (map[bkey]string, error) {
 	// Verify rename targets referenced real bundle symbols.
 	for k := range renames {
 		if _, ok := out[k]; !ok {
-			return nil, errAt(u.Pos, "unit %s: rename of %s.%s does not match any bundle symbol",
+			return nil, diag.Errorf(u.Pos, "unit %s: rename of %s.%s does not match any bundle symbol",
 				u.Name, k.local, k.sym)
 		}
 	}
@@ -480,14 +481,14 @@ func (e *elab) resolveSymbols(prog *Program) error {
 		for _, imp := range u.Imports {
 			w := inst.ImportWires[imp.Local]
 			if w == nil || w.Provider == nil {
-				return errAt(imp.Pos, "%s: import %q left unwired", inst.Path, imp.Local)
+				return diag.Errorf(imp.Pos, "%s: import %q left unwired", inst.Path, imp.Local)
 			}
 			bt := e.reg.BundleTypes[imp.Type]
 			for _, s := range bt.Syms {
 				id := cidents[bkey{imp.Local, s}]
 				target, ok := w.Provider.ExportSyms[w.Bundle][s]
 				if !ok {
-					return errAt(imp.Pos, "%s: provider %s has no symbol %q in bundle %q",
+					return diag.Errorf(imp.Pos, "%s: provider %s has no symbol %q in bundle %q",
 						inst.Path, w.Provider.Path, s, w.Bundle)
 				}
 				mapping[id] = target
@@ -530,11 +531,11 @@ func (e *elab) resolveSymbols(prog *Program) error {
 		// Every export identifier must be defined by the unit's code.
 		for id := range exportIdents {
 			if !definedGlobal[id] {
-				return errAt(u.Pos, "%s: export symbol %q is not defined by files %v",
+				return diag.Errorf(u.Pos, "%s: export symbol %q is not defined by files %v",
 					inst.Path, id, u.Files)
 			}
 			if importIdents[id] {
-				return errAt(u.Pos, "%s: identifier %q is both imported and exported — add a rename", inst.Path, id)
+				return diag.Errorf(u.Pos, "%s: identifier %q is both imported and exported — add a rename", inst.Path, id)
 			}
 		}
 		// Hidden names: defined, not exported. They get suffixed so that
@@ -545,7 +546,7 @@ func (e *elab) resolveSymbols(prog *Program) error {
 				continue
 			}
 			if importIdents[name] {
-				return errAt(u.Pos, "%s: identifier %q is defined locally but also bound to an import", inst.Path, name)
+				return diag.Errorf(u.Pos, "%s: identifier %q is defined locally but also bound to an import", inst.Path, name)
 			}
 			mapping[name] = name + suffix
 		}
@@ -582,7 +583,7 @@ func (e *elab) resolveSymbols(prog *Program) error {
 				if strings.HasPrefix(ref, AmbientPrefix) {
 					continue
 				}
-				return errAt(u.Pos,
+				return diag.Errorf(u.Pos,
 					"%s: file %s uses symbol %q which is neither defined by the unit nor bound to an import",
 					inst.Path, f.Name, ref)
 			}
@@ -606,7 +607,7 @@ func (e *elab) resolveSymbols(prog *Program) error {
 					strings.HasPrefix(s.Name, AmbientPrefix) {
 					continue
 				}
-				return errAt(u.Pos,
+				return diag.Errorf(u.Pos,
 					"%s: assembly file %s uses symbol %q which is neither defined by the unit nor bound to an import",
 					inst.Path, o.Name, s.Name)
 			}
@@ -617,7 +618,7 @@ func (e *elab) resolveSymbols(prog *Program) error {
 		for _, ini := range inst.Inits {
 			global, ok := mapping[ini.Func]
 			if !ok || !definedGlobal[ini.Func] {
-				return errAt(u.Pos, "%s: %s %q is not defined by the unit's files",
+				return diag.Errorf(u.Pos, "%s: %s %q is not defined by the unit's files",
 					inst.Path, initOrFin(ini.Finalizer), ini.Func)
 			}
 			ini.GlobalName = global

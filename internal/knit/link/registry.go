@@ -7,8 +7,7 @@
 package link
 
 import (
-	"fmt"
-
+	"knit/internal/diag"
 	"knit/internal/knit/lang"
 )
 
@@ -32,45 +31,28 @@ func NewRegistry(files ...*lang.File) (*Registry, error) {
 	for _, f := range files {
 		for _, bt := range f.BundleTypes {
 			if _, dup := r.BundleTypes[bt.Name]; dup {
-				return nil, &Err{Pos: bt.Pos, Msg: fmt.Sprintf("bundletype %q redefined", bt.Name)}
+				return nil, diag.Errorf(bt.Pos, "bundletype %q redefined", bt.Name)
 			}
 			r.BundleTypes[bt.Name] = bt
 		}
 		for _, fs := range f.FlagSets {
 			if _, dup := r.FlagSets[fs.Name]; dup {
-				return nil, &Err{Pos: fs.Pos, Msg: fmt.Sprintf("flags %q redefined", fs.Name)}
+				return nil, diag.Errorf(fs.Pos, "flags %q redefined", fs.Name)
 			}
 			r.FlagSets[fs.Name] = fs
 		}
 		for _, pr := range f.Properties {
 			if _, dup := r.Properties[pr.Name]; dup {
-				return nil, &Err{Pos: pr.Pos, Msg: fmt.Sprintf("property %q redefined", pr.Name)}
+				return nil, diag.Errorf(pr.Pos, "property %q redefined", pr.Name)
 			}
 			r.Properties[pr.Name] = pr
 		}
 		for _, u := range f.Units {
 			if _, dup := r.Units[u.Name]; dup {
-				return nil, &Err{Pos: u.Pos, Msg: fmt.Sprintf("unit %q redefined", u.Name)}
+				return nil, diag.Errorf(u.Pos, "unit %q redefined", u.Name)
 			}
 			r.Units[u.Name] = u
 		}
 	}
 	return r, nil
-}
-
-// Err is an elaboration error with a unit-file position.
-type Err struct {
-	Pos lang.Pos
-	Msg string
-}
-
-func (e *Err) Error() string {
-	if e.Pos.Line == 0 {
-		return "knit: " + e.Msg
-	}
-	return fmt.Sprintf("%s: %s", e.Pos, e.Msg)
-}
-
-func errAt(pos lang.Pos, format string, args ...any) error {
-	return &Err{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }

@@ -12,6 +12,9 @@
 //     interposition, applied fleet-wide via supervise.DegradeAll) —
 //     degrade the work before shedding Normal traffic; restore when
 //     pressure falls below BrownoutClearAt.
+//
+// LowWater, HighWater, BrownoutAt and BrownoutClearAt are package
+// constants, documented where they are declared.
 //  3. Per-shard circuit breakers: each shard's windowed trap rate and
 //     cycle p99 (observe.Window over Shard.HealthSample) is judged
 //     against its closed siblings by the shared observe.SLO judge — the
@@ -65,21 +68,25 @@ func (c Class) String() string {
 	return "class?"
 }
 
+// The pressure thresholds of admission and brownout.
+const (
+	// LowWater is the target-shard pressure (fleet.Pressure, queue
+	// occupancy in [0,1]) above which Low traffic is shed.
+	LowWater = 0.5
+	// HighWater is the pressure above which Normal traffic is shed. It
+	// stays above BrownoutAt: brownout must engage before Normal traffic
+	// is refused.
+	HighWater = 0.9
+	// BrownoutAt is the mean fleet pressure that engages brownout;
+	// BrownoutClearAt is where it disengages. The gap is hysteresis
+	// against flapping.
+	BrownoutAt      = 0.75
+	BrownoutClearAt = 0.4
+)
+
 // Config shapes the controller. Zero fields take the documented
 // defaults; the zero value is a usable configuration.
 type Config struct {
-	// LowWater is the target-shard pressure (fleet.Pressure, queue
-	// occupancy in [0,1]) above which Low traffic is shed (default 0.5).
-	LowWater float64
-	// HighWater is the pressure above which Normal traffic is shed
-	// (default 0.9). Keep it above BrownoutAt: brownout must engage
-	// before Normal traffic is refused.
-	HighWater float64
-	// BrownoutAt is the mean fleet pressure that engages brownout
-	// (default 0.75); BrownoutClearAt is where it disengages (default
-	// 0.4). The gap is hysteresis against flapping.
-	BrownoutAt      float64
-	BrownoutClearAt float64
 	// SLO parameterizes the per-shard circuit breakers: each shard's
 	// sliding window is judged against the sum of its closed siblings'
 	// windows. PromoteAfter doubles as the half-open close threshold.
@@ -101,18 +108,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.LowWater == 0 {
-		c.LowWater = 0.5
-	}
-	if c.HighWater == 0 {
-		c.HighWater = 0.9
-	}
-	if c.BrownoutAt == 0 {
-		c.BrownoutAt = 0.75
-	}
-	if c.BrownoutClearAt == 0 {
-		c.BrownoutClearAt = 0.4
-	}
 	c.SLO = c.SLO.WithDefaults()
 	if c.TripAfter <= 0 {
 		c.TripAfter = 2
@@ -268,7 +263,7 @@ func (c *Controller[T]) submit(flow uint64, class Class, item T, deadline time.T
 // budget). Refusals are shed and counted.
 func (c *Controller[T]) admit(target int, class Class, item T, deadline time.Time) bool {
 	p := c.fl.Pressure(target)
-	if (class == Low && p >= c.cfg.LowWater) || (class == Normal && p >= c.cfg.HighWater) {
+	if (class == Low && p >= LowWater) || (class == Normal && p >= HighWater) {
 		c.shed(class)
 		return false
 	}
@@ -369,7 +364,7 @@ func (c *Controller[T]) flushParked(e *entry[T], id int) bool {
 	for ; i < len(e.parked); i++ {
 		pi := e.parked[i]
 		p := c.fl.Pressure(id)
-		if (pi.class == Low && p >= c.cfg.LowWater) || (pi.class == Normal && p >= c.cfg.HighWater) {
+		if (pi.class == Low && p >= LowWater) || (pi.class == Normal && p >= HighWater) {
 			c.shed(pi.class)
 			continue
 		}
@@ -433,10 +428,10 @@ func (c *Controller[T]) tickBrownout(shs []*fleet.Shard[T]) {
 		mean += c.fl.Pressure(i)
 	}
 	mean /= float64(c.shards)
-	if !c.brownout && mean >= c.cfg.BrownoutAt {
+	if !c.brownout && mean >= BrownoutAt {
 		c.brownout = true
 		c.stats.BrownoutEngaged++
-	} else if c.brownout && mean <= c.cfg.BrownoutClearAt {
+	} else if c.brownout && mean <= BrownoutClearAt {
 		c.brownout = false
 		c.stats.BrownoutCleared++
 	}

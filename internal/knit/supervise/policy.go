@@ -5,6 +5,9 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+
+	"knit/internal/diag"
 )
 
 // Policy is the declarative restart policy a supervisor applies to
@@ -123,10 +126,12 @@ func (p *Policy) backoffFor(unit string) (base, max time.Duration) {
 // Unknown keys are errors; '#' starts a comment; blank lines are
 // ignored. A "[unit NAME]" header scopes the keys after it to that
 // unit (only max_restarts, base_backoff, and max_backoff may be
-// overridden per unit).
-func Parse(text string) (*Policy, error) {
+// overridden per unit). Errors are *diag.Error values positioned at the
+// line they are about, in the file named file.
+func Parse(file, text string) (*Policy, error) {
 	p := Default()
-	var unit string // "" = global section
+	var unit string                 // "" = global section
+	global := map[string]diag.Pos{} // where each global key was set
 	for lineNo, raw := range strings.Split(text, "\n") {
 		line := raw
 		if i := strings.IndexByte(line, '#'); i >= 0 {
@@ -136,9 +141,8 @@ func Parse(text string) (*Policy, error) {
 		if line == "" {
 			continue
 		}
-		fail := func(format string, args ...any) error {
-			return fmt.Errorf("policy line %d: %s", lineNo+1, fmt.Sprintf(format, args...))
-		}
+		at := diag.Pos{File: file, Line: lineNo + 1, Col: len(raw) - len(strings.TrimLeftFunc(raw, unicode.IsSpace)) + 1}
+		fail := func(format string, args ...any) error { return diag.Errorf(at, format, args...) }
 		if strings.HasPrefix(line, "[") {
 			if !strings.HasSuffix(line, "]") {
 				return nil, fail("unterminated section header %q", line)
@@ -164,88 +168,81 @@ func Parse(text string) (*Policy, error) {
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		if unit == "" {
 			if err := p.setGlobal(key, val); err != nil {
-				return nil, fail("%v", err)
+				return nil, &diag.Error{Pos: at, Err: err}
 			}
+			global[key] = at
 			continue
 		}
 		o := p.Units[unit]
 		if err := setOverride(&o, key, val); err != nil {
-			return nil, fail("unit %s: %v", unit, err)
+			return nil, fail("unit %s: %w", unit, err)
 		}
 		p.Units[unit] = o
 	}
 	if p.MaxBackoff < p.BaseBackoff {
-		return nil, fmt.Errorf("policy: max_backoff %v < base_backoff %v", p.MaxBackoff, p.BaseBackoff)
+		at, ok := global["max_backoff"]
+		if !ok {
+			at = global["base_backoff"]
+		}
+		return nil, diag.Errorf(at, "max_backoff %v < base_backoff %v", p.MaxBackoff, p.BaseBackoff)
 	}
 	return p, nil
 }
 
-func (p *Policy) setGlobal(key, val string) error {
+func (p *Policy) setGlobal(key, val string) (err error) {
 	switch key {
 	case "max_restarts":
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 0 {
-			return fmt.Errorf("max_restarts must be a non-negative integer, got %q", val)
-		}
-		p.MaxRestarts = n
+		p.MaxRestarts, err = count[int](key, val)
 	case "window":
-		d, err := time.ParseDuration(val)
-		if err != nil || d < 0 {
-			return fmt.Errorf("window must be a non-negative duration, got %q", val)
-		}
-		p.Window = d
+		p.Window, err = span(key, val)
 	case "base_backoff":
-		d, err := time.ParseDuration(val)
-		if err != nil || d < 0 {
-			return fmt.Errorf("base_backoff must be a non-negative duration, got %q", val)
-		}
-		p.BaseBackoff = d
+		p.BaseBackoff, err = span(key, val)
 	case "max_backoff":
-		d, err := time.ParseDuration(val)
-		if err != nil || d < 0 {
-			return fmt.Errorf("max_backoff must be a non-negative duration, got %q", val)
-		}
-		p.MaxBackoff = d
+		p.MaxBackoff, err = span(key, val)
 	case "jitter_seed":
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			return fmt.Errorf("jitter_seed must be an integer, got %q", val)
+		if p.JitterSeed, err = strconv.ParseInt(val, 10, 64); err != nil {
+			err = fmt.Errorf("jitter_seed must be an integer, got %q", val)
 		}
-		p.JitterSeed = n
 	case "watchdog_fuel":
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil || n < 0 {
-			return fmt.Errorf("watchdog_fuel must be a non-negative integer, got %q", val)
-		}
-		p.WatchdogFuel = n
+		p.WatchdogFuel, err = count[int64](key, val)
 	default:
-		return fmt.Errorf("unknown key %q", key)
+		err = fmt.Errorf("unknown key %q", key)
 	}
-	return nil
+	return err
 }
 
 func setOverride(o *UnitOverride, key, val string) error {
 	switch key {
 	case "max_restarts":
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 0 {
-			return fmt.Errorf("max_restarts must be a non-negative integer, got %q", val)
-		}
+		n, err := count[int](key, val)
 		o.MaxRestarts = &n
+		return err
 	case "base_backoff":
-		d, err := time.ParseDuration(val)
-		if err != nil || d < 0 {
-			return fmt.Errorf("base_backoff must be a non-negative duration, got %q", val)
-		}
+		d, err := span(key, val)
 		o.BaseBackoff = &d
+		return err
 	case "max_backoff":
-		d, err := time.ParseDuration(val)
-		if err != nil || d < 0 {
-			return fmt.Errorf("max_backoff must be a non-negative duration, got %q", val)
-		}
+		d, err := span(key, val)
 		o.MaxBackoff = &d
-	default:
-		return fmt.Errorf("key %q cannot be set per unit", key)
+		return err
 	}
-	return nil
+	return fmt.Errorf("key %q cannot be set per unit", key)
+}
+
+// count parses the value of a key that takes a non-negative integer.
+func count[T int | int64](key, val string) (T, error) {
+	n, err := strconv.ParseInt(val, 10, 64)
+	if err != nil || n < 0 || int64(T(n)) != n {
+		return 0, fmt.Errorf("%s must be a non-negative integer, got %q", key, val)
+	}
+	return T(n), nil
+}
+
+// span parses the value of a key that takes a non-negative duration.
+func span(key, val string) (time.Duration, error) {
+	d, err := time.ParseDuration(val)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("%s must be a non-negative duration, got %q", key, val)
+	}
+	return d, nil
 }

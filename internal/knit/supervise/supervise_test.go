@@ -1,11 +1,13 @@
 package supervise
 
 import (
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"knit/internal/diag/diagtest"
 	"knit/internal/knit/build"
 	"knit/internal/knit/build/faultinject"
 	"knit/internal/knit/link"
@@ -375,7 +377,7 @@ func TestBackoffScheduleDeterministic(t *testing.T) {
 }
 
 func TestPolicyParse(t *testing.T) {
-	pol, err := Parse(`
+	pol, err := Parse("p.conf", `
 # global knobs
 max_restarts = 3
 window = 30s
@@ -404,21 +406,55 @@ base_backoff = 1ms
 		t.Errorf("Classifier backoff = %v/%v, want 1ms/2s", base, max)
 	}
 
-	bad := []struct{ name, text string }{
-		{"unknown key", "frobnicate = 1\n"},
-		{"bad duration", "window = soon\n"},
-		{"negative", "max_restarts = -1\n"},
-		{"per-unit window", "[unit X]\nwindow = 1s\n"},
-		{"dup section", "[unit X]\n[unit X]\n"},
-		{"bad header", "[service X]\n"},
-		{"no equals", "max_restarts 3\n"},
-		{"inverted backoff", "base_backoff = 1s\nmax_backoff = 1ms\n"},
-	}
-	for _, tc := range bad {
-		if _, err := Parse(tc.text); err == nil {
+	for _, tc := range badPolicies {
+		_, err := Parse("p.conf", tc.text)
+		if err == nil {
 			t.Errorf("%s: Parse accepted %q", tc.name, tc.text)
+			continue
+		}
+		if got := diagtest.At(t, err, tc.text); got != tc.pos {
+			t.Errorf("%s: error %q at %s, want %s", tc.name, err, got, tc.pos)
 		}
 	}
+}
+
+// badPolicies are policy files Parse refuses, with where each error
+// points.
+var badPolicies = []struct{ name, text, pos string }{
+	{"unknown key", "frobnicate = 1\n", "1:1"},
+	{"bad duration", "window = soon\n", "1:1"},
+	{"negative", "max_restarts = -1\n", "1:1"},
+	{"per-unit window", "[unit X]\nwindow = 1s\n", "2:1"},
+	{"dup section", "[unit X]\n[unit X]\n", "2:1"},
+	{"bad header", "[service X]\n", "1:1"},
+	{"no equals", "max_restarts 3\n", "1:1"},
+	{"inverted backoff", "base_backoff = 1s\nmax_backoff = 1ms\n", "2:1"},
+	{"inverted backoff, max first", "max_backoff = 1ms\nbase_backoff = 1s\n", "1:1"},
+	{"inverted default max", "# slow\n  base_backoff = 2s\n", "2:3"},
+	{"indented override", "[unit X]\n\tmax_restarts = x # one\n", "2:2"},
+}
+
+// FuzzPolicy: any text either parses into a policy whose backoff is not
+// inverted, or is refused with an error positioned inside it.
+func FuzzPolicy(f *testing.F) {
+	committed, err := os.ReadFile("../../../examples/supervise/policy.conf")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(committed))
+	for _, tc := range badPolicies {
+		f.Add(tc.text)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := Parse("fuzz.conf", text)
+		if err != nil {
+			diagtest.At(t, err, text)
+			return
+		}
+		if p.MaxBackoff < p.BaseBackoff {
+			t.Fatalf("accepted an inverted backoff %v < %v", p.MaxBackoff, p.BaseBackoff)
+		}
+	})
 }
 
 func TestStateStringExhaustive(t *testing.T) {
