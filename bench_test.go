@@ -262,16 +262,17 @@ func mustCompile(b *testing.B, name, src string) *obj.File {
 
 // ---- the supervised serving path ----
 
-// BenchmarkServeSupervised runs clack.ServeSupervised over b.N packets
-// of DefaultTraffic on each engine and reports host ns/packet. Each
-// packet is one supervised kmain(1) with a collector attached: a fleet
-// shard's per-packet path, without perfbench's fleet. The timed region
-// is all of ServeSupervised, so it also holds generating the traffic
-// (every packet's payload), creating the machine, installing the
-// devices and running the initializers — a few percent of the profile,
-// nearly all of it generation (see EXPERIMENTS.md). Profile it with
-// -cpuprofile to see where a served packet's time goes.
+// BenchmarkServeSupervised serves b.N packets of DefaultFlowTraffic
+// through a one-shard clack.ServeFleet on each engine and reports host
+// ns/packet. Each packet is one supervised turn call with a collector
+// attached: a fleet shard's per-packet path, without perfbench's rig.
+// The timed region is all of ServeFleet, so it also holds generating
+// the traffic (every packet's payload), the fleet's batch hand-off to
+// the shard goroutine, booting the shard from the post-init snapshot
+// and installing its devices. Profile it with -cpuprofile to see where
+// a served packet's time goes.
 func BenchmarkServeSupervised(b *testing.B) {
+	clk := func(int) supervise.Clock { return supervise.NewFakeClock() }
 	for _, backend := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
 		b.Run(backend.String(), func(b *testing.B) {
 			res, err := clack.BuildRouterTuned(clack.Variant{}, func(o *build.Options) { o.Backend = backend })
@@ -280,7 +281,7 @@ func BenchmarkServeSupervised(b *testing.B) {
 			}
 			packets := max(b.N, 50)
 			b.ResetTimer()
-			rep, err := clack.ServeSupervised(res, clack.DefaultTraffic(packets), nil, supervise.NewFakeClock(), 0)
+			rep, err := clack.ServeFleet(res, clack.DefaultFlowTraffic(packets), 1, nil, clk, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

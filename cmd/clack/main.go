@@ -100,10 +100,11 @@ func main() {
 }
 
 // runSupervised is the degraded-mode soak: the modular router serves
-// synthetic traffic under the supervisor while fault injection kills a
-// classifier element every N packets. Each serving run must sustain
-// >= 90% goodput and converge (every instance healthy or
-// degraded-to-fallback); a soak repeats runs for the given duration and
+// synthetic flow traffic on a one-shard fleet under the supervisor
+// while fault injection kills a classifier element every N packets.
+// Each serving run must sustain >= 90% goodput, converge (every
+// instance healthy or degraded-to-fallback) and transmit nothing
+// malformed; a soak repeats runs for the given duration and
 // additionally checks that supervision leaks no goroutines.
 func runSupervised(packets, faultEvery int, soak time.Duration, metrics bool, backend machine.Backend) {
 	res, err := clack.BuildRouter(clack.Variant{})
@@ -112,33 +113,38 @@ func runSupervised(packets, faultEvery int, soak time.Duration, metrics bool, ba
 	}
 	res.Backend = backend
 	baseline := runtime.NumGoroutine()
-	spec := clack.DefaultTraffic(packets)
+	spec := clack.DefaultFlowTraffic(packets)
 	pol := supervise.Default()
+	clk := func(int) supervise.Clock { return supervise.Wall() }
 	runs, totalFaults := 0, 0
 	deadline := time.Now().Add(soak)
 	var lastDump time.Time
 	for {
-		rep, err := clack.ServeSupervised(res, spec, pol, supervise.Wall(), faultEvery)
+		rep, err := clack.ServeFleet(res, spec, 1, pol, clk, faultEvery)
 		if err != nil {
 			fail(err)
 		}
 		runs++
-		totalFaults += rep.Faults
+		faults, statuses := rep.PerShard[0].Faults, rep.Statuses[0]
+		totalFaults += faults
 		if rep.Goodput < 0.90 {
 			fail(fmt.Errorf("run %d: goodput %.4f below 0.90", runs, rep.Goodput))
 		}
 		if !rep.Converged {
 			fail(fmt.Errorf("run %d: router did not converge", runs))
 		}
-		for _, st := range rep.Statuses {
+		if rep.TxBad != 0 {
+			fail(fmt.Errorf("run %d: %d malformed transmissions", runs, rep.TxBad))
+		}
+		for _, st := range statuses {
 			if st.State != supervise.Healthy && st.State != supervise.Degraded {
 				fail(fmt.Errorf("run %d: %s ended %s", runs, st.Path, st.State))
 			}
 		}
 		if runs == 1 {
 			fmt.Printf("clack supervised: %d packets, fault every %d, goodput %.4f, %d faults handled\n",
-				rep.Stats.Rx[0]+rep.Stats.Rx[1], faultEvery, rep.Goodput, rep.Faults)
-			for _, st := range rep.Statuses {
+				rep.Rx, faultEvery, rep.Goodput, faults)
+			for _, st := range statuses {
 				if st.Failures > 0 {
 					fmt.Printf("  %-40s %-20s restarts %d, swaps %d, via %s\n",
 						st.Path, st.State, st.Restarts, st.Swaps, st.ActiveModule)
@@ -191,6 +197,9 @@ func runFleet(shards, packets, faultEvery int, metrics bool, backend machine.Bac
 	}
 	if !rep.Converged {
 		fail(fmt.Errorf("fleet did not converge"))
+	}
+	if rep.TxBad != 0 {
+		fail(fmt.Errorf("%d malformed transmissions", rep.TxBad))
 	}
 	if metrics && rep.Metrics != nil {
 		fmt.Println("clack fleet metrics (all shards merged):")
@@ -250,6 +259,9 @@ func runOverload(shards, packets int, multiple float64, killEvery int, backend m
 	if killEvery > 0 && rep.Respawns == 0 {
 		fail(fmt.Errorf("soak too tame: no respawns with kill-every %d", killEvery))
 	}
+	if rep.TxBad != 0 {
+		fail(fmt.Errorf("%d malformed transmissions under overload", rep.TxBad))
+	}
 	runtime.GC()
 	if g := runtime.NumGoroutine(); g > baseline {
 		fail(fmt.Errorf("goroutine leak: %d before overload run, %d after", baseline, g))
@@ -295,6 +307,9 @@ func runFleetUpgrade(shards, packets, canaries int, bad, metrics bool, backend m
 	if metrics && rep.Metrics != nil {
 		fmt.Println("clack upgrade metrics (all shards merged):")
 		rep.Metrics.Format(os.Stdout)
+	}
+	if rep.TxBad != 0 {
+		fail(fmt.Errorf("%d malformed transmissions during the upgrade", rep.TxBad))
 	}
 	if bad {
 		if !rep.RolledBack {

@@ -86,18 +86,18 @@ func runRecovery() {
 	}
 	pol := supervise.Default()
 	pol.BaseBackoff = 0
+	clk := func(int) supervise.Clock { return supervise.Wall() }
 	byMode := map[string][]time.Duration{}
 	const trials = 30
 	for i := 0; i < trials; i++ {
-		rep, err := clack.ServeSupervised(res, clack.DefaultTraffic(1000), pol,
-			supervise.Wall(), 50)
+		rep, err := clack.ServeFleet(res, clack.DefaultFlowTraffic(1000), 1, pol, clk, 50)
 		if err != nil {
 			fail(err)
 		}
 		if rep.Goodput < 0.90 || !rep.Converged {
 			fail(fmt.Errorf("trial %d: goodput %.4f converged=%v", i, rep.Goodput, rep.Converged))
 		}
-		for _, r := range rep.Recoveries {
+		for _, r := range rep.Recoveries[0] {
 			byMode[r.Mode] = append(byMode[r.Mode], r.Latency)
 		}
 	}

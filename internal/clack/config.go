@@ -287,6 +287,60 @@ func (g *Graph) Counters() []*Element {
 	return out
 }
 
+// laneStep is one source the router driver polls: its step function and
+// the device lane it reads.
+type laneStep struct {
+	fn   string
+	lane int
+}
+
+// routerDriver generates the RouterDriver unit over its sources, in poll
+// order, and the unit's one file, driver.c. kmain polls every source,
+// running the kernel's between-packet work (os_work) after each poll,
+// until the traffic runs dry. turn serves one lane: one step of that
+// lane's source, then one os_work. A lane is a device number, as in the
+// NIC's ingress queues.
+func routerDriver(steps []laneStep) (unit, src string) {
+	var imports, deps, renames, decls, polls, turns strings.Builder
+	for i, s := range steps {
+		fmt.Fprintf(&imports, "s%d : Step, ", i)
+		fmt.Fprintf(&deps, "s%d + ", i)
+		fmt.Fprintf(&renames, "\n    s%d.step to %s;", i, s.fn)
+		fmt.Fprintf(&decls, "int %s(void);\n", s.fn)
+		fmt.Fprintf(&polls, "        got += %s();\n        os_work();\n", s.fn)
+		fmt.Fprintf(&turns, "    if (lane == %d) { got += %s(); }\n", s.lane, s.fn)
+	}
+	unit = fmt.Sprintf(`
+unit RouterDriver = {
+  imports [ %sosw : OsWork ];
+  exports [ main : Main ];
+  depends { main needs (%sosw); };
+  files { "driver.c" };
+  rename {%s
+  };
+}
+`, imports.String(), deps.String(), renames.String())
+	src = fmt.Sprintf(`%sint os_work(void);
+
+int kmain(int maxiter) {
+    int n = 0;
+    for (int i = 0; i < maxiter; i++) {
+        int got = 0;
+%s        if (got == 0) { break; }
+        n += got;
+    }
+    return n;
+}
+
+int turn(int lane) {
+    int got = 0;
+%s    os_work();
+    return got;
+}
+`, decls.String(), polls.String(), turns.String())
+	return unit, src
+}
+
 // CompileToKnit translates the graph into a Knit compound unit plus a
 // generated driver, returning the unit-language text (to be combined
 // with ElementUnits), the generated sources, and the top unit name.
@@ -299,48 +353,13 @@ func (g *Graph) CompileToKnit(topName string) (units string, sources link.Source
 		return "", nil, "", diag.Errorf(g.end, "configuration has no FromDevice")
 	}
 
-	// Driver unit: polls every source until the traffic runs dry,
-	// running the kernel's between-packet work (OSWork) each iteration.
-	var drvImports, drvRenames, drvDeps []string
-	var drvSrc strings.Builder
-	for i, s := range srcs {
-		drvImports = append(drvImports, fmt.Sprintf("s%d : Step", i))
-		drvRenames = append(drvRenames, fmt.Sprintf("s%d.step to step_%s;", i, s.Name))
-		drvDeps = append(drvDeps, fmt.Sprintf("s%d", i))
-		fmt.Fprintf(&drvSrc, "int step_%s(void);\n", s.Name)
-	}
-	drvImports = append(drvImports, "osw : OsWork")
-	drvDeps = append(drvDeps, "osw")
-	drvSrc.WriteString("int os_work(void);\n")
-	drvSrc.WriteString(`
-int kmain(int maxiter) {
-    int n = 0;
-    for (int i = 0; i < maxiter; i++) {
-        int got = 0;
-`)
+	var steps []laneStep
 	for _, s := range srcs {
-		fmt.Fprintf(&drvSrc, "        got += step_%s();\n", s.Name)
-		drvSrc.WriteString("        os_work();\n")
+		steps = append(steps, laneStep{fn: "step_" + s.Name, lane: s.Arg})
 	}
-	drvSrc.WriteString(`        if (got == 0) { break; }
-        n += got;
-    }
-    return n;
-}
-`)
-	sources["driver.c"] = drvSrc.String()
-	fmt.Fprintf(&b, `
-unit RouterDriver = {
-  imports [ %s ];
-  exports [ main : Main ];
-  depends { main needs (%s); };
-  files { "driver.c" };
-  rename {
-    %s
-  };
-}
-`, strings.Join(drvImports, ", "), strings.Join(drvDeps, " + "),
-		strings.Join(drvRenames, "\n    "))
+	drvUnit, drvSrc := routerDriver(steps)
+	b.WriteString(drvUnit)
+	sources["driver.c"] = drvSrc
 
 	// Compound unit. Each element's input port is bound under its own
 	// name; Step exports as <name>_step; Stat exports as <name>_stat.

@@ -382,13 +382,15 @@ func ElementSources() link.Sources {
 
 // ElementUnits is the unit-language description of the element library.
 // Every element imports its output ports (Push bundles) and exports its
-// input port; FromDevice exports a Step bundle the driver polls.
+// input port; FromDevice exports a Step bundle the driver polls. A
+// driver's Main bundle has two entries: kmain polls every lane until the
+// traffic runs dry, and turn serves one lane once.
 const ElementUnits = `
 bundletype Push   = { push }
 bundletype Step   = { step }
 bundletype DevNo  = { dev_no }
 bundletype Stat   = { counter_read }
-bundletype Main   = { kmain }
+bundletype Main   = { kmain, turn }
 bundletype OsWork = { os_work }
 
 unit OSWork = {

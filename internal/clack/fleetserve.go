@@ -8,6 +8,7 @@ import (
 	"knit/internal/knit/build"
 	"knit/internal/knit/build/faultinject"
 	"knit/internal/knit/fleet"
+	"knit/internal/knit/link"
 	"knit/internal/knit/observe"
 	"knit/internal/knit/supervise"
 	"knit/internal/machine"
@@ -121,8 +122,9 @@ func (spec FlowSpec) Generate() []FlowPacket {
 // every machine generation the shard went through.
 type ShardServeStats struct {
 	Rx, Tx, Dropped int
-	Faults          int // supervised kmain calls that ended in a handled fault
-	Calls           int // supervised kmain calls driven
+	TxBad           int // IP packets transmitted with TTL <= 0
+	Faults          int // supervised turn calls that ended in a handled fault
+	Calls           int // supervised turn calls driven
 	OrderViolations int
 	Restarts        int // supervisor restarts inside the shard
 	Swaps           int // fallback swaps inside the shard
@@ -135,6 +137,7 @@ type FleetReport struct {
 	Rx       int
 	Tx       int
 	Dropped  int
+	TxBad    int     // malformed transmissions, fleet-wide; the router makes none
 	Goodput  float64 // (Tx + Dropped) / Rx, fleet-wide
 	PerShard []ShardServeStats
 	// OrderViolations counts per-flow sequence inversions the
@@ -144,30 +147,41 @@ type FleetReport struct {
 	// Converged reports every shard's supervisor ended with all
 	// instances serving (healthy or degraded), and no shard died.
 	Converged bool
-	Statuses  [][]supervise.InstanceStatus
+	// Statuses and Recoveries are each live shard supervisor's instance
+	// view and fault-to-restored-service measurements, indexed by shard.
+	Statuses   [][]supervise.InstanceStatus
+	Recoveries [][]supervise.RecoveryRecord
 	// Metrics is the fleet-wide roll-up of every shard's collector,
 	// retired generations included.
 	Metrics *observe.Report
 }
 
-// rig is the host side of every sharded serving mode — ServeFleet,
-// ServeFleetUpgrade, ServeOverload and its capacity probe: per-shard NIC
-// queues and generation totals, the fleet-global order oracle, the
-// fault injector and the kill lever, the fleet's Setup and batch
-// handler, and report assembly. A live upgrade or an overload soak
-// therefore serves through exactly the machinery a plain run does.
+// FirstInstanceOf returns the first instance of the named unit in the
+// program's instantiation order, or nil.
+func FirstInstanceOf(res *build.Result, unitName string) *link.Instance {
+	for _, inst := range res.Program.Instances {
+		if inst.Unit.Name == unitName {
+			return inst
+		}
+	}
+	return nil
+}
+
+// rig is the host side of every clack serving mode — ServeFleet (whose
+// one-shard fleet is the supervised router), ServeFleetUpgrade,
+// ServeOverload and its capacity probe: per-shard NIC queues and
+// generation totals, the fleet-global order oracle, the fault injector
+// and the kill lever, the fleet's Setup and handler, and report
+// assembly. A live upgrade or an overload soak therefore serves through
+// exactly the machinery a plain run does.
 type rig struct {
 	fl *fleet.Fleet[FlowPacket]
 	// ios holds each shard's current-generation IO; totals accumulate
 	// retired generations at respawn time (Setup runs again on the same
 	// ID).
-	ios    []*shardIO
-	totals []ShardServeStats
-	oracle *orderOracle
-	// perItem is set when the fleet redelivers: the handler then drives
-	// and acks one packet at a time, so a kill lands between packets and
-	// the replay resumes at the exact packet.
-	perItem    bool
+	ios        []*shardIO
+	totals     []ShardServeStats
+	oracle     *orderOracle
 	faultEvery int
 	victimSym  string
 	// killEvery > 0 kills a shard after every killEvery packets it has
@@ -179,8 +193,9 @@ type rig struct {
 var errShardKilled = errors.New("clack: serving rig killed this shard")
 
 // newRig builds a rig and the fleet it serves. faultEvery > 0 arms a
-// fault injector on shard 0's Classifier; killEvery > 0 arms the kill
-// lever. cfg.Setup is the rig's own.
+// fault injector on shard 0's Classifier: every faultEvery-th call into
+// it traps. killEvery > 0 arms the kill lever. cfg.Setup is the rig's
+// own.
 func newRig(res *build.Result, cfg fleet.Config, faultEvery, killEvery int) (*rig, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("clack: fleet needs at least 1 shard, got %d", cfg.Shards)
@@ -189,7 +204,6 @@ func newRig(res *build.Result, cfg fleet.Config, faultEvery, killEvery int) (*ri
 		ios:        make([]*shardIO, cfg.Shards),
 		totals:     make([]ShardServeStats, cfg.Shards),
 		oracle:     &orderOracle{lastSeq: map[int64]int64{}},
-		perItem:    cfg.RedeliverAttempts > 0,
 		faultEvery: faultEvery,
 		killEvery:  killEvery,
 		sinceKill:  make([]int, cfg.Shards),
@@ -218,6 +232,7 @@ func (rg *rig) retire(id int) {
 	rg.totals[id].Rx += io.stats.Rx[0] + io.stats.Rx[1]
 	rg.totals[id].Tx += io.stats.Tx[0] + io.stats.Tx[1]
 	rg.totals[id].Dropped += io.stats.Dropped
+	rg.totals[id].TxBad += len(io.stats.TxBad)
 	rg.totals[id].Faults += io.faults
 	rg.totals[id].Calls += io.calls
 	rg.totals[id].OrderViolations += io.orderViolations
@@ -240,60 +255,52 @@ func (rg *rig) setup(id int, m *machine.M) error {
 	return nil
 }
 
-// handle feeds the batch into the shard's lanes a chunk at a time,
-// drives kmain until the lanes are dry, and acks each chunk. The chunk
-// is one packet when the fleet redelivers and the whole batch
-// otherwise: kmain(1) polls both lanes and runs os_work after each
-// poll, so a batch-fed shard serves up to two packets per call, and
-// per-packet driving costs 1.3-1.6x the machine instructions per packet.
+// handle serves the batch packet by packet: the packet goes into its
+// flow's lane, supervised turn calls on that lane serve it, and an Ack
+// marks it done, so a kill lands between packets and a replay resumes
+// at the exact packet.
 func (rg *rig) handle(sh *fleet.Shard[FlowPacket], batch []FlowPacket) error {
 	io := rg.ios[sh.ID]
-	chunk := len(batch)
-	if rg.perItem {
-		chunk = 1
-	}
-	for done := 0; done < len(batch); done += chunk {
+	for i, fp := range batch {
 		if rg.killEvery > 0 && rg.sinceKill[sh.ID] >= rg.killEvery {
 			rg.sinceKill[sh.ID] = 0
 			return errShardKilled
 		}
-		next := min(done+chunk, len(batch))
-		for _, fp := range batch[done:next] {
-			lane := fleet.FlowLane(fp.Flow, 2)
-			io.rx[lane] = append(io.rx[lane], fp.Pkt)
-		}
-		// Drive kmain one iteration at a time (a fault costs at most the
-		// packets in flight) until the lanes are dry. The bound mirrors
-		// ServeSupervised: a healthy or degraded shard consumes at least
-		// one packet per iteration; only a machine the supervisor has
-		// given up on (dead instance, every call failing) exhausts it,
-		// and that is exactly the respawn case.
-		limit := io.calls + 4*(next-done) + 64
-		for io.remaining() > 0 {
-			if io.calls >= limit {
-				return fmt.Errorf("no progress after %d kmain calls (%d packets stuck)",
-					limit, io.remaining())
+		lane := fleet.FlowLane(fp.Flow, 2)
+		io.rx[lane] = append(io.rx[lane], fp.Pkt)
+		// One call serves the packet, or loses it to a handled fault. Only
+		// a machine the supervisor has given up on (dead instance, every
+		// call failing) can leave it in the lane for 68 calls, and that is
+		// exactly the respawn case.
+		for calls := 0; io.head[lane] < len(io.rx[lane]); calls++ {
+			if calls == 68 {
+				return fmt.Errorf("no progress after %d turn calls on lane %d", calls, lane)
 			}
 			io.calls++
-			if _, err := sh.Sup.Call("main", "kmain", 1); err != nil {
+			if _, err := sh.Sup.Call("main", "turn", int64(lane)); err != nil {
 				io.faults++
 			}
 		}
-		rg.sinceKill[sh.ID] += next - done
-		sh.Ack(next)
+		rg.sinceKill[sh.ID]++
+		sh.Ack(i + 1)
 	}
 	return nil
 }
 
 // report retires every shard's live generation and rolls the totals up
 // into the fleet's serving report. Call it after the fleet closed, with
-// Close's error.
-func (rg *rig) report(closeErr error) *FleetReport {
+// Close's error. It fails if a live shard's dynamic module tables break
+// their invariants.
+func (rg *rig) report(closeErr error) (*FleetReport, error) {
 	fl := rg.fl
 	rep := &FleetReport{Shards: len(rg.totals), Converged: closeErr == nil}
 	rep.Statuses = fl.Statuses()
 	rep.Metrics = fl.Report()
 	for id, sh := range fl.Shards() {
+		if err := sh.M.CheckDynInvariants(); err != nil {
+			return nil, fmt.Errorf("clack: shard %d after serving: %w", id, err)
+		}
+		rep.Recoveries = append(rep.Recoveries, sh.Sup.Recoveries())
 		rg.retire(id)
 		rg.ios[id] = nil
 		st := rg.totals[id]
@@ -309,19 +316,22 @@ func (rg *rig) report(closeErr error) *FleetReport {
 		rep.Rx += st.Rx
 		rep.Tx += st.Tx
 		rep.Dropped += st.Dropped
+		rep.TxBad += st.TxBad
 		rep.OrderViolations += st.OrderViolations
 	}
 	if rep.Rx > 0 {
 		rep.Goodput = float64(rep.Tx+rep.Dropped) / float64(rep.Rx)
 	}
-	return rep
+	return rep, nil
 }
 
 // ServeFleet serves flow-structured traffic over a sharded router
 // fleet. Every shard runs the same built image; faultEvery > 0 arms a
-// fault injector on shard 0's Classifier only — the blast-radius
-// scenario: that shard's supervisor restarts and then swaps in
-// ClassifierSafe while the siblings' counters stay untouched.
+// fault injector on shard 0's Classifier only. Its supervisor restarts
+// the Classifier per policy, then swaps in ClassifierSafe, and the
+// router keeps forwarding throughout — a one-shard fleet is the
+// degraded-mode serving scenario, a wider one the blast-radius scenario,
+// where the siblings' counters stay untouched.
 func ServeFleet(res *build.Result, spec FlowSpec, shards int, pol *supervise.Policy,
 	clk func(int) supervise.Clock, faultEvery int) (*FleetReport, error) {
 
@@ -332,5 +342,5 @@ func ServeFleet(res *build.Result, spec FlowSpec, shards int, pol *supervise.Pol
 	for _, fp := range spec.Generate() {
 		rg.fl.Submit(fp.Flow, fp)
 	}
-	return rg.report(rg.fl.Close()), nil
+	return rg.report(rg.fl.Close())
 }

@@ -1,9 +1,12 @@
 package clack
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"knit/internal/knit/build"
+	"knit/internal/knit/fleet"
 	"knit/internal/knit/supervise"
 	"knit/internal/machine"
 )
@@ -34,6 +37,9 @@ func TestServeFleetForwardsAndPreservesOrder(t *testing.T) {
 	}
 	if rep.OrderViolations != 0 {
 		t.Errorf("%d per-flow order violations, want 0", rep.OrderViolations)
+	}
+	if rep.TxBad != 0 {
+		t.Errorf("%d malformed transmissions, want 0", rep.TxBad)
 	}
 	if !rep.Converged {
 		t.Error("fleet did not converge on a fault-free run")
@@ -79,6 +85,9 @@ func TestServeFleetSoakFaultIsolation(t *testing.T) {
 	}
 	if rep.OrderViolations != 0 {
 		t.Errorf("%d per-flow order violations under faults, want 0", rep.OrderViolations)
+	}
+	if rep.TxBad != 0 {
+		t.Errorf("%d malformed transmissions under faults, want 0", rep.TxBad)
 	}
 	if !rep.Converged {
 		t.Error("fleet did not converge (a shard ended dead or backing off)")
@@ -133,6 +142,9 @@ func TestServeFleetDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.PerShard, b.PerShard) {
 		t.Errorf("two identical fleet runs diverged:\n%+v\n%+v", a.PerShard, b.PerShard)
 	}
+	if a.TxBad != 0 {
+		t.Errorf("%d malformed transmissions, want 0", a.TxBad)
+	}
 }
 
 // TestFlowTrafficGeneratorInvariants pins the generator properties the
@@ -171,30 +183,143 @@ func TestFlowTrafficGeneratorInvariants(t *testing.T) {
 	}
 }
 
-// TestServeFleetBatchDriveCalls pins the batch drive: a fleet that does
-// not redeliver feeds each batch into both lanes at once, so one kmain
-// call serves up to two packets. Driving packet by packet instead would
-// raise these totals to one call per packet on every backend.
-func TestServeFleetBatchDriveCalls(t *testing.T) {
-	want := map[int]int{1: 1182, 2: 1310, 4: 1502}
+// servingMode is one way the clack rig serves 2000 packets.
+type servingMode struct {
+	name  string
+	serve func(*build.Result) (*FleetReport, error)
+}
+
+// checkTurnOncePerPacket is the one drive mode's call check: on both
+// engines, each mode serves its 2000 packets in exactly 2000 supervised
+// turn calls, with no malformed transmission.
+func checkTurnOncePerPacket(t *testing.T, modes ...servingMode) {
+	t.Helper()
 	for _, bk := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
 		res, err := BuildRouter(Variant{})
 		if err != nil {
 			t.Fatalf("BuildRouter: %v", err)
 		}
 		res.Backend = bk
-		for _, shards := range []int{1, 2, 4} {
-			rep, err := ServeFleet(res, DefaultFlowTraffic(2000), shards, nil, fakeClocks, 0)
+		for _, mode := range modes {
+			rep, err := mode.serve(res)
 			if err != nil {
-				t.Fatalf("%s, %d shards: ServeFleet: %v", bk, shards, err)
+				t.Fatalf("%s, %s: %v", bk, mode.name, err)
 			}
 			calls := 0
 			for _, st := range rep.PerShard {
 				calls += st.Calls
 			}
-			if calls != want[shards] {
-				t.Errorf("%s, %d shards: %d kmain calls for 2000 packets, want %d",
-					bk, shards, calls, want[shards])
+			if rep.Rx != 2000 || calls != 2000 || rep.TxBad != 0 {
+				t.Errorf("%s, %s: served %d packets in %d turn calls with %d malformed; want 2000 in 2000, none malformed",
+					bk, mode.name, rep.Rx, calls, rep.TxBad)
+			}
+		}
+	}
+}
+
+// TestServeFleetBatchDriveCalls pins the calls a fleet that does not
+// redeliver makes to drive its batches: one turn call per packet at 1, 2
+// and 4 shards. Feeding a whole batch into both lanes at once took
+// 1182, 1310 and 1502 kmain calls for these 2000 packets, a count that
+// grew with the shard count.
+func TestServeFleetBatchDriveCalls(t *testing.T) {
+	var modes []servingMode
+	for _, shards := range []int{1, 2, 4} {
+		modes = append(modes, servingMode{fmt.Sprintf("%d shards", shards),
+			func(res *build.Result) (*FleetReport, error) {
+				return ServeFleet(res, DefaultFlowTraffic(2000), shards, nil, fakeClocks, 0)
+			}})
+	}
+	checkTurnOncePerPacket(t, modes...)
+}
+
+// TestTurnInstructionsPerPacket pins what one drive mode costs the
+// machine, on both engines. Serving DefaultTraffic one turn per packet
+// stays within 2% of bare kmain(N)'s instructions per packet (one
+// kmain(1) per packet runs os_work twice, ×1.88), and the rig executes
+// exactly the instructions of one turn per packet on flow traffic, at
+// every fleet width, with and without redelivery.
+func TestTurnInstructionsPerPacket(t *testing.T) {
+	// turnEach serves pkts one turn each, packet i in lane laneOf(i), on
+	// a fresh machine and returns the instructions it executed.
+	turnEach := func(res *build.Result, pkts []Packet, laneOf func(int) int) (int64, *DeviceStats) {
+		m := res.NewMachine()
+		io := &shardIO{}
+		installShardDevices(m, io)
+		installTicks(m)
+		if err := res.RunInit(m); err != nil {
+			t.Fatal(err)
+		}
+		start := m.Executed
+		for i, p := range pkts {
+			lane := laneOf(i)
+			io.rx[lane] = append(io.rx[lane], p)
+			if _, err := res.Run(m, "main", "turn", int64(lane)); err != nil {
+				t.Fatalf("turn(%d): %v", lane, err)
+			}
+		}
+		return m.Executed - start, &io.stats
+	}
+	for _, bk := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
+		res, err := BuildRouter(Variant{})
+		if err != nil {
+			t.Fatalf("BuildRouter: %v", err)
+		}
+		res.Backend = bk
+
+		spec := DefaultTraffic(20000)
+		streams := spec.Generate()
+		bare := res.NewMachine()
+		stats := InstallDevices(bare, streams)
+		installTicks(bare)
+		if err := res.RunInit(bare); err != nil {
+			t.Fatal(err)
+		}
+		start := bare.Executed
+		if _, err := res.Run(bare, "main", "kmain", int64(spec.Packets+16)); err != nil {
+			t.Fatalf("kmain: %v", err)
+		}
+		bareIPP := float64(bare.Executed-start) / float64(spec.Packets)
+		// Generate deals the packets round-robin over the two lanes.
+		var arrivals []Packet
+		for i := 0; i < spec.Packets; i++ {
+			arrivals = append(arrivals, streams[i%2][i/2])
+		}
+		executed, tstats := turnEach(res, arrivals, func(i int) int { return i % 2 })
+		turnIPP := float64(executed) / float64(spec.Packets)
+		if turnIPP > 1.02*bareIPP || tstats.Tx != stats.Tx || tstats.Dropped != stats.Dropped {
+			t.Errorf("%s: turn per packet %.1f instructions/packet (tx %v, dropped %d); bare kmain(N) %.1f (tx %v, dropped %d); want within 2%% and the same traffic",
+				bk, turnIPP, tstats.Tx, tstats.Dropped, bareIPP, stats.Tx, stats.Dropped)
+		}
+
+		flows := DefaultFlowTraffic(4000).Generate()
+		pkts := make([]Packet, len(flows))
+		for i, fp := range flows {
+			pkts[i] = fp.Pkt
+		}
+		want, _ := turnEach(res, pkts, func(i int) int { return fleet.FlowLane(flows[i].Flow, 2) })
+		t.Logf("%s: turn %.1f, bare kmain(N) %.1f instructions/packet on DefaultTraffic; %.1f on flow traffic",
+			bk, turnIPP, bareIPP, float64(want)/float64(len(pkts)))
+		for _, redeliver := range []int{0, 3} {
+			for _, shards := range []int{1, 2, 4} {
+				rg, err := newRig(res, fleet.Config{Shards: shards, RedeliverAttempts: redeliver}, 0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, fp := range flows {
+					rg.fl.Submit(fp.Flow, fp)
+				}
+				if err := rg.fl.Close(); err != nil {
+					t.Fatal(err)
+				}
+				var executed int64
+				for _, sh := range rg.fl.Shards() {
+					executed += sh.M.Executed
+				}
+				if executed != want {
+					t.Errorf("%s, %d shards, redeliver %d: %d instructions for %d packets, want %d as one turn each",
+						bk, shards, redeliver, executed, len(pkts), want)
+				}
 			}
 		}
 	}

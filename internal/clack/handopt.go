@@ -139,27 +139,9 @@ int disc_push(int p) {
 }
 `
 
-const srcHandDriver = `
-int step_0(void);
-int step_1(void);
-int os_work(void);
-int kmain(int maxiter) {
-    int n = 0;
-    for (int i = 0; i < maxiter; i++) {
-        int got = 0;
-        got += step_0();
-        os_work();
-        got += step_1();
-        os_work();
-        if (got == 0) { break; }
-        n += got;
-    }
-    return n;
-}
-`
-
-// HandOptUnits declares the 2-component router and its driver; the top
-// unit keeps the name ClackRouter so both variants build identically.
+// HandOptUnits declares the 2-component router; the top unit keeps the
+// name ClackRouter so both variants build identically, and links the
+// same generated RouterDriver.
 const HandOptUnits = `
 unit HandPath = {
   imports [ arp : Push, disc : Push ];
@@ -184,17 +166,6 @@ unit HandARP = {
   };
 }
 
-unit RouterDriver = {
-  imports [ s0 : Step, s1 : Step, osw : OsWork ];
-  exports [ main : Main ];
-  depends { main needs (s0 + s1 + osw); };
-  files { "handdriver.c" };
-  rename {
-    s0.step to step_0;
-    s1.step to step_1;
-  };
-}
-
 unit ClackRouter = {
   exports [ main : Main ];
   link {
@@ -209,8 +180,7 @@ unit ClackRouter = {
 // HandOptSources returns the hand-optimized router's sources.
 func HandOptSources() link.Sources {
 	return link.Sources{
-		"handpath.c":   srcHandPath,
-		"handarp.c":    srcHandARP,
-		"handdriver.c": srcHandDriver,
+		"handpath.c": srcHandPath,
+		"handarp.c":  srcHandARP,
 	}
 }

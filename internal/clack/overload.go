@@ -58,7 +58,9 @@ type OverloadReport struct {
 	// ConservationOK: submitted == served + dropped + shed exactly.
 	ConservationOK bool
 
-	Rx, Tx, RouterDropped int // device-level accounting (drops here are router policy, not losses)
+	// Device-level accounting: drops here are router policy, not
+	// losses, and TxBad counts malformed transmissions.
+	Rx, Tx, RouterDropped, TxBad int
 }
 
 // classOf assigns deterministic priority classes by flow key: 20% High,
@@ -77,8 +79,7 @@ func classOf(flow uint64) overload.Class {
 // measureCapacity runs a short closed-loop burst through a throwaway
 // fleet of the same shape (no kills, no controller) and returns the
 // sustained packets/sec — the capacity the open-loop phase multiplies —
-// with the probe's serving report. The probe redelivers like the soak
-// does, so its rig drives the machine the same way.
+// with the probe's serving report.
 func measureCapacity(res *build.Result, spec OverloadSpec, pkts []FlowPacket) (float64, *FleetReport, error) {
 	rg, err := newRig(res, fleet.Config{Shards: spec.Shards, RedeliverAttempts: spec.Redeliver}, 0, 0)
 	if err != nil {
@@ -104,7 +105,11 @@ func measureCapacity(res *build.Result, spec OverloadSpec, pkts []FlowPacket) (f
 	if elapsed <= 0 {
 		elapsed = time.Nanosecond
 	}
-	return float64(n) / elapsed.Seconds(), rg.report(nil), nil
+	probe, err := rg.report(nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	return float64(n) / elapsed.Seconds(), probe, nil
 }
 
 // ServeOverload runs the overload soak: measure capacity closed-loop,
@@ -177,7 +182,10 @@ func ServeOverload(res *build.Result, spec OverloadSpec) (*OverloadReport, error
 		return nil, closeErr // with kills, shard errors are the point
 	}
 
-	fr := rg.report(closeErr)
+	fr, err := rg.report(closeErr)
+	if err != nil {
+		return nil, err
+	}
 	totals := fr.Metrics.Totals()
 	st := ctrl.Stats()
 	rep := &OverloadReport{
@@ -194,6 +202,7 @@ func ServeOverload(res *build.Result, spec OverloadSpec) (*OverloadReport, error
 		Rx:              fr.Rx,
 		Tx:              fr.Tx,
 		RouterDropped:   fr.Dropped,
+		TxBad:           fr.TxBad,
 	}
 	for _, sh := range fl.Shards() {
 		rep.Served += sh.Served()

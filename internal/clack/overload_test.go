@@ -3,6 +3,7 @@ package clack
 import (
 	"testing"
 
+	"knit/internal/knit/build"
 	"knit/internal/machine"
 )
 
@@ -57,6 +58,9 @@ func TestServeOverloadSoak(t *testing.T) {
 			if rep.OrderViolations != 0 {
 				t.Fatalf("order violations = %d, want 0", rep.OrderViolations)
 			}
+			if rep.TxBad != 0 {
+				t.Fatalf("malformed transmissions = %d, want 0", rep.TxBad)
+			}
 			if rep.Dropped != 0 {
 				t.Fatalf("dropped = %d, want 0 (kills are transient; redelivery must recover)", rep.Dropped)
 			}
@@ -101,6 +105,9 @@ func TestServeOverloadSoakKillBelowBatch(t *testing.T) {
 		if rep.OrderViolations != 0 {
 			t.Fatalf("%s: order violations = %d, want 0", bk, rep.OrderViolations)
 		}
+		if rep.TxBad != 0 {
+			t.Fatalf("%s: malformed transmissions = %d, want 0", bk, rep.TxBad)
+		}
 		if rep.Respawns == 0 || rep.Redelivered == 0 {
 			t.Fatalf("%s: soak too tame: respawns=%d redelivered=%d", bk, rep.Respawns, rep.Redelivered)
 		}
@@ -108,26 +115,13 @@ func TestServeOverloadSoakKillBelowBatch(t *testing.T) {
 }
 
 // TestOverloadCapacityProbeDrivesPerPacket pins the capacity probe's
-// drive: it redelivers like the soak, so it serves one packet per kmain
+// drive: it redelivers like the soak, so it serves one packet per turn
 // call — 2000 calls for its 2000 packets.
 func TestOverloadCapacityProbeDrivesPerPacket(t *testing.T) {
-	for _, bk := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
-		res, err := BuildRouter(Variant{})
-		if err != nil {
-			t.Fatalf("BuildRouter: %v", err)
-		}
-		res.Backend = bk
-		pkts := (FlowSpec{Packets: 8000, Flows: 64, Skew: 1.05, Seed: 1}).Generate()
-		_, probe, err := measureCapacity(res, OverloadSpec{Shards: 3, Redeliver: 3}, pkts)
-		if err != nil {
-			t.Fatalf("%s: measureCapacity: %v", bk, err)
-		}
-		calls := 0
-		for _, st := range probe.PerShard {
-			calls += st.Calls
-		}
-		if probe.Rx != 2000 || calls != 2000 {
-			t.Fatalf("%s: probe served %d packets in %d kmain calls, want 2000 in 2000", bk, probe.Rx, calls)
-		}
-	}
+	checkTurnOncePerPacket(t, servingMode{"capacity probe",
+		func(res *build.Result) (*FleetReport, error) {
+			pkts := (FlowSpec{Packets: 8000, Flows: 64, Skew: 1.05, Seed: 1}).Generate()
+			_, rep, err := measureCapacity(res, OverloadSpec{Shards: 3, Redeliver: 3}, pkts)
+			return rep, err
+		}})
 }

@@ -55,6 +55,12 @@ int kmain(int maxiter) {
     }
     return pushed * 1000 + drained;
 }
+int turn(int lane) {
+    int got = step();
+    drain();
+    os_work();
+    return got;
+}
 `
 	res, err := build.Build(build.Options{
 		Top:       "PullRouter",

@@ -102,10 +102,13 @@ func BuildRouterTuned(v Variant, tune func(*build.Options)) (*build.Result, erro
 	sources := link.Sources{}
 
 	if v.HandOptimized {
-		units = ElementUnits + HandOptUnits
+		// HandPath's two step exports poll devices 0 and 1.
+		drvUnit, drvSrc := routerDriver([]laneStep{{"step_0", 0}, {"step_1", 1}})
+		units = ElementUnits + HandOptUnits + drvUnit
 		for k, s := range HandOptSources() {
 			sources[k] = s
 		}
+		sources["driver.c"] = drvSrc
 		sources["oswork.c"] = ElementSources()["oswork.c"]
 	} else {
 		g, err := ParseConfig(StandardRouterConfig)

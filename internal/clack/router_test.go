@@ -108,10 +108,10 @@ func TestTable1Shape(t *testing.T) {
 		v                              Variant
 		cycles, stalls, compiled, text int64
 	}{
-		{Variant{}, 1001428, 293764, 707664, 11960},
-		{Variant{HandOptimized: true}, 754140, 166178, 587962, 9944},
-		{Variant{Flattened: true}, 673138, 121690, 551448, 22992},
-		{Variant{HandOptimized: true, Flattened: true}, 638995, 112468, 526527, 13532},
+		{Variant{}, 1001428, 293764, 707664, 12088},
+		{Variant{HandOptimized: true}, 754140, 166178, 587962, 10072},
+		{Variant{Flattened: true}, 673138, 121690, 551448, 23120},
+		{Variant{HandOptimized: true, Flattened: true}, 638995, 112468, 526527, 13660},
 	}
 	check := func(label string, m *Measurement, cycles, stalls, text int64) {
 		t.Helper()

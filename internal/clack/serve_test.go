@@ -7,113 +7,132 @@ import (
 
 	"knit/internal/knit/build"
 	"knit/internal/knit/build/faultinject"
+	"knit/internal/knit/fleet"
 	"knit/internal/knit/observe"
 	"knit/internal/knit/supervise"
 	"knit/internal/machine"
 )
 
-// TestSupervisedRouterKeepsGoodput is the issue's acceptance scenario:
-// an element is killed every 50 packets, and the supervised router must
-// sustain ≥90% goodput, converging to a state where every instance is
-// healthy or degraded-to-fallback — never dead.
+// TestSupervisedRouterKeepsGoodput is the degraded-mode serving
+// scenario on a one-shard fleet, on both engines: the Classifier is
+// killed on every 50th call, and the supervised router must sustain
+// ≥90% goodput, converging to a state where every instance is healthy
+// or degraded-to-fallback — never dead.
 func TestSupervisedRouterKeepsGoodput(t *testing.T) {
-	res, err := BuildRouter(Variant{})
-	if err != nil {
-		t.Fatalf("BuildRouter: %v", err)
-	}
-	rep, err := ServeSupervised(res, DefaultTraffic(2000), supervise.Default(),
-		supervise.NewFakeClock(), 50)
-	if err != nil {
-		t.Fatalf("ServeSupervised: %v", err)
-	}
+	for _, bk := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
+		t.Run(bk.String(), func(t *testing.T) {
+			res, err := BuildRouter(Variant{})
+			if err != nil {
+				t.Fatalf("BuildRouter: %v", err)
+			}
+			res.Backend = bk
+			rep, err := ServeFleet(res, DefaultFlowTraffic(2000), 1, supervise.Default(), fakeClocks, 50)
+			if err != nil {
+				t.Fatalf("ServeFleet: %v", err)
+			}
 
-	if rep.Goodput < 0.90 {
-		t.Errorf("goodput = %.4f, want >= 0.90", rep.Goodput)
-	}
-	if !rep.Converged {
-		t.Error("router did not converge to a fully serving state")
-	}
-	for _, st := range rep.Statuses {
-		if st.State != supervise.Healthy && st.State != supervise.Degraded {
-			t.Errorf("%s ended %v, want healthy or degraded-to-fallback", st.Path, st.State)
-		}
-	}
+			if rep.Goodput < 0.90 {
+				t.Errorf("goodput = %.4f, want >= 0.90", rep.Goodput)
+			}
+			if !rep.Converged {
+				t.Error("router did not converge to a fully serving state")
+			}
+			for _, st := range rep.Statuses[0] {
+				if st.State != supervise.Healthy && st.State != supervise.Degraded {
+					t.Errorf("%s ended %v, want healthy or degraded-to-fallback", st.Path, st.State)
+				}
+			}
 
-	// Default policy: two restarts, then the fallback swap; afterwards
-	// the injection no longer reaches the (interposed-away) original.
-	victim := FirstInstanceOf(res, "Classifier")
-	var vst supervise.InstanceStatus
-	for _, st := range rep.Statuses {
-		if st.Path == victim.Path {
-			vst = st
-		}
-	}
-	if vst.State != supervise.Degraded || vst.Restarts != 2 || vst.Swaps != 1 {
-		t.Errorf("victim status = %+v, want degraded after 2 restarts and 1 swap", vst)
-	}
-	if rep.Faults != 3 {
-		t.Errorf("faulted calls = %d, want 3", rep.Faults)
-	}
+			// Default policy: two restarts, then the fallback swap;
+			// afterwards the injection no longer reaches the
+			// (interposed-away) original.
+			victim := FirstInstanceOf(res, "Classifier")
+			var vst supervise.InstanceStatus
+			for _, st := range rep.Statuses[0] {
+				if st.Path == victim.Path {
+					vst = st
+				}
+			}
+			if vst.State != supervise.Degraded || vst.Restarts != 2 || vst.Swaps != 1 {
+				t.Errorf("victim status = %+v, want degraded after 2 restarts and 1 swap", vst)
+			}
+			faults := rep.PerShard[0].Faults
+			if faults != 3 {
+				t.Errorf("faulted calls = %d, want 3", faults)
+			}
 
-	// Every received packet is accounted for except the ones in flight
-	// when a fault struck.
-	rx := rep.Stats.Rx[0] + rep.Stats.Rx[1]
-	accounted := rep.Stats.Tx[0] + rep.Stats.Tx[1] + rep.Stats.Dropped
-	if rx-accounted != rep.Faults {
-		t.Errorf("lost %d packets with %d faults; every fault should cost exactly one",
-			rx-accounted, rep.Faults)
-	}
-	if len(rep.Stats.TxBad) > 0 {
-		t.Errorf("malformed transmissions under supervision: %v", rep.Stats.TxBad)
-	}
+			// Every received packet is accounted for except the ones in
+			// flight when a fault struck.
+			if lost := rep.Rx - rep.Tx - rep.Dropped; lost != faults {
+				t.Errorf("lost %d packets with %d faults; every fault should cost exactly one",
+					lost, faults)
+			}
+			if rep.TxBad != 0 {
+				t.Errorf("%d malformed transmissions under supervision", rep.TxBad)
+			}
 
-	// The serve-time collector attributed the run: the report must carry
-	// per-instance metrics, with the victim's restarts and swap on the
-	// victim's ledger and the bulk of the calls attributed somewhere.
-	if rep.Metrics == nil || rep.Metrics.TotalCalls() == 0 {
-		t.Fatal("serve report carries no observability metrics")
-	}
-	var vm *observe.InstanceMetrics
-	for i := range rep.Metrics.Instances {
-		if rep.Metrics.Instances[i].Path == victim.Path {
-			vm = &rep.Metrics.Instances[i]
-		}
-	}
-	if vm == nil {
-		t.Fatalf("no metrics ledger for victim %s", victim.Path)
-	}
-	if vm.Restarts != 2 || vm.Swaps != 1 {
-		t.Errorf("victim ledger restarts=%d swaps=%d, want 2 and 1", vm.Restarts, vm.Swaps)
-	}
-	if vm.TrapTotal() != 3 {
-		t.Errorf("victim ledger traps = %d, want 3", vm.TrapTotal())
+			// The serve-time collector attributed the run: the report must
+			// carry per-instance metrics, with the victim's restarts and
+			// swap on the victim's ledger and the bulk of the calls
+			// attributed somewhere.
+			if rep.Metrics == nil || rep.Metrics.TotalCalls() == 0 {
+				t.Fatal("serve report carries no observability metrics")
+			}
+			var vm *observe.InstanceMetrics
+			for i := range rep.Metrics.Instances {
+				if rep.Metrics.Instances[i].Path == victim.Path {
+					vm = &rep.Metrics.Instances[i]
+				}
+			}
+			if vm == nil {
+				t.Fatalf("no metrics ledger for victim %s", victim.Path)
+			}
+			if vm.Restarts != 2 || vm.Swaps != 1 {
+				t.Errorf("victim ledger restarts=%d swaps=%d, want 2 and 1", vm.Restarts, vm.Swaps)
+			}
+			if vm.TrapTotal() != 3 {
+				t.Errorf("victim ledger traps = %d, want 3", vm.TrapTotal())
+			}
+		})
 	}
 }
 
-// TestSupervisedRouterNoFaults: with no injection the supervised loop is
-// just a slow-path RunRouter — same forwarding totals, no recoveries.
+// TestSupervisedRouterNoFaults: with no injection a one-shard fleet
+// forwards and drops exactly what a bare kmain(N) run does over the same
+// packets, each placed in the lane its flow hashes to, and records no
+// recoveries.
 func TestSupervisedRouterNoFaults(t *testing.T) {
 	res, err := BuildRouter(Variant{})
 	if err != nil {
 		t.Fatalf("BuildRouter: %v", err)
 	}
-	rep, err := ServeSupervised(res, DefaultTraffic(400), nil, supervise.NewFakeClock(), 0)
+	spec := DefaultFlowTraffic(400)
+	rep, err := ServeFleet(res, spec, 1, nil, fakeClocks, 0)
 	if err != nil {
-		t.Fatalf("ServeSupervised: %v", err)
+		t.Fatalf("ServeFleet: %v", err)
 	}
 	if rep.Goodput != 1.0 {
 		t.Errorf("goodput = %.4f, want 1.0 with no faults", rep.Goodput)
 	}
-	if rep.Faults != 0 || len(rep.Recoveries) != 0 {
-		t.Errorf("faults = %d, recoveries = %v, want none", rep.Faults, rep.Recoveries)
+	if rep.PerShard[0].Faults != 0 || len(rep.Recoveries[0]) != 0 || rep.TxBad != 0 {
+		t.Errorf("faults = %d, recoveries = %v, malformed = %d, want none",
+			rep.PerShard[0].Faults, rep.Recoveries[0], rep.TxBad)
 	}
 
-	meas, err := RunRouter(res, DefaultTraffic(400))
-	if err != nil {
-		t.Fatalf("RunRouter: %v", err)
+	var lanes [2][]Packet
+	for _, fp := range spec.Generate() {
+		lane := fleet.FlowLane(fp.Flow, 2)
+		lanes[lane] = append(lanes[lane], fp.Pkt)
 	}
-	if got := rep.Stats.Tx[0] + rep.Stats.Tx[1]; got != meas.Forwarded {
-		t.Errorf("supervised run forwarded %d, unsupervised %d", got, meas.Forwarded)
+	m := res.NewMachine()
+	stats := InstallDevices(m, lanes)
+	installTicks(m)
+	if _, err := res.Run(m, "main", "kmain", int64(spec.Packets+16)); err != nil {
+		t.Fatalf("kmain: %v", err)
+	}
+	if tx := stats.Tx[0] + stats.Tx[1]; rep.Tx != tx || rep.Dropped != stats.Dropped {
+		t.Errorf("one-shard fleet tx %d, dropped %d; bare kmain(N) tx %d, dropped %d",
+			rep.Tx, rep.Dropped, tx, stats.Dropped)
 	}
 }
 

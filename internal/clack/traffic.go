@@ -149,13 +149,9 @@ type shardIO struct {
 	calls           int
 }
 
-func (io *shardIO) remaining() int {
-	return (len(io.rx[0]) - io.head[0]) + (len(io.rx[1]) - io.head[1])
-}
-
 // installShardDevices registers the NIC builtins on m over io. The
 // ingress queues are refillable: a serving rig appends to io.rx between
-// kmain calls.
+// driver calls.
 func installShardDevices(m *machine.M, io *shardIO) {
 	bufAddr := func(dev int64) int64 {
 		return int64(len(m.Mem)) - (dev+1)*PktWords

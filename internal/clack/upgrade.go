@@ -190,6 +190,8 @@ func ServeFleetUpgrade(res *build.Result, spec FlowSpec, shards, canaries int, b
 			return nil, err
 		}
 	}
-	rep.FleetReport = rg.report(fl.Close())
+	if rep.FleetReport, err = rg.report(fl.Close()); err != nil {
+		return nil, err
+	}
 	return rep, nil
 }

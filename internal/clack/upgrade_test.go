@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"knit/internal/knit/build"
 	"knit/internal/knit/reconfigure"
 	"knit/internal/knit/supervise"
 	"knit/internal/machine"
@@ -76,6 +77,9 @@ func runUpgrade(t *testing.T, backend machine.Backend, bad bool) *UpgradeReport 
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep.TxBad != 0 {
+		t.Errorf("%d malformed transmissions under upgrade, want 0", rep.TxBad)
+	}
 	return rep
 }
 
@@ -138,4 +142,18 @@ func TestServeFleetUpgradeBadRollsBack(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestServeFleetUpgradeRollbackTurnsOncePerPacket: the bad canary faults
+// on some of its turn calls, and each call still serves (or loses)
+// exactly one packet.
+func TestServeFleetUpgradeRollbackTurnsOncePerPacket(t *testing.T) {
+	checkTurnOncePerPacket(t, servingMode{"upgrade rollback",
+		func(res *build.Result) (*FleetReport, error) {
+			rep, err := ServeFleetUpgrade(res, DefaultFlowTraffic(2000), 2, 1, true, nil, fakeClocks)
+			if err != nil {
+				return nil, err
+			}
+			return rep.FleetReport, nil
+		}})
 }
