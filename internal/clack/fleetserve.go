@@ -281,6 +281,7 @@ func (rg *rig) handle(sh *fleet.Shard[FlowPacket], batch []FlowPacket) error {
 				io.faults++
 			}
 		}
+		io.rx[lane], io.head[lane] = io.rx[lane][:0], 0 // drained: reuse the lane
 		rg.sinceKill[sh.ID]++
 		sh.Ack(i + 1)
 	}

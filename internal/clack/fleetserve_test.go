@@ -325,6 +325,39 @@ func TestTurnInstructionsPerPacket(t *testing.T) {
 	}
 }
 
+// TestRigTrimsDrainedLanes: the rig resets a lane once turn has drained
+// it, so a shard does not keep the packets it has served. Each lane's
+// retained capacity after 8N packets is no more than after N.
+func TestRigTrimsDrainedLanes(t *testing.T) {
+	res, err := BuildRouter(Variant{})
+	if err != nil {
+		t.Fatalf("BuildRouter: %v", err)
+	}
+	res.Backend = machine.BackendCompiled
+	laneCaps := func(n int) [2]int {
+		rg, err := newRig(res, fleet.Config{Shards: 1}, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fp := range DefaultFlowTraffic(n).Generate() {
+			rg.fl.Submit(fp.Flow, fp)
+		}
+		if err := rg.fl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		io := rg.ios[0]
+		return [2]int{cap(io.rx[0]), cap(io.rx[1])}
+	}
+	const n = 500
+	small, large := laneCaps(n), laneCaps(8*n)
+	for lane := range small {
+		if large[lane] > small[lane] {
+			t.Errorf("lane %d retains capacity %d after %d packets, %d after %d: want no growth",
+				lane, large[lane], 8*n, small[lane], n)
+		}
+	}
+}
+
 // TestOrderOracleCountsInversions proves the order check can fire: one
 // flow's packets run through the shard devices of a real router
 // machine, and a duplicated or inverted sequence number is counted

@@ -170,7 +170,8 @@ func runF(t *testing.T, o *obj.File, backend machine.Backend, a, b int64) runOut
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	m := machine.NewWith(img, machine.Options{Backend: backend})
+	m := machine.New(img)
+	m.SetBackend(backend)
 	m.Fuel = 1 << 20
 	v, err := m.Run("f", a, b)
 	out := runOutcome{val: v, executed: m.Executed, cycles: m.Cycles, stalls: m.Stalls, calls: m.Calls}

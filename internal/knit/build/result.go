@@ -100,7 +100,9 @@ func (r *Result) event(m *machine.M, instance, op string) {
 // builtins (console, serial, stopwatch) are the caller's to install
 // before running.
 func (r *Result) NewMachine() *machine.M {
-	return machine.NewWith(r.Image, machine.Options{Backend: r.Backend})
+	m := machine.New(r.Image)
+	m.SetBackend(r.Backend)
+	return m
 }
 
 // PostInitSnapshot builds a prototype machine, lets setup install the
@@ -131,7 +133,7 @@ func (r *Result) PostInitSnapshot(setup func(*machine.M) error) (*machine.Snapsh
 // initialized, so Run and the supervisor skip the init schedule.
 // Builtins are not part of snapshots; the caller installs its own.
 func (r *Result) NewMachineFrom(snap *machine.Snapshot, initialized bool) *machine.M {
-	m := machine.NewWith(r.Image, machine.Options{Backend: r.Backend})
+	m := r.NewMachine()
 	m.Restore(snap)
 	if initialized {
 		r.stateOf(m).initDone = true

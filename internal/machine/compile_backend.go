@@ -43,9 +43,11 @@ package machine
 //   - Both engines enter frames through one prologue (M.frame), so the
 //     checks, trap messages and arena discipline are shared, each
 //     argument is copied once, from the caller's registers into the
-//     callee's, and the hot call path stays allocation-free. A compiled
-//     function carries its dense index (CallInfo.Index), so the PostCall
-//     hook gets it without a lookup.
+//     callee's, and the hot call path stays allocation-free. Each frame
+//     holds the callee's symbol record, which a compiled function
+//     carries and the interpreter's dispatch has just looked up, so the
+//     PostCall hook reads the dense index (CallInfo.Index) and the
+//     interpreter the text offset without a second lookup.
 //
 // The one deliberate difference is the fetch model: compiled code does
 // not simulate the instruction cache, so Stalls and ICacheRefs/ICacheMiss
@@ -97,18 +99,6 @@ func ParseBackend(s string) (Backend, error) {
 	return 0, fmt.Errorf("machine: unknown backend %q (want interp or compiled)", s)
 }
 
-// Options configures machine creation beyond the image itself.
-type Options struct {
-	Backend Backend
-}
-
-// NewWith creates a machine for a loaded image with options.
-func NewWith(img *Image, opts Options) *M {
-	m := New(img)
-	m.backend = opts.Backend
-	return m
-}
-
 // SetBackend switches the execution engine. Switch between runs, not
 // from inside simulated code: a frame started on one backend finishes
 // on it.
@@ -151,8 +141,7 @@ type cblock struct {
 
 // cfunc is one compiled function.
 type cfunc struct {
-	fn      *obj.Func
-	index   int // the function's dense index (CallInfo.Index)
+	sym     *symbol // the function's record: code, index, text offset
 	blocks  []cblock
 	siteEnd int // one past the highest dispatch-cache slot the code uses
 }
@@ -191,9 +180,8 @@ func (img *Image) prog() *imageProg {
 	img.compileOnce.Do(func() {
 		p := &imageProg{funcs: make([]*cfunc, len(img.funcs))}
 		next := 0
-		for i, fn := range img.funcs { // text order: deterministic slot numbering
-			p.funcs[i] = compileFunc(fn, nil, img, &next)
-			p.funcs[i].index = i
+		for i, s := range img.funcs { // text order: deterministic slot numbering
+			p.funcs[i] = compileFunc(s, nil, img, &next)
 		}
 		p.nsites = next
 		img.compiled = p
@@ -201,30 +189,25 @@ func (img *Image) prog() *imageProg {
 	return img.compiled
 }
 
-// compiledFor returns the compiled form of fn: the image-wide one for
-// static functions, a per-machine (lazily built) one for dynamically
-// loaded functions. Dynamic compilations bake in symbol addresses,
-// which is sound because a live module's addresses never move — loads
-// validate resolution, unload is refused while referenced, and
-// unload/restore/reset drop the cache wholesale.
-func (m *M) compiledFor(fn *obj.Func) *cfunc {
+// compiledFor returns the compiled form of the function s: the
+// image-wide one for static functions, the one its record holds —
+// built on first use — for a dynamically loaded function. Dynamic
+// compilations bake in symbol addresses, which is sound because a live
+// module's addresses never move — loads validate resolution, unload is
+// refused while referenced, and the compiled form goes with its record
+// at unload, restore and reset.
+func (m *M) compiledFor(s *symbol) *cfunc {
 	p := m.Img.prog()
 	if m.nextSite < p.nsites {
 		m.nextSite = p.nsites
 	}
-	if i, ok := m.Img.index[fn]; ok {
-		return p.funcs[i]
+	if s.mod == nil {
+		return p.funcs[s.index]
 	}
-	if cf, ok := m.dynCompiled[fn]; ok {
-		return cf
+	if s.cf == nil {
+		s.cf = compileFunc(s, m, m.Img, &m.nextSite)
 	}
-	cf := compileFunc(fn, m, m.Img, &m.nextSite)
-	cf.index = m.dyn.index[fn.Name]
-	if m.dynCompiled == nil {
-		m.dynCompiled = map[*obj.Func]*cfunc{}
-	}
-	m.dynCompiled[fn] = cf
-	return cf
+	return s.cf
 }
 
 // growSites extends the dispatch cache to hold at least n slots. Slots
@@ -253,7 +236,7 @@ func (m *M) runCompiled(cf *cfunc, regs []int64, fp int64) (int64, error) {
 			if m.Executed+s.n > m.budgetEnd {
 				// A limit fires somewhere in this segment: let the
 				// interpreter find the exact instruction.
-				return m.execLoop(cf.fn, regs, fp, s.startPC, false)
+				return m.execLoop(cf.sym, regs, fp, s.startPC, false)
 			}
 			m.Executed += s.n
 			m.Cycles += s.n * m.Costs.Instr
@@ -280,7 +263,7 @@ func (m *M) runCompiled(cf *cfunc, regs []int64, fp int64) (int64, error) {
 
 // compiledDispatch performs a direct call from compiled code through
 // the dispatch cache, mirroring the interpreter's dispatch: interpose
-// resolution, image → dynamic → builtin lookup order, identical cycle
+// resolution, definition → builtin lookup order, identical cycle
 // charges and counters, identical trap.
 func (m *M) compiledDispatch(site int, sym string, regs []int64, argRegs []obj.Reg, caller string, pc int) (int64, error) {
 	if m.sites[site].version != m.dispVersion {
@@ -292,7 +275,7 @@ func (m *M) compiledDispatch(site int, sym string, regs []int64, argRegs []obj.R
 		cf := c.cf
 		m.Calls++
 		m.Cycles += m.Costs.CallBase + m.Costs.CallPerArg*int64(len(argRegs))
-		return m.invoke(cf.fn, cf, regs, argRegs)
+		return m.invoke(cf.sym, cf, regs, argRegs)
 	case siteBuiltin:
 		m.BuiltinCnt++
 		m.Cycles += m.Costs.Builtin
@@ -308,10 +291,8 @@ func (m *M) compiledDispatch(site int, sym string, regs []int64, argRegs []obj.R
 func (m *M) resolveSite(site int, sym string) {
 	final := m.interposed(sym)
 	c := callSite{version: m.dispVersion}
-	if fn, ok := m.Img.Entry[final]; ok {
-		c.kind, c.cf = siteFunc, m.compiledFor(fn)
-	} else if fn, ok := m.dynFunc(final); ok {
-		c.kind, c.cf = siteFunc, m.compiledFor(fn)
+	if s := m.lookup(final); s != nil && s.fn != nil {
+		c.kind, c.cf = siteFunc, m.compiledFor(s)
 	} else if b, ok := m.Builtins[final]; ok {
 		c.kind, c.b = siteBuiltin, b
 	} else {
@@ -329,21 +310,18 @@ func (m *M) compiledCallInd(site int, regs []int64, aReg obj.Reg, argRegs []obj.
 	c := &m.sites[site]
 	cf := c.cf
 	if c.version != m.dispVersion || c.lastAddr != target || cf == nil {
-		fn, ok := m.Img.funcByAddr[target]
-		if !ok {
-			fn, ok = m.dynFuncByAddr(target)
-		}
-		if !ok {
+		s := m.lookupAddr(target)
+		if s == nil {
 			return 0, &Trap{Kind: TrapUnresolvedSymbol,
 				Msg: fmt.Sprintf("indirect call to non-function address %#x", target), Func: caller, PC: pc}
 		}
-		cf = m.compiledFor(fn)
+		cf = m.compiledFor(s)
 		c = &m.sites[site] // compiledFor may have grown the cache
 		c.version, c.kind, c.cf, c.lastAddr = m.dispVersion, siteFunc, cf, target
 	}
 	m.IndCalls++
 	m.Cycles += m.Costs.CallBase + m.Costs.Indirect + m.Costs.CallPerArg*int64(len(argRegs))
-	return m.invoke(cf.fn, cf, regs, argRegs)
+	return m.invoke(cf.sym, cf, regs, argRegs)
 }
 
 // trapTerm builds a terminator that traps. The Trap is allocated per
@@ -363,14 +341,15 @@ func trapOp(kind TrapKind, msg, fname string, pc int) copFn {
 	}
 }
 
-// compileFunc translates one function. m is nil for the static image
+// compileFunc translates the function s. m is nil for the static image
 // pass (symbols resolve against the image alone); for dynamic functions
-// it is the owning machine, whose live symbol tables resolve the
-// module's references. next allocates dispatch-cache slots.
-func compileFunc(fn *obj.Func, m *M, img *Image, next *int) *cfunc {
+// it is the owning machine, whose namespace resolves the module's
+// references. next allocates dispatch-cache slots.
+func compileFunc(s *symbol, m *M, img *Image, next *int) *cfunc {
+	fn := s.fn
 	code := fn.Code
 	n := len(code)
-	cf := &cfunc{fn: fn}
+	cf := &cfunc{sym: s}
 	if n == 0 {
 		// The interpreter traps "pc out of range" before counting
 		// anything; an empty block with a trapping terminator matches.
@@ -650,17 +629,11 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 			pc++
 
 		case obj.OpAddrGlobal:
-			addr, ok := int64(0), false
+			s := img.syms[in.Sym]
 			if m != nil {
-				addr, ok = m.resolveAddr(in.Sym)
-			} else {
-				if a, found := img.GlobalAddr[in.Sym]; found {
-					addr, ok = a, true
-				} else if a, found := img.FuncAddr[in.Sym]; found {
-					addr, ok = a, true
-				}
+				s = m.lookup(in.Sym)
 			}
-			if !ok {
+			if s == nil {
 				// Load/LoadDynamicAs validate every OpAddrGlobal, so this
 				// closure is unreachable in practice; keep the
 				// interpreter's trap for safety.
@@ -670,7 +643,7 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 			}
 			// Fused global load: address is a compile-time constant.
 			if pc+1 < end && code[pc+1].Op == obj.OpLoad && code[pc+1].A == in.Dst {
-				ad, dst, lpc, ga := in.Dst, code[pc+1].Dst, pc+1, addr
+				ad, dst, lpc, ga := in.Dst, code[pc+1].Dst, pc+1, s.addr
 				emit(func(m *M, regs []int64, fp int64) error {
 					regs[ad] = ga
 					if ga < nullGuard || ga >= int64(len(m.Mem)) {
@@ -683,7 +656,7 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 				pc += 2
 				continue
 			}
-			dst, ga := in.Dst, addr
+			dst, ga := in.Dst, s.addr
 			emit(func(m *M, regs []int64, fp int64) error {
 				regs[dst] = ga
 				return nil

@@ -286,7 +286,7 @@ func stridedRound(base, acc, lm, k, ad, ld, td obj.Reg, imm int64) []obj.Instr {
 // named function covers.
 func widestOp(m *M, name string) int64 {
 	var widest int64
-	for _, b := range m.compiledFor(m.Img.Entry[name]).blocks {
+	for _, b := range m.compiledFor(m.lookup(name)).blocks {
 		for _, s := range b.segs {
 			prev := int64(0)
 			for _, d := range s.done {

@@ -14,31 +14,28 @@ import (
 // fresh text addresses, and its references resolve against the base
 // image plus previously loaded modules. Each load is recorded as a
 // module, so UnloadDynamic can later reclaim exactly that module's
-// text, data, and symbol-table entries — after verifying that no other
-// live module still references them. Dynamic state is per-machine:
+// text, data, and symbol records — after verifying that no other live
+// module still references them. Dynamic state is per-machine:
 // Reset drops all loaded modules along with the rest of the run-time
 // state.
 
-// dynState holds a machine's dynamically loaded symbols.
+// dynState holds a machine's dynamically loaded modules: their symbol
+// records, in one name-keyed overlay on the image's, and the modules
+// themselves, each listing the records it owns.
 type dynState struct {
-	funcs      map[string]*obj.Func
-	funcAddr   map[string]int64
-	funcByAddr map[int64]*obj.Func
-	globalAddr map[string]int64
-	textOff    map[string]int64
-	index      map[string]int    // function -> dense index (CallInfo.Index)
-	owner      map[string]string // symbol -> owning unit instance (attribution)
-	textSize   int64
-	modules    []*dynModule // live modules, in load order
+	syms     map[string]*symbol
+	textSize int64
+	modules  []*dynModule // live modules, in load order
 }
 
 // dynModule records what one LoadDynamic committed, so it can be
-// reclaimed symbol-for-symbol and byte-for-byte.
+// reclaimed record-for-record and byte-for-byte.
 type dynModule struct {
-	name     string
-	owner    string   // unit-instance attribution, may be ""
-	funcs    []string // defined function symbols
-	globals  []string // defined data symbols
+	name  string
+	owner string // unit-instance attribution, may be ""
+	// syms are the module's records: data in name order, then functions
+	// in text order.
+	syms     []*symbol
 	refs     []string // external symbols this module's code/data references
 	dataBase int64    // [dataBase, dataEnd) in m.Mem
 	dataEnd  int64
@@ -46,45 +43,23 @@ type dynModule struct {
 	textEnd  int64
 }
 
-func newDynState() *dynState {
-	return &dynState{
-		funcs:      map[string]*obj.Func{},
-		funcAddr:   map[string]int64{},
-		funcByAddr: map[int64]*obj.Func{},
-		globalAddr: map[string]int64{},
-		textOff:    map[string]int64{},
-		index:      map[string]int{},
-		owner:      map[string]string{},
-	}
-}
-
-// clone deep-copies the symbol tables and module records; *obj.Func
-// values are immutable after load and are shared.
+// clone copies every module and each of its records, so that no record
+// is shared by a machine and a snapshot, nor by two machines restored
+// from one snapshot. Compiled forms are dropped, to be rebuilt lazily
+// against the copies.
 func (d *dynState) clone() *dynState {
-	c := newDynState()
-	for k, v := range d.funcs {
-		c.funcs[k] = v
+	c := &dynState{syms: make(map[string]*symbol, len(d.syms)), textSize: d.textSize}
+	for _, mod := range d.modules {
+		cm := *mod
+		cm.syms = make([]*symbol, len(mod.syms))
+		for i, s := range mod.syms {
+			cs := *s
+			cs.mod, cs.cf = &cm, nil
+			cm.syms[i] = &cs
+			c.syms[cs.name] = &cs
+		}
+		c.modules = append(c.modules, &cm)
 	}
-	for k, v := range d.funcAddr {
-		c.funcAddr[k] = v
-	}
-	for k, v := range d.funcByAddr {
-		c.funcByAddr[k] = v
-	}
-	for k, v := range d.globalAddr {
-		c.globalAddr[k] = v
-	}
-	for k, v := range d.textOff {
-		c.textOff[k] = v
-	}
-	for k, v := range d.index {
-		c.index[k] = v
-	}
-	for k, v := range d.owner {
-		c.owner[k] = v
-	}
-	c.textSize = d.textSize
-	c.modules = append([]*dynModule(nil), d.modules...)
 	return c
 }
 
@@ -93,9 +68,11 @@ func (d *dynState) clone() *dynState {
 // indices were drawn from that machine's counter.
 func (d *dynState) renumber(next *int) {
 	for _, mod := range d.modules {
-		for _, s := range mod.funcs {
-			d.index[s] = *next
-			*next++
+		for _, s := range mod.syms {
+			if s.fn != nil {
+				s.index = *next
+				*next++
+			}
 		}
 	}
 }
@@ -119,40 +96,46 @@ func (m *M) LoadDynamic(o *obj.File) error {
 // named module. Every data symbol referenced by the module must resolve
 // (image, earlier modules, or the module itself); function references
 // may also be satisfied by builtins at call time, like static calls.
-// owner, when non-empty, attributes the module's symbols to a unit
-// instance for trap reporting. Returns an error and loads nothing on
-// failure; a successful load can be reversed by UnloadDynamic(name).
+// Every function and data object the module defines, static or not,
+// must be new to the machine. owner, when non-empty, attributes the
+// module's symbols to a unit instance for trap reporting. Returns an
+// error and loads nothing on failure; a successful load can be reversed
+// by UnloadDynamic(name).
 func (m *M) LoadDynamicAs(name, owner string, o *obj.File) error {
 	if name == "" {
 		return &LoadError{Msg: "dynamic: module needs a name"}
 	}
 	if m.dyn == nil {
-		m.dyn = newDynState()
+		m.dyn = &dynState{syms: map[string]*symbol{}}
 	}
 	if m.dyn.module(name) != nil {
 		return &LoadError{Msg: fmt.Sprintf("dynamic: module %q already loaded", name)}
 	}
-	// Collisions with existing definitions are linker errors.
-	for _, s := range o.Syms {
-		if !s.Defined || s.Local {
-			continue
+	mod := &dynModule{name: name, owner: owner}
+	// Stage the module's records without committing. Each name becomes
+	// one record in the overlay, so a name already defined is a linker
+	// error, whatever its linkage.
+	local := map[string]*symbol{}
+	stage := func(s *symbol) error {
+		if local[s.name] != nil || m.lookup(s.name) != nil {
+			return &LoadError{Msg: fmt.Sprintf("dynamic: symbol %q already defined", s.name)}
 		}
-		if m.resolvable(s.Name) {
-			return &LoadError{Msg: fmt.Sprintf("dynamic: symbol %q already defined", s.Name)}
-		}
+		s.mod = mod
+		local[s.name] = s
+		mod.syms = append(mod.syms, s)
+		return nil
 	}
-
-	// Stage placements without committing.
 	dataBase := int64(len(m.Mem))
 	addr := dataBase
-	newGlobals := map[string]int64{}
 	var order []string
 	for name := range o.Datas {
 		order = append(order, name)
 	}
 	sortStrings(order)
 	for _, name := range order {
-		newGlobals[name] = addr
+		if err := stage(&symbol{name: name, addr: addr}); err != nil {
+			return err
+		}
 		addr += int64(o.Datas[name].Size)
 	}
 	strAddr := make([]int64, len(o.Strings))
@@ -161,9 +144,6 @@ func (m *M) LoadDynamicAs(name, owner string, o *obj.File) error {
 		addr += int64(len(s)) + 1
 	}
 	textStart := m.Img.TextSize + m.dyn.textSize
-	newFuncAddr := map[string]int64{}
-	newFuncs := map[string]*obj.Func{}
-	newTextOff := map[string]int64{}
 	var fnames []string
 	for name := range o.Funcs {
 		fnames = append(fnames, name)
@@ -183,28 +163,28 @@ func (m *M) LoadDynamicAs(name, owner string, o *obj.File) error {
 					Imm: strAddr[idx], A: obj.NoReg, B: obj.NoReg}
 			}
 		}
-		newFuncs[name] = fn
-		newFuncAddr[name] = textBase + text
-		newTextOff[name] = text
+		if err := stage(&symbol{name: name, addr: textBase + text, fn: fn, text: text}); err != nil {
+			return err
+		}
 		text += int64(len(fn.Code)*m.Costs.InstrBytes + m.Costs.FuncPad)
 	}
 
 	resolve := func(sym string) (int64, bool) {
-		if a, ok := newGlobals[sym]; ok {
-			return a, true
-		}
-		if a, ok := newFuncAddr[sym]; ok {
-			return a, true
+		if s := local[sym]; s != nil {
+			return s.addr, true
 		}
 		return m.resolveAddr(sym)
 	}
 	// Validate address references before committing.
-	for name, fn := range newFuncs {
-		for i := range fn.Code {
-			if fn.Code[i].Op == obj.OpAddrGlobal {
-				if _, ok := resolve(fn.Code[i].Sym); !ok {
+	for _, s := range mod.syms {
+		if s.fn == nil {
+			continue
+		}
+		for i := range s.fn.Code {
+			if s.fn.Code[i].Op == obj.OpAddrGlobal {
+				if _, ok := resolve(s.fn.Code[i].Sym); !ok {
 					return &LoadError{Msg: fmt.Sprintf(
-						"dynamic: func %s: address of unresolved symbol %q", name, fn.Code[i].Sym)}
+						"dynamic: func %s: address of unresolved symbol %q", s.name, s.fn.Code[i].Sym)}
 				}
 			}
 		}
@@ -219,7 +199,7 @@ func (m *M) LoadDynamicAs(name, owner string, o *obj.File) error {
 	}
 	for _, name := range order {
 		d := o.Datas[name]
-		base := newGlobals[name] - dataBase
+		base := local[name].addr - dataBase
 		for _, init := range d.Init {
 			switch init.Kind {
 			case obj.InitConst:
@@ -239,39 +219,18 @@ func (m *M) LoadDynamicAs(name, owner string, o *obj.File) error {
 		}
 	}
 
-	// Commit.
-	mod := &dynModule{
-		name:     name,
-		owner:    owner,
-		dataBase: dataBase,
-		dataEnd:  addr,
-		textBase: textStart,
-		textEnd:  text,
-	}
+	// Commit. Functions draw their indices in text order.
 	m.Mem = append(m.Mem, mem...)
-	for gname, a := range newGlobals {
-		m.dyn.globalAddr[gname] = a
-		mod.globals = append(mod.globals, gname)
-		if owner != "" {
-			m.dyn.owner[gname] = owner
+	for _, s := range mod.syms {
+		if s.fn != nil {
+			s.index = m.nextIndex
+			m.nextIndex++
 		}
+		m.dyn.syms[s.name] = s
 	}
-	for _, fname := range fnames { // text order: indices drawn in it
-		fn := newFuncs[fname]
-		m.dyn.funcs[fname] = fn
-		a := newFuncAddr[fname]
-		m.dyn.funcAddr[fname] = a
-		m.dyn.funcByAddr[a] = fn
-		m.dyn.textOff[fname] = newTextOff[fname]
-		m.dyn.index[fname] = m.nextIndex
-		m.nextIndex++
-		mod.funcs = append(mod.funcs, fname)
-		if owner != "" {
-			m.dyn.owner[fname] = owner
-		}
-	}
-	mod.refs = moduleRefs(o, newGlobals, newFuncs)
-	sortStrings(mod.globals)
+	mod.refs = moduleRefs(o, local)
+	mod.dataBase, mod.dataEnd = dataBase, addr
+	mod.textBase, mod.textEnd = textStart, text
 	m.dyn.textSize = text - m.Img.TextSize
 	m.dyn.modules = append(m.dyn.modules, mod)
 	// New definitions can satisfy call sites previously resolved to a
@@ -287,25 +246,21 @@ func (m *M) LoadDynamicAs(name, owner string, o *obj.File) error {
 // reference — the names that must stay resolvable for the module to
 // keep running, and therefore the names that pin other modules in
 // memory until this one is unloaded.
-func moduleRefs(o *obj.File, globals map[string]int64, funcs map[string]*obj.Func) []string {
-	self := func(sym string) bool {
-		if _, ok := globals[sym]; ok {
-			return true
-		}
-		_, ok := funcs[sym]
-		return ok
-	}
+func moduleRefs(o *obj.File, local map[string]*symbol) []string {
 	seen := map[string]bool{}
 	add := func(sym string) {
-		if sym != "" && !self(sym) && !seen[sym] {
+		if sym != "" && local[sym] == nil {
 			seen[sym] = true
 		}
 	}
-	for _, fn := range funcs {
-		for i := range fn.Code {
-			switch fn.Code[i].Op {
+	for _, s := range local {
+		if s.fn == nil {
+			continue
+		}
+		for i := range s.fn.Code {
+			switch s.fn.Code[i].Op {
 			case obj.OpCall, obj.OpAddrGlobal:
-				add(fn.Code[i].Sym)
+				add(s.fn.Code[i].Sym)
 			}
 		}
 	}
@@ -325,7 +280,7 @@ func moduleRefs(o *obj.File, globals map[string]int64, funcs map[string]*obj.Fun
 }
 
 // UnloadDynamic reverses a LoadDynamicAs: it removes the named module's
-// functions and globals from the symbol tables and reclaims its memory.
+// records from the machine's namespace and reclaims its memory.
 // The unload is refused — and nothing changes — if any other live
 // module's code or data references one of the module's symbols, the
 // same puzzle-piece discipline the loader enforces, run in reverse.
@@ -339,19 +294,16 @@ func (m *M) UnloadDynamic(name string) error {
 		return &LoadError{Msg: fmt.Sprintf("dynamic: no loaded module %q", name)}
 	}
 	mod := m.dyn.module(name)
-	owned := map[string]bool{}
-	for _, s := range mod.funcs {
-		owned[s] = true
-	}
-	for _, s := range mod.globals {
-		owned[s] = true
+	owned := func(sym string) bool {
+		s := m.dyn.syms[sym]
+		return s != nil && s.mod == mod
 	}
 	for _, other := range m.dyn.modules {
 		if other == mod {
 			continue
 		}
 		for _, ref := range other.refs {
-			if owned[ref] {
+			if owned(ref) {
 				return &LoadError{Msg: fmt.Sprintf(
 					"dynamic: cannot unload module %q: live module %q still references its symbol %q (unload %q first)",
 					name, other.name, ref, other.name)}
@@ -364,7 +316,7 @@ func (m *M) UnloadDynamic(name string) error {
 	// The least pinning source is named, so the error is deterministic.
 	pin := ""
 	for from, to := range m.redirect {
-		if owned[to] && (pin == "" || from < pin) {
+		if owned(to) && (pin == "" || from < pin) {
 			pin = from
 		}
 	}
@@ -374,20 +326,10 @@ func (m *M) UnloadDynamic(name string) error {
 			name, pin, m.redirect[pin])}
 	}
 
-	// Reclaim symbol-table entries.
-	for _, s := range mod.funcs {
-		if a, ok := m.dyn.funcAddr[s]; ok {
-			delete(m.dyn.funcByAddr, a)
-		}
-		delete(m.dyn.funcs, s)
-		delete(m.dyn.funcAddr, s)
-		delete(m.dyn.textOff, s)
-		delete(m.dyn.index, s)
-		delete(m.dyn.owner, s)
-	}
-	for _, s := range mod.globals {
-		delete(m.dyn.globalAddr, s)
-		delete(m.dyn.owner, s)
+	// Reclaim the module's records, compiled forms included. Live
+	// modules keep theirs: the addresses baked into them never move.
+	for _, s := range mod.syms {
+		delete(m.dyn.syms, s.name)
 	}
 	// Reclaim memory and text. Memory can shrink only down to the
 	// highest region end any *other* live module still claims — a module
@@ -426,12 +368,7 @@ func (m *M) UnloadDynamic(name string) error {
 	if len(m.dyn.modules) == 0 {
 		m.dyn = nil
 	}
-	// Compiled forms of the unloaded functions must go (their dispatch
-	// slots and baked addresses are dead); dropping the whole per-machine
-	// cache is simpler and unload is rare. Live modules recompile lazily
-	// to identical code — their symbol addresses never move.
-	m.dynCompiled = nil
-	m.dispVersion++
+	m.dispVersion++ // call sites cached onto the module are dead
 	if m.RewireHook != nil {
 		m.RewireHook("unload", name, "")
 	}
@@ -451,12 +388,14 @@ func (m *M) DynModules() []string {
 	return out
 }
 
-// CheckDynInvariants validates the machine's dynamic symbol tables
-// against the live module records: every table entry must belong to
-// exactly one live module (no dangling symbols after an unload), the
-// address maps must agree with each other, and module memory/text
-// regions must be disjoint and in bounds. Test harnesses run it after
-// every load/unload step; it is cheap but not free.
+// CheckDynInvariants validates the machine's dynamic records against
+// the live modules: the overlay must hold exactly the records the live
+// modules own, one per name and none shadowing the image (no dangling
+// or doubly owned symbol after an unload), each function's index must
+// be its own and its address must match its text offset inside its
+// module's text, and module memory/text regions must be disjoint and in
+// bounds. Test harnesses run it after every load/unload step; it is
+// cheap but not free.
 func (m *M) CheckDynInvariants() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("machine: dynamic invariant violated: "+format, args...)
@@ -464,10 +403,10 @@ func (m *M) CheckDynInvariants() error {
 	// Every interposition target must be a defined function: a redirect
 	// onto a reclaimed module would turn calls into undefined-call
 	// traps, which is exactly the residue a failed swap must not leave
-	// behind. Checked before the dynamic tables because redirects can
+	// behind. Checked before the dynamic records because redirects can
 	// outlive the last module (static-to-static interposition).
 	for from, to := range m.redirect {
-		if _, ok := m.funcBySym(to); !ok {
+		if s := m.lookup(to); s == nil || s.fn == nil {
 			return fail("redirect %q -> %q targets an undefined function", from, to)
 		}
 	}
@@ -475,21 +414,9 @@ func (m *M) CheckDynInvariants() error {
 		return nil
 	}
 	d := m.dyn
-	ownedFunc := map[string]string{}
-	ownedGlobal := map[string]string{}
+	owned := 0
+	indexOf := map[int]string{}
 	for _, mod := range d.modules {
-		for _, s := range mod.funcs {
-			if prev, dup := ownedFunc[s]; dup {
-				return fail("func %q owned by both %q and %q", s, prev, mod.name)
-			}
-			ownedFunc[s] = mod.name
-		}
-		for _, s := range mod.globals {
-			if prev, dup := ownedGlobal[s]; dup {
-				return fail("global %q owned by both %q and %q", s, prev, mod.name)
-			}
-			ownedGlobal[s] = mod.name
-		}
 		if mod.dataBase < m.stackLimit || mod.dataEnd > int64(len(m.Mem)) || mod.dataBase > mod.dataEnd {
 			return fail("module %q data region [%d,%d) out of bounds (mem %d)",
 				mod.name, mod.dataBase, mod.dataEnd, len(m.Mem))
@@ -497,6 +424,31 @@ func (m *M) CheckDynInvariants() error {
 		if mod.textBase < m.Img.TextSize || mod.textEnd > m.Img.TextSize+d.textSize || mod.textBase > mod.textEnd {
 			return fail("module %q text region [%d,%d) out of bounds", mod.name, mod.textBase, mod.textEnd)
 		}
+		for _, s := range mod.syms {
+			owned++
+			if d.syms[s.name] != s || s.mod != mod {
+				return fail("symbol %q of module %q is not the record its name resolves to", s.name, mod.name)
+			}
+			if m.Img.syms[s.name] != nil {
+				return fail("dynamic symbol %q shadows an image symbol", s.name)
+			}
+			if s.fn == nil {
+				continue
+			}
+			if s.index < len(m.Img.funcs) || s.index >= m.nextIndex {
+				return fail("func %q has index %d outside [%d,%d)", s.name, s.index, len(m.Img.funcs), m.nextIndex)
+			}
+			if other, dup := indexOf[s.index]; dup {
+				return fail("funcs %q and %q share index %d", other, s.name, s.index)
+			}
+			indexOf[s.index] = s.name
+			if s.addr != textBase+s.text || s.text < mod.textBase || s.text > mod.textEnd {
+				return fail("func %q at text offset %d is outside module %q", s.name, s.text, mod.name)
+			}
+		}
+	}
+	if owned != len(d.syms) {
+		return fail("%d dynamic records, but live modules own %d", len(d.syms), owned)
 	}
 	// Regions of distinct modules must not overlap.
 	mods := append([]*dynModule(nil), d.modules...)
@@ -512,126 +464,14 @@ func (m *M) CheckDynInvariants() error {
 			return fail("modules %q and %q overlap in text", mods[i-1].name, mods[i].name)
 		}
 	}
-	// Every symbol-table entry must belong to a live module, and vice
-	// versa — a dangling entry is exactly what an unload bug leaves.
-	for s := range d.funcs {
-		if _, ok := ownedFunc[s]; !ok {
-			return fail("dangling func table entry %q (no live module owns it)", s)
-		}
-	}
-	for s := range d.globalAddr {
-		if _, ok := ownedGlobal[s]; !ok {
-			return fail("dangling global table entry %q (no live module owns it)", s)
-		}
-	}
-	indexOf := map[int]string{}
-	for s, modName := range ownedFunc {
-		i, ok := d.index[s]
-		if !ok {
-			return fail("func %q has no index", s)
-		}
-		if i < len(m.Img.funcs) || i >= m.nextIndex {
-			return fail("func %q has index %d outside [%d,%d)", s, i, len(m.Img.funcs), m.nextIndex)
-		}
-		if other, dup := indexOf[i]; dup {
-			return fail("funcs %q and %q share index %d", other, s, i)
-		}
-		indexOf[i] = s
-		fn, ok := d.funcs[s]
-		if !ok {
-			return fail("module %q func %q missing from func table", modName, s)
-		}
-		a, ok := d.funcAddr[s]
-		if !ok {
-			return fail("func %q has no address", s)
-		}
-		if got, ok := d.funcByAddr[a]; !ok || got != fn {
-			return fail("funcByAddr[%#x] does not map back to %q", a, s)
-		}
-		if _, ok := d.textOff[s]; !ok {
-			return fail("func %q has no text offset", s)
-		}
-		if _, shadow := m.Img.FuncAddr[s]; shadow {
-			return fail("dynamic func %q shadows an image symbol", s)
-		}
-	}
-	for s := range ownedGlobal {
-		if _, ok := d.globalAddr[s]; !ok {
-			return fail("global %q has no address", s)
-		}
-		if _, shadow := m.Img.GlobalAddr[s]; shadow {
-			return fail("dynamic global %q shadows an image symbol", s)
-		}
-	}
-	if len(d.funcAddr) != len(d.funcs) || len(d.funcByAddr) != len(d.funcs) ||
-		len(d.textOff) != len(d.funcs) || len(d.index) != len(d.funcs) {
-		return fail("func table sizes disagree: funcs=%d addr=%d byAddr=%d textOff=%d index=%d",
-			len(d.funcs), len(d.funcAddr), len(d.funcByAddr), len(d.textOff), len(d.index))
-	}
-	// Attribution entries may only name symbols of live modules.
-	for s := range d.owner {
-		if _, okF := ownedFunc[s]; !okF {
-			if _, okG := ownedGlobal[s]; !okG {
-				return fail("dangling owner entry %q", s)
-			}
-		}
-	}
 	return nil
 }
 
-// resolvable reports whether a symbol already has a definition visible
-// to this machine.
-func (m *M) resolvable(sym string) bool {
-	if _, ok := m.Img.GlobalAddr[sym]; ok {
-		return true
-	}
-	if _, ok := m.Img.FuncAddr[sym]; ok {
-		return true
-	}
-	if m.dyn == nil {
-		return false
-	}
-	if _, ok := m.dyn.globalAddr[sym]; ok {
-		return true
-	}
-	_, ok := m.dyn.funcAddr[sym]
-	return ok
-}
-
-// resolveAddr resolves a symbol to an address across the image and
+// resolveAddr resolves a symbol to its address across the image and
 // loaded modules.
 func (m *M) resolveAddr(sym string) (int64, bool) {
-	if a, ok := m.Img.GlobalAddr[sym]; ok {
-		return a, true
-	}
-	if a, ok := m.Img.FuncAddr[sym]; ok {
-		return a, true
-	}
-	if m.dyn != nil {
-		if a, ok := m.dyn.globalAddr[sym]; ok {
-			return a, true
-		}
-		if a, ok := m.dyn.funcAddr[sym]; ok {
-			return a, true
-		}
+	if s := m.lookup(sym); s != nil {
+		return s.addr, true
 	}
 	return 0, false
-}
-
-// dynFunc looks up a dynamically loaded function by name.
-func (m *M) dynFunc(sym string) (*obj.Func, bool) {
-	if m.dyn == nil {
-		return nil, false
-	}
-	fn, ok := m.dyn.funcs[sym]
-	return fn, ok
-}
-
-// dynFuncByAddr looks up a dynamically loaded function by text address.
-func (m *M) dynFuncByAddr(addr int64) (*obj.Func, bool) {
-	if m.dyn == nil {
-		return nil, false
-	}
-	fn, ok := m.dyn.funcByAddr[addr]
-	return fn, ok
 }

@@ -91,6 +91,66 @@ func TestLoadDynamicCollisionRejected(t *testing.T) {
 	}
 }
 
+// staticHelperModule is a dynamic module whose entry returns what its
+// own static (Local) helper returns: val.
+func staticHelperModule(name, entry, helper string, val int64) *obj.File {
+	f := obj.NewFile(name)
+	f.Funcs[helper] = buildFunc(helper, 0, 1, 0, []obj.Instr{
+		{Op: obj.OpConst, Dst: 0, Imm: val},
+		{Op: obj.OpRet, A: 0, HasVal: true},
+	})
+	f.AddSym(&obj.Symbol{Name: helper, Kind: obj.SymFunc, Defined: true, Local: true})
+	f.Funcs[entry] = buildFunc(entry, 0, 1, 0, []obj.Instr{
+		{Op: obj.OpCall, Dst: 0, Sym: helper, A: obj.NoReg},
+		{Op: obj.OpRet, A: 0, HasVal: true},
+	})
+	f.AddSym(&obj.Symbol{Name: entry, Kind: obj.SymFunc, Defined: true})
+	return f
+}
+
+// TestLoadDynamicLocalCollisionRejected: a static symbol is a definition
+// the load commits like any other, so a module whose static shares a
+// name with an image symbol or with another live module's symbol is
+// refused whole, on both engines, rather than being shadowed by the
+// image or taking over the other module's calls.
+func TestLoadDynamicLocalCollisionRejected(t *testing.T) {
+	base := fileWith(buildFunc("helper", 0, 1, 0, []obj.Instr{
+		{Op: obj.OpConst, Dst: 0, Imm: 1},
+		{Op: obj.OpRet, A: 0, HasVal: true},
+	}))
+	mi, mc := compiledPair(t, base)
+	for _, m := range []*M{mi, mc} {
+		bk := m.Backend()
+		err := m.LoadDynamicAs("shadowed", "", staticHelperModule("shadowed", "entry", "helper", 2))
+		if err == nil || !strings.Contains(err.Error(), `symbol "helper" already defined`) {
+			t.Errorf("%v: static helper over the image's: err = %v, want already-defined rejection", bk, err)
+		}
+		if err := m.LoadDynamicAs("A", "", staticHelperModule("A", "ea", "h", 10)); err != nil {
+			t.Fatalf("%v: load A: %v", bk, err)
+		}
+		err = m.LoadDynamicAs("B", "", staticHelperModule("B", "eb", "h", 20))
+		if err == nil || !strings.Contains(err.Error(), `symbol "h" already defined`) {
+			t.Errorf("%v: static h over module A's: err = %v, want already-defined rejection", bk, err)
+		}
+		if mods := m.DynModules(); len(mods) != 1 || mods[0] != "A" {
+			t.Errorf("%v: live modules %v, want [A]", bk, mods)
+		}
+		for entry, want := range map[string]int64{"helper": 1, "ea": 10} {
+			if v, err := m.Run(entry); err != nil || v != want {
+				t.Errorf("%v: %s() = %d, %v; want %d", bk, entry, v, err, want)
+			}
+		}
+		for _, entry := range []string{"entry", "eb"} {
+			if _, err := m.Run(entry); err == nil {
+				t.Errorf("%v: %s of a refused module is runnable", bk, entry)
+			}
+		}
+		if err := m.CheckDynInvariants(); err != nil {
+			t.Errorf("%v: %v", bk, err)
+		}
+	}
+}
+
 func TestLoadDynamicUnresolvedRejected(t *testing.T) {
 	m := loadFile(t, fileWith())
 	mod := fileWith(buildFunc("g", 0, 2, 0, []obj.Instr{
@@ -102,7 +162,7 @@ func TestLoadDynamicUnresolvedRejected(t *testing.T) {
 		t.Errorf("err = %v, want unresolved symbol", err)
 	}
 	// Nothing was committed: memory length unchanged.
-	if m.dyn != nil && len(m.dyn.funcs) != 0 {
+	if m.dyn != nil && len(m.dyn.syms) != 0 {
 		t.Error("failed load leaked state")
 	}
 }

@@ -131,6 +131,7 @@ func TestFunctionIndexDynamic(t *testing.T) {
 	if err := src.LoadDynamicAs("src_mod", "", identityModule("dyn_src")); err != nil {
 		t.Fatal(err)
 	}
+	srcIndex := callIndices(t, src, "dyn_src", 1)["dyn_src"]
 	snap := src.Snapshot()
 	dst := loadFile(t, base)
 	if err := dst.LoadDynamicAs("dst_mod", "", identityModule("dyn_dst")); err != nil {
@@ -143,5 +144,10 @@ func TestFunctionIndexDynamic(t *testing.T) {
 	}
 	if got := callIndices(t, dst, "dyn_src", 1)["dyn_src"]; got == dstIndex {
 		t.Errorf("restored dyn_src took index %d, already dyn_dst's on this machine", got)
+	}
+	// The restore renumbered dst's copy of the snapshot's records, not
+	// the records src runs.
+	if got := callIndices(t, src, "dyn_src", 1)["dyn_src"]; got != srcIndex {
+		t.Errorf("src's dyn_src has index %d after dst restored its snapshot, want its old %d", got, srcIndex)
 	}
 }

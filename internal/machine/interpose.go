@@ -1,10 +1,6 @@
 package machine
 
-import (
-	"fmt"
-
-	"knit/internal/obj"
-)
+import "fmt"
 
 // This file implements run-time symbol interposition: redirecting every
 // direct call (and Run entry) aimed at one function symbol to another
@@ -23,8 +19,8 @@ import (
 // stop being referenced the moment it is interposed away — which is
 // what lets the supervisor unload it afterwards.
 func (m *M) Interpose(sym, target string) error {
-	from, ok := m.funcBySym(sym)
-	if !ok {
+	from := m.lookup(sym)
+	if from == nil || from.fn == nil {
 		return &LoadError{Msg: fmt.Sprintf("interpose: %q does not name a defined function", sym)}
 	}
 	// Resolve the target through existing redirects first: interposing
@@ -34,13 +30,13 @@ func (m *M) Interpose(sym, target string) error {
 	if final == sym {
 		return &LoadError{Msg: fmt.Sprintf("interpose: redirect %q -> %q would form a cycle", sym, target)}
 	}
-	to, ok := m.funcBySym(final)
-	if !ok {
+	to := m.lookup(final)
+	if to == nil || to.fn == nil {
 		return &LoadError{Msg: fmt.Sprintf("interpose: target %q does not name a defined function", final)}
 	}
-	if from.NArgs != to.NArgs {
+	if from.fn.NArgs != to.fn.NArgs {
 		return &LoadError{Msg: fmt.Sprintf(
-			"interpose: %q takes %d args but target %q takes %d", sym, from.NArgs, final, to.NArgs)}
+			"interpose: %q takes %d args but target %q takes %d", sym, from.fn.NArgs, final, to.fn.NArgs)}
 	}
 	if m.redirect == nil {
 		m.redirect = map[string]string{}
@@ -95,15 +91,6 @@ func (m *M) interposed(sym string) string {
 		sym = next
 	}
 	return sym
-}
-
-// funcBySym resolves a symbol to its function definition across the
-// static image and live dynamic modules, without following redirects.
-func (m *M) funcBySym(sym string) (*obj.Func, bool) {
-	if f, found := m.Img.Entry[sym]; found {
-		return f, true
-	}
-	return m.dynFunc(sym)
 }
 
 // ResetData restores the initial (load-time) contents of the static

@@ -3,11 +3,11 @@ package machine
 import "fmt"
 
 // Snapshot is a restorable copy of a machine's mutable program state:
-// memory, stack pointer, the dynamic-module symbol tables, and the
-// interposition redirects. It deliberately excludes the performance
-// counters (Cycles, Executed, ...) — a rollback undoes what the program
-// did, not the record that it ran — and the host-side builtins, which
-// belong to the embedder.
+// memory, stack pointer, the dynamic modules and their symbol records,
+// and the interposition redirects. It deliberately excludes the
+// performance counters (Cycles, Executed, ...) — a rollback undoes what
+// the program did, not the record that it ran — and the host-side
+// builtins, which belong to the embedder.
 type Snapshot struct {
 	mem        []int64
 	sp         int64
@@ -41,11 +41,12 @@ func (m *M) Snapshot() *Snapshot {
 
 // Restore rewinds the machine's program state to the snapshot: memory
 // contents (including any since-loaded dynamic modules' data), stack
-// pointer, the dynamic symbol tables, and the interposition redirects.
-// Modules loaded after the snapshot vanish; modules unloaded after it
-// come back, their functions under their old indices (CallInfo.Index).
-// A snapshot taken on another machine gives its functions fresh indices
-// on this one. Statistics and registered builtins are left alone.
+// pointer, the dynamic modules and their records, and the interposition
+// redirects. Modules loaded after the snapshot vanish; modules unloaded
+// after it come back, their functions under their old indices
+// (CallInfo.Index). A snapshot taken on another machine gives its
+// functions fresh indices on this one. Statistics and registered
+// builtins are left alone.
 func (m *M) Restore(s *Snapshot) {
 	m.Mem = append([]int64(nil), s.mem...)
 	m.sp = s.sp
@@ -67,10 +68,9 @@ func (m *M) Restore(s *Snapshot) {
 		m.redirect = nil
 	}
 	// Redirects and the dynamic-module world just changed wholesale:
-	// drop the compiled backend's per-machine caches. Static compiled
-	// code lives on the Image and is untouched; dynamic functions
-	// recompile lazily against the restored tables.
-	m.dynCompiled = nil
+	// drop the compiled dispatch caches. Static compiled code lives on
+	// the Image and is untouched; the restored records carry no compiled
+	// form, so dynamic functions recompile lazily against them.
 	m.dispVersion++
 }
 

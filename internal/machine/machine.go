@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -70,31 +71,33 @@ const (
 // Sharing contract: an Image is immutable once loaded, so any number of
 // machines may run off the same Image concurrently — each M copies the
 // initial data segment (initMem) into its own Mem at New, and all other
-// Image state (text, entry points, address maps, interned strings, cost
-// model) is only ever read after Load returns. The one sanctioned
-// post-Load write is the build layer assigning SymbolOwner exactly once,
-// before any machine is created from the image. Everything mutable at
-// run time — memory, stack, dynamic modules, interposition redirects,
-// hooks, counters — lives on M, never on Image. Code that adds Image
-// state must either populate it fully inside Load or move it to M;
-// internal/machine's shared-image race test (shared_test.go) is the
-// regression net for violations.
+// Image state (text, entry points, symbol records, interned strings,
+// cost model) is only ever read after Load returns. The image's symbol
+// records are the base of every machine's namespace; a machine's
+// dynamic modules add records of their own in an overlay on M, never
+// here. The one sanctioned post-Load write is the build layer assigning
+// SymbolOwner exactly once, before any machine is created from the
+// image. Everything mutable at run time — memory, stack, dynamic
+// modules and their records, interposition redirects, hooks, counters —
+// lives on M, never on Image. Code that adds Image state must either
+// populate it fully inside Load or move it to M; internal/machine's
+// shared-image race test (shared_test.go) is the regression net for
+// violations.
 type Image struct {
 	File       *obj.File
 	Entry      map[string]*obj.Func
 	GlobalAddr map[string]int64
 	FuncAddr   map[string]int64
-	funcByAddr map[int64]*obj.Func
 	strAddr    []int64
 	initMem    []int64
-	textOff    map[string]int64 // function name -> text offset in bytes
 	TextSize   int64
 	DataWords  int
 	costs      Costs
-	// funcs holds the static functions in text order, and index maps
-	// each back to its position there: its dense index (CallInfo.Index).
-	funcs []*obj.Func
-	index map[*obj.Func]int
+	// syms holds the record of every defined symbol, by name. funcs
+	// holds the function records in text order, which is ascending
+	// address order, so a record's position there is its dense index.
+	syms  map[string]*symbol
+	funcs []*symbol
 	// SymbolOwner, when set by the build layer, maps program-unique
 	// symbol names to the unit-instance path that defined them, so traps
 	// are attributed to components (fault isolation, not just fault
@@ -112,6 +115,24 @@ type Image struct {
 	compiled    *imageProg
 }
 
+// symbol is the one record of a defined symbol, function or data, in a
+// machine's namespace. Every lookup by name or by address returns one.
+// An image's records are built in Load and shared read-only by every
+// machine on it. A dynamic module's records are its machine's own: its
+// module lists them and the machine's overlay maps their names, and
+// Snapshot and Restore copy them rather than share them, because two
+// fields may change after the load: a Restore from another machine
+// renumbers index, and the compiled engine fills in cf.
+type symbol struct {
+	name  string
+	addr  int64
+	fn    *obj.Func  // nil for data
+	text  int64      // text offset in bytes (functions)
+	index int        // dense index, CallInfo.Index (functions)
+	mod   *dynModule // the dynamic module that defined it; nil in the image
+	cf    *cfunc     // this machine's compiled form of a dynamic function
+}
+
 // LoadError reports a problem resolving an object file into an image.
 type LoadError struct{ Msg string }
 
@@ -127,9 +148,7 @@ func Load(f *obj.File, costs Costs) (*Image, error) {
 		Entry:      f.Funcs,
 		GlobalAddr: map[string]int64{},
 		FuncAddr:   map[string]int64{},
-		funcByAddr: map[int64]*obj.Func{},
-		textOff:    map[string]int64{},
-		index:      map[*obj.Func]int{},
+		syms:       map[string]*symbol{},
 		costs:      costs,
 	}
 	// Data placement: globals first, then string literals.
@@ -143,6 +162,7 @@ func Load(f *obj.File, costs Costs) (*Image, error) {
 	for _, name := range order {
 		d := f.Datas[name]
 		img.GlobalAddr[name] = addr
+		img.syms[name] = &symbol{name: name, addr: addr}
 		addr += int64(d.Size)
 	}
 	strAddr := make([]int64, len(f.Strings))
@@ -168,26 +188,18 @@ func Load(f *obj.File, costs Costs) (*Image, error) {
 	sortStrings(fnames)
 	text := int64(0)
 	for _, name := range fnames {
+		if img.syms[name] != nil {
+			return nil, &LoadError{Msg: fmt.Sprintf("symbol %q defined as both data and function", name)}
+		}
 		fn := f.Funcs[name]
-		img.index[fn] = len(img.funcs)
-		img.funcs = append(img.funcs, fn)
-		img.textOff[name] = text
-		a := textBase + text
-		img.FuncAddr[name] = a
-		img.funcByAddr[a] = fn
+		s := &symbol{name: name, addr: textBase + text, fn: fn, text: text, index: len(img.funcs)}
+		img.funcs = append(img.funcs, s)
+		img.syms[name] = s
+		img.FuncAddr[name] = s.addr
 		text += int64(len(fn.Code)*costs.InstrBytes + costs.FuncPad)
 	}
 	img.TextSize = text
 	// Apply data initializers now that addresses exist.
-	resolve := func(sym string) (int64, bool) {
-		if a, ok := img.GlobalAddr[sym]; ok {
-			return a, true
-		}
-		if a, ok := img.FuncAddr[sym]; ok {
-			return a, true
-		}
-		return 0, false
-	}
 	for _, name := range order {
 		d := f.Datas[name]
 		base := img.GlobalAddr[name]
@@ -201,22 +213,20 @@ func Load(f *obj.File, costs Costs) (*Image, error) {
 				}
 				img.initMem[base+int64(init.Offset)] = strAddr[init.Index]
 			case obj.InitSym:
-				a, ok := resolve(init.Sym)
-				if !ok {
+				s := img.syms[init.Sym]
+				if s == nil {
 					return nil, &LoadError{Msg: fmt.Sprintf("data %s: unresolved symbol %q", name, init.Sym)}
 				}
-				img.initMem[base+int64(init.Offset)] = a
+				img.initMem[base+int64(init.Offset)] = s.addr
 			}
 		}
 	}
 	// Every OpAddrGlobal operand must resolve.
 	for fname, fn := range f.Funcs {
 		for i := range fn.Code {
-			if fn.Code[i].Op == obj.OpAddrGlobal {
-				if _, ok := resolve(fn.Code[i].Sym); !ok {
-					return nil, &LoadError{Msg: fmt.Sprintf(
-						"func %s: address of unresolved symbol %q", fname, fn.Code[i].Sym)}
-				}
+			if fn.Code[i].Op == obj.OpAddrGlobal && img.syms[fn.Code[i].Sym] == nil {
+				return nil, &LoadError{Msg: fmt.Sprintf(
+					"func %s: address of unresolved symbol %q", fname, fn.Code[i].Sym)}
 			}
 		}
 	}
@@ -407,14 +417,13 @@ type M struct {
 	// trusted while its version matches dispVersion, which is bumped
 	// whenever the name→code mapping can change (interpose/unpose,
 	// dynamic load/unload, restore, reset, builtin registration), so no
-	// closure ever acts on a stale redirect. dynCompiled caches this
-	// machine's compilations of dynamically loaded functions; nextSite
-	// allocates their dispatch-cache slots past the static program's.
+	// closure ever acts on a stale redirect. A dynamic function's record
+	// holds this machine's compilation of it; nextSite allocates their
+	// dispatch-cache slots past the static program's.
 	backend     Backend
 	sites       []callSite
 	nextSite    int
 	dispVersion uint64
-	dynCompiled map[*obj.Func]*cfunc
 }
 
 // CallInfo describes one completed simulated function call, as passed
@@ -484,7 +493,6 @@ func (m *M) Reset() {
 	m.regTop, m.argTop = 0, 0 // arenas keep their capacity across resets
 	m.sites = nil
 	m.nextSite = 0
-	m.dynCompiled = nil
 	m.dispVersion++ // fresh caches start invalid (slot version 0 < 1)
 }
 
@@ -505,17 +513,14 @@ func (m *M) Run(entry string, args ...int64) (int64, error) {
 		}
 	}
 	entry = m.interposed(entry)
-	fn, ok := m.Img.Entry[entry]
-	if !ok {
-		fn, ok = m.dynFunc(entry)
-	}
-	if !ok {
+	s := m.lookup(entry)
+	if s == nil || s.fn == nil {
 		return 0, &LoadError{Msg: fmt.Sprintf("entry function %q not defined", entry)}
 	}
 	if m.depth == 0 {
 		m.armBudget()
 	}
-	v, err := m.call(fn, args, runArgRegs(len(args)))
+	v, err := m.call(s, args, runArgRegs(len(args)))
 	if t, ok := err.(*Trap); ok && t.Unit == "" {
 		t.Unit = m.OwnerOf(t.Func)
 	}
@@ -563,17 +568,48 @@ func (m *M) armBudget() {
 
 // OwnerOf maps a (renamed, program-unique) function or data symbol back
 // to the unit instance that owns it, consulting the image's link-time
-// symbol table and then the live dynamic modules. Empty when unknown.
+// symbol table and then the live dynamic module that defines it. Empty
+// when unknown.
 func (m *M) OwnerOf(sym string) string {
 	if owner, ok := m.Img.SymbolOwner[sym]; ok {
 		return owner
 	}
-	if m.dyn != nil {
-		if owner, ok := m.dyn.owner[sym]; ok {
-			return owner
-		}
+	if s := m.lookup(sym); s != nil && s.mod != nil {
+		return s.mod.owner
 	}
 	return ""
+}
+
+// lookup returns the record defining name: the image's, else a live
+// dynamic module's. It does not follow interposition redirects.
+func (m *M) lookup(name string) *symbol {
+	if s := m.Img.syms[name]; s != nil {
+		return s
+	}
+	if m.dyn != nil {
+		return m.dyn.syms[name]
+	}
+	return nil
+}
+
+// lookupAddr returns the record of the function whose code starts at
+// addr, or nil when no live function does.
+func (m *M) lookupAddr(addr int64) *symbol {
+	funcs := m.Img.funcs
+	i := sort.Search(len(funcs), func(i int) bool { return funcs[i].addr >= addr })
+	if i < len(funcs) && funcs[i].addr == addr {
+		return funcs[i]
+	}
+	if m.dyn != nil {
+		for _, mod := range m.dyn.modules {
+			for _, s := range mod.syms {
+				if s.fn != nil && s.addr == addr {
+					return s
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // fetch models the instruction fetch of one instruction at the given
@@ -598,47 +634,31 @@ func (m *M) fetch(textOff int64) {
 	m.prevLine = line
 }
 
-// call runs one simulated function body on the machine's engine. Its
+// call runs the body of the function s on the machine's engine. Its
 // arguments are src[argRegs[0]], src[argRegs[1]], …: the caller's
 // registers for a call from simulated code, Run's vector for a Run.
-func (m *M) call(fn *obj.Func, src []int64, argRegs []obj.Reg) (int64, error) {
+func (m *M) call(s *symbol, src []int64, argRegs []obj.Reg) (int64, error) {
 	if m.backend == BackendCompiled {
-		return m.invoke(fn, m.compiledFor(fn), src, argRegs)
+		return m.invoke(s, m.compiledFor(s), src, argRegs)
 	}
-	return m.invoke(fn, nil, src, argRegs)
+	return m.invoke(s, nil, src, argRegs)
 }
 
-// invoke runs fn's body in a new frame — as cf when cf is non-nil —
-// firing the PostCall hook (when installed) with the call's function
-// index, frame identity, fuel delta, and outcome. The disabled path is
-// a single nil check so that detached observability costs nothing
-// measurable. The compiled function carries its index; the interpreter
-// looks it up at entry, while fn is still certainly live.
-func (m *M) invoke(fn *obj.Func, cf *cfunc, src []int64, argRegs []obj.Reg) (int64, error) {
+// invoke runs the body of the function s in a new frame — as cf when cf
+// is non-nil — firing the PostCall hook (when installed) with the call's
+// function index, frame identity, fuel delta, and outcome. The disabled
+// path is a single nil check so that detached observability costs
+// nothing measurable. The index is read from the record the frame holds,
+// which stays valid even if the call unloads its own module.
+func (m *M) invoke(s *symbol, cf *cfunc, src []int64, argRegs []obj.Reg) (int64, error) {
 	if m.PostCall == nil {
-		return m.frame(fn, cf, src, argRegs)
-	}
-	var index int
-	if cf != nil {
-		index = cf.index
-	} else {
-		index = m.funcIndex(fn)
+		return m.frame(s, cf, src, argRegs)
 	}
 	depth := m.depth
 	start := m.Cycles
-	v, err := m.frame(fn, cf, src, argRegs)
-	m.PostCall(CallInfo{Fn: fn.Name, Index: index, Depth: depth, Start: start, Cycles: m.Cycles - start, Err: err})
+	v, err := m.frame(s, cf, src, argRegs)
+	m.PostCall(CallInfo{Fn: s.name, Index: s.index, Depth: depth, Start: start, Cycles: m.Cycles - start, Err: err})
 	return v, err
-}
-
-// funcIndex returns the dense index (CallInfo.Index) of a live
-// function: its text-order number when static, the number its load drew
-// when dynamic.
-func (m *M) funcIndex(fn *obj.Func) int {
-	if i, ok := m.Img.index[fn]; ok {
-		return i
-	}
-	return m.dyn.index[fn.Name]
 }
 
 // growArena extends a frame arena to at least need words. Growth
@@ -663,7 +683,8 @@ func growArena(s []int64, need int) []int64 {
 // non-nil, else on the interpreter. Every check precedes the first
 // change to machine state, so the one exit path after the body is the
 // only place depth, register top and stack pointer are restored.
-func (m *M) frame(fn *obj.Func, cf *cfunc, src []int64, argRegs []obj.Reg) (int64, error) {
+func (m *M) frame(s *symbol, cf *cfunc, src []int64, argRegs []obj.Reg) (int64, error) {
+	fn := s.fn
 	if m.depth >= MaxCallDepth {
 		return 0, &Trap{Kind: TrapStackOverflow, Msg: "call stack overflow", Func: fn.Name}
 	}
@@ -705,28 +726,26 @@ func (m *M) frame(fn *obj.Func, cf *cfunc, src []int64, argRegs []obj.Reg) (int6
 	if cf != nil {
 		v, err = m.runCompiled(cf, regs, fp)
 	} else {
-		v, err = m.execLoop(fn, regs, fp, 0, true)
+		v, err = m.execLoop(s, regs, fp, 0, true)
 	}
 	m.depth--
 	m.regTop, m.sp = rbase, fp
 	return v, err
 }
 
-// execLoop is the interpreter proper: it executes fn's body over an
-// already-established frame (registers, frame pointer, stack), starting
-// at pc. With model=false the instruction-fetch model is skipped —
-// Stalls stay untouched and Cycles count only execution — which is the
-// cost semantics of the compiled backend; it uses this mode to finish a
-// frame exactly, instruction by instruction, when a step or fuel limit
-// is close enough that bulk accounting could overshoot the trap point.
-func (m *M) execLoop(fn *obj.Func, regs []int64, fp int64, pc int, model bool) (int64, error) {
+// execLoop is the interpreter proper: it executes the body of the
+// function s over an already-established frame (registers, frame
+// pointer, stack), starting at pc. With model=false the
+// instruction-fetch model is skipped — Stalls stay untouched and Cycles
+// count only execution — which is the cost semantics of the compiled
+// backend; it uses this mode to finish a frame exactly, instruction by
+// instruction, when a step or fuel limit is close enough that bulk
+// accounting could overshoot the trap point.
+func (m *M) execLoop(s *symbol, regs []int64, fp int64, pc int, model bool) (int64, error) {
+	fn := s.fn
 	var textOff, ib int64
 	if model {
-		textOff = m.Img.textOff[fn.Name]
-		if dfn, ok := m.dynFunc(fn.Name); ok && dfn == fn {
-			textOff = m.dyn.textOff[fn.Name]
-		}
-		ib = int64(m.Costs.InstrBytes)
+		textOff, ib = s.text, int64(m.Costs.InstrBytes)
 	}
 	for {
 		if pc < 0 || pc >= len(fn.Code) {
@@ -798,11 +817,8 @@ func (m *M) execLoop(fn *obj.Func, regs []int64, fp int64, pc int, model bool) (
 			regs[in.Dst] = v
 		case obj.OpCallInd:
 			target := regs[in.A]
-			callee, ok := m.Img.funcByAddr[target]
-			if !ok {
-				callee, ok = m.dynFuncByAddr(target)
-			}
-			if !ok {
+			callee := m.lookupAddr(target)
+			if callee == nil {
 				return 0, &Trap{Kind: TrapUnresolvedSymbol, Msg: fmt.Sprintf("indirect call to non-function address %#x", target), Func: fn.Name, PC: pc}
 			}
 			m.IndCalls++
@@ -842,7 +858,7 @@ func (m *M) execLoop(fn *obj.Func, regs []int64, fp int64, pc int, model bool) (
 // callers.
 func (m *M) dispatch(sym string, regs []int64, argRegs []obj.Reg, fn *obj.Func, pc int) (int64, error) {
 	sym = m.interposed(sym)
-	if callee, ok := m.funcBySym(sym); ok {
+	if callee := m.lookup(sym); callee != nil && callee.fn != nil {
 		m.Calls++
 		m.Cycles += m.Costs.CallBase + m.Costs.CallPerArg*int64(len(argRegs))
 		return m.call(callee, regs, argRegs)

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -326,6 +327,93 @@ func TestSharedImageInterposeUnderLoad(t *testing.T) {
 			if v, err := m.Run("bump"); err != nil || v != rounds+1 {
 				t.Errorf("sibling %d: counter = %d, %v; want %d (canary churn bled across machines?)",
 					id, v, err, rounds+1)
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
+// TestSharedImageConcurrentForeignRestore restores one snapshot holding
+// a dynamic module onto 8 machines off one image at once, as every fleet
+// shard does with the fleet's post-init snapshot at boot and respawn.
+// Each machine then calls, unloads and reloads the module. The restore
+// renumbers each machine's own copy of the module's records, so no
+// machine ever sees an index it drew before. Machine id draws id indices
+// of its own before the restore, and all restores finish before the
+// first call, so a record two machines shared would carry one of their
+// numbers on the other. Run with -race.
+func TestSharedImageConcurrentForeignRestore(t *testing.T) {
+	img, err := Load(fileWith(buildFunc("base_id", 1, 1, 0, []obj.Instr{
+		{Op: obj.OpRet, A: 0, HasVal: true},
+	})), DefaultCosts())
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	proto := New(img)
+	if err := proto.LoadDynamicAs("mod", "Top/Mod#1", identityModule("dyn_fn")); err != nil {
+		t.Fatal(err)
+	}
+	snap := proto.Snapshot()
+
+	const machines, reloads = 8, 3
+	var wg, restored sync.WaitGroup
+	restored.Add(machines)
+	for i := 0; i < machines; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			m := New(img)
+			if id%2 == 0 {
+				m.SetBackend(BackendCompiled)
+			}
+			// draw runs fn and checks that the index it reports is new to
+			// this machine.
+			drawn := map[int]string{0: "base_id"}
+			draw := func(fn string) bool {
+				index := -1
+				m.PostCall = func(ci CallInfo) { index = ci.Index }
+				_, err := m.Run(fn, 1)
+				m.PostCall = nil
+				if err != nil {
+					t.Errorf("machine %d: %s: %v", id, fn, err)
+					return false
+				}
+				if prev, ok := drawn[index]; ok {
+					t.Errorf("machine %d: %s reports index %d, drawn before by %s", id, fn, index, prev)
+					return false
+				}
+				drawn[index] = fn
+				return true
+			}
+			must := func(what string, err error) bool {
+				if err != nil {
+					t.Errorf("machine %d: %s: %v", id, what, err)
+				}
+				return err == nil
+			}
+			ok := true
+			for k := 0; ok && k < id; k++ {
+				own := fmt.Sprintf("own_%d", k)
+				ok = must("load", m.LoadDynamicAs("own", "", identityModule(own))) && draw(own) &&
+					must("unload", m.UnloadDynamic("own"))
+			}
+			m.Restore(snap)
+			restored.Done()
+			restored.Wait()
+			ok = ok && draw("dyn_fn")
+			for r := 0; ok && r < reloads; r++ {
+				ok = must("unload", m.UnloadDynamic("mod")) &&
+					must("reload", m.LoadDynamicAs("mod", "Top/Mod#1", identityModule("dyn_fn"))) &&
+					draw("dyn_fn")
+			}
+			if !ok {
+				return
+			}
+			if owner := m.OwnerOf("dyn_fn"); owner != "Top/Mod#1" {
+				t.Errorf("machine %d: OwnerOf(dyn_fn) = %q", id, owner)
+			}
+			if err := m.CheckDynInvariants(); err != nil {
+				t.Errorf("machine %d: %v", id, err)
 			}
 		}(i)
 	}
