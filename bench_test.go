@@ -168,7 +168,7 @@ func BenchmarkCensusConstraintCheck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := link.Elaborate(reg, top, sources)
+	prog, err := link.Elaborate(reg, top, sources, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package knit
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -292,5 +293,65 @@ func TestDifferentialOskitKernel(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDifferentialSharedCache runs the suite's builds one after another
+// on a single build.Cache: every .unit fixture root (modular and
+// flattened), the OSKit kernels and the four router variants. By each
+// build the cache holds the parsed files and compiled objects of every
+// build before it, so a build that reused an entry it should not have,
+// or one an earlier build had changed, shows here: each must equal its
+// plain build.
+func TestDifferentialSharedCache(t *testing.T) {
+	cache := build.NewCache()
+	check := func(label string, run func(tune func(*build.Options)) (*build.Result, error)) {
+		t.Helper()
+		plain, err := run(nil)
+		if err != nil {
+			t.Fatalf("%s plain build: %v", label, err)
+		}
+		shared, err := run(func(o *build.Options) { o.Cache = cache })
+		if err != nil {
+			t.Fatalf("%s shared-cache build: %v", label, err)
+		}
+		if asm.Format(shared.Object) != asm.Format(plain.Object) {
+			t.Errorf("%s shared-cache build object differs from plain build", label)
+		}
+		assertImagesEqual(t, label+" shared-cache", plain, shared)
+	}
+	for _, fx := range discoverUnitFixtures(t, "examples", filepath.Join("cmd", "knit", "testdata")) {
+		for _, root := range fx.roots {
+			for _, flatten := range []bool{false, true} {
+				base := build.Options{Top: root, UnitFiles: fx.unitFiles, Sources: fx.sources,
+					Optimize: flatten, Flatten: flatten}
+				check(fmt.Sprintf("%s %s flatten=%v", fx.name, root, flatten),
+					func(tune func(*build.Options)) (*build.Result, error) {
+						opts := base
+						if tune != nil {
+							tune(&opts)
+						}
+						return build.Build(opts)
+					})
+			}
+		}
+	}
+	for _, top := range []string{"FsKernel", "BigKernel"} {
+		check(top, func(tune func(*build.Options)) (*build.Result, error) {
+			opts := build.Options{Optimize: true}
+			if tune != nil {
+				tune(&opts)
+			}
+			return oskit.BuildKernel(top, opts)
+		})
+	}
+	for _, v := range []clack.Variant{{}, {Flattened: true}, {HandOptimized: true}, {HandOptimized: true, Flattened: true}} {
+		check("router "+v.String(), func(tune func(*build.Options)) (*build.Result, error) {
+			return clack.BuildRouterTuned(v, tune)
+		})
+	}
+	if st := cache.Stats(); st.Hits == 0 || cache.FrontEnd().Len() == 0 {
+		t.Errorf("shared cache served %d objects and holds %d parsed files; want both nonzero",
+			st.Hits, cache.FrontEnd().Len())
 	}
 }

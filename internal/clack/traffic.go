@@ -124,8 +124,8 @@ func (s *DeviceStats) Forwardable() int { return s.Tx[0] + s.Tx[1] }
 
 // InstallDevices registers the NIC builtins (__rx_poll, __tx, __drop) on
 // m, feeding the given streams. Packets are delivered through two
-// per-device buffers placed at the top of simulated memory, well above
-// the stack region.
+// per-device buffers in the top words of the stack region, just below
+// the data of any dynamically loaded module.
 func InstallDevices(m *machine.M, streams [2][]Packet) *DeviceStats {
 	io := &shardIO{rx: streams}
 	installShardDevices(m, io)
@@ -154,7 +154,7 @@ type shardIO struct {
 // driver calls.
 func installShardDevices(m *machine.M, io *shardIO) {
 	bufAddr := func(dev int64) int64 {
-		return int64(len(m.Mem)) - (dev+1)*PktWords
+		return m.StackLimit() - (dev+1)*PktWords
 	}
 	m.RegisterBuiltin("__rx_poll", func(mm *machine.M, args []int64) (int64, error) {
 		dev := args[0]

@@ -157,3 +157,57 @@ func TestServeFleetUpgradeRollbackTurnsOncePerPacket(t *testing.T) {
 			return rep.FleetReport, nil
 		}})
 }
+
+// TestDeviceBuffersSpareUpgradedModuleData: the rx buffers sit at the
+// top of the stack region, below the dynamic region, so a received
+// packet never overwrites a loaded module's data. After a live upgrade
+// to ClassifierV2 its two ready flags are the dynamic region's first
+// words; a buffer placed at the top of memory would hold them under
+// payload words 6 and 7, and an IP packet with those words zero would
+// clear lane 0's flag and be dropped. The base router forwards the same
+// packet, and so must the upgraded one, on both engines.
+func TestDeviceBuffersSpareUpgradedModuleData(t *testing.T) {
+	res, err := BuildRouter(Variant{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := UpgradeTarget("ClassifierV2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := reconfigure.Diff(res, tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	turn, err := res.Export("main", "turn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Packet{Kind: KindIP, TTL: 9, Src: 7, Dst: 10*256 + 1}
+	p.Payload = [8]int64{1, 2, 3, 4, 5, 6, 0, 0}
+	p.Checksum = fold(p.TTL, p.Dst, p.Payload)
+	for _, backend := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
+		for _, upgrade := range []bool{false, true} {
+			m := res.NewMachine()
+			m.SetBackend(backend)
+			stats := InstallDevices(m, [2][]Packet{{p}, nil})
+			installTicks(m)
+			if err := res.RunInit(m); err != nil {
+				t.Fatal(err)
+			}
+			if upgrade {
+				if _, err := plan.Apply(m, nil); err != nil {
+					t.Fatalf("%v: upgrade: %v", backend, err)
+				}
+			}
+			if _, err := m.Run(turn, 0); err != nil {
+				t.Fatalf("%v upgrade=%v: turn: %v", backend, upgrade, err)
+			}
+			if stats.Tx[0] != 1 || stats.Dropped != 0 || len(stats.TxBad) != 0 {
+				t.Errorf("%v upgrade=%v: tx %v, dropped %d, malformed %v; want the packet forwarded on port 0",
+					backend, upgrade, stats.Tx, stats.Dropped, stats.TxBad)
+			}
+			res.Forget(m)
+		}
+	}
+}

@@ -147,7 +147,15 @@ func Enumerate(repo Repo, goal *Goal, k int, opts Options) ([]*Assembly, error) 
 		pool = k
 	}
 
-	reg, err := parseRepo(repo)
+	// One cache serves the whole call: the repository's unit files are
+	// parsed here and its sources by the first verify build, and every
+	// later candidate build parses only its own assembly unit.
+	cache := build.NewCache()
+	files, err := cache.FrontEnd().ParseUnitFiles(repo.UnitFiles)
+	if err != nil {
+		return nil, err
+	}
+	reg, err := link.NewRegistry(files...)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +164,6 @@ func Enumerate(repo Repo, goal *Goal, k int, opts Options) ([]*Assembly, error) 
 	}
 
 	name := assemblyName(reg, goal)
-	cache := build.NewCache()
 	var verified []*Assembly
 	var s *searcher
 	s = newSearcher(reg, goal, opts.MaxInstances, opts.MaxPerUnit, opts.RawBudget,
@@ -197,24 +204,6 @@ func Enumerate(repo Repo, goal *Goal, k int, opts Options) ([]*Assembly, error) 
 		verified = verified[:k]
 	}
 	return verified, nil
-}
-
-// parseRepo parses the repository's unit files into a registry.
-func parseRepo(repo Repo) (*link.Registry, error) {
-	names := make([]string, 0, len(repo.UnitFiles))
-	for name := range repo.UnitFiles {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	files := make([]*lang.File, 0, len(names))
-	for _, name := range names {
-		f, err := lang.Parse(name, repo.UnitFiles[name])
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return link.NewRegistry(files...)
 }
 
 // validateGoal rejects goals that reference names the repository does

@@ -3,6 +3,7 @@ package assemble_test
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"knit/internal/knit/assemble"
@@ -254,5 +255,44 @@ func TestEnumerateGoalBoundsHoldOnEveryResult(t *testing.T) {
 			a.Result.Program.SortedInstances(), bounds); err != nil {
 			t.Fatalf("assembly %s violates the goal bound: %v", a.Name, err)
 		}
+	}
+}
+
+// TestEnumerateCacheParsesRepositoryOnce: one Enumerate call's
+// candidate builds share a build cache, so the repository is parsed
+// once per call and every verified assembly elaborates the same unit
+// trees. Two calls, run at once over one repository, share nothing.
+func TestEnumerateCacheParsesRepositoryOnce(t *testing.T) {
+	g := mustParse(t, `goal Q; export enq : WorkQ; bound context(enq) <= NoContext;`)
+	repo := oskit.Repository()
+	var calls [2][]*assemble.Assembly
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range calls {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			calls[i], errs[i] = assemble.Enumerate(repo, g, 4, smallOpts)
+		}(i)
+	}
+	wg.Wait()
+	for i, asms := range calls {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if len(asms) < 2 {
+			t.Fatalf("call %d enumerated %d assemblies, want at least 2", i, len(asms))
+		}
+		first := asms[0].Result.Program.Registry.Units
+		for _, a := range asms[1:] {
+			for name, u := range first {
+				if name != a.Name && a.Result.Program.Registry.Units[name] != u {
+					t.Errorf("call %d: assembly %s parsed repository unit %s again", i, a.Text, name)
+				}
+			}
+		}
+	}
+	if calls[0][0].Result.Program.Registry.Units["SerialDev"] == calls[1][0].Result.Program.Registry.Units["SerialDev"] {
+		t.Error("two Enumerate calls shared parsed trees")
 	}
 }

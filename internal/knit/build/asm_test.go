@@ -9,7 +9,36 @@ import (
 // assembly, and object code"). Assembly units are never flattened; they
 // link as instance-renamed objects in both modular and flattened builds.
 func TestAssemblyUnit(t *testing.T) {
-	units := `
+	for _, flatten := range []bool{false, true} {
+		opts := asmOptions()
+		opts.Flatten = flatten
+		res, err := Build(opts)
+		if err != nil {
+			t.Fatalf("Build(flatten=%v): %v", flatten, err)
+		}
+		m := res.NewMachine()
+		v, err := res.Run(m, "main", "run", 10)
+		if err != nil {
+			t.Fatalf("Run(flatten=%v): %v", flatten, err)
+		}
+		if v != 15 {
+			t.Errorf("flatten=%v: run(10) = %d, want 15 (strlen(\"hello\")+10)", flatten, v)
+		}
+	}
+}
+
+// asmOptions builds a two-unit program whose provider is written in
+// assembly.
+func asmOptions() Options {
+	return Options{
+		Top:       "Top",
+		UnitFiles: map[string]string{"top.unit": asmUnits},
+		Sources:   asmSources,
+		Optimize:  true,
+	}
+}
+
+const asmUnits = `
 bundletype Str  = { strlen_ }
 bundletype Main = { run }
 
@@ -31,8 +60,9 @@ unit Top = {
   };
 }
 `
-	sources := map[string]string{
-		"str.s": `
+
+var asmSources = map[string]string{
+	"str.s": `
 # strlen_(s): scan for the NUL terminator.
 func strlen_ nargs=1 nregs=5
   const r1, 0          ; n
@@ -47,29 +77,8 @@ more:
 done:
   ret r1
 `,
-		"driver.c": `
+	"driver.c": `
 int strlen_(char *s);
 int run(int x) { return strlen_("hello") + x; }
 `,
-	}
-	for _, flatten := range []bool{false, true} {
-		res, err := Build(Options{
-			Top:       "Top",
-			UnitFiles: map[string]string{"top.unit": units},
-			Sources:   sources,
-			Optimize:  true,
-			Flatten:   flatten,
-		})
-		if err != nil {
-			t.Fatalf("Build(flatten=%v): %v", flatten, err)
-		}
-		m := res.NewMachine()
-		v, err := res.Run(m, "main", "run", 10)
-		if err != nil {
-			t.Fatalf("Run(flatten=%v): %v", flatten, err)
-		}
-		if v != 15 {
-			t.Errorf("flatten=%v: run(10) = %d, want 15 (strlen(\"hello\")+10)", flatten, v)
-		}
-	}
 }

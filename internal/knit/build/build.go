@@ -15,7 +15,6 @@ package build
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,10 +72,11 @@ type Options struct {
 	// Costs is the simulated machine's cost model; the zero value means
 	// machine.DefaultCosts().
 	Costs machine.Costs
-	// Cache, when non-nil, memoizes compiled translation units across
-	// builds by content hash (see Cache). A warm rebuild of an
-	// unchanged program skips every compile — and, for a flattened
-	// region, the merge too — leaving only linking and loading.
+	// Cache, when non-nil, memoizes parsed sources and compiled
+	// translation units across builds by content (see Cache). A warm
+	// rebuild of an unchanged program skips every parse and every
+	// compile — and, for a flattened region, the merge too — leaving
+	// elaboration, checking, linking and loading.
 	Cache *Cache
 	// Parallelism bounds the number of concurrent compile workers:
 	// 0 means GOMAXPROCS, 1 forces serial compilation. Independent
@@ -110,10 +110,14 @@ func Build(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("knit: build needs at least one unit file")
 	}
 	res := &Result{copts: opts.compileOptions(), sources: opts.Sources, Backend: opts.Backend}
+	fe := &link.FrontEnd{}
+	if opts.Cache != nil {
+		fe = opts.Cache.FrontEnd()
+	}
 
 	// Parse the unit-definition files.
 	start := time.Now()
-	files, err := ParseUnitFiles(opts.UnitFiles)
+	files, err := fe.ParseUnitFiles(opts.UnitFiles)
 	res.Timings.Parse = time.Since(start)
 	if err != nil {
 		return nil, err
@@ -125,7 +129,7 @@ func Build(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := link.Elaborate(reg, opts.Top, opts.Sources)
+	prog, err := link.Elaborate(reg, opts.Top, opts.Sources, fe)
 	res.Timings.Elaborate = time.Since(start)
 	if err != nil {
 		return nil, err
@@ -334,20 +338,7 @@ func runCompileJobs(jobs []compileJob, copts compile.Options, cache *Cache, par 
 // ParseUnitFiles parses unit-definition files in deterministic
 // (sorted-name) order, ready for link.NewRegistry.
 func ParseUnitFiles(unitFiles map[string]string) ([]*lang.File, error) {
-	names := make([]string, 0, len(unitFiles))
-	for name := range unitFiles {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	files := make([]*lang.File, 0, len(names))
-	for _, name := range names {
-		f, err := lang.Parse(name, unitFiles[name])
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return files, nil
+	return new(link.FrontEnd).ParseUnitFiles(unitFiles)
 }
 
 // SourceOf merges the (already instance-renamed) cmini sources of the

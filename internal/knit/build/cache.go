@@ -28,13 +28,23 @@ import (
 // flatten.Fingerprint over the region's ordered instance sources, so a
 // warm build skips both the merge and the compile.
 //
+// Beside the objects, the cache holds the builds' front end
+// (link.FrontEnd): every unit file, C source and assembly source a
+// build on it parsed, keyed by file name and text. Builds sharing a
+// cache therefore parse each distinct file once — a warm rebuild
+// parses nothing, and the assembler's candidate builds parse only the
+// generated assembly unit. Parsed trees are kept in memory only, even
+// for a cache opened on a directory.
+//
 // Invalidation is automatic: any change to a unit's sources, to its
 // wiring (which renames identifiers), or to the optimizer settings
 // changes the key, and the stale entry is simply never looked up
-// again. Entries are immutable; lookups and stores deep-copy so no
-// build can mutate another's objects.
+// again. Entries are immutable: lookups and stores of objects
+// deep-copy, and parsed trees are only read or cloned, so no build can
+// mutate another's entries.
 type Cache struct {
-	dir string // optional disk backing; "" = memory only
+	dir   string // optional disk backing; "" = memory only
+	front link.FrontEnd
 
 	mu     sync.Mutex
 	mem    map[string]*obj.File
@@ -72,6 +82,9 @@ func (c *Cache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: len(c.mem)}
 }
+
+// FrontEnd returns the parsed sources every build on c shares.
+func (c *Cache) FrontEnd() *link.FrontEnd { return &c.front }
 
 // lookup returns a private copy of the object stored under key.
 func (c *Cache) lookup(key string) (*obj.File, bool) {

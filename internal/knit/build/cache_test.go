@@ -3,6 +3,7 @@ package build
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -401,5 +402,93 @@ func TestCacheConcurrentWriters(t *testing.T) {
 	}
 	if asm.Format(warm.Object) != want {
 		t.Error("object rebuilt from racily written cache differs")
+	}
+}
+
+// TestCacheFrontEndParsesOnce: builds sharing a cache parse each
+// distinct file once. A warm rebuild adds nothing to the cache's front
+// end and elaborates the very unit trees the cold build parsed; a build
+// without the cache parses its own.
+func TestCacheFrontEndParsesOnce(t *testing.T) {
+	cache := NewCache()
+	for _, base := range []Options{logServeOptions(), asmOptions()} {
+		opts := base
+		opts.Cache = cache
+		cold, err := Build(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed := cache.FrontEnd().Len()
+		warm, err := Build(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cache.FrontEnd().Len(); got != parsed {
+			t.Errorf("%s: warm rebuild grew the front end from %d to %d files", opts.Top, parsed, got)
+		}
+		for name, u := range cold.Program.Registry.Units {
+			if warm.Program.Registry.Units[name] != u {
+				t.Errorf("%s: warm rebuild parsed unit %s again", opts.Top, name)
+			}
+		}
+		plain, err := Build(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.Program.Top == cold.Program.Top {
+			t.Errorf("%s: a build without the cache elaborated the cache's trees", opts.Top)
+		}
+	}
+	// LogServe's unit file and sources, then the assembly program's.
+	if want := 1 + len(logServeSources) + 1 + len(asmSources); cache.FrontEnd().Len() != want {
+		t.Errorf("front end holds %d files, want %d", cache.FrontEnd().Len(), want)
+	}
+}
+
+// TestCacheConcurrentBuildsShareFrontEnd runs builds of several
+// configurations at once on one cache, so they race on its parsed trees
+// and compiled objects; every build must still produce its plain
+// build's object. Run it under -race.
+func TestCacheConcurrentBuildsShareFrontEnd(t *testing.T) {
+	var configs []Options
+	for _, base := range []Options{logServeOptions(), asmOptions()} {
+		for _, flatten := range []bool{false, true} {
+			opts := base
+			opts.Optimize, opts.Flatten = flatten, flatten
+			configs = append(configs, opts)
+		}
+	}
+	want := make([]string, len(configs))
+	for i, opts := range configs {
+		res, err := Build(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = asm.Format(res.Object)
+	}
+	cache := NewCache()
+	const rounds = 3
+	errs := make([]error, rounds*len(configs))
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			opts := configs[i%len(configs)]
+			opts.Cache = cache
+			opts.Parallelism = 2
+			res, err := Build(opts)
+			if err != nil {
+				errs[i] = err
+			} else if asm.Format(res.Object) != want[i%len(configs)] {
+				errs[i] = fmt.Errorf("configuration %d built a different object on the shared cache", i%len(configs))
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }

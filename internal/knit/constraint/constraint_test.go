@@ -21,7 +21,7 @@ func elabProgram(t *testing.T, units, top string, sources link.Sources) *link.Pr
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := link.Elaborate(reg, top, sources)
+	p, err := link.Elaborate(reg, top, sources, nil)
 	if err != nil {
 		t.Fatalf("elaborate: %v", err)
 	}
@@ -327,7 +327,7 @@ unit T = { exports [ a : A ]; link { [a] <- P <- []; }; }
 		if err != nil {
 			return nil, err
 		}
-		return link.Elaborate(reg, "T", link.Sources{"a.c": `int fa(void) { return 1; }`})
+		return link.Elaborate(reg, "T", link.Sources{"a.c": `int fa(void) { return 1; }`}, nil)
 	}
 	// pos is where a clause's error points; a Violation (pos "") is not
 	// about one clause.

@@ -19,7 +19,7 @@ func elabProgram(t *testing.T, units, top string, sources link.Sources) *link.Pr
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := link.Elaborate(reg, top, sources)
+	p, err := link.Elaborate(reg, top, sources, nil)
 	if err != nil {
 		t.Fatalf("elaborate: %v", err)
 	}

@@ -1,10 +1,6 @@
 package link
 
-import (
-	"knit/internal/cmini"
-	"knit/internal/diag"
-	"knit/internal/obj"
-)
+import "knit/internal/diag"
 
 // ElaborateDynamic instantiates one atomic unit against an already
 // elaborated base program — the linking half of Knit's dynamic-linking
@@ -79,10 +75,7 @@ func ElaborateDynamicEnv(reg *Registry, base *Program, unitName string,
 			nextID = inst.ID + 1
 		}
 	}
-	e := &elab{reg: reg, sources: sources,
-		parsed:    map[string]*cmini.File{},
-		assembled: map[string]*obj.File{},
-		nextID:    nextID}
+	e := &elab{reg: reg, sources: sources, fe: &FrontEnd{}, nextID: nextID}
 	tmp := &Program{Registry: reg, Top: u, Exports: map[string]*Wire{}}
 	if _, err := e.elaborateAtomic(u, env, "dynamic/"+unitName, tmp); err != nil {
 		return nil, err

@@ -54,7 +54,7 @@ func dynFixture(t *testing.T) (*Registry, *Program) {
 	if err != nil {
 		t.Fatalf("registry: %v", err)
 	}
-	base, err := Elaborate(reg, "Top", dynSources)
+	base, err := Elaborate(reg, "Top", dynSources, nil)
 	if err != nil {
 		t.Fatalf("elaborate base: %v", err)
 	}

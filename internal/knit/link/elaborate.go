@@ -51,7 +51,7 @@ type Instance struct {
 	// instance-renamed at the object level — the objcopy path. Assembly
 	// units are never flattened; they link as objects.
 	Objects     []*obj.File
-	asmRaw      []*obj.File // assembled but not yet renamed
+	asmRaw      []*obj.File // assembled but not yet renamed; the front end's, so only read
 	ImportWires map[string]*Wire
 	// ExportSyms maps export local -> bundle symbol -> program-unique
 	// global name.
@@ -96,8 +96,10 @@ func (p *Program) ExportSymbol(bundleLocal, sym string) (string, error) {
 }
 
 // Elaborate instantiates topName (usually a compound unit) and every
-// unit it transitively links, wiring all imports to exports.
-func Elaborate(reg *Registry, topName string, sources Sources) (*Program, error) {
+// unit it transitively links, wiring all imports to exports. Sources
+// are parsed through fe, so elaborations sharing it parse each distinct
+// file once; a nil fe parses into a fresh one.
+func Elaborate(reg *Registry, topName string, sources Sources, fe *FrontEnd) (*Program, error) {
 	top, ok := reg.Units[topName]
 	if !ok {
 		return nil, diag.Errorf(diag.Pos{}, "unknown unit %q", topName)
@@ -106,9 +108,10 @@ func Elaborate(reg *Registry, topName string, sources Sources) (*Program, error)
 		return nil, diag.Errorf(top.Pos, "top unit %s has unsatisfied imports (%d); link it inside a compound unit",
 			topName, len(top.Imports))
 	}
-	e := &elab{reg: reg, sources: sources,
-		parsed:    map[string]*cmini.File{},
-		assembled: map[string]*obj.File{}}
+	if fe == nil {
+		fe = &FrontEnd{}
+	}
+	e := &elab{reg: reg, sources: sources, fe: fe}
 	prog := &Program{Registry: reg, Top: top, Exports: map[string]*Wire{}}
 	exports, err := e.elaborate(top, map[string]*Wire{}, topName, prog)
 	if err != nil {
@@ -122,12 +125,11 @@ func Elaborate(reg *Registry, topName string, sources Sources) (*Program, error)
 }
 
 type elab struct {
-	reg       *Registry
-	sources   Sources
-	parsed    map[string]*cmini.File
-	assembled map[string]*obj.File
-	nextID    int
-	depth     int
+	reg     *Registry
+	sources Sources
+	fe      *FrontEnd
+	nextID  int
+	depth   int
 }
 
 // maxDepth bounds unit nesting (guards against recursive compounds).
@@ -269,35 +271,27 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 	}
 	// Parse and clone source files; renaming happens in resolveSymbols
 	// once all wires are patched. Files ending in ".s" are assembly and
-	// are assembled to objects directly.
+	// are assembled to objects directly. The parsed trees are the front
+	// end's, shared with every elaboration using it, so they are only
+	// ever read or cloned.
 	for _, fname := range u.Files {
 		src, ok := e.sources[fname]
 		if !ok {
 			return nil, diag.Errorf(u.Pos, "%s: source file %q not provided", path, fname)
 		}
 		if strings.HasSuffix(fname, ".s") {
-			base, ok := e.assembled[fname]
-			if !ok {
-				o, err := asm.Parse(fname, src)
-				if err != nil {
-					return nil, fmt.Errorf("unit %s: %w", u.Name, err)
-				}
-				e.assembled[fname] = o
-				base = o
-			}
-			inst.asmRaw = append(inst.asmRaw, base)
-			continue
-		}
-		base, ok := e.parsed[fname]
-		if !ok {
-			f, err := cmini.Parse(fname, src)
+			o, err := e.fe.asm.get(fname, src, asm.Parse)
 			if err != nil {
 				return nil, fmt.Errorf("unit %s: %w", u.Name, err)
 			}
-			e.parsed[fname] = f
-			base = f
+			inst.asmRaw = append(inst.asmRaw, o)
+			continue
 		}
-		inst.Files = append(inst.Files, cmini.CloneFile(base))
+		f, err := e.fe.c.get(fname, src, cmini.Parse)
+		if err != nil {
+			return nil, fmt.Errorf("unit %s: %w", u.Name, err)
+		}
+		inst.Files = append(inst.Files, cmini.CloneFile(f))
 	}
 	prog.Instances = append(prog.Instances, inst)
 	out := map[string]*Wire{}

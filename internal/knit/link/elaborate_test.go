@@ -18,7 +18,7 @@ func elabTest(t *testing.T, units, top string, sources Sources) (*Program, error
 	if err != nil {
 		t.Fatalf("registry: %v", err)
 	}
-	return Elaborate(reg, top, sources)
+	return Elaborate(reg, top, sources, nil)
 }
 
 func mustElab(t *testing.T, units, top string, sources Sources) *Program {

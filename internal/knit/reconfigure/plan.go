@@ -109,7 +109,7 @@ func Diff(res *build.Result, tgt Target) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reconfigure: target: %w", err)
 	}
-	prog, err := link.Elaborate(reg, tgt.Top, tgt.Sources)
+	prog, err := link.Elaborate(reg, tgt.Top, tgt.Sources, nil)
 	if err != nil {
 		return nil, fmt.Errorf("reconfigure: target: %w", err)
 	}

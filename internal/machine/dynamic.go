@@ -285,10 +285,16 @@ func moduleRefs(o *obj.File, local map[string]*symbol) []string {
 // module's code or data references one of the module's symbols, the
 // same puzzle-piece discipline the loader enforces, run in reverse.
 //
-// Reclamation detail: the topmost module's data and text are truncated
-// outright; a module unloaded from the middle leaves its data region
-// zeroed (addresses are never reused) and its text range unreclaimed
-// until the modules above it go too.
+// Reclamation detail: memory and text shrink back to the end of the
+// highest live module, or to the dynamic region's base when none is
+// left, so an unload reclaims the module together with every dead
+// module below it and above the live ones: after loading A, B and C
+// and unloading B then C, memory and text end exactly where A's do. A
+// module unloaded from under a live one (the upgrade pattern: load the
+// new module, then unload the old) leaves its data region zeroed and
+// its text range unreclaimed, a hole that stays as long as any module
+// above it lives, because a live module's addresses never move and
+// loads only append.
 func (m *M) UnloadDynamic(name string) error {
 	if m.dyn == nil || m.dyn.module(name) == nil {
 		return &LoadError{Msg: fmt.Sprintf("dynamic: no loaded module %q", name)}
@@ -331,12 +337,13 @@ func (m *M) UnloadDynamic(name string) error {
 	for _, s := range mod.syms {
 		delete(m.dyn.syms, s.name)
 	}
-	// Reclaim memory and text. Memory can shrink only down to the
-	// highest region end any *other* live module still claims — a module
-	// loaded later than this one may hold an (empty) region right at the
-	// current end of memory, and its base must stay in bounds.
-	memEnd := mod.dataBase
-	textEnd := mod.textBase
+	// Reclaim memory and text down to the highest region end any
+	// *other* live module still claims — a module loaded later than
+	// this one may hold an (empty) region right at the current end of
+	// memory, and its base must stay in bounds — or to the dynamic
+	// region's base.
+	memEnd := m.stackLimit
+	textEnd := m.Img.TextSize
 	for _, other := range m.dyn.modules {
 		if other == mod {
 			continue
@@ -348,15 +355,11 @@ func (m *M) UnloadDynamic(name string) error {
 			textEnd = other.textEnd
 		}
 	}
-	if memEnd < int64(len(m.Mem)) {
-		m.Mem = m.Mem[:memEnd]
-	}
-	for i := mod.dataBase; i < mod.dataEnd && i < int64(len(m.Mem)); i++ {
+	m.Mem = m.Mem[:memEnd]
+	for i := mod.dataBase; i < mod.dataEnd && i < memEnd; i++ {
 		m.Mem[i] = 0
 	}
-	if end := m.Img.TextSize + m.dyn.textSize; textEnd < end {
-		m.dyn.textSize = textEnd - m.Img.TextSize
-	}
+	m.dyn.textSize = textEnd - m.Img.TextSize
 	// Drop the module record.
 	live := m.dyn.modules[:0]
 	for _, other := range m.dyn.modules {

@@ -496,6 +496,10 @@ func (m *M) Reset() {
 	m.dispVersion++ // fresh caches start invalid (slot version 0 < 1)
 }
 
+// StackLimit is the word just past the stack region: frames never grow
+// past it, and dynamically loaded modules' data starts there.
+func (m *M) StackLimit() int64 { return m.stackLimit }
+
 // RegisterBuiltin installs a host function under the given symbol name.
 func (m *M) RegisterBuiltin(name string, fn Builtin) {
 	m.Builtins[name] = fn

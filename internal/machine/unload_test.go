@@ -128,11 +128,12 @@ func TestUnloadUnknownModule(t *testing.T) {
 }
 
 // TestUnloadMiddleModuleLeavesZeroedHole: unloading a module that is
-// not the most recently loaded one cannot shrink memory (addresses are
-// never reused) — its data region is zeroed instead, and later loads
-// append fresh addresses past the high-water mark.
+// not the most recently loaded one cannot shrink memory (a live
+// module's addresses never move) — its data region is zeroed instead,
+// and later loads append fresh addresses past the high-water mark.
 func TestUnloadMiddleModuleLeavesZeroedHole(t *testing.T) {
 	m := baseMachine(t)
+	memBefore := len(m.Mem)
 	if err := m.LoadDynamic(constMod("lo", "lo_fn", "lo_g", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -156,15 +157,80 @@ func TestUnloadMiddleModuleLeavesZeroedHole(t *testing.T) {
 	if _, err := m.Run("lo_fn"); err == nil {
 		t.Error("unloaded lo_fn still runnable")
 	}
-	// Unloading the topmost module now truncates down past the hole's
-	// high-water mark only as far as its own base.
+	// Unloading the topmost module reclaims the hole below it too.
 	if err := m.UnloadDynamic("hi"); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Mem) >= memWithBoth {
-		t.Errorf("topmost unload reclaimed nothing: %d words", len(m.Mem))
+	if len(m.Mem) != memBefore {
+		t.Errorf("memory %d words after the last unload, want %d", len(m.Mem), memBefore)
 	}
 	if err := m.CheckDynInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUnloadReclaimsTrailingDeadModules: memory and text shrink back to
+// the end of the highest live module, so an unload also reclaims every
+// dead module between it and the live ones. After loading A, B and C
+// and unloading B (a hole under C) then C, memory and text end exactly
+// where A's do; a new load then takes B's old addresses, and unloading
+// everything returns both to the image's end. On both engines.
+func TestUnloadReclaimsTrailingDeadModules(t *testing.T) {
+	for _, backend := range []Backend{BackendInterp, BackendCompiled} {
+		t.Run(backend.String(), func(t *testing.T) {
+			m := baseMachine(t)
+			m.SetBackend(backend)
+			memImage := len(m.Mem)
+			textEnd := func() int64 {
+				if m.dyn == nil {
+					return m.Img.TextSize
+				}
+				return m.Img.TextSize + m.dyn.textSize
+			}
+			step := func(what string, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if err := m.CheckDynInvariants(); err != nil {
+					t.Fatalf("after %s: %v", what, err)
+				}
+			}
+			step("load A", m.LoadDynamic(constMod("A", "a_fn", "a_g", 1)))
+			memA, textA := len(m.Mem), textEnd()
+			step("load B", m.LoadDynamic(constMod("B", "b_fn", "b_g", 2)))
+			memB, textB := len(m.Mem), textEnd()
+			step("load C", m.LoadDynamic(constMod("C", "c_fn", "c_g", 3)))
+			memC, textC := len(m.Mem), textEnd()
+
+			step("unload B", m.UnloadDynamic("B"))
+			if len(m.Mem) != memC || textEnd() != textC {
+				t.Errorf("unloading B under C moved the end: mem %d text %d, want %d and %d",
+					len(m.Mem), textEnd(), memC, textC)
+			}
+			step("unload C", m.UnloadDynamic("C"))
+			if len(m.Mem) != memA || textEnd() != textA {
+				t.Errorf("after unloading B then C: mem %d text %d, want A's end %d and %d",
+					len(m.Mem), textEnd(), memA, textA)
+			}
+			if v, err := m.Run("a_fn"); err != nil || v != 1 {
+				t.Errorf("a_fn = %d, %v; want 1", v, err)
+			}
+
+			step("load D", m.LoadDynamic(constMod("D", "d_fn", "d_g", 4)))
+			if len(m.Mem) != memB || textEnd() != textB {
+				t.Errorf("D loaded to mem %d text %d, want B's old end %d and %d",
+					len(m.Mem), textEnd(), memB, textB)
+			}
+			if v, err := m.Run("d_fn"); err != nil || v != 4 {
+				t.Errorf("d_fn = %d, %v; want 4", v, err)
+			}
+			step("unload A", m.UnloadDynamic("A"))
+			step("unload D", m.UnloadDynamic("D"))
+			if len(m.Mem) != memImage || textEnd() != m.Img.TextSize {
+				t.Errorf("with no module live: mem %d text %d, want the image's %d and %d",
+					len(m.Mem), textEnd(), memImage, m.Img.TextSize)
+			}
+		})
 	}
 }
