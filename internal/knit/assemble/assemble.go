@@ -1,8 +1,8 @@
 package assemble
 
 import (
-	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -123,7 +123,18 @@ func Assemble(repo Repo, goal *Goal, opts Options) (*Assembly, error) {
 // Enumerate returns up to k distinct verified assemblies satisfying the
 // goal, cheapest first. Fewer than k may exist; zero is an *UnsatError
 // (or *BudgetError when the search was truncated by a budget).
+//
+// Candidates are verified on runtime.GOMAXPROCS(0) goroutines while the
+// search goes on, and their results are applied in the order the search
+// emitted them, so the assemblies and errors returned are exactly those
+// of verifying one candidate at a time. Enumerate returns once every
+// verification it started has ended.
 func Enumerate(repo Repo, goal *Goal, k int, opts Options) ([]*Assembly, error) {
+	return enumerate(repo, goal, k, opts, runtime.GOMAXPROCS(0))
+}
+
+// enumerate is Enumerate verifying at most workers candidates at once.
+func enumerate(repo Repo, goal *Goal, k int, opts Options, workers int) ([]*Assembly, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("assemble: k must be positive, got %d", k)
 	}
@@ -164,25 +175,13 @@ func Enumerate(repo Repo, goal *Goal, k int, opts Options) ([]*Assembly, error) 
 	}
 
 	name := assemblyName(reg, goal)
-	var verified []*Assembly
-	var s *searcher
-	s = newSearcher(reg, goal, opts.MaxInstances, opts.MaxPerUnit, opts.RawBudget,
-		func(cand *candidate) bool {
-			asm, err := verify(repo, goal, name, cand, cache, opts.Backend)
-			if err != nil {
-				var v *constraint.Violation
-				if errors.As(err, &v) {
-					s.recordViolation(v)
-				} else if s.blk.err == nil {
-					s.blk.err = err
-				}
-				return true // keep searching
-			}
-			verified = append(verified, asm)
-			return len(verified) < pool
+	s := newSearcher(reg, goal, opts.MaxInstances, opts.MaxPerUnit, opts.RawBudget, pool, workers,
+		func(cand *candidate) (*Assembly, error) {
+			return verify(repo, goal, name, cand, cache, opts.Backend)
 		})
 	s.run()
 
+	verified := s.verified
 	if len(verified) == 0 {
 		if s.exhausted && !s.capped {
 			return nil, unsatFrom(goal, s)
@@ -272,7 +271,8 @@ func assemblyName(reg *link.Registry, goal *Goal) string {
 // build it with the §4 checker on, re-check the goal's bounds against
 // the elaborated program, and run its init schedule transactionally on
 // a fresh machine (with the standard device builtins installed), timing
-// it for the cost model.
+// it for the cost model. It owns cand and only reads everything else,
+// so candidates verify concurrently on one cache.
 func verify(repo Repo, goal *Goal, name string, cand *candidate, cache *build.Cache, backend machine.Backend) (*Assembly, error) {
 	cand.unit.Name = name
 	text := lang.Print(&lang.File{Units: []*lang.Unit{cand.unit}})

@@ -135,59 +135,61 @@ avoid SpinLock, IrqDefer;
 	}
 }
 
-// TestUnsatGoalTable is the exhaustive unsatisfiability table:
-// conflicting property bounds, missing exports, and forbidden-unit
-// cuts, each asserting the explanation names the actual blocker.
-func TestUnsatGoalTable(t *testing.T) {
-	cases := []struct {
-		name string
-		goal string
-		// wantAll must all appear in the error text.
-		wantAll []string
-		// wantViolation requires the blocker to be a named constraint.
-		wantViolation bool
-	}{
-		{
-			name:          "bound conflicts with provider pin",
-			goal:          `goal G; export out : PutChar; bound context(out) = ProcessContext;`,
-			wantAll:       []string{"context"},
-			wantViolation: true,
-		},
-		{
-			name: "two conflicting bounds on one export",
-			goal: `goal G; export str : Str;
+// unsatGoals is the exhaustive unsatisfiability table: conflicting
+// property bounds, missing exports, and forbidden-unit cuts.
+var unsatGoals = []struct {
+	name string
+	goal string
+	// wantAll must all appear in the error text.
+	wantAll []string
+	// wantViolation requires the blocker to be a named constraint.
+	wantViolation bool
+}{
+	{
+		name:          "bound conflicts with provider pin",
+		goal:          `goal G; export out : PutChar; bound context(out) = ProcessContext;`,
+		wantAll:       []string{"context"},
+		wantViolation: true,
+	},
+	{
+		name: "two conflicting bounds on one export",
+		goal: `goal G; export str : Str;
 bound context(str) >= NoContext;
 bound context(str) <= ProcessContext;`,
-			wantAll:       []string{"context"},
-			wantViolation: true,
-		},
-		{
-			name:    "forbidden units cut every provider",
-			goal:    `goal G; export out : PutChar; avoid ConsoleDev, SerialDev, VgaConsole;`,
-			wantAll: []string{"PutChar", "ConsoleDev", "SerialDev", "VgaConsole", "avoid"},
-		},
-		{
-			name:    "required unit is itself forbidden",
-			goal:    `goal G; export lock : Lock; use SpinLock; avoid SpinLock;`,
-			wantAll: []string{"SpinLock", "avoid"},
-		},
-		{
-			name:    "required compound contains a forbidden unit",
-			goal:    `goal G; export irq : Irq; use SafeIrqKernel; avoid SpinLock;`,
-			wantAll: []string{"SafeIrqKernel", "SpinLock", "avoid"},
-		},
-		{
-			name:    "fixed top lacks the export type",
-			goal:    `goal G; export out : PutChar; top StringU;`,
-			wantAll: []string{"StringU", "PutChar", "top"},
-		},
-		{
-			name:    "drain without its only provider",
-			goal:    `goal G; export d : Drainer; avoid DeferredWork;`,
-			wantAll: []string{"Drainer", "DeferredWork"},
-		},
-	}
-	for _, tc := range cases {
+		wantAll:       []string{"context"},
+		wantViolation: true,
+	},
+	{
+		name:    "forbidden units cut every provider",
+		goal:    `goal G; export out : PutChar; avoid ConsoleDev, SerialDev, VgaConsole;`,
+		wantAll: []string{"PutChar", "ConsoleDev", "SerialDev", "VgaConsole", "avoid"},
+	},
+	{
+		name:    "required unit is itself forbidden",
+		goal:    `goal G; export lock : Lock; use SpinLock; avoid SpinLock;`,
+		wantAll: []string{"SpinLock", "avoid"},
+	},
+	{
+		name:    "required compound contains a forbidden unit",
+		goal:    `goal G; export irq : Irq; use SafeIrqKernel; avoid SpinLock;`,
+		wantAll: []string{"SafeIrqKernel", "SpinLock", "avoid"},
+	},
+	{
+		name:    "fixed top lacks the export type",
+		goal:    `goal G; export out : PutChar; top StringU;`,
+		wantAll: []string{"StringU", "PutChar", "top"},
+	},
+	{
+		name:    "drain without its only provider",
+		goal:    `goal G; export d : Drainer; avoid DeferredWork;`,
+		wantAll: []string{"Drainer", "DeferredWork"},
+	},
+}
+
+// TestUnsatGoalTable runs unsatGoals, each asserting the explanation
+// names the actual blocker.
+func TestUnsatGoalTable(t *testing.T) {
+	for _, tc := range unsatGoals {
 		t.Run(tc.name, func(t *testing.T) {
 			g := mustParse(t, tc.goal)
 			_, err := assemble.Assemble(oskit.Repository(), g, smallOpts)

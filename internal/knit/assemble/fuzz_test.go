@@ -20,10 +20,11 @@ func installDevices(m *machine.M) {
 
 // FuzzAssemble is the assembler's end-to-end oracle: a goal that does
 // not parse must be refused with an error positioned inside it; for any
-// parseable goal over the oskit repository, every emitted assembly must
-// pass the constraint checker, build cold from its printed source alone,
-// and run its init schedule transactionally — and an unsatisfiable goal
-// must yield an explanation, never a wiring.
+// parseable goal over the oskit repository, four verify workers must
+// return exactly what one does, every emitted assembly must pass the
+// constraint checker, build cold from its printed source alone, and run
+// its init schedule transactionally — and an unsatisfiable goal must
+// yield an explanation, never a wiring.
 func FuzzAssemble(f *testing.F) {
 	seeds := []string{
 		`goal Console; export out : PutChar;`,
@@ -52,7 +53,10 @@ func FuzzAssemble(f *testing.F) {
 			return // keep the search bounded under fuzzing
 		}
 		opts := assemble.Options{MaxInstances: 8, RawBudget: 24, RankPool: 2}
-		asms, err := assemble.Enumerate(repo, goal, 2, opts)
+		asms, err := assemble.EnumerateWorkers(repo, goal, 2, opts, 1)
+		if four, one := enumeration(assemble.EnumerateWorkers(repo, goal, 2, opts, 4)), enumeration(asms, err); four != one {
+			t.Fatalf("four workers returned\n%s\none worker returned\n%s", four, one)
+		}
 		if err != nil {
 			var unsat *assemble.UnsatError
 			if errors.As(err, &unsat) && unsat.Reason == "" {

@@ -73,6 +73,8 @@ type searcher struct {
 	maxInst    int
 	maxPerUnit int
 	rawBudget  int
+	pool       int // verified assemblies wanted before stopping
+	workers    int // candidates verified at once, at most
 
 	providersByType map[string][]provider
 	closures        map[string][]string // unit -> sorted transitive unit-name closure
@@ -90,20 +92,32 @@ type searcher struct {
 	exhausted bool
 	blk       blockers
 
-	yield func(*candidate) bool // false stops the search
+	verify   func(*candidate) (*Assembly, error) // safe to run concurrently
+	inflight []*verification                     // emitted, not yet applied; oldest first
+	verified []*Assembly                         // in emission order
 }
 
-func newSearcher(reg *link.Registry, goal *Goal, maxInst, maxPerUnit, rawBudget int, yield func(*candidate) bool) *searcher {
+// verification is one emitted candidate's verify, run on its own
+// goroutine; done is closed once asm and err are set.
+type verification struct {
+	done chan struct{}
+	asm  *Assembly
+	err  error
+}
+
+func newSearcher(reg *link.Registry, goal *Goal, maxInst, maxPerUnit, rawBudget, pool, workers int,
+	verify func(*candidate) (*Assembly, error)) *searcher {
 	s := &searcher{
 		reg: reg, goal: goal,
 		maxInst: maxInst, maxPerUnit: maxPerUnit, rawBudget: rawBudget,
+		pool: pool, workers: workers,
 		providersByType: map[string][]provider{},
 		closures:        map[string][]string{},
 		perUnit:         map[string]int{},
 		goalWire:        map[string]ref{},
 		goalTaken:       map[ref]string{},
 		seen:            map[string]bool{},
-		yield:           yield,
+		verify:          verify,
 	}
 	names := make([]string, 0, len(reg.Units))
 	for name := range reg.Units {
@@ -169,7 +183,8 @@ func (s *searcher) avoidHits(name string) []string {
 }
 
 // run seeds the fixed top and required units, queues the goal's export
-// demands, and starts the backtracking enumeration.
+// demands, and starts the backtracking enumeration. It returns once
+// every emitted candidate's verification has ended and been applied.
 func (s *searcher) run() {
 	var stack []demand
 	if s.goal.Top != "" {
@@ -196,6 +211,7 @@ func (s *searcher) run() {
 	if s.checkPartial() {
 		s.solve(stack)
 	}
+	s.settle()
 	s.exhausted = !s.stopped
 }
 
@@ -204,7 +220,7 @@ func (s *searcher) run() {
 func (s *searcher) seedUnit(name, why string, stack *[]demand) bool {
 	u, ok := s.reg.Units[name]
 	if !ok {
-		s.blk.err = fmt.Errorf("%s: unknown unit %q", why, name)
+		s.recordBlocker(fmt.Errorf("%s: unknown unit %q", why, name))
 		return false
 	}
 	if hits := s.avoidHits(name); len(hits) > 0 {
@@ -301,12 +317,7 @@ func (s *searcher) checkPartial() bool {
 	if err == nil {
 		return true
 	}
-	var v *constraint.Violation
-	if errors.As(err, &v) {
-		s.recordViolation(v)
-	} else if s.blk.err == nil {
-		s.blk.err = err
-	}
+	s.recordBlocker(err)
 	return false
 }
 
@@ -408,15 +419,41 @@ func (s *searcher) recordDemand(db *demandBlock) {
 	}
 }
 
-func (s *searcher) recordViolation(v *constraint.Violation) {
-	if s.blk.violation == nil {
-		s.blk.violation = v
+// recordBlocker records a failure the search itself hit: a constraint
+// violation or another error. The first of each kind wins, in the order
+// one-at-a-time verification would meet them, so every earlier
+// candidate's result is applied before the search records its own.
+func (s *searcher) recordBlocker(err error) {
+	var v *constraint.Violation
+	empty := s.blk.err == nil
+	if errors.As(err, &v) {
+		empty = s.blk.violation == nil
+	}
+	if empty {
+		s.settle()
+	}
+	s.noteBlocker(err)
+}
+
+// noteBlocker records err unless a blocker of its kind is recorded.
+func (s *searcher) noteBlocker(err error) {
+	var v *constraint.Violation
+	if errors.As(err, &v) {
+		if s.blk.violation == nil {
+			s.blk.violation = v
+		}
+	} else if s.blk.err == nil {
+		s.blk.err = err
 	}
 }
 
 // complete emits the finished assembly (deduped on canonical structure)
-// to the verifier, stopping the search when the verifier has enough or
-// the raw-candidate budget runs out.
+// for verification, stopping the search when the verified pool is full
+// or the raw-candidate budget runs out. Verification runs on its own
+// goroutine, and the search runs ahead only while fewer than workers
+// candidates are in flight and the pool could take every one of them,
+// so it verifies exactly the candidates one worker would. One worker
+// waits for each candidate in turn.
 func (s *searcher) complete() {
 	cand := s.buildCandidate()
 	if s.seen[cand.key] {
@@ -424,8 +461,41 @@ func (s *searcher) complete() {
 	}
 	s.seen[cand.key] = true
 	s.raw++
-	if !s.yield(cand) || s.raw >= s.rawBudget {
+	v := &verification{done: make(chan struct{})}
+	s.inflight = append(s.inflight, v)
+	go func(verify func(*candidate) (*Assembly, error)) {
+		defer close(v.done)
+		v.asm, v.err = verify(cand)
+	}(s.verify)
+	for len(s.inflight) > 0 && (len(s.inflight) >= s.workers || len(s.verified)+len(s.inflight) >= s.pool) {
+		s.applyOldest()
+	}
+	if s.raw >= s.rawBudget {
 		s.stopped = true
+	}
+}
+
+// applyOldest waits for the oldest candidate in flight and applies its
+// result: a verified assembly joins the pool, stopping the search once
+// the pool is full, and a failure is noted as a blocker.
+func (s *searcher) applyOldest() {
+	v := s.inflight[0]
+	s.inflight = s.inflight[1:]
+	<-v.done
+	if v.err != nil {
+		s.noteBlocker(v.err)
+		return
+	}
+	s.verified = append(s.verified, v.asm)
+	if len(s.verified) >= s.pool {
+		s.stopped = true
+	}
+}
+
+// settle applies every emitted candidate's result.
+func (s *searcher) settle() {
+	for len(s.inflight) > 0 {
+		s.applyOldest()
 	}
 }
 

@@ -156,36 +156,19 @@ func Build(opts Options) (*Result, error) {
 	}
 	res.Schedule = schedule
 
-	// Optional flattening (§6): merge the chosen region's sources. With
-	// a cache, an unchanged region is recognized by its fingerprint
-	// before merging, so a warm build skips the merge entirely.
+	// Optional flattening (§6): choose the region whose sources merge
+	// into one translation unit. The merge runs as that unit's compile
+	// job, behind its cache lookup, so a warm build skips it and builds
+	// racing on one region merge it once.
 	instances := prog.SortedInstances()
-	var merged *cmini.File
-	var mergedObj *obj.File // cached compile of the flattened region
-	var mergedKey string
-	var modular []*link.Instance
+	var region, modular []*link.Instance
 	if opts.Flatten {
-		start = time.Now()
-		var region []*link.Instance
 		for _, inst := range instances {
 			if opts.FlattenFilter == nil || opts.FlattenFilter(inst) {
 				region = append(region, inst)
 			} else {
 				modular = append(modular, inst)
 			}
-		}
-		if len(region) > 0 {
-			if opts.Cache != nil {
-				mergedKey = regionCacheKey(res.copts, region)
-				mergedObj, _ = opts.Cache.lookup(mergedKey)
-			}
-			if mergedObj == nil {
-				merged, err = flatten.Merge("flattened.c", region)
-			}
-		}
-		res.Timings.Flatten = time.Since(start)
-		if err != nil {
-			return nil, err
 		}
 	} else {
 		modular = instances
@@ -199,29 +182,25 @@ func Build(opts Options) (*Result, error) {
 	// at every Parallelism setting.
 	start = time.Now()
 	var jobs []compileJob
-	if merged != nil {
-		jobs = append(jobs, compileJob{label: "flattened region", file: merged, key: mergedKey})
+	if len(region) > 0 {
+		jobs = append(jobs, compileJob{label: "flattened region", region: region})
 	}
 	for _, inst := range modular {
-		for _, f := range inst.Files {
-			jobs = append(jobs, compileJob{label: inst.Path, file: f})
+		for i, f := range inst.Files {
+			jobs = append(jobs, compileJob{label: inst.Path, file: f, origin: inst.Origins[i]})
 		}
 	}
 	objs, hits, err := runCompileJobs(jobs, res.copts, opts.Cache, opts.Parallelism)
+	for _, job := range jobs {
+		res.Timings.Flatten += job.merge
+	}
 	res.Timings.CompileJobs = len(jobs)
 	res.Timings.CacheHits = hits
-	if mergedObj != nil { // region served from cache: count it as a hit job
-		res.Timings.CompileJobs++
-		res.Timings.CacheHits++
-	}
 	if err != nil {
-		res.Timings.Compile = time.Since(start)
+		res.Timings.Compile = time.Since(start) - res.Timings.Flatten
 		return nil, err
 	}
 	var items []ldlink.Item
-	if mergedObj != nil {
-		items = append(items, ldlink.Obj(mergedObj))
-	}
 	for _, o := range objs {
 		items = append(items, ldlink.Obj(o))
 	}
@@ -231,7 +210,7 @@ func Build(opts Options) (*Result, error) {
 			items = append(items, ldlink.Obj(o))
 		}
 	}
-	res.Timings.Compile = time.Since(start)
+	res.Timings.Compile = time.Since(start) - res.Timings.Flatten
 
 	// Link the image. Instance renaming made all globals unique, so only
 	// ambient device symbols may remain undefined.
@@ -263,21 +242,51 @@ func Build(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// compileJob is one translation unit to compile: a source file plus a
-// diagnostic label, and an optional precomputed cache key (the
-// flattened region's; per-file keys are hashed on the worker).
+// compileJob is one translation unit to compile, with a diagnostic
+// label: a source file and its origin, or a flattened region to merge.
 type compileJob struct {
-	label string
-	file  *cmini.File
-	key   string
+	label  string
+	file   *cmini.File
+	origin link.FileOrigin
+	region []*link.Instance
+	merge  time.Duration // how long merging the region took, if this job merged it
+}
+
+// key is the job's cache key.
+func (job *compileJob) key(copts compile.Options) string {
+	if job.region != nil {
+		return regionKey(copts, job.region)
+	}
+	return fileKey(copts, job.file.Name, job.origin)
+}
+
+// compile merges the job's region, if it has one, and compiles the
+// translation unit.
+func (job *compileJob) compile(copts compile.Options) (*obj.File, error) {
+	f := job.file
+	if job.region != nil {
+		start := time.Now()
+		merged, err := flatten.Merge("flattened.c", job.region)
+		job.merge = time.Since(start)
+		if err != nil {
+			return nil, err
+		}
+		f = merged
+	}
+	o, err := compile.Compile(f, copts)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", job.label, err)
+	}
+	return o, nil
 }
 
 // runCompileJobs compiles every job, consulting cache when non-nil,
-// with up to par concurrent workers (0 = GOMAXPROCS). The returned
-// objects are in job order regardless of completion order, and on
-// failure the error is the lowest-indexed job's — both so that the
-// build is deterministic at any parallelism. The returned count is how
-// many jobs were served from the cache.
+// with up to par concurrent workers (0 = GOMAXPROCS). A job's cache key
+// is hashed on its worker. The returned objects are in job order
+// regardless of completion order, and on failure the error is the
+// lowest-indexed job's — both so that the build is deterministic at
+// any parallelism. The returned count is how many jobs were served
+// from the cache.
 func runCompileJobs(jobs []compileJob, copts compile.Options, cache *Cache, par int) ([]*obj.File, int, error) {
 	if len(jobs) == 0 {
 		return nil, 0, nil
@@ -298,27 +307,16 @@ func runCompileJobs(jobs []compileJob, copts compile.Options, cache *Cache, par 
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				job := jobs[i]
-				key := job.key
-				if cache != nil {
-					if key == "" {
-						key = fileCacheKey(copts, job.file)
-					}
-					if o, ok := cache.lookup(key); ok {
-						objs[i] = o
-						hits.Add(1)
-						continue
-					}
-				}
-				o, err := compile.Compile(job.file, copts)
-				if err != nil {
-					errs[i] = fmt.Errorf("%s: %w", job.label, err)
+				job := &jobs[i]
+				if cache == nil {
+					objs[i], errs[i] = job.compile(copts)
 					continue
 				}
-				if cache != nil {
-					cache.store(key, o)
+				o, hit, err := cache.object(job.key(copts), func() (*obj.File, error) { return job.compile(copts) })
+				if hit {
+					hits.Add(1)
 				}
-				objs[i] = o
+				objs[i], errs[i] = o, err
 			}
 		}()
 	}
@@ -372,7 +370,7 @@ func compileInstance(inst *link.Instance, copts compile.Options) (*obj.File, err
 		obj.Append(out, o)
 	}
 	for _, o := range inst.Objects {
-		obj.Append(out, o.Clone())
+		obj.Append(out, o)
 	}
 	return out, nil
 }

@@ -6,14 +6,13 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"sync"
 
-	"knit/internal/cmini"
 	"knit/internal/compile"
-	"knit/internal/knit/flatten"
 	"knit/internal/knit/link"
 	"knit/internal/obj"
 )
@@ -22,11 +21,20 @@ import (
 // shared across builds (and across goroutines within one build). A
 // unit instance's compiled object depends only on its renamed sources
 // and the compiler options, so the cache key is a hash over exactly
-// that: the instance-renamed source text — which already encodes the
-// resolved import/export wiring via the __kN suffixes and provider
-// names — plus compile.Options.Key(). Flattened regions are keyed by
-// flatten.Fingerprint over the region's ordered instance sources, so a
-// warm build skips both the merge and the compile.
+// that, taken without printing the renamed file: compile.Options.Key(),
+// the file's name, the source text it was parsed from, and the renames
+// elaboration applied to the identifiers it declares or references
+// (link.FileOrigin) — which encode the resolved import/export wiring
+// via the __kN suffixes and provider names. A flattened region is keyed
+// by the options and the name, text and renames of each file of its
+// ordered instances, so a warm build skips both the merge and the
+// compile.
+//
+// Lookups are single-flight: the first build to miss on a key compiles
+// it (merging first, for a region), and builds that miss on the key
+// meanwhile wait for that object instead of compiling it again. A failed
+// compile is not stored; its waiters wake and compile for themselves,
+// so each build reports its own error.
 //
 // Beside the objects, the cache holds the builds' front end
 // (link.FrontEnd): every unit file, C source and assembly source a
@@ -39,17 +47,18 @@ import (
 // Invalidation is automatic: any change to a unit's sources, to its
 // wiring (which renames identifiers), or to the optimizer settings
 // changes the key, and the stale entry is simply never looked up
-// again. Entries are immutable: lookups and stores of objects
-// deep-copy, and parsed trees are only read or cloned, so no build can
-// mutate another's entries.
+// again. Entries are immutable and shared: a build only reads its
+// objects, and the linker (obj.Append) copies what it takes from them
+// into the image's object, so no build can change another's entries.
 type Cache struct {
 	dir   string // optional disk backing; "" = memory only
 	front link.FrontEnd
 
-	mu     sync.Mutex
-	mem    map[string]*obj.File
-	hits   int
-	misses int
+	mu        sync.Mutex
+	mem       map[string]*obj.File
+	compiling map[string]chan struct{} // closed when the key's compile ends
+	hits      int
+	misses    int
 }
 
 // NewCache returns an empty in-memory cache.
@@ -71,8 +80,8 @@ func OpenCache(dir string) (*Cache, error) {
 
 // CacheStats reports cache effectiveness since the cache was created.
 type CacheStats struct {
-	Hits    int // lookups served from the cache
-	Misses  int // lookups that had to compile
+	Hits    int // lookups served an object without compiling it
+	Misses  int // lookups that compiled
 	Entries int // distinct objects currently held in memory
 }
 
@@ -86,38 +95,55 @@ func (c *Cache) Stats() CacheStats {
 // FrontEnd returns the parsed sources every build on c shares.
 func (c *Cache) FrontEnd() *link.FrontEnd { return &c.front }
 
-// lookup returns a private copy of the object stored under key.
-func (c *Cache) lookup(key string) (*obj.File, bool) {
+// object returns the object stored under key, and whether it was a hit.
+// On a miss it claims the key, then reads it from disk or runs compile
+// and stores the result; a lookup that arrives while the key is claimed
+// waits for that result. The returned object is shared: read it only.
+func (c *Cache) object(key string, compile func() (*obj.File, error)) (*obj.File, bool, error) {
 	c.mu.Lock()
-	o, ok := c.mem[key]
-	if !ok && c.dir != "" {
-		o = c.readDisk(key)
-		if o != nil {
-			c.mem[key] = o
-			ok = true
+	for {
+		if o, ok := c.mem[key]; ok {
+			c.hits++
+			c.mu.Unlock()
+			return o, true, nil
 		}
+		done, ok := c.compiling[key]
+		if !ok {
+			break
+		}
+		c.mu.Unlock()
+		<-done // a failed compile stores nothing, so look again
+		c.mu.Lock()
 	}
-	if ok {
+	done := make(chan struct{})
+	if c.compiling == nil {
+		c.compiling = map[string]chan struct{}{}
+	}
+	c.compiling[key] = done
+	c.mu.Unlock()
+
+	o := c.readDisk(key)
+	hit := o != nil
+	var err error
+	if !hit {
+		o, err = compile()
+	}
+	c.mu.Lock()
+	delete(c.compiling, key)
+	if err == nil {
+		c.mem[key] = o
+	}
+	if hit {
 		c.hits++
 	} else {
 		c.misses++
 	}
 	c.mu.Unlock()
-	if !ok {
-		return nil, false
+	close(done)
+	if err == nil && !hit && c.dir != "" {
+		c.writeDisk(key, o)
 	}
-	return o.Clone(), true
-}
-
-// store records o under key. The cache keeps its own copy.
-func (c *Cache) store(key string, o *obj.File) {
-	cp := o.Clone()
-	c.mu.Lock()
-	c.mem[key] = cp
-	c.mu.Unlock()
-	if c.dir != "" {
-		c.writeDisk(key, cp)
-	}
+	return o, hit, err
 }
 
 func (c *Cache) entryPath(key string) string {
@@ -131,11 +157,14 @@ func (c *Cache) entryPath(key string) string {
 // build. (gob alone would accept some corrupted inputs.)
 const diskDigestLen = sha256.Size
 
-// readDisk loads one entry from the backing directory; any failure —
-// open error, short file, digest mismatch, undecodable payload — is a
-// miss (the cache is best-effort and self-healing: the entry is simply
-// rewritten on the next store).
+// readDisk loads one entry from the backing directory; no directory,
+// and any failure — open error, short file, digest mismatch,
+// undecodable payload — is a miss (the cache is best-effort and
+// self-healing: the entry is simply rewritten on the next store).
 func (c *Cache) readDisk(key string) *obj.File {
+	if c.dir == "" {
+		return nil
+	}
 	data, err := os.ReadFile(c.entryPath(key))
 	if err != nil || len(data) < diskDigestLen {
 		return nil
@@ -188,26 +217,47 @@ func (c *Cache) writeDisk(key string, o *obj.File) {
 	}
 }
 
-// fileCacheKey is the content hash of one translation unit: the
-// compiler configuration plus the (instance-renamed) source.
-func fileCacheKey(copts compile.Options, f *cmini.File) string {
-	h := sha256.New()
-	io.WriteString(h, "file\x00")
-	io.WriteString(h, copts.Key())
-	h.Write([]byte{0})
-	io.WriteString(h, f.Name)
-	h.Write([]byte{0})
-	io.WriteString(h, cmini.Print(f))
-	return hex.EncodeToString(h.Sum(nil))
+// fileKey is the content hash of one translation unit: the compiler
+// configuration plus the file's name and origin, which together
+// determine the instance-renamed source.
+func fileKey(copts compile.Options, name string, src link.FileOrigin) string {
+	b := append([]byte("file\x00"), copts.Key()...)
+	b = appendFile(append(b, 0), name, src)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
-// regionCacheKey is the content hash of a flattened region's compiled
-// object: the compiler configuration plus the region fingerprint.
-func regionCacheKey(copts compile.Options, region []*link.Instance) string {
-	h := sha256.New()
-	io.WriteString(h, "flat\x00")
-	io.WriteString(h, copts.Key())
-	h.Write([]byte{0})
-	io.WriteString(h, flatten.Fingerprint(region))
-	return hex.EncodeToString(h.Sum(nil))
+// regionKey is the content hash of a flattened region's compiled
+// object: the compiler configuration plus every file of the region's
+// ordered instances, framed per instance — exactly what the merge reads.
+func regionKey(copts compile.Options, region []*link.Instance) string {
+	b := append([]byte("flat\x00"), copts.Key()...)
+	b = strconv.AppendInt(append(b, 0), int64(len(region)), 10)
+	for _, inst := range region {
+		b = strconv.AppendInt(append(b, 0), int64(len(inst.Files)), 10)
+		for i, f := range inst.Files {
+			b = appendFile(append(b, 0), f.Name, inst.Origins[i])
+		}
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// appendFile frames one file's name, source text and renames (sorted
+// by identifier) onto b.
+func appendFile(b []byte, name string, src link.FileOrigin) []byte {
+	b = append(append(b, name...), 0)
+	b = strconv.AppendInt(b, int64(len(src.Text)), 10)
+	b = append(append(b, 0), src.Text...)
+	b = append(strconv.AppendInt(b, int64(len(src.Renames)), 10), 0)
+	ids := make([]string, 0, len(src.Renames))
+	for id := range src.Renames {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		b = append(append(b, id...), 0)
+		b = append(append(b, src.Renames[id]...), 0)
+	}
+	return b
 }

@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
+	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"knit/internal/asm"
@@ -13,6 +15,7 @@ import (
 	"knit/internal/compile"
 	"knit/internal/knit/link"
 	"knit/internal/machine"
+	"knit/internal/obj"
 )
 
 // TestCacheWarmBuildHitsEverything: a second build of an unchanged
@@ -111,19 +114,21 @@ func TestCacheInvalidationOnOptions(t *testing.T) {
 // source and options, when Options.Key() carried no compiler version —
 // must be a miss for a later process, not a stale hit.
 func TestCacheMissesOlderCompilerEntries(t *testing.T) {
-	file, err := cmini.Parse("f.c", "int f(int a) { int x = a * 3; int y = x + 1; return y * x; }")
+	const text = "int f(int a) { int x = a * 3; int y = x + 1; return y * x; }"
+	file, err := cmini.Parse("f.c", text)
 	if err != nil {
 		t.Fatal(err)
 	}
+	origin := link.FileOrigin{Text: text}
 	copts := compile.Options{}
-	// fileCacheKey's framing around a given options key.
+	// fileKey's framing around a given options key.
 	keyWith := func(optsKey string) string {
-		h := sha256.New()
-		io.WriteString(h, "file\x00"+optsKey+"\x00"+file.Name+"\x00"+cmini.Print(file))
-		return hex.EncodeToString(h.Sum(nil))
+		sum := sha256.Sum256([]byte("file\x00" + optsKey + "\x00f.c\x00" +
+			strconv.Itoa(len(text)) + "\x00" + text + "0\x00"))
+		return hex.EncodeToString(sum[:])
 	}
-	if keyWith(copts.Key()) != fileCacheKey(copts, file) {
-		t.Fatal("keyWith no longer mirrors fileCacheKey")
+	if keyWith(copts.Key()) != fileKey(copts, file.Name, origin) {
+		t.Fatal("keyWith no longer mirrors fileKey")
 	}
 	want, err := compile.Compile(file, copts)
 	if err != nil {
@@ -136,13 +141,13 @@ func TestCacheMissesOlderCompilerEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	older.store(keyWith("O0"), stale)
+	older.object(keyWith("O0"), func() (*obj.File, error) { return stale, nil })
 
 	later, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	objs, hits, err := runCompileJobs([]compileJob{{label: "f.c", file: file}}, copts, later, 1)
+	objs, hits, err := runCompileJobs([]compileJob{{label: "f.c", file: file, origin: origin}}, copts, later, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +224,147 @@ int serve_outer(int s) { return serve_inner(s) + 1; }
 		}
 		if v != want {
 			t.Errorf("serve_web = %d, want %d", v, want)
+		}
+	}
+}
+
+// TestCacheKeyFollowsReferencedRenames: a file's key holds the renames
+// of the identifiers it declares or references and no others. Client
+// calls only serve_web from its Serve import. Rewiring it to a provider
+// that renames serve_aux, which client.c never mentions, changes
+// nothing client.c compiles to, so it hits; a provider that renames
+// serve_web changes what client.c calls, so it misses.
+func TestCacheKeyFollowsReferencedRenames(t *testing.T) {
+	units := map[string]string{"t.unit": `
+bundletype Serve = { serve_web, serve_aux }
+bundletype Main = { run }
+unit ProvOne = { exports [ s : Serve ]; files { "one.c" }; rename { s.serve_aux to aux_one; }; }
+unit ProvTwo = { exports [ s : Serve ]; files { "two.c" }; rename { s.serve_aux to aux_two; }; }
+unit ProvThree = { exports [ s : Serve ]; files { "three.c" }; rename { s.serve_web to web_three; }; }
+unit Client = { imports [ s : Serve ]; exports [ m : Main ]; files { "client.c" }; }
+unit TopOne = { exports [ m : Main ]; link { [s] <- ProvOne <- []; [m] <- Client <- [s]; }; }
+unit TopTwo = { exports [ m : Main ]; link { [s] <- ProvTwo <- []; [m] <- Client <- [s]; }; }
+unit TopThree = { exports [ m : Main ]; link { [s] <- ProvThree <- []; [m] <- Client <- [s]; }; }
+`}
+	sources := link.Sources{
+		"one.c":    `int serve_web(int x) { return x + 1; } int aux_one(int x) { return x; }`,
+		"two.c":    `int serve_web(int x) { return x + 2; } int aux_two(int x) { return x; }`,
+		"three.c":  `int web_three(int x) { return x + 3; } int serve_aux(int x) { return x; }`,
+		"client.c": "int serve_web(int x);\nint run(int x) { return serve_web(x); }\n",
+	}
+	cache := NewCache()
+	for _, tc := range []struct {
+		top  string
+		hits int
+		run  int64
+	}{
+		{"TopOne", 0, 2},
+		{"TopTwo", 1, 3},   // only serve_aux's rename changed
+		{"TopThree", 0, 4}, // serve_web's rename changed
+	} {
+		res, err := Build(Options{Top: tc.top, UnitFiles: units, Sources: sources, Cache: cache})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.top, err)
+		}
+		if res.Timings.CompileJobs != 2 || res.Timings.CacheHits != tc.hits {
+			t.Errorf("%s: %d/%d hits, want %d/2", tc.top, res.Timings.CacheHits, res.Timings.CompileJobs, tc.hits)
+		}
+		client := res.Program.SortedInstances()[1]
+		var keys []string
+		for id := range client.Origins[0].Renames {
+			keys = append(keys, id)
+		}
+		sort.Strings(keys)
+		if fmt.Sprint(keys) != "[run serve_web]" {
+			t.Errorf("%s: client.c renames %v, want only the identifiers it mentions, run and serve_web", tc.top, keys)
+		}
+		if v, err := res.Run(res.NewMachine(), "m", "run", 1); err != nil || v != tc.run {
+			t.Errorf("%s: run(1) = %d, %v; want %d", tc.top, v, err, tc.run)
+		}
+	}
+}
+
+// TestCacheFlattenedRegionLooksUpOnce: a flattened region is one cache
+// lookup, like every other translation unit, so a build's misses are
+// exactly its compiled jobs — cold and warm, with the whole program
+// flattened and with part of it left modular.
+func TestCacheFlattenedRegionLooksUpOnce(t *testing.T) {
+	for _, filter := range []func(*link.Instance) bool{
+		nil,
+		func(inst *link.Instance) bool { return inst.Unit.Name != "Log" },
+	} {
+		cache := NewCache()
+		opts := logServeOptions()
+		opts.Cache = cache
+		opts.Optimize, opts.Flatten, opts.FlattenFilter = true, true, filter
+		misses := 0
+		for _, round := range []string{"cold", "warm"} {
+			res, err := Build(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tm := res.Timings
+			got := cache.Stats().Misses - misses
+			misses += got
+			if want := tm.CompileJobs - tm.CacheHits; got != want {
+				t.Errorf("%s flattened build (filtered %v): %d misses, want %d (%d jobs, %d hits)",
+					round, filter != nil, got, want, tm.CompileJobs, tm.CacheHits)
+			}
+			if filter != nil && tm.CompileJobs < 2 {
+				t.Errorf("filtered flattened build ran %d jobs, want the region and modular files", tm.CompileJobs)
+			}
+		}
+	}
+}
+
+// TestCacheObjectSingleFlight: lookups that miss on one key together
+// compile it once, the others waiting for that object; a failed
+// compile stores nothing and leaves no lookup waiting — each compiles
+// for itself and gets its own error.
+func TestCacheObjectSingleFlight(t *testing.T) {
+	const n = 8
+	race := func(compile func() (*obj.File, error)) ([]*obj.File, []error, int, CacheStats) {
+		cache := NewCache()
+		var entered sync.WaitGroup
+		entered.Add(n)
+		var calls atomic.Int64
+		counted := func() (*obj.File, error) {
+			calls.Add(1)
+			entered.Wait() // every lookup has started before a compile ends
+			return compile()
+		}
+		objs, errs := make([]*obj.File, n), make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				entered.Done()
+				objs[i], _, errs[i] = cache.object("key", counted)
+			}(i)
+		}
+		wg.Wait()
+		return objs, errs, int(calls.Load()), cache.Stats()
+	}
+
+	want := obj.NewFile("unit.o")
+	objs, errs, calls, st := race(func() (*obj.File, error) { return want, nil })
+	if calls != 1 || st.Misses != 1 || st.Hits != n-1 || st.Entries != 1 {
+		t.Errorf("%d lookups at once: %d compiles, stats %+v; want 1 compile, 1 miss, %d hits", n, calls, st, n-1)
+	}
+	for i := range objs {
+		if errs[i] != nil || objs[i] != want {
+			t.Errorf("lookup %d got %p, %v; want the one compiled object", i, objs[i], errs[i])
+		}
+	}
+
+	_, errs, calls, st = race(func() (*obj.File, error) { return nil, fmt.Errorf("compile failed") })
+	if calls != n || st.Misses != n || st.Entries != 0 {
+		t.Errorf("failing compile: %d compiles, stats %+v; want %d compiles and misses, nothing stored", calls, st, n)
+	}
+	for i, err := range errs {
+		if err == nil {
+			t.Errorf("lookup %d of a failing compile succeeded", i)
 		}
 	}
 }

@@ -16,8 +16,8 @@ type Timings struct {
 	Elaborate time.Duration // linking-graph elaboration (includes cmini parsing)
 	Check     time.Duration // constraint fixpoint (zero when Check is off)
 	Schedule  time.Duration // initializer/finalizer ordering
-	Flatten   time.Duration // cross-component source merge (zero when off)
-	Compile   time.Duration // cmini -> IR, optimization passes
+	Flatten   time.Duration // cross-component source merge (zero when off or cached)
+	Compile   time.Duration // cmini -> IR, optimization passes (less the merge, which runs on a compile worker)
 	Link      time.Duration // object merge into the image
 	Load      time.Duration // data/text placement, address resolution
 

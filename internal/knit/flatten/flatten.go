@@ -9,38 +9,12 @@
 package flatten
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"io"
 	"reflect"
 
 	"knit/internal/cmini"
 	"knit/internal/knit/link"
 )
-
-// Fingerprint returns a stable content identity for a flatten region:
-// a hash over the ordered, instance-renamed C sources of the given
-// instances — exactly the inputs Merge's output depends on. Build
-// caches use it to recognize that a region would merge and compile to
-// the same object as before, without re-running the merge. Renaming
-// has already folded each instance's resolved import/export wiring
-// into its identifiers, so identical fingerprints mean identical
-// post-link sources, not merely identical files on disk.
-func Fingerprint(instances []*link.Instance) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "region %d\x00", len(instances))
-	for _, inst := range instances {
-		fmt.Fprintf(h, "inst %d\x00", len(inst.Files))
-		for _, f := range inst.Files {
-			io.WriteString(h, f.Name)
-			h.Write([]byte{0})
-			io.WriteString(h, cmini.Print(f))
-			h.Write([]byte{0})
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
 
 // Merge combines the sources of the given instances into one cmini file.
 // Instance renaming has already made all global names unique, so the

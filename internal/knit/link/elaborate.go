@@ -46,6 +46,8 @@ type Instance struct {
 	Path  string // e.g. "LogServe/Log#1", for diagnostics
 	Unit  *lang.Unit
 	Files []*cmini.File // cloned and renamed per instance (C sources)
+	// Origins[i] is what Files[i] was made from.
+	Origins []FileOrigin
 	// Objects holds the unit's assembly-implemented files (paper: "Knit
 	// can actually work with C, assembly, and object code"), already
 	// instance-renamed at the object level — the objcopy path. Assembly
@@ -59,6 +61,17 @@ type Instance struct {
 	// ExportNeeds maps export local -> import locals it depends on.
 	ExportNeeds map[string][]string
 	Inits       []*Init // initializers and finalizers, in declaration order
+}
+
+// FileOrigin is what an instance's C file was made from: the source
+// text it was parsed from, and the renames elaboration applied to the
+// identifiers the file declares or references (renames of identifiers
+// it never mentions are left out). The renamed file is a function of
+// its name, Text and Renames, so build.Cache keys its compiled object
+// by them without printing the file.
+type FileOrigin struct {
+	Text    string
+	Renames map[string]string
 }
 
 // ImportType returns the bundle type name for an import local.
@@ -292,6 +305,7 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 			return nil, fmt.Errorf("unit %s: %w", u.Name, err)
 		}
 		inst.Files = append(inst.Files, cmini.CloneFile(f))
+		inst.Origins = append(inst.Origins, FileOrigin{Text: src})
 	}
 	prog.Instances = append(prog.Instances, inst)
 	out := map[string]*Wire{}
@@ -545,12 +559,13 @@ func (e *elab) resolveSymbols(prog *Program) error {
 			mapping[name] = name + suffix
 		}
 		// Per-file statics: suffix with file index as well (statics are
-		// file-scoped in C).
+		// file-scoped in C). Each file's renames are the instance's
+		// mapping with its statics on top, kept only for the identifiers
+		// the file declares or references: those are all RenameGlobals
+		// touches, and all its cache key may depend on.
 		for fi, f := range inst.Files {
-			fileMap := map[string]string{}
-			for k, v := range mapping {
-				fileMap[k] = v
-			}
+			statics := map[string]string{}
+			var declared []string
 			for _, d := range f.Decls {
 				var name string
 				var static bool
@@ -559,10 +574,24 @@ func (e *elab) resolveSymbols(prog *Program) error {
 					name, static = d.Name, d.Static
 				case *cmini.FuncDecl:
 					name, static = d.Name, d.Static && d.Body != nil
+				default:
+					continue
 				}
+				declared = append(declared, name)
 				if static {
-					fileMap[name] = fmt.Sprintf("%s%s_f%d", name, suffix, fi)
+					statics[name] = fmt.Sprintf("%s%s_f%d", name, suffix, fi)
 				}
+			}
+			renames := map[string]string{}
+			note := func(id string) {
+				if to, ok := statics[id]; ok {
+					renames[id] = to
+				} else if to, ok := mapping[id]; ok {
+					renames[id] = to
+				}
+			}
+			for _, name := range declared {
+				note(name)
 			}
 			// Unbound references: anything used that is not defined by
 			// the unit (globally or as a file static), not bound to an
@@ -571,7 +600,8 @@ func (e *elab) resolveSymbols(prog *Program) error {
 			// precisely the "spurious notch" the bag-of-objects model
 			// cannot diagnose and Knit can.
 			for ref := range cmini.GlobalRefs(f) {
-				if mapping[ref] != "" || fileMap[ref] != "" || definedGlobal[ref] {
+				note(ref)
+				if renames[ref] != "" || definedGlobal[ref] {
 					continue
 				}
 				if strings.HasPrefix(ref, AmbientPrefix) {
@@ -581,7 +611,8 @@ func (e *elab) resolveSymbols(prog *Program) error {
 					"%s: file %s uses symbol %q which is neither defined by the unit nor bound to an import",
 					inst.Path, f.Name, ref)
 			}
-			cmini.RenameGlobals(f, fileMap)
+			cmini.RenameGlobals(f, renames)
+			inst.Origins[fi].Renames = renames
 		}
 		// Assembly files: the same renaming, applied at the object level
 		// (the objcopy path). Locals get a per-file suffix like C statics.

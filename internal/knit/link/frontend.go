@@ -11,6 +11,8 @@ import (
 
 // FrontEnd memoizes parsing by content: unit files, C sources and
 // assembly sources, each parsed once per distinct file name and text.
+// Parsing is single-flight: elaborations that ask for a file while
+// another is parsing it wait for that tree rather than parse it again.
 // A stored tree is never changed — elaboration clones a C file for
 // each instance and an assembled object before renaming it — so any
 // number of elaborations may share one FrontEnd, in sequence or
@@ -44,37 +46,55 @@ func (fe *FrontEnd) ParseUnitFiles(unitFiles map[string]string) ([]*lang.File, e
 // srcKey identifies one source by file name and text.
 type srcKey struct{ name, text string }
 
-// memo holds one language's parsed trees.
+// memo holds one language's parsed trees, a channel for each file being
+// parsed that is closed when its parse ends, and how many parses ran.
 type memo[T any] struct {
-	mu sync.Mutex
-	m  map[srcKey]T
+	mu      sync.Mutex
+	m       map[srcKey]T
+	parsing map[srcKey]chan struct{}
+	parses  int
 }
 
 // get returns parse's tree for (name, text), parsing only on the first
-// request. Goroutines that miss together may each parse, but the first
-// tree stored is the one every caller gets. Errors are not stored.
+// request. A request that arrives while the file is being parsed waits
+// for that parse. A failed parse is not stored: its waiters wake and
+// parse the file themselves, so each caller gets its own error.
 func (m *memo[T]) get(name, text string, parse func(name, text string) (T, error)) (T, error) {
 	k := srcKey{name, text}
 	m.mu.Lock()
-	v, ok := m.m[k]
+	for {
+		if v, ok := m.m[k]; ok {
+			m.mu.Unlock()
+			return v, nil
+		}
+		done, ok := m.parsing[k]
+		if !ok {
+			break
+		}
+		m.mu.Unlock()
+		<-done
+		m.mu.Lock()
+	}
+	done := make(chan struct{})
+	if m.parsing == nil {
+		m.parsing = map[srcKey]chan struct{}{}
+	}
+	m.parsing[k] = done
+	m.parses++
 	m.mu.Unlock()
-	if ok {
-		return v, nil
-	}
+
 	v, err := parse(name, text)
-	if err != nil {
-		return v, err
-	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if prev, ok := m.m[k]; ok {
-		return prev, nil
+	delete(m.parsing, k)
+	if err == nil {
+		if m.m == nil {
+			m.m = map[srcKey]T{}
+		}
+		m.m[k] = v
 	}
-	if m.m == nil {
-		m.m = map[srcKey]T{}
-	}
-	m.m[k] = v
-	return v, nil
+	m.mu.Unlock()
+	close(done)
+	return v, err
 }
 
 // Len reports how many distinct parsed files fe holds.

@@ -1,6 +1,8 @@
 package link_test
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"knit/internal/asm"
@@ -135,6 +137,107 @@ func TestFrontEndTreesUnchangedByBuilds(t *testing.T) {
 	for _, tr := range second {
 		if !first[tr] {
 			t.Errorf("%s tree %s prints differently after the second round of builds", tr.Lang, tr.Name)
+		}
+	}
+}
+
+// TestMemoSingleFlight: goroutines asking for one file while it is
+// being parsed wait for that parse, so it runs once; a failed parse is
+// not stored, and leaves no goroutine waiting — each parses for itself
+// and gets its own error.
+func TestMemoSingleFlight(t *testing.T) {
+	const n = 8
+	vals, errs, calls := link.MemoGet(n, func(name, text string) (string, error) { return name + ":" + text, nil })
+	if calls != 1 {
+		t.Errorf("%d goroutines asking at once parsed %d times, want 1", n, calls)
+	}
+	for i := range vals {
+		if errs[i] != nil || vals[i] != "f:text" {
+			t.Errorf("goroutine %d got %q, %v", i, vals[i], errs[i])
+		}
+	}
+	_, errs, calls = link.MemoGet(n, func(name, text string) (string, error) { return "", errors.New("parse failed") })
+	if calls != n {
+		t.Errorf("failing parse ran %d times for %d goroutines, want once each", calls, n)
+	}
+	for i, err := range errs {
+		if err == nil {
+			t.Errorf("goroutine %d parsed a failing file without error", i)
+		}
+	}
+}
+
+// TestConcurrentBuildsParseAndCompileOnce: eight builds of one
+// configuration at once on a fresh cache — the router, modular and
+// flattened — parse each file once and compile each translation unit
+// once, and agree on the object. Builds of a configuration whose
+// compile or parse fails all return the lone build's error.
+func TestConcurrentBuildsParseAndCompileOnce(t *testing.T) {
+	const n = 8
+	concurrently := func(buildOn func(*build.Cache) (*build.Result, error)) (*build.Cache, []*build.Result, []error) {
+		cache := build.NewCache()
+		results, errs := make([]*build.Result, n), make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i], errs[i] = buildOn(cache)
+			}(i)
+		}
+		wg.Wait()
+		return cache, results, errs
+	}
+
+	for _, v := range []clack.Variant{{}, {Flattened: true}} {
+		buildOn := func(cache *build.Cache) (*build.Result, error) {
+			return clack.BuildRouterTuned(v, func(o *build.Options) { o.Cache = cache })
+		}
+		lone, err := buildOn(build.NewCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache, results, errs := concurrently(buildOn)
+		for i, res := range results {
+			if errs[i] != nil {
+				t.Fatalf("%+v build %d: %v", v, i, errs[i])
+			}
+			if asm.Format(res.Object) != asm.Format(lone.Object) {
+				t.Errorf("%+v build %d built a different object", v, i)
+			}
+		}
+		st := cache.Stats()
+		if st.Misses != st.Entries || st.Misses != lone.Timings.CompileJobs {
+			t.Errorf("%+v: %d builds at once compiled %d times, want each of the %d translation units once (stats %+v)",
+				v, n, st.Misses, lone.Timings.CompileJobs, st)
+		}
+		if fe := cache.FrontEnd(); fe.Parses() != fe.Len() {
+			t.Errorf("%+v: %d builds at once ran %d parses of %d files, want one each", v, n, fe.Parses(), fe.Len())
+		}
+	}
+
+	for _, tc := range []struct {
+		name, driver string
+		flatten      bool
+	}{
+		{"compile error", "int strlen_(char *s);\nint run(int x) { break; return x; }\n", false},
+		{"compile error in a flattened region", "int strlen_(char *s);\nint run(int x) { break; return x; }\n", true},
+		{"parse error", "int strlen_(char *s);\nint run(int x) { return x + ; }\n", false},
+	} {
+		sources := link.Sources{"str.s": asmSources["str.s"], "driver.c": tc.driver}
+		buildOn := func(cache *build.Cache) (*build.Result, error) {
+			return build.Build(build.Options{Top: "Top", UnitFiles: map[string]string{"top.unit": asmUnits},
+				Sources: sources, Optimize: true, Flatten: tc.flatten, Cache: cache})
+		}
+		_, want := buildOn(nil)
+		if want == nil {
+			t.Fatalf("%s: the lone build succeeded", tc.name)
+		}
+		_, _, errs := concurrently(buildOn)
+		for i, err := range errs {
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s: build %d returned %v, want %v", tc.name, i, err, want)
+			}
 		}
 	}
 }

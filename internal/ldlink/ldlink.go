@@ -153,7 +153,7 @@ func Link(items []Item, opts Options) (*obj.File, error) {
 
 	out := obj.NewFile("a.out")
 	for _, f := range included {
-		obj.Append(out, f.Clone())
+		obj.Append(out, f)
 	}
 	return out, nil
 }

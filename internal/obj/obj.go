@@ -276,7 +276,9 @@ func (f *File) Clone() *File {
 // Append merges src into dst, remapping src's string-table indexes.
 // Symbol-name collisions are the caller's responsibility: linkers must
 // resolve or rename before appending. Local symbols from src are made
-// unique by prefixing with src's file name if they collide.
+// unique by prefixing with src's file name if they collide. dst gets
+// its own copy of every symbol, function and data object it takes, so
+// src is left unchanged and may be shared.
 func Append(dst, src *File) {
 	strBase := len(dst.Strings)
 	dst.Strings = append(dst.Strings, src.Strings...)
@@ -296,7 +298,8 @@ func Append(dst, src *File) {
 		Rename(src, remap)
 	}
 	for _, s := range src.Syms {
-		dst.AddSym(s)
+		cp := *s
+		dst.AddSym(&cp)
 	}
 	for name, fn := range src.Funcs {
 		fn = fn.Clone()

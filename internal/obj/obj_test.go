@@ -1,6 +1,7 @@
 package obj
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -82,6 +83,43 @@ func TestAppendRemapsStrings(t *testing.T) {
 	}
 	if m.Funcs["fa"].Code[0].Imm != 0 {
 		t.Errorf("fa string index = %d, want 0", m.Funcs["fa"].Code[0].Imm)
+	}
+}
+
+// TestAppendLeavesSourcesUnchanged: dst takes its own copy of every
+// symbol, function and data object, so resolving in dst a symbol that
+// an earlier source left undefined changes no source, and neither does
+// rebasing the later source's string references.
+func TestAppendLeavesSourcesUnchanged(t *testing.T) {
+	user := NewFile("user.o")
+	user.AddSym(&Symbol{Name: "x", Kind: SymData})
+	user.AddSym(&Symbol{Name: "f", Kind: SymFunc, Defined: true})
+	user.Funcs["f"] = &Func{Name: "f", Code: []Instr{{Op: OpAddrGlobal, Sym: "x"}, {Op: OpRet}}}
+	user.Strings = []string{"user"}
+	def := NewFile("def.o")
+	def.AddSym(&Symbol{Name: "x", Kind: SymData, Defined: true})
+	def.Datas["x"] = &Data{Name: "x", Size: 1, Init: []DataInit{{Kind: InitString, Index: 0}}}
+	def.AddSym(&Symbol{Name: "g", Kind: SymFunc, Defined: true})
+	def.Funcs["g"] = &Func{Name: "g", Code: []Instr{{Op: OpAddrString, Imm: 0}, {Op: OpRet}}}
+	def.Strings = []string{"def"}
+	wantUser, wantDef := user.Clone(), def.Clone()
+
+	m := NewFile("merged")
+	Append(m, user)
+	Append(m, def)
+	if s := m.Sym("x"); s == nil || !s.Defined {
+		t.Fatalf("merged x = %+v, want defined", s)
+	}
+	if !reflect.DeepEqual(user, wantUser) {
+		t.Errorf("appending def changed user: x = %+v", user.Sym("x"))
+	}
+	if !reflect.DeepEqual(def, wantDef) {
+		t.Error("appending def changed def")
+	}
+	m.Sym("f").Local = true
+	m.Funcs["f"].Code[0].Sym = "y"
+	if !reflect.DeepEqual(user, wantUser) {
+		t.Error("editing the merged file changed user")
 	}
 }
 
