@@ -45,7 +45,7 @@ func main() {
 		check     = flag.Bool("check", true, "run the constraint checker")
 		optimize  = flag.Bool("O", false, "enable the optimizer")
 		flatten   = flag.Bool("flatten", false, "flatten all units before compiling")
-		cacheDir  = flag.String("cache", "", "directory for the content-hash compile cache (empty = no cache)")
+		cacheDir  = flag.String("cache", "", "directory for the content-hash compile cache (empty = memory only)")
 		jobs      = flag.Int("j", 0, "parallel compile jobs (0 = one per CPU)")
 		upgradeF  = flag.String("upgrade", "", "with -run, after the first call live-reconfigure to this target unit file (diff, rewire, re-run; the upgraded result is checked against a cold build of the target)")
 		supFlag   = flag.Bool("supervise", false, "run -run under the self-healing supervisor (restart/fallback/escalate per policy)")
@@ -99,17 +99,16 @@ func main() {
 	if dir == "" {
 		dir = filepath.Dir(flag.Args()[0])
 	}
-	sources, err := loadSources(unitFiles, dir)
-	if err != nil {
-		fail(err)
-	}
-
-	var cache *build.Cache
+	cache := build.NewCache()
 	if *cacheDir != "" {
 		cache, err = build.OpenCache(*cacheDir)
 		if err != nil {
 			fail(err)
 		}
+	}
+	sources, err := loadSources(cache.FrontEnd(), unitFiles, dir)
+	if err != nil {
+		fail(err)
 	}
 	opts := build.Options{
 		Top:         *top,
@@ -242,7 +241,7 @@ func runAssemble(goalPath string, useOskit bool, srcDir string, k int,
 		if dir == "" {
 			dir = filepath.Dir(flag.Args()[0])
 		}
-		sources, err := loadSources(unitFiles, dir)
+		sources, err := loadSources(new(link.FrontEnd), unitFiles, dir)
 		if err != nil {
 			fail(err)
 		}
@@ -323,7 +322,7 @@ func runUpgrade(res *build.Result, m *machine.M, targetPath, srcDir,
 		fail(err)
 	}
 	unitFiles := map[string]string{targetPath: string(data)}
-	sources, err := loadSources(unitFiles, srcDir)
+	sources, err := loadSources(res.Cache().FrontEnd(), unitFiles, srcDir)
 	if err != nil {
 		fail(err)
 	}
@@ -479,9 +478,10 @@ func printTimings(w io.Writer, t build.Timings) {
 // loadSources reads every file named in any unit's files{} section
 // that exists under dir; the builder reports precisely which file is
 // missing if one is needed but absent. A unit file that does not parse
-// fails here, at its position, before the build starts.
-func loadSources(unitFiles map[string]string, dir string) (link.Sources, error) {
-	files, err := build.ParseUnitFiles(unitFiles)
+// fails here, at its position, before the build starts; the files are
+// parsed through fe, so a build sharing it does not parse them again.
+func loadSources(fe *link.FrontEnd, unitFiles map[string]string, dir string) (link.Sources, error) {
+	files, err := fe.ParseUnitFiles(unitFiles)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"knit/internal/knit/assemble"
 	"knit/internal/knit/build"
+	"knit/internal/knit/link"
 	"knit/internal/machine"
 	"knit/internal/oskit"
 )
@@ -25,7 +26,8 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	unitFiles := map[string]string{unitPath: string(data)}
-	sources, err := loadSources(unitFiles, dir)
+	cache := build.NewCache()
+	sources, err := loadSources(cache.FrontEnd(), unitFiles, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +42,7 @@ func TestCLIEndToEnd(t *testing.T) {
 		UnitFiles: unitFiles,
 		Sources:   sources,
 		Check:     true,
+		Cache:     cache,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +86,7 @@ func TestCLICacheAndJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	unitFiles := map[string]string{unitPath: string(data)}
-	sources, err := loadSources(unitFiles, dir)
+	sources, err := loadSources(new(link.FrontEnd), unitFiles, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func TestCLIFuelBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	unitFiles := map[string]string{unitPath: string(data)}
-	sources, err := loadSources(unitFiles, dir)
+	sources, err := loadSources(new(link.FrontEnd), unitFiles, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

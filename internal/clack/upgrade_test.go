@@ -211,3 +211,30 @@ func TestDeviceBuffersSpareUpgradedModuleData(t *testing.T) {
 		}
 	}
 }
+
+// TestServeFleetUpgradeReusesBuildCache: a live upgrade parses and
+// compiles through the router build's cache. The 4-shard upgrade after
+// the build parses only what the target changed — its clack.unit and
+// classifierv2.c — and compiles the two replaced Classifier slots once
+// each, not once per slot per shard.
+func TestServeFleetUpgradeReusesBuildCache(t *testing.T) {
+	cache := build.NewCache()
+	res, err := BuildRouterTuned(Variant{}, func(o *build.Options) { o.Cache = cache })
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, misses := cache.FrontEnd().Len(), cache.Stats().Misses
+	rep, err := ServeFleetUpgrade(res, DefaultFlowTraffic(2000), 4, 1, false, supervise.Default(), fakeClocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Promoted {
+		t.Fatalf("upgrade did not promote (plan %s)", rep.Plan)
+	}
+	if got := cache.FrontEnd().Len() - parsed; got != 2 {
+		t.Errorf("upgrade parsed %d new files, want 2 (clack.unit and classifierv2.c)", got)
+	}
+	if got := cache.Stats().Misses - misses; got != 2 {
+		t.Errorf("upgrade compiled %d translation units, want 2 (one per replaced slot)", got)
+	}
+}

@@ -239,7 +239,7 @@ func (p *printer) expr(e Expr, min int) {
 	case *IntLit:
 		fmt.Fprintf(p.b, "%d", e.Val)
 	case *StrLit:
-		fmt.Fprintf(p.b, "%q", e.Val)
+		p.b.WriteString(Quote(e.Val))
 	case *Ident:
 		p.b.WriteString(e.Name)
 	case *Unary:

@@ -42,6 +42,9 @@ func TestPrintRoundTrip(t *testing.T) {
 		`static fn cb; int call_cb(int x) { return cb(x); }`,
 		`int s(void) { return sizeof(struct pkt) + sizeof(int); }`,
 		`int w(int x) { while (x > 0) { x = x - 1; if (x == 3) { break; } } return x; }`,
+		// Every escape the lexer reads, and a raw control byte, which
+		// must print in a form the lexer reads back.
+		"static char *esc = \"a\\tb\\0c\\\"d\\\\e\x01\";",
 	}
 	for _, src := range srcs {
 		reprint(t, src)

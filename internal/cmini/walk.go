@@ -169,29 +169,60 @@ func RenameGlobals(f *File, mapping map[string]string) {
 			if to, ok := mapping[d.Name]; ok {
 				d.Name = to
 			}
-			renameExpr(d.Init, mapping, map[string]bool{})
 		case *FuncDecl:
 			if to, ok := mapping[d.Name]; ok {
 				d.Name = to
 			}
+		}
+	}
+	globalIdents(f, func(id *Ident) {
+		if to, ok := mapping[id.Name]; ok {
+			id.Name = to
+		}
+	})
+}
+
+// GlobalRefs returns the set of global names referenced from function
+// bodies and initializer expressions of f, excluding references shadowed
+// by locals or parameters. It reports raw references; the caller decides
+// which are imports and which resolve within the file.
+func GlobalRefs(f *File) map[string]bool {
+	refs := map[string]bool{}
+	globalIdents(f, func(id *Ident) { refs[id.Name] = true })
+	return refs
+}
+
+// globalIdents calls visit on every identifier in f's function bodies
+// and initializer expressions that no parameter or local shadows: the
+// references to globals.
+func globalIdents(f *File, visit func(*Ident)) {
+	w := scopeWalk{visit}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *VarDecl:
+			w.expr(d.Init, nil)
+		case *FuncDecl:
 			scope := map[string]bool{}
 			for _, p := range d.Params {
 				scope[p.Name] = true
 			}
-			renameBlock(d.Body, mapping, scope)
+			w.block(d.Body, scope)
 		}
 	}
 }
 
-// renameBlock rewrites idents in b. scope holds names shadowed by locals;
-// it is copied per block so shadowing is lexical.
-func renameBlock(b *Block, mapping map[string]string, scope map[string]bool) {
+// scopeWalk is the scope-aware traversal behind globalIdents. scope
+// holds the names locals and parameters shadow; each block copies it,
+// so shadowing is lexical.
+type scopeWalk struct{ visit func(*Ident) }
+
+func (w scopeWalk) block(b *Block, scope map[string]bool) {
 	if b == nil {
 		return
 	}
 	inner := copyScope(scope)
 	for _, s := range b.Stmts {
-		renameStmt(s, mapping, inner)
+		w.stmt(s, inner)
 	}
 }
 
@@ -203,173 +234,69 @@ func copyScope(scope map[string]bool) map[string]bool {
 	return out
 }
 
-func renameStmt(s Stmt, mapping map[string]string, scope map[string]bool) {
+func (w scopeWalk) stmt(s Stmt, scope map[string]bool) {
 	switch s := s.(type) {
 	case *Block:
-		renameBlock(s, mapping, scope)
+		w.block(s, scope)
 	case *DeclStmt:
-		renameExpr(s.Init, mapping, scope)
+		w.expr(s.Init, scope)
 		scope[s.Name] = true // shadows the global from here on
 	case *ExprStmt:
-		renameExpr(s.X, mapping, scope)
+		w.expr(s.X, scope)
 	case *IfStmt:
-		renameExpr(s.Cond, mapping, scope)
-		renameBlock(s.Then, mapping, scope)
+		w.expr(s.Cond, scope)
+		w.block(s.Then, scope)
 		if s.Else != nil {
-			renameStmt(s.Else, mapping, scope)
+			w.stmt(s.Else, scope)
 		}
 	case *WhileStmt:
-		renameExpr(s.Cond, mapping, scope)
-		renameBlock(s.Body, mapping, scope)
+		w.expr(s.Cond, scope)
+		w.block(s.Body, scope)
 	case *ForStmt:
 		forScope := copyScope(scope)
 		if s.Init != nil {
-			renameStmt(s.Init, mapping, forScope)
+			w.stmt(s.Init, forScope)
 		}
-		renameExpr(s.Cond, mapping, forScope)
-		renameExpr(s.Post, mapping, forScope)
-		renameBlock(s.Body, mapping, forScope)
+		w.expr(s.Cond, forScope)
+		w.expr(s.Post, forScope)
+		w.block(s.Body, forScope)
 	case *ReturnStmt:
-		renameExpr(s.X, mapping, scope)
+		w.expr(s.X, scope)
 	}
 }
 
-func renameExpr(e Expr, mapping map[string]string, scope map[string]bool) {
-	if e == nil {
-		return
-	}
-	switch e := e.(type) {
-	case *Ident:
-		if scope[e.Name] {
-			return
-		}
-		if to, ok := mapping[e.Name]; ok {
-			e.Name = to
-		}
-	case *Unary:
-		renameExpr(e.X, mapping, scope)
-	case *Binary:
-		renameExpr(e.X, mapping, scope)
-		renameExpr(e.Y, mapping, scope)
-	case *Assign:
-		renameExpr(e.LHS, mapping, scope)
-		renameExpr(e.RHS, mapping, scope)
-	case *IncDec:
-		renameExpr(e.X, mapping, scope)
-	case *Call:
-		renameExpr(e.Fun, mapping, scope)
-		for _, a := range e.Args {
-			renameExpr(a, mapping, scope)
-		}
-	case *Index:
-		renameExpr(e.X, mapping, scope)
-		renameExpr(e.I, mapping, scope)
-	case *Member:
-		renameExpr(e.X, mapping, scope)
-	case *Cond:
-		renameExpr(e.C, mapping, scope)
-		renameExpr(e.Then, mapping, scope)
-		renameExpr(e.Else, mapping, scope)
-	}
-}
-
-// GlobalRefs returns the set of global names referenced from function
-// bodies and initializer expressions of f, excluding references shadowed
-// by locals or parameters. It reports raw references; the caller decides
-// which are imports and which resolve within the file.
-func GlobalRefs(f *File) map[string]bool {
-	refs := map[string]bool{}
-	collect := func(e Expr, scope map[string]bool) {
-		collectRefs(e, scope, refs)
-	}
-	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *VarDecl:
-			collect(d.Init, map[string]bool{})
-		case *FuncDecl:
-			scope := map[string]bool{}
-			for _, p := range d.Params {
-				scope[p.Name] = true
-			}
-			collectBlock(d.Body, scope, refs)
-		}
-	}
-	return refs
-}
-
-func collectBlock(b *Block, scope map[string]bool, refs map[string]bool) {
-	if b == nil {
-		return
-	}
-	inner := copyScope(scope)
-	for _, s := range b.Stmts {
-		collectStmt(s, inner, refs)
-	}
-}
-
-func collectStmt(s Stmt, scope map[string]bool, refs map[string]bool) {
-	switch s := s.(type) {
-	case *Block:
-		collectBlock(s, scope, refs)
-	case *DeclStmt:
-		collectRefs(s.Init, scope, refs)
-		scope[s.Name] = true
-	case *ExprStmt:
-		collectRefs(s.X, scope, refs)
-	case *IfStmt:
-		collectRefs(s.Cond, scope, refs)
-		collectBlock(s.Then, scope, refs)
-		if s.Else != nil {
-			collectStmt(s.Else, scope, refs)
-		}
-	case *WhileStmt:
-		collectRefs(s.Cond, scope, refs)
-		collectBlock(s.Body, scope, refs)
-	case *ForStmt:
-		forScope := copyScope(scope)
-		if s.Init != nil {
-			collectStmt(s.Init, forScope, refs)
-		}
-		collectRefs(s.Cond, forScope, refs)
-		collectRefs(s.Post, forScope, refs)
-		collectBlock(s.Body, forScope, refs)
-	case *ReturnStmt:
-		collectRefs(s.X, scope, refs)
-	}
-}
-
-func collectRefs(e Expr, scope map[string]bool, refs map[string]bool) {
+func (w scopeWalk) expr(e Expr, scope map[string]bool) {
 	if e == nil {
 		return
 	}
 	switch e := e.(type) {
 	case *Ident:
 		if !scope[e.Name] {
-			refs[e.Name] = true
+			w.visit(e)
 		}
 	case *Unary:
-		collectRefs(e.X, scope, refs)
+		w.expr(e.X, scope)
 	case *Binary:
-		collectRefs(e.X, scope, refs)
-		collectRefs(e.Y, scope, refs)
+		w.expr(e.X, scope)
+		w.expr(e.Y, scope)
 	case *Assign:
-		collectRefs(e.LHS, scope, refs)
-		collectRefs(e.RHS, scope, refs)
+		w.expr(e.LHS, scope)
+		w.expr(e.RHS, scope)
 	case *IncDec:
-		collectRefs(e.X, scope, refs)
+		w.expr(e.X, scope)
 	case *Call:
-		collectRefs(e.Fun, scope, refs)
+		w.expr(e.Fun, scope)
 		for _, a := range e.Args {
-			collectRefs(a, scope, refs)
+			w.expr(a, scope)
 		}
 	case *Index:
-		collectRefs(e.X, scope, refs)
-		collectRefs(e.I, scope, refs)
+		w.expr(e.X, scope)
+		w.expr(e.I, scope)
 	case *Member:
-		collectRefs(e.X, scope, refs)
+		w.expr(e.X, scope)
 	case *Cond:
-		collectRefs(e.C, scope, refs)
-		collectRefs(e.Then, scope, refs)
-		collectRefs(e.Else, scope, refs)
+		w.expr(e.C, scope)
+		w.expr(e.Then, scope)
+		w.expr(e.Else, scope)
 	}
 }

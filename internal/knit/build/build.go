@@ -23,7 +23,6 @@ import (
 	"knit/internal/compile"
 	"knit/internal/knit/constraint"
 	"knit/internal/knit/flatten"
-	"knit/internal/knit/lang"
 	"knit/internal/knit/link"
 	"knit/internal/knit/sched"
 	"knit/internal/ldlink"
@@ -72,11 +71,14 @@ type Options struct {
 	// Costs is the simulated machine's cost model; the zero value means
 	// machine.DefaultCosts().
 	Costs machine.Costs
-	// Cache, when non-nil, memoizes parsed sources and compiled
-	// translation units across builds by content (see Cache). A warm
-	// rebuild of an unchanged program skips every parse and every
-	// compile — and, for a flattened region, the merge too — leaving
-	// elaboration, checking, linking and loading.
+	// Cache memoizes parsed sources and compiled translation units by
+	// content (see Cache); nil builds on a private in-memory cache. A
+	// warm rebuild of an unchanged program on a shared cache skips every
+	// parse and every compile — and, for a flattened region, the merge
+	// too — leaving elaboration, checking, linking and loading. The
+	// Result keeps the cache, and its live operations (LoadDynamic,
+	// SwapFallback, LoadElaborated, reconfigure's Diff and Apply) parse
+	// and compile through it.
 	Cache *Cache
 	// Parallelism bounds the number of concurrent compile workers:
 	// 0 means GOMAXPROCS, 1 forces serial compilation. Independent
@@ -109,11 +111,12 @@ func Build(opts Options) (*Result, error) {
 	if len(opts.UnitFiles) == 0 {
 		return nil, fmt.Errorf("knit: build needs at least one unit file")
 	}
-	res := &Result{copts: opts.compileOptions(), sources: opts.Sources, Backend: opts.Backend}
-	fe := &link.FrontEnd{}
-	if opts.Cache != nil {
-		fe = opts.Cache.FrontEnd()
+	cache := opts.Cache
+	if cache == nil {
+		cache = NewCache()
 	}
+	res := &Result{copts: opts.compileOptions(), sources: opts.Sources, cache: cache, Backend: opts.Backend}
+	fe := cache.FrontEnd()
 
 	// Parse the unit-definition files.
 	start := time.Now()
@@ -186,11 +189,9 @@ func Build(opts Options) (*Result, error) {
 		jobs = append(jobs, compileJob{label: "flattened region", region: region})
 	}
 	for _, inst := range modular {
-		for i, f := range inst.Files {
-			jobs = append(jobs, compileJob{label: inst.Path, file: f, origin: inst.Origins[i]})
-		}
+		jobs = fileJobs(jobs, inst)
 	}
-	objs, hits, err := runCompileJobs(jobs, res.copts, opts.Cache, opts.Parallelism)
+	objs, hits, err := runCompileJobs(jobs, res.copts, cache, opts.Parallelism)
 	for _, job := range jobs {
 		res.Timings.Flatten += job.merge
 	}
@@ -252,6 +253,14 @@ type compileJob struct {
 	merge  time.Duration // how long merging the region took, if this job merged it
 }
 
+// fileJobs appends a job for each of inst's C files to jobs.
+func fileJobs(jobs []compileJob, inst *link.Instance) []compileJob {
+	for i, f := range inst.Files {
+		jobs = append(jobs, compileJob{label: inst.Path, file: f, origin: inst.Origins[i]})
+	}
+	return jobs
+}
+
 // key is the job's cache key.
 func (job *compileJob) key(copts compile.Options) string {
 	if job.region != nil {
@@ -280,9 +289,9 @@ func (job *compileJob) compile(copts compile.Options) (*obj.File, error) {
 	return o, nil
 }
 
-// runCompileJobs compiles every job, consulting cache when non-nil,
-// with up to par concurrent workers (0 = GOMAXPROCS). A job's cache key
-// is hashed on its worker. The returned objects are in job order
+// runCompileJobs compiles every job through cache, with up to par
+// concurrent workers (0 = GOMAXPROCS). A job's cache key is hashed on
+// its worker. The returned objects are in job order
 // regardless of completion order, and on failure the error is the
 // lowest-indexed job's — both so that the build is deterministic at
 // any parallelism. The returned count is how many jobs were served
@@ -308,10 +317,6 @@ func runCompileJobs(jobs []compileJob, copts compile.Options, cache *Cache, par 
 			defer wg.Done()
 			for i := range work {
 				job := &jobs[i]
-				if cache == nil {
-					objs[i], errs[i] = job.compile(copts)
-					continue
-				}
 				o, hit, err := cache.object(job.key(copts), func() (*obj.File, error) { return job.compile(copts) })
 				if hit {
 					hits.Add(1)
@@ -333,12 +338,6 @@ func runCompileJobs(jobs []compileJob, copts compile.Options, cache *Cache, par 
 	return objs, int(hits.Load()), nil
 }
 
-// ParseUnitFiles parses unit-definition files in deterministic
-// (sorted-name) order, ready for link.NewRegistry.
-func ParseUnitFiles(unitFiles map[string]string) ([]*lang.File, error) {
-	return new(link.FrontEnd).ParseUnitFiles(unitFiles)
-}
-
 // SourceOf merges the (already instance-renamed) cmini sources of the
 // program's instances — all of them, or those passing filter — into one
 // flattened translation unit and returns it as source text. It is the
@@ -355,22 +354,4 @@ func SourceOf(prog *link.Program, filter func(*link.Instance) bool) (string, err
 		return "", err
 	}
 	return cmini.Print(merged), nil
-}
-
-// compileInstance compiles one instance's C files into a single object
-// (assembly objects are appended as-is) — the unit of code a dynamic
-// load ships to the machine.
-func compileInstance(inst *link.Instance, copts compile.Options) (*obj.File, error) {
-	out := obj.NewFile(inst.Path)
-	for _, f := range inst.Files {
-		o, err := compile.Compile(f, copts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", inst.Path, err)
-		}
-		obj.Append(out, o)
-	}
-	for _, o := range inst.Objects {
-		obj.Append(out, o)
-	}
-	return out, nil
 }

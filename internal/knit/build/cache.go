@@ -44,6 +44,11 @@ import (
 // generated assembly unit. Parsed trees are kept in memory only, even
 // for a cache opened on a directory.
 //
+// Every build runs on a cache, its own when Options.Cache is nil, and
+// its Result keeps it: dynamic loads, fallback swaps and
+// reconfiguration on the Result's machines parse and compile through
+// it, so a module loaded on many machines is parsed and compiled once.
+//
 // Invalidation is automatic: any change to a unit's sources, to its
 // wiring (which renames identifiers), or to the optimizer settings
 // changes the key, and the stale entry is simply never looked up

@@ -5,10 +5,10 @@ import (
 	"slices"
 
 	"knit/internal/knit/constraint"
-	"knit/internal/knit/lang"
 	"knit/internal/knit/link"
 	"knit/internal/knit/sched"
 	"knit/internal/machine"
+	"knit/internal/obj"
 )
 
 // DynamicUnit describes a module to link into a running machine — the
@@ -65,11 +65,12 @@ func (lu *LoadedUnit) ExportSymbol(bundle, sym string) (string, error) {
 // rejected module leaves zero residue. A loaded module lives until
 // LoadedUnit.Unload (or machine reset); its finalizers run at unload.
 func (r *Result) LoadDynamic(m *machine.M, du DynamicUnit) (*LoadedUnit, error) {
-	files, err := ParseUnitFiles(du.UnitFiles)
+	fe := r.cache.FrontEnd()
+	files, err := fe.ParseUnitFiles(du.UnitFiles)
 	if err != nil {
 		return nil, err
 	}
-	reg, err := mergeRegistry(r.Program.Registry, files)
+	reg, err := link.NewRegistry(append(slices.Clip(r.Program.Registry.Files), files...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +79,7 @@ func (r *Result) LoadDynamic(m *machine.M, du DynamicUnit) (*LoadedUnit, error) 
 	// stay unique and modules can wire to modules.
 	live := r.LiveProgram(m)
 	live.Registry = reg
-	inst, err := link.ElaborateDynamic(reg, live, du.Unit, du.Sources, du.Wiring)
+	inst, err := link.ElaborateDynamic(reg, live, du.Unit, du.Sources, du.Wiring, fe)
 	if err != nil {
 		return nil, err
 	}
@@ -117,14 +118,19 @@ func (r *Result) liveModules(m *machine.M) []*link.Instance {
 	return out
 }
 
-// load is the one transactional load path: compile inst, ship it to m
+// load is the one transactional load path: compile inst through the
+// build's cache, ship it to m
 // as a module, and run its initializers, with a failing initializer
 // reported as op. then, when non-nil, runs last under the same
 // snapshot; any failure restores the pre-load state.
 func (r *Result) load(m *machine.M, inst *link.Instance, op string, then func() error) (*LoadedUnit, error) {
-	o, err := compileInstance(inst, r.copts)
+	objs, _, err := runCompileJobs(fileJobs(nil, inst), r.copts, r.cache, 0)
 	if err != nil {
 		return nil, err
+	}
+	o := obj.NewFile(inst.Path)
+	for _, f := range append(objs, inst.Objects...) {
+		obj.Append(o, f)
 	}
 	name := moduleName(inst)
 	snap := m.Snapshot()
@@ -221,56 +227,4 @@ func (lu *LoadedUnit) Unload(m *machine.M) error {
 	}
 	r.event(m, lu.modName, "unload")
 	return nil
-}
-
-// mergeRegistry extends a base registry with newly parsed unit files,
-// rejecting redefinitions of anything the base already declares.
-func mergeRegistry(base *link.Registry, files []*lang.File) (*link.Registry, error) {
-	add, err := link.NewRegistry(files...)
-	if err != nil {
-		return nil, err
-	}
-	out := &link.Registry{
-		BundleTypes: map[string]*lang.BundleType{},
-		FlagSets:    map[string]*lang.FlagSet{},
-		Properties:  map[string]*lang.Property{},
-		Units:       map[string]*lang.Unit{},
-	}
-	for k, v := range base.BundleTypes {
-		out.BundleTypes[k] = v
-	}
-	for k, v := range base.FlagSets {
-		out.FlagSets[k] = v
-	}
-	for k, v := range base.Properties {
-		out.Properties[k] = v
-	}
-	for k, v := range base.Units {
-		out.Units[k] = v
-	}
-	for k, v := range add.BundleTypes {
-		if _, dup := out.BundleTypes[k]; dup {
-			return nil, fmt.Errorf("knit: dynamic unit files redefine bundletype %q", k)
-		}
-		out.BundleTypes[k] = v
-	}
-	for k, v := range add.FlagSets {
-		if _, dup := out.FlagSets[k]; dup {
-			return nil, fmt.Errorf("knit: dynamic unit files redefine flags %q", k)
-		}
-		out.FlagSets[k] = v
-	}
-	for k, v := range add.Properties {
-		if _, dup := out.Properties[k]; dup {
-			return nil, fmt.Errorf("knit: dynamic unit files redefine property %q", k)
-		}
-		out.Properties[k] = v
-	}
-	for k, v := range add.Units {
-		if _, dup := out.Units[k]; dup {
-			return nil, fmt.Errorf("knit: dynamic unit files redefine unit %q", k)
-		}
-		out.Units[k] = v
-	}
-	return out, nil
 }

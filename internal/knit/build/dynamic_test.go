@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"knit/internal/diag"
 	"knit/internal/knit/build/faultinject"
 	"knit/internal/knit/link"
 	"knit/internal/knit/observe"
@@ -385,5 +386,37 @@ func TestDynamicRestartKeepsOneLedgerRow(t *testing.T) {
 	if lerr.Op != "restart" || lerr.Unit != mon.Name() || !lerr.RolledBack {
 		t.Errorf("failed restart: op %q unit %q rolledBack %v, want restart/%s/true",
 			lerr.Op, lerr.Unit, lerr.RolledBack, mon.Name())
+	}
+}
+
+// TestLoadDynamicRefusesRedefinition: a dynamic unit file may not
+// redeclare a unit of the base build. The refusal is a *diag.Error at
+// the redeclaration, and nothing loads.
+func TestLoadDynamicRefusesRedefinition(t *testing.T) {
+	res := buildDynBase(t)
+	m := res.NewMachine()
+	if err := res.RunInit(m); err != nil {
+		t.Fatal(err)
+	}
+	src := dynMonitorUnits + "unit Counter = {\n  exports [ count : Count ];\n  files { \"counter.c\" };\n}\n"
+	_, err := res.LoadDynamic(m, DynamicUnit{
+		Unit:      "MonitorU",
+		UnitFiles: map[string]string{"mon.unit": src},
+		Sources:   dynMonitorSources,
+		Wiring:    map[string]string{"count": "count"},
+	})
+	if err == nil {
+		t.Fatal("a dynamic unit file redefining Counter was accepted")
+	}
+	if !strings.Contains(err.Error(), `unit "Counter" redefined`) {
+		t.Errorf("error %q does not name the redefinition", err)
+	}
+	line := strings.Count(dynMonitorUnits, "\n") + 1
+	var de *diag.Error
+	if !errors.As(err, &de) || de.Pos != (diag.Pos{File: "mon.unit", Line: line, Col: 1}) {
+		t.Errorf("error %q is not positioned at mon.unit:%d:1", err, line)
+	}
+	if mods := m.DynModules(); len(mods) != 0 {
+		t.Errorf("refused load left modules %v", mods)
 	}
 }

@@ -67,7 +67,7 @@ func (r *Result) SwapFallback(m *machine.M, failing *link.Instance) (*LoadedUnit
 
 	// Elaborating against the live program keeps the fallback's instance
 	// ID clear of the static instances and of the modules live on m.
-	inst, err := link.ElaborateDynamicEnv(reg, r.LiveProgram(m), fbName, r.sources, env)
+	inst, err := link.ElaborateDynamicEnv(reg, r.LiveProgram(m), fbName, r.sources, env, r.cache.FrontEnd())
 	if err != nil {
 		return nil, err
 	}

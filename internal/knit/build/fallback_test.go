@@ -325,3 +325,39 @@ func TestRunFiniJoinsFailures(t *testing.T) {
 		t.Errorf("lifecycle error %q does not mention fini", lerr)
 	}
 }
+
+// TestSwapFallbackReusesBuildCache: two machines of one Result swapping
+// to the same fallback parse its source once and compile it once,
+// through the cache the build parsed and compiled through.
+func TestSwapFallbackReusesBuildCache(t *testing.T) {
+	cache := NewCache()
+	res, err := Build(Options{
+		Top:       "FChain",
+		UnitFiles: map[string]string{"fb.unit": fbUnits},
+		Sources:   fbSources,
+		Check:     true,
+		Cache:     cache,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, misses := cache.FrontEnd().Len(), cache.Stats().Misses
+	for i := 0; i < 2; i++ {
+		m := res.NewMachine()
+		if err := res.RunInit(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := res.SwapFallback(m, findInstance(t, res, "B")); err != nil {
+			t.Fatalf("machine %d: SwapFallback: %v", i, err)
+		}
+		if got := runExport(t, res, m, "c", "get"); got != 111 {
+			t.Errorf("machine %d: c.get after swap = %d, want 111", i, got)
+		}
+		if got := cache.FrontEnd().Len() - parsed; got != 1 {
+			t.Errorf("after machine %d's swap the front end holds %d new files, want 1 (bsafe.c)", i, got)
+		}
+		if got := cache.Stats().Misses - misses; got != 1 {
+			t.Errorf("after machine %d's swap %d translation units compiled, want 1", i, got)
+		}
+	}
+}

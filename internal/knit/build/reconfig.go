@@ -36,8 +36,8 @@ func (r *Result) LiveProgram(m *machine.M) *link.Program {
 	return live
 }
 
-// LoadElaborated loads an already-elaborated instance onto m: compile,
-// ship, run initializers. The caller did the elaboration (typically with
+// LoadElaborated loads an already-elaborated instance onto m: compile
+// (through the build's cache), ship, run initializers. The caller did the elaboration (typically with
 // link.ElaborateDynamicEnv against LiveProgram, so the instance's ID and
 // renamed symbols are fresh for this machine) and any constraint
 // checking. Like LoadDynamic, the operation is transactional — a load or

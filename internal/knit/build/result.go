@@ -39,10 +39,21 @@ type Result struct {
 	// fallback swaps can compile units that were not instantiated
 	// statically.
 	sources link.Sources
+	// cache is the one the build parsed and compiled through; live
+	// operations parse and compile through it too.
+	cache *Cache
 
 	mu   sync.Mutex
 	mach map[*machine.M]*machState
 }
+
+// Cache returns the cache the build parsed and compiled through: the
+// caller's Options.Cache, or the build's private one. Live operations on
+// the Result — dynamic loads, fallback swaps, reconfiguration — parse
+// through its front end and compile through it, so each distinct file is
+// parsed and each translation unit compiled once, whatever the number
+// of machines.
+func (r *Result) Cache() *Cache { return r.cache }
 
 // Observer receives build-layer lifecycle events for one machine:
 // every initializer and finalizer step that runs (including rollback

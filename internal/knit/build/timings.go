@@ -23,9 +23,9 @@ type Timings struct {
 
 	// CompileJobs counts the translation units the compile phase
 	// processed (per-file units plus a flattened region, if any);
-	// CacheHits says how many of them were served from Options.Cache
-	// instead of being compiled. Both are zero when no C sources exist
-	// (an all-assembly program), and CacheHits is zero without a cache.
+	// CacheHits says how many of them were served from the build's
+	// cache instead of being compiled. Both are zero when no C sources
+	// exist (an all-assembly program).
 	CompileJobs int
 	CacheHits   int
 }

@@ -150,9 +150,10 @@ type Shard[T any] struct {
 	// snapshot (collector totals), refreshed after every envelope.
 	healthMu sync.Mutex
 	health   observe.Sample
-	// retired holds the observability ledgers of this shard's dead
-	// predecessors, so a respawn loses no history from the roll-up.
-	retired []*observe.Report
+	// retired is the observability ledgers of this shard's dead
+	// predecessors folded into one, so a respawn loses no history from
+	// the roll-up and the shard's memory does not grow with respawns.
+	retired *observe.Report
 }
 
 // envelope is one queue entry: a data batch for the handler, or a
@@ -226,7 +227,6 @@ func (sh *Shard[T]) boot() error {
 		}
 	}
 	col := observe.Attach(m)
-	fl.res.SetObserver(m, col)
 	sup := supervise.New(fl.res, m, fl.cfg.Policy.ForShard(sh.ID), fl.cfg.Clock(sh.ID))
 	sup.Observe(col)
 	sh.M, sh.Sup, sh.Col = m, sup, col
@@ -335,7 +335,7 @@ func (sh *Shard[T]) HealthSample() observe.Sample {
 // shard's own.
 func (sh *Shard[T]) respawn() {
 	if sh.Col != nil {
-		sh.retired = append(sh.retired, sh.Col.Report())
+		sh.retired = observe.MergeReports(sh.retired, sh.Col.Report())
 	}
 	sh.fl.res.Forget(sh.M)
 	sh.respawns.Add(1)
@@ -568,7 +568,7 @@ func (sh *Shard[T]) Respawns() int       { return int(sh.respawns.Load()) }
 func (fl *Fleet[T]) Report() *observe.Report {
 	var parts []*observe.Report
 	for _, sh := range fl.shards {
-		parts = append(parts, sh.retired...)
+		parts = append(parts, sh.retired)
 		if sh.Col != nil {
 			parts = append(parts, sh.Col.Report())
 		}

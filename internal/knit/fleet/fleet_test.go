@@ -196,6 +196,54 @@ func TestFleetRespawnIsolated(t *testing.T) {
 	}
 }
 
+// TestFleetRetiredLedgerFoldsEveryGeneration kills one shard 64 times:
+// the fleet report still counts every generation's calls, and the
+// shard keeps its dead predecessors' ledgers as one folded report, not
+// one per respawn.
+func TestFleetRetiredLedgerFoldsEveryGeneration(t *testing.T) {
+	res := buildCounter(t)
+	const shards, kills = 2, 64
+	const poison = int64(-1)
+	handler := func(sh *Shard[int64], batch []int64) error {
+		for _, x := range batch {
+			if x == poison {
+				return errBatchPoisoned
+			}
+			if _, err := sh.Sup.Call("main", "work", x); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	fl, err := New[int64](res, Config{Shards: shards, Batch: 1}, handler)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	victim := flowFor(t, 1, shards)
+	for i := 0; i < kills; i++ {
+		fl.Submit(victim, 1)
+		fl.Submit(victim, poison)
+	}
+	fl.Submit(victim, 1)
+	if err := fl.Close(); err == nil {
+		t.Fatal("Close: want the poisoned batches' errors, got nil")
+	}
+	sh := fl.Shards()[1]
+	if sh.Respawns() != kills {
+		t.Fatalf("victim respawns = %d, want %d", sh.Respawns(), kills)
+	}
+	var calls uint64
+	for _, im := range fl.Report().Instances {
+		calls += im.Calls
+	}
+	if calls != kills+1 {
+		t.Errorf("fleet report counts %d calls, want %d (one per generation plus the live one)", calls, kills+1)
+	}
+	if n := len(sh.retired.Instances); n != 1 || sh.retired.Instances[0].Calls != kills {
+		t.Errorf("retired ledger = %+v, want one row with %d calls", sh.retired.Instances, kills)
+	}
+}
+
 var errBatchPoisoned = errString("machine wedged beyond recovery")
 
 type errString string

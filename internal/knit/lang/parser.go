@@ -1,40 +1,55 @@
+// Package lang implements the Knit unit-definition language: bundle
+// types, atomic and compound units, dependency and rename declarations,
+// initializers/finalizers, properties, and constraints — the concrete
+// syntax of the paper's Section 3.3 and Section 4.
 package lang
 
 import (
 	"fmt"
 
+	"knit/internal/cmini"
 	"knit/internal/diag"
 )
 
+// keywords are the unit language's reserved words. Unit files lex with
+// cmini's lexer, so every other word, C's keywords included, is a name.
+var keywords = map[string]bool{
+	"bundletype": true, "flags": true, "unit": true, "imports": true,
+	"exports": true, "depends": true, "needs": true, "files": true,
+	"with": true, "rename": true, "to": true, "initializer": true,
+	"finalizer": true, "for": true, "constraints": true, "link": true,
+	"property": true, "type": true, "fallback": true,
+}
+
 // Parse parses a unit-language file.
 func Parse(file, src string) (*File, error) {
-	toks, err := lex(file, src)
+	toks, err := cmini.LexAll(file, src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks, end: diag.End(file, src)}
 	out := &File{Name: file}
 	for !p.atEOF() {
-		switch p.cur().Kind {
-		case KwBundletype:
+		switch p.keyword() {
+		case "bundletype":
 			bt, err := p.bundleType()
 			if err != nil {
 				return nil, err
 			}
 			out.BundleTypes = append(out.BundleTypes, bt)
-		case KwFlags:
+		case "flags":
 			fs, err := p.flagSet()
 			if err != nil {
 				return nil, err
 			}
 			out.FlagSets = append(out.FlagSets, fs)
-		case KwProperty:
+		case "property":
 			pr, err := p.property()
 			if err != nil {
 				return nil, err
 			}
 			out.Properties = append(out.Properties, pr)
-		case KwType:
+		case "type":
 			if len(out.Properties) == 0 {
 				return nil, p.errf("'type' declaration before any 'property'")
 			}
@@ -44,7 +59,7 @@ func Parse(file, src string) (*File, error) {
 			}
 			last := out.Properties[len(out.Properties)-1]
 			last.Values = append(last.Values, pv)
-		case KwUnit:
+		case "unit":
 			u, err := p.unit()
 			if err != nil {
 				return nil, err
@@ -58,27 +73,43 @@ func Parse(file, src string) (*File, error) {
 }
 
 type parser struct {
-	toks []Token
+	toks []cmini.Token
 	pos  int
 	end  diag.Pos // of the source, where EOF is
 }
 
 func (p *parser) atEOF() bool { return p.pos >= len(p.toks) }
 
-func (p *parser) cur() Token {
+func (p *parser) cur() cmini.Token {
 	if p.atEOF() {
-		return Token{Kind: EOF, Pos: p.end}
+		return cmini.Token{Kind: cmini.EOF, Pos: p.end}
 	}
 	return p.toks[p.pos]
 }
 
-func (p *parser) next() Token {
+func (p *parser) next() cmini.Token {
 	t := p.cur()
 	p.pos++
 	return t
 }
 
-func (p *parser) accept(k Tok) bool {
+// keyword returns the current token's text if it is a unit keyword,
+// and "" otherwise.
+func (p *parser) keyword() string {
+	if t := p.cur(); t.IsWord() && keywords[t.Lit] {
+		return t.Lit
+	}
+	return ""
+}
+
+// isIdent reports whether the current token is a name: a word that is
+// not a unit keyword.
+func (p *parser) isIdent() bool {
+	t := p.cur()
+	return t.IsWord() && !keywords[t.Lit]
+}
+
+func (p *parser) accept(k cmini.Tok) bool {
 	if p.cur().Kind == k {
 		p.pos++
 		return true
@@ -86,7 +117,15 @@ func (p *parser) accept(k Tok) bool {
 	return false
 }
 
-func (p *parser) expect(k Tok) (Token, error) {
+func (p *parser) acceptKw(kw string) bool {
+	if p.keyword() == kw {
+		p.pos++
+		return true
+	}
+	return false
+}
+
+func (p *parser) expect(k cmini.Tok) (cmini.Token, error) {
 	t := p.cur()
 	if t.Kind != k {
 		return t, p.errf("expected %q, found %s", k.String(), p.describe())
@@ -95,10 +134,38 @@ func (p *parser) expect(k Tok) (Token, error) {
 	return t, nil
 }
 
+func (p *parser) expectKw(kw string) error {
+	if !p.acceptKw(kw) {
+		return p.errf("expected %q, found %s", kw, p.describe())
+	}
+	return nil
+}
+
+// atArrow reports whether the current token starts the link arrow:
+// '<' directly followed by '-', which cmini lexes as two tokens.
+func (p *parser) atArrow() bool {
+	lt, i := p.cur(), p.pos+1
+	return lt.Kind == cmini.LT && i < len(p.toks) && p.toks[i].Kind == cmini.MINUS &&
+		p.toks[i].Pos == diag.Pos{File: lt.Pos.File, Line: lt.Pos.Line, Col: lt.Pos.Col + 1}
+}
+
+func (p *parser) arrow() error {
+	if !p.atArrow() {
+		return p.errf("expected \"<-\", found %s", p.describe())
+	}
+	p.pos += 2
+	return nil
+}
+
 func (p *parser) describe() string {
 	t := p.cur()
-	if t.Kind == IDENT || t.Kind == STRING {
+	switch {
+	case p.atArrow():
+		return `"<-"`
+	case t.IsWord() || t.Kind == cmini.STRING:
 		return fmt.Sprintf("%q", t.Lit)
+	case t.Kind == cmini.INT || t.Kind == cmini.CHAR:
+		return fmt.Sprintf("%s %q", t.Kind, t.Lit)
 	}
 	return fmt.Sprintf("%q", t.Kind.String())
 }
@@ -107,10 +174,12 @@ func (p *parser) errf(format string, args ...any) error {
 	return diag.Errorf(p.cur().Pos, format, args...)
 }
 
-// identLike accepts an identifier or a keyword used as a name (bundle
-// symbols like "type" would be unusual but harmless).
-func (p *parser) ident() (Token, error) {
-	return p.expect(IDENT)
+// ident accepts a name.
+func (p *parser) ident() (cmini.Token, error) {
+	if !p.isIdent() {
+		return p.cur(), p.errf(`expected "identifier", found %s`, p.describe())
+	}
+	return p.next(), nil
 }
 
 func (p *parser) bundleType() (*BundleType, error) {
@@ -119,15 +188,15 @@ func (p *parser) bundleType() (*BundleType, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(EQ); err != nil {
+	if _, err := p.expect(cmini.ASSIGN); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(LBRACE); err != nil {
+	if _, err := p.expect(cmini.LBRACE); err != nil {
 		return nil, err
 	}
 	bt := &BundleType{Pos: pos, Name: name.Lit}
 	seen := map[string]bool{}
-	for !p.accept(RBRACE) {
+	for !p.accept(cmini.RBRACE) {
 		sym, err := p.ident()
 		if err != nil {
 			return nil, err
@@ -137,8 +206,8 @@ func (p *parser) bundleType() (*BundleType, error) {
 		}
 		seen[sym.Lit] = true
 		bt.Syms = append(bt.Syms, sym.Lit)
-		if !p.accept(COMMA) {
-			if _, err := p.expect(RBRACE); err != nil {
+		if !p.accept(cmini.COMMA) {
+			if _, err := p.expect(cmini.RBRACE); err != nil {
 				return nil, err
 			}
 			break
@@ -156,21 +225,21 @@ func (p *parser) flagSet() (*FlagSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(EQ); err != nil {
+	if _, err := p.expect(cmini.ASSIGN); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(LBRACE); err != nil {
+	if _, err := p.expect(cmini.LBRACE); err != nil {
 		return nil, err
 	}
 	fs := &FlagSet{Pos: pos, Name: name.Lit}
-	for !p.accept(RBRACE) {
-		s, err := p.expect(STRING)
+	for !p.accept(cmini.RBRACE) {
+		s, err := p.expect(cmini.STRING)
 		if err != nil {
 			return nil, err
 		}
 		fs.Values = append(fs.Values, s.Lit)
-		if !p.accept(COMMA) {
-			if _, err := p.expect(RBRACE); err != nil {
+		if !p.accept(cmini.COMMA) {
+			if _, err := p.expect(cmini.RBRACE); err != nil {
 				return nil, err
 			}
 			break
@@ -186,7 +255,7 @@ func (p *parser) property() (*Property, error) {
 		return nil, err
 	}
 	pr := &Property{Pos: pos, Name: name.Lit}
-	if p.cur().Kind == IDENT && p.cur().Lit == "propagates" {
+	if p.isIdent() && p.cur().Lit == "propagates" {
 		p.next()
 		pr.Propagates = true
 	}
@@ -200,7 +269,7 @@ func (p *parser) propValue() (PropValue, error) {
 		return PropValue{}, err
 	}
 	pv := PropValue{Pos: pos, Name: name.Lit}
-	if p.accept(LT) {
+	if p.accept(cmini.LT) {
 		below, err := p.ident()
 		if err != nil {
 			return PropValue{}, err
@@ -216,14 +285,14 @@ func (p *parser) unit() (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(EQ); err != nil {
+	if _, err := p.expect(cmini.ASSIGN); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(LBRACE); err != nil {
+	if _, err := p.expect(cmini.LBRACE); err != nil {
 		return nil, err
 	}
 	u := &Unit{Pos: pos, Name: name.Lit}
-	for !p.accept(RBRACE) {
+	for !p.accept(cmini.RBRACE) {
 		if p.atEOF() {
 			return nil, diag.Errorf(pos, "unterminated unit %s", name.Lit)
 		}
@@ -238,56 +307,56 @@ func (p *parser) unit() (*Unit, error) {
 }
 
 func (p *parser) unitSection(u *Unit) error {
-	switch p.cur().Kind {
-	case KwImports:
+	switch p.keyword() {
+	case "imports":
 		p.next()
 		bs, err := p.bindings()
 		if err != nil {
 			return err
 		}
 		u.Imports = append(u.Imports, bs...)
-	case KwExports:
+	case "exports":
 		p.next()
 		bs, err := p.bindings()
 		if err != nil {
 			return err
 		}
 		u.Exports = append(u.Exports, bs...)
-	case KwDepends:
+	case "depends":
 		p.next()
-		if _, err := p.expect(LBRACE); err != nil {
+		if _, err := p.expect(cmini.LBRACE); err != nil {
 			return err
 		}
-		for !p.accept(RBRACE) {
+		for !p.accept(cmini.RBRACE) {
 			dc, err := p.depClause()
 			if err != nil {
 				return err
 			}
 			u.Depends = append(u.Depends, dc)
 		}
-		if _, err := p.expect(SEMI); err != nil {
+		if _, err := p.expect(cmini.SEMI); err != nil {
 			return err
 		}
-	case KwFiles:
+	case "files":
 		p.next()
-		if _, err := p.expect(LBRACE); err != nil {
+		if _, err := p.expect(cmini.LBRACE); err != nil {
 			return err
 		}
-		for !p.accept(RBRACE) {
-			s, err := p.expect(STRING)
+		for !p.accept(cmini.RBRACE) {
+			s, err := p.expect(cmini.STRING)
 			if err != nil {
 				return err
 			}
 			u.Files = append(u.Files, s.Lit)
-			if !p.accept(COMMA) {
-				if _, err := p.expect(RBRACE); err != nil {
+			if !p.accept(cmini.COMMA) {
+				if _, err := p.expect(cmini.RBRACE); err != nil {
 					return err
 				}
 				break
 			}
 		}
-		if p.accept(KwWith) {
-			if _, err := p.expect(KwFlags); err != nil {
+		if p.acceptKw("with") {
+			if err := p.expectKw("flags"); err != nil {
 				return err
 			}
 			fr, err := p.ident()
@@ -296,42 +365,42 @@ func (p *parser) unitSection(u *Unit) error {
 			}
 			u.FlagsRef = fr.Lit
 		}
-		if _, err := p.expect(SEMI); err != nil {
+		if _, err := p.expect(cmini.SEMI); err != nil {
 			return err
 		}
-	case KwRename:
+	case "rename":
 		p.next()
-		if _, err := p.expect(LBRACE); err != nil {
+		if _, err := p.expect(cmini.LBRACE); err != nil {
 			return err
 		}
-		for !p.accept(RBRACE) {
+		for !p.accept(cmini.RBRACE) {
 			r, err := p.renameClause()
 			if err != nil {
 				return err
 			}
 			u.Renames = append(u.Renames, r)
 		}
-		if _, err := p.expect(SEMI); err != nil {
+		if _, err := p.expect(cmini.SEMI); err != nil {
 			return err
 		}
-	case KwInitializer, KwFinalizer:
-		fin := p.next().Kind == KwFinalizer
+	case "initializer", "finalizer":
+		fin := p.next().Lit == "finalizer"
 		fn, err := p.ident()
 		if err != nil {
 			return err
 		}
-		if _, err := p.expect(KwFor); err != nil {
+		if err := p.expectKw("for"); err != nil {
 			return err
 		}
 		b, err := p.ident()
 		if err != nil {
 			return err
 		}
-		if _, err := p.expect(SEMI); err != nil {
+		if _, err := p.expect(cmini.SEMI); err != nil {
 			return err
 		}
 		u.Inits = append(u.Inits, InitDecl{Pos: fn.Pos, Func: fn.Lit, Bundle: b.Lit, Finalizer: fin})
-	case KwFallback:
+	case "fallback":
 		p.next()
 		fb, err := p.ident()
 		if err != nil {
@@ -344,37 +413,37 @@ func (p *parser) unitSection(u *Unit) error {
 			return diag.Errorf(fb.Pos, "unit %s names itself as fallback", u.Name)
 		}
 		u.Fallback = fb.Lit
-		if _, err := p.expect(SEMI); err != nil {
+		if _, err := p.expect(cmini.SEMI); err != nil {
 			return err
 		}
-	case KwConstraints:
+	case "constraints":
 		p.next()
-		if _, err := p.expect(LBRACE); err != nil {
+		if _, err := p.expect(cmini.LBRACE); err != nil {
 			return err
 		}
-		for !p.accept(RBRACE) {
+		for !p.accept(cmini.RBRACE) {
 			c, err := p.constraint()
 			if err != nil {
 				return err
 			}
 			u.Constraints = append(u.Constraints, c)
 		}
-		if _, err := p.expect(SEMI); err != nil {
+		if _, err := p.expect(cmini.SEMI); err != nil {
 			return err
 		}
-	case KwLink:
+	case "link":
 		p.next()
-		if _, err := p.expect(LBRACE); err != nil {
+		if _, err := p.expect(cmini.LBRACE); err != nil {
 			return err
 		}
-		for !p.accept(RBRACE) {
+		for !p.accept(cmini.RBRACE) {
 			ll, err := p.linkLine()
 			if err != nil {
 				return err
 			}
 			u.Links = append(u.Links, ll)
 		}
-		if _, err := p.expect(SEMI); err != nil {
+		if _, err := p.expect(cmini.SEMI); err != nil {
 			return err
 		}
 	default:
@@ -384,16 +453,16 @@ func (p *parser) unitSection(u *Unit) error {
 }
 
 func (p *parser) bindings() ([]Binding, error) {
-	if _, err := p.expect(LBRACK); err != nil {
+	if _, err := p.expect(cmini.LBRACK); err != nil {
 		return nil, err
 	}
 	var out []Binding
-	for !p.accept(RBRACK) {
+	for !p.accept(cmini.RBRACK) {
 		local, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(COLON); err != nil {
+		if _, err := p.expect(cmini.COLON); err != nil {
 			return nil, err
 		}
 		typ, err := p.ident()
@@ -401,32 +470,29 @@ func (p *parser) bindings() ([]Binding, error) {
 			return nil, err
 		}
 		out = append(out, Binding{Pos: local.Pos, Local: local.Lit, Type: typ.Lit})
-		if !p.accept(COMMA) {
-			if _, err := p.expect(RBRACK); err != nil {
+		if !p.accept(cmini.COMMA) {
+			if _, err := p.expect(cmini.RBRACK); err != nil {
 				return nil, err
 			}
 			break
 		}
 	}
-	if _, err := p.expect(SEMI); err != nil {
+	if _, err := p.expect(cmini.SEMI); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// depTerm parses IDENT | exports | imports | ( term { + term } ).
+// depTerm parses name | exports | imports | ( term { + term } ).
 func (p *parser) depTerm() ([]string, error) {
-	switch p.cur().Kind {
-	case IDENT:
+	switch {
+	case p.isIdent():
 		return []string{p.next().Lit}, nil
-	case KwExports:
-		p.next()
+	case p.acceptKw("exports"):
 		return []string{ExportsKeyword}, nil
-	case KwImports:
-		p.next()
+	case p.acceptKw("imports"):
 		return []string{ImportsKeyword}, nil
-	case LPAREN:
-		p.next()
+	case p.accept(cmini.LPAREN):
 		var out []string
 		for {
 			t, err := p.depTerm()
@@ -434,10 +500,10 @@ func (p *parser) depTerm() ([]string, error) {
 				return nil, err
 			}
 			out = append(out, t...)
-			if p.accept(PLUS) {
+			if p.accept(cmini.PLUS) {
 				continue
 			}
-			if _, err := p.expect(RPAREN); err != nil {
+			if _, err := p.expect(cmini.RPAREN); err != nil {
 				return nil, err
 			}
 			return out, nil
@@ -453,28 +519,28 @@ func (p *parser) depClause() (DepClause, error) {
 		return DepClause{}, err
 	}
 	// Allow "a + b needs ..." without parens.
-	for p.accept(PLUS) {
+	for p.accept(cmini.PLUS) {
 		more, err := p.depTerm()
 		if err != nil {
 			return DepClause{}, err
 		}
 		lhs = append(lhs, more...)
 	}
-	if _, err := p.expect(KwNeeds); err != nil {
+	if err := p.expectKw("needs"); err != nil {
 		return DepClause{}, err
 	}
 	rhs, err := p.depTerm()
 	if err != nil {
 		return DepClause{}, err
 	}
-	for p.accept(PLUS) || p.accept(COMMA) {
+	for p.accept(cmini.PLUS) || p.accept(cmini.COMMA) {
 		more, err := p.depTerm()
 		if err != nil {
 			return DepClause{}, err
 		}
 		rhs = append(rhs, more...)
 	}
-	if _, err := p.expect(SEMI); err != nil {
+	if _, err := p.expect(cmini.SEMI); err != nil {
 		return DepClause{}, err
 	}
 	return DepClause{Pos: pos, LHS: lhs, RHS: rhs}, nil
@@ -485,21 +551,21 @@ func (p *parser) renameClause() (Rename, error) {
 	if err != nil {
 		return Rename{}, err
 	}
-	if _, err := p.expect(DOT); err != nil {
+	if _, err := p.expect(cmini.DOT); err != nil {
 		return Rename{}, err
 	}
 	sym, err := p.ident()
 	if err != nil {
 		return Rename{}, err
 	}
-	if _, err := p.expect(KwTo); err != nil {
+	if err := p.expectKw("to"); err != nil {
 		return Rename{}, err
 	}
 	to, err := p.ident()
 	if err != nil {
 		return Rename{}, err
 	}
-	if _, err := p.expect(SEMI); err != nil {
+	if _, err := p.expect(cmini.SEMI); err != nil {
 		return Rename{}, err
 	}
 	return Rename{Pos: bundle.Pos, Bundle: bundle.Lit, Sym: sym.Lit, To: to.Lit}, nil
@@ -508,28 +574,23 @@ func (p *parser) renameClause() (Rename, error) {
 // constraintRef parses prop(arg) or a bare value identifier.
 func (p *parser) constraintRef() (Ref, error) {
 	pos := p.cur().Pos
-	var name string
-	switch p.cur().Kind {
-	case IDENT:
-		name = p.next().Lit
-	default:
+	if !p.isIdent() {
 		return Ref{}, p.errf("expected constraint operand, found %s", p.describe())
 	}
-	if p.accept(LPAREN) {
+	name := p.next().Lit
+	if p.accept(cmini.LPAREN) {
 		var arg string
-		switch p.cur().Kind {
-		case IDENT:
+		switch {
+		case p.isIdent():
 			arg = p.next().Lit
-		case KwImports:
-			p.next()
+		case p.acceptKw("imports"):
 			arg = ImportsKeyword
-		case KwExports:
-			p.next()
+		case p.acceptKw("exports"):
 			arg = ExportsKeyword
 		default:
 			return Ref{}, p.errf("expected bundle name, found %s", p.describe())
 		}
-		if _, err := p.expect(RPAREN); err != nil {
+		if _, err := p.expect(cmini.RPAREN); err != nil {
 			return Ref{}, err
 		}
 		return Ref{Pos: pos, Prop: name, Arg: arg}, nil
@@ -544,11 +605,11 @@ func (p *parser) constraint() (Constraint, error) {
 	}
 	var op ConstraintOp
 	switch p.cur().Kind {
-	case EQ:
+	case cmini.ASSIGN:
 		op = OpEq
-	case LE:
+	case cmini.LE:
 		op = OpLe
-	case GE:
+	case cmini.GE:
 		op = OpGe
 	default:
 		return Constraint{}, p.errf("expected =, <= or >=, found %s", p.describe())
@@ -558,7 +619,7 @@ func (p *parser) constraint() (Constraint, error) {
 	if err != nil {
 		return Constraint{}, err
 	}
-	if _, err := p.expect(SEMI); err != nil {
+	if _, err := p.expect(cmini.SEMI); err != nil {
 		return Constraint{}, err
 	}
 	if lhs.IsValue() && rhs.IsValue() {
@@ -573,39 +634,39 @@ func (p *parser) linkLine() (LinkLine, error) {
 	if err != nil {
 		return LinkLine{}, err
 	}
-	if _, err := p.expect(LARROW); err != nil {
+	if err := p.arrow(); err != nil {
 		return LinkLine{}, err
 	}
 	unit, err := p.ident()
 	if err != nil {
 		return LinkLine{}, err
 	}
-	if _, err := p.expect(LARROW); err != nil {
+	if err := p.arrow(); err != nil {
 		return LinkLine{}, err
 	}
 	ins, err := p.nameList()
 	if err != nil {
 		return LinkLine{}, err
 	}
-	if _, err := p.expect(SEMI); err != nil {
+	if _, err := p.expect(cmini.SEMI); err != nil {
 		return LinkLine{}, err
 	}
 	return LinkLine{Pos: pos, Outs: outs, Unit: unit.Lit, Ins: ins}, nil
 }
 
 func (p *parser) nameList() ([]string, error) {
-	if _, err := p.expect(LBRACK); err != nil {
+	if _, err := p.expect(cmini.LBRACK); err != nil {
 		return nil, err
 	}
 	var out []string
-	for !p.accept(RBRACK) {
+	for !p.accept(cmini.RBRACK) {
 		n, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, n.Lit)
-		if !p.accept(COMMA) {
-			if _, err := p.expect(RBRACK); err != nil {
+		if !p.accept(cmini.COMMA) {
+			if _, err := p.expect(cmini.RBRACK); err != nil {
 				return nil, err
 			}
 			break

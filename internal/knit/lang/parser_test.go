@@ -241,6 +241,13 @@ func TestParseErrors(t *testing.T) {
 		{"missing needs", `unit U = { depends { a b; }; }`, "needs", "1:24"},
 		{"dup fallback", `unit U = { fallback A; fallback B; }`, "more than one fallback", "1:33"},
 		{"self fallback", `unit U = { fallback U; }`, "names itself", "1:21"},
+		// Unit files lex with cmini: the arrow is two tokens that must
+		// touch, and a literal or keyword that cmini lexes is refused by
+		// the parser where it stands.
+		{"spaced arrow", `unit U = { link { [x] < - V <- []; }; }`, `expected "<-", found "<"`, "1:23"},
+		{"char literal", `unit U = { files { 'x' }; }`, `found char literal "x"`, "1:20"},
+		{"digit", `unit 3 = { }`, `found int literal "3"`, "1:6"},
+		{"keyword as unit name", `unit link = { }`, `expected "identifier", found "link"`, "1:6"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -270,5 +277,17 @@ func TestParseCommentsAndPositions(t *testing.T) {
 	_, err = Parse("c.unit", "unit U = {\n  files { 3 };\n}")
 	if err == nil || !strings.Contains(err.Error(), "c.unit:2") {
 		t.Errorf("error should carry position line 2: %v", err)
+	}
+}
+
+// TestParseCKeywordsAreNames: only the unit keywords are reserved; a C
+// keyword, which cmini lexes as a keyword token, is an ordinary name.
+func TestParseCKeywordsAreNames(t *testing.T) {
+	f, err := Parse("k.unit", `unit U = { imports [ static : T ]; exports [ int : T ]; files { "u.c" }; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := f.Units[0]; u.Imports[0].Local != "static" || u.Exports[0].Local != "int" {
+		t.Errorf("bundle locals = %+v, %+v", u.Imports, u.Exports)
 	}
 }

@@ -3,6 +3,8 @@ package lang
 import (
 	"fmt"
 	"strings"
+
+	"knit/internal/cmini"
 )
 
 // Print renders a parsed unit file back to concrete syntax. The output
@@ -16,7 +18,7 @@ func Print(f *File) string {
 	for _, fs := range f.FlagSets {
 		var vals []string
 		for _, v := range fs.Values {
-			vals = append(vals, fmt.Sprintf("%q", v))
+			vals = append(vals, cmini.Quote(v))
 		}
 		fmt.Fprintf(&b, "flags %s = { %s }\n", fs.Name, strings.Join(vals, ", "))
 	}
@@ -73,10 +75,10 @@ func printUnit(b *strings.Builder, u *Unit) {
 		}
 		b.WriteString("  };\n")
 	}
-	if len(u.Files) > 0 {
+	if len(u.Files) > 0 || u.FlagsRef != "" {
 		var names []string
 		for _, f := range u.Files {
-			names = append(names, fmt.Sprintf("%q", f))
+			names = append(names, cmini.Quote(f))
 		}
 		fmt.Fprintf(b, "  files { %s }", strings.Join(names, ", "))
 		if u.FlagsRef != "" {

@@ -123,6 +123,14 @@ unit Top = {
 `)
 }
 
+// TestPrintRoundTripEdgeCases: a flags reference on an empty files
+// list, and a string holding every escape the lexer reads plus a raw
+// control byte, survive print → parse.
+func TestPrintRoundTripEdgeCases(t *testing.T) {
+	roundTrip(t, `unit U = { files { } with flags F; }`)
+	roundTrip(t, "flags F = { \"a\\tb\\0c\\\"d\\\\e\x01\" }")
+}
+
 func TestPrintIsParseable(t *testing.T) {
 	f, err := Parse("p.unit", paperExample)
 	if err != nil {

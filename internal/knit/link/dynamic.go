@@ -11,8 +11,9 @@ import "knit/internal/diag"
 //
 // Dynamic units extend a system; they cannot rewire the base program's
 // existing static links (interposition remains a static-link operation).
+// Sources are parsed through fe, as Elaborate's are.
 func ElaborateDynamic(reg *Registry, base *Program, unitName string,
-	sources Sources, wiring map[string]string) (*Instance, error) {
+	sources Sources, wiring map[string]string, fe *FrontEnd) (*Instance, error) {
 	u, ok := reg.Units[unitName]
 	if !ok {
 		return nil, diag.Errorf(diag.Pos{}, "unknown unit %s", unitName)
@@ -41,7 +42,7 @@ func ElaborateDynamic(reg *Registry, base *Program, unitName string,
 			return nil, diag.Errorf(u.Pos, "dynamic unit %s has no import %q", unitName, local)
 		}
 	}
-	return ElaborateDynamicEnv(reg, base, unitName, sources, env)
+	return ElaborateDynamicEnv(reg, base, unitName, sources, env, fe)
 }
 
 // ElaborateDynamicEnv is ElaborateDynamic with the import environment
@@ -50,7 +51,7 @@ func ElaborateDynamic(reg *Registry, base *Program, unitName string,
 // *same* providers as the instance it replaces (its ImportWires), which
 // are internal wires that generally are not top-level exports.
 func ElaborateDynamicEnv(reg *Registry, base *Program, unitName string,
-	sources Sources, env map[string]*Wire) (*Instance, error) {
+	sources Sources, env map[string]*Wire, fe *FrontEnd) (*Instance, error) {
 	u, ok := reg.Units[unitName]
 	if !ok {
 		return nil, diag.Errorf(diag.Pos{}, "unknown unit %s", unitName)
@@ -75,7 +76,7 @@ func ElaborateDynamicEnv(reg *Registry, base *Program, unitName string,
 			nextID = inst.ID + 1
 		}
 	}
-	e := &elab{reg: reg, sources: sources, fe: &FrontEnd{}, nextID: nextID}
+	e := &elab{reg: reg, sources: sources, fe: fe, nextID: nextID}
 	tmp := &Program{Registry: reg, Top: u, Exports: map[string]*Wire{}}
 	if _, err := e.elaborateAtomic(u, env, "dynamic/"+unitName, tmp); err != nil {
 		return nil, err

@@ -73,24 +73,24 @@ func wantErr(t *testing.T, err error, frag string) {
 
 func TestElaborateDynamicEnvUnknownUnit(t *testing.T) {
 	reg, base := dynFixture(t)
-	_, err := ElaborateDynamicEnv(reg, base, "NoSuchUnit", dynSources, nil)
+	_, err := ElaborateDynamicEnv(reg, base, "NoSuchUnit", dynSources, nil, &FrontEnd{})
 	wantErr(t, err, "unknown unit NoSuchUnit")
 }
 
 func TestElaborateDynamicEnvRejectsCompound(t *testing.T) {
 	reg, base := dynFixture(t)
-	_, err := ElaborateDynamicEnv(reg, base, "Compound", dynSources, nil)
+	_, err := ElaborateDynamicEnv(reg, base, "Compound", dynSources, nil, &FrontEnd{})
 	wantErr(t, err, "must be atomic")
 }
 
 func TestElaborateDynamicEnvMissingImport(t *testing.T) {
 	reg, base := dynFixture(t)
 	// Absent from the environment entirely.
-	_, err := ElaborateDynamicEnv(reg, base, "Consumer", dynSources, map[string]*Wire{})
+	_, err := ElaborateDynamicEnv(reg, base, "Consumer", dynSources, map[string]*Wire{}, &FrontEnd{})
 	wantErr(t, err, `import "svc" not wired`)
 	// Present but nil: same refusal — a half-built environment must not
 	// elaborate.
-	_, err = ElaborateDynamicEnv(reg, base, "Consumer", dynSources, map[string]*Wire{"svc": nil})
+	_, err = ElaborateDynamicEnv(reg, base, "Consumer", dynSources, map[string]*Wire{"svc": nil}, &FrontEnd{})
 	wantErr(t, err, `import "svc" not wired`)
 }
 
@@ -101,7 +101,7 @@ func TestElaborateDynamicEnvBundleTypeMismatch(t *testing.T) {
 		t.Fatal("fixture lost its svc export")
 	}
 	bad := &Wire{Provider: w.Provider, Bundle: w.Bundle, Type: "Other"}
-	_, err := ElaborateDynamicEnv(reg, base, "Consumer", dynSources, map[string]*Wire{"svc": bad})
+	_, err := ElaborateDynamicEnv(reg, base, "Consumer", dynSources, map[string]*Wire{"svc": bad}, &FrontEnd{})
 	wantErr(t, err, "bundle type")
 }
 
@@ -119,7 +119,7 @@ func TestElaborateDynamicEnvWiresInternalProvider(t *testing.T) {
 	}
 	inst, err := ElaborateDynamicEnv(reg, base, "Consumer", dynSources, map[string]*Wire{
 		"svc": base.Exports["svc"],
-	})
+	}, &FrontEnd{})
 	if err != nil {
 		t.Fatalf("ElaborateDynamicEnv: %v", err)
 	}

@@ -16,7 +16,8 @@ import (
 // A stored tree is never changed — elaboration clones a C file for
 // each instance and an assembled object before renaming it — so any
 // number of elaborations may share one FrontEnd, in sequence or
-// concurrently. build.Cache keeps one for the builds that share it.
+// concurrently. build.Cache keeps one for the builds that share it and
+// the live operations on their results.
 // The zero value is an empty FrontEnd.
 type FrontEnd struct {
 	units memo[*lang.File]

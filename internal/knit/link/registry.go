@@ -13,16 +13,20 @@ import (
 
 // Registry holds all unit-language declarations visible to a build.
 type Registry struct {
+	// Files are the parsed files the registry was built from, in order;
+	// a registry that extends this one is built over them plus its own.
+	Files       []*lang.File
 	BundleTypes map[string]*lang.BundleType
 	FlagSets    map[string]*lang.FlagSet
 	Properties  map[string]*lang.Property
 	Units       map[string]*lang.Unit
 }
 
-// NewRegistry builds a registry from parsed unit files, rejecting
-// duplicate names.
+// NewRegistry builds a registry from parsed unit files, rejecting a
+// duplicate name at its later declaration.
 func NewRegistry(files ...*lang.File) (*Registry, error) {
 	r := &Registry{
+		Files:       files,
 		BundleTypes: map[string]*lang.BundleType{},
 		FlagSets:    map[string]*lang.FlagSet{},
 		Properties:  map[string]*lang.Property{},

@@ -71,7 +71,7 @@ func (p *Plan) Apply(m *machine.M, prev *Applied) (*Applied, error) {
 			}
 			env[local] = &link.Wire{Provider: provider, Bundle: w.Bundle, Type: w.Type}
 		}
-		inst, err := link.ElaborateDynamicEnv(p.reg, live, c.tgt.Unit.Name, p.tgt.Sources, env)
+		inst, err := link.ElaborateDynamicEnv(p.reg, live, c.tgt.Unit.Name, p.tgt.Sources, env, res.Cache().FrontEnd())
 		if err != nil {
 			return nil, fmt.Errorf("reconfigure: slot %s: %w", c.slot, err)
 		}

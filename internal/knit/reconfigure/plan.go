@@ -99,9 +99,12 @@ type Step struct {
 // computes the minimal rewire plan from res's static program to it.
 // Configurations are compared positionally: slot identity is the
 // instance's position in the linking structure, so renaming a unit in
-// place is a replacement, not a retire-plus-add.
+// place is a replacement, not a retire-plus-add. The target parses
+// through res's front end (build.Result.Cache), so only the files that
+// differ from the running build's are parsed.
 func Diff(res *build.Result, tgt Target) (*Plan, error) {
-	files, err := build.ParseUnitFiles(tgt.UnitFiles)
+	fe := res.Cache().FrontEnd()
+	files, err := fe.ParseUnitFiles(tgt.UnitFiles)
 	if err != nil {
 		return nil, fmt.Errorf("reconfigure: target: %w", err)
 	}
@@ -109,7 +112,7 @@ func Diff(res *build.Result, tgt Target) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reconfigure: target: %w", err)
 	}
-	prog, err := link.Elaborate(reg, tgt.Top, tgt.Sources, nil)
+	prog, err := link.Elaborate(reg, tgt.Top, tgt.Sources, fe)
 	if err != nil {
 		return nil, fmt.Errorf("reconfigure: target: %w", err)
 	}

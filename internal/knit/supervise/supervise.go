@@ -29,6 +29,7 @@ import (
 	"knit/internal/knit/build"
 	"knit/internal/knit/link"
 	"knit/internal/knit/observe"
+	"knit/internal/knit/sched"
 	"knit/internal/machine"
 )
 
@@ -473,7 +474,7 @@ func (s *Supervisor) escalate(st *instState) {
 	// The scope restart wiped the state of everything inside it: clear
 	// those instances' failure windows and mark them freshly healthy.
 	for _, other := range s.states {
-		if other.inst == nil || !scopeContains(scope, other.inst.Path) {
+		if other.inst == nil || !sched.ScopeContains(scope, other.inst.Path) {
 			continue
 		}
 		other.failures = other.failures[:0]
@@ -513,13 +514,4 @@ func scopeName(scope string) string {
 		return "<program>"
 	}
 	return scope
-}
-
-// scopeContains mirrors sched.ScopeContains without importing sched
-// into the hot path signature — same semantics.
-func scopeContains(scope, path string) bool {
-	if scope == "" {
-		return true
-	}
-	return path == scope || strings.HasPrefix(path, scope+"/") || strings.HasPrefix(path, scope+"#")
 }
