@@ -1,6 +1,7 @@
 package cmini
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -233,51 +234,53 @@ func Quote(s string) string {
 	return string(append(b, '"'))
 }
 
-// twoCharOps maps a two-byte operator to its token kind; threeCharOps
-// likewise for the three-byte shift-assign forms.
-var threeCharOps = map[string]Tok{"<<=": SHLEQ, ">>=": SHREQ}
+// The operator tables, indexed by an operator's first byte: the token
+// the byte is alone, followed by '=', and doubled. EOF marks none.
+var (
+	opAlone = [256]Tok{
+		'(': LPAREN, ')': RPAREN, '{': LBRACE, '}': RBRACE, '[': LBRACK,
+		']': RBRACK, ';': SEMI, ',': COMMA, '=': ASSIGN, '+': PLUS, '-': MINUS,
+		'*': STAR, '/': SLASH, '%': PERCENT, '&': AMP, '|': PIPE, '^': CARET,
+		'~': TILDE, '!': NOT, '<': LT, '>': GT, '?': QUESTION, ':': COLON,
+		'.': DOT,
+	}
+	opEq = [256]Tok{
+		'=': EQ, '!': NE, '<': LE, '>': GE, '+': ADDEQ, '-': SUBEQ, '*': MULEQ,
+		'/': DIVEQ, '%': MODEQ, '&': ANDEQ, '|': OREQ, '^': XOREQ,
+	}
+	opDoubled = [256]Tok{'+': INC, '-': DEC, '<': SHL, '>': SHR, '&': LAND, '|': LOR}
+)
 
-var twoCharOps = map[string]Tok{
-	"+=": ADDEQ, "-=": SUBEQ, "*=": MULEQ, "/=": DIVEQ, "%=": MODEQ,
-	"&=": ANDEQ, "|=": OREQ, "^=": XOREQ, "++": INC, "--": DEC,
-	"<<": SHL, ">>": SHR, "<=": LE, ">=": GE, "==": EQ, "!=": NE,
-	"&&": LAND, "||": LOR, "->": ARROW,
-}
-
-var oneCharOps = map[byte]Tok{
-	'(': LPAREN, ')': RPAREN, '{': LBRACE, '}': RBRACE, '[': LBRACK,
-	']': RBRACK, ';': SEMI, ',': COMMA, '=': ASSIGN, '+': PLUS, '-': MINUS,
-	'*': STAR, '/': SLASH, '%': PERCENT, '&': AMP, '|': PIPE, '^': CARET,
-	'~': TILDE, '!': NOT, '<': LT, '>': GT, '?': QUESTION, ':': COLON,
-	'.': DOT,
-}
-
+// lexOperator lexes punctuation and operators, longest match first,
+// looking the first byte up in the operator tables.
 func (l *Lexer) lexOperator(p diag.Pos) (Token, error) {
-	if l.off+2 < len(l.src) {
-		if k, ok := threeCharOps[l.src[l.off:l.off+3]]; ok {
-			l.advance()
-			l.advance()
-			l.advance()
-			return Token{Kind: k, Pos: p}, nil
+	c, c1 := l.peek(), l.peek2()
+	k, n := opAlone[c], 1
+	switch {
+	case k == EOF:
+		return Token{}, diag.Errorf(p, "unexpected character %q", c)
+	case c1 == '=' && opEq[c] != EOF:
+		k, n = opEq[c], 2
+	case c1 == c && opDoubled[c] != EOF:
+		k, n = opDoubled[c], 2
+		if (c == '<' || c == '>') && l.off+2 < len(l.src) && l.src[l.off+2] == '=' {
+			k, n = SHLEQ, 3
+			if c == '>' {
+				k = SHREQ
+			}
 		}
+	case c == '-' && c1 == '>':
+		k, n = ARROW, 2
 	}
-	if l.off+1 < len(l.src) {
-		if k, ok := twoCharOps[l.src[l.off:l.off+2]]; ok {
-			l.advance()
-			l.advance()
-			return Token{Kind: k, Pos: p}, nil
-		}
-	}
-	c := l.peek()
-	if k, ok := oneCharOps[c]; ok {
-		l.advance()
-		return Token{Kind: k, Pos: p}, nil
-	}
-	return Token{}, diag.Errorf(p, "unexpected character %q", c)
+	l.off += n // operators hold no newline
+	l.col += n
+	return Token{Kind: k, Pos: p}, nil
 }
 
 // LexAll tokenizes the whole input, returning every token up to and
-// excluding EOF.
+// excluding EOF. The C and unit parsers read a Window instead; Click
+// configurations and goals, which split their tokens into statements,
+// use the slice.
 func LexAll(file, src string) ([]Token, error) {
 	l := NewLexer(file, src)
 	toks := make([]Token, 0, len(src)/4) // the repository's C and unit files average 3.7–4.8 bytes a token
@@ -291,4 +294,88 @@ func LexAll(file, src string) ([]Token, error) {
 		}
 		toks = append(toks, t)
 	}
+}
+
+// Window reads a lexer three tokens at a time, the most the C and unit
+// parsers look at: the current token, lexed when the parser moves onto
+// it, and up to two more, lexed when the parser first looks ahead to
+// them. A lexing error ends the stream: from its position on every
+// token is of a kind no parser accepts, so the parser fails there, and
+// Err reports the lexing error unless the parser failed earlier in the
+// source. Either way the error reported is the first in source order.
+type Window struct {
+	lex   Lexer
+	cur   Token
+	ahead [2]Token // the n tokens after cur that are lexed
+	n     int
+	err   error // the lexing error met, if any
+	bad   Token // the token that stands for it
+}
+
+// badTok is the kind of the token a lexing error leaves behind.
+const badTok Tok = -1
+
+// NewWindow returns a window on the first token of src.
+func NewWindow(file, src string) *Window {
+	w := &Window{lex: Lexer{file: file, src: src, line: 1, col: 1}}
+	w.cur = w.lexNext()
+	return w
+}
+
+// Cur returns the current token. It changes when the window moves: copy
+// it to keep it.
+func (w *Window) Cur() *Token { return &w.cur }
+
+// Peek returns the token ahead tokens past the current one, for ahead
+// 1 or 2. It changes when the window moves: copy it to keep it.
+func (w *Window) Peek(ahead int) *Token {
+	for w.n < ahead {
+		w.ahead[w.n] = w.lexNext()
+		w.n++
+	}
+	return &w.ahead[ahead-1]
+}
+
+// Next returns the current token and moves past it.
+func (w *Window) Next() Token {
+	t := w.cur
+	if w.n == 0 {
+		w.cur = w.lexNext()
+		return t
+	}
+	w.cur, w.ahead[0] = w.ahead[0], w.ahead[1]
+	w.n--
+	return t
+}
+
+func (w *Window) lexNext() Token {
+	if w.err != nil {
+		return w.bad
+	}
+	t, err := w.lex.Next()
+	if err == nil {
+		return t
+	}
+	w.err = err
+	w.bad = Token{Kind: badTok, Pos: err.(*diag.Error).Pos} // the lexer's errors are all positioned
+	return w.bad
+}
+
+// Err returns the error to report for a parse that ended with err, nil
+// if it succeeded: the lexing error the window met, unless err lies
+// earlier in the source.
+func (w *Window) Err(err error) error {
+	if w.err == nil {
+		return err
+	}
+	var de *diag.Error
+	if err != nil && errors.As(err, &de) && before(de.Pos, w.bad.Pos) {
+		return err
+	}
+	return w.err
+}
+
+// before reports whether a is earlier in a file than b.
+func before(a, b diag.Pos) bool {
+	return a.Line < b.Line || a.Line == b.Line && a.Col < b.Col
 }

@@ -7,20 +7,23 @@ import (
 	"knit/internal/diag"
 )
 
-// Parser is a recursive-descent parser for cmini.
+// Parser is a recursive-descent parser for cmini. It looks at most two
+// tokens past the current one and never backtracks.
 type Parser struct {
-	toks []Token
-	pos  int
-	end  diag.Pos // of the source, where EOF is
+	toks *Window
 }
 
 // Parse parses a cmini source file.
 func Parse(file, src string) (*File, error) {
-	toks, err := LexAll(file, src)
-	if err != nil {
+	p := &Parser{toks: NewWindow(file, src)}
+	f, err := p.parseFile(file)
+	if err = p.toks.Err(err); err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks, end: diag.End(file, src)}
+	return f, nil
+}
+
+func (p *Parser) parseFile(file string) (*File, error) {
 	f := &File{Name: file}
 	for !p.atEOF() {
 		d, err := p.parseTopDecl()
@@ -32,44 +35,30 @@ func Parse(file, src string) (*File, error) {
 	return f, nil
 }
 
-func (p *Parser) atEOF() bool { return p.pos >= len(p.toks) }
+func (p *Parser) atEOF() bool { return p.kind() == EOF }
 
-func (p *Parser) cur() Token {
-	if p.atEOF() {
-		return Token{Kind: EOF, Pos: p.end}
-	}
-	return p.toks[p.pos]
-}
+func (p *Parser) cur() Token { return *p.toks.Cur() }
 
-func (p *Parser) peekKind(ahead int) Tok {
-	i := p.pos + ahead
-	if i >= len(p.toks) {
-		return EOF
-	}
-	return p.toks[i].Kind
-}
+// kind is the current token's kind.
+func (p *Parser) kind() Tok { return p.toks.Cur().Kind }
 
-func (p *Parser) next() Token {
-	t := p.cur()
-	p.pos++
-	return t
-}
+func (p *Parser) peekKind(ahead int) Tok { return p.toks.Peek(ahead).Kind }
+
+func (p *Parser) next() Token { return p.toks.Next() }
 
 func (p *Parser) accept(k Tok) bool {
-	if p.cur().Kind == k {
-		p.pos++
+	if p.kind() == k {
+		p.next()
 		return true
 	}
 	return false
 }
 
 func (p *Parser) expect(k Tok) (Token, error) {
-	t := p.cur()
-	if t.Kind != k {
-		return t, p.errorf("expected %s, found %s", k, describe(t))
+	if p.kind() != k {
+		return p.cur(), p.errorf("expected %s, found %s", k, describe(p.cur()))
 	}
-	p.pos++
-	return t, nil
+	return p.next(), nil
 }
 
 func describe(t Token) string {
@@ -89,7 +78,7 @@ func (p *Parser) errorf(format string, args ...any) error {
 
 // isTypeStart reports whether the current token can begin a type.
 func (p *Parser) isTypeStart() bool {
-	switch p.cur().Kind {
+	switch p.kind() {
 	case KwInt, KwChar, KwVoid, KwFn, KwStruct:
 		return true
 	}
@@ -100,7 +89,7 @@ func (p *Parser) isTypeStart() bool {
 // "struct pkt *", "fn", "void *".
 func (p *Parser) parseType() (Type, error) {
 	var t Type
-	switch p.cur().Kind {
+	switch p.kind() {
 	case KwInt:
 		p.next()
 		t = TypeInt
@@ -132,7 +121,7 @@ func (p *Parser) parseType() (Type, error) {
 func (p *Parser) parseTopDecl() (Decl, error) {
 	start := p.cur().Pos
 	// struct definition: "struct Name { ... };"
-	if p.cur().Kind == KwStruct && p.peekKind(1) == IDENT && p.peekKind(2) == LBRACE {
+	if p.kind() == KwStruct && p.peekKind(1) == IDENT && p.peekKind(2) == LBRACE {
 		return p.parseStructDecl()
 	}
 	static := false
@@ -159,7 +148,7 @@ func (p *Parser) parseTopDecl() (Decl, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().Kind == LPAREN {
+	if p.kind() == LPAREN {
 		return p.parseFuncRest(start, typ, name.Lit, static, extern)
 	}
 	return p.parseVarRest(start, typ, name.Lit, static, extern)
@@ -248,7 +237,7 @@ func (p *Parser) parseFuncRest(start diag.Pos, result Type, name string, static,
 	p.next() // (
 	var params []Param
 	if !p.accept(RPAREN) {
-		if p.cur().Kind == KwVoid && p.peekKind(1) == RPAREN {
+		if p.kind() == KwVoid && p.peekKind(1) == RPAREN {
 			p.next() // void
 			p.next() // )
 		} else {
@@ -313,7 +302,7 @@ func (p *Parser) parseBlock() (*Block, error) {
 
 func (p *Parser) parseStmt() (Stmt, error) {
 	start := p.cur().Pos
-	switch p.cur().Kind {
+	switch p.kind() {
 	case LBRACE:
 		return p.parseBlock()
 	case KwIf:
@@ -340,7 +329,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	case KwReturn:
 		p.next()
 		s := &ReturnStmt{Pos: start}
-		if p.cur().Kind != SEMI {
+		if p.kind() != SEMI {
 			x, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -434,7 +423,7 @@ func (p *Parser) parseIf() (Stmt, error) {
 	}
 	s := &IfStmt{Pos: start, Cond: cond, Then: then}
 	if p.accept(KwElse) {
-		if p.cur().Kind == KwIf {
+		if p.kind() == KwIf {
 			elseIf, err := p.parseIf()
 			if err != nil {
 				return nil, err
@@ -531,7 +520,7 @@ func (p *Parser) parseAssign() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := p.cur().Kind
+	k := p.kind()
 	if k == ASSIGN {
 		pos := p.next().Pos
 		rhs, err := p.parseAssign()
@@ -572,7 +561,7 @@ func (p *Parser) parseCond() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().Kind == QUESTION {
+	if p.kind() == QUESTION {
 		pos := p.next().Pos
 		then, err := p.parseExpr()
 		if err != nil {
@@ -596,7 +585,7 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 		return nil, err
 	}
 	for {
-		op := p.cur().Kind
+		op := p.kind()
 		prec, ok := binPrec[op]
 		if !ok || prec < minPrec {
 			return lhs, nil

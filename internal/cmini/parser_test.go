@@ -223,6 +223,9 @@ func TestParseErrors(t *testing.T) {
 		{"bad array len", "int a[0];", "invalid array length", "1:7"},
 		{"dup struct field", "struct s { int a; int a; };", "duplicate field", "1:23"},
 		{"garbage", "$$$", "unexpected character", "1:1"},
+		// Tokens are lexed as the parser reaches them, so of a syntax
+		// error and a later stray character the first is reported.
+		{"syntax error before stray character", "int x = 1 int y = $;", "expected ;", "1:11"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

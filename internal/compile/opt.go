@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"sync"
 
 	"knit/internal/cmini"
 	"knit/internal/obj"
@@ -19,10 +20,12 @@ func optimize(f *obj.File, opts Options) {
 	if growthLimit == 0 {
 		growthLimit = DefaultGrowthLimit
 	}
+	vn := vnPool.Get().(*valueNumberer)
+	defer vnPool.Put(vn)
 	pass := func() {
 		for _, fn := range f.Funcs {
 			if !opts.DisableCSE {
-				valueNumber(fn)
+				vn.valueNumber(fn)
 			}
 			deadCode(fn)
 		}
@@ -104,53 +107,179 @@ type vnKey struct {
 	sym  string
 }
 
-// vnState is the value-numbering state at a program point.
-type vnState struct {
-	regVN    map[obj.Reg]int
-	constVal map[int]int64
-	hasConst map[int]bool
-	exprVN   map[vnKey]int
-	vnReg    map[int]obj.Reg
-	regHeld  map[obj.Reg]int // inverse of vnReg: a register holds at most one entry
-	loadVNs  map[vnKey]bool
+// valueNumberer holds value numbering's state at one program point, as
+// dense tables an undo log returns to any earlier point, and keeps them
+// across the functions of a file. Value numbers start at 1, so 0 means
+// "none"; they need only be unique among the numbers the state holds,
+// so a number undone is given out again.
+type valueNumberer struct {
+	regVN   []int    // register -> its value number
+	regHeld []int    // register -> the number whose holder it is (inverse of vns[].reg)
+	vns     []vnInfo // value number -> what is known of it; vns[0] is unused
+	exprVN  map[vnKey]int
+	// loads lists the load expressions entered in exprVN; those from
+	// loadsFrom on are still there.
+	loads     []vnKey
+	loadsFrom int
+	log       []vnUndo   // earlier contents of regVN, regHeld and vns[].reg
+	exprLog   []exprUndo // earlier contents of exprVN
+
+	// Per-function scratch: the tree of extended blocks.
+	parent, firstChild, nextSibling []int
 }
 
-func newVNState() *vnState {
-	return &vnState{
-		regVN:    map[obj.Reg]int{},
-		constVal: map[int]int64{},
-		hasConst: map[int]bool{},
-		exprVN:   map[vnKey]int{},
-		vnReg:    map[int]obj.Reg{},
-		regHeld:  map[obj.Reg]int{},
-		loadVNs:  map[vnKey]bool{},
+// vnInfo is what is known of one value number: the register holding it,
+// if any, and its constant value, if it has one.
+type vnInfo struct {
+	reg     obj.Reg // NoReg when no register holds it
+	isConst bool
+	val     int64
+}
+
+// vnUndo restores one table slot.
+type vnUndo struct {
+	table vnTable
+	index int32
+	old   int32
+}
+
+type vnTable uint8
+
+const (
+	tabRegVN vnTable = iota
+	tabRegHeld
+	tabVNReg
+)
+
+// exprUndo restores one exprVN entry; old 0 means it was absent.
+type exprUndo struct {
+	key vnKey
+	old int
+}
+
+// vnMark is a program point valueNumberer can return to.
+type vnMark struct{ log, exprLog, loads, loadsFrom, vns int }
+
+// vnPool keeps valueNumberers, and the tables and logs they have grown,
+// for the next file: each is back at the empty state when a function
+// is done.
+var vnPool = sync.Pool{New: func() any { return &valueNumberer{exprVN: map[vnKey]int{}} }}
+
+func (v *valueNumberer) mark() vnMark {
+	return vnMark{len(v.log), len(v.exprLog), len(v.loads), v.loadsFrom, len(v.vns)}
+}
+
+// undo returns the state to m, newest change first.
+func (v *valueNumberer) undo(m vnMark) {
+	for i := len(v.log) - 1; i >= m.log; i-- {
+		switch e := v.log[i]; e.table {
+		case tabRegVN:
+			v.regVN[e.index] = int(e.old)
+		case tabRegHeld:
+			v.regHeld[e.index] = int(e.old)
+		case tabVNReg:
+			v.vns[e.index].reg = obj.Reg(e.old)
+		}
+	}
+	v.log = v.log[:m.log]
+	for i := len(v.exprLog) - 1; i >= m.exprLog; i-- {
+		if e := &v.exprLog[i]; e.old == 0 {
+			delete(v.exprVN, e.key)
+		} else {
+			v.exprVN[e.key] = e.old
+		}
+	}
+	v.exprLog = v.exprLog[:m.exprLog]
+	v.loads, v.loadsFrom = v.loads[:m.loads], m.loadsFrom
+	v.vns = v.vns[:m.vns]
+}
+
+func (v *valueNumberer) setRegVN(r obj.Reg, vn int) {
+	v.log = append(v.log, vnUndo{tabRegVN, int32(r), int32(v.regVN[r])})
+	v.regVN[r] = vn
+}
+
+func (v *valueNumberer) setExpr(key vnKey, vn int) {
+	v.exprLog = append(v.exprLog, exprUndo{key, v.exprVN[key]})
+	v.exprVN[key] = vn
+}
+
+// newVN returns a fresh value number that no register holds.
+func (v *valueNumberer) newVN() int {
+	v.vns = append(v.vns, vnInfo{reg: obj.NoReg})
+	return len(v.vns) - 1
+}
+
+func (v *valueNumberer) vnOf(r obj.Reg) int {
+	if vn := v.regVN[r]; vn != 0 {
+		return vn
+	}
+	vn := v.newVN()
+	v.setRegVN(r, vn)
+	return vn
+}
+
+func (v *valueNumberer) killLoads() {
+	for _, k := range v.loads[v.loadsFrom:] {
+		if old, ok := v.exprVN[k]; ok {
+			v.exprLog = append(v.exprLog, exprUndo{k, old})
+			delete(v.exprVN, k)
+		}
+	}
+	v.loadsFrom = len(v.loads)
+}
+
+// release drops the reverse mapping of the value dst held, if any: dst
+// is being redefined.
+func (v *valueNumberer) release(dst obj.Reg) {
+	if vn := v.regHeld[dst]; vn != 0 {
+		v.log = append(v.log,
+			vnUndo{tabVNReg, int32(vn), int32(v.vns[vn].reg)},
+			vnUndo{tabRegHeld, int32(dst), int32(vn)})
+		v.vns[vn].reg = obj.NoReg
+		v.regHeld[dst] = 0
 	}
 }
 
-func (s *vnState) clone() *vnState {
-	cp := newVNState()
-	for k, v := range s.regVN {
-		cp.regVN[k] = v
+// hold makes dst the holder of vn, a number newVN just gave out, so
+// vns[vn] needs no undo entry.
+func (v *valueNumberer) hold(dst obj.Reg, vn int) {
+	v.release(dst)
+	v.vns[vn].reg = dst
+	v.log = append(v.log, vnUndo{tabRegHeld, int32(dst), int32(v.regHeld[dst])})
+	v.regHeld[dst] = vn
+}
+
+func (v *valueNumberer) setDst(dst obj.Reg, key vnKey, isLoad bool) {
+	vn := v.newVN()
+	v.setRegVN(dst, vn)
+	v.setExpr(key, vn)
+	v.hold(dst, vn)
+	if isLoad {
+		v.loads = append(v.loads, key)
 	}
-	for k, v := range s.constVal {
-		cp.constVal[k] = v
+}
+
+func (v *valueNumberer) setConst(dst obj.Reg, c int64) {
+	vn := v.newVN()
+	v.setRegVN(dst, vn)
+	v.vns[vn].isConst, v.vns[vn].val = true, c
+	v.setExpr(vnKey{op: obj.OpConst, imm: c}, vn)
+	v.hold(dst, vn)
+}
+
+// reuse replaces the instruction with a Mov from the register that
+// already holds the value, if one is live; it reports success.
+func (v *valueNumberer) reuse(in *obj.Instr, key vnKey) bool {
+	if vn := v.exprVN[key]; vn != 0 {
+		if r := v.vns[vn].reg; r != obj.NoReg && r != in.Dst {
+			*in = obj.Instr{Op: obj.OpMov, Dst: in.Dst, A: r, B: obj.NoReg}
+			v.release(in.Dst)
+			v.setRegVN(in.Dst, vn)
+			return true
+		}
 	}
-	for k, v := range s.hasConst {
-		cp.hasConst[k] = v
-	}
-	for k, v := range s.exprVN {
-		cp.exprVN[k] = v
-	}
-	for k, v := range s.vnReg {
-		cp.vnReg[k] = v
-	}
-	for k, v := range s.regHeld {
-		cp.regHeld[k] = v
-	}
-	for k, v := range s.loadVNs {
-		cp.loadVNs[k] = v
-	}
-	return cp
+	return false
 }
 
 // valueNumber performs extended-basic-block value numbering: it folds
@@ -161,165 +290,147 @@ func (s *vnState) clone() *vnState {
 // (a flattened component pipeline) share subexpressions across blocks.
 // This is the pass that, after flattening + inlining, "eliminates
 // redundant reads via common subexpression elimination" (§6).
-func valueNumber(fn *obj.Func) {
+//
+// Those blocks form a tree, each block the child of its sole earlier
+// predecessor. The pass walks it depth first, undoing a block's changes
+// once its subtree is done (Briggs, Cooper and Simpson, "Value
+// Numbering", SP&E 1997), so each block starts from its parent's end
+// state without a copy of it.
+func (v *valueNumberer) valueNumber(fn *obj.Func) {
 	blocks := basicBlocks(fn)
 	// Predecessor counts, and each block's last-linked predecessor: its
 	// sole one when the count is 1.
-	predCount := make([]int, len(blocks))
-	solePred := make([]int, len(blocks))
-	for b := range solePred {
-		solePred[b] = -1
-	}
+	nb := len(blocks)
+	predCount := resize(v.firstChild, nb)
+	clear(predCount)
+	solePred := resize(v.nextSibling, nb)
 	for b, blk := range blocks {
 		for _, s := range blk.succs {
 			predCount[s]++
 			solePred[s] = b
 		}
 	}
-	endState := make([]*vnState, len(blocks))
-
-	var nextVN int
-	var st *vnState
-	vnOf := func(r obj.Reg) int {
-		if vn, ok := st.regVN[r]; ok {
-			return vn
-		}
-		nextVN++
-		st.regVN[r] = nextVN
-		return nextVN
-	}
-	newVN := func() int { nextVN++; return nextVN }
-	killLoads := func() {
-		for k := range st.loadVNs {
-			delete(st.exprVN, k)
-			delete(st.loadVNs, k)
-		}
-	}
-	// release drops the reverse mapping of the value dst held, if any:
-	// dst is being redefined.
-	release := func(dst obj.Reg) {
-		if vn, ok := st.regHeld[dst]; ok {
-			delete(st.vnReg, vn)
-			delete(st.regHeld, dst)
-		}
-	}
-	hold := func(dst obj.Reg, vn int) {
-		release(dst)
-		st.vnReg[vn] = dst
-		st.regHeld[dst] = vn
-	}
-	setDst := func(dst obj.Reg, key vnKey, isLoad bool) {
-		vn := newVN()
-		st.regVN[dst] = vn
-		st.exprVN[key] = vn
-		hold(dst, vn)
-		if isLoad {
-			st.loadVNs[key] = true
-		}
-	}
-	setConst := func(dst obj.Reg, v int64) {
-		vn := newVN()
-		st.regVN[dst] = vn
-		st.constVal[vn] = v
-		st.hasConst[vn] = true
-		st.exprVN[vnKey{op: obj.OpConst, imm: v}] = vn
-		hold(dst, vn)
-	}
-	// reuse replaces the instruction with a Mov from the register that
-	// already holds the value, if one is live; it reports success.
-	reuse := func(in *obj.Instr, key vnKey) bool {
-		if vn, ok := st.exprVN[key]; ok {
-			if r, live := st.vnReg[vn]; live && r != in.Dst {
-				*in = obj.Instr{Op: obj.OpMov, Dst: in.Dst, A: r, B: obj.NoReg}
-				release(in.Dst)
-				st.regVN[in.Dst] = vn
-				return true
-			}
-		}
-		return false
-	}
-
+	parent := resize(v.parent, nb)
 	for b := range blocks {
-		if predCount[b] == 1 && solePred[b] >= 0 && solePred[b] < b && endState[solePred[b]] != nil {
-			st = endState[solePred[b]].clone()
-		} else {
-			st = newVNState()
+		parent[b] = -1
+		if predCount[b] == 1 && solePred[b] < b {
+			parent[b] = solePred[b]
 		}
-		for i := blocks[b].start; i < blocks[b].end; i++ {
-			in := &fn.Code[i]
-			switch in.Op {
-			case obj.OpConst:
-				key := vnKey{op: obj.OpConst, imm: in.Imm}
-				if reuse(in, key) {
-					continue
-				}
-				setConst(in.Dst, in.Imm)
-			case obj.OpMov:
-				vn := vnOf(in.A)
-				st.regVN[in.Dst] = vn
-			case obj.OpBin:
-				va, vb := vnOf(in.A), vnOf(in.B)
-				if st.hasConst[va] && st.hasConst[vb] {
-					if v, err := obj.EvalBin(cmini.Tok(in.Tok), st.constVal[va], st.constVal[vb]); err == nil {
-						*in = obj.Instr{Op: obj.OpConst, Dst: in.Dst, Imm: v, A: obj.NoReg, B: obj.NoReg}
-						setConst(in.Dst, v)
-						continue
-					}
-				}
-				key := vnKey{op: obj.OpBin, tok: in.Tok, a: va, b: vb}
-				if reuse(in, key) {
-					continue
-				}
-				setDst(in.Dst, key, false)
-			case obj.OpUn:
-				va := vnOf(in.A)
-				if st.hasConst[va] {
-					if v, err := obj.EvalUn(cmini.Tok(in.Tok), st.constVal[va]); err == nil {
-						*in = obj.Instr{Op: obj.OpConst, Dst: in.Dst, Imm: v, A: obj.NoReg, B: obj.NoReg}
-						setConst(in.Dst, v)
-						continue
-					}
-				}
-				key := vnKey{op: obj.OpUn, tok: in.Tok, a: va}
-				if reuse(in, key) {
-					continue
-				}
-				setDst(in.Dst, key, false)
-			case obj.OpAddrGlobal:
-				key := vnKey{op: obj.OpAddrGlobal, sym: in.Sym}
-				if reuse(in, key) {
-					continue
-				}
-				setDst(in.Dst, key, false)
-			case obj.OpAddrLocal, obj.OpAddrString:
-				key := vnKey{op: in.Op, imm: in.Imm}
-				if reuse(in, key) {
-					continue
-				}
-				setDst(in.Dst, key, false)
-			case obj.OpLoad:
-				va := vnOf(in.A)
-				key := vnKey{op: obj.OpLoad, a: va}
-				if reuse(in, key) {
-					continue
-				}
-				setDst(in.Dst, key, true)
-			case obj.OpStore:
-				// Conservative: any store may alias any load.
-				killLoads()
-			case obj.OpCall, obj.OpCallInd:
-				killLoads()
-				st.regVN[in.Dst] = newVN()
+	}
+	// Children in code order: link them in from the last block back.
+	firstChild, nextSibling := predCount, solePred
+	for b := range blocks {
+		firstChild[b] = -1
+	}
+	for b := nb - 1; b >= 0; b-- {
+		if p := parent[b]; p >= 0 {
+			nextSibling[b], firstChild[p] = firstChild[p], b
+		}
+	}
+	v.firstChild, v.nextSibling, v.parent = firstChild, nextSibling, parent
+	v.regVN = resize(v.regVN, fn.NRegs)
+	v.regHeld = resize(v.regHeld, fn.NRegs)
+	v.vns = append(v.vns[:0], vnInfo{reg: obj.NoReg})
+	for b := range blocks {
+		if parent[b] < 0 {
+			v.walk(fn.Code, blocks, b)
+		}
+	}
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough. regVN and regHeld are all zero between functions, as every
+// change to them is undone.
+func resize(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
+// walk numbers block b and then its subtree, and undoes all of it.
+func (v *valueNumberer) walk(code []obj.Instr, blocks []basicBlock, b int) {
+	m := v.mark()
+	v.block(code[blocks[b].start:blocks[b].end])
+	for c := v.firstChild[b]; c >= 0; c = v.nextSibling[c] {
+		v.walk(code, blocks, c)
+	}
+	v.undo(m)
+}
+
+// block numbers one basic block's instructions in order.
+func (v *valueNumberer) block(code []obj.Instr) {
+	for i := range code {
+		in := &code[i]
+		switch in.Op {
+		case obj.OpConst:
+			key := vnKey{op: obj.OpConst, imm: in.Imm}
+			if v.reuse(in, key) {
+				continue
 			}
-			// A register redefined by a mov or call loses its stale
-			// reverse mapping: if Dst held an older vn, drop it.
-			if defines(in.Op) {
-				if vn, ok := st.regHeld[in.Dst]; ok && st.regVN[in.Dst] != vn {
-					release(in.Dst)
+			v.setConst(in.Dst, in.Imm)
+		case obj.OpMov:
+			v.setRegVN(in.Dst, v.vnOf(in.A))
+		case obj.OpBin:
+			va, vb := v.vnOf(in.A), v.vnOf(in.B)
+			if a, b := &v.vns[va], &v.vns[vb]; a.isConst && b.isConst {
+				if c, err := obj.EvalBin(cmini.Tok(in.Tok), a.val, b.val); err == nil {
+					*in = obj.Instr{Op: obj.OpConst, Dst: in.Dst, Imm: c, A: obj.NoReg, B: obj.NoReg}
+					v.setConst(in.Dst, c)
+					continue
 				}
 			}
+			key := vnKey{op: obj.OpBin, tok: in.Tok, a: va, b: vb}
+			if v.reuse(in, key) {
+				continue
+			}
+			v.setDst(in.Dst, key, false)
+		case obj.OpUn:
+			va := v.vnOf(in.A)
+			if a := &v.vns[va]; a.isConst {
+				if c, err := obj.EvalUn(cmini.Tok(in.Tok), a.val); err == nil {
+					*in = obj.Instr{Op: obj.OpConst, Dst: in.Dst, Imm: c, A: obj.NoReg, B: obj.NoReg}
+					v.setConst(in.Dst, c)
+					continue
+				}
+			}
+			key := vnKey{op: obj.OpUn, tok: in.Tok, a: va}
+			if v.reuse(in, key) {
+				continue
+			}
+			v.setDst(in.Dst, key, false)
+		case obj.OpAddrGlobal:
+			key := vnKey{op: obj.OpAddrGlobal, sym: in.Sym}
+			if v.reuse(in, key) {
+				continue
+			}
+			v.setDst(in.Dst, key, false)
+		case obj.OpAddrLocal, obj.OpAddrString:
+			key := vnKey{op: in.Op, imm: in.Imm}
+			if v.reuse(in, key) {
+				continue
+			}
+			v.setDst(in.Dst, key, false)
+		case obj.OpLoad:
+			key := vnKey{op: obj.OpLoad, a: v.vnOf(in.A)}
+			if v.reuse(in, key) {
+				continue
+			}
+			v.setDst(in.Dst, key, true)
+		case obj.OpStore:
+			// Conservative: any store may alias any load.
+			v.killLoads()
+		case obj.OpCall, obj.OpCallInd:
+			v.killLoads()
+			v.setRegVN(in.Dst, v.newVN())
 		}
-		endState[b] = st
+		// A register redefined by a mov or call loses its stale
+		// reverse mapping: if Dst held an older vn, drop it.
+		if defines(in.Op) {
+			if vn := v.regHeld[in.Dst]; vn != 0 && v.regVN[in.Dst] != vn {
+				v.release(in.Dst)
+			}
+		}
 	}
 }
 

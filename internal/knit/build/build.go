@@ -244,19 +244,19 @@ func Build(opts Options) (*Result, error) {
 }
 
 // compileJob is one translation unit to compile, with a diagnostic
-// label: a source file and its origin, or a flattened region to merge.
+// label: an instance's C file, or a flattened region to merge.
 type compileJob struct {
 	label  string
-	file   *cmini.File
-	origin link.FileOrigin
+	inst   *link.Instance
+	file   int // index into inst.Files
 	region []*link.Instance
 	merge  time.Duration // how long merging the region took, if this job merged it
 }
 
 // fileJobs appends a job for each of inst's C files to jobs.
 func fileJobs(jobs []compileJob, inst *link.Instance) []compileJob {
-	for i, f := range inst.Files {
-		jobs = append(jobs, compileJob{label: inst.Path, file: f, origin: inst.Origins[i]})
+	for i := range inst.Files {
+		jobs = append(jobs, compileJob{label: inst.Path, inst: inst, file: i})
 	}
 	return jobs
 }
@@ -266,27 +266,43 @@ func (job *compileJob) key(copts compile.Options) string {
 	if job.region != nil {
 		return regionKey(copts, job.region)
 	}
-	return fileKey(copts, job.file.Name, job.origin)
+	return fileKey(copts, job.inst.Files[job.file].Name, job.inst.Origins[job.file])
 }
 
-// compile merges the job's region, if it has one, and compiles the
-// translation unit.
+// compile renames the job's sources, merges its region if it has one,
+// and compiles the translation unit. It runs only on a cache miss, so a
+// build served from the cache renames nothing.
 func (job *compileJob) compile(copts compile.Options) (*obj.File, error) {
-	f := job.file
+	var f *cmini.File
 	if job.region != nil {
+		files := renamedFiles(job.region)
 		start := time.Now()
-		merged, err := flatten.Merge("flattened.c", job.region)
+		merged, err := flatten.Merge("flattened.c", job.region, files)
 		job.merge = time.Since(start)
 		if err != nil {
 			return nil, err
 		}
 		f = merged
+	} else {
+		f = job.inst.RenamedFile(job.file)
 	}
 	o, err := compile.Compile(f, copts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", job.label, err)
 	}
 	return o, nil
+}
+
+// renamedFiles returns each instance's renamed C files, as flatten.Merge
+// reads them.
+func renamedFiles(instances []*link.Instance) [][]*cmini.File {
+	out := make([][]*cmini.File, len(instances))
+	for k, inst := range instances {
+		for i := range inst.Files {
+			out[k] = append(out[k], inst.RenamedFile(i))
+		}
+	}
+	return out
 }
 
 // runCompileJobs compiles every job through cache, with up to par
@@ -338,8 +354,8 @@ func runCompileJobs(jobs []compileJob, copts compile.Options, cache *Cache, par 
 	return objs, int(hits.Load()), nil
 }
 
-// SourceOf merges the (already instance-renamed) cmini sources of the
-// program's instances — all of them, or those passing filter — into one
+// SourceOf merges the instance-renamed cmini sources of the program's
+// instances — all of them, or those passing filter — into one
 // flattened translation unit and returns it as source text. It is the
 // "-dump-flat" view: what the compiler would see under Options.Flatten.
 func SourceOf(prog *link.Program, filter func(*link.Instance) bool) (string, error) {
@@ -349,7 +365,7 @@ func SourceOf(prog *link.Program, filter func(*link.Instance) bool) (string, err
 			region = append(region, inst)
 		}
 	}
-	merged, err := flatten.Merge("flattened.c", region)
+	merged, err := flatten.Merge("flattened.c", region, renamedFiles(region))
 	if err != nil {
 		return "", err
 	}

@@ -147,7 +147,8 @@ func TestCacheMissesOlderCompilerEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	objs, hits, err := runCompileJobs([]compileJob{{label: "f.c", file: file, origin: origin}}, copts, later, 1)
+	inst := &link.Instance{Path: "f.c", Files: []*cmini.File{file}, Origins: []link.FileOrigin{origin}}
+	objs, hits, err := runCompileJobs([]compileJob{{label: "f.c", inst: inst}}, copts, later, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

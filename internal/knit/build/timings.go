@@ -17,7 +17,7 @@ type Timings struct {
 	Check     time.Duration // constraint fixpoint (zero when Check is off)
 	Schedule  time.Duration // initializer/finalizer ordering
 	Flatten   time.Duration // cross-component source merge (zero when off or cached)
-	Compile   time.Duration // cmini -> IR, optimization passes (less the merge, which runs on a compile worker)
+	Compile   time.Duration // instance renaming, cmini -> IR, optimization passes, all on cache misses (less the merge, which runs on a compile worker)
 	Link      time.Duration // object merge into the image
 	Load      time.Duration // data/text placement, address resolution
 

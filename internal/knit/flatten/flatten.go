@@ -1,5 +1,5 @@
 // Package flatten implements Knit's cross-component optimization (paper
-// §6): it merges the (already instance-renamed) C sources of many unit
+// §6): it merges the instance-renamed C sources of many unit
 // instances into a single compilation unit, eliminates duplicate
 // declarations, and sorts function definitions so that definitions come
 // before as many uses as possible — "to encourage inlining in the C
@@ -16,9 +16,10 @@ import (
 	"knit/internal/knit/link"
 )
 
-// Merge combines the sources of the given instances into one cmini file.
-// Instance renaming has already made all global names unique, so the
-// only reconciliation needed is:
+// Merge combines the sources of the given instances into one cmini file;
+// files[k] holds instances[k]'s C files, renamed (link.Instance's
+// RenamedFile). Instance renaming has made all global names unique, so
+// the only reconciliation needed is:
 //
 //   - struct definitions: deduplicated by name; conflicting layouts are
 //     an error;
@@ -26,7 +27,7 @@ import (
 //     merged file contains the definition (the reference has become
 //     intra-file — exactly what enables inlining);
 //   - function definitions: topologically sorted callees-first.
-func Merge(name string, instances []*link.Instance) (*cmini.File, error) {
+func Merge(name string, instances []*link.Instance, files [][]*cmini.File) (*cmini.File, error) {
 	out := &cmini.File{Name: name}
 	structs := map[string]*cmini.StructDecl{}
 	defined := map[string]bool{}
@@ -35,8 +36,8 @@ func Merge(name string, instances []*link.Instance) (*cmini.File, error) {
 	var vars []cmini.Decl
 	var funcs []*cmini.FuncDecl
 
-	for _, inst := range instances {
-		for _, f := range inst.Files {
+	for k, inst := range instances {
+		for _, f := range files[k] {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *cmini.StructDecl:

@@ -61,9 +61,21 @@ int fb(void) { return fa() + 1; }
 `,
 }
 
+// mergeAll merges every instance of p, sorted, from its renamed files.
+func mergeAll(p *link.Program) (*cmini.File, error) {
+	insts := p.SortedInstances()
+	files := make([][]*cmini.File, len(insts))
+	for k, inst := range insts {
+		for i := range inst.Files {
+			files[k] = append(files[k], inst.RenamedFile(i))
+		}
+	}
+	return Merge("flat.c", insts, files)
+}
+
 func TestMergeBasics(t *testing.T) {
 	p := elabProgram(t, chainUnits, "K", chainSources)
-	merged, err := Merge("flat.c", p.SortedInstances())
+	merged, err := mergeAll(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +113,7 @@ int fb(void) { return fa(); }
 `,
 	}
 	p := elabProgram(t, chainUnits, "K", sources)
-	_, err := Merge("flat.c", p.SortedInstances())
+	_, err := mergeAll(p)
 	if err == nil || !strings.Contains(err.Error(), "different layouts") {
 		t.Errorf("err = %v, want struct layout conflict", err)
 	}
@@ -119,7 +131,7 @@ int fb(void) { return fa(); }
 `,
 	}
 	p := elabProgram(t, chainUnits, "K", sources)
-	merged, err := Merge("flat.c", p.SortedInstances())
+	merged, err := mergeAll(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +174,7 @@ int is_odd(int n) { return n == 0 ? 0 : is_even(n - 1); }
 `,
 	}
 	p := elabProgram(t, units, "K", sources)
-	merged, err := Merge("flat.c", p.SortedInstances())
+	merged, err := mergeAll(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +223,7 @@ int bump_both(void) { return bump1() * 100 + bump2(); }
 `,
 	}
 	p := elabProgram(t, units, "K", sources)
-	merged, err := Merge("flat.c", p.SortedInstances())
+	merged, err := mergeAll(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,16 @@ var keywords = map[string]bool{
 
 // Parse parses a unit-language file.
 func Parse(file, src string) (*File, error) {
-	toks, err := cmini.LexAll(file, src)
-	if err != nil {
+	p := &parser{toks: cmini.NewWindow(file, src)}
+	f, err := p.file(file)
+	if err = p.toks.Err(err); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, end: diag.End(file, src)}
-	out := &File{Name: file}
+	return f, nil
+}
+
+func (p *parser) file(name string) (*File, error) {
+	out := &File{Name: name}
 	for !p.atEOF() {
 		switch p.keyword() {
 		case "bundletype":
@@ -72,31 +76,25 @@ func Parse(file, src string) (*File, error) {
 	return out, nil
 }
 
+// parser reads the unit language one token ahead; the link arrow alone
+// looks at a second.
 type parser struct {
-	toks []cmini.Token
-	pos  int
-	end  diag.Pos // of the source, where EOF is
+	toks *cmini.Window
 }
 
-func (p *parser) atEOF() bool { return p.pos >= len(p.toks) }
+func (p *parser) atEOF() bool { return p.kind() == cmini.EOF }
 
-func (p *parser) cur() cmini.Token {
-	if p.atEOF() {
-		return cmini.Token{Kind: cmini.EOF, Pos: p.end}
-	}
-	return p.toks[p.pos]
-}
+func (p *parser) cur() cmini.Token { return *p.toks.Cur() }
 
-func (p *parser) next() cmini.Token {
-	t := p.cur()
-	p.pos++
-	return t
-}
+// kind is the current token's kind.
+func (p *parser) kind() cmini.Tok { return p.toks.Cur().Kind }
+
+func (p *parser) next() cmini.Token { return p.toks.Next() }
 
 // keyword returns the current token's text if it is a unit keyword,
 // and "" otherwise.
 func (p *parser) keyword() string {
-	if t := p.cur(); t.IsWord() && keywords[t.Lit] {
+	if t := p.toks.Cur(); t.IsWord() && keywords[t.Lit] {
 		return t.Lit
 	}
 	return ""
@@ -105,13 +103,13 @@ func (p *parser) keyword() string {
 // isIdent reports whether the current token is a name: a word that is
 // not a unit keyword.
 func (p *parser) isIdent() bool {
-	t := p.cur()
+	t := p.toks.Cur()
 	return t.IsWord() && !keywords[t.Lit]
 }
 
 func (p *parser) accept(k cmini.Tok) bool {
-	if p.cur().Kind == k {
-		p.pos++
+	if p.kind() == k {
+		p.next()
 		return true
 	}
 	return false
@@ -119,7 +117,7 @@ func (p *parser) accept(k cmini.Tok) bool {
 
 func (p *parser) acceptKw(kw string) bool {
 	if p.keyword() == kw {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -130,7 +128,7 @@ func (p *parser) expect(k cmini.Tok) (cmini.Token, error) {
 	if t.Kind != k {
 		return t, p.errf("expected %q, found %s", k.String(), p.describe())
 	}
-	p.pos++
+	p.next()
 	return t, nil
 }
 
@@ -144,16 +142,21 @@ func (p *parser) expectKw(kw string) error {
 // atArrow reports whether the current token starts the link arrow:
 // '<' directly followed by '-', which cmini lexes as two tokens.
 func (p *parser) atArrow() bool {
-	lt, i := p.cur(), p.pos+1
-	return lt.Kind == cmini.LT && i < len(p.toks) && p.toks[i].Kind == cmini.MINUS &&
-		p.toks[i].Pos == diag.Pos{File: lt.Pos.File, Line: lt.Pos.Line, Col: lt.Pos.Col + 1}
+	lt := p.toks.Cur()
+	if lt.Kind != cmini.LT {
+		return false
+	}
+	minus := p.toks.Peek(1)
+	return minus.Kind == cmini.MINUS &&
+		minus.Pos == diag.Pos{File: lt.Pos.File, Line: lt.Pos.Line, Col: lt.Pos.Col + 1}
 }
 
 func (p *parser) arrow() error {
 	if !p.atArrow() {
 		return p.errf("expected \"<-\", found %s", p.describe())
 	}
-	p.pos += 2
+	p.next()
+	p.next()
 	return nil
 }
 
@@ -604,7 +607,7 @@ func (p *parser) constraint() (Constraint, error) {
 		return Constraint{}, err
 	}
 	var op ConstraintOp
-	switch p.cur().Kind {
+	switch p.kind() {
 	case cmini.ASSIGN:
 		op = OpEq
 	case cmini.LE:

@@ -248,6 +248,9 @@ func TestParseErrors(t *testing.T) {
 		{"char literal", `unit U = { files { 'x' }; }`, `found char literal "x"`, "1:20"},
 		{"digit", `unit 3 = { }`, `found int literal "3"`, "1:6"},
 		{"keyword as unit name", `unit link = { }`, `expected "identifier", found "link"`, "1:6"},
+		// Tokens are lexed as the parser reaches them, so of a syntax
+		// error and a later stray character the first is reported.
+		{"syntax error before stray character", `unit U = { bogus; } @`, "expected unit section", "1:12"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

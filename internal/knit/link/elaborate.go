@@ -42,11 +42,14 @@ type Init struct {
 
 // Instance is one elaborated atomic unit.
 type Instance struct {
-	ID    int
-	Path  string // e.g. "LogServe/Log#1", for diagnostics
-	Unit  *lang.Unit
-	Files []*cmini.File // cloned and renamed per instance (C sources)
-	// Origins[i] is what Files[i] was made from.
+	ID   int
+	Path string // e.g. "LogServe/Log#1", for diagnostics
+	Unit *lang.Unit
+	// Files are the unit's C sources as the front end parsed them:
+	// shared with every instance of the unit and every elaboration on
+	// the front end, so never changed. RenamedFile(i) is Files[i] as
+	// this instance compiles it, renamed by Origins[i].Renames.
+	Files   []*cmini.File
 	Origins []FileOrigin
 	// Objects holds the unit's assembly-implemented files (paper: "Knit
 	// can actually work with C, assembly, and object code"), already
@@ -63,12 +66,12 @@ type Instance struct {
 	Inits       []*Init // initializers and finalizers, in declaration order
 }
 
-// FileOrigin is what an instance's C file was made from: the source
-// text it was parsed from, and the renames elaboration applied to the
-// identifiers the file declares or references (renames of identifiers
-// it never mentions are left out). The renamed file is a function of
-// its name, Text and Renames, so build.Cache keys its compiled object
-// by them without printing the file.
+// FileOrigin is what an instance's C file is made from: the source
+// text it was parsed from, and the renames that make it the instance's,
+// of the identifiers the file declares or references (renames of
+// identifiers it never mentions are left out). The renamed file is a
+// function of its name, Text and Renames, so build.Cache keys its
+// compiled object by them without renaming or printing the file.
 type FileOrigin struct {
 	Text    string
 	Renames map[string]string
@@ -282,11 +285,11 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 	if err := e.resolveDepends(u, inst, path); err != nil {
 		return nil, err
 	}
-	// Parse and clone source files; renaming happens in resolveSymbols
-	// once all wires are patched. Files ending in ".s" are assembly and
-	// are assembled to objects directly. The parsed trees are the front
-	// end's, shared with every elaboration using it, so they are only
-	// ever read or cloned.
+	// Parse source files; their renames are worked out in
+	// resolveSymbols once all wires are patched. Files ending in ".s"
+	// are assembly and are assembled to objects directly. The parsed
+	// trees are the front end's, shared with every elaboration using
+	// it, so they are only ever read or cloned.
 	for _, fname := range u.Files {
 		src, ok := e.sources[fname]
 		if !ok {
@@ -304,7 +307,7 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 		if err != nil {
 			return nil, fmt.Errorf("unit %s: %w", u.Name, err)
 		}
-		inst.Files = append(inst.Files, cmini.CloneFile(f))
+		inst.Files = append(inst.Files, f)
 		inst.Origins = append(inst.Origins, FileOrigin{Text: src})
 	}
 	prog.Instances = append(prog.Instances, inst)
@@ -562,7 +565,7 @@ func (e *elab) resolveSymbols(prog *Program) error {
 		// file-scoped in C). Each file's renames are the instance's
 		// mapping with its statics on top, kept only for the identifiers
 		// the file declares or references: those are all RenameGlobals
-		// touches, and all its cache key may depend on.
+		// touches in RenamedFile, and all its cache key may depend on.
 		for fi, f := range inst.Files {
 			statics := map[string]string{}
 			var declared []string
@@ -611,7 +614,6 @@ func (e *elab) resolveSymbols(prog *Program) error {
 					"%s: file %s uses symbol %q which is neither defined by the unit nor bound to an import",
 					inst.Path, f.Name, ref)
 			}
-			cmini.RenameGlobals(f, renames)
 			inst.Origins[fi].Renames = renames
 		}
 		// Assembly files: the same renaming, applied at the object level

@@ -72,7 +72,7 @@ func TestElaborateAtomicExports(t *testing.T) {
 	}
 	// Hidden static renamed with file suffix.
 	found := false
-	for _, d := range inst.Files[0].Decls {
+	for _, d := range inst.RenamedFile(0).Decls {
 		if strings.HasPrefix(d.DeclName(), "n__k") {
 			found = true
 		}
@@ -539,7 +539,7 @@ int f(void) { return __console_out(65); }
 	p := mustElab(t, units, "T", sources)
 	// The ambient symbol must survive unrenamed in the instance AST.
 	found := false
-	for _, d := range p.Instances[0].Files[0].Decls {
+	for _, d := range p.Instances[0].RenamedFile(0).Decls {
 		if d.DeclName() == "__console_out" {
 			found = true
 		}

@@ -13,8 +13,8 @@ import (
 // assembly sources, each parsed once per distinct file name and text.
 // Parsing is single-flight: elaborations that ask for a file while
 // another is parsing it wait for that tree rather than parse it again.
-// A stored tree is never changed — elaboration clones a C file for
-// each instance and an assembled object before renaming it — so any
+// A stored tree is never changed — an instance renames a copy of a C
+// file (Instance.RenamedFile) and of an assembled object — so any
 // number of elaborations may share one FrontEnd, in sequence or
 // concurrently. build.Cache keeps one for the builds that share it and
 // the live operations on their results.

@@ -2,6 +2,8 @@ package link_test
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"knit/internal/knit/build"
 	"knit/internal/knit/lang"
 	"knit/internal/knit/link"
+	"knit/internal/knit/reconfigure"
 	"knit/internal/oskit"
 )
 
@@ -239,5 +242,120 @@ func TestConcurrentBuildsParseAndCompileOnce(t *testing.T) {
 				t.Errorf("%s: build %d returned %v, want %v", tc.name, i, err, want)
 			}
 		}
+	}
+}
+
+// exampleDir reads an example's source directory: its unit files by
+// name, and its C files as sources.
+func exampleDir(t *testing.T, dir string) (map[string]string, link.Sources) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, sources := map[string]string{}, link.Sources{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch filepath.Ext(e.Name()) {
+		case ".unit":
+			units[e.Name()] = string(data)
+		case ".c":
+			sources[e.Name()] = string(data)
+		}
+	}
+	return units, sources
+}
+
+// TestFrontEndTreesUnchangedByLiveOperations: instances share the front
+// end's C trees and rename copies of them only when something reads the
+// renamed file, so nothing may change a shared tree. A cold build, a
+// warm rebuild, a flattened build, a dynamic load, a fallback swap and a
+// reconfiguration plan, applied, all on one cache, must leave every C
+// tree the cache holds printing exactly as a fresh parse of its text.
+func TestFrontEndTreesUnchangedByLiveOperations(t *testing.T) {
+	cache := build.NewCache()
+	dynUnits, dynSources := exampleDir(t, "../../../examples/dynamic/src")
+	base := build.Options{Top: "Base", UnitFiles: map[string]string{"base.unit": dynUnits["base.unit"]},
+		Sources: dynSources, Check: true, Optimize: true, Cache: cache}
+	res, err := build.Build(base)
+	if err != nil {
+		t.Fatalf("cold build: %v", err)
+	}
+	if warm, err := build.Build(base); err != nil || warm.Timings.CacheHits != warm.Timings.CompileJobs {
+		t.Fatalf("warm rebuild: %v, %d of %d jobs from the cache", err, warm.Timings.CacheHits, warm.Timings.CompileJobs)
+	}
+	flat := base
+	flat.Flatten = true
+	if _, err := build.Build(flat); err != nil {
+		t.Fatalf("flattened build: %v", err)
+	}
+	m := res.NewMachine()
+	if err := res.RunInit(m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.LoadDynamic(m, build.DynamicUnit{Unit: "MonitorU",
+		UnitFiles: map[string]string{"mon.unit": dynUnits["mon.unit"]}, Sources: dynSources,
+		Wiring: map[string]string{"count": "count"}, Check: true}); err != nil {
+		t.Fatalf("dynamic load: %v", err)
+	}
+
+	svcUnits, svcSources := exampleDir(t, "../../../examples/supervise/src")
+	svc, err := build.Build(build.Options{Top: "Service", UnitFiles: svcUnits, Sources: svcSources, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = svc.NewMachine()
+	if err := svc.RunInit(m); err != nil {
+		t.Fatal(err)
+	}
+	var flaky *link.Instance
+	for _, inst := range svc.Program.Instances {
+		if inst.Unit.Name == "Flaky" {
+			flaky = inst
+		}
+	}
+	if _, err := svc.SwapFallback(m, flaky); err != nil {
+		t.Fatalf("fallback swap: %v", err)
+	}
+
+	pipeUnits, pipeSources := exampleDir(t, "../../../examples/reconfigure/src")
+	chain, err := build.Build(build.Options{Top: "Chain",
+		UnitFiles: map[string]string{"pipeline.unit": pipeUnits["pipeline.unit"]}, Sources: pipeSources, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = chain.NewMachine()
+	if err := chain.RunInit(m); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := reconfigure.Diff(chain, reconfigure.Target{Top: "Chain",
+		UnitFiles: map[string]string{"pipeline_v2.unit": pipeUnits["pipeline_v2.unit"]}, Sources: pipeSources})
+	if err != nil {
+		t.Fatalf("reconfigure plan: %v", err)
+	}
+	if _, err := plan.Apply(m, nil); err != nil {
+		t.Fatalf("applying the plan: %v", err)
+	}
+
+	checked := 0
+	for _, tr := range cache.FrontEnd().Trees() {
+		if tr.Lang != "c" {
+			continue
+		}
+		f, err := cmini.Parse(tr.Name, tr.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Printed != cmini.Print(f) {
+			t.Errorf("C tree %s no longer prints as its source parses", tr.Name)
+		}
+		checked++
+	}
+	// counter.c, lock.c, monitor.c; flaky.c, safe.c; a.c, b.c, b2.c, c.c.
+	if checked != 9 {
+		t.Errorf("checked %d C trees, want 9", checked)
 	}
 }

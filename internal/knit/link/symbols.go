@@ -2,6 +2,15 @@ package link
 
 import "knit/internal/cmini"
 
+// RenamedFile returns a copy of Files[i] with Origins[i].Renames
+// applied: the file as this instance compiles, flattens and prints it.
+// The copy is the caller's.
+func (inst *Instance) RenamedFile(i int) *cmini.File {
+	f := cmini.CloneFile(inst.Files[i])
+	cmini.RenameGlobals(f, inst.Origins[i].Renames)
+	return f
+}
+
 // InstanceSymbols returns every program-unique symbol name an instance
 // defines after renaming: exported bundle symbols, hidden (suffixed)
 // globals, file statics, and assembly-object definitions. It is the
@@ -19,18 +28,24 @@ func InstanceSymbols(inst *Instance) []string {
 			add(global)
 		}
 	}
-	// Files are already instance-renamed, so declaration names are the
-	// final global names.
-	for _, f := range inst.Files {
+	// A declaration's global name is its name under the file's renames.
+	for i, f := range inst.Files {
+		renames := inst.Origins[i].Renames
+		global := func(name string) string {
+			if to, ok := renames[name]; ok {
+				return to
+			}
+			return name
+		}
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *cmini.VarDecl:
 				if !d.Extern {
-					add(d.Name)
+					add(global(d.Name))
 				}
 			case *cmini.FuncDecl:
 				if d.Body != nil {
-					add(d.Name)
+					add(global(d.Name))
 				}
 			}
 		}

@@ -213,7 +213,7 @@ func sameInstance(b, t *link.Instance) bool {
 		return false
 	}
 	for i := range b.Files {
-		if cmini.Print(b.Files[i]) != cmini.Print(t.Files[i]) {
+		if cmini.Print(b.RenamedFile(i)) != cmini.Print(t.RenamedFile(i)) {
 			return false
 		}
 	}

@@ -3,7 +3,6 @@ package oskit
 import (
 	"math"
 	"testing"
-	"time"
 
 	"knit/internal/knit/build"
 )
@@ -27,28 +26,46 @@ func TestUnitBoundaryOverhead(t *testing.T) {
 // TestBuildTimeBreakdown checks §6's implementation claims: most build
 // time is in the compiler/loader, not in Knit's own analyses, and
 // enabling constraint checking increases Knit-proper time.
+//
+// Each phase is timed by its minimum over interleaved rounds of
+// unchecked and checked FsKernel builds. Contention from other
+// processes only adds time to a phase, so the minimum keeps the cost of
+// each phase's work while shedding the delay a busy host adds to some
+// builds and not others; a mean, logged beside it, absorbs that delay
+// and with it a flaky share (Chen and Revels, "Robust benchmarking in
+// noisy environments", 2016).
 func TestBuildTimeBreakdown(t *testing.T) {
-	avg := func(check bool) (knit, total time.Duration) {
-		const rounds = 5
-		for i := 0; i < rounds; i++ {
+	const rounds = 25
+	var fastest, sum [2]build.Timings // unchecked and checked builds
+	for r := 0; r < rounds; r++ {
+		for i, check := range []bool{false, true} {
 			res, err := BuildKernel("FsKernel", build.Options{Check: check, Optimize: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			knit += res.Timings.KnitProper()
-			total += res.Timings.Total()
+			tm := res.Timings
+			sum[i].Add(tm)
+			if r == 0 {
+				fastest[i] = tm
+				continue
+			}
+			f := &fastest[i]
+			f.Parse, f.Elaborate, f.Check = min(f.Parse, tm.Parse), min(f.Elaborate, tm.Elaborate), min(f.Check, tm.Check)
+			f.Schedule, f.Flatten = min(f.Schedule, tm.Schedule), min(f.Flatten, tm.Flatten)
+			f.Compile, f.Link, f.Load = min(f.Compile, tm.Compile), min(f.Link, tm.Link), min(f.Load, tm.Load)
 		}
-		return knit / rounds, total / rounds
 	}
-	knitProper, total := avg(false)
+	knitProper, total := fastest[0].KnitProper(), fastest[0].Total()
 	frac := float64(total-knitProper) / float64(total)
-	t.Logf("compile+load fraction: %.1f%% (knit proper %v of %v)", 100*frac, knitProper, total)
+	mean := float64(sum[0].CompilerAndLoader()) / float64(sum[0].Total())
+	t.Logf("compile+load fraction: %.1f%% by phase minima over %d builds (knit proper %v of %v); %.1f%% by means",
+		100*frac, rounds, knitProper, total, 100*mean)
 	// The paper reports >95%; our cmini compiler is much cheaper than
 	// gcc, so require a majority rather than 95%.
 	if frac < 0.5 {
 		t.Errorf("compiler/loader fraction = %.2f, want > 0.5", frac)
 	}
-	knitChecked, _ := avg(true)
+	knitChecked := fastest[1].KnitProper()
 	if knitChecked <= knitProper/2 {
 		t.Errorf("constraint checking made knit-proper time smaller: %v vs %v",
 			knitChecked, knitProper)
