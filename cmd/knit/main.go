@@ -212,7 +212,8 @@ func main() {
 // files on the command line), and either runs the cheapest verified
 // assembly or enumerates the top-K distinct ones for the harnesses. An
 // unsatisfiable goal exits nonzero with the blocking constraint or
-// export named.
+// export named. Costs are priced on the interpreter whatever the
+// backend; the backend is the engine of -run.
 func runAssemble(goalPath string, useOskit bool, srcDir string, k int,
 	emitDir, runSpec string, arg int64, backend machine.Backend) {
 
@@ -248,10 +249,9 @@ func runAssemble(goalPath string, useOskit bool, srcDir string, k int,
 		repo = assemble.Repo{UnitFiles: unitFiles, Sources: sources}
 	}
 
-	opts := assemble.Options{Backend: backend}
 	start := time.Now()
 	if k > 0 {
-		asms, err := assemble.Enumerate(repo, goal, k, opts)
+		asms, err := assemble.Enumerate(repo, goal, k, assemble.Options{})
 		if err != nil {
 			fail(err)
 		}
@@ -265,7 +265,7 @@ func runAssemble(goalPath string, useOskit bool, srcDir string, k int,
 		return
 	}
 
-	best, err := assemble.Assemble(repo, goal, opts)
+	best, err := assemble.Assemble(repo, goal, assemble.Options{})
 	if err != nil {
 		fail(err)
 	}
@@ -279,6 +279,7 @@ func runAssemble(goalPath string, useOskit bool, srcDir string, k int,
 		if len(parts) != 2 {
 			fail(fmt.Errorf("-run wants bundle.symbol, got %q", runSpec))
 		}
+		best.Result.Backend = backend
 		m := best.Result.NewMachine()
 		con := machine.InstallConsole(m)
 		ser := machine.InstallSerial(m)

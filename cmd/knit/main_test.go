@@ -2,9 +2,12 @@ package main
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -250,4 +253,62 @@ func TestAssembleCLIUnsatExplains(t *testing.T) {
 	if !strings.Contains(unsat.Error(), "context") {
 		t.Errorf("explanation %q does not name the context constraint", unsat.Error())
 	}
+}
+
+// TestAssembleCostsIgnoreBackend: -backend picks the engine of -run and
+// nothing else. knit -assemble prints the same costs under both
+// engines, priced on the interpreter, while -run of the best assembly
+// executes the same instructions in fewer cycles on the compiled
+// engine, which has no fetch model.
+func TestAssembleCostsIgnoreBackend(t *testing.T) {
+	goals := filepath.Join("..", "..", "examples", "assemble", "src")
+	timing := regexp.MustCompile(` in [0-9.]+[a-zµ]+`)
+	assembleOut := func(goal string, k int, run string, be machine.Backend) string {
+		return timing.ReplaceAllString(captureStdout(t, func() {
+			runAssemble(filepath.Join(goals, goal), true, "", k, "", run, 5, be)
+		}), "")
+	}
+	for _, goal := range []string{"main.goal", "worker.goal"} {
+		interp := assembleOut(goal, 12, "", machine.BackendInterp)
+		if compiled := assembleOut(goal, 12, "", machine.BackendCompiled); compiled != interp {
+			t.Errorf("%s: costs depend on the backend\ninterp:\n%s\ncompiled:\n%s", goal, interp, compiled)
+		}
+	}
+
+	runLine := regexp.MustCompile(`\[(\d+) cycles, (\d+) instructions\]\n$`)
+	interp := assembleOut("hello.goal", 0, "main.kmain", machine.BackendInterp)
+	compiled := assembleOut("hello.goal", 0, "main.kmain", machine.BackendCompiled)
+	ri, rc := runLine.FindStringSubmatch(interp), runLine.FindStringSubmatch(compiled)
+	if ri == nil || rc == nil {
+		t.Fatalf("no run line in\n%s\nor\n%s", interp, compiled)
+	}
+	if strings.TrimSuffix(interp, ri[0]) != strings.TrimSuffix(compiled, rc[0]) {
+		t.Errorf("assembly differs by backend\ninterp:\n%s\ncompiled:\n%s", interp, compiled)
+	}
+	ci, _ := strconv.Atoi(ri[1])
+	cc, _ := strconv.Atoi(rc[1])
+	if ri[2] != rc[2] || cc >= ci {
+		t.Errorf("-run: interp %s cycles %s instructions, compiled %s cycles %s instructions; want the same instructions in fewer cycles",
+			ri[1], ri[2], rc[1], rc[2])
+	}
+}
+
+// captureStdout returns what f prints to standard output.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	f()
+	w.Close()
+	return <-out
 }

@@ -36,9 +36,6 @@ type Options struct {
 	// RankPool is how many verified assemblies to collect for cost
 	// ranking before stopping (default 8; Enumerate raises it to K).
 	RankPool int
-	// Backend selects the execution engine used to measure init cycles
-	// and by the returned Results.
-	Backend machine.Backend
 }
 
 const (
@@ -50,7 +47,7 @@ const (
 
 // Cost is the predicted price of running an assembly: the flattened
 // image's text size plus the cycles its init schedule takes on the
-// machine model.
+// interpreter's machine model, instruction-fetch stalls included.
 type Cost struct {
 	TextSize   int64
 	InitCycles int64
@@ -177,7 +174,7 @@ func enumerate(repo Repo, goal *Goal, k int, opts Options, workers int) ([]*Asse
 	name := assemblyName(reg, goal)
 	s := newSearcher(reg, goal, opts.MaxInstances, opts.MaxPerUnit, opts.RawBudget, pool, workers,
 		func(cand *candidate) (*Assembly, error) {
-			return verify(repo, goal, name, cand, cache, opts.Backend)
+			return verify(repo, goal, name, cand, cache)
 		})
 	s.run()
 
@@ -271,9 +268,11 @@ func assemblyName(reg *link.Registry, goal *Goal) string {
 // build it with the §4 checker on, re-check the goal's bounds against
 // the elaborated program, and run its init schedule transactionally on
 // a fresh machine (with the standard device builtins installed), timing
-// it for the cost model. It owns cand and only reads everything else,
-// so candidates verify concurrently on one cache.
-func verify(repo Repo, goal *Goal, name string, cand *candidate, cache *build.Cache, backend machine.Backend) (*Assembly, error) {
+// it for the cost model. The build's default engine, the interpreter,
+// prices every candidate, instruction-fetch stalls included. It owns
+// cand and only reads everything else, so candidates verify
+// concurrently on one cache.
+func verify(repo Repo, goal *Goal, name string, cand *candidate, cache *build.Cache) (*Assembly, error) {
 	cand.unit.Name = name
 	text := lang.Print(&lang.File{Units: []*lang.Unit{cand.unit}})
 	files := make(map[string]string, len(repo.UnitFiles)+1)
@@ -287,7 +286,6 @@ func verify(repo Repo, goal *Goal, name string, cand *candidate, cache *build.Ca
 		Sources:   repo.Sources,
 		Check:     true,
 		Cache:     cache,
-		Backend:   backend,
 	})
 	if err != nil {
 		return nil, err

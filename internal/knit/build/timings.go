@@ -46,7 +46,8 @@ func (t *Timings) Add(u Timings) {
 }
 
 // KnitProper is the time spent in Knit's own analyses — the paper's
-// "Knit-proper" number, which constraint checking more than doubles.
+// "Knit-proper" number, which its constraint checking more than
+// doubled.
 func (t Timings) KnitProper() time.Duration {
 	return t.Parse + t.Elaborate + t.Check + t.Schedule + t.Flatten
 }

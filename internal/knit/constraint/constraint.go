@@ -7,11 +7,16 @@
 // Variables are (instance, bundle) endpoints per property. Wiring an
 // import to an export equates the two endpoints. Constraints narrow each
 // variable's set of admissible values; an empty set is a composition
-// error, reported with the narrowing chain.
+// error, reported at the variable with the clause or relation that
+// emptied it.
+//
+// A property's values are bit positions, so a domain is one uint64 and
+// every narrowing is a mask operation.
 package constraint
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -20,60 +25,113 @@ import (
 	"knit/internal/knit/link"
 )
 
-// Poset is the partially ordered value set of one property.
+// maxValues is the most values a property may declare: a domain is one
+// uint64 with a bit per value.
+const maxValues = 64
+
+// Poset is the partially ordered value set of one property. Values[i]
+// is bit i, and up[i] holds every value >= Values[i].
 type Poset struct {
 	Name   string
 	Values []string
-	leq    map[[2]string]bool
+	up     []uint64
 }
 
 // NewPoset builds the reflexive-transitive order from a property
 // declaration.
 func NewPoset(p *lang.Property) (*Poset, error) {
-	ps := &Poset{Name: p.Name, leq: map[[2]string]bool{}}
-	have := map[string]bool{}
-	for _, v := range p.Values {
-		if have[v.Name] {
-			return nil, fmt.Errorf("property %s: value %q redeclared", p.Name, v.Name)
-		}
-		have[v.Name] = true
-		ps.Values = append(ps.Values, v.Name)
-		ps.leq[[2]string{v.Name, v.Name}] = true
+	if len(p.Values) > maxValues {
+		return nil, diag.Errorf(p.Pos, "property %s: %d values, at most %d are supported",
+			p.Name, len(p.Values), maxValues)
 	}
-	for _, v := range p.Values {
+	ps := &Poset{Name: p.Name}
+	for i, v := range p.Values {
+		if ps.index(v.Name) >= 0 {
+			return nil, diag.Errorf(v.Pos, "property %s: value %q redeclared", p.Name, v.Name)
+		}
+		ps.Values = append(ps.Values, v.Name)
+		ps.up = append(ps.up, 1<<i)
+	}
+	for i, v := range p.Values {
 		if v.Below == "" {
 			continue
 		}
-		if !have[v.Below] {
-			return nil, fmt.Errorf("property %s: %q declared below unknown value %q",
+		j := ps.index(v.Below)
+		if j < 0 {
+			return nil, diag.Errorf(v.Pos, "property %s: %q declared below unknown value %q",
 				p.Name, v.Name, v.Below)
 		}
-		ps.leq[[2]string{v.Name, v.Below}] = true
+		ps.up[i] |= 1 << j
 	}
-	// Transitive closure (Floyd–Warshall over the small value set).
-	for _, k := range ps.Values {
-		for _, i := range ps.Values {
-			for _, j := range ps.Values {
-				if ps.leq[[2]string{i, k}] && ps.leq[[2]string{k, j}] {
-					ps.leq[[2]string{i, j}] = true
-				}
+	// Transitive closure: Warshall over the bit rows.
+	for k := range ps.up {
+		for i := range ps.up {
+			if ps.up[i]&(1<<k) != 0 {
+				ps.up[i] |= ps.up[k]
 			}
 		}
 	}
 	return ps, nil
 }
 
-// Leq reports v <= w in the property order.
-func (ps *Poset) Leq(v, w string) bool { return ps.leq[[2]string{v, w}] }
-
-// Has reports whether v is a value of this property.
-func (ps *Poset) Has(v string) bool {
-	for _, x := range ps.Values {
+// index is v's bit position, or -1 when v is not a value.
+func (ps *Poset) index(v string) int {
+	for i, x := range ps.Values {
 		if x == v {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
+}
+
+// Leq reports v <= w in the property order.
+func (ps *Poset) Leq(v, w string) bool {
+	i, j := ps.index(v), ps.index(w)
+	return i >= 0 && j >= 0 && ps.up[i]&(1<<j) != 0
+}
+
+// all is the domain holding every value.
+func (ps *Poset) all() uint64 { return 1<<len(ps.Values) - 1 }
+
+// below is the set of values <= some value in m.
+func (ps *Poset) below(m uint64) uint64 {
+	var out uint64
+	for i, up := range ps.up {
+		if up&m != 0 {
+			out |= 1 << i
+		}
+	}
+	return out
+}
+
+// above is the set of values >= some value in m.
+func (ps *Poset) above(m uint64) uint64 {
+	var out uint64
+	for ; m != 0; m &= m - 1 {
+		out |= ps.up[bits.TrailingZeros64(m)]
+	}
+	return out
+}
+
+// admits is the set of values v with (v op Values[b]).
+func (ps *Poset) admits(op lang.ConstraintOp, b int) uint64 {
+	switch op {
+	case lang.OpLe:
+		return ps.below(1 << b)
+	case lang.OpGe:
+		return ps.up[b]
+	}
+	return 1 << b
+}
+
+// names lists the values in m, sorted.
+func (ps *Poset) names(m uint64) []string {
+	var out []string
+	for ; m != 0; m &= m - 1 {
+		out = append(out, ps.Values[bits.TrailingZeros64(m)])
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Var identifies a constraint variable: one bundle endpoint of an
@@ -120,9 +178,20 @@ type Report struct {
 	// Implicit counts propagation constraints added automatically for
 	// "property ... propagates" declarations (the §8 extension).
 	Implicit int
-	// Assignment holds, for each constrained variable, its admissible
-	// values after solving (sorted).
-	Assignment map[Var][]string
+
+	index map[Var]int // dense variable numbers
+	dom   []uint64    // each variable's admissible values
+	of    []*Poset    // each variable's property
+}
+
+// Domain returns v's admissible values after solving, sorted, or nil
+// when no constraint reaches v.
+func (r *Report) Domain(v Var) []string {
+	i, ok := r.index[v]
+	if !ok {
+		return nil
+	}
+	return r.of[i].names(r.dom[i])
 }
 
 // Check validates every constraint in the program. It returns a Report
@@ -142,93 +211,65 @@ func Check(prog *link.Program) (*Report, error) {
 // additional value constraints (an assembly goal's property bounds) on
 // endpoints of the configuration.
 func CheckAssembly(reg *link.Registry, instances []*link.Instance, bounds []Bound) (*Report, error) {
-	posets := map[string]*Poset{}
-	for name, p := range reg.Properties {
-		ps, err := NewPoset(p)
+	// Orders compile in name order, so of several malformed properties
+	// the same one is reported on every run.
+	names := sortedPropNames(reg)
+	posets := make([]*Poset, len(names))
+	byName := make(map[string]int, len(names))
+	for p, name := range names {
+		ps, err := NewPoset(reg.Properties[name])
 		if err != nil {
 			return nil, err
 		}
-		posets[name] = ps
+		posets[p], byName[name] = ps, p
 	}
 
-	type rel struct {
-		a, b Var // a <= b
+	report := &Report{index: map[Var]int{}}
+	var vars []Var
+	varOf := func(v Var, ps *Poset) int {
+		i, ok := report.index[v]
+		if !ok {
+			i = len(vars)
+			report.index[v] = i
+			vars = append(vars, v)
+			report.dom = append(report.dom, ps.all())
+			report.of = append(report.of, ps)
+		}
+		return i
 	}
-	domains := map[Var]map[string]bool{}
+	// narrow keeps v's values in keep and reports whether any remain.
+	narrow := func(v Var, ps *Poset, keep uint64) bool {
+		i := varOf(v, ps)
+		report.dom[i] &= keep
+		report.Narrowings++
+		return report.dom[i] != 0
+	}
+	type rel struct{ a, b int } // a <= b
 	var rels []rel
-	report := &Report{Assignment: map[Var][]string{}}
 
-	domainOf := func(v Var) map[string]bool {
-		if d, ok := domains[v]; ok {
-			return d
-		}
-		d := map[string]bool{}
-		for _, val := range posets[v.Prop].Values {
-			d[val] = true
-		}
-		domains[v] = d
-		return d
-	}
-
-	// expand resolves a constraint argument to variables. "imports" and
-	// "exports" expand to every import/export bundle of the instance.
-	expand := func(inst *link.Instance, prop, arg string) ([]Var, error) {
-		switch arg {
-		case lang.ImportsKeyword:
-			var out []Var
-			for _, b := range inst.Unit.Imports {
-				out = append(out, Var{inst, b.Local, prop})
-			}
-			return out, nil
-		case lang.ExportsKeyword:
-			var out []Var
-			for _, b := range inst.Unit.Exports {
-				out = append(out, Var{inst, b.Local, prop})
-			}
-			return out, nil
-		}
-		for _, b := range inst.Unit.Imports {
-			if b.Local == arg {
-				return []Var{{inst, arg, prop}}, nil
-			}
-		}
-		for _, b := range inst.Unit.Exports {
-			if b.Local == arg {
-				return []Var{{inst, arg, prop}}, nil
-			}
-		}
-		return nil, fmt.Errorf("%s: constraint names unknown bundle %q", inst.Path, arg)
-	}
-
-	// Gather constraints from every instance.
-	explicit := map[*link.Instance]map[string]bool{}
-	for _, inst := range instances {
+	// One pass over the instances' constraints applies each clause and
+	// records which properties each instance constrains itself
+	// (explicit, indexed instance-major) and which are constrained
+	// anywhere (used).
+	explicit := make([]bool, len(instances)*len(names))
+	used := make([]bool, len(names))
+	for i, inst := range instances {
 		for _, c := range inst.Unit.Constraints {
 			prop := c.LHS.Prop
 			if prop == "" {
 				prop = c.RHS.Prop
 			}
-			if explicit[inst] == nil {
-				explicit[inst] = map[string]bool{}
-			}
-			explicit[inst][prop] = true
-		}
-	}
-	for _, inst := range instances {
-		for _, c := range inst.Unit.Constraints {
-			prop := c.LHS.Prop
-			if prop == "" {
-				prop = c.RHS.Prop
-			}
-			ps, ok := posets[prop]
+			p, ok := byName[prop]
 			if !ok {
 				return nil, diag.Errorf(c.Pos, "%s: unknown property %q", inst.Path, prop)
 			}
-			lvars, err := expandRef(expand, inst, c.LHS, prop)
+			ps := posets[p]
+			explicit[i*len(names)+p], used[p] = true, true
+			lvars, err := expandRef(inst, c.LHS, prop)
 			if err != nil {
 				return nil, &diag.Error{Pos: c.Pos, Err: err}
 			}
-			rvars, err := expandRef(expand, inst, c.RHS, prop)
+			rvars, err := expandRef(inst, c.RHS, prop)
 			if err != nil {
 				return nil, &diag.Error{Pos: c.Pos, Err: err}
 			}
@@ -236,28 +277,26 @@ func CheckAssembly(reg *link.Registry, instances []*link.Instance, bounds []Boun
 			// relational.
 			switch {
 			case c.RHS.IsValue():
-				if !ps.Has(c.RHS.Value) {
+				b := ps.index(c.RHS.Value)
+				if b < 0 {
 					return nil, diag.Errorf(c.Pos, "%s: %q is not a value of property %s",
 						inst.Path, c.RHS.Value, prop)
 				}
 				for _, v := range lvars {
-					narrow(domainOf(v), ps, c.Op, c.RHS.Value)
-					report.Narrowings++
-					if len(domainOf(v)) == 0 {
+					if !narrow(v, ps, ps.admits(c.Op, b)) {
 						return nil, &Violation{Var: v, Reason: fmt.Sprintf(
 							"no value satisfies %s %s %s (declared at %s)",
 							v, c.Op, c.RHS.Value, c.Pos)}
 					}
 				}
 			case c.LHS.IsValue():
-				if !ps.Has(c.LHS.Value) {
+				b := ps.index(c.LHS.Value)
+				if b < 0 {
 					return nil, diag.Errorf(c.Pos, "%s: %q is not a value of property %s",
 						inst.Path, c.LHS.Value, prop)
 				}
 				for _, v := range rvars {
-					narrow(domainOf(v), ps, flip(c.Op), c.LHS.Value)
-					report.Narrowings++
-					if len(domainOf(v)) == 0 {
+					if !narrow(v, ps, ps.admits(flip(c.Op), b)) {
 						return nil, &Violation{Var: v, Reason: fmt.Sprintf(
 							"no value satisfies %s %s %s (declared at %s)",
 							c.LHS.Value, c.Op, v, c.Pos)}
@@ -266,13 +305,14 @@ func CheckAssembly(reg *link.Registry, instances []*link.Instance, bounds []Boun
 			default:
 				for _, lv := range lvars {
 					for _, rv := range rvars {
+						a, b := varOf(lv, ps), varOf(rv, ps)
 						switch c.Op {
 						case lang.OpLe:
-							rels = append(rels, rel{lv, rv})
+							rels = append(rels, rel{a, b})
 						case lang.OpGe:
-							rels = append(rels, rel{rv, lv})
+							rels = append(rels, rel{b, a})
 						case lang.OpEq:
-							rels = append(rels, rel{lv, rv}, rel{rv, lv})
+							rels = append(rels, rel{a, b}, rel{b, a})
 						}
 						report.Relations++
 					}
@@ -284,17 +324,18 @@ func CheckAssembly(reg *link.Registry, instances []*link.Instance, bounds []Boun
 	// External bounds (assembly goals) narrow their endpoint's domain
 	// like a declared value constraint would.
 	for _, bd := range bounds {
-		ps, ok := posets[bd.Var.Prop]
+		p, ok := byName[bd.Var.Prop]
 		if !ok {
 			return nil, fmt.Errorf("knit: bound %s: unknown property %q", bd, bd.Var.Prop)
 		}
-		if !ps.Has(bd.Value) {
+		ps := posets[p]
+		b := ps.index(bd.Value)
+		if b < 0 {
 			return nil, fmt.Errorf("knit: bound %s: %q is not a value of property %s",
 				bd, bd.Value, bd.Var.Prop)
 		}
-		narrow(domainOf(bd.Var), ps, bd.Op, bd.Value)
-		report.Narrowings++
-		if len(domainOf(bd.Var)) == 0 {
+		used[p] = true
+		if !narrow(bd.Var, ps, ps.admits(bd.Op, b)) {
 			return nil, &Violation{Var: bd.Var, Reason: fmt.Sprintf(
 				"no value satisfies the goal bound %s %s %s", bd.Var, bd.Op, bd.Value)}
 		}
@@ -304,28 +345,20 @@ func CheckAssembly(reg *link.Registry, instances []*link.Instance, bounds []Boun
 	// property declared "propagates", any unit without explicit
 	// constraints on that property behaves as if it declared
 	// p(exports) <= p(imports).
-	for _, name := range sortedPropNames(reg) {
-		p := reg.Properties[name]
-		if !p.Propagates {
+	for p, ps := range posets {
+		if !reg.Properties[ps.Name].Propagates {
 			continue
 		}
-		if _, ok := posets[name]; !ok {
-			continue
-		}
-		for _, inst := range instances {
-			if explicit[inst][name] {
-				continue
-			}
-			if len(inst.Unit.Imports) == 0 || len(inst.Unit.Exports) == 0 {
+		used[p] = true
+		for i, inst := range instances {
+			if explicit[i*len(names)+p] {
 				continue
 			}
 			for _, exp := range inst.Unit.Exports {
 				for _, imp := range inst.Unit.Imports {
-					ev := Var{inst, exp.Local, name}
-					iv := Var{inst, imp.Local, name}
-					domainOf(ev)
-					domainOf(iv)
-					rels = append(rels, rel{ev, iv})
+					rels = append(rels, rel{
+						varOf(Var{inst, exp.Local, ps.Name}, ps),
+						varOf(Var{inst, imp.Local, ps.Name}, ps)})
 					report.Implicit++
 				}
 			}
@@ -335,105 +368,61 @@ func CheckAssembly(reg *link.Registry, instances []*link.Instance, bounds []Boun
 	// Wiring equates import endpoints with their providers' export
 	// endpoints, for every property that is constrained anywhere in the
 	// program (so narrowings propagate along arbitrary wiring chains).
-	usedProps := map[string]bool{}
-	for name, p := range reg.Properties {
-		if p.Propagates {
-			usedProps[name] = true
-		}
-	}
-	for _, inst := range instances {
-		for _, c := range inst.Unit.Constraints {
-			if c.LHS.Prop != "" {
-				usedProps[c.LHS.Prop] = true
-			}
-			if c.RHS.Prop != "" {
-				usedProps[c.RHS.Prop] = true
-			}
-		}
-	}
-	for _, bd := range bounds {
-		usedProps[bd.Var.Prop] = true
-	}
 	// Sorted property order keeps the relation list — and therefore
 	// which of several simultaneous violations gets reported — stable
 	// across runs.
-	propOrder := keys(usedProps)
 	for _, inst := range instances {
 		for _, imp := range inst.Unit.Imports {
 			w := inst.ImportWires[imp.Local]
 			if w == nil || w.Provider == nil {
 				continue
 			}
-			for _, prop := range propOrder {
-				if _, known := posets[prop]; !known {
+			for p, ps := range posets {
+				if !used[p] {
 					continue
 				}
-				a := Var{inst, imp.Local, prop}
-				b := Var{w.Provider, w.Bundle, prop}
-				domainOf(a)
-				domainOf(b)
+				a := varOf(Var{inst, imp.Local, ps.Name}, ps)
+				b := varOf(Var{w.Provider, w.Bundle, ps.Name}, ps)
 				rels = append(rels, rel{a, b}, rel{b, a})
 			}
 		}
 	}
 
-	// AC-3-style fixpoint over the relational constraints.
-	changed := true
-	for changed {
+	// AC-3-style fixpoint over the relational constraints: each sweep
+	// keeps the values of a under some value of b, then the values of b
+	// over some kept value of a, until a sweep changes nothing.
+	dom := report.dom
+	for changed := true; changed; {
 		changed = false
 		for _, r := range rels {
-			ps := posets[r.a.Prop]
-			da, db := domainOf(r.a), domainOf(r.b)
-			// Prune va without any vb >= va.
-			for va := range da {
-				ok := false
-				for vb := range db {
-					if ps.Leq(va, vb) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					delete(da, va)
-					changed = true
-				}
-			}
-			if len(da) == 0 {
-				return nil, &Violation{Var: r.a, Reason: fmt.Sprintf(
+			ps := report.of[r.a]
+			da, db := dom[r.a], dom[r.b]
+			na := da & ps.below(db)
+			if na == 0 {
+				return nil, &Violation{Var: vars[r.a], Reason: fmt.Sprintf(
 					"no admissible value: must be <= some value of %s, whose domain is {%s}",
-					r.b, strings.Join(keys(db), ", "))}
+					vars[r.b], strings.Join(ps.names(db), ", "))}
 			}
-			// Prune vb without any va <= vb.
-			for vb := range db {
-				ok := false
-				for va := range da {
-					if ps.Leq(va, vb) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					delete(db, vb)
-					changed = true
-				}
-			}
-			if len(db) == 0 {
-				return nil, &Violation{Var: r.b, Reason: fmt.Sprintf(
+			dom[r.a] = na
+			nb := db & ps.above(na)
+			if nb == 0 {
+				return nil, &Violation{Var: vars[r.b], Reason: fmt.Sprintf(
 					"no admissible value: must be >= some value of %s, whose domain is {%s}",
-					r.a, strings.Join(keys(da), ", "))}
+					vars[r.a], strings.Join(ps.names(na), ", "))}
 			}
+			dom[r.b] = nb
+			changed = changed || na != da || nb != db
 		}
 	}
 
-	report.Vars = len(domains)
-	for v, d := range domains {
-		report.Assignment[v] = keys(d)
-	}
+	report.Vars = len(vars)
 	return report, nil
 }
 
-func expandRef(expand func(*link.Instance, string, string) ([]Var, error),
-	inst *link.Instance, r lang.Ref, prop string) ([]Var, error) {
+// expandRef resolves a constraint operand to variables: none for a
+// value, and for prop(arg) the named bundle, or every import or export
+// bundle of the instance for the "imports" and "exports" keywords.
+func expandRef(inst *link.Instance, r lang.Ref, prop string) ([]Var, error) {
 	if r.IsValue() {
 		return nil, nil
 	}
@@ -441,25 +430,30 @@ func expandRef(expand func(*link.Instance, string, string) ([]Var, error),
 		return nil, fmt.Errorf("%s: constraint mixes properties %q and %q",
 			inst.Path, prop, r.Prop)
 	}
-	return expand(inst, prop, r.Arg)
-}
-
-// narrow prunes d to values v with (v op bound).
-func narrow(d map[string]bool, ps *Poset, op lang.ConstraintOp, bound string) {
-	for v := range d {
-		keep := false
-		switch op {
-		case lang.OpEq:
-			keep = v == bound
-		case lang.OpLe:
-			keep = ps.Leq(v, bound)
-		case lang.OpGe:
-			keep = ps.Leq(bound, v)
+	var out []Var
+	switch r.Arg {
+	case lang.ImportsKeyword:
+		for _, b := range inst.Unit.Imports {
+			out = append(out, Var{inst, b.Local, prop})
 		}
-		if !keep {
-			delete(d, v)
+		return out, nil
+	case lang.ExportsKeyword:
+		for _, b := range inst.Unit.Exports {
+			out = append(out, Var{inst, b.Local, prop})
+		}
+		return out, nil
+	}
+	for _, b := range inst.Unit.Imports {
+		if b.Local == r.Arg {
+			return []Var{{inst, r.Arg, prop}}, nil
 		}
 	}
+	for _, b := range inst.Unit.Exports {
+		if b.Local == r.Arg {
+			return []Var{{inst, r.Arg, prop}}, nil
+		}
+	}
+	return nil, fmt.Errorf("%s: constraint names unknown bundle %q", inst.Path, r.Arg)
 }
 
 // flip mirrors an operator for "value op var" forms.
@@ -477,15 +471,6 @@ func sortedPropNames(reg *link.Registry) []string {
 	out := make([]string, 0, len(reg.Properties))
 	for name := range reg.Properties {
 		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func keys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out

@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -364,6 +365,38 @@ unit T = { exports [ a : A ]; link { [a] <- P <- []; }; }
 	}
 }
 
+// TestPropertyErrors: a malformed property is refused at the offending
+// declaration, whether or not a clause uses it.
+func TestPropertyErrors(t *testing.T) {
+	var many strings.Builder
+	many.WriteString("property wide\n")
+	for i := 0; i <= maxValues; i++ {
+		fmt.Fprintf(&many, "type W%d\n", i)
+	}
+	cases := []struct{ name, props, want, pos string }{
+		{"value redeclared", contextHeader + "type NoContext\n", `value "NoContext" redeclared`, "5:1"},
+		{"below unknown value", contextHeader + "type Blocked < Ghost\n", `declared below unknown value "Ghost"`, "5:1"},
+		{"too many values", contextHeader + many.String(), "65 values, at most 64", "5:1"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			units := c.props + `
+bundletype A = { fa }
+unit P = { exports [ a : A ]; files { "a.c" }; constraints { context(a) = NoContext; }; }
+unit T = { exports [ a : A ]; link { [a] <- P <- []; }; }
+`
+			p := elabProgram(t, units, "T", link.Sources{"a.c": `int fa(void) { return 1; }`})
+			_, err := Check(p)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %v, want one containing %q", err, c.want)
+			}
+			if got := diagtest.At(t, err, units); got != c.pos {
+				t.Errorf("error %q at %s, want %s", err, got, c.pos)
+			}
+		})
+	}
+}
+
 func TestPosetConstruction(t *testing.T) {
 	p := &lang.Property{Name: "ctx", Values: []lang.PropValue{
 		{Name: "Top"},
@@ -443,5 +476,29 @@ func TestQuickPosetPartialOrderAxioms(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWidestProperty: a property may declare 64 values, one per bit of
+// a domain.
+func TestWidestProperty(t *testing.T) {
+	var units strings.Builder
+	units.WriteString("property wide\ntype W0\n")
+	for i := 1; i < maxValues; i++ {
+		fmt.Fprintf(&units, "type W%d < W%d\n", i, i-1)
+	}
+	units.WriteString(`
+bundletype A = { fa }
+unit P = { exports [ a : A ]; files { "a.c" }; constraints { wide(a) <= W62; }; }
+unit T = { exports [ a : A ]; link { [a] <- P <- []; }; }
+`)
+	p := elabProgram(t, units.String(), "T", link.Sources{"a.c": `int fa(void) { return 1; }`})
+	report, err := Check(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Var{Inst: p.Exports["a"].Provider, Bundle: "a", Prop: "wide"}
+	if got := strings.Join(report.Domain(a), ","); got != "W62,W63" {
+		t.Errorf("domain of %s = %s, want W62,W63", a, got)
 	}
 }

@@ -492,34 +492,3 @@ func TestApplyFailingInitRollsBack(t *testing.T) {
 		t.Fatalf("c.get after recovery upgrade = %d, want 212", v)
 	}
 }
-
-func TestRewireHookTracesPlanSteps(t *testing.T) {
-	res := buildChain(t, "B")
-	m := res.NewMachine()
-	if err := res.RunInit(m); err != nil {
-		t.Fatal(err)
-	}
-	var ops []string
-	m.RewireHook = func(op, sym, target string) { ops = append(ops, op) }
-	plan, err := Diff(res, target("B2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := plan.Apply(m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, op := range ops {
-		counts[op]++
-	}
-	if counts["load"] != 1 || counts["interpose"] != 1 {
-		t.Fatalf("hook saw %v, want one load and one interpose", counts)
-	}
-	ops = nil
-	a.Rollback()
-	_ = a.VerifyRolledBack()
-	if len(ops) != 0 {
-		t.Fatalf("snapshot rollback fired rewire ops %v; Restore is wholesale, not stepwise", ops)
-	}
-}

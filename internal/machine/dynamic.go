@@ -236,9 +236,6 @@ func (m *M) LoadDynamicAs(name, owner string, o *obj.File) error {
 	// New definitions can satisfy call sites previously resolved to a
 	// builtin or to undefined; drop the compiled dispatch caches.
 	m.dispVersion++
-	if m.RewireHook != nil {
-		m.RewireHook("load", name, "")
-	}
 	return nil
 }
 
@@ -372,9 +369,6 @@ func (m *M) UnloadDynamic(name string) error {
 		m.dyn = nil
 	}
 	m.dispVersion++ // call sites cached onto the module are dead
-	if m.RewireHook != nil {
-		m.RewireHook("unload", name, "")
-	}
 	return nil
 }
 

@@ -51,9 +51,6 @@ func (m *M) Interpose(sym, target string) error {
 	// invalidate them all so the very next call to sym (even one made by
 	// a frame already running) lands on the replacement.
 	m.dispVersion++
-	if m.RewireHook != nil {
-		m.RewireHook("interpose", sym, final)
-	}
 	return nil
 }
 
@@ -62,9 +59,6 @@ func (m *M) Interpose(sym, target string) error {
 func (m *M) Unpose(sym string) {
 	delete(m.redirect, sym)
 	m.dispVersion++ // drop compiled dispatch caches holding the redirect
-	if m.RewireHook != nil {
-		m.RewireHook("unpose", sym, "")
-	}
 }
 
 // Interposed reports where calls to sym currently land: the redirect

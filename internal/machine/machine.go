@@ -374,15 +374,6 @@ type M struct {
 	// predictable branch per call; the hook must not run simulated code
 	// on m.
 	PostCall func(CallInfo)
-	// RewireHook, when non-nil, observes the live-rewiring operations on
-	// this machine: op is "interpose", "unpose", "load", or "unload"; sym
-	// is the affected function symbol or module name; target is the
-	// redirect destination (empty for everything but "interpose"). The
-	// reconfiguration layer rides on it to trace plan-step execution and
-	// tests use it to pin down exactly which steps touched a machine. The
-	// hook fires after the operation has committed and must not run
-	// simulated code on m.
-	RewireHook func(op, sym, target string)
 
 	sp         int64
 	stackLimit int64   // frames may not grow past this (dynamic data follows)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"knit/internal/knit/build"
+	"knit/internal/knit/constraint"
 )
 
 // TestBottomHalfKernel is the safe version of BadIrqKernel: interrupts
@@ -19,16 +20,14 @@ func TestBottomHalfKernel(t *testing.T) {
 	// Per-bundle granularity: the checker assigned different domains to
 	// the two bundles of the same instance.
 	var enqDomain, drainDomain string
-	for v, dom := range res.ConstraintReport.Assignment {
-		if v.Inst.Unit.Name != "DeferredWork" {
+	for _, inst := range res.Program.Instances {
+		if inst.Unit.Name != "DeferredWork" {
 			continue
 		}
-		switch v.Bundle {
-		case "enq":
-			enqDomain = strings.Join(dom, ",")
-		case "drain":
-			drainDomain = strings.Join(dom, ",")
+		domain := func(bundle string) string {
+			return strings.Join(res.ConstraintReport.Domain(constraint.Var{Inst: inst, Bundle: bundle, Prop: "context"}), ",")
 		}
+		enqDomain, drainDomain = domain("enq"), domain("drain")
 	}
 	if enqDomain != "NoContext" {
 		t.Errorf("enq domain = %q, want NoContext", enqDomain)
