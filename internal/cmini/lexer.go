@@ -55,8 +55,13 @@ func (l *Lexer) skipSpaceAndComments() error {
 	for l.off < len(l.src) {
 		c := l.peek()
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
+		case c == ' ' || c == '\t' || c == '\r':
+			l.off++
+			l.col++
+		case c == '\n':
+			l.off++
+			l.line++
+			l.col = 1
 		case c == '/' && l.peek2() == '/':
 			for l.off < len(l.src) && l.peek() != '\n' {
 				l.advance()
@@ -91,29 +96,53 @@ func isIdentStart(c byte) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-func isIdentCont(c byte) bool { return isIdentStart(c) || isDigit(c) }
+// identCont marks the bytes that continue an identifier.
+var identCont = func() (t [256]bool) {
+	for c := range t {
+		t[c] = isIdentStart(byte(c)) || isDigit(byte(c))
+	}
+	return t
+}()
+
+// skipIdent moves past the identifier bytes from the current offset,
+// none of which is a newline.
+func (l *Lexer) skipIdent() {
+	i := l.off
+	for i < len(l.src) && identCont[l.src[i]] {
+		i++
+	}
+	l.col += i - l.off
+	l.off = i
+}
 
 // Next returns the next token, or an error for malformed input.
 func (l *Lexer) Next() (Token, error) {
-	if err := l.skipSpaceAndComments(); err != nil {
+	var t Token
+	if err := l.scan(&t); err != nil {
 		return Token{}, err
 	}
-	p := l.pos()
+	return t, nil
+}
+
+// scan lexes the next token into *t, overwriting all of it, or returns
+// an error for malformed input. Windows lex straight into their slots.
+func (l *Lexer) scan(t *Token) error {
+	if err := l.skipSpaceAndComments(); err != nil {
+		return err
+	}
+	t.Pos, t.Lit = l.pos(), ""
 	if l.off >= len(l.src) {
-		return Token{Kind: EOF, Pos: p}, nil
+		t.Kind = EOF
+		return nil
 	}
 	c := l.peek()
 	switch {
 	case isIdentStart(c):
 		start := l.off
-		for l.off < len(l.src) && isIdentCont(l.peek()) {
-			l.advance()
-		}
-		word := l.src[start:l.off]
-		if kw, ok := keywords[word]; ok {
-			return Token{Kind: kw, Lit: word, Pos: p}, nil
-		}
-		return Token{Kind: IDENT, Lit: word, Pos: p}, nil
+		l.skipIdent()
+		t.Lit = l.src[start:l.off]
+		t.Kind = keyword(t.Lit)
+		return nil
 	case isDigit(c):
 		start := l.off
 		hex := false
@@ -130,64 +159,67 @@ func (l *Lexer) Next() (Token, error) {
 				break
 			}
 		}
-		return Token{Kind: INT, Lit: l.src[start:l.off], Pos: p}, nil
+		t.Kind, t.Lit = INT, l.src[start:l.off]
+		return nil
 	case c == '"':
-		return l.lexString(p)
+		return l.lexString(t)
 	case c == '\'':
-		return l.lexChar(p)
+		return l.lexChar(t)
 	}
-	return l.lexOperator(p)
+	return l.lexOperator(t)
 }
 
-func (l *Lexer) lexString(p diag.Pos) (Token, error) {
+func (l *Lexer) lexString(t *Token) error {
 	l.advance() // opening quote
 	var b strings.Builder
 	for {
 		if l.off >= len(l.src) {
-			return Token{}, diag.Errorf(p, "unterminated string literal")
+			return diag.Errorf(t.Pos, "unterminated string literal")
 		}
 		c := l.advance()
 		if c == '"' {
-			return Token{Kind: STRING, Lit: b.String(), Pos: p}, nil
+			t.Kind, t.Lit = STRING, b.String()
+			return nil
 		}
 		if c == '\\' {
 			if l.off >= len(l.src) {
-				return Token{}, diag.Errorf(p, "unterminated string escape")
+				return diag.Errorf(t.Pos, "unterminated string escape")
 			}
 			e, err := unescape(l.advance())
 			if err != nil {
-				return Token{}, &diag.Error{Pos: p, Err: err}
+				return &diag.Error{Pos: t.Pos, Err: err}
 			}
 			b.WriteByte(e)
 			continue
 		}
 		if c == '\n' {
-			return Token{}, diag.Errorf(p, "newline in string literal")
+			return diag.Errorf(t.Pos, "newline in string literal")
 		}
 		b.WriteByte(c)
 	}
 }
 
-func (l *Lexer) lexChar(p diag.Pos) (Token, error) {
+func (l *Lexer) lexChar(t *Token) error {
 	l.advance() // opening quote
 	if l.off >= len(l.src) {
-		return Token{}, diag.Errorf(p, "unterminated char literal")
+		return diag.Errorf(t.Pos, "unterminated char literal")
 	}
 	c := l.advance()
 	if c == '\\' {
 		if l.off >= len(l.src) {
-			return Token{}, diag.Errorf(p, "unterminated char escape")
+			return diag.Errorf(t.Pos, "unterminated char escape")
 		}
 		e, err := unescape(l.advance())
 		if err != nil {
-			return Token{}, &diag.Error{Pos: p, Err: err}
+			return &diag.Error{Pos: t.Pos, Err: err}
 		}
 		c = e
 	}
 	if l.off >= len(l.src) || l.advance() != '\'' {
-		return Token{}, diag.Errorf(p, "unterminated char literal")
+		return diag.Errorf(t.Pos, "unterminated char literal")
 	}
-	return Token{Kind: CHAR, Lit: string(c), Pos: p}, nil
+	t.Kind, t.Lit = CHAR, string(c)
+	return nil
 }
 
 func unescape(c byte) (byte, error) {
@@ -253,12 +285,12 @@ var (
 
 // lexOperator lexes punctuation and operators, longest match first,
 // looking the first byte up in the operator tables.
-func (l *Lexer) lexOperator(p diag.Pos) (Token, error) {
+func (l *Lexer) lexOperator(t *Token) error {
 	c, c1 := l.peek(), l.peek2()
 	k, n := opAlone[c], 1
 	switch {
 	case k == EOF:
-		return Token{}, diag.Errorf(p, "unexpected character %q", c)
+		return diag.Errorf(t.Pos, "unexpected character %q", c)
 	case c1 == '=' && opEq[c] != EOF:
 		k, n = opEq[c], 2
 	case c1 == c && opDoubled[c] != EOF:
@@ -274,7 +306,8 @@ func (l *Lexer) lexOperator(p diag.Pos) (Token, error) {
 	}
 	l.off += n // operators hold no newline
 	l.col += n
-	return Token{Kind: k, Pos: p}, nil
+	t.Kind = k
+	return nil
 }
 
 // LexAll tokenizes the whole input, returning every token up to and
@@ -318,7 +351,7 @@ const badTok Tok = -1
 // NewWindow returns a window on the first token of src.
 func NewWindow(file, src string) *Window {
 	w := &Window{lex: Lexer{file: file, src: src, line: 1, col: 1}}
-	w.cur = w.lexNext()
+	w.lexNext(&w.cur)
 	return w
 }
 
@@ -330,7 +363,7 @@ func (w *Window) Cur() *Token { return &w.cur }
 // 1 or 2. It changes when the window moves: copy it to keep it.
 func (w *Window) Peek(ahead int) *Token {
 	for w.n < ahead {
-		w.ahead[w.n] = w.lexNext()
+		w.lexNext(&w.ahead[w.n])
 		w.n++
 	}
 	return &w.ahead[ahead-1]
@@ -340,7 +373,7 @@ func (w *Window) Peek(ahead int) *Token {
 func (w *Window) Next() Token {
 	t := w.cur
 	if w.n == 0 {
-		w.cur = w.lexNext()
+		w.lexNext(&w.cur)
 		return t
 	}
 	w.cur, w.ahead[0] = w.ahead[0], w.ahead[1]
@@ -348,17 +381,17 @@ func (w *Window) Next() Token {
 	return t
 }
 
-func (w *Window) lexNext() Token {
-	if w.err != nil {
-		return w.bad
+// lexNext lexes the next token into *t.
+func (w *Window) lexNext(t *Token) {
+	if w.err == nil {
+		err := w.lex.scan(t)
+		if err == nil {
+			return
+		}
+		w.err = err
+		w.bad = Token{Kind: badTok, Pos: err.(*diag.Error).Pos} // the lexer's errors are all positioned
 	}
-	t, err := w.lex.Next()
-	if err == nil {
-		return t
-	}
-	w.err = err
-	w.bad = Token{Kind: badTok, Pos: err.(*diag.Error).Pos} // the lexer's errors are all positioned
-	return w.bad
+	*t = w.bad
 }
 
 // Err returns the error to report for a parse that ended with err, nil

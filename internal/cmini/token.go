@@ -126,12 +126,44 @@ func (t Tok) String() string {
 	return fmt.Sprintf("Tok(%d)", int(t))
 }
 
-var keywords = map[string]Tok{
-	"int": KwInt, "char": KwChar, "void": KwVoid, "fn": KwFn,
-	"struct": KwStruct, "static": KwStatic, "extern": KwExtern,
-	"if": KwIf, "else": KwElse, "while": KwWhile, "for": KwFor,
-	"return": KwReturn, "break": KwBreak, "continue": KwContinue,
-	"sizeof": KwSizeof, "NULL": KwNull,
+// keyword returns the keyword word spells, or IDENT when it spells
+// none.
+func keyword(word string) Tok {
+	switch word {
+	case "int":
+		return KwInt
+	case "char":
+		return KwChar
+	case "void":
+		return KwVoid
+	case "fn":
+		return KwFn
+	case "struct":
+		return KwStruct
+	case "static":
+		return KwStatic
+	case "extern":
+		return KwExtern
+	case "if":
+		return KwIf
+	case "else":
+		return KwElse
+	case "while":
+		return KwWhile
+	case "for":
+		return KwFor
+	case "return":
+		return KwReturn
+	case "break":
+		return KwBreak
+	case "continue":
+		return KwContinue
+	case "sizeof":
+		return KwSizeof
+	case "NULL":
+		return KwNull
+	}
+	return IDENT
 }
 
 // Token is a single lexed token with its position and literal text.

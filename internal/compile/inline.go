@@ -83,6 +83,7 @@ func inlineCalls(f *obj.File, fn *obj.Func, inlineLimit, growthLimit int) bool {
 	}
 	siteSet := map[int]bool{}
 	budget := growthLimit - len(fn.Code)
+	size := len(fn.Code) // of the rewritten code
 	for _, i := range sites {
 		callee := f.Funcs[fn.Code[i].Sym]
 		cost := len(callee.Code) + callee.NArgs
@@ -91,6 +92,14 @@ func inlineCalls(f *obj.File, fn *obj.Func, inlineLimit, growthLimit int) bool {
 		}
 		budget -= cost
 		siteSet[i] = true
+		// The call becomes the argument moves and the body, in which a
+		// return with a value is two instructions.
+		size += cost - 1
+		for ci := range callee.Code {
+			if callee.Code[ci].Op == obj.OpRet && callee.Code[ci].HasVal {
+				size++
+			}
+		}
 	}
 	if len(siteSet) == 0 {
 		return false
@@ -99,7 +108,7 @@ func inlineCalls(f *obj.File, fn *obj.Func, inlineLimit, growthLimit int) bool {
 	// Rebuild the code with splices. newIndex maps old caller indexes to
 	// new ones for target fixup (old index len(code) maps to new end).
 	newIndex := make([]int, len(fn.Code)+1)
-	var out []obj.Instr
+	out := make([]obj.Instr, 0, size)
 	type retFix struct {
 		at   int // index in out of the jump emitted for an inlined return
 		site int // call site (old index); continuation = newIndex[site+1]

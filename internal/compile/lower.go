@@ -2,6 +2,8 @@ package compile
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"knit/internal/cmini"
 	"knit/internal/diag"
@@ -88,12 +90,19 @@ func lower(f *cmini.File) (*obj.File, error) {
 	if err != nil {
 		return nil, err
 	}
+	buf := codePool.Get().(*[]obj.Instr)
 	c := &compiler{
 		file:    f,
 		out:     obj.NewFile(f.Name),
 		structs: structs,
 		globals: map[string]*globalInfo{},
+		code:    *buf,
 	}
+	defer func() {
+		clear(c.code[:c.used]) // let go of the functions' symbols and argument lists
+		*buf = c.code[:0]
+		codePool.Put(buf)
+	}()
 	if err := c.collectGlobals(); err != nil {
 		return nil, err
 	}
@@ -130,7 +139,16 @@ type compiler struct {
 	out     *obj.File
 	structs map[string]*structLayout
 	globals map[string]*globalInfo
+	// code is the buffer the file's functions are lowered into, one
+	// after another, and used the most of it any function did. Each
+	// function keeps a copy of exactly its code.
+	code []obj.Instr
+	used int
 }
+
+// codePool keeps the buffers files are lowered into, and the capacity
+// they have grown, for the next file.
+var codePool = sync.Pool{New: func() any { return new([]obj.Instr) }}
 
 func (c *compiler) collectGlobals() error {
 	for _, d := range c.file.Decls {
@@ -256,7 +274,7 @@ func (c *compiler) emitFunc(d *cmini.FuncDecl, order int) error {
 	fc := &funcCompiler{
 		compiler: c,
 		decl:     d,
-		fn:       &obj.Func{Name: d.Name, NArgs: len(d.Params), Order: order},
+		fn:       &obj.Func{Name: d.Name, NArgs: len(d.Params), Order: order, Code: c.code[:0]},
 		locals:   map[string][]*localInfo{},
 	}
 	addrTaken := map[string]bool{}
@@ -284,6 +302,8 @@ func (c *compiler) emitFunc(d *cmini.FuncDecl, order int) error {
 	}
 	// Implicit return for functions that fall off the end.
 	fc.emit(obj.Instr{Op: obj.OpRet, A: obj.NoReg})
+	c.code, c.used = fc.fn.Code, max(c.used, len(fc.fn.Code))
+	fc.fn.Code = slices.Clone(c.code)
 	c.out.Funcs[d.Name] = fc.fn
 	c.out.AddSym(&obj.Symbol{Name: d.Name, Kind: obj.SymFunc, Defined: true, Local: d.Static})
 	return nil

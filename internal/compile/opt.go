@@ -64,7 +64,14 @@ func basicBlocks(fn *obj.Func) []basicBlock {
 			leader[i+1] = true
 		}
 	}
-	var blocks []basicBlock
+	nblocks := 0
+	for _, l := range leader[:n] {
+		if l {
+			nblocks++
+		}
+	}
+	blocks := make([]basicBlock, 0, nblocks)
+	edges := make([]int, 0, 2*nblocks) // every block's succs, at most two each
 	blockAt := make([]int, n)
 	for i := 0; i < n; {
 		j := i + 1
@@ -79,9 +86,10 @@ func basicBlocks(fn *obj.Func) []basicBlock {
 	}
 	for b := range blocks {
 		blk := &blocks[b]
+		from := len(edges)
 		edge := func(to int) {
 			if to < n {
-				blk.succs = append(blk.succs, blockAt[to])
+				edges = append(edges, blockAt[to])
 			}
 		}
 		switch last := &fn.Code[blk.end-1]; last.Op {
@@ -94,6 +102,7 @@ func basicBlocks(fn *obj.Func) []basicBlock {
 		default:
 			edge(blk.end)
 		}
+		blk.succs = edges[from:len(edges):len(edges)]
 	}
 	return blocks
 }
@@ -554,9 +563,9 @@ func reachable(fn *obj.Func) []bool {
 	return seen
 }
 
-// compact rebuilds fn.Code keeping only instructions marked keep,
-// remapping jump and branch targets. Targets that point at removed
-// instructions move to the next kept instruction.
+// compact rewrites fn.Code in place keeping only instructions marked
+// keep, remapping jump and branch targets. Targets that point at
+// removed instructions move to the next kept instruction.
 func compact(fn *obj.Func, keep []bool) {
 	newIndex := make([]int, len(fn.Code)+1)
 	n := 0
@@ -567,7 +576,7 @@ func compact(fn *obj.Func, keep []bool) {
 		}
 	}
 	newIndex[len(fn.Code)] = n
-	out := make([]obj.Instr, 0, n)
+	n = 0
 	for i := range fn.Code {
 		if !keep[i] {
 			continue
@@ -580,9 +589,11 @@ func compact(fn *obj.Func, keep []bool) {
 			in.Targets[0] = newIndex[in.Targets[0]]
 			in.Targets[1] = newIndex[in.Targets[1]]
 		}
-		out = append(out, in)
+		fn.Code[n] = in
+		n++
 	}
-	fn.Code = out
+	clear(fn.Code[n:]) // drop the removed instructions' Sym and Args
+	fn.Code = fn.Code[:n]
 }
 
 // Disasm renders a function's IR for debugging and tests.

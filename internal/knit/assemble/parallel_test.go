@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"knit/internal/knit/assemble"
+	"knit/internal/machine"
 	"knit/internal/oskit"
 )
 
@@ -94,5 +95,59 @@ func TestEnumerateLeavesNoGoroutines(t *testing.T) {
 			t.Fatalf("%d goroutines after Enumerate, %d before", runtime.NumGoroutine(), before)
 		}
 		runtime.Gosched()
+	}
+}
+
+// liveHeap is the heap in use once everything unreachable is collected.
+// The second collection frees what sync.Pools held through the first.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestEnumerateRetainsOnlyItsAssemblies: no verification machine
+// outlives Enumerate, so the 12 assemblies it returns for main.goal
+// retain under 3 MB of heap (10.0 MB while each Result kept the half-
+// megabyte machine its init schedule ran on), and each Result still
+// builds a machine whose init schedule takes the cycles its Cost
+// records.
+func TestEnumerateRetainsOnlyItsAssemblies(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "..", "examples", "assemble", "src", "main.goal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := assemble.ParseGoal("main.goal", string(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo := oskit.Repository()
+	before := liveHeap()
+	asms, err := assemble.Enumerate(repo, g, 12, assemble.Options{})
+	retained := liveHeap() - before
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(asms) != 12 {
+		t.Fatalf("main.goal enumerated %d assemblies, want 12", len(asms))
+	}
+	t.Logf("12 assemblies retain %.2f MB", float64(retained)/1e6)
+	if retained >= 3e6 {
+		t.Errorf("12 assemblies retain %.2f MB of heap, want under 3 MB", float64(retained)/1e6)
+	}
+	for _, a := range asms {
+		m := a.Result.NewMachine()
+		machine.InstallConsole(m)
+		machine.InstallSerial(m)
+		machine.InstallStopWatch(m)
+		if err := a.Result.RunInit(m); err != nil {
+			t.Fatalf("%s: %v", a.Units, err)
+		}
+		if m.Cycles != a.Cost.InitCycles {
+			t.Errorf("%s: init takes %d cycles on a new machine, Cost records %d", a.Units, m.Cycles, a.Cost.InitCycles)
+		}
+		a.Result.Forget(m)
 	}
 }

@@ -53,8 +53,9 @@ import (
 // wiring (which renames identifiers), or to the optimizer settings
 // changes the key, and the stale entry is simply never looked up
 // again. Entries are immutable and shared: a build only reads its
-// objects, and the linker (obj.Append) copies what it takes from them
-// into the image's object, so no build can change another's entries.
+// objects, and the image's object the linker (obj.Append) makes from
+// them shares their functions and data read-only, copying only what it
+// rebases, so no build can change another's entries.
 type Cache struct {
 	dir   string // optional disk backing; "" = memory only
 	front link.FrontEnd

@@ -18,7 +18,8 @@ type Result struct {
 	Program  *link.Program
 	Schedule *sched.Schedule
 	// Object is the fully linked object file (the "a.out"), e.g. for
-	// assembly dumps.
+	// assembly dumps. It shares functions and data with the cache's
+	// objects (see obj.Append), so it is read-only.
 	Object *obj.File
 	// Image is the loaded program with the build's cost model baked in.
 	Image *machine.Image

@@ -82,6 +82,9 @@ func (e *UndefinedError) Error() string {
 //   - two included objects defining the same global symbol is an error;
 //   - any reference still undefined at the end is an error, unless
 //     allowed by Options.AllowUndefined.
+//
+// The merged file is built with obj.Append, so it shares functions and
+// data objects with the items' objects and is read-only.
 func Link(items []Item, opts Options) (*obj.File, error) {
 	var included []*obj.File
 	defined := map[string]string{} // symbol -> defining object name

@@ -17,14 +17,15 @@ import (
 //	op 4:   interpose fn_tpl -> fn_((tpl+1)%4)
 //	op 5:   unpose fn_tpl
 //	op 6:   snapshot
-//	op 7:   restore
+//	op 7:   restore; renew when tpl is 3
 func beOp(b byte) (op int, tpl int) {
 	return int(b & 7), int(b>>3) % 4
 }
 
 // FuzzBackendEquivalence drives the same random lifecycle sequence —
 // dynamic loads and unloads, interpositions, snapshots and restores,
-// with every entry point run after every step — against two machines in
+// renewals onto the same image (Renew), with every entry point run
+// after every step — against two machines in
 // lockstep: one on the reference interpreter, one on the compiled
 // closure backend. At every step both must produce identical values,
 // identical error text, identical instruction counts, identical memory
@@ -43,6 +44,9 @@ func FuzzBackendEquivalence(f *testing.F) {
 	f.Add([]byte{enc(0, 0), enc(6, 0), enc(0, 1), enc(4, 1), enc(7, 0), enc(0, 1)})
 	f.Add([]byte{enc(0, 0), enc(0, 1), enc(4, 0), enc(2, 1), enc(2, 0), enc(5, 0)})
 	f.Add([]byte{enc(0, 2), enc(0, 0), enc(0, 1), enc(6, 0), enc(4, 2), enc(2, 2), enc(7, 0), enc(0, 2)})
+	// Renew a machine with modules and a redirect, then bring them back
+	// from a snapshot of the old machine, under fresh indices.
+	f.Add([]byte{enc(0, 0), enc(0, 3), enc(4, 0), enc(6, 0), enc(7, 3), enc(0, 1), enc(7, 0), enc(2, 3)})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 48 {
@@ -55,8 +59,9 @@ func FuzzBackendEquivalence(f *testing.F) {
 		mc := loadFile(t, base)
 		mc.SetBackend(BackendCompiled)
 		var callsI, callsC []CallInfo
-		mi.PostCall = func(ci CallInfo) { callsI = append(callsI, CallInfo{Fn: ci.Fn, Index: ci.Index}) }
-		mc.PostCall = func(ci CallInfo) { callsC = append(callsC, CallInfo{Fn: ci.Fn, Index: ci.Index}) }
+		recordI := func(ci CallInfo) { callsI = append(callsI, CallInfo{Fn: ci.Fn, Index: ci.Index}) }
+		recordC := func(ci CallInfo) { callsC = append(callsC, CallInfo{Fn: ci.Fn, Index: ci.Index}) }
+		mi.PostCall, mc.PostCall = recordI, recordC
 
 		var snapI, snapC *Snapshot
 
@@ -127,6 +132,18 @@ func FuzzBackendEquivalence(f *testing.F) {
 						snapI = m.Snapshot()
 					} else {
 						snapC = m.Snapshot()
+					}
+					return nil
+				})
+			case tpl == 3:
+				step(i, "renew", func(m *M) error {
+					if m == mi {
+						mi = Renew(m.Img, m)
+						mi.PostCall = recordI
+					} else {
+						mc = Renew(m.Img, m)
+						mc.SetBackend(BackendCompiled)
+						mc.PostCall = recordC
 					}
 					return nil
 				})

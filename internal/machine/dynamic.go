@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"knit/internal/obj"
@@ -131,7 +132,7 @@ func (m *M) LoadDynamicAs(name, owner string, o *obj.File) error {
 	for name := range o.Datas {
 		order = append(order, name)
 	}
-	sortStrings(order)
+	slices.Sort(order)
 	for _, name := range order {
 		if err := stage(&symbol{name: name, addr: addr}); err != nil {
 			return err
@@ -148,7 +149,7 @@ func (m *M) LoadDynamicAs(name, owner string, o *obj.File) error {
 	for name := range o.Funcs {
 		fnames = append(fnames, name)
 	}
-	sortStrings(fnames)
+	slices.Sort(fnames)
 	text := textStart
 	for _, name := range fnames {
 		fn := o.Funcs[name].Clone()
@@ -272,7 +273,7 @@ func moduleRefs(o *obj.File, local map[string]*symbol) []string {
 	for sym := range seen {
 		out = append(out, sym)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -1,6 +1,9 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Snapshot is a restorable copy of a machine's mutable program state:
 // memory, stack pointer, the dynamic modules and their symbol records,
@@ -11,7 +14,8 @@ import "fmt"
 type Snapshot struct {
 	// mem is memory up to its last nonzero word; every word from there
 	// to memLen is zero. The unused top of the stack is most of a
-	// machine's memory, and a snapshot neither copies nor holds it.
+	// machine's memory, and a snapshot neither copies nor holds it. mem
+	// is read-only: it may be the image's initial data.
 	mem        []int64
 	memLen     int
 	sp         int64
@@ -23,10 +27,19 @@ type Snapshot struct {
 
 // Snapshot captures the machine's current program state. The snapshot
 // is independent of later execution and may be restored any number of
-// times; taking one costs a copy of memory up to its last nonzero word.
+// times; taking one costs a copy of memory up to its last nonzero word,
+// or nothing while that memory is still the image's initial data, which
+// the snapshot then shares.
 func (m *M) Snapshot() *Snapshot {
+	n := liveLen(m.Mem)
+	mem := m.Img.initMem
+	if n <= len(mem) && slices.Equal(m.Mem[:n], mem[:n]) {
+		mem = mem[:n:n]
+	} else {
+		mem = append([]int64(nil), m.Mem[:n]...)
+	}
 	s := &Snapshot{
-		mem:        append([]int64(nil), m.Mem[:liveLen(m.Mem)]...),
+		mem:        mem,
 		memLen:     len(m.Mem),
 		sp:         m.sp,
 		stackLimit: m.stackLimit,

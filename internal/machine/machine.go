@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,7 +71,8 @@ const (
 //
 // Sharing contract: an Image is immutable once loaded, so any number of
 // machines may run off the same Image concurrently — each M copies the
-// initial data segment (initMem) into its own Mem at New, and all other
+// initial data segment (initMem) into its own Mem at New, Renew and
+// Reset (a Snapshot may share it read-only), and all other
 // Image state (text, entry points, symbol records, interned strings,
 // cost model) is only ever read after Load returns. The image's symbol
 // records are the base of every machine's namespace; a machine's
@@ -146,23 +148,30 @@ func Load(f *obj.File, costs Costs) (*Image, error) {
 	img := &Image{
 		File:       f,
 		Entry:      f.Funcs,
-		GlobalAddr: map[string]int64{},
-		FuncAddr:   map[string]int64{},
-		syms:       map[string]*symbol{},
+		GlobalAddr: make(map[string]int64, len(f.Datas)),
+		FuncAddr:   make(map[string]int64, len(f.Funcs)),
+		syms:       make(map[string]*symbol, len(f.Datas)+len(f.Funcs)),
+		funcs:      make([]*symbol, 0, len(f.Funcs)),
 		costs:      costs,
+	}
+	// Every record lives in one array, sized so that it never moves.
+	recs := make([]symbol, 0, len(f.Datas)+len(f.Funcs))
+	record := func(s symbol) *symbol {
+		recs = append(recs, s)
+		return &recs[len(recs)-1]
 	}
 	// Data placement: globals first, then string literals.
 	addr := int64(nullGuard)
-	var order []string
+	order := make([]string, 0, len(f.Datas))
 	for name := range f.Datas {
 		order = append(order, name)
 	}
 	// Deterministic placement.
-	sortStrings(order)
+	slices.Sort(order)
 	for _, name := range order {
 		d := f.Datas[name]
 		img.GlobalAddr[name] = addr
-		img.syms[name] = &symbol{name: name, addr: addr}
+		img.syms[name] = record(symbol{name: name, addr: addr})
 		addr += int64(d.Size)
 	}
 	strAddr := make([]int64, len(f.Strings))
@@ -181,18 +190,18 @@ func Load(f *obj.File, costs Costs) (*Image, error) {
 	}
 	// Text placement, deterministic by name. Text order numbers the
 	// static functions 0…n−1.
-	var fnames []string
+	fnames := make([]string, 0, len(f.Funcs))
 	for name := range f.Funcs {
 		fnames = append(fnames, name)
 	}
-	sortStrings(fnames)
+	slices.Sort(fnames)
 	text := int64(0)
 	for _, name := range fnames {
 		if img.syms[name] != nil {
 			return nil, &LoadError{Msg: fmt.Sprintf("symbol %q defined as both data and function", name)}
 		}
 		fn := f.Funcs[name]
-		s := &symbol{name: name, addr: textBase + text, fn: fn, text: text, index: len(img.funcs)}
+		s := record(symbol{name: name, addr: textBase + text, fn: fn, text: text, index: len(img.funcs)})
 		img.funcs = append(img.funcs, s)
 		img.syms[name] = s
 		img.FuncAddr[name] = s.addr
@@ -231,14 +240,6 @@ func Load(f *obj.File, costs Costs) (*Image, error) {
 		}
 	}
 	return img, nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Builtin is a host-provided function callable from simulated code, used
@@ -450,31 +451,70 @@ var machineSerial atomic.Uint64
 
 // New creates a machine for a loaded image.
 func New(img *Image) *M {
-	m := &M{
-		Img:       img,
-		Costs:     img.costs,
-		Builtins:  map[string]Builtin{},
-		serial:    machineSerial.Add(1),
-		nextIndex: len(img.funcs),
+	return newOn(img, &M{})
+}
+
+// renewSlack is the headroom, in words, of a memory buffer Renew has to
+// grow, so that renewing onto an image with a somewhat larger data
+// segment reuses the buffer instead of allocating another.
+const renewSlack = 1 << 14
+
+// Renew returns what New(img) would, built on old's memory buffer,
+// I-cache tags and frame arenas instead of fresh ones, which spares
+// allocating them. Nothing else carries over: the new machine has its
+// own serial and fresh counters, and no dynamic modules, redirects,
+// hooks or builtins. old must not be used again, since its buffers are
+// the new machine's. old may be nil.
+func Renew(img *Image, old *M) *M {
+	m := &M{}
+	if old != nil {
+		m.Mem, m.icache, m.regStack, m.argStack = old.Mem, old.icache, old.regStack, old.argStack
 	}
+	if need := img.DataWords + stackWords; cap(m.Mem) < need {
+		m.Mem = make([]int64, 0, need+renewSlack)
+	}
+	return newOn(img, m)
+}
+
+// newOn makes m a new machine for img on whatever buffers m holds.
+func newOn(img *Image, m *M) *M {
+	m.Img = img
+	m.Costs = img.costs
+	m.Builtins = map[string]Builtin{}
+	m.serial = machineSerial.Add(1)
+	m.nextIndex = len(img.funcs)
 	m.Reset()
 	return m
 }
 
 // Reset restores memory and statistics to the initial image state.
+// Memory is rewritten in place when the machine's buffer can hold the
+// image's data segment and stack.
 func (m *M) Reset() {
-	m.Mem = make([]int64, int64(m.Img.DataWords)+stackWords)
+	data := m.Img.DataWords
+	if need := data + stackWords; cap(m.Mem) < need {
+		m.Mem = make([]int64, need)
+	} else {
+		m.Mem = m.Mem[:need]
+		clear(m.Mem[data:])
+	}
 	copy(m.Mem, m.Img.initMem)
-	m.sp = int64(m.Img.DataWords)
+	m.sp = int64(data)
 	m.stackLimit = int64(len(m.Mem))
 	m.Cycles, m.Stalls, m.Executed = 0, 0, 0
 	m.Calls, m.IndCalls, m.BuiltinCnt = 0, 0, 0
 	m.ICacheRefs, m.ICacheMiss = 0, 0
 	if m.Costs.ICacheBytes > 0 && m.Costs.ICacheLine > 0 {
-		m.icache = make([]int64, m.Costs.ICacheBytes/m.Costs.ICacheLine)
+		if lines := m.Costs.ICacheBytes / m.Costs.ICacheLine; cap(m.icache) < lines {
+			m.icache = make([]int64, lines)
+		} else {
+			m.icache = m.icache[:lines]
+		}
 		for i := range m.icache {
 			m.icache[i] = -1
 		}
+	} else {
+		m.icache = nil
 	}
 	m.prevLine = -100
 	m.dyn = nil // dynamic modules do not survive a reset

@@ -176,12 +176,12 @@ type Instr struct {
 	Op      Op
 	Dst     Reg
 	A, B    Reg
+	HasVal  bool // OpRet: a value is returned
 	Imm     int64
 	Sym     string
 	Tok     int // cmini.Tok for OpBin/OpUn
 	Args    []Reg
 	Targets [2]int
-	HasVal  bool // OpRet: a value is returned
 }
 
 // Func is the compiled body of one function.
@@ -276,9 +276,14 @@ func (f *File) Clone() *File {
 // Append merges src into dst, remapping src's string-table indexes.
 // Symbol-name collisions are the caller's responsibility: linkers must
 // resolve or rename before appending. Local symbols from src are made
-// unique by prefixing with src's file name if they collide. dst gets
-// its own copy of every symbol, function and data object it takes, so
-// src is left unchanged and may be shared.
+// unique by prefixing with src's file name if they collide.
+//
+// src is left unchanged and may be shared. dst gets its own copy of
+// every symbol, and of every function and data object whose string
+// references it rebases or whose locals it renames; it shares every
+// other function and data object with src. So a file built by Append
+// is read-only: a caller that edits a function or data object in it
+// must clone that object first.
 func Append(dst, src *File) {
 	strBase := len(dst.Strings)
 	dst.Strings = append(dst.Strings, src.Strings...)
@@ -293,7 +298,10 @@ func Append(dst, src *File) {
 		}
 		remap[s.Name] = name
 	}
-	if len(remap) > 0 {
+	// A renamed src is a private clone whose objects Append may rebase
+	// in place; otherwise it copies an object only to rebase it.
+	private := len(remap) > 0
+	if private {
 		src = src.Clone()
 		Rename(src, remap)
 	}
@@ -302,22 +310,51 @@ func Append(dst, src *File) {
 		dst.AddSym(&cp)
 	}
 	for name, fn := range src.Funcs {
-		fn = fn.Clone()
-		for i := range fn.Code {
-			if fn.Code[i].Op == OpAddrString {
-				fn.Code[i].Imm += int64(strBase)
+		if strBase > 0 && refsStrings(fn) {
+			if !private {
+				fn = fn.Clone()
+			}
+			for i := range fn.Code {
+				if fn.Code[i].Op == OpAddrString {
+					fn.Code[i].Imm += int64(strBase)
+				}
 			}
 		}
 		dst.Funcs[name] = fn
 	}
 	for name, d := range src.Datas {
-		cp := *d
-		cp.Init = append([]DataInit(nil), d.Init...)
-		for i := range cp.Init {
-			if cp.Init[i].Kind == InitString {
-				cp.Init[i].Index += strBase
+		if strBase > 0 && initsStrings(d) {
+			if !private {
+				cp := *d
+				cp.Init = append([]DataInit(nil), d.Init...)
+				d = &cp
+			}
+			for i := range d.Init {
+				if d.Init[i].Kind == InitString {
+					d.Init[i].Index += strBase
+				}
 			}
 		}
-		dst.Datas[name] = &cp
+		dst.Datas[name] = d
 	}
+}
+
+// refsStrings reports whether fn takes the address of a string literal.
+func refsStrings(fn *Func) bool {
+	for i := range fn.Code {
+		if fn.Code[i].Op == OpAddrString {
+			return true
+		}
+	}
+	return false
+}
+
+// initsStrings reports whether d holds the address of a string literal.
+func initsStrings(d *Data) bool {
+	for i := range d.Init {
+		if d.Init[i].Kind == InitString {
+			return true
+		}
+	}
+	return false
 }

@@ -87,20 +87,28 @@ func TestAppendRemapsStrings(t *testing.T) {
 }
 
 // TestAppendLeavesSourcesUnchanged: dst takes its own copy of every
-// symbol, function and data object, so resolving in dst a symbol that
-// an earlier source left undefined changes no source, and neither does
-// rebasing the later source's string references.
+// symbol, so resolving in dst a symbol that an earlier source left
+// undefined changes no source, and it copies every function and data
+// object whose string references it rebases, so rebasing changes no
+// source either. Every other function and data object is shared with
+// its source.
 func TestAppendLeavesSourcesUnchanged(t *testing.T) {
 	user := NewFile("user.o")
 	user.AddSym(&Symbol{Name: "x", Kind: SymData})
 	user.AddSym(&Symbol{Name: "f", Kind: SymFunc, Defined: true})
-	user.Funcs["f"] = &Func{Name: "f", Code: []Instr{{Op: OpAddrGlobal, Sym: "x"}, {Op: OpRet}}}
+	user.Funcs["f"] = &Func{Name: "f", Code: []Instr{{Op: OpAddrGlobal, Sym: "x"}, {Op: OpAddrString, Imm: 0}, {Op: OpRet}}}
+	user.AddSym(&Symbol{Name: "u", Kind: SymData, Defined: true})
+	user.Datas["u"] = &Data{Name: "u", Size: 1, Init: []DataInit{{Kind: InitString, Index: 0}}}
 	user.Strings = []string{"user"}
 	def := NewFile("def.o")
 	def.AddSym(&Symbol{Name: "x", Kind: SymData, Defined: true})
 	def.Datas["x"] = &Data{Name: "x", Size: 1, Init: []DataInit{{Kind: InitString, Index: 0}}}
+	def.AddSym(&Symbol{Name: "y", Kind: SymData, Defined: true})
+	def.Datas["y"] = &Data{Name: "y", Size: 1, Init: []DataInit{{Kind: InitConst, Val: 7}}}
 	def.AddSym(&Symbol{Name: "g", Kind: SymFunc, Defined: true})
 	def.Funcs["g"] = &Func{Name: "g", Code: []Instr{{Op: OpAddrString, Imm: 0}, {Op: OpRet}}}
+	def.AddSym(&Symbol{Name: "h", Kind: SymFunc, Defined: true})
+	def.Funcs["h"] = &Func{Name: "h", Code: []Instr{{Op: OpAddrGlobal, Sym: "y"}, {Op: OpRet}}}
 	def.Strings = []string{"def"}
 	wantUser, wantDef := user.Clone(), def.Clone()
 
@@ -116,10 +124,26 @@ func TestAppendLeavesSourcesUnchanged(t *testing.T) {
 	if !reflect.DeepEqual(def, wantDef) {
 		t.Error("appending def changed def")
 	}
-	m.Sym("f").Local = true
-	m.Funcs["f"].Code[0].Sym = "y"
-	if !reflect.DeepEqual(user, wantUser) {
-		t.Error("editing the merged file changed user")
+	if m.Sym("f") == user.Sym("f") {
+		t.Error("merged symbol f is user's, want a copy")
+	}
+	// user's string indices need no rebase (its strings come first), and
+	// def's functions and data that name no string need none either.
+	for name, src := range map[string]*File{"f": user, "h": def} {
+		if m.Funcs[name] != src.Funcs[name] {
+			t.Errorf("merged func %s is a copy, want the source's", name)
+		}
+	}
+	for name, src := range map[string]*File{"u": user, "y": def} {
+		if m.Datas[name] != src.Datas[name] {
+			t.Errorf("merged data %s is a copy, want the source's", name)
+		}
+	}
+	if m.Funcs["g"] == def.Funcs["g"] || m.Funcs["g"].Code[0].Imm != 1 {
+		t.Errorf("merged func g = %p with string index %d, want a copy rebased to 1", m.Funcs["g"], m.Funcs["g"].Code[0].Imm)
+	}
+	if m.Datas["x"] == def.Datas["x"] || m.Datas["x"].Init[0].Index != 1 {
+		t.Errorf("merged data x = %p with string index %d, want a copy rebased to 1", m.Datas["x"], m.Datas["x"].Init[0].Index)
 	}
 }
 
@@ -132,13 +156,19 @@ func TestAppendRenamesCollidingLocals(t *testing.T) {
 		f.AddSym(&Symbol{Name: "get_" + file, Kind: SymFunc, Defined: true})
 		f.Funcs["get_"+file] = &Func{Name: "get_" + file, Code: []Instr{
 			{Op: OpAddrGlobal, Sym: "state"},
+			{Op: OpAddrString, Imm: 0},
 			{Op: OpRet},
 		}}
+		f.Strings = []string{file}
 		return f
 	}
 	m := NewFile("merged")
 	Append(m, mk("a", 1))
-	Append(m, mk("b", 2))
+	b := mk("b", 2)
+	Append(m, b)
+	if !reflect.DeepEqual(b, mk("b", 2)) {
+		t.Error("renaming b's colliding static changed b")
+	}
 	if len(m.Datas) != 2 {
 		t.Fatalf("datas = %d, want 2 distinct statics", len(m.Datas))
 	}
@@ -150,6 +180,9 @@ func TestAppendRenamesCollidingLocals(t *testing.T) {
 	}
 	if d, ok := m.Datas[renamed]; !ok || d.Init[0].Val != 2 {
 		t.Errorf("b's static %q missing or wrong value", renamed)
+	}
+	if fb.Code[1].Imm != 1 {
+		t.Errorf("b's string index = %d, want 1", fb.Code[1].Imm)
 	}
 }
 

@@ -34,6 +34,10 @@ func TestUnitBoundaryOverhead(t *testing.T) {
 // builds and not others; a mean, logged beside it, absorbs that delay
 // and with it a flaky share (Chen and Revels, "Robust benchmarking in
 // noisy environments", 2016).
+//
+// Under the race detector the rounds still run, so it sees every build,
+// and the share is logged but not asserted: instrumentation slows knit
+// proper more than the compiler, so the share measures the detector.
 func TestBuildTimeBreakdown(t *testing.T) {
 	const rounds = 25
 	var fastest, sum [2]build.Timings // unchecked and checked builds
@@ -62,7 +66,7 @@ func TestBuildTimeBreakdown(t *testing.T) {
 		100*frac, rounds, knitProper, total, 100*mean)
 	// The paper reports >95%; our cmini compiler is much cheaper than
 	// gcc, so require a majority rather than 95%.
-	if frac < 0.5 {
+	if frac < 0.5 && !raceEnabled {
 		t.Errorf("compiler/loader fraction = %.2f, want > 0.5", frac)
 	}
 	knitChecked := fastest[1].KnitProper()
