@@ -17,6 +17,7 @@ import (
 	"knit/internal/compile"
 	"knit/internal/knit/build"
 	"knit/internal/knit/constraint"
+	"knit/internal/knit/flatten"
 	"knit/internal/knit/lang"
 	"knit/internal/knit/link"
 	"knit/internal/knit/supervise"
@@ -245,6 +246,49 @@ func BenchmarkCompileRouterElementsSeparate(b *testing.B) {
 			mustCompile(b, name, src)
 		}
 	}
+}
+
+// BenchmarkCompileRouter times the compiler alone on what a cold router
+// build compiles, with the router's compiler options: "modular" is one
+// compile of every instance's renamed C file of the modular router,
+// "flattened" one compile of the flattened router's merged region.
+func BenchmarkCompileRouter(b *testing.B) {
+	var opts build.Options
+	res, err := clack.BuildRouterTuned(clack.Variant{}, func(o *build.Options) { opts = *o })
+	if err != nil {
+		b.Fatal(err)
+	}
+	copts := compile.Options{Opt: opts.Optimize, InlineLimit: opts.InlineLimit, GrowthLimit: opts.GrowthLimit}
+	var files []*cmini.File
+	var region []*link.Instance
+	var regionFiles [][]*cmini.File
+	for _, inst := range res.Program.SortedInstances() {
+		var own []*cmini.File
+		for i := range inst.Files {
+			own = append(own, inst.RenamedFile(i))
+		}
+		files = append(files, own...)
+		if opts.FlattenFilter(inst) {
+			region = append(region, inst)
+			regionFiles = append(regionFiles, own)
+		}
+	}
+	merged, err := flatten.Merge("flattened.c", region, regionFiles)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(b *testing.B, files ...*cmini.File) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, f := range files {
+				if _, err := compile.Compile(f, copts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run("modular", func(b *testing.B) { run(b, files...) })
+	b.Run("flattened", func(b *testing.B) { run(b, merged) })
 }
 
 func mustCompile(b *testing.B, name, src string) *obj.File {

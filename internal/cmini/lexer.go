@@ -117,22 +117,26 @@ func (l *Lexer) skipIdent() {
 
 // Next returns the next token, or an error for malformed input.
 func (l *Lexer) Next() (Token, error) {
-	var t Token
+	t := Token{Pos: diag.Pos{File: l.file}}
 	if err := l.scan(&t); err != nil {
 		return Token{}, err
 	}
 	return t, nil
 }
 
-// scan lexes the next token into *t, overwriting all of it, or returns
-// an error for malformed input. Windows lex straight into their slots.
+// scan lexes the next token into *t, overwriting all of it but
+// t.Pos.File, which must already name the lexer's file, or returns an
+// error for malformed input. Windows lex straight into their slots,
+// which hold the tokens of one file one after another: a string field
+// is written only when it changes, as a pointer written to the heap
+// while the collector marks costs a write barrier.
 func (l *Lexer) scan(t *Token) error {
 	if err := l.skipSpaceAndComments(); err != nil {
 		return err
 	}
-	t.Pos, t.Lit = l.pos(), ""
+	t.Pos.Line, t.Pos.Col = l.line, l.col
 	if l.off >= len(l.src) {
-		t.Kind = EOF
+		t.Kind, t.Lit = EOF, ""
 		return nil
 	}
 	c := l.peek()
@@ -171,6 +175,17 @@ func (l *Lexer) scan(t *Token) error {
 
 func (l *Lexer) lexString(t *Token) error {
 	l.advance() // opening quote
+	// A literal without escapes is its source text.
+	for i := l.off; i < len(l.src); i++ {
+		if c := l.src[i]; c == '"' {
+			t.Kind, t.Lit = STRING, l.src[l.off:i]
+			l.col += i + 1 - l.off
+			l.off = i + 1
+			return nil
+		} else if c == '\\' || c == '\n' {
+			break
+		}
+	}
 	var b strings.Builder
 	for {
 		if l.off >= len(l.src) {
@@ -307,6 +322,9 @@ func (l *Lexer) lexOperator(t *Token) error {
 	l.off += n // operators hold no newline
 	l.col += n
 	t.Kind = k
+	if t.Lit != "" {
+		t.Lit = ""
+	}
 	return nil
 }
 
@@ -351,6 +369,7 @@ const badTok Tok = -1
 // NewWindow returns a window on the first token of src.
 func NewWindow(file, src string) *Window {
 	w := &Window{lex: Lexer{file: file, src: src, line: 1, col: 1}}
+	w.cur.Pos.File, w.ahead[0].Pos.File, w.ahead[1].Pos.File = file, file, file
 	w.lexNext(&w.cur)
 	return w
 }
@@ -372,13 +391,18 @@ func (w *Window) Peek(ahead int) *Token {
 // Next returns the current token and moves past it.
 func (w *Window) Next() Token {
 	t := w.cur
+	w.skip()
+	return t
+}
+
+// skip moves past the current token.
+func (w *Window) skip() {
 	if w.n == 0 {
 		w.lexNext(&w.cur)
-		return t
+		return
 	}
 	w.cur, w.ahead[0] = w.ahead[0], w.ahead[1]
 	w.n--
-	return t
 }
 
 // lexNext lexes the next token into *t.

@@ -3,6 +3,7 @@ package cmini
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"knit/internal/diag"
 )
@@ -11,28 +12,58 @@ import (
 // tokens past the current one and never backtracks.
 type Parser struct {
 	toks *Window
+	*lists
+}
+
+// lists holds the declarations, parameters, statements and call
+// arguments of the lists being parsed, innermost last; a list is copied
+// out at its length when it ends. Parses share them through listPool,
+// so the stacks keep their capacity from one file to the next.
+type lists struct {
+	decls  []Decl
+	params []Param
+	stmts  []Stmt
+	exprs  []Expr
+}
+
+var listPool = sync.Pool{New: func() any { return new(lists) }}
+
+// popList returns a copy of the items pushed on *stack since mark, nil
+// if there are none, and pops them.
+func popList[T any](stack *[]T, mark int) []T {
+	items := (*stack)[mark:]
+	var out []T
+	if len(items) > 0 {
+		out = make([]T, len(items))
+		copy(out, items)
+		clear(items)
+	}
+	*stack = (*stack)[:mark]
+	return out
 }
 
 // Parse parses a cmini source file.
 func Parse(file, src string) (*File, error) {
-	p := &Parser{toks: NewWindow(file, src)}
+	l := listPool.Get().(*lists)
+	p := &Parser{toks: NewWindow(file, src), lists: l}
 	f, err := p.parseFile(file)
 	if err = p.toks.Err(err); err != nil {
-		return nil, err
+		return nil, err // the lists go: a failed parse leaves items on them
 	}
+	listPool.Put(l)
 	return f, nil
 }
 
 func (p *Parser) parseFile(file string) (*File, error) {
-	f := &File{Name: file}
+	mark := len(p.decls)
 	for !p.atEOF() {
 		d, err := p.parseTopDecl()
 		if err != nil {
 			return nil, err
 		}
-		f.Decls = append(f.Decls, d)
+		p.decls = append(p.decls, d)
 	}
-	return f, nil
+	return &File{Name: file, Decls: popList(&p.decls, mark)}, nil
 }
 
 func (p *Parser) atEOF() bool { return p.kind() == EOF }
@@ -46,12 +77,24 @@ func (p *Parser) peekKind(ahead int) Tok { return p.toks.Peek(ahead).Kind }
 
 func (p *Parser) next() Token { return p.toks.Next() }
 
+// skip moves past the current token.
+func (p *Parser) skip() { p.toks.skip() }
+
 func (p *Parser) accept(k Tok) bool {
 	if p.kind() == k {
-		p.next()
+		p.skip()
 		return true
 	}
 	return false
+}
+
+// want moves past the current token, which must be of kind k.
+func (p *Parser) want(k Tok) error {
+	if p.kind() != k {
+		return p.errorf("expected %s, found %s", k, describe(p.cur()))
+	}
+	p.skip()
+	return nil
 }
 
 func (p *Parser) expect(k Tok) (Token, error) {
@@ -91,19 +134,19 @@ func (p *Parser) parseType() (Type, error) {
 	var t Type
 	switch p.kind() {
 	case KwInt:
-		p.next()
+		p.skip()
 		t = TypeInt
 	case KwChar:
-		p.next()
+		p.skip()
 		t = TypeChar
 	case KwVoid:
-		p.next()
+		p.skip()
 		t = TypeVoid
 	case KwFn:
-		p.next()
+		p.skip()
 		t = TypeFn
 	case KwStruct:
-		p.next()
+		p.skip()
 		name, err := p.expect(IDENT)
 		if err != nil {
 			return nil, err
@@ -156,9 +199,9 @@ func (p *Parser) parseTopDecl() (Decl, error) {
 
 func (p *Parser) parseStructDecl() (Decl, error) {
 	start := p.cur().Pos
-	p.next() // struct
+	p.skip() // struct
 	name := p.next()
-	if _, err := p.expect(LBRACE); err != nil {
+	if err := p.want(LBRACE); err != nil {
 		return nil, err
 	}
 	var fields []Field
@@ -185,17 +228,17 @@ func (p *Parser) parseStructDecl() (Decl, error) {
 			if err != nil || length <= 0 {
 				return nil, diag.Errorf(n.Pos, "invalid array length")
 			}
-			if _, err := p.expect(RBRACK); err != nil {
+			if err := p.want(RBRACK); err != nil {
 				return nil, err
 			}
 			ft = &Array{Elem: ft, Len: length}
 		}
-		if _, err := p.expect(SEMI); err != nil {
+		if err := p.want(SEMI); err != nil {
 			return nil, err
 		}
 		fields = append(fields, Field{Name: fn.Lit, Type: ft})
 	}
-	if _, err := p.expect(SEMI); err != nil {
+	if err := p.want(SEMI); err != nil {
 		return nil, err
 	}
 	return &StructDecl{Pos: start, Name: name.Lit, Fields: fields}, nil
@@ -211,7 +254,7 @@ func (p *Parser) parseVarRest(start diag.Pos, typ Type, name string, static, ext
 		if err != nil || length <= 0 {
 			return nil, diag.Errorf(n.Pos, "invalid array length")
 		}
-		if _, err := p.expect(RBRACK); err != nil {
+		if err := p.want(RBRACK); err != nil {
 			return nil, err
 		}
 		typ = &Array{Elem: typ, Len: length}
@@ -227,19 +270,19 @@ func (p *Parser) parseVarRest(start diag.Pos, typ Type, name string, static, ext
 		}
 		d.Init = init
 	}
-	if _, err := p.expect(SEMI); err != nil {
+	if err := p.want(SEMI); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
 func (p *Parser) parseFuncRest(start diag.Pos, result Type, name string, static, extern bool) (Decl, error) {
-	p.next() // (
-	var params []Param
+	p.skip() // (
+	mark := len(p.params)
 	if !p.accept(RPAREN) {
 		if p.kind() == KwVoid && p.peekKind(1) == RPAREN {
-			p.next() // void
-			p.next() // )
+			p.skip() // void
+			p.skip() // )
 		} else {
 			for {
 				pt, err := p.parseType()
@@ -250,18 +293,18 @@ func (p *Parser) parseFuncRest(start diag.Pos, result Type, name string, static,
 				if err != nil {
 					return nil, err
 				}
-				params = append(params, Param{Name: pn.Lit, Type: pt})
+				p.params = append(p.params, Param{Name: pn.Lit, Type: pt})
 				if p.accept(COMMA) {
 					continue
 				}
-				if _, err := p.expect(RPAREN); err != nil {
+				if err := p.want(RPAREN); err != nil {
 					return nil, err
 				}
 				break
 			}
 		}
 	}
-	d := &FuncDecl{Pos: start, Name: name, Params: params, Result: result, Static: static, Extern: extern}
+	d := &FuncDecl{Pos: start, Name: name, Params: popList(&p.params, mark), Result: result, Static: static, Extern: extern}
 	if p.accept(SEMI) {
 		// Prototype. Treat a bare prototype as extern (an import) unless
 		// marked static, matching how component C code declares imports.
@@ -283,10 +326,10 @@ func (p *Parser) parseFuncRest(start diag.Pos, result Type, name string, static,
 
 func (p *Parser) parseBlock() (*Block, error) {
 	start := p.cur().Pos
-	if _, err := p.expect(LBRACE); err != nil {
+	if err := p.want(LBRACE); err != nil {
 		return nil, err
 	}
-	b := &Block{Pos: start}
+	mark := len(p.stmts)
 	for !p.accept(RBRACE) {
 		if p.atEOF() {
 			return nil, diag.Errorf(start, "unterminated block")
@@ -295,9 +338,9 @@ func (p *Parser) parseBlock() (*Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.Stmts = append(b.Stmts, s)
+		p.stmts = append(p.stmts, s)
 	}
-	return b, nil
+	return &Block{Pos: start, Stmts: popList(&p.stmts, mark)}, nil
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
@@ -308,15 +351,15 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	case KwIf:
 		return p.parseIf()
 	case KwWhile:
-		p.next()
-		if _, err := p.expect(LPAREN); err != nil {
+		p.skip()
+		if err := p.want(LPAREN); err != nil {
 			return nil, err
 		}
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RPAREN); err != nil {
+		if err := p.want(RPAREN); err != nil {
 			return nil, err
 		}
 		body, err := p.parseBlock()
@@ -327,7 +370,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	case KwFor:
 		return p.parseFor()
 	case KwReturn:
-		p.next()
+		p.skip()
 		s := &ReturnStmt{Pos: start}
 		if p.kind() != SEMI {
 			x, err := p.parseExpr()
@@ -336,19 +379,19 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			}
 			s.X = x
 		}
-		if _, err := p.expect(SEMI); err != nil {
+		if err := p.want(SEMI); err != nil {
 			return nil, err
 		}
 		return s, nil
 	case KwBreak:
-		p.next()
-		if _, err := p.expect(SEMI); err != nil {
+		p.skip()
+		if err := p.want(SEMI); err != nil {
 			return nil, err
 		}
 		return &BreakStmt{Pos: start}, nil
 	case KwContinue:
-		p.next()
-		if _, err := p.expect(SEMI); err != nil {
+		p.skip()
+		if err := p.want(SEMI); err != nil {
 			return nil, err
 		}
 		return &ContinueStmt{Pos: start}, nil
@@ -360,7 +403,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(SEMI); err != nil {
+	if err := p.want(SEMI); err != nil {
 		return nil, err
 	}
 	return &ExprStmt{Pos: start, X: x}, nil
@@ -385,7 +428,7 @@ func (p *Parser) parseDeclStmt() (Stmt, error) {
 		if err != nil || length <= 0 {
 			return nil, diag.Errorf(n.Pos, "invalid array length")
 		}
-		if _, err := p.expect(RBRACK); err != nil {
+		if err := p.want(RBRACK); err != nil {
 			return nil, err
 		}
 		typ = &Array{Elem: typ, Len: length}
@@ -398,7 +441,7 @@ func (p *Parser) parseDeclStmt() (Stmt, error) {
 		}
 		d.Init = init
 	}
-	if _, err := p.expect(SEMI); err != nil {
+	if err := p.want(SEMI); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -406,15 +449,15 @@ func (p *Parser) parseDeclStmt() (Stmt, error) {
 
 func (p *Parser) parseIf() (Stmt, error) {
 	start := p.cur().Pos
-	p.next() // if
-	if _, err := p.expect(LPAREN); err != nil {
+	p.skip() // if
+	if err := p.want(LPAREN); err != nil {
 		return nil, err
 	}
 	cond, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(RPAREN); err != nil {
+	if err := p.want(RPAREN); err != nil {
 		return nil, err
 	}
 	then, err := p.parseBlock()
@@ -442,8 +485,8 @@ func (p *Parser) parseIf() (Stmt, error) {
 
 func (p *Parser) parseFor() (Stmt, error) {
 	start := p.cur().Pos
-	p.next() // for
-	if _, err := p.expect(LPAREN); err != nil {
+	p.skip() // for
+	if err := p.want(LPAREN); err != nil {
 		return nil, err
 	}
 	s := &ForStmt{Pos: start}
@@ -460,7 +503,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 				return nil, err
 			}
 			s.Init = &ExprStmt{Pos: x.ExprPos(), X: x}
-			if _, err := p.expect(SEMI); err != nil {
+			if err := p.want(SEMI); err != nil {
 				return nil, err
 			}
 		}
@@ -471,7 +514,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 			return nil, err
 		}
 		s.Cond = cond
-		if _, err := p.expect(SEMI); err != nil {
+		if err := p.want(SEMI); err != nil {
 			return nil, err
 		}
 	}
@@ -481,7 +524,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 			return nil, err
 		}
 		s.Post = post
-		if _, err := p.expect(RPAREN); err != nil {
+		if err := p.want(RPAREN); err != nil {
 			return nil, err
 		}
 	}
@@ -495,7 +538,9 @@ func (p *Parser) parseFor() (Stmt, error) {
 
 // Expression parsing: precedence climbing.
 
-var binPrec = map[Tok]int{
+// binPrec is each binary operator's precedence, indexed by its token;
+// 0 marks every other token.
+var binPrec = [...]int{
 	LOR:   1,
 	LAND:  2,
 	PIPE:  3,
@@ -508,10 +553,17 @@ var binPrec = map[Tok]int{
 	STAR: 10, SLASH: 10, PERCENT: 10,
 }
 
-var compoundOps = map[Tok]Tok{
-	ADDEQ: PLUS, SUBEQ: MINUS, MULEQ: STAR, DIVEQ: SLASH, MODEQ: PERCENT,
-	ANDEQ: AMP, OREQ: PIPE, XOREQ: CARET, SHLEQ: SHL, SHREQ: SHR,
+// precedence returns op's precedence as a binary operator, 0 if it is
+// not one.
+func precedence(op Tok) int {
+	if op < 0 || int(op) >= len(binPrec) {
+		return 0
+	}
+	return binPrec[op]
 }
+
+// isCompound reports whether op is a compound assignment such as +=.
+func isCompound(op Tok) bool { return op >= ADDEQ && op <= SHREQ }
 
 func (p *Parser) parseExpr() (Expr, error) { return p.parseAssign() }
 
@@ -532,7 +584,7 @@ func (p *Parser) parseAssign() (Expr, error) {
 		}
 		return &Assign{Pos: pos, Op: ASSIGN, LHS: lhs, RHS: rhs}, nil
 	}
-	if _, ok := compoundOps[k]; ok {
+	if isCompound(k) {
 		pos := p.next().Pos
 		rhs, err := p.parseAssign()
 		if err != nil {
@@ -567,7 +619,7 @@ func (p *Parser) parseCond() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(COLON); err != nil {
+		if err := p.want(COLON); err != nil {
 			return nil, err
 		}
 		els, err := p.parseCond()
@@ -586,8 +638,8 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 	}
 	for {
 		op := p.kind()
-		prec, ok := binPrec[op]
-		if !ok || prec < minPrec {
+		prec := precedence(op)
+		if prec < minPrec {
 			return lhs, nil
 		}
 		pos := p.next().Pos
@@ -600,31 +652,31 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
-	t := p.cur()
-	switch t.Kind {
+	kind, pos := p.kind(), p.toks.Cur().Pos
+	switch kind {
 	case MINUS, NOT, TILDE, STAR, AMP:
-		p.next()
+		p.skip()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		if t.Kind == AMP && !isAddressable(x) {
-			return nil, diag.Errorf(t.Pos, "cannot take address of expression")
+		if kind == AMP && !isAddressable(x) {
+			return nil, diag.Errorf(pos, "cannot take address of expression")
 		}
-		return &Unary{Pos: t.Pos, Op: t.Kind, X: x}, nil
+		return &Unary{Pos: pos, Op: kind, X: x}, nil
 	case KwSizeof:
-		p.next()
-		if _, err := p.expect(LPAREN); err != nil {
+		p.skip()
+		if err := p.want(LPAREN); err != nil {
 			return nil, err
 		}
 		typ, err := p.parseType()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RPAREN); err != nil {
+		if err := p.want(RPAREN); err != nil {
 			return nil, err
 		}
-		return &SizeofExpr{Pos: t.Pos, Type: typ}, nil
+		return &SizeofExpr{Pos: pos, Type: typ}, nil
 	}
 	return p.parsePostfix()
 }
@@ -645,58 +697,58 @@ func (p *Parser) parsePostfix() (Expr, error) {
 		return nil, err
 	}
 	for {
-		t := p.cur()
-		switch t.Kind {
+		kind, pos := p.kind(), p.toks.Cur().Pos
+		switch kind {
 		case LPAREN:
-			p.next()
-			var args []Expr
+			p.skip()
+			mark := len(p.exprs)
 			if !p.accept(RPAREN) {
 				for {
 					a, err := p.parseExpr()
 					if err != nil {
 						return nil, err
 					}
-					args = append(args, a)
+					p.exprs = append(p.exprs, a)
 					if p.accept(COMMA) {
 						continue
 					}
-					if _, err := p.expect(RPAREN); err != nil {
+					if err := p.want(RPAREN); err != nil {
 						return nil, err
 					}
 					break
 				}
 			}
-			x = &Call{Pos: t.Pos, Fun: x, Args: args}
+			x = &Call{Pos: pos, Fun: x, Args: popList(&p.exprs, mark)}
 		case LBRACK:
-			p.next()
+			p.skip()
 			i, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(RBRACK); err != nil {
+			if err := p.want(RBRACK); err != nil {
 				return nil, err
 			}
-			x = &Index{Pos: t.Pos, X: x, I: i}
+			x = &Index{Pos: pos, X: x, I: i}
 		case ARROW:
-			p.next()
+			p.skip()
 			name, err := p.expect(IDENT)
 			if err != nil {
 				return nil, err
 			}
-			x = &Member{Pos: t.Pos, X: x, Name: name.Lit, Arrow: true}
+			x = &Member{Pos: pos, X: x, Name: name.Lit, Arrow: true}
 		case DOT:
-			p.next()
+			p.skip()
 			name, err := p.expect(IDENT)
 			if err != nil {
 				return nil, err
 			}
-			x = &Member{Pos: t.Pos, X: x, Name: name.Lit}
+			x = &Member{Pos: pos, X: x, Name: name.Lit}
 		case INC, DEC:
-			p.next()
+			p.skip()
 			if !isLvalue(x) {
-				return nil, diag.Errorf(t.Pos, "operand of ++/-- is not assignable")
+				return nil, diag.Errorf(pos, "operand of ++/-- is not assignable")
 			}
-			x = &IncDec{Pos: t.Pos, Op: t.Kind, X: x}
+			x = &IncDec{Pos: pos, Op: kind, X: x}
 		default:
 			return x, nil
 		}
@@ -707,31 +759,31 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.Kind {
 	case INT:
-		p.next()
+		p.skip()
 		v, err := strconv.ParseInt(t.Lit, 0, 64)
 		if err != nil {
 			return nil, diag.Errorf(t.Pos, "invalid integer literal %q", t.Lit)
 		}
 		return &IntLit{Pos: t.Pos, Val: v}, nil
 	case CHAR:
-		p.next()
+		p.skip()
 		return &IntLit{Pos: t.Pos, Val: int64(t.Lit[0])}, nil
 	case STRING:
-		p.next()
+		p.skip()
 		return &StrLit{Pos: t.Pos, Val: t.Lit}, nil
 	case KwNull:
-		p.next()
+		p.skip()
 		return &IntLit{Pos: t.Pos, Val: 0}, nil
 	case IDENT:
-		p.next()
+		p.skip()
 		return &Ident{Pos: t.Pos, Name: t.Lit}, nil
 	case LPAREN:
-		p.next()
+		p.skip()
 		x, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RPAREN); err != nil {
+		if err := p.want(RPAREN); err != nil {
 			return nil, err
 		}
 		return x, nil

@@ -253,7 +253,7 @@ func (p *printer) expr(e Expr, min int) {
 			p.b.WriteString(")")
 		}
 	case *Binary:
-		prec := binPrec[e.Op]
+		prec := precedence(e.Op)
 		paren := prec < min
 		if paren {
 			p.b.WriteString("(")

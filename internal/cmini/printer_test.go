@@ -1,6 +1,7 @@
 package cmini
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -267,15 +268,19 @@ static int local_helper(int x) { return x; }
 int mine = 0;
 int f(int p) {
     int l = p;
-    return imported(l) + local_helper(mine);
+    return imported(l) + local_helper(mine) + imported(mine);
 }
 `)
-	refs := GlobalRefs(f)
-	for _, want := range []string{"imported", "local_helper", "mine"} {
-		if !refs[want] {
-			t.Errorf("missing ref %q; got %v", want, refs)
-		}
+	// Each reference once, at its first use, in source order.
+	var got []string
+	for _, id := range GlobalRefs(f) {
+		got = append(got, fmt.Sprintf("%s@%d:%d", id.Name, id.Pos.Line, id.Pos.Col))
 	}
+	want := []string{"imported@7:12", "local_helper@7:26", "mine@7:39"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("GlobalRefs = %v, want %v", got, want)
+	}
+	refs := refSet(f)
 	for _, dontWant := range []string{"p", "l", "x"} {
 		if refs[dontWant] {
 			t.Errorf("locals/params leaked into refs: %q", dontWant)

@@ -182,121 +182,136 @@ func RenameGlobals(f *File, mapping map[string]string) {
 	})
 }
 
-// GlobalRefs returns the set of global names referenced from function
-// bodies and initializer expressions of f, excluding references shadowed
-// by locals or parameters. It reports raw references; the caller decides
-// which are imports and which resolve within the file.
-func GlobalRefs(f *File) map[string]bool {
-	refs := map[string]bool{}
-	globalIdents(f, func(id *Ident) { refs[id.Name] = true })
+// GlobalRefs returns the global names referenced from function bodies
+// and initializer expressions of f, excluding references shadowed by
+// locals or parameters: each name once, as its first reference, in
+// source order. It reports raw references; the caller decides which are
+// imports and which resolve within the file.
+func GlobalRefs(f *File) []Ident {
+	var refs []Ident
+	seen := map[string]bool{}
+	globalIdents(f, func(id *Ident) {
+		if !seen[id.Name] {
+			seen[id.Name] = true
+			refs = append(refs, *id)
+		}
+	})
 	return refs
 }
 
 // globalIdents calls visit on every identifier in f's function bodies
 // and initializer expressions that no parameter or local shadows: the
-// references to globals.
+// references to globals, in source order.
 func globalIdents(f *File, visit func(*Ident)) {
-	w := scopeWalk{visit}
+	w := &scopeWalk{visit: visit}
 	for _, d := range f.Decls {
+		w.scope = w.scope[:0]
 		switch d := d.(type) {
 		case *VarDecl:
-			w.expr(d.Init, nil)
+			w.expr(d.Init)
 		case *FuncDecl:
-			scope := map[string]bool{}
 			for _, p := range d.Params {
-				scope[p.Name] = true
+				w.scope = append(w.scope, p.Name)
 			}
-			w.block(d.Body, scope)
+			w.block(d.Body)
 		}
 	}
 }
 
 // scopeWalk is the scope-aware traversal behind globalIdents. scope
-// holds the names locals and parameters shadow; each block copies it,
-// so shadowing is lexical.
-type scopeWalk struct{ visit func(*Ident) }
+// holds the names parameters and locals in scope shadow, innermost
+// last; a block or for statement drops the names declared in it when
+// it ends, so shadowing is lexical.
+type scopeWalk struct {
+	visit func(*Ident)
+	scope []string
+}
 
-func (w scopeWalk) block(b *Block, scope map[string]bool) {
+// shadowed reports whether a parameter or local in scope is named name.
+func (w *scopeWalk) shadowed(name string) bool {
+	for i := len(w.scope) - 1; i >= 0; i-- {
+		if w.scope[i] == name {
+			return true
+		}
+	}
+	return false
+}
+
+func (w *scopeWalk) block(b *Block) {
 	if b == nil {
 		return
 	}
-	inner := copyScope(scope)
+	outer := len(w.scope)
 	for _, s := range b.Stmts {
-		w.stmt(s, inner)
+		w.stmt(s)
 	}
+	w.scope = w.scope[:outer]
 }
 
-func copyScope(scope map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(scope))
-	for k := range scope {
-		out[k] = true
-	}
-	return out
-}
-
-func (w scopeWalk) stmt(s Stmt, scope map[string]bool) {
+func (w *scopeWalk) stmt(s Stmt) {
 	switch s := s.(type) {
 	case *Block:
-		w.block(s, scope)
+		w.block(s)
 	case *DeclStmt:
-		w.expr(s.Init, scope)
-		scope[s.Name] = true // shadows the global from here on
+		w.expr(s.Init)
+		w.scope = append(w.scope, s.Name) // shadows the global from here on
 	case *ExprStmt:
-		w.expr(s.X, scope)
+		w.expr(s.X)
 	case *IfStmt:
-		w.expr(s.Cond, scope)
-		w.block(s.Then, scope)
+		w.expr(s.Cond)
+		w.block(s.Then)
 		if s.Else != nil {
-			w.stmt(s.Else, scope)
+			w.stmt(s.Else)
 		}
 	case *WhileStmt:
-		w.expr(s.Cond, scope)
-		w.block(s.Body, scope)
+		w.expr(s.Cond)
+		w.block(s.Body)
 	case *ForStmt:
-		forScope := copyScope(scope)
+		outer := len(w.scope)
 		if s.Init != nil {
-			w.stmt(s.Init, forScope)
+			w.stmt(s.Init)
 		}
-		w.expr(s.Cond, forScope)
-		w.expr(s.Post, forScope)
-		w.block(s.Body, forScope)
+		w.expr(s.Cond)
+		w.expr(s.Post)
+		w.block(s.Body)
+		w.scope = w.scope[:outer]
 	case *ReturnStmt:
-		w.expr(s.X, scope)
+		w.expr(s.X)
 	}
 }
 
-func (w scopeWalk) expr(e Expr, scope map[string]bool) {
+func (w *scopeWalk) expr(e Expr) {
 	if e == nil {
 		return
 	}
 	switch e := e.(type) {
 	case *Ident:
-		if !scope[e.Name] {
+		if !w.shadowed(e.Name) {
 			w.visit(e)
 		}
 	case *Unary:
-		w.expr(e.X, scope)
+		w.expr(e.X)
 	case *Binary:
-		w.expr(e.X, scope)
-		w.expr(e.Y, scope)
+		w.expr(e.X)
+		w.expr(e.Y)
 	case *Assign:
-		w.expr(e.LHS, scope)
-		w.expr(e.RHS, scope)
+		w.expr(e.LHS)
+		w.expr(e.RHS)
 	case *IncDec:
-		w.expr(e.X, scope)
+		w.expr(e.X)
 	case *Call:
-		w.expr(e.Fun, scope)
+		w.expr(e.Fun)
 		for _, a := range e.Args {
-			w.expr(a, scope)
+			w.expr(a)
 		}
 	case *Index:
-		w.expr(e.X, scope)
-		w.expr(e.I, scope)
+		w.expr(e.X)
+		w.expr(e.I)
 	case *Member:
-		w.expr(e.X, scope)
+		w.expr(e.X)
 	case *Cond:
-		w.expr(e.C, scope)
-		w.expr(e.Then, scope)
-		w.expr(e.Else, scope)
+		w.expr(e.C)
+		w.expr(e.Then)
+		w.expr(e.Else)
 	}
 }

@@ -72,7 +72,7 @@ func TestCloneEveryNodeType(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mutated clone does not reparse: %v", err)
 	}
-	refs := GlobalRefs(reparsed)
+	refs := refSet(reparsed)
 	for _, gone := range []string{"helper", "counter", "table", "external_fn"} {
 		if refs[gone] {
 			t.Errorf("stale reference to %q after rename", gone)
@@ -102,7 +102,7 @@ func TestRenamePreservesSemantics(t *testing.T) {
 
 func TestGlobalRefsKitchenSink(t *testing.T) {
 	f := mustParse(t, kitchenSink)
-	refs := GlobalRefs(f)
+	refs := refSet(f)
 	for _, want := range []string{"helper", "counter", "table", "external_fn"} {
 		if !refs[want] {
 			t.Errorf("missing ref %q", want)
@@ -121,4 +121,13 @@ func TestCloneNilBody(t *testing.T) {
 	if cp.Decls[0].(*FuncDecl).Body != nil {
 		t.Error("prototype clone grew a body")
 	}
+}
+
+// refSet returns GlobalRefs(f)'s names as a set.
+func refSet(f *File) map[string]bool {
+	set := map[string]bool{}
+	for _, id := range GlobalRefs(f) {
+		set[id.Name] = true
+	}
+	return set
 }

@@ -74,11 +74,13 @@ func Compile(f *cmini.File, opts Options) (*obj.File, error) {
 	if err != nil {
 		return nil, err
 	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
 	if opts.Opt {
-		optimize(out, opts)
+		s.optimize(out, opts)
 	}
 	for _, fn := range out.Funcs {
-		renumber(fn)
+		s.renumber(fn)
 	}
 	return out, nil
 }

@@ -2,16 +2,59 @@ package compile
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"knit/internal/cmini"
 	"knit/internal/obj"
 )
 
+// scratch is the working storage of the passes after lowering: basic
+// blocks, value numbering, dead-code elimination and register
+// renumbering. A file's functions share one, each pass leaving it ready
+// for the next function, and scratchPool keeps it, with the capacity it
+// has grown, for the next file.
+type scratch struct {
+	// The basic blocks of the function last split, and their edges.
+	blocks  []basicBlock
+	edges   []int
+	leader  []bool
+	blockAt []int
+
+	vn valueNumberer
+
+	// Dead-code elimination: kept instructions, reads per register, each
+	// register's pure definers, the worklist, and compaction's map.
+	keep            []bool
+	uses, defHead   []int32
+	defNext, work   []int32
+	stack, newIndex []int
+
+	// Renumbering: liveness rows, intervals and register ends, the scan
+	// order, and the new registers.
+	live          []uint64
+	lo, hi, busy  []int
+	starts, order []int
+	newReg        []obj.Reg
+}
+
+// scratchPool keeps scratch for the next file. It is a sync.Pool, not
+// a free list, so the collector drops what no compile is using.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the contents are whatever the array held.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // optimize runs the intra-file optimizer over every function: inlining
 // (within this object file only), then local value numbering (constant
 // folding + common subexpression elimination) and dead-code elimination.
-func optimize(f *obj.File, opts Options) {
+func (s *scratch) optimize(f *obj.File, opts Options) {
 	inlineLimit := opts.InlineLimit
 	if inlineLimit == 0 {
 		inlineLimit = DefaultInlineLimit
@@ -20,14 +63,13 @@ func optimize(f *obj.File, opts Options) {
 	if growthLimit == 0 {
 		growthLimit = DefaultGrowthLimit
 	}
-	vn := vnPool.Get().(*valueNumberer)
-	defer vnPool.Put(vn)
+	defer clear(s.vn.syms)
 	pass := func() {
 		for _, fn := range f.Funcs {
 			if !opts.DisableCSE {
-				vn.valueNumber(fn)
+				s.valueNumber(fn)
 			}
-			deadCode(fn)
+			s.deadCode(fn)
 		}
 	}
 	pass()
@@ -46,13 +88,15 @@ type basicBlock struct {
 
 // basicBlocks splits fn's code at its leaders — entry, branch and jump
 // targets, and the instruction after every control transfer — and links
-// each block to its successors, in code order.
-func basicBlocks(fn *obj.Func) []basicBlock {
+// each block to its successors, in code order. The blocks are valid
+// until the next call.
+func (s *scratch) basicBlocks(fn *obj.Func) []basicBlock {
 	n := len(fn.Code)
-	leader := make([]bool, n+1)
+	leader := resize(s.leader, n+1)
+	clear(leader)
 	leader[0] = true
-	for i, in := range fn.Code {
-		switch in.Op {
+	for i := range fn.Code {
+		switch in := &fn.Code[i]; in.Op {
 		case obj.OpJump:
 			leader[in.Targets[0]] = true
 			leader[i+1] = true
@@ -70,9 +114,9 @@ func basicBlocks(fn *obj.Func) []basicBlock {
 			nblocks++
 		}
 	}
-	blocks := make([]basicBlock, 0, nblocks)
-	edges := make([]int, 0, 2*nblocks) // every block's succs, at most two each
-	blockAt := make([]int, n)
+	blocks := resize(s.blocks, nblocks)[:0]
+	edges := resize(s.edges, 2*nblocks)[:0] // every block's succs, at most two each
+	blockAt := resize(s.blockAt, n)
 	for i := 0; i < n; {
 		j := i + 1
 		for j < n && !leader[j] {
@@ -104,16 +148,89 @@ func basicBlocks(fn *obj.Func) []basicBlock {
 		}
 		blk.succs = edges[from:len(edges):len(edges)]
 	}
+	s.leader, s.blocks, s.edges, s.blockAt = leader, blocks, edges, blockAt
 	return blocks
 }
 
-// vnKey identifies a pure computation for value numbering.
-type vnKey struct {
-	op   obj.Op
-	tok  int
-	a, b int // value numbers of operands
-	imm  int64
-	sym  string
+// exprKey identifies a pure computation for value numbering: its opcode
+// and operator, its operands' value numbers, and its immediate — for
+// OpAddrGlobal, the symbol's number among the file's (valueNumberer.syms).
+type exprKey struct {
+	op, tok, a, b int32
+	imm           int64
+}
+
+// exprTable maps expressions to value numbers as a scoped hash table
+// (Briggs, Cooper and Simpson, "Value Numbering", SP&E 1997). Entries
+// are appended to a log and each bucket's chain runs through the log,
+// newest first, so a newer entry shadows an older one with the same
+// key; a kill is an entry with value number 0. Returning to an earlier
+// point pops the log, giving each popped entry's bucket back the head
+// it had before.
+type exprTable struct {
+	heads   []int32 // bucket -> 1 + index of its newest entry; 0 if none
+	entries []exprEntry
+	shift   uint // 64 - log2(len(heads))
+}
+
+// exprEntry is one entry of the log: key's value number from here on,
+// and 1 + the index of the next older entry in its bucket (0 ends it).
+type exprEntry struct {
+	key  exprKey
+	vn   int32
+	next int32
+}
+
+func (t *exprTable) bucket(k exprKey) int {
+	h := uint64(uint32(k.a))<<32 | uint64(uint32(k.b))
+	h ^= uint64(k.imm) * 0x9e3779b97f4a7c15
+	h ^= uint64(uint32(k.op)<<16|uint32(k.tok)) * 0xc2b2ae3d27d4eb4f
+	h ^= h >> 31
+	return int(h * 0xbf58476d1ce4e5b9 >> t.shift)
+}
+
+// lookup returns k's value number, or 0 if it has none.
+func (t *exprTable) lookup(k exprKey) int {
+	for i := t.heads[t.bucket(k)]; i != 0; {
+		e := &t.entries[i-1]
+		if e.key == k {
+			return int(e.vn)
+		}
+		i = e.next
+	}
+	return 0
+}
+
+// set gives k the value number vn (0 kills it) until the log is popped
+// past this entry.
+func (t *exprTable) set(k exprKey, vn int) {
+	if len(t.entries) >= len(t.heads) {
+		t.grow()
+	}
+	b := t.bucket(k)
+	t.entries = append(t.entries, exprEntry{k, int32(vn), t.heads[b]})
+	t.heads[b] = int32(len(t.entries))
+}
+
+// grow doubles the buckets and rechains the log in order, so every
+// chain still runs newest first.
+func (t *exprTable) grow() {
+	n := max(2*len(t.heads), 64)
+	t.heads = make([]int32, n)
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for i := range t.entries {
+		b := t.bucket(t.entries[i].key)
+		t.entries[i].next = t.heads[b]
+		t.heads[b] = int32(i + 1)
+	}
+}
+
+// popTo removes the entries from index n on, newest first.
+func (t *exprTable) popTo(n int) {
+	for i := len(t.entries) - 1; i >= n; i-- {
+		t.heads[t.bucket(t.entries[i].key)] = t.entries[i].next
+	}
+	t.entries = t.entries[:n]
 }
 
 // valueNumberer holds value numbering's state at one program point, as
@@ -125,13 +242,13 @@ type valueNumberer struct {
 	regVN   []int    // register -> its value number
 	regHeld []int    // register -> the number whose holder it is (inverse of vns[].reg)
 	vns     []vnInfo // value number -> what is known of it; vns[0] is unused
-	exprVN  map[vnKey]int
-	// loads lists the load expressions entered in exprVN; those from
-	// loadsFrom on are still there.
-	loads     []vnKey
+	exprs   exprTable
+	syms    map[string]int64 // the file's symbols, numbered for exprKey
+	// loads lists the exprs entries of load expressions; those from
+	// loadsFrom on have not been killed since.
+	loads     []int32
 	loadsFrom int
-	log       []vnUndo   // earlier contents of regVN, regHeld and vns[].reg
-	exprLog   []exprUndo // earlier contents of exprVN
+	log       []vnUndo // earlier contents of regVN, regHeld and vns[].reg
 
 	// Per-function scratch: the tree of extended blocks.
 	parent, firstChild, nextSibling []int
@@ -160,22 +277,11 @@ const (
 	tabVNReg
 )
 
-// exprUndo restores one exprVN entry; old 0 means it was absent.
-type exprUndo struct {
-	key vnKey
-	old int
-}
-
 // vnMark is a program point valueNumberer can return to.
-type vnMark struct{ log, exprLog, loads, loadsFrom, vns int }
-
-// vnPool keeps valueNumberers, and the tables and logs they have grown,
-// for the next file: each is back at the empty state when a function
-// is done.
-var vnPool = sync.Pool{New: func() any { return &valueNumberer{exprVN: map[vnKey]int{}} }}
+type vnMark struct{ log, exprs, loads, loadsFrom, vns int }
 
 func (v *valueNumberer) mark() vnMark {
-	return vnMark{len(v.log), len(v.exprLog), len(v.loads), v.loadsFrom, len(v.vns)}
+	return vnMark{len(v.log), len(v.exprs.entries), len(v.loads), v.loadsFrom, len(v.vns)}
 }
 
 // undo returns the state to m, newest change first.
@@ -191,14 +297,7 @@ func (v *valueNumberer) undo(m vnMark) {
 		}
 	}
 	v.log = v.log[:m.log]
-	for i := len(v.exprLog) - 1; i >= m.exprLog; i-- {
-		if e := &v.exprLog[i]; e.old == 0 {
-			delete(v.exprVN, e.key)
-		} else {
-			v.exprVN[e.key] = e.old
-		}
-	}
-	v.exprLog = v.exprLog[:m.exprLog]
+	v.exprs.popTo(m.exprs)
 	v.loads, v.loadsFrom = v.loads[:m.loads], m.loadsFrom
 	v.vns = v.vns[:m.vns]
 }
@@ -208,9 +307,17 @@ func (v *valueNumberer) setRegVN(r obj.Reg, vn int) {
 	v.regVN[r] = vn
 }
 
-func (v *valueNumberer) setExpr(key vnKey, vn int) {
-	v.exprLog = append(v.exprLog, exprUndo{key, v.exprVN[key]})
-	v.exprVN[key] = vn
+// symbol returns name's number among the file's symbols.
+func (v *valueNumberer) symbol(name string) int64 {
+	n, ok := v.syms[name]
+	if !ok {
+		if v.syms == nil {
+			v.syms = map[string]int64{}
+		}
+		n = int64(len(v.syms))
+		v.syms[name] = n
+	}
+	return n
 }
 
 // newVN returns a fresh value number that no register holds.
@@ -229,10 +336,9 @@ func (v *valueNumberer) vnOf(r obj.Reg) int {
 }
 
 func (v *valueNumberer) killLoads() {
-	for _, k := range v.loads[v.loadsFrom:] {
-		if old, ok := v.exprVN[k]; ok {
-			v.exprLog = append(v.exprLog, exprUndo{k, old})
-			delete(v.exprVN, k)
+	for _, i := range v.loads[v.loadsFrom:] {
+		if k := v.exprs.entries[i].key; v.exprs.lookup(k) != 0 {
+			v.exprs.set(k, 0)
 		}
 	}
 	v.loadsFrom = len(v.loads)
@@ -259,13 +365,13 @@ func (v *valueNumberer) hold(dst obj.Reg, vn int) {
 	v.regHeld[dst] = vn
 }
 
-func (v *valueNumberer) setDst(dst obj.Reg, key vnKey, isLoad bool) {
+func (v *valueNumberer) setDst(dst obj.Reg, key exprKey, isLoad bool) {
 	vn := v.newVN()
 	v.setRegVN(dst, vn)
-	v.setExpr(key, vn)
+	v.exprs.set(key, vn)
 	v.hold(dst, vn)
 	if isLoad {
-		v.loads = append(v.loads, key)
+		v.loads = append(v.loads, int32(len(v.exprs.entries)-1))
 	}
 }
 
@@ -273,14 +379,14 @@ func (v *valueNumberer) setConst(dst obj.Reg, c int64) {
 	vn := v.newVN()
 	v.setRegVN(dst, vn)
 	v.vns[vn].isConst, v.vns[vn].val = true, c
-	v.setExpr(vnKey{op: obj.OpConst, imm: c}, vn)
+	v.exprs.set(exprKey{op: int32(obj.OpConst), imm: c}, vn)
 	v.hold(dst, vn)
 }
 
 // reuse replaces the instruction with a Mov from the register that
 // already holds the value, if one is live; it reports success.
-func (v *valueNumberer) reuse(in *obj.Instr, key vnKey) bool {
-	if vn := v.exprVN[key]; vn != 0 {
+func (v *valueNumberer) reuse(in *obj.Instr, key exprKey) bool {
+	if vn := v.exprs.lookup(key); vn != 0 {
 		if r := v.vns[vn].reg; r != obj.NoReg && r != in.Dst {
 			*in = obj.Instr{Op: obj.OpMov, Dst: in.Dst, A: r, B: obj.NoReg}
 			v.release(in.Dst)
@@ -305,8 +411,9 @@ func (v *valueNumberer) reuse(in *obj.Instr, key vnKey) bool {
 // once its subtree is done (Briggs, Cooper and Simpson, "Value
 // Numbering", SP&E 1997), so each block starts from its parent's end
 // state without a copy of it.
-func (v *valueNumberer) valueNumber(fn *obj.Func) {
-	blocks := basicBlocks(fn)
+func (s *scratch) valueNumber(fn *obj.Func) {
+	blocks := s.basicBlocks(fn)
+	v := &s.vn
 	// Predecessor counts, and each block's last-linked predecessor: its
 	// sole one when the count is 1.
 	nb := len(blocks)
@@ -314,9 +421,9 @@ func (v *valueNumberer) valueNumber(fn *obj.Func) {
 	clear(predCount)
 	solePred := resize(v.nextSibling, nb)
 	for b, blk := range blocks {
-		for _, s := range blk.succs {
-			predCount[s]++
-			solePred[s] = b
+		for _, succ := range blk.succs {
+			predCount[succ]++
+			solePred[succ] = b
 		}
 	}
 	parent := resize(v.parent, nb)
@@ -337,24 +444,19 @@ func (v *valueNumberer) valueNumber(fn *obj.Func) {
 		}
 	}
 	v.firstChild, v.nextSibling, v.parent = firstChild, nextSibling, parent
+	// regVN and regHeld are all zero between functions, and the table's
+	// buckets all empty, as every change to them is undone.
 	v.regVN = resize(v.regVN, fn.NRegs)
 	v.regHeld = resize(v.regHeld, fn.NRegs)
 	v.vns = append(v.vns[:0], vnInfo{reg: obj.NoReg})
+	if v.exprs.heads == nil {
+		v.exprs.grow()
+	}
 	for b := range blocks {
 		if parent[b] < 0 {
 			v.walk(fn.Code, blocks, b)
 		}
 	}
-}
-
-// resize returns s with length n, reusing its array when it is large
-// enough. regVN and regHeld are all zero between functions, as every
-// change to them is undone.
-func resize(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
 }
 
 // walk numbers block b and then its subtree, and undoes all of it.
@@ -373,7 +475,7 @@ func (v *valueNumberer) block(code []obj.Instr) {
 		in := &code[i]
 		switch in.Op {
 		case obj.OpConst:
-			key := vnKey{op: obj.OpConst, imm: in.Imm}
+			key := exprKey{op: int32(obj.OpConst), imm: in.Imm}
 			if v.reuse(in, key) {
 				continue
 			}
@@ -389,7 +491,7 @@ func (v *valueNumberer) block(code []obj.Instr) {
 					continue
 				}
 			}
-			key := vnKey{op: obj.OpBin, tok: in.Tok, a: va, b: vb}
+			key := exprKey{op: int32(obj.OpBin), tok: int32(in.Tok), a: int32(va), b: int32(vb)}
 			if v.reuse(in, key) {
 				continue
 			}
@@ -403,25 +505,25 @@ func (v *valueNumberer) block(code []obj.Instr) {
 					continue
 				}
 			}
-			key := vnKey{op: obj.OpUn, tok: in.Tok, a: va}
+			key := exprKey{op: int32(obj.OpUn), tok: int32(in.Tok), a: int32(va)}
 			if v.reuse(in, key) {
 				continue
 			}
 			v.setDst(in.Dst, key, false)
 		case obj.OpAddrGlobal:
-			key := vnKey{op: obj.OpAddrGlobal, sym: in.Sym}
+			key := exprKey{op: int32(obj.OpAddrGlobal), imm: v.symbol(in.Sym)}
 			if v.reuse(in, key) {
 				continue
 			}
 			v.setDst(in.Dst, key, false)
 		case obj.OpAddrLocal, obj.OpAddrString:
-			key := vnKey{op: in.Op, imm: in.Imm}
+			key := exprKey{op: int32(in.Op), imm: in.Imm}
 			if v.reuse(in, key) {
 				continue
 			}
 			v.setDst(in.Dst, key, false)
 		case obj.OpLoad:
-			key := vnKey{op: obj.OpLoad, a: v.vnOf(in.A)}
+			key := exprKey{op: int32(obj.OpLoad), a: int32(v.vnOf(in.A))}
 			if v.reuse(in, key) {
 				continue
 			}
@@ -491,62 +593,89 @@ func pure(op obj.Op) bool {
 	return false
 }
 
-// deadCode removes pure instructions whose results are never read
-// (flow-insensitively) and compacts the code, fixing jump targets.
-func deadCode(fn *obj.Func) {
-	for {
-		reach := reachable(fn)
-		read := make([]bool, fn.NRegs)
-		for i := range fn.Code {
-			if !reach[i] {
-				continue
+// deadCode removes the instructions control never reaches, the
+// self-moves, and the pure instructions whose results no kept
+// instruction reads, then compacts the code once, moving each jump
+// target that pointed at a removed instruction to the next kept one.
+// Removing an instruction drops its reads, which can leave other
+// results unread, so it works through a worklist over each register's
+// count of reads. The rule is monotone, so the worklist reaches the
+// least fixpoint: the instructions that rounds of removing and
+// recompacting until nothing changes remove.
+func (s *scratch) deadCode(fn *obj.Func) {
+	code := fn.Code
+	keep := s.reachable(code)
+	// Reads by reachable instructions, and each register's reachable
+	// pure definers, chained through defNext (1 + index; 0 ends it).
+	uses := resize(s.uses, fn.NRegs)
+	defHead := resize(s.defHead, fn.NRegs)
+	clear(uses)
+	clear(defHead)
+	defNext := resize(s.defNext, len(code))
+	for i := range code {
+		if !keep[i] {
+			continue
+		}
+		in := &code[i]
+		operands(in, func(r *obj.Reg, def bool) {
+			if !def {
+				uses[*r]++
 			}
-			operands(&fn.Code[i], func(r *obj.Reg, def bool) {
-				if !def {
-					read[*r] = true
+		})
+		if pure(in.Op) {
+			defNext[i], defHead[in.Dst] = defHead[in.Dst], int32(i+1)
+		}
+	}
+	removed := false
+	work := s.work[:0]
+	drop := func(i int) {
+		keep[i], removed = false, true
+		work = append(work, int32(i))
+	}
+	for i := range code {
+		switch in := &code[i]; {
+		case !keep[i]:
+			removed = true
+		case in.Op == obj.OpMov && in.A == in.Dst, pure(in.Op) && uses[in.Dst] == 0:
+			drop(i)
+		}
+	}
+	for len(work) > 0 {
+		i := work[len(work)-1]
+		work = work[:len(work)-1]
+		operands(&code[i], func(r *obj.Reg, def bool) {
+			if def {
+				return
+			}
+			if uses[*r]--; uses[*r] == 0 {
+				for j := defHead[*r]; j != 0; j = defNext[j-1] {
+					if keep[j-1] {
+						drop(int(j - 1))
+					}
 				}
-			})
-		}
-		// Parameters are implicitly live on entry (their registers are
-		// the calling convention), but an unread parameter costs nothing.
-		keep := make([]bool, len(fn.Code))
-		removed := false
-		for i := range fn.Code {
-			in := &fn.Code[i]
-			if !reach[i] {
-				removed = true
-				continue
 			}
-			if pure(in.Op) && !read[in.Dst] {
-				removed = true
-				continue
-			}
-			if in.Op == obj.OpMov && in.A == in.Dst {
-				removed = true
-				continue
-			}
-			keep[i] = true
-		}
-		if !removed {
-			return
-		}
-		compact(fn, keep)
+		})
+	}
+	s.uses, s.defHead, s.defNext, s.work = uses, defHead, defNext, work
+	if removed {
+		s.compact(fn, keep)
 	}
 }
 
-// reachable marks instructions reachable from entry by control flow.
-func reachable(fn *obj.Func) []bool {
-	seen := make([]bool, len(fn.Code))
-	var stack []int
-	if len(fn.Code) > 0 {
+// reachable marks the instructions control can reach from entry.
+func (s *scratch) reachable(code []obj.Instr) []bool {
+	seen := resize(s.keep, len(code))
+	clear(seen)
+	stack := s.stack[:0]
+	if len(code) > 0 {
 		stack = append(stack, 0)
 	}
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for i < len(fn.Code) && !seen[i] {
+		for i < len(code) && !seen[i] {
 			seen[i] = true
-			in := &fn.Code[i]
+			in := &code[i]
 			switch in.Op {
 			case obj.OpJump:
 				i = in.Targets[0]
@@ -554,20 +683,22 @@ func reachable(fn *obj.Func) []bool {
 				stack = append(stack, in.Targets[1])
 				i = in.Targets[0]
 			case obj.OpRet:
-				i = len(fn.Code)
+				i = len(code)
 			default:
 				i++
 			}
 		}
 	}
+	s.keep, s.stack = seen, stack
 	return seen
 }
 
 // compact rewrites fn.Code in place keeping only instructions marked
 // keep, remapping jump and branch targets. Targets that point at
 // removed instructions move to the next kept instruction.
-func compact(fn *obj.Func, keep []bool) {
-	newIndex := make([]int, len(fn.Code)+1)
+func (s *scratch) compact(fn *obj.Func, keep []bool) {
+	newIndex := resize(s.newIndex, len(fn.Code)+1)
+	s.newIndex = newIndex
 	n := 0
 	for i := range fn.Code {
 		newIndex[i] = n
@@ -581,7 +712,7 @@ func compact(fn *obj.Func, keep []bool) {
 		if !keep[i] {
 			continue
 		}
-		in := fn.Code[i]
+		in := &fn.Code[i]
 		switch in.Op {
 		case obj.OpJump:
 			in.Targets[0] = newIndex[in.Targets[0]]
@@ -589,7 +720,9 @@ func compact(fn *obj.Func, keep []bool) {
 			in.Targets[0] = newIndex[in.Targets[0]]
 			in.Targets[1] = newIndex[in.Targets[1]]
 		}
-		fn.Code[n] = in
+		if n != i {
+			fn.Code[n] = *in
+		}
 		n++
 	}
 	clear(fn.Code[n:]) // drop the removed instructions' Sym and Args

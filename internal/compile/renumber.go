@@ -3,7 +3,6 @@ package compile
 import (
 	"math"
 	"math/bits"
-	"slices"
 
 	"knit/internal/obj"
 )
@@ -32,32 +31,31 @@ import (
 // one register defines another may give both the same register; a mov
 // can thereby become a self-move, which stays, because nothing runs
 // after this pass and it deletes nothing.
-func renumber(fn *obj.Func) {
+func (s *scratch) renumber(fn *obj.Func) {
 	code := fn.Code
 	nr := fn.NRegs
 	words := (nr + 63) / 64
 
-	blocks := basicBlocks(fn)
+	blocks := s.basicBlocks(fn)
 	nb := len(blocks)
 
-	// Backward liveness: in = gen ∪ (out ∖ kill), out = ∪ in(succ).
-	set := func() [][]uint64 {
-		rows := make([][]uint64, nb)
-		flat := make([]uint64, nb*words)
-		for b := range rows {
-			rows[b] = flat[b*words : (b+1)*words]
-		}
-		return rows
-	}
-	gen, kill, liveIn, liveOut := set(), set(), set(), set()
+	// Backward liveness: in = gen ∪ (out ∖ kill), out = ∪ in(succ). Each
+	// set is nb rows of words, block b's at [b*words, (b+1)*words).
+	n := nb * words
+	live := resize(s.live, 4*n)
+	clear(live)
+	s.live = live
+	gen, kill, liveIn, liveOut := live[:n], live[n:2*n], live[2*n:3*n], live[3*n:]
+	row := func(set []uint64, b int) []uint64 { return set[b*words : (b+1)*words] }
 	for b, blk := range blocks {
+		g, k := row(gen, b), row(kill, b)
 		for i := blk.start; i < blk.end; i++ {
 			operands(&code[i], func(r *obj.Reg, def bool) {
 				w, bit := *r/64, uint64(1)<<(*r%64)
 				if def {
-					kill[b][w] |= bit
-				} else if kill[b][w]&bit == 0 {
-					gen[b][w] |= bit // read before any write in the block
+					k[w] |= bit
+				} else if k[w]&bit == 0 {
+					g[w] |= bit // read before any write in the block
 				}
 			})
 		}
@@ -65,15 +63,16 @@ func renumber(fn *obj.Func) {
 	for changed := true; changed; {
 		changed = false
 		for b := nb - 1; b >= 0; b-- {
-			out := liveOut[b]
-			for _, s := range blocks[b].succs {
-				for w, v := range liveIn[s] {
+			out := row(liveOut, b)
+			for _, succ := range blocks[b].succs {
+				for w, v := range row(liveIn, succ) {
 					out[w] |= v
 				}
 			}
+			in, g, k := row(liveIn, b), row(gen, b), row(kill, b)
 			for w := range out {
-				if v := gen[b][w] | out[w]&^kill[b][w]; v != liveIn[b][w] {
-					liveIn[b][w] = v
+				if v := g[w] | out[w]&^k[w]; v != in[w] {
+					in[w] = v
 					changed = true
 				}
 			}
@@ -81,7 +80,8 @@ func renumber(fn *obj.Func) {
 	}
 
 	// Live intervals, as [lo, hi] hulls of program points.
-	lo, hi := make([]int, nr), make([]int, nr)
+	lo, hi := resize(s.lo, nr), resize(s.hi, nr)
+	s.lo, s.hi = lo, hi
 	for r := range lo {
 		lo[r], hi[r] = math.MaxInt, -1
 	}
@@ -96,8 +96,8 @@ func renumber(fn *obj.Func) {
 		}
 	}
 	for b, blk := range blocks {
-		touchAll(liveIn[b], 2*blk.start)
-		touchAll(liveOut[b], 2*blk.end-1)
+		touchAll(row(liveIn, b), 2*blk.start)
+		touchAll(row(liveOut, b), 2*blk.end-1)
 	}
 	for i := range code {
 		operands(&code[i], func(r *obj.Reg, def bool) {
@@ -111,26 +111,37 @@ func renumber(fn *obj.Func) {
 
 	// Linear scan. busy[p] is the last point of register p's current
 	// interval; p is free for an interval starting after it.
-	newReg := make([]obj.Reg, nr)
-	var busy []int
+	newReg := resize(s.newReg, nr)
+	s.newReg = newReg
+	busy := s.busy[:0]
 	for r := 0; r < fn.NArgs; r++ {
 		// Even an unread parameter holds its argument at point 0, so no
 		// register live at entry may share it.
 		newReg[r] = obj.Reg(r)
 		busy = append(busy, max(hi[r], 0))
 	}
-	var order []int
+	// The intervals in (start, old register) order: a counting sort on
+	// start, which keeps register order among equal starts.
+	starts := resize(s.starts, 2*len(code)+1)
+	clear(starts)
+	count := 0
 	for r := fn.NArgs; r < nr; r++ {
 		if hi[r] >= 0 {
-			order = append(order, r)
+			starts[lo[r]+1]++
+			count++
 		}
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if lo[a] != lo[b] {
-			return lo[a] - lo[b]
+	for p := 1; p < len(starts); p++ {
+		starts[p] += starts[p-1]
+	}
+	order := resize(s.order, count)
+	for r := fn.NArgs; r < nr; r++ {
+		if hi[r] >= 0 {
+			order[starts[lo[r]]] = r
+			starts[lo[r]]++
 		}
-		return a - b
-	})
+	}
+	s.starts, s.order = starts, order
 	for _, r := range order {
 		p := 0
 		for p < len(busy) && busy[p] >= lo[r] {
@@ -142,11 +153,23 @@ func renumber(fn *obj.Func) {
 		busy[p] = hi[r]
 		newReg[r] = obj.Reg(p)
 	}
+	s.busy = busy
 
+	// Argument lists may be shared with other instructions: the
+	// function's calls get one array of their own to renumber in.
+	nargs := 0
+	for i := range code {
+		nargs += len(code[i].Args)
+	}
+	args := make([]obj.Reg, 0, nargs)
 	for i := range code {
 		in := &code[i]
-		if in.Args != nil {
-			in.Args = append([]obj.Reg(nil), in.Args...)
+		if len(in.Args) > 0 {
+			from := len(args)
+			args = append(args, in.Args...)
+			in.Args = args[from:len(args):len(args)]
+		} else {
+			in.Args = nil
 		}
 		operands(in, func(r *obj.Reg, _ bool) { *r = newReg[*r] })
 	}

@@ -217,11 +217,11 @@ func FuzzRenumber(f *testing.F) {
 			t.Fatalf("lower: %v\n%s", err, src)
 		}
 		if opt {
-			optimize(pre, opts)
+			new(scratch).optimize(pre, opts)
 		}
 		post := pre.Clone()
 		for _, fn := range post.Funcs {
-			renumber(fn)
+			new(scratch).renumber(fn)
 		}
 		compiled, err := Compile(file, opts)
 		if err != nil {

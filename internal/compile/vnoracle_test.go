@@ -18,15 +18,26 @@ import (
 	"knit/internal/oskit"
 )
 
+// oracleOptions are the option sets the repository oracle compiles
+// every translation unit under: the default -O, the router's limits,
+// -O0, value numbering off, and inlining off.
+var oracleOptions = []compile.Options{
+	{Opt: true},
+	{Opt: true, InlineLimit: 2048, GrowthLimit: 1 << 15},
+	{},
+	{Opt: true, DisableCSE: true},
+	{Opt: true, InlineLimit: -1},
+}
+
 // TestValueNumberMatchesReferenceOnRepository compiles every C source
-// the repository builds with valueNumber and with the reference it
-// replaced, and requires identical object text: each instance's renamed
-// file, and each program's flattened region. The programs are the
-// oskit kernels, the census kernel, clack's routers (modular, flattened
-// and hand-optimized) and upgrade targets, and every buildable unit of
-// the examples and CLI test data.
+// the repository builds with Compile and with CompileReference, the
+// optimizer and renumbering they replaced, under each of
+// oracleOptions, and requires identical object text: each instance's
+// renamed file, and each program's flattened region. The programs are
+// the oskit kernels, the census kernel, clack's routers (modular,
+// flattened and hand-optimized) and upgrade targets, and every
+// buildable unit of the examples and CLI test data.
 func TestValueNumberMatchesReferenceOnRepository(t *testing.T) {
-	opts := compile.Options{Opt: true}
 	seen := map[string]bool{}
 	var files, regions int
 	check := func(what string, f *cmini.File) {
@@ -35,16 +46,18 @@ func TestValueNumberMatchesReferenceOnRepository(t *testing.T) {
 			return
 		}
 		seen[text] = true
-		got, err := compile.Compile(f, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		want, err := compile.CompileReference(f, opts)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", what, err)
-		}
-		if asm.Format(got) != asm.Format(want) {
-			t.Errorf("%s: object differs from the reference value numbering", what)
+		for _, opts := range oracleOptions {
+			got, err := compile.Compile(f, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			want, err := compile.CompileReference(f, opts)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", what, err)
+			}
+			if asm.Format(got) != asm.Format(want) {
+				t.Errorf("%s (%s): object differs from the reference compiler's", what, opts.Key())
+			}
 		}
 	}
 	program := func(label string, prog *link.Program, filter func(*link.Instance) bool) {
@@ -144,7 +157,8 @@ func TestValueNumberMatchesReferenceOnRepository(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	t.Logf("%d instance files and %d flattened regions, %d distinct translation units", files, regions, len(seen))
+	t.Logf("%d instance files and %d flattened regions, %d distinct translation units, each under %d option sets",
+		files, regions, len(seen), len(oracleOptions))
 	if len(seen) < 100 || regions < 20 {
 		t.Errorf("only %d translation units and %d regions checked", len(seen), regions)
 	}

@@ -1,17 +1,35 @@
 package compile
 
-// The value numbering the compiler shipped before it walked the tree of
-// extended basic blocks with scoped tables: every block with one
-// earlier predecessor starts from a copy of that predecessor's maps.
-// It is kept, unchanged, as the reference valueNumber must match
-// instruction for instruction (TestValueNumberMatchesReference,
-// FuzzValueNumber, and the repository-wide oracle in
+// The optimizer and register renumbering the compiler shipped before
+// value numbering kept its expressions in a scoped hash table and
+// dead-code elimination became one worklist pass. Value numbering
+// copies its predecessor's maps into every block with one earlier
+// predecessor, dead-code elimination recomputes reachability and the
+// registers read and recompacts the code until nothing changes, and
+// renumbering allocates its tables per function and sorts its
+// intervals with slices.SortFunc. Basic blocks are split by the same
+// code as the compiler's, on fresh scratch. The pipeline is kept,
+// unchanged, as the reference the compiler must match instruction for
+// instruction (FuzzValueNumber, and the repository-wide oracle in
 // vnoracle_test.go).
 
 import (
+	"math"
+	"math/bits"
+	"slices"
+
 	"knit/internal/cmini"
 	"knit/internal/obj"
 )
+
+// vnKey identifies a pure computation for value numbering.
+type vnKey struct {
+	op   obj.Op
+	tok  int
+	a, b int // value numbers of operands
+	imm  int64
+	sym  string
+}
 
 // vnState is the value-numbering state at a program point.
 type vnState struct {
@@ -71,7 +89,7 @@ func (s *vnState) clone() *vnState {
 // This is the pass that, after flattening + inlining, "eliminates
 // redundant reads via common subexpression elimination" (§6).
 func valueNumberReference(fn *obj.Func) {
-	blocks := basicBlocks(fn)
+	blocks := new(scratch).basicBlocks(fn)
 	// Predecessor counts, and each block's last-linked predecessor: its
 	// sole one when the count is 1.
 	predCount := make([]int, len(blocks))
@@ -232,7 +250,8 @@ func valueNumberReference(fn *obj.Func) {
 	}
 }
 
-// optimizeReference is optimize with valueNumberReference.
+// optimizeReference is optimize with valueNumberReference and
+// deadCodeReference.
 func optimizeReference(f *obj.File, opts Options) {
 	inlineLimit := opts.InlineLimit
 	if inlineLimit == 0 {
@@ -247,7 +266,7 @@ func optimizeReference(f *obj.File, opts Options) {
 			if !opts.DisableCSE {
 				valueNumberReference(fn)
 			}
-			deadCode(fn)
+			deadCodeReference(fn)
 		}
 	}
 	pass()
@@ -257,8 +276,8 @@ func optimizeReference(f *obj.File, opts Options) {
 	pass()
 }
 
-// CompileReference is Compile with the reference value numbering, for
-// the oracle tests outside this package.
+// CompileReference is Compile with the reference optimizer and
+// renumbering, for the oracle tests outside this package.
 func CompileReference(f *cmini.File, opts Options) (*obj.File, error) {
 	out, err := lower(f)
 	if err != nil {
@@ -268,7 +287,236 @@ func CompileReference(f *cmini.File, opts Options) (*obj.File, error) {
 		optimizeReference(out, opts)
 	}
 	for _, fn := range out.Funcs {
-		renumber(fn)
+		renumberReference(fn)
 	}
 	return out, nil
+}
+
+// deadCodeReference removes pure instructions whose results are never
+// read (flow-insensitively) and compacts the code, fixing jump targets,
+// in rounds until a round removes nothing.
+func deadCodeReference(fn *obj.Func) {
+	for {
+		reach := reachableReference(fn)
+		read := make([]bool, fn.NRegs)
+		for i := range fn.Code {
+			if !reach[i] {
+				continue
+			}
+			operands(&fn.Code[i], func(r *obj.Reg, def bool) {
+				if !def {
+					read[*r] = true
+				}
+			})
+		}
+		// Parameters are implicitly live on entry (their registers are
+		// the calling convention), but an unread parameter costs nothing.
+		keep := make([]bool, len(fn.Code))
+		removed := false
+		for i := range fn.Code {
+			in := &fn.Code[i]
+			if !reach[i] {
+				removed = true
+				continue
+			}
+			if pure(in.Op) && !read[in.Dst] {
+				removed = true
+				continue
+			}
+			if in.Op == obj.OpMov && in.A == in.Dst {
+				removed = true
+				continue
+			}
+			keep[i] = true
+		}
+		if !removed {
+			return
+		}
+		compactReference(fn, keep)
+	}
+}
+
+// reachableReference marks instructions reachable from entry by control flow.
+func reachableReference(fn *obj.Func) []bool {
+	seen := make([]bool, len(fn.Code))
+	var stack []int
+	if len(fn.Code) > 0 {
+		stack = append(stack, 0)
+	}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for i < len(fn.Code) && !seen[i] {
+			seen[i] = true
+			in := &fn.Code[i]
+			switch in.Op {
+			case obj.OpJump:
+				i = in.Targets[0]
+			case obj.OpBranch:
+				stack = append(stack, in.Targets[1])
+				i = in.Targets[0]
+			case obj.OpRet:
+				i = len(fn.Code)
+			default:
+				i++
+			}
+		}
+	}
+	return seen
+}
+
+// compactReference rewrites fn.Code in place keeping only instructions marked
+// keep, remapping jump and branch targets. Targets that point at
+// removed instructions move to the next kept instruction.
+func compactReference(fn *obj.Func, keep []bool) {
+	newIndex := make([]int, len(fn.Code)+1)
+	n := 0
+	for i := range fn.Code {
+		newIndex[i] = n
+		if keep[i] {
+			n++
+		}
+	}
+	newIndex[len(fn.Code)] = n
+	n = 0
+	for i := range fn.Code {
+		if !keep[i] {
+			continue
+		}
+		in := fn.Code[i]
+		switch in.Op {
+		case obj.OpJump:
+			in.Targets[0] = newIndex[in.Targets[0]]
+		case obj.OpBranch:
+			in.Targets[0] = newIndex[in.Targets[0]]
+			in.Targets[1] = newIndex[in.Targets[1]]
+		}
+		fn.Code[n] = in
+		n++
+	}
+	clear(fn.Code[n:]) // drop the removed instructions' Sym and Args
+	fn.Code = fn.Code[:n]
+}
+
+// renumberReference is renumber as it was, with per-function tables and
+// a sorted scan order: see renumber.go for the algorithm.
+func renumberReference(fn *obj.Func) {
+	code := fn.Code
+	nr := fn.NRegs
+	words := (nr + 63) / 64
+
+	blocks := new(scratch).basicBlocks(fn)
+	nb := len(blocks)
+
+	// Backward liveness: in = gen ∪ (out ∖ kill), out = ∪ in(succ).
+	set := func() [][]uint64 {
+		rows := make([][]uint64, nb)
+		flat := make([]uint64, nb*words)
+		for b := range rows {
+			rows[b] = flat[b*words : (b+1)*words]
+		}
+		return rows
+	}
+	gen, kill, liveIn, liveOut := set(), set(), set(), set()
+	for b, blk := range blocks {
+		for i := blk.start; i < blk.end; i++ {
+			operands(&code[i], func(r *obj.Reg, def bool) {
+				w, bit := *r/64, uint64(1)<<(*r%64)
+				if def {
+					kill[b][w] |= bit
+				} else if kill[b][w]&bit == 0 {
+					gen[b][w] |= bit // read before any write in the block
+				}
+			})
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for b := nb - 1; b >= 0; b-- {
+			out := liveOut[b]
+			for _, s := range blocks[b].succs {
+				for w, v := range liveIn[s] {
+					out[w] |= v
+				}
+			}
+			for w := range out {
+				if v := gen[b][w] | out[w]&^kill[b][w]; v != liveIn[b][w] {
+					liveIn[b][w] = v
+					changed = true
+				}
+			}
+		}
+	}
+
+	// Live intervals, as [lo, hi] hulls of program points.
+	lo, hi := make([]int, nr), make([]int, nr)
+	for r := range lo {
+		lo[r], hi[r] = math.MaxInt, -1
+	}
+	touch := func(r, p int) {
+		lo[r], hi[r] = min(lo[r], p), max(hi[r], p)
+	}
+	touchAll := func(row []uint64, p int) {
+		for w, v := range row {
+			for ; v != 0; v &= v - 1 {
+				touch(64*w+bits.TrailingZeros64(v), p)
+			}
+		}
+	}
+	for b, blk := range blocks {
+		touchAll(liveIn[b], 2*blk.start)
+		touchAll(liveOut[b], 2*blk.end-1)
+	}
+	for i := range code {
+		operands(&code[i], func(r *obj.Reg, def bool) {
+			if def {
+				touch(int(*r), 2*i+1)
+			} else {
+				touch(int(*r), 2*i)
+			}
+		})
+	}
+
+	// Linear scan. busy[p] is the last point of register p's current
+	// interval; p is free for an interval starting after it.
+	newReg := make([]obj.Reg, nr)
+	var busy []int
+	for r := 0; r < fn.NArgs; r++ {
+		// Even an unread parameter holds its argument at point 0, so no
+		// register live at entry may share it.
+		newReg[r] = obj.Reg(r)
+		busy = append(busy, max(hi[r], 0))
+	}
+	var order []int
+	for r := fn.NArgs; r < nr; r++ {
+		if hi[r] >= 0 {
+			order = append(order, r)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if lo[a] != lo[b] {
+			return lo[a] - lo[b]
+		}
+		return a - b
+	})
+	for _, r := range order {
+		p := 0
+		for p < len(busy) && busy[p] >= lo[r] {
+			p++
+		}
+		if p == len(busy) {
+			busy = append(busy, 0)
+		}
+		busy[p] = hi[r]
+		newReg[r] = obj.Reg(p)
+	}
+
+	for i := range code {
+		in := &code[i]
+		if in.Args != nil {
+			in.Args = append([]obj.Reg(nil), in.Args...)
+		}
+		operands(in, func(r *obj.Reg, _ bool) { *r = newReg[*r] })
+	}
+	fn.NRegs = len(busy)
 }

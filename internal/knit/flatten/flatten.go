@@ -195,8 +195,8 @@ func sortCalleesFirst(funcs []*cmini.FuncDecl) []*cmini.FuncDecl {
 	indeg := make([]int, len(funcs))
 	for i, f := range funcs {
 		file := &cmini.File{Decls: []cmini.Decl{f}}
-		for ref := range cmini.GlobalRefs(file) {
-			if j, ok := index[ref]; ok && j != i {
+		for _, ref := range cmini.GlobalRefs(file) {
+			if j, ok := index[ref.Name]; ok && j != i {
 				callees[i] = append(callees[i], j)
 				indeg[i]++ // i depends on j
 			}

@@ -6,28 +6,36 @@ package lang
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"knit/internal/cmini"
 	"knit/internal/diag"
 )
 
-// keywords are the unit language's reserved words. Unit files lex with
-// cmini's lexer, so every other word, C's keywords included, is a name.
-var keywords = map[string]bool{
-	"bundletype": true, "flags": true, "unit": true, "imports": true,
-	"exports": true, "depends": true, "needs": true, "files": true,
-	"with": true, "rename": true, "to": true, "initializer": true,
-	"finalizer": true, "for": true, "constraints": true, "link": true,
-	"property": true, "type": true, "fallback": true,
+// isKeyword reports whether word is one of the unit language's reserved
+// words. Unit files lex with cmini's lexer, so every other word, C's
+// keywords included, is a name.
+func isKeyword(word string) bool {
+	switch word {
+	case "bundletype", "flags", "unit", "imports", "exports", "depends",
+		"needs", "files", "with", "rename", "to", "initializer",
+		"finalizer", "for", "constraints", "link", "property", "type",
+		"fallback":
+		return true
+	}
+	return false
 }
 
 // Parse parses a unit-language file.
 func Parse(file, src string) (*File, error) {
-	p := &parser{toks: cmini.NewWindow(file, src)}
+	l := listPool.Get().(*lists)
+	p := &parser{toks: cmini.NewWindow(file, src), lists: l}
 	f, err := p.file(file)
 	if err = p.toks.Err(err); err != nil {
-		return nil, err
+		return nil, err // the lists go: a failed parse leaves items on them
 	}
+	listPool.Put(l)
 	return f, nil
 }
 
@@ -80,6 +88,30 @@ func (p *parser) file(name string) (*File, error) {
 // looks at a second.
 type parser struct {
 	toks *cmini.Window
+	*lists
+}
+
+// lists holds the names and link lines of the lists being parsed,
+// innermost last; a list is copied out at its length when it ends.
+// Parses share them through listPool, so the stacks keep their capacity
+// from one file to the next.
+type lists struct {
+	names []string
+	links []LinkLine
+}
+
+var listPool = sync.Pool{New: func() any { return new(lists) }}
+
+// popList appends the items pushed on *stack since mark to dst, in a
+// new array of exactly the combined length, and pops them. With no
+// items it returns dst.
+func popList[T any](dst []T, stack *[]T, mark int) []T {
+	if items := (*stack)[mark:]; len(items) > 0 {
+		dst = append(append(make([]T, 0, len(dst)+len(items)), dst...), items...)
+		clear(items)
+	}
+	*stack = (*stack)[:mark]
+	return dst
 }
 
 func (p *parser) atEOF() bool { return p.kind() == cmini.EOF }
@@ -94,7 +126,7 @@ func (p *parser) next() cmini.Token { return p.toks.Next() }
 // keyword returns the current token's text if it is a unit keyword,
 // and "" otherwise.
 func (p *parser) keyword() string {
-	if t := p.toks.Cur(); t.IsWord() && keywords[t.Lit] {
+	if t := p.toks.Cur(); t.IsWord() && isKeyword(t.Lit) {
 		return t.Lit
 	}
 	return ""
@@ -104,7 +136,7 @@ func (p *parser) keyword() string {
 // not a unit keyword.
 func (p *parser) isIdent() bool {
 	t := p.toks.Cur()
-	return t.IsWord() && !keywords[t.Lit]
+	return t.IsWord() && !isKeyword(t.Lit)
 }
 
 func (p *parser) accept(k cmini.Tok) bool {
@@ -124,12 +156,10 @@ func (p *parser) acceptKw(kw string) bool {
 }
 
 func (p *parser) expect(k cmini.Tok) (cmini.Token, error) {
-	t := p.cur()
-	if t.Kind != k {
-		return t, p.errf("expected %q, found %s", k.String(), p.describe())
+	if p.kind() != k {
+		return p.cur(), p.errf("expected %q, found %s", k.String(), p.describe())
 	}
-	p.next()
-	return t, nil
+	return p.next(), nil
 }
 
 func (p *parser) expectKw(kw string) error {
@@ -198,16 +228,14 @@ func (p *parser) bundleType() (*BundleType, error) {
 		return nil, err
 	}
 	bt := &BundleType{Pos: pos, Name: name.Lit}
-	seen := map[string]bool{}
 	for !p.accept(cmini.RBRACE) {
 		sym, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if seen[sym.Lit] {
+		if slices.Contains(bt.Syms, sym.Lit) {
 			return nil, diag.Errorf(sym.Pos, "duplicate symbol %q in bundletype %s", sym.Lit, name.Lit)
 		}
-		seen[sym.Lit] = true
 		bt.Syms = append(bt.Syms, sym.Lit)
 		if !p.accept(cmini.COMMA) {
 			if _, err := p.expect(cmini.RBRACE); err != nil {
@@ -313,18 +341,18 @@ func (p *parser) unitSection(u *Unit) error {
 	switch p.keyword() {
 	case "imports":
 		p.next()
-		bs, err := p.bindings()
+		bs, err := p.bindings(u.Imports)
 		if err != nil {
 			return err
 		}
-		u.Imports = append(u.Imports, bs...)
+		u.Imports = bs
 	case "exports":
 		p.next()
-		bs, err := p.bindings()
+		bs, err := p.bindings(u.Exports)
 		if err != nil {
 			return err
 		}
-		u.Exports = append(u.Exports, bs...)
+		u.Exports = bs
 	case "depends":
 		p.next()
 		if _, err := p.expect(cmini.LBRACE); err != nil {
@@ -345,12 +373,13 @@ func (p *parser) unitSection(u *Unit) error {
 		if _, err := p.expect(cmini.LBRACE); err != nil {
 			return err
 		}
+		mark := len(p.names)
 		for !p.accept(cmini.RBRACE) {
 			s, err := p.expect(cmini.STRING)
 			if err != nil {
 				return err
 			}
-			u.Files = append(u.Files, s.Lit)
+			p.names = append(p.names, s.Lit)
 			if !p.accept(cmini.COMMA) {
 				if _, err := p.expect(cmini.RBRACE); err != nil {
 					return err
@@ -358,6 +387,7 @@ func (p *parser) unitSection(u *Unit) error {
 				break
 			}
 		}
+		u.Files = popList(u.Files, &p.names, mark)
 		if p.acceptKw("with") {
 			if err := p.expectKw("flags"); err != nil {
 				return err
@@ -439,13 +469,15 @@ func (p *parser) unitSection(u *Unit) error {
 		if _, err := p.expect(cmini.LBRACE); err != nil {
 			return err
 		}
+		mark := len(p.links)
 		for !p.accept(cmini.RBRACE) {
 			ll, err := p.linkLine()
 			if err != nil {
 				return err
 			}
-			u.Links = append(u.Links, ll)
+			p.links = append(p.links, ll)
 		}
+		u.Links = popList(u.Links, &p.links, mark)
 		if _, err := p.expect(cmini.SEMI); err != nil {
 			return err
 		}
@@ -455,11 +487,11 @@ func (p *parser) unitSection(u *Unit) error {
 	return nil
 }
 
-func (p *parser) bindings() ([]Binding, error) {
+// bindings appends a bracketed binding list to out.
+func (p *parser) bindings(out []Binding) ([]Binding, error) {
 	if _, err := p.expect(cmini.LBRACK); err != nil {
 		return nil, err
 	}
-	var out []Binding
 	for !p.accept(cmini.RBRACK) {
 		local, err := p.ident()
 		if err != nil {
@@ -486,23 +518,22 @@ func (p *parser) bindings() ([]Binding, error) {
 	return out, nil
 }
 
-// depTerm parses name | exports | imports | ( term { + term } ).
-func (p *parser) depTerm() ([]string, error) {
+// depTerm parses name | exports | imports | ( term { + term } ) and
+// appends its names to out.
+func (p *parser) depTerm(out []string) ([]string, error) {
 	switch {
 	case p.isIdent():
-		return []string{p.next().Lit}, nil
+		return append(out, p.next().Lit), nil
 	case p.acceptKw("exports"):
-		return []string{ExportsKeyword}, nil
+		return append(out, ExportsKeyword), nil
 	case p.acceptKw("imports"):
-		return []string{ImportsKeyword}, nil
+		return append(out, ImportsKeyword), nil
 	case p.accept(cmini.LPAREN):
-		var out []string
 		for {
-			t, err := p.depTerm()
-			if err != nil {
+			var err error
+			if out, err = p.depTerm(out); err != nil {
 				return nil, err
 			}
-			out = append(out, t...)
 			if p.accept(cmini.PLUS) {
 				continue
 			}
@@ -517,31 +548,27 @@ func (p *parser) depTerm() ([]string, error) {
 
 func (p *parser) depClause() (DepClause, error) {
 	pos := p.cur().Pos
-	lhs, err := p.depTerm()
+	lhs, err := p.depTerm(nil)
 	if err != nil {
 		return DepClause{}, err
 	}
 	// Allow "a + b needs ..." without parens.
 	for p.accept(cmini.PLUS) {
-		more, err := p.depTerm()
-		if err != nil {
+		if lhs, err = p.depTerm(lhs); err != nil {
 			return DepClause{}, err
 		}
-		lhs = append(lhs, more...)
 	}
 	if err := p.expectKw("needs"); err != nil {
 		return DepClause{}, err
 	}
-	rhs, err := p.depTerm()
+	rhs, err := p.depTerm(nil)
 	if err != nil {
 		return DepClause{}, err
 	}
 	for p.accept(cmini.PLUS) || p.accept(cmini.COMMA) {
-		more, err := p.depTerm()
-		if err != nil {
+		if rhs, err = p.depTerm(rhs); err != nil {
 			return DepClause{}, err
 		}
-		rhs = append(rhs, more...)
 	}
 	if _, err := p.expect(cmini.SEMI); err != nil {
 		return DepClause{}, err
@@ -661,13 +688,13 @@ func (p *parser) nameList() ([]string, error) {
 	if _, err := p.expect(cmini.LBRACK); err != nil {
 		return nil, err
 	}
-	var out []string
+	mark := len(p.names)
 	for !p.accept(cmini.RBRACK) {
 		n, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, n.Lit)
+		p.names = append(p.names, n.Lit)
 		if !p.accept(cmini.COMMA) {
 			if _, err := p.expect(cmini.RBRACK); err != nil {
 				return nil, err
@@ -675,5 +702,5 @@ func (p *parser) nameList() ([]string, error) {
 			break
 		}
 	}
-	return out, nil
+	return popList(nil, &p.names, mark), nil
 }

@@ -2,7 +2,9 @@ package link
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"knit/internal/asm"
@@ -51,6 +53,7 @@ type Instance struct {
 	// this instance compiles it, renamed by Origins[i].Renames.
 	Files   []*cmini.File
 	Origins []FileOrigin
+	srcs    []*cSource // Files with their symbol facts
 	// Objects holds the unit's assembly-implemented files (paper: "Knit
 	// can actually work with C, assembly, and object code"), already
 	// instance-renamed at the object level — the objcopy path. Assembly
@@ -60,7 +63,8 @@ type Instance struct {
 	ImportWires map[string]*Wire
 	// ExportSyms maps export local -> bundle symbol -> program-unique
 	// global name.
-	ExportSyms map[string]map[string]string
+	ExportSyms    map[string]map[string]string
+	exportGlobals [][]string // ExportSyms per export binding, in its bundle type's symbol order
 	// ExportNeeds maps export local -> import locals it depends on.
 	ExportNeeds map[string][]string
 	Inits       []*Init // initializers and finalizers, in declaration order
@@ -144,6 +148,7 @@ type elab struct {
 	reg     *Registry
 	sources Sources
 	fe      *FrontEnd
+	units   map[*lang.Unit]*unitInfo
 	nextID  int
 	depth   int
 }
@@ -215,7 +220,7 @@ func (e *elab) elaborateCompound(u *lang.Unit, env map[string]*Wire, path string
 			}
 			childEnv[child.Imports[ii].Local] = w
 		}
-		childPath := fmt.Sprintf("%s/%s#%d", path, line.Unit, li)
+		childPath := path + "/" + line.Unit + "#" + strconv.Itoa(li)
 		childExports, err := e.elaborate(child, childEnv, childPath, prog)
 		if err != nil {
 			return nil, err
@@ -256,8 +261,8 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 		ID:          e.nextID,
 		Path:        path,
 		Unit:        u,
-		ImportWires: map[string]*Wire{},
-		ExportSyms:  map[string]map[string]string{},
+		ImportWires: make(map[string]*Wire, len(u.Imports)),
+		ExportSyms:  make(map[string]map[string]string, len(u.Exports)),
 		ExportNeeds: map[string][]string{},
 	}
 	e.nextID++
@@ -265,20 +270,21 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 		inst.ImportWires[imp.Local] = env[imp.Local]
 	}
 	// Export symbol global names.
-	suffix := fmt.Sprintf("__k%d", inst.ID)
-	cidents, err := cidentMap(e.reg, u)
+	info, err := e.unitInfo(u)
 	if err != nil {
 		return nil, err
 	}
-	for _, exp := range u.Exports {
-		bt := e.reg.BundleTypes[exp.Type]
-		if bt == nil {
-			return nil, diag.Errorf(exp.Pos, "%s: unknown bundle type %q", path, exp.Type)
+	suffix := instanceSuffix(inst.ID)
+	inst.exportGlobals = make([][]string, len(u.Exports))
+	for i, exp := range u.Exports {
+		ids := info.exports[i]
+		globals := make([]string, len(ids))
+		syms := make(map[string]string, len(ids))
+		for j, s := range e.reg.BundleTypes[exp.Type].Syms {
+			globals[j] = ids[j] + suffix
+			syms[s] = globals[j]
 		}
-		syms := map[string]string{}
-		for _, s := range bt.Syms {
-			syms[s] = cidents[bkey{exp.Local, s}] + suffix
-		}
+		inst.exportGlobals[i] = globals
 		inst.ExportSyms[exp.Local] = syms
 	}
 	// Dependency clauses.
@@ -291,24 +297,25 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 	// trees are the front end's, shared with every elaboration using
 	// it, so they are only ever read or cloned.
 	for _, fname := range u.Files {
-		src, ok := e.sources[fname]
+		text, ok := e.sources[fname]
 		if !ok {
 			return nil, diag.Errorf(u.Pos, "%s: source file %q not provided", path, fname)
 		}
 		if strings.HasSuffix(fname, ".s") {
-			o, err := e.fe.asm.get(fname, src, asm.Parse)
+			o, err := e.fe.asm.get(fname, text, asm.Parse)
 			if err != nil {
 				return nil, fmt.Errorf("unit %s: %w", u.Name, err)
 			}
 			inst.asmRaw = append(inst.asmRaw, o)
 			continue
 		}
-		f, err := e.fe.c.get(fname, src, cmini.Parse)
+		src, err := e.fe.c.get(fname, text, parseC)
 		if err != nil {
 			return nil, fmt.Errorf("unit %s: %w", u.Name, err)
 		}
-		inst.Files = append(inst.Files, f)
-		inst.Origins = append(inst.Origins, FileOrigin{Text: src})
+		inst.Files = append(inst.Files, src.tree)
+		inst.srcs = append(inst.srcs, src)
+		inst.Origins = append(inst.Origins, FileOrigin{Text: text})
 	}
 	prog.Instances = append(prog.Instances, inst)
 	out := map[string]*Wire{}
@@ -320,26 +327,23 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 
 // resolveDepends expands a unit's depends clauses onto the instance.
 func (e *elab) resolveDepends(u *lang.Unit, inst *Instance, path string) error {
-	importLocals := map[string]bool{}
-	for _, b := range u.Imports {
-		importLocals[b.Local] = true
+	initOf := func(fn string) *Init {
+		for _, ini := range inst.Inits {
+			if ini.Func == fn {
+				return ini
+			}
+		}
+		return nil
 	}
-	exportLocals := map[string]bool{}
-	for _, b := range u.Exports {
-		exportLocals[b.Local] = true
-	}
-	initByFunc := map[string]*Init{}
 	for _, d := range u.Inits {
-		if !exportLocals[d.Bundle] {
+		if !hasLocal(u.Exports, d.Bundle) {
 			return diag.Errorf(d.Pos, "%s: %s %q is for unknown export bundle %q",
 				path, initOrFin(d.Finalizer), d.Func, d.Bundle)
 		}
-		if _, dup := initByFunc[d.Func]; dup {
+		if initOf(d.Func) != nil {
 			return diag.Errorf(d.Pos, "%s: duplicate initializer/finalizer %q", path, d.Func)
 		}
-		ini := &Init{Func: d.Func, Bundle: d.Bundle, Finalizer: d.Finalizer}
-		inst.Inits = append(inst.Inits, ini)
-		initByFunc[d.Func] = ini
+		inst.Inits = append(inst.Inits, &Init{Func: d.Func, Bundle: d.Bundle, Finalizer: d.Finalizer})
 	}
 	expandRHS := func(rhs []string, pos diag.Pos) ([]string, error) {
 		var out []string
@@ -350,7 +354,7 @@ func (e *elab) resolveDepends(u *lang.Unit, inst *Instance, path string) error {
 				}
 				continue
 			}
-			if !importLocals[t] {
+			if !hasLocal(u.Imports, t) {
 				return nil, diag.Errorf(pos, "%s: depends right-hand side %q is not an import", path, t)
 			}
 			out = append(out, t)
@@ -373,17 +377,26 @@ func (e *elab) resolveDepends(u *lang.Unit, inst *Instance, path string) error {
 			lhs = append(lhs, t)
 		}
 		for _, t := range lhs {
-			switch {
-			case exportLocals[t]:
+			if hasLocal(u.Exports, t) {
 				inst.ExportNeeds[t] = appendUnique(inst.ExportNeeds[t], rhs)
-			case initByFunc[t] != nil:
-				initByFunc[t].Needs = appendUnique(initByFunc[t].Needs, rhs)
-			default:
+			} else if ini := initOf(t); ini != nil {
+				ini.Needs = appendUnique(ini.Needs, rhs)
+			} else {
 				return diag.Errorf(d.Pos, "%s: depends left-hand side %q is neither an export bundle nor an initializer", path, t)
 			}
 		}
 	}
 	return nil
+}
+
+// hasLocal reports whether one of bs is named local.
+func hasLocal(bs []lang.Binding, local string) bool {
+	for _, b := range bs {
+		if b.Local == local {
+			return true
+		}
+	}
+	return false
 }
 
 func initOrFin(fin bool) string {
@@ -415,242 +428,356 @@ type bkey struct {
 	sym   string
 }
 
-// cidentMap computes, for unit u, the C identifier used for each
-// (bundle local, symbol) of its imports and exports — the default is the
-// symbol name itself, overridden by rename clauses. The mapping from C
-// identifiers back to bundle symbols must be unambiguous; when two
-// bundles would claim the same identifier the unit must rename one
-// (paper §3.2's wrap/interpose pattern).
-func cidentMap(reg *Registry, u *lang.Unit) (map[bkey]string, error) {
-	renames := map[bkey]string{}
-	valid := map[string]bool{}
-	for _, b := range append(append([]lang.Binding{}, u.Imports...), u.Exports...) {
-		valid[b.Local] = true
+// unitInfo is what an elaboration derives from one unit, once however
+// many instances the unit has.
+type unitInfo struct {
+	// imports and exports hold the C identifier of each symbol of each
+	// import and export binding, in its bundle type's symbol order.
+	imports, exports [][]string
+	// The rest is filled in when the unit's first instance resolves its
+	// symbols: the checks that depend on the unit alone pass there.
+	resolved bool
+	// bound maps the C identifier of every import and export symbol to
+	// the binding and symbol it names.
+	bound map[string]renameSlot
+	// defined holds the names the unit's files define for each other:
+	// C definitions that are not static, and assembly globals.
+	defined map[string]bool
+	// plans lists, per C file, the names the file declares or references
+	// that every instance renames, and how.
+	plans [][]renameSlot
+}
+
+// renameKind is how an instance renames one name of its C files.
+type renameKind uint8
+
+const (
+	renameStatic renameKind = iota // a file static: name, instance suffix, file index
+	renameImport                   // an import symbol's identifier: its provider's global name
+	renameExport                   // an export symbol's identifier: the instance's global name
+	renameHidden                   // defined, not exported: name and instance suffix
+)
+
+// renameSlot is one name an instance renames; bundle and sym index the
+// binding and its symbol for renameImport and renameExport.
+type renameSlot struct {
+	name        string
+	kind        renameKind
+	bundle, sym int
+}
+
+// instanceSuffix is what makes instance id's hidden and exported names
+// program-unique.
+func instanceSuffix(id int) string { return "__k" + strconv.Itoa(id) }
+
+// unitInfo returns u's unitInfo, computing its C identifier map on the
+// first request: for each (bundle local, symbol) of its imports and
+// exports, the C identifier its files use — the symbol name itself,
+// overridden by rename clauses. The mapping from C identifiers back to
+// bundle symbols must be unambiguous; when two bundles would claim the
+// same identifier the unit must rename one (paper §3.2's wrap/interpose
+// pattern).
+func (e *elab) unitInfo(u *lang.Unit) (*unitInfo, error) {
+	if info := e.units[u]; info != nil {
+		return info, nil
 	}
 	for _, r := range u.Renames {
-		if !valid[r.Bundle] {
+		if !hasLocal(u.Imports, r.Bundle) && !hasLocal(u.Exports, r.Bundle) {
 			return nil, diag.Errorf(r.Pos, "unit %s: rename of unknown bundle %q", u.Name, r.Bundle)
 		}
-		renames[bkey{r.Bundle, r.Sym}] = r.To
 	}
-	out := map[bkey]string{}
-	owner := map[string]bkey{}
-	addAll := func(bs []lang.Binding) error {
+	matched := make([]bool, len(u.Renames))
+	n := 0
+	for _, bs := range [][]lang.Binding{u.Imports, u.Exports} {
 		for _, b := range bs {
-			bt, ok := reg.BundleTypes[b.Type]
-			if !ok {
-				return diag.Errorf(b.Pos, "unit %s: unknown bundle type %q", u.Name, b.Type)
+			if bt := e.reg.BundleTypes[b.Type]; bt != nil {
+				n += len(bt.Syms)
 			}
-			for _, s := range bt.Syms {
+		}
+	}
+	owner := make(map[string]bkey, n)
+	idents := func(bs []lang.Binding) ([][]string, error) {
+		out := make([][]string, len(bs))
+		for i, b := range bs {
+			bt, ok := e.reg.BundleTypes[b.Type]
+			if !ok {
+				return nil, diag.Errorf(b.Pos, "unit %s: unknown bundle type %q", u.Name, b.Type)
+			}
+			ids := make([]string, len(bt.Syms))
+			for j, s := range bt.Syms {
 				id := s
-				if to, ok := renames[bkey{b.Local, s}]; ok {
-					id = to
+				for k, r := range u.Renames {
+					if r.Bundle == b.Local && r.Sym == s {
+						id = r.To // the last rename of a symbol wins
+						matched[k] = true
+					}
 				}
 				if prev, clash := owner[id]; clash {
-					return diag.Errorf(b.Pos,
+					return nil, diag.Errorf(b.Pos,
 						"unit %s: C identifier %q is claimed by both %s.%s and %s.%s — add a rename",
 						u.Name, id, prev.local, prev.sym, b.Local, s)
 				}
 				owner[id] = bkey{b.Local, s}
-				out[bkey{b.Local, s}] = id
+				ids[j] = id
 			}
+			out[i] = ids
 		}
-		return nil
+		return out, nil
 	}
-	if err := addAll(u.Imports); err != nil {
+	info := &unitInfo{}
+	var err error
+	if info.imports, err = idents(u.Imports); err != nil {
 		return nil, err
 	}
-	if err := addAll(u.Exports); err != nil {
+	if info.exports, err = idents(u.Exports); err != nil {
 		return nil, err
 	}
-	// Verify rename targets referenced real bundle symbols.
-	for k := range renames {
-		if _, ok := out[k]; !ok {
-			return nil, diag.Errorf(u.Pos, "unit %s: rename of %s.%s does not match any bundle symbol",
-				u.Name, k.local, k.sym)
+	// Every rename must name a real bundle symbol.
+	for k, r := range u.Renames {
+		if !matched[k] {
+			return nil, diag.Errorf(r.Pos, "unit %s: rename of %s.%s does not match any bundle symbol",
+				u.Name, r.Bundle, r.Sym)
 		}
 	}
-	return out, nil
+	if e.units == nil {
+		e.units = map[*lang.Unit]*unitInfo{}
+	}
+	e.units[u] = info
+	return info, nil
 }
 
-// resolveSymbols runs after all wires are patched: it builds each
-// instance's global rename map (imports -> provider symbols, exports and
-// hidden names -> instance-suffixed names) and applies it to the cloned
-// ASTs. It also validates that exports are actually defined and that
-// referenced-but-unbound symbols are flagged.
+// resolveSymbols runs after all wires are patched: it works out each
+// instance's renames — imports to their providers' symbols, exports and
+// hidden names to instance-suffixed names — for its C files, and
+// applies them to clones of its assembly objects. It also validates
+// that exports are actually defined and flags referenced-but-unbound
+// symbols, in source and declaration order.
 func (e *elab) resolveSymbols(prog *Program) error {
 	for _, inst := range prog.Instances {
-		u := inst.Unit
-		cidents, err := cidentMap(e.reg, u)
-		if err != nil {
+		if err := e.resolveInstance(inst); err != nil {
 			return err
 		}
-		suffix := fmt.Sprintf("__k%d", inst.ID)
-		mapping := map[string]string{}
-		importIdents := map[string]bool{}
-		// Imports: cident -> provider's global name.
-		for _, imp := range u.Imports {
-			w := inst.ImportWires[imp.Local]
-			if w == nil || w.Provider == nil {
-				return diag.Errorf(imp.Pos, "%s: import %q left unwired", inst.Path, imp.Local)
-			}
-			bt := e.reg.BundleTypes[imp.Type]
-			for _, s := range bt.Syms {
-				id := cidents[bkey{imp.Local, s}]
-				target, ok := w.Provider.ExportSyms[w.Bundle][s]
-				if !ok {
-					return diag.Errorf(imp.Pos, "%s: provider %s has no symbol %q in bundle %q",
-						inst.Path, w.Provider.Path, s, w.Bundle)
-				}
-				mapping[id] = target
-				importIdents[id] = true
-			}
+	}
+	return nil
+}
+
+func (e *elab) resolveInstance(inst *Instance) error {
+	u := inst.Unit
+	info := e.units[u]
+	// Imports: each symbol's identifier becomes its provider's global name.
+	targets := make([][]string, len(u.Imports))
+	for i, imp := range u.Imports {
+		w := inst.ImportWires[imp.Local]
+		if w == nil || w.Provider == nil {
+			return diag.Errorf(imp.Pos, "%s: import %q left unwired", inst.Path, imp.Local)
 		}
-		// Exports: cident -> suffixed global.
-		exportIdents := map[string]bool{}
-		for _, exp := range u.Exports {
-			bt := e.reg.BundleTypes[exp.Type]
-			for _, s := range bt.Syms {
-				id := cidents[bkey{exp.Local, s}]
-				mapping[id] = inst.ExportSyms[exp.Local][s]
-				exportIdents[id] = true
+		syms := e.reg.BundleTypes[imp.Type].Syms
+		targets[i] = make([]string, len(syms))
+		for j, s := range syms {
+			target, ok := w.Provider.ExportSyms[w.Bundle][s]
+			if !ok {
+				return diag.Errorf(imp.Pos, "%s: provider %s has no symbol %q in bundle %q",
+					inst.Path, w.Provider.Path, s, w.Bundle)
 			}
-		}
-		// Collect definitions across the unit's files (C and assembly).
-		definedGlobal := map[string]bool{} // non-static defined names
-		for _, f := range inst.Files {
-			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *cmini.VarDecl:
-					if !d.Extern && !d.Static {
-						definedGlobal[d.Name] = true
-					}
-				case *cmini.FuncDecl:
-					if d.Body != nil && !d.Static {
-						definedGlobal[d.Name] = true
-					}
-				}
-			}
-		}
-		for _, o := range inst.asmRaw {
-			for _, s := range o.Syms {
-				if s.Defined && !s.Local {
-					definedGlobal[s.Name] = true
-				}
-			}
-		}
-		// Every export identifier must be defined by the unit's code.
-		for id := range exportIdents {
-			if !definedGlobal[id] {
-				return diag.Errorf(u.Pos, "%s: export symbol %q is not defined by files %v",
-					inst.Path, id, u.Files)
-			}
-			if importIdents[id] {
-				return diag.Errorf(u.Pos, "%s: identifier %q is both imported and exported — add a rename", inst.Path, id)
-			}
-		}
-		// Hidden names: defined, not exported. They get suffixed so that
-		// instances never clash ("defined names that are not exported
-		// will be hidden from all other units").
-		for name := range definedGlobal {
-			if exportIdents[name] {
-				continue
-			}
-			if importIdents[name] {
-				return diag.Errorf(u.Pos, "%s: identifier %q is defined locally but also bound to an import", inst.Path, name)
-			}
-			mapping[name] = name + suffix
-		}
-		// Per-file statics: suffix with file index as well (statics are
-		// file-scoped in C). Each file's renames are the instance's
-		// mapping with its statics on top, kept only for the identifiers
-		// the file declares or references: those are all RenameGlobals
-		// touches in RenamedFile, and all its cache key may depend on.
-		for fi, f := range inst.Files {
-			statics := map[string]string{}
-			var declared []string
-			for _, d := range f.Decls {
-				var name string
-				var static bool
-				switch d := d.(type) {
-				case *cmini.VarDecl:
-					name, static = d.Name, d.Static
-				case *cmini.FuncDecl:
-					name, static = d.Name, d.Static && d.Body != nil
-				default:
-					continue
-				}
-				declared = append(declared, name)
-				if static {
-					statics[name] = fmt.Sprintf("%s%s_f%d", name, suffix, fi)
-				}
-			}
-			renames := map[string]string{}
-			note := func(id string) {
-				if to, ok := statics[id]; ok {
-					renames[id] = to
-				} else if to, ok := mapping[id]; ok {
-					renames[id] = to
-				}
-			}
-			for _, name := range declared {
-				note(name)
-			}
-			// Unbound references: anything used that is not defined by
-			// the unit (globally or as a file static), not bound to an
-			// import, and not an ambient hardware symbol. An extern
-			// declaration alone does not resolve a reference — that is
-			// precisely the "spurious notch" the bag-of-objects model
-			// cannot diagnose and Knit can.
-			for ref := range cmini.GlobalRefs(f) {
-				note(ref)
-				if renames[ref] != "" || definedGlobal[ref] {
-					continue
-				}
-				if strings.HasPrefix(ref, AmbientPrefix) {
-					continue
-				}
-				return diag.Errorf(u.Pos,
-					"%s: file %s uses symbol %q which is neither defined by the unit nor bound to an import",
-					inst.Path, f.Name, ref)
-			}
-			inst.Origins[fi].Renames = renames
-		}
-		// Assembly files: the same renaming, applied at the object level
-		// (the objcopy path). Locals get a per-file suffix like C statics.
-		for fi, raw := range inst.asmRaw {
-			o := raw.Clone()
-			objMap := map[string]string{}
-			for k, v := range mapping {
-				objMap[k] = v
-			}
-			for _, s := range o.Syms {
-				if s.Local {
-					objMap[s.Name] = fmt.Sprintf("%s%s_s%d", s.Name, suffix, fi)
-				}
-			}
-			for _, s := range o.Syms {
-				if s.Defined || objMap[s.Name] != "" ||
-					strings.HasPrefix(s.Name, AmbientPrefix) {
-					continue
-				}
-				return diag.Errorf(u.Pos,
-					"%s: assembly file %s uses symbol %q which is neither defined by the unit nor bound to an import",
-					inst.Path, o.Name, s.Name)
-			}
-			obj.Rename(o, objMap)
-			inst.Objects = append(inst.Objects, o)
-		}
-		// Record initializer global names and validate they are defined.
-		for _, ini := range inst.Inits {
-			global, ok := mapping[ini.Func]
-			if !ok || !definedGlobal[ini.Func] {
-				return diag.Errorf(u.Pos, "%s: %s %q is not defined by the unit's files",
-					inst.Path, initOrFin(ini.Finalizer), ini.Func)
-			}
-			ini.GlobalName = global
+			targets[i][j] = target
 		}
 	}
+	if !info.resolved {
+		if err := e.resolveUnit(inst, info); err != nil {
+			return err
+		}
+	}
+	suffix := instanceSuffix(inst.ID)
+	global := func(sl renameSlot) string {
+		switch sl.kind {
+		case renameImport:
+			return targets[sl.bundle][sl.sym]
+		case renameExport:
+			return inst.exportGlobals[sl.bundle][sl.sym]
+		}
+		return sl.name + suffix
+	}
+	// Each file's renames, kept only for the identifiers the file
+	// declares or references: those are all RenameGlobals touches in
+	// RenamedFile, and all its cache key may depend on. Statics are
+	// file-scoped in C, so they carry the file index as well.
+	for fi, plan := range info.plans {
+		renames := make(map[string]string, len(plan))
+		for _, sl := range plan {
+			if sl.kind == renameStatic {
+				renames[sl.name] = sl.name + suffix + "_f" + strconv.Itoa(fi)
+			} else {
+				renames[sl.name] = global(sl)
+			}
+		}
+		inst.Origins[fi].Renames = renames
+	}
+	// Assembly files: the same renaming, applied at the object level
+	// (the objcopy path). Locals get a per-file suffix like C statics.
+	for fi, raw := range inst.asmRaw {
+		o := raw.Clone()
+		objMap := map[string]string{}
+		for id, sl := range info.bound {
+			objMap[id] = global(sl)
+		}
+		for name := range info.defined {
+			if _, ok := info.bound[name]; !ok {
+				objMap[name] = name + suffix
+			}
+		}
+		for _, s := range o.Syms {
+			if s.Local {
+				objMap[s.Name] = s.Name + suffix + "_s" + strconv.Itoa(fi)
+			}
+		}
+		obj.Rename(o, objMap)
+		inst.Objects = append(inst.Objects, o)
+	}
+	// Initializers and finalizers: defined by the unit (resolveUnit
+	// checked), so exported or hidden.
+	for _, ini := range inst.Inits {
+		if sl, ok := info.bound[ini.Func]; ok {
+			ini.GlobalName = global(sl)
+		} else {
+			ini.GlobalName = ini.Func + suffix
+		}
+	}
+	return nil
+}
+
+// resolveUnit runs, at inst, the first instance of its unit to resolve,
+// the symbol checks that depend on the unit alone, and plans how every
+// instance renames each of the unit's C files.
+func (e *elab) resolveUnit(inst *Instance, info *unitInfo) error {
+	u := inst.Unit
+	n := 0
+	for _, ids := range info.imports {
+		n += len(ids)
+	}
+	for _, ids := range info.exports {
+		n += len(ids)
+	}
+	bound := make(map[string]renameSlot, n)
+	for i, ids := range info.imports {
+		for j, id := range ids {
+			bound[id] = renameSlot{id, renameImport, i, j}
+		}
+	}
+	for i, ids := range info.exports {
+		for j, id := range ids {
+			bound[id] = renameSlot{id, renameExport, i, j}
+		}
+	}
+	defined := make(map[string]bool, n)
+	for _, src := range inst.srcs {
+		for _, d := range src.decls {
+			if d.global {
+				defined[d.name] = true
+			}
+		}
+	}
+	for _, o := range inst.asmRaw {
+		for _, s := range o.Syms {
+			if s.Defined && !s.Local {
+				defined[s.Name] = true
+			}
+		}
+	}
+	// Every export identifier must be defined by the unit's code; the
+	// error is at the rename clause that chose the identifier, or else
+	// at the export.
+	for i, exp := range u.Exports {
+		for j, id := range info.exports[i] {
+			if defined[id] {
+				continue
+			}
+			pos := exp.Pos
+			for _, r := range u.Renames {
+				if r.Bundle == exp.Local && r.Sym == e.reg.BundleTypes[exp.Type].Syms[j] {
+					pos = r.Pos
+				}
+			}
+			return diag.Errorf(pos, "%s: export symbol %q is not defined by files %v",
+				inst.Path, id, u.Files)
+		}
+	}
+	// Hidden names: defined, not exported. They get suffixed so that
+	// instances never clash ("defined names that are not exported
+	// will be hidden from all other units"); an import's cannot be one.
+	for _, src := range inst.srcs {
+		for _, d := range src.decls {
+			if sl, ok := bound[d.name]; d.global && ok && sl.kind == renameImport {
+				return diag.Errorf(src.tree.Decls[d.index].DeclPos(),
+					"%s: identifier %q is defined locally but also bound to an import", inst.Path, d.name)
+			}
+		}
+	}
+	for _, o := range inst.asmRaw {
+		for _, s := range o.Syms {
+			if sl, ok := bound[s.Name]; s.Defined && !s.Local && ok && sl.kind == renameImport {
+				return diag.Errorf(u.Pos, "%s: identifier %q is defined locally but also bound to an import",
+					inst.Path, s.Name)
+			}
+		}
+	}
+	// Each file's plan: its statics, and the names it shares with the
+	// unit. Unbound references are anything used that is not defined by
+	// the unit (globally or as a file static), not bound to an import,
+	// and not an ambient hardware symbol. An extern declaration alone
+	// does not resolve a reference — that is precisely the "spurious
+	// notch" the bag-of-objects model cannot diagnose and Knit can.
+	info.plans = make([][]renameSlot, len(inst.srcs))
+	for fi, src := range inst.srcs {
+		slot := func(name string) (renameSlot, bool) {
+			sl, ok := bound[name]
+			switch {
+			case slices.Contains(src.statics, name):
+				return renameSlot{name: name, kind: renameStatic}, true
+			case !ok && defined[name]:
+				return renameSlot{name: name, kind: renameHidden}, true
+			}
+			return sl, ok
+		}
+		// The plan names each declared or referenced name once.
+		plan := make([]renameSlot, 0, len(src.decls)+len(src.refs))
+		for _, d := range src.decls {
+			if sl, ok := slot(d.name); ok && !d.again {
+				plan = append(plan, sl)
+			}
+		}
+		for i := range src.refs {
+			ref := &src.refs[i]
+			sl, ok := slot(ref.name)
+			switch {
+			case ok && !ref.declared:
+				plan = append(plan, sl)
+			case !ok && !strings.HasPrefix(ref.name, AmbientPrefix):
+				return diag.Errorf(ref.pos(src),
+					"%s: file %s uses symbol %q which is neither defined by the unit nor bound to an import",
+					inst.Path, src.tree.Name, ref.name)
+			}
+		}
+		info.plans[fi] = plan
+	}
+	for _, o := range inst.asmRaw {
+		for _, s := range o.Syms {
+			if _, ok := bound[s.Name]; s.Defined || s.Local || ok || defined[s.Name] ||
+				strings.HasPrefix(s.Name, AmbientPrefix) {
+				continue
+			}
+			return diag.Errorf(u.Pos,
+				"%s: assembly file %s uses symbol %q which is neither defined by the unit nor bound to an import",
+				inst.Path, o.Name, s.Name)
+		}
+	}
+	// Initializers and finalizers must be defined by the unit's files.
+	for k, ini := range inst.Inits {
+		if !defined[ini.Func] {
+			return diag.Errorf(u.Inits[k].Pos, "%s: %s %q is not defined by the unit's files",
+				inst.Path, initOrFin(ini.Finalizer), ini.Func)
+		}
+	}
+	info.bound, info.defined, info.resolved = bound, defined, true
 	return nil
 }
 

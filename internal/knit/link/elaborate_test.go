@@ -419,21 +419,117 @@ unit T = { exports [ a : A ]; link { [a] <- T <- []; }; }
 			"T", "nesting too deep",
 		},
 	}
-	sources := Sources{
-		"p.c": `int f(void) { return 1; }`,
-		"c.c": `int g(void); int f(void) { return g(); }`,
-		"t.c": `int f(void) { return 1; }`,
-		"u.c": `int f(void) { return 1; }`,
-		"w.c": `int f(void) { return 1; }`,
+	for _, c := range twoBadNames {
+		cases = append(cases, struct{ name, units, top, want string }{c.name, c.units, "T", c.want})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := elabTest(t, c.units, c.top, sources)
+			_, err := elabTest(t, c.units, c.top, errorSources)
 			if err == nil {
 				t.Fatalf("Elaborate succeeded, want error containing %q", c.want)
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not contain %q", err, c.want)
+			}
+		})
+	}
+}
+
+// errorSources are the C files TestElaborateErrors' units name.
+var errorSources = Sources{
+	"p.c": `int f(void) { return 1; }`,
+	"c.c": `int g(void); int f(void) { return g(); }`,
+	"t.c": `int f(void) { return 1; }`,
+	"u.c": `int f(void) { return 1; }`,
+	"w.c": `int f(void) { return 1; }`,
+	"calls.c": `int f(void) {
+    int beta = 0;
+    return alpha() + beta + gamma() + beta();
+}`,
+	"none.c":  `int h(void) { return 1; }`,
+	"fg.c":    `int f(void) { return 1; } int g(void) { return 2; }`,
+	"clash.c": "int m(void) { return 0; }\nint g(void) { return 2; }\nint f(void) { return 1; }\n",
+}
+
+// twoBadNames are symbol errors with two bad names each, and the one
+// message, at its pinned position, that must report them: the first
+// bad name in source or declaration order, where the unit file or C
+// file names it.
+var twoBadNames = []struct{ name, units, want string }{
+	{
+		"unbound references",
+		`
+bundletype A = { f }
+unit U = { exports [ a : A ]; files { "calls.c" }; }
+unit T = { exports [ a : A ]; link { [a] <- U <- []; }; }
+`,
+		`calls.c:3:12: T/U#0: file calls.c uses symbol "alpha" which is neither defined by the unit nor bound to an import`,
+	},
+	{
+		"exports not defined",
+		`
+bundletype AB = { f, g }
+unit U = { exports [ ab : AB ]; files { "none.c" }; }
+unit T = { exports [ ab : AB ]; link { [ab] <- U <- []; }; }
+`,
+		`test.unit:3:22: T/U#0: export symbol "f" is not defined by files [none.c]`,
+	},
+	{
+		"renamed exports not defined",
+		`
+bundletype AB = { f, g }
+unit U = { exports [ ab : AB ]; files { "fg.c" }; rename { ab.g to gee; ab.f to eff; }; }
+unit T = { exports [ ab : AB ]; link { [ab] <- U <- []; }; }
+`,
+		`test.unit:3:73: T/U#0: export symbol "eff" is not defined by files [fg.c]`,
+	},
+	{
+		"renames of unknown symbols",
+		`
+bundletype A = { f }
+unit U = { exports [ a : A ]; files { "fg.c" }; rename { a.ghost to g; a.phantom to h; }; }
+unit T = { exports [ a : A ]; link { [a] <- U <- []; }; }
+`,
+		`test.unit:3:58: unit U: rename of a.ghost does not match any bundle symbol`,
+	},
+	{
+		"definitions bound to imports",
+		`
+bundletype AB = { f, g }
+bundletype M = { m }
+unit P = { exports [ ab : AB ]; files { "fg.c" }; }
+unit U = { imports [ ab : AB ]; exports [ mm : M ]; files { "clash.c" }; }
+unit T = { exports [ mm : M ]; link { [ab] <- P <- []; [mm] <- U <- [ab]; }; }
+`,
+		`clash.c:2:1: T/U#1: identifier "g" is defined locally but also bound to an import`,
+	},
+	{
+		"initializers not defined",
+		`
+bundletype A = { f }
+unit U = { exports [ a : A ]; initializer setup for a; finalizer teardown for a; files { "p.c" }; }
+unit T = { exports [ a : A ]; link { [a] <- U <- []; }; }
+`,
+		`test.unit:3:43: T/U#0: initializer "setup" is not defined by the unit's files`,
+	},
+}
+
+// TestSymbolErrorsDeterministic elaborates each of twoBadNames 200
+// times: every run must fail with the same message at the same
+// position, whatever order Go's maps iterate in.
+func TestSymbolErrorsDeterministic(t *testing.T) {
+	for _, c := range twoBadNames {
+		t.Run(c.name, func(t *testing.T) {
+			msgs := map[string]int{}
+			for i := 0; i < 200; i++ {
+				_, err := elabTest(t, c.units, "T", errorSources)
+				if err == nil {
+					t.Fatal("Elaborate succeeded")
+				}
+				msgs[err.Error()]++
+			}
+			if len(msgs) != 1 || msgs[c.want] != 200 {
+				t.Errorf("200 elaborations gave %v, want only %q", msgs, c.want)
 			}
 		})
 	}

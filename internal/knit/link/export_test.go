@@ -24,8 +24,8 @@ func (fe *FrontEnd) Trees() []Tree {
 	}
 	fe.units.mu.Unlock()
 	fe.c.mu.Lock()
-	for k, f := range fe.c.m {
-		out = append(out, Tree{"c", k.name, k.text, cmini.Print(f)})
+	for k, src := range fe.c.m {
+		out = append(out, Tree{"c", k.name, k.text, cmini.Print(src.tree)})
 	}
 	fe.c.mu.Unlock()
 	fe.asm.mu.Lock()

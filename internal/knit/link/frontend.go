@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"knit/internal/cmini"
+	"knit/internal/diag"
 	"knit/internal/knit/lang"
 	"knit/internal/obj"
 )
@@ -21,8 +22,77 @@ import (
 // The zero value is an empty FrontEnd.
 type FrontEnd struct {
 	units memo[*lang.File]
-	c     memo[*cmini.File]
+	c     memo[*cSource]
 	asm   memo[*obj.File]
+}
+
+// cSource is a parsed C file and the symbol facts elaboration reads from
+// it, derived once per distinct file and kept as long as the tree.
+type cSource struct {
+	tree    *cmini.File
+	decls   []declFact // top-level variables and functions, in order
+	refs    []refFact  // global names referenced, each once, in order of first reference
+	statics []string   // names the file defines as statics
+}
+
+// declFact is one top-level variable or function declaration.
+type declFact struct {
+	name  string
+	index int32 // in tree.Decls
+	// static marks a file-scoped definition: a static variable, or a
+	// static function with a body.
+	static bool
+	// global marks a definition the unit's other files see: a variable
+	// neither extern nor static, or a function with a body that is not
+	// static.
+	global bool
+	again  bool // an earlier declaration has the same name
+}
+
+// refFact is a global name's first reference in a file.
+type refFact struct {
+	name      string
+	line, col int32
+	declared  bool // the file declares the name too
+}
+
+// pos returns the reference's position in src.
+func (r *refFact) pos(src *cSource) diag.Pos {
+	return diag.Pos{File: src.tree.Name, Line: int(r.line), Col: int(r.col)}
+}
+
+// parseC parses a C file and derives its facts.
+func parseC(name, text string) (*cSource, error) {
+	f, err := cmini.Parse(name, text)
+	if err != nil {
+		return nil, err
+	}
+	src := &cSource{tree: f, decls: make([]declFact, 0, len(f.Decls))}
+	declared := make(map[string]bool, len(f.Decls))
+	for i, d := range f.Decls {
+		var fact declFact
+		switch d := d.(type) {
+		case *cmini.VarDecl:
+			fact = declFact{name: d.Name, static: d.Static, global: !d.Extern && !d.Static}
+		case *cmini.FuncDecl:
+			def := d.Body != nil
+			fact = declFact{name: d.Name, static: def && d.Static, global: def && !d.Static}
+		default:
+			continue
+		}
+		fact.index, fact.again = int32(i), declared[fact.name]
+		declared[fact.name] = true
+		if fact.static {
+			src.statics = append(src.statics, fact.name)
+		}
+		src.decls = append(src.decls, fact)
+	}
+	refs := cmini.GlobalRefs(f)
+	src.refs = make([]refFact, len(refs))
+	for i, id := range refs {
+		src.refs[i] = refFact{id.Name, int32(id.Pos.Line), int32(id.Pos.Col), declared[id.Name]}
+	}
+	return src, nil
 }
 
 // ParseUnitFiles parses unit-definition files in deterministic
