@@ -172,12 +172,9 @@ func enumerate(repo Repo, goal *Goal, k int, opts Options, workers int) ([]*Asse
 	}
 
 	name := assemblyName(reg, goal)
-	// Candidates run their init schedules on machines renewed from this
-	// free list, which holds at most one machine per worker.
-	free := make(chan *machine.M, workers)
 	s := newSearcher(reg, goal, opts.MaxInstances, opts.MaxPerUnit, opts.RawBudget, pool, workers,
 		func(cand *candidate) (*Assembly, error) {
-			return verify(repo, goal, name, cand, cache, free)
+			return verify(repo, goal, name, cand, cache)
 		})
 	s.run()
 
@@ -270,13 +267,13 @@ func assemblyName(reg *link.Registry, goal *Goal) string {
 // verify round-trips one candidate through the real pipeline: print it,
 // build it with the §4 checker on, re-check the goal's bounds against
 // the elaborated program, and run its init schedule transactionally on
-// a machine renewed from free (with the standard device builtins
-// installed), timing it for the cost model. The build's default engine,
-// the interpreter, prices every candidate, instruction-fetch stalls
-// included. The machine goes back to free, and the returned Result
-// keeps nothing of it. verify owns cand and only reads everything else,
-// so candidates verify concurrently on one cache.
-func verify(repo Repo, goal *Goal, name string, cand *candidate, cache *build.Cache, free chan *machine.M) (*Assembly, error) {
+// a machine with the standard device builtins installed, timing it for
+// the cost model. The build's default engine, the interpreter, prices
+// every candidate, instruction-fetch stalls included. The machine is
+// released for the next candidate's, and the returned Result keeps
+// nothing of it. verify owns cand and only reads everything else, so
+// candidates verify concurrently on one cache.
+func verify(repo Repo, goal *Goal, name string, cand *candidate, cache *build.Cache) (*Assembly, error) {
 	cand.unit.Name = name
 	text := lang.Print(&lang.File{Units: []*lang.Unit{cand.unit}})
 	files := make(map[string]string, len(repo.UnitFiles)+1)
@@ -328,7 +325,7 @@ func verify(repo Repo, goal *Goal, name string, cand *candidate, cache *build.Ca
 		}
 	}
 
-	cycles, err := initCycles(res, free)
+	cycles, err := initCycles(res)
 	if err != nil {
 		return nil, fmt.Errorf("assemble: candidate init failed: %w", err)
 	}
@@ -342,28 +339,17 @@ func verify(repo Repo, goal *Goal, name string, cand *candidate, cache *build.Ca
 	}, nil
 }
 
-// initCycles runs res's init schedule on a machine renewed from free,
-// set up as res.NewMachine's are and with the standard device builtins
-// installed, and returns the cycles it took. Then res forgets the
-// machine and it goes back to free, unless free is full.
-func initCycles(res *build.Result, free chan *machine.M) (int64, error) {
-	var m *machine.M
-	select {
-	case m = <-free:
-	default:
-	}
-	m = machine.Renew(res.Image, m)
-	m.SetBackend(res.Backend)
+// initCycles runs res's init schedule on a new machine with the
+// standard device builtins installed and returns the cycles it took.
+// Then res forgets the machine, which releases its memory.
+func initCycles(res *build.Result) (int64, error) {
+	m := res.NewMachine()
 	machine.InstallConsole(m)
 	machine.InstallSerial(m)
 	machine.InstallStopWatch(m)
 	err := res.RunInit(m)
 	cycles := m.Cycles
 	res.Forget(m)
-	select {
-	case free <- m:
-	default:
-	}
 	return cycles, err
 }
 

@@ -99,7 +99,8 @@ func TestEnumerateLeavesNoGoroutines(t *testing.T) {
 }
 
 // liveHeap is the heap in use once everything unreachable is collected.
-// The second collection frees what sync.Pools held through the first.
+// The second collection frees what sync.Pools held through the first,
+// released machines' memory included, so the pools are not counted.
 func liveHeap() int64 {
 	runtime.GC()
 	runtime.GC()
@@ -109,11 +110,12 @@ func liveHeap() int64 {
 }
 
 // TestEnumerateRetainsOnlyItsAssemblies: no verification machine
-// outlives Enumerate, so the 12 assemblies it returns for main.goal
-// retain under 3 MB of heap (10.0 MB while each Result kept the half-
-// megabyte machine its init schedule ran on), and each Result still
-// builds a machine whose init schedule takes the cycles its Cost
-// records.
+// outlives Enumerate, and each image keeps only its nonzero initial
+// words, so the 12 assemblies it returns for main.goal retain under
+// 1.25 MB of heap (0.84 MB; 1.78 MB while each image kept its dense
+// initial data, 10.0 MB while each Result kept the half-megabyte
+// machine its init schedule ran on), and each Result still builds a
+// machine whose init schedule takes the cycles its Cost records.
 func TestEnumerateRetainsOnlyItsAssemblies(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "..", "examples", "assemble", "src", "main.goal"))
 	if err != nil {
@@ -134,8 +136,8 @@ func TestEnumerateRetainsOnlyItsAssemblies(t *testing.T) {
 		t.Fatalf("main.goal enumerated %d assemblies, want 12", len(asms))
 	}
 	t.Logf("12 assemblies retain %.2f MB", float64(retained)/1e6)
-	if retained >= 3e6 {
-		t.Errorf("12 assemblies retain %.2f MB of heap, want under 3 MB", float64(retained)/1e6)
+	if retained >= 1.25e6 {
+		t.Errorf("12 assemblies retain %.2f MB of heap, want under 1.25 MB", float64(retained)/1e6)
 	}
 	for _, a := range asms {
 		m := a.Result.NewMachine()

@@ -122,9 +122,11 @@ func (r *Result) NewMachine() *machine.M {
 // initializers on it, and returns the resulting snapshot. The snapshot
 // is the fleet spin-up currency: NewMachineFrom clones a ready-to-serve
 // machine from it — one memory copy, no re-run of the init schedule.
-// The prototype is discarded; only the snapshot survives.
+// The prototype is forgotten, and its memory released, whether or not
+// it succeeds; only the snapshot survives.
 func (r *Result) PostInitSnapshot(setup func(*machine.M) error) (*machine.Snapshot, error) {
 	m := r.NewMachine()
+	defer r.Forget(m)
 	if setup != nil {
 		if err := setup(m); err != nil {
 			return nil, err
@@ -133,9 +135,7 @@ func (r *Result) PostInitSnapshot(setup func(*machine.M) error) (*machine.Snapsh
 	if err := r.RunInit(m); err != nil {
 		return nil, err
 	}
-	snap := m.Snapshot()
-	r.Forget(m)
-	return snap, nil
+	return m.Snapshot(), nil
 }
 
 // NewMachineFrom creates a machine whose program state is restored from
@@ -155,12 +155,15 @@ func (r *Result) NewMachineFrom(snap *machine.Snapshot, initialized bool) *machi
 
 // Forget drops the per-machine state entry for a discarded machine, so
 // prototypes and respawned-away machines do not accumulate in the state
-// map (it holds the machine, its module index, and its observer). Call
-// it only for a machine that will not run again.
+// map (it holds the machine, its module index, and its observer), and
+// releases the machine, so its memory serves the next one
+// (machine.M.Release). Call it only for a machine that will not run
+// again.
 func (r *Result) Forget(m *machine.M) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	delete(r.mach, m)
+	r.mu.Unlock()
+	m.Release()
 }
 
 // Export resolves a top-level export bundle symbol to its global

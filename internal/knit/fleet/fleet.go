@@ -223,6 +223,7 @@ func (sh *Shard[T]) boot() error {
 	m := fl.res.NewMachineFrom(fl.snap, true)
 	if fl.cfg.Setup != nil {
 		if err := fl.cfg.Setup(sh.ID, m); err != nil {
+			fl.res.Forget(m)
 			return err
 		}
 	}
@@ -329,22 +330,26 @@ func (sh *Shard[T]) HealthSample() observe.Sample {
 	return sh.health
 }
 
-// respawn retires the dead machine's ledger and boots a replacement.
+// respawn boots a replacement for the dead machine, then retires the
+// dead machine's ledger and forgets the machine, releasing its memory.
 // Siblings are untouched: everything respawn reads — the snapshot, the
 // image — is immutable and shared; everything it writes is this
 // shard's own.
 func (sh *Shard[T]) respawn() {
-	if sh.Col != nil {
-		sh.retired = observe.MergeReports(sh.retired, sh.Col.Report())
-	}
-	sh.fl.res.Forget(sh.M)
+	old, oldCol := sh.M, sh.Col
 	sh.respawns.Add(1)
 	if err := sh.boot(); err != nil {
 		// A snapshot restore cannot fail, so only Setup can land here;
-		// record it and let the shard keep draining (and dropping) so
-		// Close never deadlocks.
+		// record it and let the shard keep draining (and dropping) on
+		// the old machine, its ledger still live, so Close never
+		// deadlocks.
 		sh.errs = append(sh.errs, fmt.Errorf("shard %d: respawn: %w", sh.ID, err))
+		return
 	}
+	if oldCol != nil {
+		sh.retired = observe.MergeReports(sh.retired, oldCol.Report())
+	}
+	sh.fl.res.Forget(old)
 }
 
 // Submit routes one item by its flow key. Identical flows always reach

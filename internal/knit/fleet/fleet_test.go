@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"knit/internal/knit/build"
+	"knit/internal/machine"
 )
 
 // The test program is a stateful accumulator: init seeds the counter to
@@ -243,6 +244,66 @@ func TestFleetRetiredLedgerFoldsEveryGeneration(t *testing.T) {
 		t.Errorf("retired ledger = %+v, want one row with %d calls", sh.retired.Instances, kills)
 	}
 }
+
+// TestFleetRespawnSetupFailure: when the respawn's Setup fails, the
+// shard keeps serving on its old machine, which the fleet must not have
+// released, and that machine's ledger is counted once, not once live
+// and once retired.
+func TestFleetRespawnSetupFailure(t *testing.T) {
+	res := buildCounter(t)
+	const shards, victim = 2, 1
+	const poison = int64(-1)
+	handler := func(sh *Shard[int64], batch []int64) error {
+		for _, x := range batch {
+			if x == poison {
+				return errBatchPoisoned
+			}
+			if _, err := sh.Sup.Call("main", "work", x); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// The victim's first boot succeeds; its respawn's Setup fails.
+	boots := 0
+	setup := func(id int, m *machine.M) error {
+		if id != victim {
+			return nil
+		}
+		if boots++; boots > 1 {
+			return errSetupFailed
+		}
+		return nil
+	}
+	fl, err := New[int64](res, Config{Shards: shards, Batch: 1, Setup: setup}, handler)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	flow := flowFor(t, victim, shards)
+	fl.Submit(flow, 7)
+	fl.Submit(flow, poison)
+	fl.Submit(flow, 5)
+	if err := fl.Close(); err == nil || !strings.Contains(err.Error(), "shard 1: respawn: "+string(errSetupFailed)) {
+		t.Fatalf("Close = %v, want the failed respawn reported", err)
+	}
+	sh := fl.Shards()[victim]
+	if sh.Respawns() != 1 || sh.Dropped() != 1 || sh.Served() != 2 {
+		t.Errorf("respawns=%d dropped=%d served=%d, want 1/1/2", sh.Respawns(), sh.Dropped(), sh.Served())
+	}
+	// The old machine served on: 1000 + 7 + 5.
+	if got, err := sh.Sup.Call("main", "total"); err != nil || got != 1012 {
+		t.Errorf("victim total = %d, %v; want 1012 on the old machine", got, err)
+	}
+	var calls uint64
+	for _, im := range fl.Report().Instances {
+		calls += im.Calls
+	}
+	if calls != 3 { // work(7), work(5) and total()
+		t.Errorf("fleet report counts %d calls, want 3", calls)
+	}
+}
+
+var errSetupFailed = errString("device setup failed")
 
 var errBatchPoisoned = errString("machine wedged beyond recovery")
 

@@ -17,15 +17,16 @@ import (
 //	op 4:   interpose fn_tpl -> fn_((tpl+1)%4)
 //	op 5:   unpose fn_tpl
 //	op 6:   snapshot
-//	op 7:   restore; renew when tpl is 3
+//	op 7:   restore; renew (Release, then New) when tpl is 3
 func beOp(b byte) (op int, tpl int) {
 	return int(b & 7), int(b>>3) % 4
 }
 
 // FuzzBackendEquivalence drives the same random lifecycle sequence —
 // dynamic loads and unloads, interpositions, snapshots and restores,
-// renewals onto the same image (Renew), with every entry point run
-// after every step — against two machines in
+// renewals onto the same image (Release, then New on the released
+// memory), with every entry point run after every step — against two
+// machines in
 // lockstep: one on the reference interpreter, one on the compiled
 // closure backend. At every step both must produce identical values,
 // identical error text, identical instruction counts, identical memory
@@ -137,11 +138,13 @@ func FuzzBackendEquivalence(f *testing.F) {
 				})
 			case tpl == 3:
 				step(i, "renew", func(m *M) error {
+					img := m.Img
+					m.Release()
 					if m == mi {
-						mi = Renew(m.Img, m)
+						mi = New(img)
 						mi.PostCall = recordI
 					} else {
-						mc = Renew(m.Img, m)
+						mc = New(img)
 						mc.SetBackend(BackendCompiled)
 						mc.PostCall = recordC
 					}

@@ -106,11 +106,7 @@ func (m *M) ResetData(syms []string) int {
 		if !ok {
 			continue
 		}
-		end := addr + int64(d.Size)
-		if end > int64(len(m.Mem)) {
-			end = int64(len(m.Mem))
-		}
-		copy(m.Mem[addr:end], m.Img.initMem[addr:end])
+		m.Img.writeInit(m.Mem, addr, min(addr+int64(d.Size), int64(len(m.Mem))))
 		n++
 	}
 	return n

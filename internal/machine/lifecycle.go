@@ -14,9 +14,11 @@ import (
 type Snapshot struct {
 	// mem is memory up to its last nonzero word; every word from there
 	// to memLen is zero. The unused top of the stack is most of a
-	// machine's memory, and a snapshot neither copies nor holds it. mem
-	// is read-only: it may be the image's initial data.
+	// machine's memory, and a snapshot neither copies nor holds it. A
+	// snapshot of memory that is still its image's initial data holds
+	// no copy: img is set, and memory is img's runs and zeros to memLen.
 	mem        []int64
+	img        *Image
 	memLen     int
 	sp         int64
 	stackLimit int64
@@ -28,22 +30,19 @@ type Snapshot struct {
 // Snapshot captures the machine's current program state. The snapshot
 // is independent of later execution and may be restored any number of
 // times; taking one costs a copy of memory up to its last nonzero word,
-// or nothing while that memory is still the image's initial data, which
-// the snapshot then shares.
+// or nothing while memory is still the image's initial data, which the
+// snapshot then refers to.
 func (m *M) Snapshot() *Snapshot {
-	n := liveLen(m.Mem)
-	mem := m.Img.initMem
-	if n <= len(mem) && slices.Equal(m.Mem[:n], mem[:n]) {
-		mem = mem[:n:n]
-	} else {
-		mem = append([]int64(nil), m.Mem[:n]...)
-	}
 	s := &Snapshot{
-		mem:        mem,
 		memLen:     len(m.Mem),
 		sp:         m.sp,
 		stackLimit: m.stackLimit,
 		origin:     m.serial,
+	}
+	if i, _ := m.Img.initDiff(m.Mem); i < 0 {
+		s.img = m.Img
+	} else {
+		s.mem = slices.Clone(m.Mem[:liveLen(m.Mem)])
 	}
 	if m.dyn != nil {
 		s.dyn = m.dyn.clone()
@@ -71,9 +70,15 @@ func (m *M) Restore(s *Snapshot) {
 		m.Mem = make([]int64, s.memLen)
 	} else {
 		m.Mem = m.Mem[:s.memLen]
+	}
+	if s.img != nil {
+		data := int64(s.img.DataWords)
+		s.img.writeInit(m.Mem, 0, data)
+		clear(m.Mem[data:])
+	} else {
+		copy(m.Mem, s.mem)
 		clear(m.Mem[len(s.mem):])
 	}
-	copy(m.Mem, s.mem)
 	m.sp = s.sp
 	m.stackLimit = s.stackLimit
 	if s.dyn != nil {
@@ -109,13 +114,19 @@ func (m *M) StateEqual(s *Snapshot) error {
 	if len(m.Mem) != s.memLen {
 		return fmt.Errorf("memory size %d, snapshot has %d", len(m.Mem), s.memLen)
 	}
-	for i, v := range m.Mem {
-		want := int64(0)
-		if i < len(s.mem) {
-			want = s.mem[i]
+	if s.img != nil {
+		if i, want := s.img.initDiff(m.Mem); i >= 0 {
+			return fmt.Errorf("memory word %d is %d, snapshot has %d", i, m.Mem[i], want)
 		}
-		if v != want {
-			return fmt.Errorf("memory word %d is %d, snapshot has %d", i, v, want)
+	} else {
+		for i, v := range m.Mem {
+			want := int64(0)
+			if i < len(s.mem) {
+				want = s.mem[i]
+			}
+			if v != want {
+				return fmt.Errorf("memory word %d is %d, snapshot has %d", i, v, want)
+			}
 		}
 	}
 	if m.sp != s.sp {

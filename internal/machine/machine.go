@@ -9,6 +9,7 @@
 package machine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -70,12 +71,12 @@ const (
 // addresses assigned.
 //
 // Sharing contract: an Image is immutable once loaded, so any number of
-// machines may run off the same Image concurrently — each M copies the
-// initial data segment (initMem) into its own Mem at New, Renew and
-// Reset (a Snapshot may share it read-only), and all other
-// Image state (text, entry points, symbol records, interned strings,
-// cost model) is only ever read after Load returns. The image's symbol
-// records are the base of every machine's namespace; a machine's
+// machines may run off the same Image concurrently — each M writes the
+// initial data segment (the image's runs of nonzero words) into its own
+// Mem at New and Reset (a Snapshot may refer to them read-only), and all
+// other Image state (text, entry points, symbol records, interned
+// strings, cost model) is only ever read after Load returns. The image's
+// symbol records are the base of every machine's namespace; a machine's
 // dynamic modules add records of their own in an overlay on M, never
 // here. The one sanctioned post-Load write is the build layer assigning
 // SymbolOwner exactly once, before any machine is created from the
@@ -91,10 +92,12 @@ type Image struct {
 	GlobalAddr map[string]int64
 	FuncAddr   map[string]int64
 	strAddr    []int64
-	initMem    []int64
-	TextSize   int64
-	DataWords  int
-	costs      Costs
+	// init is the initial data segment as its runs of nonzero words, in
+	// ascending address order; every other word of it starts zero.
+	init      []dataRun
+	TextSize  int64
+	DataWords int
+	costs     Costs
 	// syms holds the record of every defined symbol, by name. funcs
 	// holds the function records in text order, which is ascending
 	// address order, so a record's position there is its dense index.
@@ -181,13 +184,6 @@ func Load(f *obj.File, costs Costs) (*Image, error) {
 	}
 	img.strAddr = strAddr
 	img.DataWords = int(addr)
-	img.initMem = make([]int64, addr)
-	for i, s := range f.Strings {
-		base := strAddr[i]
-		for j := 0; j < len(s); j++ {
-			img.initMem[base+int64(j)] = int64(s[j])
-		}
-	}
 	// Text placement, deterministic by name. Text order numbers the
 	// static functions 0…n−1.
 	fnames := make([]string, 0, len(f.Funcs))
@@ -209,26 +205,8 @@ func Load(f *obj.File, costs Costs) (*Image, error) {
 	}
 	img.TextSize = text
 	// Apply data initializers now that addresses exist.
-	for _, name := range order {
-		d := f.Datas[name]
-		base := img.GlobalAddr[name]
-		for _, init := range d.Init {
-			switch init.Kind {
-			case obj.InitConst:
-				img.initMem[base+int64(init.Offset)] = init.Val
-			case obj.InitString:
-				if init.Index < 0 || init.Index >= len(strAddr) {
-					return nil, &LoadError{Msg: fmt.Sprintf("data %s: bad string index %d", name, init.Index)}
-				}
-				img.initMem[base+int64(init.Offset)] = strAddr[init.Index]
-			case obj.InitSym:
-				s := img.syms[init.Sym]
-				if s == nil {
-					return nil, &LoadError{Msg: fmt.Sprintf("data %s: unresolved symbol %q", name, init.Sym)}
-				}
-				img.initMem[base+int64(init.Offset)] = s.addr
-			}
-		}
+	if err := img.layoutInit(order); err != nil {
+		return nil, err
 	}
 	// Every OpAddrGlobal operand must resolve.
 	for fname, fn := range f.Funcs {
@@ -240,6 +218,168 @@ func Load(f *obj.File, costs Costs) (*Image, error) {
 		}
 	}
 	return img, nil
+}
+
+// dataRun is a stretch of nonzero words of an image's initial data.
+type dataRun struct {
+	addr  int64
+	words []int64
+}
+
+// initWord is one initialized word of a data object, at its offset.
+type initWord struct {
+	off int
+	val int64
+}
+
+// layoutInit builds the image's initial data runs: the globals in order,
+// which is ascending address order, and then the string literals, which
+// follow them. Only a global's own initializers can be out of order, so
+// they alone are sorted, and only when they are; of several
+// initializers of one word, the last wins.
+func (img *Image) layoutInit(order []string) error {
+	f := img.File
+	n := 0
+	for _, d := range f.Datas {
+		n += len(d.Init)
+	}
+	for _, s := range f.Strings {
+		n += len(s)
+	}
+	b := runBuilder{words: make([]int64, 0, n)}
+	var words []initWord
+	byOffset := func(a, b initWord) int { return cmp.Compare(a.off, b.off) }
+	for _, name := range order {
+		d := f.Datas[name]
+		words = words[:0]
+		for _, init := range d.Init {
+			if init.Offset < 0 || init.Offset >= d.Size {
+				return &LoadError{Msg: fmt.Sprintf("data %s: initializer offset %d outside its %d words", name, init.Offset, d.Size)}
+			}
+			var v int64
+			switch init.Kind {
+			case obj.InitConst:
+				v = init.Val
+			case obj.InitString:
+				if init.Index < 0 || init.Index >= len(img.strAddr) {
+					return &LoadError{Msg: fmt.Sprintf("data %s: bad string index %d", name, init.Index)}
+				}
+				v = img.strAddr[init.Index]
+			case obj.InitSym:
+				s := img.syms[init.Sym]
+				if s == nil {
+					return &LoadError{Msg: fmt.Sprintf("data %s: unresolved symbol %q", name, init.Sym)}
+				}
+				v = s.addr
+			}
+			words = append(words, initWord{init.Offset, v})
+		}
+		if !slices.IsSortedFunc(words, byOffset) {
+			slices.SortStableFunc(words, byOffset)
+		}
+		base := img.GlobalAddr[name]
+		for i, w := range words {
+			if i+1 == len(words) || words[i+1].off != w.off {
+				b.put(base+int64(w.off), w.val)
+			}
+		}
+	}
+	for i, s := range f.Strings {
+		for j := 0; j < len(s); j++ {
+			b.put(img.strAddr[i]+int64(j), int64(s[j]))
+		}
+	}
+	img.init = b.runs()
+	return nil
+}
+
+// runBuilder collects nonzero words, put in ascending address order,
+// into runs.
+type runBuilder struct {
+	words []int64
+	addr  []int64 // each run's first address
+	start []int   // where each run's words begin in words
+	next  int64   // the address after the last word put
+}
+
+func (b *runBuilder) put(addr, v int64) {
+	if v == 0 {
+		return
+	}
+	if len(b.addr) == 0 || addr != b.next {
+		b.addr = append(b.addr, addr)
+		b.start = append(b.start, len(b.words))
+	}
+	b.words = append(b.words, v)
+	b.next = addr + 1
+}
+
+func (b *runBuilder) runs() []dataRun {
+	runs := make([]dataRun, len(b.addr))
+	for i := range runs {
+		end := len(b.words)
+		if i+1 < len(runs) {
+			end = b.start[i+1]
+		}
+		runs[i] = dataRun{addr: b.addr[i], words: b.words[b.start[i]:end:end]}
+	}
+	return runs
+}
+
+// writeInit makes mem[lo:hi] the image's initial data for those
+// addresses: the runs' words, and zero between them.
+func (img *Image) writeInit(mem []int64, lo, hi int64) {
+	runs := img.init
+	i := sort.Search(len(runs), func(i int) bool { return runs[i].addr+int64(len(runs[i].words)) > lo })
+	at := lo
+	for ; i < len(runs) && runs[i].addr < hi; i++ {
+		r := runs[i]
+		from, to := max(r.addr, lo), min(r.addr+int64(len(r.words)), hi)
+		clear(mem[at:from])
+		copy(mem[from:to], r.words[from-r.addr:])
+		at = to
+	}
+	clear(mem[at:hi])
+}
+
+// initDiff returns the first address at which mem differs from the
+// image's initial data followed by zeros, and the word the image has
+// there; -1 when it does not differ. mem holds at least DataWords words.
+func (img *Image) initDiff(mem []int64) (int, int64) {
+	at := 0
+	for _, r := range img.init {
+		if i := firstNonzero(mem[at:r.addr]); i >= 0 {
+			return at + i, 0
+		}
+		for j, w := range r.words {
+			if mem[int(r.addr)+j] != w {
+				return int(r.addr) + j, w
+			}
+		}
+		at = int(r.addr) + len(r.words)
+	}
+	if i := firstNonzero(mem[at:]); i >= 0 {
+		return at + i, 0
+	}
+	return -1, 0
+}
+
+// firstNonzero returns the index of the first nonzero word of mem, or -1.
+func firstNonzero(mem []int64) int {
+	i := 0
+	// Eight words a step, as liveLen reads: the stack's zeros are most of
+	// a machine's memory.
+	for ; i+8 <= len(mem); i += 8 {
+		if mem[i]|mem[i+1]|mem[i+2]|mem[i+3]|mem[i+4]|mem[i+5]|mem[i+6]|mem[i+7] != 0 {
+			break
+		}
+	}
+	for ; i < len(mem); i++ {
+		if mem[i] != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // Builtin is a host-provided function callable from simulated code, used
@@ -449,35 +589,21 @@ const MaxCallDepth = 256
 // machineSerial numbers machines as they are created (see M.serial).
 var machineSerial atomic.Uint64
 
-// New creates a machine for a loaded image.
+// buffers are a released machine's allocations, kept for the next New.
+type buffers struct {
+	mem, icache, regStack, argStack []int64
+}
+
+// released holds the buffers of released machines (see Release).
+var released sync.Pool
+
+// New creates a machine for a loaded image, on the memory, I-cache tags
+// and frame arenas of a released machine when there is one.
 func New(img *Image) *M {
-	return newOn(img, &M{})
-}
-
-// renewSlack is the headroom, in words, of a memory buffer Renew has to
-// grow, so that renewing onto an image with a somewhat larger data
-// segment reuses the buffer instead of allocating another.
-const renewSlack = 1 << 14
-
-// Renew returns what New(img) would, built on old's memory buffer,
-// I-cache tags and frame arenas instead of fresh ones, which spares
-// allocating them. Nothing else carries over: the new machine has its
-// own serial and fresh counters, and no dynamic modules, redirects,
-// hooks or builtins. old must not be used again, since its buffers are
-// the new machine's. old may be nil.
-func Renew(img *Image, old *M) *M {
 	m := &M{}
-	if old != nil {
-		m.Mem, m.icache, m.regStack, m.argStack = old.Mem, old.icache, old.regStack, old.argStack
+	if b, ok := released.Get().(*buffers); ok {
+		m.Mem, m.icache, m.regStack, m.argStack = b.mem, b.icache, b.regStack, b.argStack
 	}
-	if need := img.DataWords + stackWords; cap(m.Mem) < need {
-		m.Mem = make([]int64, 0, need+renewSlack)
-	}
-	return newOn(img, m)
-}
-
-// newOn makes m a new machine for img on whatever buffers m holds.
-func newOn(img *Image, m *M) *M {
 	m.Img = img
 	m.Costs = img.costs
 	m.Builtins = map[string]Builtin{}
@@ -487,19 +613,36 @@ func newOn(img *Image, m *M) *M {
 	return m
 }
 
+// Release gives the machine's memory, I-cache tags and frame arenas to a
+// later New and empties m. Call it only for a machine that will not run
+// again: m keeps neither image nor memory, so a later Run panics rather
+// than touch memory another machine may own. Snapshots taken of m stay
+// valid.
+func (m *M) Release() {
+	if m.Mem != nil {
+		released.Put(&buffers{m.Mem, m.icache, m.regStack, m.argStack})
+	}
+	*m = M{}
+}
+
+// memRound is the granule, in words, a memory buffer's capacity is
+// rounded up to, so that a released buffer also serves an image with a
+// somewhat larger data segment.
+const memRound = 1 << 13
+
 // Reset restores memory and statistics to the initial image state.
 // Memory is rewritten in place when the machine's buffer can hold the
 // image's data segment and stack.
 func (m *M) Reset() {
-	data := m.Img.DataWords
-	if need := data + stackWords; cap(m.Mem) < need {
-		m.Mem = make([]int64, need)
+	data := int64(m.Img.DataWords)
+	if need := int(data) + stackWords; cap(m.Mem) < need {
+		m.Mem = make([]int64, need, (need+memRound-1)/memRound*memRound)
 	} else {
 		m.Mem = m.Mem[:need]
 		clear(m.Mem[data:])
 	}
-	copy(m.Mem, m.Img.initMem)
-	m.sp = int64(data)
+	m.Img.writeInit(m.Mem, 0, data)
+	m.sp = data
 	m.stackLimit = int64(len(m.Mem))
 	m.Cycles, m.Stalls, m.Executed = 0, 0, 0
 	m.Calls, m.IndCalls, m.BuiltinCnt = 0, 0, 0

@@ -384,6 +384,60 @@ func TestDataInitStringAndSym(t *testing.T) {
 	}
 }
 
+// TestDataInitRuns: initializers out of offset order, several of one
+// word (the last wins, a zero included), zero words inside a string,
+// and neighbouring globals whose words touch all lay out as the dense
+// reference does, and an initializer outside its object is refused.
+func TestDataInitRuns(t *testing.T) {
+	f := obj.NewFile("t")
+	f.Strings = []string{"a\x00b", "", "cd"}
+	f.Datas["a"] = &obj.Data{Name: "a", Size: 8, Init: []obj.DataInit{
+		{Offset: 5, Kind: obj.InitConst, Val: 50},
+		{Offset: 2, Kind: obj.InitConst, Val: 20},
+		{Offset: 7, Kind: obj.InitConst, Val: 70},
+		{Offset: 2, Kind: obj.InitSym, Sym: "b"},
+		{Offset: 6, Kind: obj.InitConst, Val: 60},
+		{Offset: 5, Kind: obj.InitConst, Val: 0},
+		{Offset: 0, Kind: obj.InitString, Index: 2},
+	}}
+	f.Datas["b"] = &obj.Data{Name: "b", Size: 3, Init: []obj.DataInit{
+		{Offset: 0, Kind: obj.InitConst, Val: 1},
+		{Offset: 2, Kind: obj.InitString, Index: 0},
+	}}
+	img, err := Load(f, DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := DenseInit(img)
+	m := New(img)
+	for i, w := range want {
+		if m.Mem[i] != w {
+			t.Errorf("word %d = %d, want %d", i, m.Mem[i], w)
+		}
+	}
+	var words int
+	for i, r := range img.init {
+		words += len(r.words)
+		if i > 0 && r.addr <= img.init[i-1].addr+int64(len(img.init[i-1].words)) {
+			t.Errorf("run %d at %d touches or overlaps the run before it", i, r.addr)
+		}
+	}
+	var nonzero int
+	for _, w := range want {
+		if w != 0 {
+			nonzero++
+		}
+	}
+	if words != nonzero {
+		t.Errorf("runs hold %d words, the image has %d nonzero", words, nonzero)
+	}
+
+	f.Datas["b"].Init = append(f.Datas["b"].Init, obj.DataInit{Offset: 3, Kind: obj.InitConst, Val: 1})
+	if _, err := Load(f, DefaultCosts()); err == nil || !strings.Contains(err.Error(), "initializer offset 3 outside its 3 words") {
+		t.Errorf("err = %v, want the initializer outside b refused", err)
+	}
+}
+
 func TestStopWatch(t *testing.T) {
 	// enter/exit around some busy work.
 	busy := buildFunc("busy", 0, 2, 0, []obj.Instr{

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"knit/internal/cmini"
@@ -69,11 +71,15 @@ func counters(m *M) [8]int64 {
 }
 
 // TestRenewMatchesNew: a machine renewed from a used one onto another
-// image is the machine New gives for that image — the same memory,
-// stack and state, zero counters, no modules, redirects, builtins or
-// hooks, its own serial — and it runs the image's program to the same
-// value and counters, on both engines. Renew rewrites the old buffer in
-// place when it holds the image, and allocates a larger one when not.
+// image (built by New on the memory, I-cache tags and frame arenas the
+// used one gave back with Release) is the machine New gives for that
+// image on fresh memory — the same memory, stack and state, zero
+// counters, no modules, redirects, builtins or hooks, its own serial —
+// and it runs the image's program to the same value and counters, on
+// both engines. The released buffer is rewritten in place when it
+// holds the image, and a larger one is allocated when not; the
+// released machine is left empty. (Under the race detector sync.Pool
+// drops some of what it is given, so reuse is not asserted there.)
 func TestRenewMatchesNew(t *testing.T) {
 	huge := memProgram()
 	huge.Datas["huge"] = &obj.Data{Name: "huge", Size: 1 << 17}
@@ -86,17 +92,26 @@ func TestRenewMatchesNew(t *testing.T) {
 		}{{"fits", memProgram(), true}, {"outgrows", huge, false}} {
 			t.Run(be.String()+"/"+tc.name, func(t *testing.T) {
 				old, _ := usedMachine(t, be)
-				oldSerial, oldBuf := old.serial, &old.Mem[:1][0]
+				oldSerial, oldBuf, oldRegs := old.serial, &old.Mem[:1][0], &old.regStack[0]
 				img, err := Load(tc.f, DefaultCosts())
 				if err != nil {
 					t.Fatal(err)
 				}
 				fresh := New(img)
 				fresh.SetBackend(be)
-				m := Renew(img, old)
+				old.Release()
+				m := New(img)
 				m.SetBackend(be)
-				if got := &m.Mem[:1][0] == oldBuf; got != tc.inPlace {
-					t.Errorf("renewed in place = %v, want %v", got, tc.inPlace)
+				if old.Img != nil || old.Mem != nil || old.regStack != nil || old.serial != 0 {
+					t.Error("released machine keeps its image, memory, arenas or serial")
+				}
+				if !raceEnabled {
+					if got := &m.Mem[:1][0] == oldBuf; got != tc.inPlace {
+						t.Errorf("renewed in place = %v, want %v", got, tc.inPlace)
+					}
+					if &m.regStack[0] != oldRegs {
+						t.Error("renewed machine did not take the released register arena")
+					}
 				}
 				if err := m.StateEqual(fresh.Snapshot()); err != nil {
 					t.Errorf("renewed state differs from New's: %v", err)
@@ -133,22 +148,24 @@ func TestRenewMatchesNew(t *testing.T) {
 }
 
 // TestRenewDrawsFreshIndices: a machine renewed onto its own image is a
-// new machine, so a snapshot from the old one gives the kept module's
-// function a fresh index there, as it does on New's machine, and runs
-// the same.
+// new machine, so a snapshot from the released one gives the kept
+// module's function a fresh index there, as it does on New's machine,
+// and runs the same.
 func TestRenewDrawsFreshIndices(t *testing.T) {
 	for _, be := range []Backend{BackendInterp, BackendCompiled} {
 		old, snap := usedMachine(t, be)
+		img := old.Img
 		oldIndex := callIndices(t, old, "kept_id", 5)["kept_id"]
-		fresh := New(old.Img)
+		fresh := New(img)
 		fresh.SetBackend(be)
 		fresh.Restore(snap)
-		m := Renew(old.Img, old)
+		old.Release()
+		m := New(img)
 		m.SetBackend(be)
 		m.Restore(snap)
 		want := callIndices(t, fresh, "kept_id", 5)["kept_id"]
 		if got := callIndices(t, m, "kept_id", 5)["kept_id"]; got != want || got == oldIndex {
-			t.Errorf("%v: restored kept_id has index %d on the renewed machine, %d on New's, %d on the old one",
+			t.Errorf("%v: restored kept_id has index %d on the renewed machine, %d on New's, %d on the released one",
 				be, got, want, oldIndex)
 		}
 		for _, x := range []*M{fresh, m} {
@@ -162,5 +179,70 @@ func TestRenewDrawsFreshIndices(t *testing.T) {
 		if cf, cm := counters(fresh), counters(m); cf != cm {
 			t.Errorf("%v: counters: new %v, renewed %v", be, cf, cm)
 		}
+	}
+}
+
+// TestReleasedMachinePanics: a released machine is empty, so running it
+// panics, on both engines, instead of reading or writing memory that a
+// later machine now owns.
+func TestReleasedMachinePanics(t *testing.T) {
+	for _, be := range []Backend{BackendInterp, BackendCompiled} {
+		m, _ := usedMachine(t, be)
+		m.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: Run on a released machine did not panic", be)
+				}
+			}()
+			m.Run("deep", 3)
+		}()
+	}
+}
+
+// TestReleaseConcurrentMachines: workers that release machines and draw
+// new ones at once, as assembly verification does, each get a machine
+// of their own. Every new machine must hold exactly the image's initial
+// data, and every run its own result; under the race detector, two
+// machines on one buffer are a reported race.
+func TestReleaseConcurrentMachines(t *testing.T) {
+	img, err := Load(deepProgram(), DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := New(img).Snapshot()
+	const workers, rounds = 8, 40
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				m := New(img)
+				if r%2 == 1 {
+					m.SetBackend(BackendCompiled)
+				}
+				if err := m.StateEqual(want); err != nil {
+					errs <- fmt.Errorf("worker %d round %d: new machine: %v", w, r, err)
+					return
+				}
+				n := int64(10 + w + r)
+				if v, err := m.Run("deep", n); err != nil || v != n*(n+1)/2 {
+					errs <- fmt.Errorf("worker %d round %d: deep(%d) = %d, %v", w, r, n, v, err)
+					return
+				}
+				if err := m.WriteWords(m.StackLimit()-1, []int64{int64(w)}); err != nil {
+					errs <- err
+					return
+				}
+				m.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -416,8 +416,9 @@ func TestSharedImageConcurrentForeignRestore(t *testing.T) {
 }
 
 // TestSharedImageFreshMachineSeesInitData pins the other half of the
-// contract: New copies initMem, so a machine that scribbled on its
-// globals never leaks into a sibling created later from the same image.
+// contract: New writes the image's initial data into the machine's own
+// memory, so a machine that scribbled on its globals never leaks into a
+// sibling created later from the same image.
 func TestSharedImageFreshMachineSeesInitData(t *testing.T) {
 	f := fileWith(buildFunc("bump", 0, 3, 0, []obj.Instr{
 		{Op: obj.OpAddrGlobal, Dst: 1, Sym: "counter", A: obj.NoReg},
