@@ -1,4 +1,4 @@
-// Backend differential equivalence tests: the compiled closure backend
+// Backend differential equivalence tests: the compiled backend
 // (internal/machine.BackendCompiled) is a pure execution accelerator,
 // so for every system shipped in the repo — each .unit fixture under
 // examples/ and cmd/knit/testdata/, the Clack router, and the

@@ -42,7 +42,7 @@ func main() {
 		killEvery  = flag.Int("kill-every", 50, "with -overload, kill each shard after every N packets it serves (0 = none)")
 		canaryN    = flag.Int("canary", 1, "with -upgrade, number of canary shards")
 		badCanary  = flag.Bool("bad-canary", false, "with -upgrade, trial the injected-regression classifier; the run must end in a verified rollback")
-		backendF   = flag.String("backend", "", "execution backend: interp (reference, default) or compiled (closure-compiled; cycle columns exclude i-fetch stalls)")
+		backendF   = flag.String("backend", "", "execution backend: interp (reference, default) or compiled (pre-decoded micro-ops; cycle columns exclude i-fetch stalls)")
 	)
 	flag.Parse()
 

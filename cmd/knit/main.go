@@ -41,7 +41,7 @@ func main() {
 		run       = flag.String("run", "", "exported function to execute, as bundle.symbol")
 		arg       = flag.Int64("arg", 0, "argument passed to the executed function")
 		fuel      = flag.Int64("fuel", 0, "instruction budget per machine run; a component exceeding it traps instead of hanging (0 = unlimited)")
-		backendF  = flag.String("backend", "", "execution backend for -run: interp (reference, default) or compiled (closure-compiled, faster, no fetch model)")
+		backendF  = flag.String("backend", "", "execution backend for -run: interp (reference, default) or compiled (pre-decoded micro-ops, faster, no fetch model)")
 		check     = flag.Bool("check", true, "run the constraint checker")
 		optimize  = flag.Bool("O", false, "enable the optimizer")
 		flatten   = flag.Bool("flatten", false, "flatten all units before compiling")

@@ -87,7 +87,7 @@ type Options struct {
 	Parallelism int
 	// Backend selects the execution engine for machines created from
 	// the Result (NewMachine/NewMachineFrom): the cycle-accounting
-	// interpreter (default) or the closure-compiled backend. The built
+	// interpreter (default) or the compiled backend. The built
 	// Image is identical either way; only execution speed and the
 	// I-cache stall model differ.
 	Backend machine.Backend

@@ -93,7 +93,10 @@ func (c Config) withDefaults() (Config, error) {
 // and replayed onto the respawned machine; otherwise the remainder is
 // dropped (counted in Dropped). Handlers that serve item by item should
 // call Shard.Ack after each completed item so a replay resumes where
-// the dead machine stopped instead of re-serving the whole batch.
+// the dead machine stopped instead of re-serving the whole batch. A
+// handler must not keep the batch, or any slice of it, after it
+// returns: once the batch is done the fleet clears it and fills it
+// again with later submissions.
 type Handler[T any] func(sh *Shard[T], batch []T) error
 
 // Fleet is N shards of one build.Result behind a flow-hash balancer.
@@ -131,9 +134,15 @@ type Shard[T any] struct {
 	Sup *supervise.Supervisor
 	Col *observe.Collector
 
-	fl       *Fleet[T]
-	in       chan envelope[T]
-	done     chan struct{}
+	fl   *Fleet[T]
+	in   chan envelope[T]
+	done chan struct{}
+	// free holds this shard's served batches, cleared, for the producer
+	// to fill again. It holds Queue+2, every batch array the shard can
+	// have — Queue queued, one served and the producer's partial one —
+	// since all can be done at once just after a hand-off, so a warm
+	// fleet allocates none.
+	free     chan []T
 	served   atomic.Uint64
 	dropped  atomic.Uint64
 	redeliv  atomic.Uint64
@@ -200,6 +209,7 @@ func New[T any](res *build.Result, cfg Config, handle Handler[T]) (*Fleet[T], er
 			fl:   fl,
 			in:   make(chan envelope[T], cfg.Queue),
 			done: make(chan struct{}),
+			free: make(chan []T, cfg.Queue+2),
 		}
 		if err := sh.boot(); err != nil {
 			return nil, fmt.Errorf("fleet: boot shard %d: %w", id, err)
@@ -266,8 +276,10 @@ func (sh *Shard[T]) run() {
 // returns nil, its unacked remainder survives the machine and — with
 // RedeliverAttempts > 0 — replays onto the respawn, ahead of everything
 // still queued (which is what preserves per-flow order: later items of
-// the same flow are behind this batch in the shard's FIFO).
+// the same flow are behind this batch in the shard's FIFO). When the
+// batch is done, it is cleared and goes to the shard's free list.
 func (sh *Shard[T]) serveBatch(batch []T) {
+	defer sh.recycle(batch)
 	for attempt := 0; ; attempt++ {
 		sh.acked = 0
 		err := sh.fl.handle(sh, batch)
@@ -293,6 +305,17 @@ func (sh *Shard[T]) serveBatch(batch []T) {
 			return
 		}
 		sh.redeliv.Add(uint64(len(batch)))
+	}
+}
+
+// recycle clears a done batch, so the free list keeps nothing its items
+// point to alive, and offers it to the producer without blocking: the
+// list has room for every batch the shard can have.
+func (sh *Shard[T]) recycle(batch []T) {
+	clear(batch)
+	select {
+	case sh.free <- batch[:0]:
+	default:
 	}
 }
 
@@ -414,13 +437,18 @@ func (fl *Fleet[T]) flush(id int, block bool, deadline time.Time) bool {
 	return fl.handOff(id, fl.pending[id], block, deadline)
 }
 
-// handOff queues batch on shard id and starts a fresh partial batch.
+// handOff queues batch on shard id and starts the next partial batch
+// on one the shard has served, allocating only when it has none free.
 // A refused hand-off leaves the partial batch as it was.
 func (fl *Fleet[T]) handOff(id int, batch []T, block bool, deadline time.Time) bool {
 	if !fl.send(id, envelope[T]{batch: batch}, block, deadline) {
 		return false
 	}
-	fl.pending[id] = make([]T, 0, fl.cfg.Batch)
+	select {
+	case fl.pending[id] = <-fl.shards[id].free:
+	default:
+		fl.pending[id] = make([]T, 0, fl.cfg.Batch)
+	}
 	return true
 }
 

@@ -28,7 +28,7 @@ func beOp(b byte) (op int, tpl int) {
 // memory), with every entry point run after every step — against two
 // machines in
 // lockstep: one on the reference interpreter, one on the compiled
-// closure backend. At every step both must produce identical values,
+// backend. At every step both must produce identical values,
 // identical error text, identical instruction counts, identical memory
 // images, the same function indices on every call, and clean
 // dynamic-table invariants. This is the harness for

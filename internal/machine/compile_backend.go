@@ -1,24 +1,51 @@
 package machine
 
-// This file is the machine's second execution engine: a closure
-// compiler. Each function of the loaded Image is translated, once, into
-// a chain of Go closures per basic block — with fused superinstructions
-// for the shapes element code runs hot (compare+branch, const+ALU,
-// global address+load, ALU+load/mov, mov pairs, indexed loads, and
-// strided accumulate runs) — and the per-instruction interpreter
-// overhead (opcode switch, pc bounds check, fetch model, step/fuel
-// checks) is replaced by one bulk check per straight-line segment.
+// This file is the machine's second execution engine. Each function of
+// the loaded Image is translated, once, into basic blocks of
+// pre-decoded micro-ops, and runCompiled executes them under one
+// switch. The per-instruction interpreter overhead (opcode decode, pc
+// bounds check, fetch model, step/fuel checks) is replaced by one bulk
+// check per straight-line segment — itself a micro-op, uSeg, at the
+// segment's head — and no Go call is made for an operation that needs
+// none.
+//
+// What runs where:
+//
+//   - Micro-ops, inline in runCompiled's switch: const (also the
+//     address of a global or a string, both load-time constants), mov,
+//     "mov; mov" and "mov; const"; the 14 ALU tokens that cannot trap,
+//     register-register and with a const B operand ("const k, imm; bin
+//     d, a, k"); the address of a local; load, store, global address +
+//     load, "add; load" and "add; mov"; and direct calls, which read
+//     their dispatch-cache slot inline and enter the callee's frame
+//     straight away on a hit.
+//   - Terminators, as fields of the block: jump and fall-through (no
+//     work at all), branch on a register, compare-and-branch
+//     register-register and its "const; cmp; branch" immediate form, and
+//     return with or without a value.
+//   - Closures, called from the switch through one micro-op kind, for
+//     what is large or rare: the strided accumulate run (os_work), the
+//     indexed-load family, divide and modulo, unary operations, trapping
+//     operations and indirect calls; and for terminators that trap.
+//
+// The switch is there because Go's register ABI keeps no register
+// across a call: a call per operation spills and reloads the loop's
+// state (m, regs, fp, the block and the op index), which costs more
+// than most operations do. For the same reason a block's segments are
+// one op array rather than a loop over segments, so that the loop's
+// state fits in registers.
 //
 // The compiled path preserves the interpreter's full runtime contract:
 //
 //   - Executed is exact at every observable point. Straight-line
 //     segments end at call instructions, so a callee never sees
 //     pre-counted instructions that follow the call; a trapping op rolls
-//     the pre-count back to the instructions that actually ran; and when
-//     a step/fuel limit could fire inside a segment, the segment is not
-//     bulk-executed at all — the frame falls back to the interpreter
-//     loop (execLoop with model=false), which traps at the exact
-//     instruction the reference backend would.
+//     the pre-count back, through its block's done table, to the
+//     instructions that actually ran; and when a step/fuel limit could
+//     fire inside a segment, the segment is not bulk-executed at all —
+//     the frame falls back to the interpreter loop (execLoop with
+//     model=false), which traps at the exact instruction the reference
+//     backend would.
 //   - Traps carry the same Kind, message, Func and PC, so unit
 //     attribution (Trap.Unit via SymbolOwner) is unchanged.
 //   - After every op the frame's registers equal the interpreter's, with
@@ -30,7 +57,8 @@ package machine
 //     (see fuseIndexedRunStrided).
 //   - A strided run with contiguous offsets, as os_work's, checks its
 //     address window once: when the whole window lies in mapped memory
-//     one slice loop sums it without per-round checks. Any other run
+//     one slice loop sums it, four words at a time into independent
+//     sums, without per-round checks. Any other run
 //     takes the per-round loop, so a trapping round's PC, Executed and
 //     Cycles stay exact.
 //   - PreCall/PostCall/PreRun hooks, Fuel, StepLimit, Interpose/Unpose,
@@ -57,7 +85,8 @@ package machine
 //
 // The backend-differential suite (backend_differential_test.go at the
 // repo root, FuzzBackendEquivalence here) holds both backends to these
-// invariants on every example, kernel, and fuzzed lifecycle sequence.
+// invariants on every example, kernel, and fuzzed lifecycle sequence,
+// and TestCompiledKinds runs every micro-op and terminator kind.
 
 import (
 	"fmt"
@@ -74,7 +103,7 @@ const (
 	// BackendInterp is the reference switch-dispatch interpreter with
 	// the complete cost model, including instruction-fetch stalls.
 	BackendInterp Backend = iota
-	// BackendCompiled runs closure-compiled code: identical program
+	// BackendCompiled runs pre-decoded compiled code: identical program
 	// semantics, outputs, traps and instruction counts, several times
 	// faster, with cycle accounting that excludes the I-cache model.
 	BackendCompiled
@@ -107,43 +136,177 @@ func (m *M) SetBackend(b Backend) { m.backend = b }
 // Backend reports the machine's execution engine.
 func (m *M) Backend() Backend { return m.backend }
 
-// copFn executes one (possibly fused) non-control instruction over the
-// frame's registers.
-type copFn func(m *M, regs []int64, fp int64) error
+// uopKind is what a micro-op does; runCompiled's switch has one arm
+// per kind.
+type uopKind uint8
 
-// ctermFn ends a basic block, returning the next block index (or
-// blockRet), the function's return value when it does return, and the
-// trap if control left the function's code.
-type ctermFn func(m *M, regs []int64, fp int64) (int32, int64, error)
+const (
+	uSeg        uopKind = iota // a segment's bulk step/fuel check and count: imm instructions from pc
+	uConst                     // d = imm
+	uMov                       // d = a
+	uMovMov                    // d = a; b = c
+	uMovConst                  // d = a; b = imm
+	uAddrLocal                 // d = fp + imm
+	uLoad                      // d = Mem[a]
+	uStore                     // Mem[a] = b
+	uGlobalLoad                // a = imm; d = Mem[imm]
+	uAddLoad                   // d = a + b; e = Mem[c]
+	uAddMov                    // d = a + b; c = e
+	uCall                      // d = the direct call calls[imm]
+	uFn                        // fns[imm](m, regs)
 
-// blockRet is the ctermFn sentinel for "the function returned".
-const blockRet = int32(-1)
+	// d = a op b, for the tokens of pureBinToks in order.
+	uAdd
+	uSub
+	uMul
+	uShl
+	uShr
+	uAnd
+	uOr
+	uXor
+	uLt
+	uGt
+	uLe
+	uGe
+	uEq
+	uNe
 
-// cseg is a run of straight-line instructions whose step/fuel
-// accounting is done in bulk. A segment never extends past a call
-// instruction, so Executed is exact whenever another frame (or a hook,
-// or a builtin) can observe it.
-type cseg struct {
-	startPC int   // pc of the first instruction; exact-fallback entry point
-	n       int64 // simulated instructions in the segment, terminator included
-	ops     []copFn
-	// done[i] is the number of segment instructions counted once ops[i]
-	// completes; on a trap the pre-counted remainder (n - done[i]) is
-	// rolled back so the counters match the interpreter's trap point.
-	done []int64
+	// c = imm; d = a op imm: the same tokens with a const B operand.
+	uAddI
+	uSubI
+	uMulI
+	uShlI
+	uShrI
+	uAndI
+	uOrI
+	uXorI
+	uLtI
+	uGtI
+	uLeI
+	uGeI
+	uEqI
+	uNeI
+
+	// numUopKinds must stay last: TestCompiledKinds walks [0, numUopKinds).
+	numUopKinds
+)
+
+// pureBinToks lists the ALU tokens that cannot trap, in the order of
+// the kinds uAdd…uNe and uAddI…uNeI.
+var pureBinToks = [...]cmini.Tok{cmini.PLUS, cmini.MINUS, cmini.STAR, cmini.SHL, cmini.SHR,
+	cmini.AMP, cmini.PIPE, cmini.CARET, cmini.LT, cmini.GT, cmini.LE, cmini.GE, cmini.EQ, cmini.NE}
+
+// binUop returns the register-register micro-op kind of a binary token
+// that cannot trap; ok is false for divide, modulo and unknown tokens.
+func binUop(tok cmini.Tok) (k uopKind, ok bool) {
+	for i, t := range pureBinToks {
+		if t == tok {
+			return uAdd + uopKind(i), true
+		}
+	}
+	return 0, false
 }
 
-// cblock is one basic block: its segments and the terminator.
+// uop is one pre-decoded micro-op: its kind, up to five registers (what
+// each one means is the kind's), an immediate, and the pc a trap in it
+// reports.
+type uop struct {
+	kind          uopKind
+	d, a, b, c, e obj.Reg
+	pc            int32
+	imm           int64
+}
+
+// termKind is how a block ends.
+type termKind uint8
+
+const (
+	termJump   termKind = iota // to then (also a fall-through)
+	termBranch                 // to then if x != 0, else to els
+	// cd = x op y; branch on cd, for the tokens of cmpToks in order.
+	termLt
+	termGt
+	termLe
+	termGe
+	termEq
+	termNe
+	// k = imm; cd = x op imm; branch on cd: "const; cmp; branch".
+	termLtI
+	termGtI
+	termLeI
+	termGeI
+	termEqI
+	termNeI
+	termRet    // return 0
+	termRetVal // return x
+	termFn     // fn, a terminator that traps (or may)
+
+	// numTermKinds must stay last: TestCompiledKinds walks [0, numTermKinds).
+	numTermKinds
+)
+
+// cmpToks lists the comparison tokens in the order of the kinds
+// termLt…termNe and termLtI…termNeI.
+var cmpToks = [...]cmini.Tok{cmini.LT, cmini.GT, cmini.LE, cmini.GE, cmini.EQ, cmini.NE}
+
+// cmpTerm returns the register-register compare-and-branch kind of a
+// comparison token; ok is false for any other token.
+func cmpTerm(tok cmini.Tok) (k termKind, ok bool) {
+	for i, t := range cmpToks {
+		if t == tok {
+			return termLt + termKind(i), true
+		}
+	}
+	return 0, false
+}
+
+// copFn executes one (possibly fused) instruction that has no
+// micro-op, over the frame's registers.
+type copFn func(m *M, regs []int64) error
+
+// ctermFn ends a block that may trap: it returns the next block index
+// or the trap.
+type ctermFn func(regs []int64) (int32, error)
+
+// cblock is one basic block: its micro-ops and its terminator, whose
+// kind says which of the operands below it reads.
+//
+// The ops are segments, each a uSeg followed by the micro-ops of a run
+// of straight-line instructions, whose step/fuel accounting the uSeg
+// does in bulk. A segment never extends past a call instruction, so
+// Executed is exact whenever another frame (or a hook, or a builtin)
+// can observe it; the last segment counts the terminator.
 type cblock struct {
-	segs []cseg
-	term ctermFn
+	ops []uop
+	// done[i] is the number of its segment's instructions still
+	// pre-counted but not run once ops[i] completes; a trap in ops[i]
+	// rolls them back so the counters match the interpreter's trap point.
+	done []int64
+	term termKind
+	// The branch, compared or returned register x, the other compared
+	// register y, the comparison's result register cd, and the const's
+	// register k and value imm of the immediate form.
+	x, y, cd, k obj.Reg
+	imm         int64
+	then, els   int32   // successor blocks; a jump goes to then
+	fn          ctermFn // termFn only
+}
+
+// ccall is a direct call site: its dispatch-cache slot, the called
+// symbol and the caller's argument registers.
+type ccall struct {
+	site int
+	sym  string
+	args []obj.Reg
 }
 
 // cfunc is one compiled function.
 type cfunc struct {
 	sym     *symbol // the function's record: code, index, text offset
 	blocks  []cblock
-	siteEnd int // one past the highest dispatch-cache slot the code uses
+	calls   []ccall // by uCall's imm
+	fns     []copFn // by uFn's imm
+	siteEnd int     // one past the highest dispatch-cache slot the code uses
 }
 
 // imageProg is the once-compiled static program, shared read-only by
@@ -220,10 +383,10 @@ func (m *M) growSites(n int) {
 }
 
 // runCompiled drives a compiled function body: per segment, one bulk
-// step/fuel check and one bulk counter update, then the ops; per block,
-// the terminator. When a segment could cross a limit, the rest of the
-// frame runs on the exact interpreter loop instead (nested calls made
-// from there still dispatch compiled).
+// step/fuel check and one bulk counter update, then the micro-ops; per
+// block, the terminator. When a segment could cross a limit, the rest
+// of the frame runs on the exact interpreter loop instead (nested calls
+// made from there still dispatch compiled).
 func (m *M) runCompiled(cf *cfunc, regs []int64, fp int64) (int64, error) {
 	if cf.siteEnd > len(m.sites) {
 		m.growSites(cf.siteEnd)
@@ -231,34 +394,243 @@ func (m *M) runCompiled(cf *cfunc, regs []int64, fp int64) (int64, error) {
 	bi := int32(0)
 	for {
 		b := &cf.blocks[bi]
-		for si := range b.segs {
-			s := &b.segs[si]
-			if m.Executed+s.n > m.budgetEnd {
-				// A limit fires somewhere in this segment: let the
-				// interpreter find the exact instruction.
-				return m.execLoop(cf.sym, regs, fp, s.startPC, false)
-			}
-			m.Executed += s.n
-			m.Cycles += s.n * m.Costs.Instr
-			for oi, op := range s.ops {
-				if err := op(m, regs, fp); err != nil {
-					// Keep only the instructions that actually ran.
-					drop := s.n - s.done[oi]
-					m.Executed -= drop
-					m.Cycles -= drop * m.Costs.Instr
+		ops := b.ops
+		for oi := range ops {
+			u := &ops[oi]
+			switch u.kind {
+			case uSeg:
+				if m.Executed+u.imm > m.budgetEnd {
+					// A limit fires somewhere in this segment: let the
+					// interpreter find the exact instruction.
+					return m.execLoop(cf.sym, regs, fp, int(u.pc), false)
+				}
+				m.Executed += u.imm
+				m.Cycles += u.imm * m.Costs.Instr
+			case uConst:
+				regs[u.d] = u.imm
+			case uMov:
+				regs[u.d] = regs[u.a]
+			case uMovMov:
+				regs[u.d] = regs[u.a]
+				regs[u.b] = regs[u.c]
+			case uMovConst:
+				regs[u.d] = regs[u.a]
+				regs[u.b] = u.imm
+			case uAddrLocal:
+				regs[u.d] = fp + u.imm
+			case uLoad:
+				addr := regs[u.a]
+				if addr < nullGuard || addr >= int64(len(m.Mem)) {
+					return m.unwind(b, oi, memTrap("load from", addr, cf, u.pc))
+				}
+				regs[u.d] = m.Mem[addr]
+			case uStore:
+				addr := regs[u.a]
+				if addr < nullGuard || addr >= int64(len(m.Mem)) {
+					return m.unwind(b, oi, memTrap("store to", addr, cf, u.pc))
+				}
+				m.Mem[addr] = regs[u.b]
+			case uGlobalLoad:
+				regs[u.a] = u.imm
+				if u.imm < nullGuard || u.imm >= int64(len(m.Mem)) {
+					return m.unwind(b, oi, memTrap("load from", u.imm, cf, u.pc))
+				}
+				regs[u.d] = m.Mem[u.imm]
+			case uAddLoad:
+				regs[u.d] = regs[u.a] + regs[u.b]
+				addr := regs[u.c]
+				if addr < nullGuard || addr >= int64(len(m.Mem)) {
+					return m.unwind(b, oi, memTrap("load from", addr, cf, u.pc))
+				}
+				regs[u.e] = m.Mem[addr]
+			case uAddMov:
+				regs[u.d] = regs[u.a] + regs[u.b]
+				regs[u.c] = regs[u.e]
+			case uCall:
+				// A call ends its segment, so nothing pre-counted
+				// follows it and a trap needs no unwinding.
+				c := &cf.calls[u.imm]
+				var v int64
+				var err error
+				if st := &m.sites[c.site]; st.version == m.dispVersion && st.kind == siteFunc {
+					m.Calls++
+					m.Cycles += m.Costs.CallBase + m.Costs.CallPerArg*int64(len(c.args))
+					v, err = m.invoke(st.cf.sym, st.cf, regs, c.args)
+				} else {
+					v, err = m.compiledDispatch(c.site, c.sym, regs, c.args, cf.sym.fn.Name, int(u.pc))
+				}
+				if err != nil {
 					return 0, err
 				}
+				regs[u.d] = v
+			case uFn:
+				if err := cf.fns[u.imm](m, regs); err != nil {
+					return m.unwind(b, oi, err)
+				}
+
+			case uAdd:
+				regs[u.d] = regs[u.a] + regs[u.b]
+			case uSub:
+				regs[u.d] = regs[u.a] - regs[u.b]
+			case uMul:
+				regs[u.d] = regs[u.a] * regs[u.b]
+			case uShl:
+				regs[u.d] = regs[u.a] << (uint64(regs[u.b]) & 63)
+			case uShr:
+				regs[u.d] = int64(uint64(regs[u.a]) >> (uint64(regs[u.b]) & 63))
+			case uAnd:
+				regs[u.d] = regs[u.a] & regs[u.b]
+			case uOr:
+				regs[u.d] = regs[u.a] | regs[u.b]
+			case uXor:
+				regs[u.d] = regs[u.a] ^ regs[u.b]
+			case uLt:
+				regs[u.d] = b2i(regs[u.a] < regs[u.b])
+			case uGt:
+				regs[u.d] = b2i(regs[u.a] > regs[u.b])
+			case uLe:
+				regs[u.d] = b2i(regs[u.a] <= regs[u.b])
+			case uGe:
+				regs[u.d] = b2i(regs[u.a] >= regs[u.b])
+			case uEq:
+				regs[u.d] = b2i(regs[u.a] == regs[u.b])
+			case uNe:
+				regs[u.d] = b2i(regs[u.a] != regs[u.b])
+
+			// The constant is written first, so an A operand that
+			// is the constant's register reads it, as in sequence.
+			case uAddI:
+				regs[u.c] = u.imm
+				regs[u.d] = regs[u.a] + u.imm
+			case uSubI:
+				regs[u.c] = u.imm
+				regs[u.d] = regs[u.a] - u.imm
+			case uMulI:
+				regs[u.c] = u.imm
+				regs[u.d] = regs[u.a] * u.imm
+			case uShlI:
+				regs[u.c] = u.imm
+				regs[u.d] = regs[u.a] << (uint64(u.imm) & 63)
+			case uShrI:
+				regs[u.c] = u.imm
+				regs[u.d] = int64(uint64(regs[u.a]) >> (uint64(u.imm) & 63))
+			case uAndI:
+				regs[u.c] = u.imm
+				regs[u.d] = regs[u.a] & u.imm
+			case uOrI:
+				regs[u.c] = u.imm
+				regs[u.d] = regs[u.a] | u.imm
+			case uXorI:
+				regs[u.c] = u.imm
+				regs[u.d] = regs[u.a] ^ u.imm
+			case uLtI:
+				regs[u.c] = u.imm
+				regs[u.d] = b2i(regs[u.a] < u.imm)
+			case uGtI:
+				regs[u.c] = u.imm
+				regs[u.d] = b2i(regs[u.a] > u.imm)
+			case uLeI:
+				regs[u.c] = u.imm
+				regs[u.d] = b2i(regs[u.a] <= u.imm)
+			case uGeI:
+				regs[u.c] = u.imm
+				regs[u.d] = b2i(regs[u.a] >= u.imm)
+			case uEqI:
+				regs[u.c] = u.imm
+				regs[u.d] = b2i(regs[u.a] == u.imm)
+			case uNeI:
+				regs[u.c] = u.imm
+				regs[u.d] = b2i(regs[u.a] != u.imm)
 			}
 		}
-		next, ret, err := b.term(m, regs, fp)
-		if err != nil {
-			return 0, err
+
+		// The terminator. A comparison reads its operands before it
+		// writes its result, as the instruction does.
+		var taken bool
+		switch b.term {
+		case termJump:
+			bi = b.then
+			continue
+		case termBranch:
+			taken = regs[b.x] != 0
+		case termLt:
+			taken = regs[b.x] < regs[b.y]
+			regs[b.cd] = b2i(taken)
+		case termGt:
+			taken = regs[b.x] > regs[b.y]
+			regs[b.cd] = b2i(taken)
+		case termLe:
+			taken = regs[b.x] <= regs[b.y]
+			regs[b.cd] = b2i(taken)
+		case termGe:
+			taken = regs[b.x] >= regs[b.y]
+			regs[b.cd] = b2i(taken)
+		case termEq:
+			taken = regs[b.x] == regs[b.y]
+			regs[b.cd] = b2i(taken)
+		case termNe:
+			taken = regs[b.x] != regs[b.y]
+			regs[b.cd] = b2i(taken)
+		case termLtI:
+			regs[b.k] = b.imm
+			taken = regs[b.x] < b.imm
+			regs[b.cd] = b2i(taken)
+		case termGtI:
+			regs[b.k] = b.imm
+			taken = regs[b.x] > b.imm
+			regs[b.cd] = b2i(taken)
+		case termLeI:
+			regs[b.k] = b.imm
+			taken = regs[b.x] <= b.imm
+			regs[b.cd] = b2i(taken)
+		case termGeI:
+			regs[b.k] = b.imm
+			taken = regs[b.x] >= b.imm
+			regs[b.cd] = b2i(taken)
+		case termEqI:
+			regs[b.k] = b.imm
+			taken = regs[b.x] == b.imm
+			regs[b.cd] = b2i(taken)
+		case termNeI:
+			regs[b.k] = b.imm
+			taken = regs[b.x] != b.imm
+			regs[b.cd] = b2i(taken)
+		case termRet:
+			return 0, nil
+		case termRetVal:
+			return regs[b.x], nil
+		default: // termFn
+			next, err := b.fn(regs)
+			if err != nil {
+				return 0, err
+			}
+			bi = next
+			continue
 		}
-		if next < 0 {
-			return ret, nil
+		if taken {
+			bi = b.then
+		} else {
+			bi = b.els
 		}
-		bi = next
 	}
+}
+
+// unwind keeps only the instructions that ran before op oi of block b
+// trapped with err, and returns err.
+func (m *M) unwind(b *cblock, oi int, err error) (int64, error) {
+	drop := b.done[oi]
+	m.Executed -= drop
+	m.Cycles -= drop * m.Costs.Instr
+	return 0, err
+}
+
+// memTrap is the trap of a load or store (verb "load from" or "store
+// to") at an invalid address, reported at pc of cf. The Trap is
+// allocated per occurrence: callers annotate traps (Run fills in Unit),
+// and compiled code is shared across machines.
+func memTrap(verb string, addr int64, cf *cfunc, pc int32) error {
+	return &Trap{Kind: TrapBadAddress, Msg: fmt.Sprintf("%s invalid address %d", verb, addr),
+		Func: cf.sym.fn.Name, PC: int(pc)}
 }
 
 // compiledDispatch performs a direct call from compiled code through
@@ -324,19 +696,17 @@ func (m *M) compiledCallInd(site int, regs []int64, aReg obj.Reg, argRegs []obj.
 	return m.invoke(cf.sym, cf, regs, argRegs)
 }
 
-// trapTerm builds a terminator that traps. The Trap is allocated per
-// occurrence: callers annotate traps (Run fills in Unit), and compiled
-// code is shared across machines.
+// trapTerm builds a terminator that traps.
 func trapTerm(kind TrapKind, msg, fname string, pc int) ctermFn {
-	return func(m *M, regs []int64, fp int64) (int32, int64, error) {
-		return 0, 0, &Trap{Kind: kind, Msg: msg, Func: fname, PC: pc}
+	return func(regs []int64) (int32, error) {
+		return 0, &Trap{Kind: kind, Msg: msg, Func: fname, PC: pc}
 	}
 }
 
 // trapOp builds a body op that traps (undefined symbol slots, bad
 // opcodes): counted like the interpreter counts them, then trapping.
 func trapOp(kind TrapKind, msg, fname string, pc int) copFn {
-	return func(m *M, regs []int64, fp int64) error {
+	return func(m *M, regs []int64) error {
 		return &Trap{Kind: kind, Msg: msg, Func: fname, PC: pc}
 	}
 }
@@ -354,8 +724,8 @@ func compileFunc(s *symbol, m *M, img *Image, next *int) *cfunc {
 		// The interpreter traps "pc out of range" before counting
 		// anything; an empty block with a trapping terminator matches.
 		cf.blocks = []cblock{{
-			segs: []cseg{{startPC: 0}},
-			term: trapTerm(TrapGeneric, "pc out of range", fn.Name, 0),
+			term: termFn,
+			fn:   trapTerm(TrapGeneric, "pc out of range", fn.Name, 0),
 		}}
 		cf.siteEnd = *next
 		return cf
@@ -412,7 +782,7 @@ func compileFunc(s *symbol, m *M, img *Image, next *int) *cfunc {
 				break
 			}
 		}
-		blocks = append(blocks, compileBlock(fn, pc, end, blockIdx, m, img, next))
+		blocks = append(blocks, compileBlock(cf, pc, end, blockIdx, m, img, next))
 		pc = end
 	}
 	cf.blocks = blocks
@@ -420,212 +790,205 @@ func compileFunc(s *symbol, m *M, img *Image, next *int) *cfunc {
 	return cf
 }
 
-// compileBlock translates code[start:end) — one basic block — into
-// segments of fused closures plus a terminator.
-func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Image, next *int) cblock {
+// compileBlock translates code[start:end) of cf's function — one basic
+// block — into segments of micro-ops plus a terminator, adding cf's
+// call sites and closures as it meets them.
+func compileBlock(cf *cfunc, start, end int, blockIdx []int32, m *M, img *Image, next *int) cblock {
+	fn := cf.sym.fn
 	code := fn.Code
 	n := len(code)
 	fname := fn.Name
 	var b cblock
-	cur := cseg{startPC: start}
-	emit := func(op copFn, width int64) {
-		cur.n += width
-		if op != nil {
-			cur.ops = append(cur.ops, op)
-			cur.done = append(cur.done, cur.n)
+	// The open segment: the index of its uSeg and the instructions it
+	// holds so far.
+	var segAt int
+	var segN int64
+	openSeg := func(pc int) {
+		segAt, segN = len(b.ops), 0
+		b.ops = append(b.ops, uop{kind: uSeg, pc: int32(pc)})
+		b.done = append(b.done, 0)
+	}
+	emit := func(u uop, width int64) {
+		segN += width
+		b.ops = append(b.ops, u)
+		b.done = append(b.done, segN)
+	}
+	closure := func(op copFn, width int64) {
+		emit(uop{kind: uFn, imm: int64(len(cf.fns))}, width)
+		cf.fns = append(cf.fns, op)
+	}
+	// closeSeg gives the open segment's uSeg its count and turns done
+	// from the instructions counted once each op completes into those
+	// still to run; a segment that counts nothing is dropped.
+	closeSeg := func() {
+		if segN == 0 {
+			b.ops, b.done = b.ops[:segAt], b.done[:segAt]
+			return
+		}
+		b.ops[segAt].imm = segN
+		for i := segAt; i < len(b.done); i++ {
+			b.done[i] = segN - b.done[i]
 		}
 	}
-	closeSeg := func(nextPC int) {
-		b.segs = append(b.segs, cur)
-		cur = cseg{startPC: nextPC}
-	}
 	validPC := func(t int) bool { return t >= 0 && t < n }
+	// branchTo makes the terminator a conditional branch of kind k when
+	// both targets of the branch instruction br are in the function.
+	branchTo := func(k termKind, br *obj.Instr) bool {
+		t0, t1 := br.Targets[0], br.Targets[1]
+		if !validPC(t0) || !validPC(t1) {
+			return false
+		}
+		b.term, b.then, b.els = k, blockIdx[t0], blockIdx[t1]
+		return true
+	}
 
+	openSeg(start)
 	pc := start
 	for pc < end {
 		in := &code[pc]
 		switch in.Op {
 		case obj.OpJump:
-			cur.n++ // the jump executes (and is counted) before control moves
+			segN++ // the jump executes (and is counted) before control moves
 			if t := in.Targets[0]; validPC(t) {
-				tb := blockIdx[t]
-				b.term = func(m *M, regs []int64, fp int64) (int32, int64, error) {
-					return tb, 0, nil
-				}
+				b.term, b.then = termJump, blockIdx[t]
 			} else {
-				b.term = trapTerm(TrapGeneric, "pc out of range", fname, in.Targets[0])
+				b.term, b.fn = termFn, trapTerm(TrapGeneric, "pc out of range", fname, t)
 			}
 			pc++
 
 		case obj.OpBranch:
-			cur.n++
-			a := in.A
-			t0, t1 := in.Targets[0], in.Targets[1]
-			if validPC(t0) && validPC(t1) {
-				b0, b1 := blockIdx[t0], blockIdx[t1]
-				b.term = func(m *M, regs []int64, fp int64) (int32, int64, error) {
-					if regs[a] != 0 {
-						return b0, 0, nil
-					}
-					return b1, 0, nil
-				}
-			} else {
-				idx := blockIdx
-				b.term = func(m *M, regs []int64, fp int64) (int32, int64, error) {
+			segN++
+			b.x = in.A
+			if !branchTo(termBranch, in) {
+				a, t0, t1, idx := in.A, in.Targets[0], in.Targets[1], blockIdx
+				b.term, b.fn = termFn, func(regs []int64) (int32, error) {
 					t := t1
 					if regs[a] != 0 {
 						t = t0
 					}
 					if t < 0 || t >= n {
-						return 0, 0, &Trap{Msg: "pc out of range", Func: fname, PC: t}
+						return 0, &Trap{Msg: "pc out of range", Func: fname, PC: t}
 					}
-					return idx[t], 0, nil
+					return idx[t], nil
 				}
 			}
 			pc++
 
 		case obj.OpRet:
-			cur.n++
+			segN++
+			b.term = termRet
 			if in.HasVal {
-				a := in.A
-				b.term = func(m *M, regs []int64, fp int64) (int32, int64, error) {
-					return blockRet, regs[a], nil
-				}
-			} else {
-				b.term = func(m *M, regs []int64, fp int64) (int32, int64, error) {
-					return blockRet, 0, nil
-				}
+				b.term, b.x = termRetVal, in.A
 			}
 			pc++
 
 		case obj.OpBin:
-			// Fused compare-and-branch: the comparison is the last body
+			tok := cmini.Tok(in.Tok)
+			// Compare-and-branch: the comparison is the last body
 			// instruction, the branch the terminator, branching on the
 			// comparison's (still architecturally written) result.
-			if pc+2 == end && code[pc+1].Op == obj.OpBranch && code[pc+1].A == in.Dst {
-				br := &code[pc+1]
-				t0, t1 := br.Targets[0], br.Targets[1]
-				if validPC(t0) && validPC(t1) {
-					if term := cmpBranchTerm(cmini.Tok(in.Tok), in.Dst, in.A, in.B, blockIdx[t0], blockIdx[t1]); term != nil {
-						cur.n += 2
-						b.term = term
-						pc += 2
-						continue
-					}
+			if k, ok := cmpTerm(tok); ok && pc+2 == end && code[pc+1].Op == obj.OpBranch && code[pc+1].A == in.Dst {
+				if branchTo(k, &code[pc+1]) {
+					b.x, b.y, b.cd = in.A, in.B, in.Dst
+					segN += 2
+					pc += 2
+					continue
 				}
 			}
-			if op, w := fuseBinChain(code, pc, end, fname); op != nil {
-				emit(op, w)
-				pc += int(w)
-				continue
+			// "add; load" (address arithmetic feeding a dereference) and
+			// "add; mov" (a sum copied into a variable's register).
+			if tok == cmini.PLUS && pc+1 < end {
+				switch in2 := &code[pc+1]; in2.Op {
+				case obj.OpLoad:
+					emit(uop{kind: uAddLoad, d: in.Dst, a: in.A, b: in.B, c: in2.A, e: in2.Dst, pc: int32(pc + 1)}, 2)
+					pc += 2
+					continue
+				case obj.OpMov:
+					emit(uop{kind: uAddMov, d: in.Dst, a: in.A, b: in.B, c: in2.Dst, e: in2.A}, 2)
+					pc += 2
+					continue
+				}
 			}
-			emit(compileBin(cmini.Tok(in.Tok), in.Dst, in.A, in.B, fname, pc), 1)
+			if k, ok := binUop(tok); ok {
+				emit(uop{kind: k, d: in.Dst, a: in.A, b: in.B}, 1)
+			} else {
+				closure(compileBin(tok, in.Dst, in.A, in.B, fname, pc), 1)
+			}
 			pc++
 
 		case obj.OpConst:
 			// Fused indexed load: "v = base[imm]" and its accumulate form.
 			if op, w := fuseIndexedLoad(code, pc, end, fname); op != nil {
-				emit(op, w)
+				closure(op, w)
 				pc += int(w)
 				continue
 			}
-			// Fused ALU-immediate: const feeding the next op's B operand.
-			if pc+1 < end {
-				in2 := &code[pc+1]
-				if in2.Op == obj.OpBin && in2.B == in.Dst && in2.A != in.Dst {
-					if op := compileBinImm(cmini.Tok(in2.Tok), in.Dst, in.Imm, in2.Dst, in2.A); op != nil {
-						emit(op, 2)
-						pc += 2
-						continue
-					}
+			if pc+1 < end && code[pc+1].Op == obj.OpBin && code[pc+1].B == in.Dst {
+				cmp := &code[pc+1]
+				// "const; cmp; branch": the whole block tail is the
+				// terminator.
+				if k, ok := cmpTerm(cmini.Tok(cmp.Tok)); ok && pc+3 == end &&
+					code[pc+2].Op == obj.OpBranch && code[pc+2].A == cmp.Dst &&
+					branchTo(k+termLtI-termLt, &code[pc+2]) {
+					b.k, b.imm, b.x, b.cd = in.Dst, in.Imm, cmp.A, cmp.Dst
+					segN += 3
+					pc += 3
+					continue
+				}
+				// ALU-immediate: the const feeds the next op's B operand.
+				// Divide and modulo stay unfused, so their trap counts
+				// the const as the interpreter does.
+				if k, ok := binUop(cmini.Tok(cmp.Tok)); ok {
+					emit(uop{kind: k + uAddI - uAdd, c: in.Dst, imm: in.Imm, d: cmp.Dst, a: cmp.A}, 2)
+					pc += 2
+					continue
 				}
 			}
-			dst, imm := in.Dst, in.Imm
-			emit(func(m *M, regs []int64, fp int64) error {
-				regs[dst] = imm
-				return nil
-			}, 1)
+			emit(uop{kind: uConst, d: in.Dst, imm: in.Imm}, 1)
 			pc++
 
 		case obj.OpMov:
 			// Batched unrolled accumulate runs first, then the single
 			// mov-led indexed-load superinstruction.
 			if op, w := fuseIndexedRun(code, pc, end, fname); op != nil {
-				emit(op, w)
+				closure(op, w)
 				pc += int(w)
 				continue
 			}
 			if op, w := fuseIndexedLoad(code, pc, end, fname); op != nil {
-				emit(op, w)
+				closure(op, w)
 				pc += int(w)
 				continue
 			}
 			if pc+1 < end {
-				in2 := &code[pc+1]
-				if in2.Op == obj.OpMov {
-					d1, a1, d2, a2 := in.Dst, in.A, in2.Dst, in2.A
-					emit(func(m *M, regs []int64, fp int64) error {
-						regs[d1] = regs[a1]
-						regs[d2] = regs[a2]
-						return nil
-					}, 2)
+				switch in2 := &code[pc+1]; in2.Op {
+				case obj.OpMov:
+					emit(uop{kind: uMovMov, d: in.Dst, a: in.A, b: in2.Dst, c: in2.A}, 2)
 					pc += 2
 					continue
-				}
-				if in2.Op == obj.OpConst {
-					d1, a1, d2, imm := in.Dst, in.A, in2.Dst, in2.Imm
-					emit(func(m *M, regs []int64, fp int64) error {
-						regs[d1] = regs[a1]
-						regs[d2] = imm
-						return nil
-					}, 2)
+				case obj.OpConst:
+					emit(uop{kind: uMovConst, d: in.Dst, a: in.A, b: in2.Dst, imm: in2.Imm}, 2)
 					pc += 2
 					continue
 				}
 			}
-			dst, a := in.Dst, in.A
-			emit(func(m *M, regs []int64, fp int64) error {
-				regs[dst] = regs[a]
-				return nil
-			}, 1)
+			emit(uop{kind: uMov, d: in.Dst, a: in.A}, 1)
 			pc++
 
 		case obj.OpUn:
-			emit(compileUn(cmini.Tok(in.Tok), in.Dst, in.A, fname, pc), 1)
+			closure(compileUn(cmini.Tok(in.Tok), in.Dst, in.A, fname, pc), 1)
 			pc++
 
 		case obj.OpLoad:
-			a, dst, lpc := in.A, in.Dst, pc
-			emit(func(m *M, regs []int64, fp int64) error {
-				addr := regs[a]
-				if addr < nullGuard || addr >= int64(len(m.Mem)) {
-					return &Trap{Kind: TrapBadAddress,
-						Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-				}
-				regs[dst] = m.Mem[addr]
-				return nil
-			}, 1)
+			emit(uop{kind: uLoad, d: in.Dst, a: in.A, pc: int32(pc)}, 1)
 			pc++
 
 		case obj.OpStore:
-			a, bReg, spc := in.A, in.B, pc
-			emit(func(m *M, regs []int64, fp int64) error {
-				addr := regs[a]
-				if addr < nullGuard || addr >= int64(len(m.Mem)) {
-					return &Trap{Kind: TrapBadAddress,
-						Msg: fmt.Sprintf("store to invalid address %d", addr), Func: fname, PC: spc}
-				}
-				m.Mem[addr] = regs[bReg]
-				return nil
-			}, 1)
+			emit(uop{kind: uStore, a: in.A, b: in.B, pc: int32(pc)}, 1)
 			pc++
 
 		case obj.OpAddrLocal:
-			dst, off := in.Dst, in.Imm
-			emit(func(m *M, regs []int64, fp int64) error {
-				regs[dst] = fp + off
-				return nil
-			}, 1)
+			emit(uop{kind: uAddrLocal, d: in.Dst, imm: in.Imm}, 1)
 			pc++
 
 		case obj.OpAddrGlobal:
@@ -635,66 +998,42 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 			}
 			if s == nil {
 				// Load/LoadDynamicAs validate every OpAddrGlobal, so this
-				// closure is unreachable in practice; keep the
-				// interpreter's trap for safety.
-				emit(trapOp(TrapUnresolvedSymbol, "unresolved symbol "+in.Sym, fname, pc), 1)
+				// op is unreachable in practice; keep the interpreter's
+				// trap for safety.
+				closure(trapOp(TrapUnresolvedSymbol, "unresolved symbol "+in.Sym, fname, pc), 1)
 				pc++
 				continue
 			}
-			// Fused global load: address is a compile-time constant.
+			// Fused global load: the address is a load-time constant.
 			if pc+1 < end && code[pc+1].Op == obj.OpLoad && code[pc+1].A == in.Dst {
-				ad, dst, lpc, ga := in.Dst, code[pc+1].Dst, pc+1, s.addr
-				emit(func(m *M, regs []int64, fp int64) error {
-					regs[ad] = ga
-					if ga < nullGuard || ga >= int64(len(m.Mem)) {
-						return &Trap{Kind: TrapBadAddress,
-							Msg: fmt.Sprintf("load from invalid address %d", ga), Func: fname, PC: lpc}
-					}
-					regs[dst] = m.Mem[ga]
-					return nil
-				}, 2)
+				emit(uop{kind: uGlobalLoad, a: in.Dst, d: code[pc+1].Dst, imm: s.addr, pc: int32(pc + 1)}, 2)
 				pc += 2
 				continue
 			}
-			dst, ga := in.Dst, s.addr
-			emit(func(m *M, regs []int64, fp int64) error {
-				regs[dst] = ga
-				return nil
-			}, 1)
+			emit(uop{kind: uConst, d: in.Dst, imm: s.addr}, 1)
 			pc++
 
 		case obj.OpAddrString:
 			if idx := int(in.Imm); idx >= 0 && idx < len(img.strAddr) {
-				dst, sa := in.Dst, img.strAddr[idx]
-				emit(func(m *M, regs []int64, fp int64) error {
-					regs[dst] = sa
-					return nil
-				}, 1)
+				emit(uop{kind: uConst, d: in.Dst, imm: img.strAddr[idx]}, 1)
 			} else {
-				emit(trapOp(TrapBadStringIndex, "bad string literal index", fname, pc), 1)
+				closure(trapOp(TrapBadStringIndex, "bad string literal index", fname, pc), 1)
 			}
 			pc++
 
 		case obj.OpCall:
-			site := *next
+			emit(uop{kind: uCall, d: in.Dst, imm: int64(len(cf.calls)), pc: int32(pc)}, 1)
+			cf.calls = append(cf.calls, ccall{site: *next, sym: in.Sym, args: in.Args})
 			*next++
-			sym, argRegs, dst, cpc := in.Sym, in.Args, in.Dst, pc
-			emit(func(m *M, regs []int64, fp int64) error {
-				v, err := m.compiledDispatch(site, sym, regs, argRegs, fname, cpc)
-				if err != nil {
-					return err
-				}
-				regs[dst] = v
-				return nil
-			}, 1)
-			closeSeg(pc + 1)
+			closeSeg()
+			openSeg(pc + 1)
 			pc++
 
 		case obj.OpCallInd:
 			site := *next
 			*next++
 			aReg, argRegs, dst, cpc := in.A, in.Args, in.Dst, pc
-			emit(func(m *M, regs []int64, fp int64) error {
+			closure(func(m *M, regs []int64) error {
 				v, err := m.compiledCallInd(site, regs, aReg, argRegs, fname, cpc)
 				if err != nil {
 					return err
@@ -702,47 +1041,37 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 				regs[dst] = v
 				return nil
 			}, 1)
-			closeSeg(pc + 1)
+			closeSeg()
+			openSeg(pc + 1)
 			pc++
 
 		default:
-			emit(trapOp(TrapGeneric, "bad opcode", fname, pc), 1)
+			closure(trapOp(TrapGeneric, "bad opcode", fname, pc), 1)
 			pc++
 		}
 	}
 
-	if b.term == nil {
+	if op := code[end-1].Op; op != obj.OpJump && op != obj.OpBranch && op != obj.OpRet {
 		// Fell off the block: into the next leader, or off the end of
 		// the function (which the interpreter reports as pc out of
 		// range without counting an instruction).
 		if end < n {
-			tb := blockIdx[end]
-			b.term = func(m *M, regs []int64, fp int64) (int32, int64, error) {
-				return tb, 0, nil
-			}
+			b.term, b.then = termJump, blockIdx[end]
 		} else {
-			b.term = trapTerm(TrapGeneric, "pc out of range", fname, end)
+			b.term, b.fn = termFn, trapTerm(TrapGeneric, "pc out of range", fname, end)
 		}
 	}
-	if cur.n > 0 || len(cur.ops) > 0 || len(b.segs) == 0 {
-		b.segs = append(b.segs, cur)
-	}
+	closeSeg()
 	return b
 }
 
-// compileBin specializes a register-register ALU op; the default arm
-// defers to obj.EvalBin so unknown tokens trap exactly like the
-// interpreter.
+// compileBin builds the closure of a binary ALU op that can trap:
+// divide, modulo, and unknown tokens, which trap exactly like the
+// interpreter through obj.EvalBin.
 func compileBin(tok cmini.Tok, dst, a, b obj.Reg, fname string, pc int) copFn {
 	switch tok {
-	case cmini.PLUS:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = regs[a] + regs[b]; return nil }
-	case cmini.MINUS:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = regs[a] - regs[b]; return nil }
-	case cmini.STAR:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = regs[a] * regs[b]; return nil }
 	case cmini.SLASH:
-		return func(m *M, regs []int64, fp int64) error {
+		return func(m *M, regs []int64) error {
 			d := regs[b]
 			if d == 0 {
 				return &Trap{Msg: "divide by zero", Func: fname, PC: pc}
@@ -751,7 +1080,7 @@ func compileBin(tok cmini.Tok, dst, a, b obj.Reg, fname string, pc int) copFn {
 			return nil
 		}
 	case cmini.PERCENT:
-		return func(m *M, regs []int64, fp int64) error {
+		return func(m *M, regs []int64) error {
 			d := regs[b]
 			if d == 0 {
 				return &Trap{Msg: "divide by zero", Func: fname, PC: pc}
@@ -759,36 +1088,8 @@ func compileBin(tok cmini.Tok, dst, a, b obj.Reg, fname string, pc int) copFn {
 			regs[dst] = regs[a] % d
 			return nil
 		}
-	case cmini.SHL:
-		return func(m *M, regs []int64, fp int64) error {
-			regs[dst] = regs[a] << (uint64(regs[b]) & 63)
-			return nil
-		}
-	case cmini.SHR:
-		return func(m *M, regs []int64, fp int64) error {
-			regs[dst] = int64(uint64(regs[a]) >> (uint64(regs[b]) & 63))
-			return nil
-		}
-	case cmini.AMP:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = regs[a] & regs[b]; return nil }
-	case cmini.PIPE:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = regs[a] | regs[b]; return nil }
-	case cmini.CARET:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = regs[a] ^ regs[b]; return nil }
-	case cmini.LT:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = b2i(regs[a] < regs[b]); return nil }
-	case cmini.GT:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = b2i(regs[a] > regs[b]); return nil }
-	case cmini.LE:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = b2i(regs[a] <= regs[b]); return nil }
-	case cmini.GE:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = b2i(regs[a] >= regs[b]); return nil }
-	case cmini.EQ:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = b2i(regs[a] == regs[b]); return nil }
-	case cmini.NE:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = b2i(regs[a] != regs[b]); return nil }
 	}
-	return func(m *M, regs []int64, fp int64) error {
+	return func(m *M, regs []int64) error {
 		v, err := obj.EvalBin(tok, regs[a], regs[b])
 		if err != nil {
 			return &Trap{Msg: err.Error(), Func: fname, PC: pc}
@@ -796,90 +1097,6 @@ func compileBin(tok cmini.Tok, dst, a, b obj.Reg, fname string, pc int) copFn {
 		regs[dst] = v
 		return nil
 	}
-}
-
-// compileBinImm fuses "const cd, imm; bin dst, a, cd" into one closure.
-// The constant is still written to its register. Trapping and unknown
-// tokens return nil (no fusion) so their exact interpreter semantics —
-// which count the two instructions separately — are preserved by the
-// unfused path.
-func compileBinImm(tok cmini.Tok, cd obj.Reg, imm int64, dst, a obj.Reg) copFn {
-	switch tok {
-	case cmini.PLUS:
-		return func(m *M, regs []int64, fp int64) error { regs[cd] = imm; regs[dst] = regs[a] + imm; return nil }
-	case cmini.MINUS:
-		return func(m *M, regs []int64, fp int64) error { regs[cd] = imm; regs[dst] = regs[a] - imm; return nil }
-	case cmini.STAR:
-		return func(m *M, regs []int64, fp int64) error { regs[cd] = imm; regs[dst] = regs[a] * imm; return nil }
-	case cmini.SHL:
-		sh := uint64(imm) & 63
-		return func(m *M, regs []int64, fp int64) error { regs[cd] = imm; regs[dst] = regs[a] << sh; return nil }
-	case cmini.SHR:
-		sh := uint64(imm) & 63
-		return func(m *M, regs []int64, fp int64) error {
-			regs[cd] = imm
-			regs[dst] = int64(uint64(regs[a]) >> sh)
-			return nil
-		}
-	case cmini.AMP:
-		return func(m *M, regs []int64, fp int64) error { regs[cd] = imm; regs[dst] = regs[a] & imm; return nil }
-	case cmini.PIPE:
-		return func(m *M, regs []int64, fp int64) error { regs[cd] = imm; regs[dst] = regs[a] | imm; return nil }
-	case cmini.CARET:
-		return func(m *M, regs []int64, fp int64) error { regs[cd] = imm; regs[dst] = regs[a] ^ imm; return nil }
-	case cmini.LT:
-		return func(m *M, regs []int64, fp int64) error { regs[cd] = imm; regs[dst] = b2i(regs[a] < imm); return nil }
-	case cmini.GT:
-		return func(m *M, regs []int64, fp int64) error { regs[cd] = imm; regs[dst] = b2i(regs[a] > imm); return nil }
-	case cmini.LE:
-		return func(m *M, regs []int64, fp int64) error { regs[cd] = imm; regs[dst] = b2i(regs[a] <= imm); return nil }
-	case cmini.GE:
-		return func(m *M, regs []int64, fp int64) error { regs[cd] = imm; regs[dst] = b2i(regs[a] >= imm); return nil }
-	case cmini.EQ:
-		return func(m *M, regs []int64, fp int64) error { regs[cd] = imm; regs[dst] = b2i(regs[a] == imm); return nil }
-	case cmini.NE:
-		return func(m *M, regs []int64, fp int64) error { regs[cd] = imm; regs[dst] = b2i(regs[a] != imm); return nil }
-	}
-	return nil
-}
-
-// pureBin returns a direct evaluator for a binary token that can never
-// trap, or nil for SLASH, PERCENT, and unknown tokens. Fusions use it to
-// decide whether an ALU op may ride inside a superinstruction at a
-// position other than the last: a trap inside a fused group must only be
-// able to happen where the group's error path accounts for it.
-func pureBin(tok cmini.Tok) func(a, b int64) int64 {
-	switch tok {
-	case cmini.PLUS:
-		return func(a, b int64) int64 { return a + b }
-	case cmini.MINUS:
-		return func(a, b int64) int64 { return a - b }
-	case cmini.STAR:
-		return func(a, b int64) int64 { return a * b }
-	case cmini.SHL:
-		return func(a, b int64) int64 { return a << (uint64(b) & 63) }
-	case cmini.SHR:
-		return func(a, b int64) int64 { return int64(uint64(a) >> (uint64(b) & 63)) }
-	case cmini.AMP:
-		return func(a, b int64) int64 { return a & b }
-	case cmini.PIPE:
-		return func(a, b int64) int64 { return a | b }
-	case cmini.CARET:
-		return func(a, b int64) int64 { return a ^ b }
-	case cmini.LT:
-		return func(a, b int64) int64 { return b2i(a < b) }
-	case cmini.GT:
-		return func(a, b int64) int64 { return b2i(a > b) }
-	case cmini.LE:
-		return func(a, b int64) int64 { return b2i(a <= b) }
-	case cmini.GE:
-		return func(a, b int64) int64 { return b2i(a >= b) }
-	case cmini.EQ:
-		return func(a, b int64) int64 { return b2i(a == b) }
-	case cmini.NE:
-		return func(a, b int64) int64 { return b2i(a != b) }
-	}
-	return nil
 }
 
 // fuseIndexedLoad recognizes the indexed-load superinstruction family
@@ -917,7 +1134,7 @@ func fuseIndexedLoad(code []obj.Instr, pc, end int, fname string) (copFn, int64)
 		lmD, lmA := code[pc].Dst, code[pc].A
 		td, tA, tB := code[p+3].Dst, code[p+3].A, code[p+3].B
 		tmD, tmA := code[p+4].Dst, code[p+4].A
-		return func(m *M, regs []int64, fp int64) error {
+		return func(m *M, regs []int64) error {
 			regs[lmD] = regs[lmA]
 			regs[kd] = imm
 			regs[bd] = regs[bA] + regs[bB]
@@ -935,7 +1152,7 @@ func fuseIndexedLoad(code []obj.Instr, pc, end int, fname string) (copFn, int64)
 		}, 6
 	case lead:
 		lmD, lmA := code[pc].Dst, code[pc].A
-		return func(m *M, regs []int64, fp int64) error {
+		return func(m *M, regs []int64) error {
 			regs[lmD] = regs[lmA]
 			regs[kd] = imm
 			regs[bd] = regs[bA] + regs[bB]
@@ -950,7 +1167,7 @@ func fuseIndexedLoad(code []obj.Instr, pc, end int, fname string) (copFn, int64)
 	case tail:
 		td, tA, tB := code[p+3].Dst, code[p+3].A, code[p+3].B
 		tmD, tmA := code[p+4].Dst, code[p+4].A
-		return func(m *M, regs []int64, fp int64) error {
+		return func(m *M, regs []int64) error {
 			regs[kd] = imm
 			regs[bd] = regs[bA] + regs[bB]
 			addr := regs[lA]
@@ -966,7 +1183,7 @@ func fuseIndexedLoad(code []obj.Instr, pc, end int, fname string) (copFn, int64)
 			return nil
 		}, 5
 	default:
-		return func(m *M, regs []int64, fp int64) error {
+		return func(m *M, regs []int64) error {
 			regs[kd] = imm
 			regs[bd] = regs[bA] + regs[bB]
 			addr := regs[lA]
@@ -1121,15 +1338,27 @@ func fuseIndexedRunStrided(rs []ixRound, fname string) copFn {
 		contiguous = contiguous && imm == lo+int64(i)
 	}
 	w := int64(6 * len(rs))
-	return func(m *M, regs []int64, fp int64) error {
+	return func(m *M, regs []int64) error {
 		mem := m.Mem
 		memLen := int64(len(mem))
 		b := regs[base]
 		a := regs[acc]
 		if first, last := b+lo, b+hi; contiguous && first >= nullGuard && last < memLen && first <= last {
-			for _, word := range mem[first : last+1] {
-				a += word
+			// Four independent sums: two's-complement addition is
+			// associative, so the total is the same.
+			win := mem[first : last+1]
+			var a0, a1, a2, a3 int64
+			i := 0
+			for ; i+4 <= len(win); i += 4 {
+				a0 += win[i]
+				a1 += win[i+1]
+				a2 += win[i+2]
+				a3 += win[i+3]
 			}
+			for ; i < len(win); i++ {
+				a0 += win[i]
+			}
+			a += a0 + a1 + a2 + a3
 		} else {
 			for i, imm := range imms {
 				addr := b + imm
@@ -1163,76 +1392,17 @@ func fuseIndexedRunStrided(rs []ixRound, fname string) copFn {
 	}
 }
 
-// fuseBinChain fuses a non-trapping ALU op with its consumer: "bin;
-// load" (address arithmetic feeding a dereference) or "bin; mov"
-// (result copied into a named variable's register). PLUS gets an
-// inlined body; other pure tokens go through one captured evaluator,
-// still one dispatch instead of two.
-func fuseBinChain(code []obj.Instr, pc, end int, fname string) (copFn, int64) {
-	if pc+1 >= end {
-		return nil, 0
-	}
-	in, in2 := &code[pc], &code[pc+1]
-	tok := cmini.Tok(in.Tok)
-	bd, bA, bB := in.Dst, in.A, in.B
-	switch in2.Op {
-	case obj.OpLoad:
-		ld, lA, lpc := in2.Dst, in2.A, pc+1
-		if tok == cmini.PLUS {
-			return func(m *M, regs []int64, fp int64) error {
-				regs[bd] = regs[bA] + regs[bB]
-				addr := regs[lA]
-				if addr < nullGuard || addr >= int64(len(m.Mem)) {
-					return &Trap{Kind: TrapBadAddress,
-						Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-				}
-				regs[ld] = m.Mem[addr]
-				return nil
-			}, 2
-		}
-		if f := pureBin(tok); f != nil {
-			return func(m *M, regs []int64, fp int64) error {
-				regs[bd] = f(regs[bA], regs[bB])
-				addr := regs[lA]
-				if addr < nullGuard || addr >= int64(len(m.Mem)) {
-					return &Trap{Kind: TrapBadAddress,
-						Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-				}
-				regs[ld] = m.Mem[addr]
-				return nil
-			}, 2
-		}
-	case obj.OpMov:
-		md, mA := in2.Dst, in2.A
-		if tok == cmini.PLUS {
-			return func(m *M, regs []int64, fp int64) error {
-				regs[bd] = regs[bA] + regs[bB]
-				regs[md] = regs[mA]
-				return nil
-			}, 2
-		}
-		if f := pureBin(tok); f != nil {
-			return func(m *M, regs []int64, fp int64) error {
-				regs[bd] = f(regs[bA], regs[bB])
-				regs[md] = regs[mA]
-				return nil
-			}, 2
-		}
-	}
-	return nil, 0
-}
-
 // compileUn specializes a unary ALU op.
 func compileUn(tok cmini.Tok, dst, a obj.Reg, fname string, pc int) copFn {
 	switch tok {
 	case cmini.MINUS:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = -regs[a]; return nil }
+		return func(m *M, regs []int64) error { regs[dst] = -regs[a]; return nil }
 	case cmini.NOT:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = b2i(regs[a] == 0); return nil }
+		return func(m *M, regs []int64) error { regs[dst] = b2i(regs[a] == 0); return nil }
 	case cmini.TILDE:
-		return func(m *M, regs []int64, fp int64) error { regs[dst] = ^regs[a]; return nil }
+		return func(m *M, regs []int64) error { regs[dst] = ^regs[a]; return nil }
 	}
-	return func(m *M, regs []int64, fp int64) error {
+	return func(m *M, regs []int64) error {
 		v, err := obj.EvalUn(tok, regs[a])
 		if err != nil {
 			return &Trap{Msg: err.Error(), Func: fname, PC: pc}
@@ -1240,70 +1410,6 @@ func compileUn(tok cmini.Tok, dst, a obj.Reg, fname string, pc int) copFn {
 		regs[dst] = v
 		return nil
 	}
-}
-
-// cmpBranchTerm fuses "cmp cd, x, y; branch cd, then, else" into one
-// terminator; the comparison result is still written to its register.
-// Returns nil for non-comparison tokens (which may trap and must not be
-// fused into the uncounted terminator position).
-func cmpBranchTerm(tok cmini.Tok, cd, x, y obj.Reg, bt, bf int32) ctermFn {
-	switch tok {
-	case cmini.LT:
-		return func(m *M, regs []int64, fp int64) (int32, int64, error) {
-			if regs[x] < regs[y] {
-				regs[cd] = 1
-				return bt, 0, nil
-			}
-			regs[cd] = 0
-			return bf, 0, nil
-		}
-	case cmini.GT:
-		return func(m *M, regs []int64, fp int64) (int32, int64, error) {
-			if regs[x] > regs[y] {
-				regs[cd] = 1
-				return bt, 0, nil
-			}
-			regs[cd] = 0
-			return bf, 0, nil
-		}
-	case cmini.LE:
-		return func(m *M, regs []int64, fp int64) (int32, int64, error) {
-			if regs[x] <= regs[y] {
-				regs[cd] = 1
-				return bt, 0, nil
-			}
-			regs[cd] = 0
-			return bf, 0, nil
-		}
-	case cmini.GE:
-		return func(m *M, regs []int64, fp int64) (int32, int64, error) {
-			if regs[x] >= regs[y] {
-				regs[cd] = 1
-				return bt, 0, nil
-			}
-			regs[cd] = 0
-			return bf, 0, nil
-		}
-	case cmini.EQ:
-		return func(m *M, regs []int64, fp int64) (int32, int64, error) {
-			if regs[x] == regs[y] {
-				regs[cd] = 1
-				return bt, 0, nil
-			}
-			regs[cd] = 0
-			return bf, 0, nil
-		}
-	case cmini.NE:
-		return func(m *M, regs []int64, fp int64) (int32, int64, error) {
-			if regs[x] != regs[y] {
-				regs[cd] = 1
-				return bt, 0, nil
-			}
-			regs[cd] = 0
-			return bf, 0, nil
-		}
-	}
-	return nil
 }
 
 func b2i(b bool) int64 {

@@ -12,7 +12,7 @@ import (
 	"knit/internal/obj"
 )
 
-// These tests hold the compiled closure backend to the interpreter's
+// These tests hold the compiled backend to the interpreter's
 // contract on hand-built IR: same values, same memory, same traps (kind,
 // message, function, pc), same instruction and call counts, and the
 // exact cycle relation Cycles(compiled) == Cycles(interp) − Stalls.
@@ -287,11 +287,9 @@ func stridedRound(base, acc, lm, k, ad, ld, td obj.Reg, imm int64) []obj.Instr {
 func widestOp(m *M, name string) int64 {
 	var widest int64
 	for _, b := range m.compiledFor(m.lookup(name)).blocks {
-		for _, s := range b.segs {
-			prev := int64(0)
-			for _, d := range s.done {
-				widest = max(widest, d-prev)
-				prev = d
+		for i, u := range b.ops {
+			if u.kind != uSeg {
+				widest = max(widest, b.done[i-1]-b.done[i])
 			}
 		}
 	}

@@ -109,7 +109,7 @@ type Image struct {
 	// detection). Nil is fine: attribution is best-effort.
 	SymbolOwner map[string]string
 
-	// compiled is the closure-compiled form of the static program (see
+	// compiled is the compiled form of the static program (see
 	// compile_backend.go), derived lazily — and exactly once — from the
 	// immutable post-Load state by the first machine that runs with
 	// BackendCompiled. Building it under the Once is the second

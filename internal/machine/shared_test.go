@@ -99,7 +99,7 @@ func TestSharedImageConcurrentMachines(t *testing.T) {
 
 // TestSharedImageConcurrentCompiledMachines runs the same shared-image
 // contract with a mixed fleet: half the machines on the compiled
-// closure backend, half on the interpreter, all off one image. The
+// backend, half on the interpreter, all off one image. The
 // compiled backend adds two shared read-mostly structures on top of the
 // Image — the once-built static program (Image.prog) and the per-image
 // cfunc bodies every compiled machine executes — plus per-machine state
