@@ -123,7 +123,7 @@ func (c *Canary[T]) Start() error {
 			return nil
 		})
 		if err != nil {
-			c.rollbackCanaries()
+			c.rollbackApplied()
 			c.done = true
 			return fmt.Errorf("reconfigure: canary shard %d: %w", id, err)
 		}
@@ -201,7 +201,7 @@ func (c *Canary[T]) Promote() error {
 			return nil
 		})
 		if err != nil {
-			c.rollbackAll()
+			c.rollbackApplied()
 			c.done = true
 			return fmt.Errorf("reconfigure: promote to shard %d: %w", id, err)
 		}
@@ -224,7 +224,7 @@ func (c *Canary[T]) Rollback() error {
 	if c.done {
 		return fmt.Errorf("reconfigure: trial already finished")
 	}
-	c.rollbackCanaries()
+	c.rollbackApplied()
 	c.done = true
 	return errors.Join(c.verifyErrs...)
 }
@@ -234,7 +234,10 @@ func (c *Canary[T]) Rollback() error {
 // pre-apply snapshot word for word).
 func (c *Canary[T]) RollbackVerified() error { return errors.Join(c.verifyErrs...) }
 
-func (c *Canary[T]) rollbackCanaries() {
+// rollbackApplied rolls back every shard an apply touched, canaries and
+// stable shards alike, in shard order, verifying each restore and
+// restoring its original policy.
+func (c *Canary[T]) rollbackApplied() {
 	ids := make([]int, 0, len(c.applied))
 	for id := range c.applied {
 		ids = append(ids, id)
@@ -254,5 +257,3 @@ func (c *Canary[T]) rollbackCanaries() {
 		})
 	}
 }
-
-func (c *Canary[T]) rollbackAll() { c.rollbackCanaries() }

@@ -1,9 +1,11 @@
 package reconfigure
 
 import (
+	"errors"
 	"testing"
 
 	"knit/internal/knit/build"
+	"knit/internal/knit/build/faultinject"
 	"knit/internal/knit/fleet"
 	"knit/internal/knit/observe"
 )
@@ -172,6 +174,52 @@ func TestCanaryStartFailureLeavesFleetUntouched(t *testing.T) {
 		err := fl.Exec(sh.ID, func(sh *fleet.Shard[int]) error {
 			if mods := sh.M.DynModules(); len(mods) != 0 {
 				t.Errorf("shard %d has modules %v after failed start", sh.ID, mods)
+			}
+			if v, err := sh.M.Run(g); err != nil || v != 21 {
+				t.Errorf("shard %d serves %d, %v; want 21", sh.ID, v, err)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("shard %d: %v", sh.ID, err)
+		}
+	}
+}
+
+// TestCanaryPromoteFailureRollsBackEveryShard fails the stable shard's
+// apply during Promote: the canary, which the trial had upgraded, must
+// be rolled back with it, so every shard serves the base pipeline again.
+func TestCanaryPromoteFailureRollsBackEveryShard(t *testing.T) {
+	res := buildChain(t, "B")
+	fl := chainFleet(t, res, 2)
+	defer fl.Close()
+	plan, err := Diff(res, target("B2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCanary(fl, plan, 0.5, testSLO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	errBoom := errors.New("boom")
+	fl.Exec(1, func(sh *fleet.Shard[int]) error {
+		faultinject.Attach(sh.M).FailEntryMatching("b2_init", errBoom)
+		return nil
+	})
+	if err := c.Promote(); !errors.Is(err, errBoom) {
+		t.Fatalf("Promote = %v, want the stable shard's injected failure", err)
+	}
+	if err := c.RollbackVerified(); err != nil {
+		t.Fatalf("rollback not snapshot-identical: %v", err)
+	}
+	g, _ := res.Export("c", "get")
+	for _, sh := range fl.Shards() {
+		err := fl.Exec(sh.ID, func(sh *fleet.Shard[int]) error {
+			if mods := sh.M.DynModules(); len(mods) != 0 {
+				t.Errorf("shard %d has modules %v after a failed promote", sh.ID, mods)
 			}
 			if v, err := sh.M.Run(g); err != nil || v != 21 {
 				t.Errorf("shard %d serves %d, %v; want 21", sh.ID, v, err)

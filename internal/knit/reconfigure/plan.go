@@ -17,10 +17,10 @@ package reconfigure
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
-	"knit/internal/cmini"
 	"knit/internal/knit/build"
 	"knit/internal/knit/constraint"
 	"knit/internal/knit/link"
@@ -199,12 +199,15 @@ func (p *Plan) classify() error {
 }
 
 // sameInstance reports whether a slot's base and target instances are
-// interchangeable without touching the machine: same unit, byte-equal
-// renamed sources and assembly objects, the same wiring (by provider
-// slot), and the same initializer and export surface. Byte-equality of
-// the renamed sources doubles as an instance-ID check — the IDs are in
-// the generated names — which is exactly the property that lets
-// unchanged callers keep their resolved globals.
+// interchangeable without touching the machine: the same unit and
+// instance ID, the same renamed sources and assembly objects, the same
+// wiring (by provider slot), and the same initializer and export
+// surface. The ID check, b.ID != t.ID, is what lets unchanged callers
+// keep their resolved globals: the IDs are in the generated names. A
+// renamed source is the same when what it is made from is: the file's
+// name and its link.FileOrigin (text and renames), the identity the
+// build cache keys it by. So a file whose text differs only in comments
+// or layout counts as changed.
 func sameInstance(b, t *link.Instance) bool {
 	if b.Unit.Name != t.Unit.Name || b.ID != t.ID {
 		return false
@@ -213,7 +216,8 @@ func sameInstance(b, t *link.Instance) bool {
 		return false
 	}
 	for i := range b.Files {
-		if cmini.Print(b.RenamedFile(i)) != cmini.Print(t.RenamedFile(i)) {
+		bo, to := b.Origins[i], t.Origins[i]
+		if b.Files[i].Name != t.Files[i].Name || bo.Text != to.Text || !maps.Equal(bo.Renames, to.Renames) {
 			return false
 		}
 	}

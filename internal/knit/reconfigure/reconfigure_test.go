@@ -1,6 +1,7 @@
 package reconfigure
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -196,6 +197,24 @@ func TestDiffMinimalReplace(t *testing.T) {
 	steps := plan.Steps()
 	if len(steps) == 0 || steps[0].Op != "load" {
 		t.Fatalf("steps = %+v, want load first", steps)
+	}
+}
+
+// TestDiffComparesWhatFilesAreMadeOf pins what makes a slot's source
+// unchanged: the file's name, text and renames, as the build cache keys
+// it. A text that differs only in a comment is a replacement, though the
+// renamed file prints the same.
+func TestDiffComparesWhatFilesAreMadeOf(t *testing.T) {
+	res := buildChain(t, "B")
+	tgt := target("B")
+	tgt.Sources = maps.Clone(testSources)
+	tgt.Sources["c.c"] = "// the same code\n" + testSources["c.c"]
+	plan, err := Diff(res, tgt)
+	if err != nil {
+		t.Fatalf("Diff: %v", err)
+	}
+	if len(plan.replaces) != 1 || plan.replaces[0].base.Unit.Name != "C" || len(plan.unchanged) != 2 {
+		t.Fatalf("plan = %s, want C replaced and A and B unchanged", plan.Summary())
 	}
 }
 

@@ -9,24 +9,30 @@ package machine
 // segment's head — and no Go call is made for an operation that needs
 // none.
 //
-// What runs where:
+// What runs where. Compiled code is plain data: every operation is a
+// micro-op kind, every block end a terminator kind, and runCompiled's
+// one switch runs them all. No compiled function holds a Go func value.
 //
-//   - Micro-ops, inline in runCompiled's switch: const (also the
-//     address of a global or a string, both load-time constants), mov,
-//     "mov; mov" and "mov; const"; the 14 ALU tokens that cannot trap,
-//     register-register and with a const B operand ("const k, imm; bin
-//     d, a, k"); the address of a local; load, store, global address +
-//     load, "add; load" and "add; mov"; and direct calls, which read
-//     their dispatch-cache slot inline and enter the callee's frame
-//     straight away on a hit.
-//   - Terminators, as fields of the block: jump and fall-through (no
-//     work at all), branch on a register, compare-and-branch
-//     register-register and its "const; cmp; branch" immediate form, and
-//     return with or without a value.
-//   - Closures, called from the switch through one micro-op kind, for
-//     what is large or rare: the strided accumulate run (os_work), the
-//     indexed-load family, divide and modulo, unary operations, trapping
-//     operations and indirect calls; and for terminators that trap.
+//   - Micro-ops: const (also the address of a global or a string, both
+//     load-time constants), mov, "mov; mov" and "mov; const"; the 14 ALU
+//     tokens that cannot trap, register-register and with a const B
+//     operand ("const k, imm; bin d, a, k"); every other binary or unary
+//     operation, evaluated by obj.EvalBin or obj.EvalUn, the
+//     interpreter's own functions; the address of a local; load, store,
+//     global address + load, "add; load" and "add; mov"; direct calls,
+//     which read their dispatch-cache slot inline and enter the callee's
+//     frame straight away on a hit, and indirect calls; an operation that
+//     can only trap (an unresolved symbol, a bad string index, a bad
+//     opcode), which raises a copy of its entry in the function's trap
+//     table; and the strided accumulate run (os_work), whose decoded
+//     rounds are a stridedRun in the function's run table.
+//   - Terminators: jump and fall-through (no work at all), branch on a
+//     register, compare-and-branch register-register and its "const;
+//     cmp; branch" immediate form, return with or without a value, and
+//     the trap of a pc out of range. A jump or branch target outside the
+//     function, and a fall-through off its end, go to a trap block after
+//     the function's blocks, which counts nothing, as the interpreter
+//     counts nothing there.
 //
 // The switch is there because Go's register ABI keeps no register
 // across a call: a call per operation spills and reloads the loop's
@@ -84,9 +90,10 @@ package machine
 //	Cycles(compiled) == Cycles(interp) − Stalls(interp).
 //
 // The backend-differential suite (backend_differential_test.go at the
-// repo root, FuzzBackendEquivalence here) holds both backends to these
-// invariants on every example, kernel, and fuzzed lifecycle sequence,
-// and TestCompiledKinds runs every micro-op and terminator kind.
+// repo root, FuzzBackendEquivalence and FuzzCompiledCode here) holds
+// both backends to these invariants on every example, kernel, fuzzed
+// lifecycle sequence and fuzzed instruction mix, and TestCompiledKinds
+// runs every micro-op and terminator kind.
 
 import (
 	"fmt"
@@ -122,7 +129,7 @@ func ParseBackend(s string) (Backend, error) {
 	switch s {
 	case "", "interp", "interpreter":
 		return BackendInterp, nil
-	case "compiled", "closure", "closures":
+	case "compiled":
 		return BackendCompiled, nil
 	}
 	return 0, fmt.Errorf("machine: unknown backend %q (want interp or compiled)", s)
@@ -153,7 +160,11 @@ const (
 	uAddLoad                   // d = a + b; e = Mem[c]
 	uAddMov                    // d = a + b; c = e
 	uCall                      // d = the direct call calls[imm]
-	uFn                        // fns[imm](m, regs)
+	uCallInd                   // d = the indirect call calls[imm] to the address in a
+	uBin                       // d = a op b by obj.EvalBin, op the token imm: divide, modulo, unknown tokens
+	uUn                        // d = op a by obj.EvalUn, op the token imm
+	uTrap                      // raise traps[imm]
+	uRun                       // the strided accumulate run runs[imm]
 
 	// d = a op b, for the tokens of pureBinToks in order.
 	uAdd
@@ -239,7 +250,7 @@ const (
 	termNeI
 	termRet    // return 0
 	termRetVal // return x
-	termFn     // fn, a terminator that traps (or may)
+	termTrap   // raise traps[imm]: a trap block, where control left the function
 
 	// numTermKinds must stay last: TestCompiledKinds walks [0, numTermKinds).
 	numTermKinds
@@ -260,14 +271,6 @@ func cmpTerm(tok cmini.Tok) (k termKind, ok bool) {
 	return 0, false
 }
 
-// copFn executes one (possibly fused) instruction that has no
-// micro-op, over the frame's registers.
-type copFn func(m *M, regs []int64) error
-
-// ctermFn ends a block that may trap: it returns the next block index
-// or the trap.
-type ctermFn func(regs []int64) (int32, error)
-
 // cblock is one basic block: its micro-ops and its terminator, whose
 // kind says which of the operands below it reads.
 //
@@ -285,15 +288,15 @@ type cblock struct {
 	term termKind
 	// The branch, compared or returned register x, the other compared
 	// register y, the comparison's result register cd, and the const's
-	// register k and value imm of the immediate form.
+	// register k and value imm of the immediate form; termTrap's trap
+	// is traps[imm].
 	x, y, cd, k obj.Reg
 	imm         int64
-	then, els   int32   // successor blocks; a jump goes to then
-	fn          ctermFn // termFn only
+	then, els   int32 // successor blocks; a jump goes to then
 }
 
-// ccall is a direct call site: its dispatch-cache slot, the called
-// symbol and the caller's argument registers.
+// ccall is a call site: its dispatch-cache slot, the symbol a direct
+// call names and the caller's argument registers.
 type ccall struct {
 	site int
 	sym  string
@@ -304,9 +307,25 @@ type ccall struct {
 type cfunc struct {
 	sym     *symbol // the function's record: code, index, text offset
 	blocks  []cblock
-	calls   []ccall // by uCall's imm
-	fns     []copFn // by uFn's imm
-	siteEnd int     // one past the highest dispatch-cache slot the code uses
+	calls   []ccall      // by uCall's and uCallInd's imm
+	runs    []stridedRun // by uRun's imm
+	traps   []Trap       // by uTrap's and termTrap's imm
+	siteEnd int          // one past the highest dispatch-cache slot the code uses
+}
+
+// addTrap adds the trap of kind and msg at pc to cf's trap table and
+// returns its index.
+func (cf *cfunc) addTrap(kind TrapKind, msg string, pc int) int64 {
+	cf.traps = append(cf.traps, Trap{Kind: kind, Msg: msg, Func: cf.sym.fn.Name, PC: pc})
+	return int64(len(cf.traps) - 1)
+}
+
+// trap returns a copy of traps[i]: each occurrence gets its own,
+// because callers annotate traps (Run fills in Unit) and compiled code
+// is shared across machines.
+func (cf *cfunc) trap(i int64) error {
+	t := cf.traps[i]
+	return &t
 }
 
 // imageProg is the once-compiled static program, shared read-only by
@@ -463,8 +482,29 @@ func (m *M) runCompiled(cf *cfunc, regs []int64, fp int64) (int64, error) {
 					return 0, err
 				}
 				regs[u.d] = v
-			case uFn:
-				if err := cf.fns[u.imm](m, regs); err != nil {
+			case uCallInd:
+				c := &cf.calls[u.imm]
+				v, err := m.compiledCallInd(c.site, regs, u.a, c.args, cf.sym.fn.Name, int(u.pc))
+				if err != nil {
+					return 0, err
+				}
+				regs[u.d] = v
+			case uBin:
+				v, err := obj.EvalBin(cmini.Tok(u.imm), regs[u.a], regs[u.b])
+				if err != nil {
+					return m.unwind(b, oi, &Trap{Msg: err.Error(), Func: cf.sym.fn.Name, PC: int(u.pc)})
+				}
+				regs[u.d] = v
+			case uUn:
+				v, err := obj.EvalUn(cmini.Tok(u.imm), regs[u.a])
+				if err != nil {
+					return m.unwind(b, oi, &Trap{Msg: err.Error(), Func: cf.sym.fn.Name, PC: int(u.pc)})
+				}
+				regs[u.d] = v
+			case uTrap:
+				return m.unwind(b, oi, cf.trap(u.imm))
+			case uRun:
+				if err := cf.runs[u.imm].run(m, regs, cf.sym.fn.Name); err != nil {
 					return m.unwind(b, oi, err)
 				}
 
@@ -599,13 +639,8 @@ func (m *M) runCompiled(cf *cfunc, regs []int64, fp int64) (int64, error) {
 			return 0, nil
 		case termRetVal:
 			return regs[b.x], nil
-		default: // termFn
-			next, err := b.fn(regs)
-			if err != nil {
-				return 0, err
-			}
-			bi = next
-			continue
+		default: // termTrap
+			return 0, cf.trap(b.imm)
 		}
 		if taken {
 			bi = b.then
@@ -696,21 +731,6 @@ func (m *M) compiledCallInd(site int, regs []int64, aReg obj.Reg, argRegs []obj.
 	return m.invoke(cf.sym, cf, regs, argRegs)
 }
 
-// trapTerm builds a terminator that traps.
-func trapTerm(kind TrapKind, msg, fname string, pc int) ctermFn {
-	return func(regs []int64) (int32, error) {
-		return 0, &Trap{Kind: kind, Msg: msg, Func: fname, PC: pc}
-	}
-}
-
-// trapOp builds a body op that traps (undefined symbol slots, bad
-// opcodes): counted like the interpreter counts them, then trapping.
-func trapOp(kind TrapKind, msg, fname string, pc int) copFn {
-	return func(m *M, regs []int64) error {
-		return &Trap{Kind: kind, Msg: msg, Func: fname, PC: pc}
-	}
-}
-
 // compileFunc translates the function s. m is nil for the static image
 // pass (symbols resolve against the image alone); for dynamic functions
 // it is the owning machine, whose namespace resolves the module's
@@ -722,11 +742,8 @@ func compileFunc(s *symbol, m *M, img *Image, next *int) *cfunc {
 	cf := &cfunc{sym: s}
 	if n == 0 {
 		// The interpreter traps "pc out of range" before counting
-		// anything; an empty block with a trapping terminator matches.
-		cf.blocks = []cblock{{
-			term: termFn,
-			fn:   trapTerm(TrapGeneric, "pc out of range", fn.Name, 0),
-		}}
+		// anything; a trap block as the entry matches.
+		cf.blocks = []cblock{{term: termTrap, imm: cf.addTrap(TrapGeneric, "pc out of range", 0)}}
 		cf.siteEnd = *next
 		return cf
 	}
@@ -744,19 +761,13 @@ func compileFunc(s *symbol, m *M, img *Image, next *int) *cfunc {
 		switch code[pc].Op {
 		case obj.OpJump:
 			mark(code[pc].Targets[0])
-			if pc+1 < n {
-				isLeader[pc+1] = true
-			}
+			mark(pc + 1)
 		case obj.OpBranch:
 			mark(code[pc].Targets[0])
 			mark(code[pc].Targets[1])
-			if pc+1 < n {
-				isLeader[pc+1] = true
-			}
+			mark(pc + 1)
 		case obj.OpRet:
-			if pc+1 < n {
-				isLeader[pc+1] = true
-			}
+			mark(pc + 1)
 		}
 	}
 	blockIdx := make([]int32, n)
@@ -766,6 +777,16 @@ func compileFunc(s *symbol, m *M, img *Image, next *int) *cfunc {
 			nb++
 		}
 		blockIdx[pc] = nb - 1
+	}
+	// target is the block control enters at pc t: t's own, or for a t
+	// outside the function a trap block after the function's blocks.
+	var outside []int
+	target := func(t int) int32 {
+		if t >= 0 && t < n {
+			return blockIdx[t]
+		}
+		outside = append(outside, t)
+		return nb + int32(len(outside)-1)
 	}
 
 	blocks := make([]cblock, 0, nb)
@@ -782,8 +803,13 @@ func compileFunc(s *symbol, m *M, img *Image, next *int) *cfunc {
 				break
 			}
 		}
-		blocks = append(blocks, compileBlock(cf, pc, end, blockIdx, m, img, next))
+		blocks = append(blocks, compileBlock(cf, pc, end, target, m, img, next))
 		pc = end
+	}
+	// The interpreter traps "pc out of range" on reaching such a pc,
+	// before counting anything.
+	for _, t := range outside {
+		blocks = append(blocks, cblock{term: termTrap, imm: cf.addTrap(TrapGeneric, "pc out of range", t)})
 	}
 	cf.blocks = blocks
 	cf.siteEnd = *next
@@ -792,12 +818,10 @@ func compileFunc(s *symbol, m *M, img *Image, next *int) *cfunc {
 
 // compileBlock translates code[start:end) of cf's function — one basic
 // block — into segments of micro-ops plus a terminator, adding cf's
-// call sites and closures as it meets them.
-func compileBlock(cf *cfunc, start, end int, blockIdx []int32, m *M, img *Image, next *int) cblock {
-	fn := cf.sym.fn
-	code := fn.Code
-	n := len(code)
-	fname := fn.Name
+// call sites, runs and traps as it meets them. target maps a pc to the
+// block control enters there.
+func compileBlock(cf *cfunc, start, end int, target func(int) int32, m *M, img *Image, next *int) cblock {
+	code := cf.sym.fn.Code
 	var b cblock
 	// The open segment: the index of its uSeg and the instructions it
 	// holds so far.
@@ -813,9 +837,8 @@ func compileBlock(cf *cfunc, start, end int, blockIdx []int32, m *M, img *Image,
 		b.ops = append(b.ops, u)
 		b.done = append(b.done, segN)
 	}
-	closure := func(op copFn, width int64) {
-		emit(uop{kind: uFn, imm: int64(len(cf.fns))}, width)
-		cf.fns = append(cf.fns, op)
+	trap := func(kind TrapKind, msg string, pc int) {
+		emit(uop{kind: uTrap, imm: cf.addTrap(kind, msg, pc)}, 1)
 	}
 	// closeSeg gives the open segment's uSeg its count and turns done
 	// from the instructions counted once each op completes into those
@@ -830,16 +853,10 @@ func compileBlock(cf *cfunc, start, end int, blockIdx []int32, m *M, img *Image,
 			b.done[i] = segN - b.done[i]
 		}
 	}
-	validPC := func(t int) bool { return t >= 0 && t < n }
-	// branchTo makes the terminator a conditional branch of kind k when
-	// both targets of the branch instruction br are in the function.
-	branchTo := func(k termKind, br *obj.Instr) bool {
-		t0, t1 := br.Targets[0], br.Targets[1]
-		if !validPC(t0) || !validPC(t1) {
-			return false
-		}
-		b.term, b.then, b.els = k, blockIdx[t0], blockIdx[t1]
-		return true
+	// branchTo makes the terminator a conditional branch of kind k to
+	// the targets of the branch instruction br.
+	branchTo := func(k termKind, br *obj.Instr) {
+		b.term, b.then, b.els = k, target(br.Targets[0]), target(br.Targets[1])
 	}
 
 	openSeg(start)
@@ -849,29 +866,13 @@ func compileBlock(cf *cfunc, start, end int, blockIdx []int32, m *M, img *Image,
 		switch in.Op {
 		case obj.OpJump:
 			segN++ // the jump executes (and is counted) before control moves
-			if t := in.Targets[0]; validPC(t) {
-				b.term, b.then = termJump, blockIdx[t]
-			} else {
-				b.term, b.fn = termFn, trapTerm(TrapGeneric, "pc out of range", fname, t)
-			}
+			b.term, b.then = termJump, target(in.Targets[0])
 			pc++
 
 		case obj.OpBranch:
 			segN++
 			b.x = in.A
-			if !branchTo(termBranch, in) {
-				a, t0, t1, idx := in.A, in.Targets[0], in.Targets[1], blockIdx
-				b.term, b.fn = termFn, func(regs []int64) (int32, error) {
-					t := t1
-					if regs[a] != 0 {
-						t = t0
-					}
-					if t < 0 || t >= n {
-						return 0, &Trap{Msg: "pc out of range", Func: fname, PC: t}
-					}
-					return idx[t], nil
-				}
-			}
+			branchTo(termBranch, in)
 			pc++
 
 		case obj.OpRet:
@@ -888,12 +889,11 @@ func compileBlock(cf *cfunc, start, end int, blockIdx []int32, m *M, img *Image,
 			// instruction, the branch the terminator, branching on the
 			// comparison's (still architecturally written) result.
 			if k, ok := cmpTerm(tok); ok && pc+2 == end && code[pc+1].Op == obj.OpBranch && code[pc+1].A == in.Dst {
-				if branchTo(k, &code[pc+1]) {
-					b.x, b.y, b.cd = in.A, in.B, in.Dst
-					segN += 2
-					pc += 2
-					continue
-				}
+				branchTo(k, &code[pc+1])
+				b.x, b.y, b.cd = in.A, in.B, in.Dst
+				segN += 2
+				pc += 2
+				continue
 			}
 			// "add; load" (address arithmetic feeding a dereference) and
 			// "add; mov" (a sum copied into a variable's register).
@@ -912,24 +912,18 @@ func compileBlock(cf *cfunc, start, end int, blockIdx []int32, m *M, img *Image,
 			if k, ok := binUop(tok); ok {
 				emit(uop{kind: k, d: in.Dst, a: in.A, b: in.B}, 1)
 			} else {
-				closure(compileBin(tok, in.Dst, in.A, in.B, fname, pc), 1)
+				emit(uop{kind: uBin, d: in.Dst, a: in.A, b: in.B, imm: int64(tok), pc: int32(pc)}, 1)
 			}
 			pc++
 
 		case obj.OpConst:
-			// Fused indexed load: "v = base[imm]" and its accumulate form.
-			if op, w := fuseIndexedLoad(code, pc, end, fname); op != nil {
-				closure(op, w)
-				pc += int(w)
-				continue
-			}
 			if pc+1 < end && code[pc+1].Op == obj.OpBin && code[pc+1].B == in.Dst {
 				cmp := &code[pc+1]
 				// "const; cmp; branch": the whole block tail is the
 				// terminator.
 				if k, ok := cmpTerm(cmini.Tok(cmp.Tok)); ok && pc+3 == end &&
-					code[pc+2].Op == obj.OpBranch && code[pc+2].A == cmp.Dst &&
-					branchTo(k+termLtI-termLt, &code[pc+2]) {
+					code[pc+2].Op == obj.OpBranch && code[pc+2].A == cmp.Dst {
+					branchTo(k+termLtI-termLt, &code[pc+2])
 					b.k, b.imm, b.x, b.cd = in.Dst, in.Imm, cmp.A, cmp.Dst
 					segN += 3
 					pc += 3
@@ -948,16 +942,10 @@ func compileBlock(cf *cfunc, start, end int, blockIdx []int32, m *M, img *Image,
 			pc++
 
 		case obj.OpMov:
-			// Batched unrolled accumulate runs first, then the single
-			// mov-led indexed-load superinstruction.
-			if op, w := fuseIndexedRun(code, pc, end, fname); op != nil {
-				closure(op, w)
-				pc += int(w)
-				continue
-			}
-			if op, w := fuseIndexedLoad(code, pc, end, fname); op != nil {
-				closure(op, w)
-				pc += int(w)
+			if r, ok := fuseIndexedRun(code, pc, end); ok {
+				emit(uop{kind: uRun, imm: int64(len(cf.runs))}, r.width())
+				cf.runs = append(cf.runs, r)
+				pc += int(r.width())
 				continue
 			}
 			if pc+1 < end {
@@ -976,7 +964,7 @@ func compileBlock(cf *cfunc, start, end int, blockIdx []int32, m *M, img *Image,
 			pc++
 
 		case obj.OpUn:
-			closure(compileUn(cmini.Tok(in.Tok), in.Dst, in.A, fname, pc), 1)
+			emit(uop{kind: uUn, d: in.Dst, a: in.A, imm: int64(in.Tok), pc: int32(pc)}, 1)
 			pc++
 
 		case obj.OpLoad:
@@ -1000,7 +988,7 @@ func compileBlock(cf *cfunc, start, end int, blockIdx []int32, m *M, img *Image,
 				// Load/LoadDynamicAs validate every OpAddrGlobal, so this
 				// op is unreachable in practice; keep the interpreter's
 				// trap for safety.
-				closure(trapOp(TrapUnresolvedSymbol, "unresolved symbol "+in.Sym, fname, pc), 1)
+				trap(TrapUnresolvedSymbol, "unresolved symbol "+in.Sym, pc)
 				pc++
 				continue
 			}
@@ -1017,184 +1005,35 @@ func compileBlock(cf *cfunc, start, end int, blockIdx []int32, m *M, img *Image,
 			if idx := int(in.Imm); idx >= 0 && idx < len(img.strAddr) {
 				emit(uop{kind: uConst, d: in.Dst, imm: img.strAddr[idx]}, 1)
 			} else {
-				closure(trapOp(TrapBadStringIndex, "bad string literal index", fname, pc), 1)
+				trap(TrapBadStringIndex, "bad string literal index", pc)
 			}
 			pc++
 
-		case obj.OpCall:
-			emit(uop{kind: uCall, d: in.Dst, imm: int64(len(cf.calls)), pc: int32(pc)}, 1)
+		case obj.OpCall, obj.OpCallInd:
+			k := uCall
+			if in.Op == obj.OpCallInd {
+				k = uCallInd
+			}
+			emit(uop{kind: k, d: in.Dst, a: in.A, imm: int64(len(cf.calls)), pc: int32(pc)}, 1)
 			cf.calls = append(cf.calls, ccall{site: *next, sym: in.Sym, args: in.Args})
 			*next++
 			closeSeg()
 			openSeg(pc + 1)
 			pc++
 
-		case obj.OpCallInd:
-			site := *next
-			*next++
-			aReg, argRegs, dst, cpc := in.A, in.Args, in.Dst, pc
-			closure(func(m *M, regs []int64) error {
-				v, err := m.compiledCallInd(site, regs, aReg, argRegs, fname, cpc)
-				if err != nil {
-					return err
-				}
-				regs[dst] = v
-				return nil
-			}, 1)
-			closeSeg()
-			openSeg(pc + 1)
-			pc++
-
 		default:
-			closure(trapOp(TrapGeneric, "bad opcode", fname, pc), 1)
+			trap(TrapGeneric, "bad opcode", pc)
 			pc++
 		}
 	}
 
 	if op := code[end-1].Op; op != obj.OpJump && op != obj.OpBranch && op != obj.OpRet {
 		// Fell off the block: into the next leader, or off the end of
-		// the function (which the interpreter reports as pc out of
-		// range without counting an instruction).
-		if end < n {
-			b.term, b.then = termJump, blockIdx[end]
-		} else {
-			b.term, b.fn = termFn, trapTerm(TrapGeneric, "pc out of range", fname, end)
-		}
+		// the function into a trap block.
+		b.term, b.then = termJump, target(end)
 	}
 	closeSeg()
 	return b
-}
-
-// compileBin builds the closure of a binary ALU op that can trap:
-// divide, modulo, and unknown tokens, which trap exactly like the
-// interpreter through obj.EvalBin.
-func compileBin(tok cmini.Tok, dst, a, b obj.Reg, fname string, pc int) copFn {
-	switch tok {
-	case cmini.SLASH:
-		return func(m *M, regs []int64) error {
-			d := regs[b]
-			if d == 0 {
-				return &Trap{Msg: "divide by zero", Func: fname, PC: pc}
-			}
-			regs[dst] = regs[a] / d
-			return nil
-		}
-	case cmini.PERCENT:
-		return func(m *M, regs []int64) error {
-			d := regs[b]
-			if d == 0 {
-				return &Trap{Msg: "divide by zero", Func: fname, PC: pc}
-			}
-			regs[dst] = regs[a] % d
-			return nil
-		}
-	}
-	return func(m *M, regs []int64) error {
-		v, err := obj.EvalBin(tok, regs[a], regs[b])
-		if err != nil {
-			return &Trap{Msg: err.Error(), Func: fname, PC: pc}
-		}
-		regs[dst] = v
-		return nil
-	}
-}
-
-// fuseIndexedLoad recognizes the indexed-load superinstruction family
-//
-//	[mov p, base;] const k, imm; bin+ a, x, y; load v, a [; bin+ s, u, w; mov d, s']
-//
-// — the code shape compilers emit for "v = base[imm]" and its
-// accumulate form "acc += base[imm]" (the single hottest pattern in
-// unrolled element code). The closure performs the exact sequential
-// register writes, so operand aliasing needs no side conditions; both
-// ALU ops are required to be PLUS (address arithmetic), so the load in
-// the middle is the group's only trap point, and its error path rolls
-// back the tail instructions that did not run.
-func fuseIndexedLoad(code []obj.Instr, pc, end int, fname string) (copFn, int64) {
-	p := pc
-	lead := code[p].Op == obj.OpMov
-	if lead {
-		p++
-	}
-	if p+2 >= end ||
-		code[p].Op != obj.OpConst ||
-		code[p+1].Op != obj.OpBin || cmini.Tok(code[p+1].Tok) != cmini.PLUS ||
-		code[p+2].Op != obj.OpLoad {
-		return nil, 0
-	}
-	tail := p+4 < end &&
-		code[p+3].Op == obj.OpBin && cmini.Tok(code[p+3].Tok) == cmini.PLUS &&
-		code[p+4].Op == obj.OpMov
-	kd, imm := code[p].Dst, code[p].Imm
-	bd, bA, bB := code[p+1].Dst, code[p+1].A, code[p+1].B
-	ld, lA, lpc := code[p+2].Dst, code[p+2].A, p+2
-
-	switch {
-	case lead && tail:
-		lmD, lmA := code[pc].Dst, code[pc].A
-		td, tA, tB := code[p+3].Dst, code[p+3].A, code[p+3].B
-		tmD, tmA := code[p+4].Dst, code[p+4].A
-		return func(m *M, regs []int64) error {
-			regs[lmD] = regs[lmA]
-			regs[kd] = imm
-			regs[bd] = regs[bA] + regs[bB]
-			addr := regs[lA]
-			if addr < nullGuard || addr >= int64(len(m.Mem)) {
-				m.Executed -= 2
-				m.Cycles -= 2 * m.Costs.Instr
-				return &Trap{Kind: TrapBadAddress,
-					Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-			}
-			regs[ld] = m.Mem[addr]
-			regs[td] = regs[tA] + regs[tB]
-			regs[tmD] = regs[tmA]
-			return nil
-		}, 6
-	case lead:
-		lmD, lmA := code[pc].Dst, code[pc].A
-		return func(m *M, regs []int64) error {
-			regs[lmD] = regs[lmA]
-			regs[kd] = imm
-			regs[bd] = regs[bA] + regs[bB]
-			addr := regs[lA]
-			if addr < nullGuard || addr >= int64(len(m.Mem)) {
-				return &Trap{Kind: TrapBadAddress,
-					Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-			}
-			regs[ld] = m.Mem[addr]
-			return nil
-		}, 4
-	case tail:
-		td, tA, tB := code[p+3].Dst, code[p+3].A, code[p+3].B
-		tmD, tmA := code[p+4].Dst, code[p+4].A
-		return func(m *M, regs []int64) error {
-			regs[kd] = imm
-			regs[bd] = regs[bA] + regs[bB]
-			addr := regs[lA]
-			if addr < nullGuard || addr >= int64(len(m.Mem)) {
-				m.Executed -= 2
-				m.Cycles -= 2 * m.Costs.Instr
-				return &Trap{Kind: TrapBadAddress,
-					Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-			}
-			regs[ld] = m.Mem[addr]
-			regs[td] = regs[tA] + regs[tB]
-			regs[tmD] = regs[tmA]
-			return nil
-		}, 5
-	default:
-		return func(m *M, regs []int64) error {
-			regs[kd] = imm
-			regs[bd] = regs[bA] + regs[bB]
-			addr := regs[lA]
-			if addr < nullGuard || addr >= int64(len(m.Mem)) {
-				return &Trap{Kind: TrapBadAddress,
-					Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-			}
-			regs[ld] = m.Mem[addr]
-			return nil
-		}, 3
-	}
 }
 
 // ixRound is one decoded round of an unrolled indexed-accumulate run:
@@ -1207,11 +1046,11 @@ type ixRound struct {
 
 // fuseIndexedRun decodes consecutive identical-shape accumulate
 // 6-grams — the body of a compiler-unrolled "for { acc += base[i] }"
-// loop — and batches them into one closure when
+// loop — and batches them into one stridedRun when
 // fuseIndexedRunStrided accepts the run, so an unrolled loop of N
-// array reads costs N loop iterations instead of N closure dispatches.
+// array reads costs N loop iterations instead of N rounds of micro-ops.
 // Otherwise it reports no fusion and the rounds compile op by op.
-func fuseIndexedRun(code []obj.Instr, pc, end int, fname string) (copFn, int64) {
+func fuseIndexedRun(code []obj.Instr, pc, end int) (stridedRun, bool) {
 	matches := func(p int) bool {
 		return p+5 < end &&
 			code[p].Op == obj.OpMov &&
@@ -1233,12 +1072,9 @@ func fuseIndexedRun(code []obj.Instr, pc, end int, fname string) (copFn, int64) 
 		})
 	}
 	if len(rs) < 2 {
-		return nil, 0
+		return stridedRun{}, false
 	}
-	if op := fuseIndexedRunStrided(rs, fname); op != nil {
-		return op, int64(6 * len(rs))
-	}
-	return nil, 0
+	return fuseIndexedRunStrided(rs)
 }
 
 // What a register written by a strided run holds once the run is over:
@@ -1258,6 +1094,20 @@ type ixWrite struct {
 	kind int
 	imm  int64
 }
+
+// stridedRun is a fused run of "acc += Mem[base+imm]" rounds, one per
+// entry of imms (see fuseIndexedRunStrided).
+type stridedRun struct {
+	base, acc  obj.Reg
+	imms       []int64
+	pc         int   // the first round's load; round i's is at pc + 6i
+	lo, hi     int64 // the least and greatest offset
+	contiguous bool  // the offsets are lo, lo+1, …, hi in some order
+	writes     []ixWrite
+}
+
+// width is the number of instructions the run covers.
+func (r *stridedRun) width() int64 { return int64(6 * len(r.imms)) }
 
 // fuseIndexedRunStrided compiles fuseIndexedRun's rounds when every
 // round implements exactly "acc += Mem[base+imm]": base and acc stay in
@@ -1281,10 +1131,10 @@ type ixWrite struct {
 // window. Otherwise the run goes round by round, checking each address
 // as the interpreter does, so a trap fires at the same round with the
 // same PC, Executed and Cycles.
-func fuseIndexedRunStrided(rs []ixRound, fname string) copFn {
+func fuseIndexedRunStrided(rs []ixRound) (stridedRun, bool) {
 	base, acc := rs[0].lmA, rs[0].tA
 	if base == acc {
-		return nil
+		return stridedRun{}, false
 	}
 	var writes []ixWrite
 	at := map[obj.Reg]int{} // register -> its entry in writes
@@ -1302,15 +1152,15 @@ func fuseIndexedRunStrided(rs []ixRound, fname string) copFn {
 		if r.lmA != base || r.tA != acc || r.tmD != acc || r.tmA != r.td ||
 			r.bA != r.lmD || r.bB != r.kd || r.lA != r.bd || r.tB != r.ld ||
 			r.kd == r.lmD {
-			return nil
+			return stridedRun{}, false
 		}
 		for _, tmp := range [4]obj.Reg{r.lmD, r.kd, r.bd, r.ld} {
 			if tmp == acc || (tmp == base && i < final) {
-				return nil
+				return stridedRun{}, false
 			}
 		}
 		if r.td == base && i < final {
-			return nil
+			return stridedRun{}, false
 		}
 		write(r.lmD, ixBase, 0)
 		write(r.kd, ixImm, r.imm)
@@ -1323,93 +1173,76 @@ func fuseIndexedRunStrided(rs []ixRound, fname string) copFn {
 		// The final round writes its td and acc last; any other sum
 		// register would need an intermediate sum the loop does not keep.
 		if wr.kind == ixSum && wr.reg != acc && wr.reg != rs[final].td {
-			return nil
+			return stridedRun{}, false
 		}
 	}
-	imms := make([]int64, len(rs))
+	run := stridedRun{base: base, acc: acc, writes: writes, imms: make([]int64, len(rs)), pc: rs[0].lpc}
 	for i := range rs {
-		imms[i] = rs[i].imm
+		run.imms[i] = rs[i].imm
 	}
-	sorted := slices.Clone(imms)
+	sorted := slices.Clone(run.imms)
 	slices.Sort(sorted)
-	lo, hi := sorted[0], sorted[final]
-	contiguous := true
+	run.lo, run.hi = sorted[0], sorted[final]
+	run.contiguous = true
 	for i, imm := range sorted {
-		contiguous = contiguous && imm == lo+int64(i)
+		run.contiguous = run.contiguous && imm == run.lo+int64(i)
 	}
-	w := int64(6 * len(rs))
-	return func(m *M, regs []int64) error {
-		mem := m.Mem
-		memLen := int64(len(mem))
-		b := regs[base]
-		a := regs[acc]
-		if first, last := b+lo, b+hi; contiguous && first >= nullGuard && last < memLen && first <= last {
-			// Four independent sums: two's-complement addition is
-			// associative, so the total is the same.
-			win := mem[first : last+1]
-			var a0, a1, a2, a3 int64
-			i := 0
-			for ; i+4 <= len(win); i += 4 {
-				a0 += win[i]
-				a1 += win[i+1]
-				a2 += win[i+2]
-				a3 += win[i+3]
-			}
-			for ; i < len(win); i++ {
-				a0 += win[i]
-			}
-			a += a0 + a1 + a2 + a3
-		} else {
-			for i, imm := range imms {
-				addr := b + imm
-				if addr < nullGuard || addr >= memLen {
-					// The frame is dead after a trap — no later instruction
-					// will read regs — so only the counters need fixing.
-					adj := w - (6*int64(i) + 4)
-					m.Executed -= adj
-					m.Cycles -= adj * m.Costs.Instr
-					return &Trap{Kind: TrapBadAddress,
-						Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: rs[i].lpc}
-				}
-				a += mem[addr]
-			}
-		}
-		for _, wr := range writes {
-			switch wr.kind {
-			case ixBase:
-				regs[wr.reg] = b
-			case ixImm:
-				regs[wr.reg] = wr.imm
-			case ixAddr:
-				regs[wr.reg] = b + wr.imm
-			case ixWord:
-				regs[wr.reg] = mem[b+wr.imm]
-			case ixSum:
-				regs[wr.reg] = a
-			}
-		}
-		return nil
-	}
+	return run, true
 }
 
-// compileUn specializes a unary ALU op.
-func compileUn(tok cmini.Tok, dst, a obj.Reg, fname string, pc int) copFn {
-	switch tok {
-	case cmini.MINUS:
-		return func(m *M, regs []int64) error { regs[dst] = -regs[a]; return nil }
-	case cmini.NOT:
-		return func(m *M, regs []int64) error { regs[dst] = b2i(regs[a] == 0); return nil }
-	case cmini.TILDE:
-		return func(m *M, regs []int64) error { regs[dst] = ^regs[a]; return nil }
-	}
-	return func(m *M, regs []int64) error {
-		v, err := obj.EvalUn(tok, regs[a])
-		if err != nil {
-			return &Trap{Msg: err.Error(), Func: fname, PC: pc}
+// run executes the strided run over the frame's registers, in function
+// fname.
+func (r *stridedRun) run(m *M, regs []int64, fname string) error {
+	mem := m.Mem
+	memLen := int64(len(mem))
+	b := regs[r.base]
+	a := regs[r.acc]
+	if first, last := b+r.lo, b+r.hi; r.contiguous && first >= nullGuard && last < memLen && first <= last {
+		// Four independent sums: two's-complement addition is
+		// associative, so the total is the same.
+		win := mem[first : last+1]
+		var a0, a1, a2, a3 int64
+		i := 0
+		for ; i+4 <= len(win); i += 4 {
+			a0 += win[i]
+			a1 += win[i+1]
+			a2 += win[i+2]
+			a3 += win[i+3]
 		}
-		regs[dst] = v
-		return nil
+		for ; i < len(win); i++ {
+			a0 += win[i]
+		}
+		a += a0 + a1 + a2 + a3
+	} else {
+		for i, imm := range r.imms {
+			addr := b + imm
+			if addr < nullGuard || addr >= memLen {
+				// The frame is dead after a trap — no later instruction
+				// will read regs — so only the counters need fixing.
+				adj := r.width() - (6*int64(i) + 4)
+				m.Executed -= adj
+				m.Cycles -= adj * m.Costs.Instr
+				return &Trap{Kind: TrapBadAddress,
+					Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: r.pc + 6*i}
+			}
+			a += mem[addr]
+		}
 	}
+	for _, wr := range r.writes {
+		switch wr.kind {
+		case ixBase:
+			regs[wr.reg] = b
+		case ixImm:
+			regs[wr.reg] = wr.imm
+		case ixAddr:
+			regs[wr.reg] = b + wr.imm
+		case ixWord:
+			regs[wr.reg] = mem[b+wr.imm]
+		case ixSum:
+			regs[wr.reg] = a
+		}
+	}
+	return nil
 }
 
 func b2i(b bool) int64 {

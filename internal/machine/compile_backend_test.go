@@ -770,15 +770,17 @@ func TestBackendSwitchMidMachine(t *testing.T) {
 func TestParseBackend(t *testing.T) {
 	for s, want := range map[string]Backend{
 		"": BackendInterp, "interp": BackendInterp, "interpreter": BackendInterp,
-		"compiled": BackendCompiled, "closure": BackendCompiled,
+		"compiled": BackendCompiled,
 	} {
 		got, err := ParseBackend(s)
 		if err != nil || got != want {
 			t.Errorf("ParseBackend(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseBackend("jit"); err == nil {
-		t.Error("ParseBackend(jit) succeeded, want error")
+	for _, s := range []string{"jit", "closure"} {
+		if _, err := ParseBackend(s); err == nil {
+			t.Errorf("ParseBackend(%s) succeeded, want error", s)
+		}
 	}
 	if BackendInterp.String() != "interp" || BackendCompiled.String() != "compiled" {
 		t.Error("Backend.String round-trip broken")

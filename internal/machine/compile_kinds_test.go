@@ -218,13 +218,43 @@ func kindRows() []kindRow {
 		{"call-undefined", ks(uCall), []obj.Instr{
 			cnst(3, 2), {Op: obj.OpCall, Dst: 2, Sym: "nowhere"}, jump(fold),
 		}, false, []kindRun{traps(TrapUndefinedCall, 1, 2)}},
-		{"div", ks(uFn), []obj.Instr{cnst(3, 2), bin(cmini.SLASH, 2, 0, 1), jump(fold)}, false, []kindRun{
+		{"div", ks(uBin), []obj.Instr{cnst(3, 2), bin(cmini.SLASH, 2, 0, 1), jump(fold)}, false, []kindRun{
 			ok(17, 5), traps(TrapGeneric, 17, 0),
 		}},
-		{"mod", ks(uFn), []obj.Instr{bin(cmini.PERCENT, 2, 0, 1), cnst(3, 2), jump(fold)}, false, []kindRun{
+		{"mod", ks(uBin), []obj.Instr{bin(cmini.PERCENT, 2, 0, 1), cnst(3, 2), jump(fold)}, false, []kindRun{
 			ok(17, 5), traps(TrapGeneric, 17, 0),
 		}},
-		{"neg", ks(uFn), []obj.Instr{{Op: obj.OpUn, Dst: 2, A: 0, Tok: int(cmini.MINUS)}, jump(fold)}, false, plain},
+		// A token no ALU op has traps as the interpreter's EvalBin does.
+		{"bad-bin-token", ks(uBin), []obj.Instr{cnst(3, 2), bin(cmini.ASSIGN, 2, 0, 1), jump(fold)}, false, []kindRun{
+			traps(TrapGeneric, 1, 2),
+		}},
+		{"neg", ks(uUn), []obj.Instr{{Op: obj.OpUn, Dst: 2, A: 0, Tok: int(cmini.MINUS)}, jump(fold)}, false, plain},
+		{"not", ks(uUn), []obj.Instr{{Op: obj.OpUn, Dst: 0, A: 0, Tok: int(cmini.NOT)}, jump(fold)}, false, []kindRun{
+			ok(0, 1), ok(5, 1),
+		}},
+		{"bad-un-token", ks(uUn), []obj.Instr{cnst(3, 2), {Op: obj.OpUn, Dst: 2, A: 0, Tok: int(cmini.PLUS)}, jump(fold)}, false, []kindRun{
+			traps(TrapGeneric, 1, 2),
+		}},
+		{"bad-opcode", ks(uTrap), []obj.Instr{cnst(3, 2), {Op: badOpcode}, cnst(4, 1), jump(fold)}, false, []kindRun{
+			traps(TrapGeneric, 1, 2),
+		}},
+		{"bad-string-index", ks(uTrap), []obj.Instr{
+			cnst(3, 2), {Op: obj.OpAddrString, Dst: 2, Imm: 7, A: obj.NoReg}, cnst(4, 1), jump(fold),
+		}, false, []kindRun{traps(TrapBadStringIndex, 1, 2)}},
+		{"call-ind", ks(uCallInd), []obj.Instr{
+			{Op: obj.OpAddrGlobal, Dst: 3, Sym: "callee", A: obj.NoReg}, {Op: obj.OpCallInd, Dst: 2, A: 3, Args: []obj.Reg{0}}, jump(fold),
+		}, false, plain},
+		// A data address is no function.
+		{"call-ind-data", ks(uCallInd), []obj.Instr{
+			cnst(4, 1), {Op: obj.OpAddrGlobal, Dst: 3, Sym: "g", A: obj.NoReg}, {Op: obj.OpCallInd, Dst: 2, A: 3, Args: []obj.Reg{0}}, jump(fold),
+		}, false, []kindRun{traps(TrapUnresolvedSymbol, 1, 2)}},
+		// Two rounds of "acc += base[imm]", base = x and acc = y. The
+		// offsets are contiguous, so the window check decides: at the
+		// null guard's edge the second round traps, far out the first.
+		{"strided-run", ks(uRun), append(append(
+			stridedRound(0, 1, 2, 3, 4, 5, 2, 1), stridedRound(0, 1, 2, 3, 4, 5, 2, 0)...), jump(fold)), false, []kindRun{
+			ok(100, 3), traps(TrapBadAddress, nullGuard-1, 3), traps(TrapBadAddress, 1<<40, 3),
+		}},
 		// The A operand is the const's own register.
 		{"imm-alias", ks(uAddI), []obj.Instr{cnst(0, 6), bin(cmini.PLUS, 2, 0, 0), jump(fold)}, false, plain},
 
@@ -244,11 +274,15 @@ func kindRows() []kindRow {
 		}, false, []kindRun{ok(1, 2)}},
 		{"ret", ks(termRet), []obj.Instr{cnst(2, 1), {Op: obj.OpRet}}, true, plain},
 		{"ret-val", ks(termRetVal), []obj.Instr{{Op: obj.OpRet, A: 1, HasVal: true}}, true, plain},
-		{"fall-off-end", ks(termFn), []obj.Instr{cnst(2, 1)}, true, []kindRun{traps(TrapGeneric, 1, 2)}},
-		{"empty", ks(termFn), nil, true, []kindRun{traps(TrapGeneric, 1, 2)}},
-		{"jump-out-of-range", ks(termFn), []obj.Instr{cnst(2, 1), jump(99)}, true, []kindRun{traps(TrapGeneric, 1, 2)}},
-		{"branch-out-of-range", ks(termFn), []obj.Instr{cnst(2, 1), branch(0, 99, fold)}, false, []kindRun{
+		{"fall-off-end", ks(termJump, termTrap), []obj.Instr{cnst(2, 1)}, true, []kindRun{traps(TrapGeneric, 1, 2)}},
+		{"empty", ks(termTrap), nil, true, []kindRun{traps(TrapGeneric, 1, 2)}},
+		{"jump-out-of-range", ks(termJump, termTrap), []obj.Instr{cnst(2, 1), jump(99)}, true, []kindRun{traps(TrapGeneric, 1, 2)}},
+		{"branch-out-of-range", ks(termBranch, termTrap), []obj.Instr{cnst(2, 1), branch(0, 99, fold)}, false, []kindRun{
 			ok(0, 0), traps(TrapGeneric, 1, 0),
+		}},
+		// Compare-and-branch fuses whatever its targets are.
+		{"cmp-out-of-range", ks(termLt, termTrap), []obj.Instr{bin(cmini.LT, 2, 0, 1), branch(2, fold, -1)}, false, []kindRun{
+			ok(1, 2), traps(TrapGeneric, 2, 1),
 		}},
 	}
 	for i, tok := range pureBinToks {

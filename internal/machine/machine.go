@@ -549,7 +549,7 @@ type M struct {
 	// trusted while its version matches dispVersion, which is bumped
 	// whenever the name→code mapping can change (interpose/unpose,
 	// dynamic load/unload, restore, reset, builtin registration), so no
-	// closure ever acts on a stale redirect. A dynamic function's record
+	// call site ever follows a stale redirect. A dynamic function's record
 	// holds this machine's compilation of it; nextSite allocates their
 	// dispatch-cache slots past the static program's.
 	backend     Backend
