@@ -157,9 +157,12 @@ func installShardDevices(m *machine.M, io *shardIO) {
 		return m.StackLimit() - (dev+1)*PktWords
 	}
 	m.RegisterBuiltin("__rx_poll", func(mm *machine.M, args []int64) (int64, error) {
+		if err := deviceArgs("__rx_poll", args, 1); err != nil {
+			return 0, err
+		}
 		dev := args[0]
 		if dev < 0 || dev > 1 {
-			return 0, fmt.Errorf("clack: rx on bad device %d", dev)
+			return 0, &machine.Trap{Msg: fmt.Sprintf("clack: rx on bad device %d", dev)}
 		}
 		if io.head[dev] >= len(io.rx[dev]) {
 			return 0, nil
@@ -174,9 +177,15 @@ func installShardDevices(m *machine.M, io *shardIO) {
 		return addr, nil
 	})
 	m.RegisterBuiltin("__tx", func(mm *machine.M, args []int64) (int64, error) {
+		if err := deviceArgs("__tx", args, 2); err != nil {
+			return 0, err
+		}
 		dev, addr := args[0], args[1]
 		if dev < 0 || dev > 1 {
-			return 0, fmt.Errorf("clack: tx on bad device %d", dev)
+			return 0, &machine.Trap{Msg: fmt.Sprintf("clack: tx on bad device %d", dev)}
+		}
+		if addr < 0 || addr > int64(len(mm.Mem))-PktWords {
+			return 0, &machine.Trap{Kind: machine.TrapBadAddress, Msg: fmt.Sprintf("clack: tx of packet at invalid address %d", addr)}
 		}
 		io.stats.Tx[dev]++
 		kind := mm.Mem[addr]
@@ -202,6 +211,15 @@ func installShardDevices(m *machine.M, io *shardIO) {
 		io.stats.Dropped++
 		return 0, nil
 	})
+}
+
+// deviceArgs refuses a call of the device builtin name with other than
+// want arguments.
+func deviceArgs(name string, args []int64, want int) error {
+	if len(args) != want {
+		return &machine.Trap{Msg: fmt.Sprintf("%s called with %d args, want %d", name, len(args), want)}
+	}
+	return nil
 }
 
 // orderOracle is the fleet-global per-flow order check: one monotonic

@@ -1,9 +1,13 @@
 package clack
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"knit/internal/machine"
 )
 
 func TestFoldMatchesElementChecksum(t *testing.T) {
@@ -166,5 +170,27 @@ func TestDeviceErrors(t *testing.T) {
 	if _, err := m.Builtins["__tx"](m, []int64{-1, 0}); err == nil ||
 		!strings.Contains(err.Error(), "bad device") {
 		t.Errorf("tx on device -1: %v", err)
+	}
+	// Every refusal is a trap, so the machine attributes it to the
+	// calling unit: a bad device, a wrong argument count, and a packet
+	// whose words are not all in memory.
+	for _, c := range []struct {
+		dev  string
+		args []int64
+		kind machine.TrapKind
+		msg  string
+	}{
+		{"__rx_poll", []int64{7}, machine.TrapGeneric, "clack: rx on bad device 7"},
+		{"__rx_poll", nil, machine.TrapGeneric, "__rx_poll called with 0 args, want 1"},
+		{"__tx", []int64{0}, machine.TrapGeneric, "__tx called with 1 args, want 2"},
+		{"__tx", []int64{0, -3}, machine.TrapBadAddress, "clack: tx of packet at invalid address -3"},
+		{"__tx", []int64{1, int64(len(m.Mem)) - PktWords + 1}, machine.TrapBadAddress,
+			fmt.Sprintf("clack: tx of packet at invalid address %d", len(m.Mem)-PktWords+1)},
+	} {
+		_, err := m.Builtins[c.dev](m, c.args)
+		var tr *machine.Trap
+		if !errors.As(err, &tr) || tr.Kind != c.kind || tr.Msg != c.msg {
+			t.Errorf("%s%v: err = %v, want a %v trap %q", c.dev, c.args, err, c.kind, c.msg)
+		}
 	}
 }

@@ -389,6 +389,89 @@ func TestDynamicRestartKeepsOneLedgerRow(t *testing.T) {
 	}
 }
 
+const tickerUnits = `
+bundletype Tick = { tick }
+unit Ticker = {
+  exports [ t : Tick ];
+  files { "ticker.c" };
+}
+`
+
+var tickerSources = link.Sources{
+	"ticker.c": `
+static int n = 7;
+int tick(void) { n++; return n; }
+`,
+}
+
+// TestDynamicRestartResetsData: restarting a dynamically loaded
+// instance resets its statics to their initial values, as restarting
+// the same unit built statically does, whether the restart names the
+// instance or its scope.
+func TestDynamicRestartResetsData(t *testing.T) {
+	ticks := func(m *machine.M, sym string) []int64 {
+		var out []int64
+		for i := 0; i < 3; i++ {
+			v, err := m.Run(sym)
+			if err != nil {
+				t.Fatalf("%s: %v", sym, err)
+			}
+			out = append(out, v)
+		}
+		return out
+	}
+	static, err := Build(Options{Top: "Ticker", UnitFiles: map[string]string{"tick.unit": tickerUnits}, Sources: tickerSources})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := static.NewMachine()
+	if err := static.RunInit(sm); err != nil {
+		t.Fatal(err)
+	}
+	ssym, err := static.Export("t", "tick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks(sm, ssym)
+	if err := static.RestartInstance(sm, static.Program.Instances[0]); err != nil {
+		t.Fatal(err)
+	}
+	want := ticks(sm, ssym)
+	if !slices.Equal(want, []int64{8, 9, 10}) {
+		t.Fatalf("static Ticker after a restart ticks %v, want [8 9 10]", want)
+	}
+
+	res := buildDynBase(t)
+	for _, scope := range []bool{false, true} {
+		m := res.NewMachine()
+		if err := res.RunInit(m); err != nil {
+			t.Fatal(err)
+		}
+		lu, err := res.LoadDynamic(m, DynamicUnit{
+			Unit: "Ticker", UnitFiles: map[string]string{"tick.unit": tickerUnits}, Sources: tickerSources,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sym, err := lu.ExportSymbol("t", "tick")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ticks(m, sym)
+		if scope {
+			err = res.RestartScope(m, "")
+		} else {
+			err = res.RestartInstance(m, lu.Instance)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ticks(m, sym); !slices.Equal(got, want) {
+			t.Errorf("dynamic Ticker after a restart (scope %v) ticks %v, static ticks %v", scope, got, want)
+		}
+	}
+}
+
 // TestLoadDynamicRefusesRedefinition: a dynamic unit file may not
 // redeclare a unit of the base build. The refusal is a *diag.Error at
 // the redeclaration, and nothing loads.

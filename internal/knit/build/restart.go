@@ -27,10 +27,10 @@ func (r *Result) InstanceByPath(m *machine.M, path string) *link.Instance {
 }
 
 // RestartInstance discards one unit instance's state and
-// re-initializes it: the instance's static globals are reset to their
-// load-time (initializer-expression) contents, then its initializers
-// re-run in schedule order. Dynamic instances retain no initial data
-// image, so their restart is the initializer re-run alone.
+// re-initializes it: the instance's static globals, in the image or in
+// its dynamic module, are reset to their load-time
+// (initializer-expression) contents, then its initializers re-run in
+// schedule order.
 //
 // Finalizers deliberately do not run first — a restart responds to a
 // fault, and a faulted component's finalizers cannot be trusted with
@@ -55,17 +55,17 @@ func (r *Result) RestartInstance(m *machine.M, inst *link.Instance) error {
 }
 
 // RestartScope restarts every unit instance inside scope (see
-// sched.ScopeContains): static instances' globals are reset, then the
-// scope's initializers re-run in their original schedule order, then
-// any dynamic instances in scope re-run theirs in load order. The
-// empty scope restarts the whole program. Like RestartInstance it is
-// transactional and skips finalizers.
+// sched.ScopeContains): the globals of every instance restarted, static
+// or dynamic, are reset, then the scope's initializers re-run in their
+// original schedule order, then any dynamic instances in scope re-run
+// theirs in load order. The empty scope restarts the whole program.
+// Like RestartInstance it is transactional and skips finalizers.
 func (r *Result) RestartScope(m *machine.M, scope string) error {
-	var static []*link.Instance
-	var names []string // every instance restarted, as its events name it
+	var insts []*link.Instance // every instance restarted
+	var names []string         // and its name in events
 	for _, inst := range r.Program.Instances {
 		if sched.ScopeContains(scope, inst.Path) {
-			static = append(static, inst)
+			insts = append(insts, inst)
 			names = append(names, inst.Path)
 		}
 	}
@@ -76,6 +76,7 @@ func (r *Result) RestartScope(m *machine.M, scope string) error {
 	for _, inst := range r.liveModules(m) {
 		if sched.ScopeContains(scope, inst.Path) {
 			name := moduleName(inst)
+			insts = append(insts, inst)
 			names = append(names, name)
 			steps = append(steps, lifecycleSteps(name, inst, false)...)
 		}
@@ -84,7 +85,7 @@ func (r *Result) RestartScope(m *machine.M, scope string) error {
 		return fmt.Errorf("knit: restart: no instances in scope %q", scope)
 	}
 	snap := m.Snapshot()
-	for _, inst := range static {
+	for _, inst := range insts {
 		m.ResetData(link.InstanceSymbols(inst))
 	}
 	if err := r.runSteps(m, snap, "restart", steps); err != nil {

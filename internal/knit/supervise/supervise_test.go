@@ -1,6 +1,7 @@
 package supervise
 
 import (
+	"errors"
 	"os"
 	"reflect"
 	"strings"
@@ -197,6 +198,54 @@ func TestRestartsThenDegradesToFallback(t *testing.T) {
 	}
 	if err := m.CheckDynInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDeviceRefusalIsAttributedAndRestarted: a unit whose C code calls
+// the console device with no argument gets the device's refusal as a
+// trap attributed to it, on both engines, and the supervisor restarts
+// it; the host does not panic.
+func TestDeviceRefusalIsAttributedAndRestarted(t *testing.T) {
+	res, err := build.Build(build.Options{
+		Top: "Box",
+		UnitFiles: map[string]string{"noisy.unit": `
+bundletype Out = { emit }
+unit Noisy = {
+  exports [ out : Out ];
+  files { "noisy.c" };
+}
+unit Box = {
+  exports [ out : Out ];
+  link { [out] <- Noisy <- []; };
+}
+`},
+		Sources: link.Sources{"noisy.c": `
+extern int __console_out(void);
+int emit(void) { return __console_out(); }
+`},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := instOf(t, res, "Noisy")
+	emit := inst.ExportSyms["out"]["emit"]
+	var traps [2]*machine.Trap
+	for i, b := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
+		m := res.NewMachine()
+		m.SetBackend(b)
+		machine.InstallConsole(m)
+		sup := New(res, m, Default(), NewFakeClock())
+		_, err := sup.Call("out", "emit")
+		if !errors.As(err, &traps[i]) || traps[i].Msg != "__console_out called with 0 args, want 1" ||
+			traps[i].Func != emit || traps[i].Unit != inst.Path {
+			t.Fatalf("%v: err = %v, want the console's refusal in %s attributed to %s", b, err, emit, inst.Path)
+		}
+		if st := statusOf(t, sup, inst.Path); st.Failures != 1 || st.Restarts != 1 {
+			t.Errorf("%v: Noisy status = %+v, want 1 failure and 1 restart", b, st)
+		}
+	}
+	if *traps[0] != *traps[1] {
+		t.Errorf("engines disagree: interp %+v, compiled %+v", *traps[0], *traps[1])
 	}
 }
 

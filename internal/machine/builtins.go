@@ -1,6 +1,9 @@
 package machine
 
-import "bytes"
+import (
+	"bytes"
+	"fmt"
+)
 
 // Console is the simulated console device: a byte sink that components'
 // console drivers write to through the __console_out builtin.
@@ -26,10 +29,7 @@ func (c *Console) Reset() { c.buf.Reset() }
 // one device or the other.
 func InstallConsole(m *M) *Console {
 	c := &Console{}
-	m.RegisterBuiltin("__console_out", func(_ *M, args []int64) (int64, error) {
-		c.buf.WriteByte(byte(args[0]))
-		return 0, nil
-	})
+	m.RegisterBuiltin("__console_out", c.out("__console_out"))
 	return c
 }
 
@@ -37,11 +37,20 @@ func InstallConsole(m *M) *Console {
 // sink.
 func InstallSerial(m *M) *Console {
 	c := &Console{}
-	m.RegisterBuiltin("__serial_out", func(_ *M, args []int64) (int64, error) {
+	m.RegisterBuiltin("__serial_out", c.out("__serial_out"))
+	return c
+}
+
+// out is the device builtin name that writes its one argument's byte to
+// c; any other argument count is a trap.
+func (c *Console) out(name string) Builtin {
+	return func(_ *M, args []int64) (int64, error) {
+		if len(args) != 1 {
+			return 0, &Trap{Msg: fmt.Sprintf("%s called with %d args, want 1", name, len(args))}
+		}
 		c.buf.WriteByte(byte(args[0]))
 		return 0, nil
-	})
-	return c
+	}
 }
 
 // StopWatch accumulates cycles (and i-fetch stall cycles) between

@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"errors"
 	"testing"
 
+	"knit/internal/asm"
 	"knit/internal/obj"
 )
 
@@ -26,6 +28,55 @@ func TestConsoleAndSerialSeparateSinks(t *testing.T) {
 	con.Reset()
 	if con.String() != "" {
 		t.Error("console Reset did not clear")
+	}
+}
+
+// TestBuiltinArgCountTrap: a device builtin called with the wrong
+// number of arguments refuses with a *Trap, not a host panic, and the
+// trap carries the calling function, its pc and its unit, the same on
+// both engines.
+func TestBuiltinArgCountTrap(t *testing.T) {
+	f, err := asm.Parse("probe.s", `
+extern __console_out
+extern __serial_out
+func probe nargs=0 nregs=2
+  const r1, 7
+  call  r0, __console_out
+  ret   r0
+func probe2 nargs=0 nregs=2
+  const r1, 7
+  call  r0, __serial_out, r1, r1
+  ret   r0
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := Load(f, DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.SymbolOwner = map[string]string{"probe": "Probe/P#0", "probe2": "Probe/P#0"}
+	for _, tc := range []struct{ entry, msg string }{
+		{"probe", "__console_out called with 0 args, want 1"},
+		{"probe2", "__serial_out called with 2 args, want 1"},
+	} {
+		var traps [2]*Trap
+		for i, b := range []Backend{BackendInterp, BackendCompiled} {
+			m := New(img)
+			m.SetBackend(b)
+			InstallConsole(m)
+			InstallSerial(m)
+			_, err := m.Run(tc.entry)
+			if !errors.As(err, &traps[i]) {
+				t.Fatalf("%s on %v: err = %v, want a *Trap", tc.entry, b, err)
+			}
+		}
+		want := Trap{Kind: TrapGeneric, Msg: tc.msg, Func: tc.entry, Unit: "Probe/P#0", PC: 1}
+		for i, tr := range traps {
+			if *tr != want {
+				t.Errorf("%s on engine %d: trap %+v, want %+v", tc.entry, i, *tr, want)
+			}
+		}
 	}
 }
 

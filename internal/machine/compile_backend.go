@@ -686,7 +686,7 @@ func (m *M) compiledDispatch(site int, sym string, regs []int64, argRegs []obj.R
 	case siteBuiltin:
 		m.BuiltinCnt++
 		m.Cycles += m.Costs.Builtin
-		return m.callBuiltin(c.b, regs, argRegs)
+		return m.callBuiltin(c.b, regs, argRegs, caller, pc)
 	default:
 		return 0, &Trap{Kind: TrapUndefinedCall, Msg: "call to undefined function " + m.interposed(sym), Func: caller, PC: pc}
 	}
@@ -1002,8 +1002,8 @@ func compileBlock(cf *cfunc, start, end int, target func(int) int32, m *M, img *
 			pc++
 
 		case obj.OpAddrString:
-			if idx := int(in.Imm); idx >= 0 && idx < len(img.strAddr) {
-				emit(uop{kind: uConst, d: in.Dst, imm: img.strAddr[idx]}, 1)
+			if strs := img.layoutOf(cf.sym).strAddr; in.Imm >= 0 && in.Imm < int64(len(strs)) {
+				emit(uop{kind: uConst, d: in.Dst, imm: strs[in.Imm]}, 1)
 			} else {
 				trap(TrapBadStringIndex, "bad string literal index", pc)
 			}

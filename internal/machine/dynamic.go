@@ -30,10 +30,13 @@ type dynState struct {
 }
 
 // dynModule records what one LoadDynamic committed, so it can be
-// reclaimed record-for-record and byte-for-byte.
+// reclaimed record-for-record and byte-for-byte. Its layout, the
+// module's string table and initial data runs, is read-only once
+// placed, and clones share it.
 type dynModule struct {
 	name  string
 	owner string // unit-instance attribution, may be ""
+	layout
 	// syms are the module's records: data in name order, then functions
 	// in text order.
 	syms     []*symbol
@@ -53,11 +56,13 @@ func (d *dynState) clone() *dynState {
 	for _, mod := range d.modules {
 		cm := *mod
 		cm.syms = make([]*symbol, len(mod.syms))
+		recs := make([]symbol, len(mod.syms))
 		for i, s := range mod.syms {
-			cs := *s
+			recs[i] = *s
+			cs := &recs[i]
 			cs.mod, cs.cf = &cm, nil
-			cm.syms[i] = &cs
-			c.syms[cs.name] = &cs
+			cm.syms[i] = cs
+			c.syms[cs.name] = cs
 		}
 		c.modules = append(c.modules, &cm)
 	}
@@ -94,14 +99,15 @@ func (m *M) LoadDynamic(o *obj.File) error {
 }
 
 // LoadDynamicAs links an object file into the running machine as a
-// named module. Every data symbol referenced by the module must resolve
-// (image, earlier modules, or the module itself); function references
-// may also be satisfied by builtins at call time, like static calls.
-// Every function and data object the module defines, static or not,
-// must be new to the machine. owner, when non-empty, attributes the
-// module's symbols to a unit instance for trap reporting. Returns an
-// error and loads nothing on failure; a successful load can be reversed
-// by UnloadDynamic(name).
+// named module, placed as Load places the image: its data appended to
+// memory, its functions after the live text. Every data symbol
+// referenced by the module must resolve (image, earlier modules, or the
+// module itself); function references may also be satisfied by builtins
+// at call time, like static calls. Every function and data object the
+// module defines, static or not, must be new to the machine. owner,
+// when non-empty, attributes the module's symbols to a unit instance
+// for trap reporting. Returns an error and loads nothing on failure; a
+// successful load can be reversed by UnloadDynamic(name).
 func (m *M) LoadDynamicAs(name, owner string, o *obj.File) error {
 	if name == "" {
 		return &LoadError{Msg: "dynamic: module needs a name"}
@@ -112,127 +118,34 @@ func (m *M) LoadDynamicAs(name, owner string, o *obj.File) error {
 	if m.dyn.module(name) != nil {
 		return &LoadError{Msg: fmt.Sprintf("dynamic: module %q already loaded", name)}
 	}
-	mod := &dynModule{name: name, owner: owner}
-	// Stage the module's records without committing. Each name becomes
-	// one record in the overlay, so a name already defined is a linker
-	// error, whatever its linkage.
-	local := map[string]*symbol{}
-	stage := func(s *symbol) error {
-		if local[s.name] != nil || m.lookup(s.name) != nil {
-			return &LoadError{Msg: fmt.Sprintf("dynamic: symbol %q already defined", s.name)}
-		}
-		s.mod = mod
-		local[s.name] = s
-		mod.syms = append(mod.syms, s)
-		return nil
-	}
-	dataBase := int64(len(m.Mem))
-	addr := dataBase
-	var order []string
-	for name := range o.Datas {
-		order = append(order, name)
-	}
-	slices.Sort(order)
-	for _, name := range order {
-		if err := stage(&symbol{name: name, addr: addr}); err != nil {
-			return err
-		}
-		addr += int64(o.Datas[name].Size)
-	}
-	strAddr := make([]int64, len(o.Strings))
-	for i, s := range o.Strings {
-		strAddr[i] = addr
-		addr += int64(len(s)) + 1
-	}
-	textStart := m.Img.TextSize + m.dyn.textSize
-	var fnames []string
-	for name := range o.Funcs {
-		fnames = append(fnames, name)
-	}
-	slices.Sort(fnames)
-	text := textStart
-	for _, name := range fnames {
-		fn := o.Funcs[name].Clone()
-		// Dynamic string references become absolute addresses now.
-		for i := range fn.Code {
-			if fn.Code[i].Op == obj.OpAddrString {
-				idx := int(fn.Code[i].Imm)
-				if idx < 0 || idx >= len(strAddr) {
-					return &LoadError{Msg: fmt.Sprintf("dynamic: func %s: bad string index %d", name, idx)}
-				}
-				fn.Code[i] = obj.Instr{Op: obj.OpConst, Dst: fn.Code[i].Dst,
-					Imm: strAddr[idx], A: obj.NoReg, B: obj.NoReg}
-			}
-		}
-		if err := stage(&symbol{name: name, addr: textBase + text, fn: fn, text: text}); err != nil {
-			return err
-		}
-		text += int64(len(fn.Code)*m.Costs.InstrBytes + m.Costs.FuncPad)
-	}
-
-	resolve := func(sym string) (int64, bool) {
-		if s := local[sym]; s != nil {
-			return s.addr, true
-		}
-		return m.resolveAddr(sym)
-	}
-	// Validate address references before committing.
-	for _, s := range mod.syms {
-		if s.fn == nil {
-			continue
-		}
-		for i := range s.fn.Code {
-			if s.fn.Code[i].Op == obj.OpAddrGlobal {
-				if _, ok := resolve(s.fn.Code[i].Sym); !ok {
-					return &LoadError{Msg: fmt.Sprintf(
-						"dynamic: func %s: address of unresolved symbol %q", s.name, s.fn.Code[i].Sym)}
-				}
-			}
-		}
-	}
-	// Build the appended memory.
-	mem := make([]int64, addr-dataBase)
-	for i, s := range o.Strings {
-		base := strAddr[i] - dataBase
-		for j := 0; j < len(s); j++ {
-			mem[base+int64(j)] = int64(s[j])
-		}
-	}
-	for _, name := range order {
-		d := o.Datas[name]
-		base := local[name].addr - dataBase
-		for _, init := range d.Init {
-			switch init.Kind {
-			case obj.InitConst:
-				mem[base+int64(init.Offset)] = init.Val
-			case obj.InitString:
-				if init.Index < 0 || init.Index >= len(strAddr) {
-					return &LoadError{Msg: fmt.Sprintf("dynamic: data %s: bad string index %d", name, init.Index)}
-				}
-				mem[base+int64(init.Offset)] = strAddr[init.Index]
-			case obj.InitSym:
-				a, ok := resolve(init.Sym)
-				if !ok {
-					return &LoadError{Msg: fmt.Sprintf("dynamic: data %s: unresolved symbol %q", name, init.Sym)}
-				}
-				mem[base+int64(init.Offset)] = a
-			}
-		}
+	dataBase, textStart := int64(len(m.Mem)), m.Img.TextSize+m.dyn.textSize
+	p, err := place(o, m.Costs, dataBase, textStart, m.lookup)
+	if err != nil {
+		err.Msg = "dynamic: " + err.Msg
+		return err
 	}
 
 	// Commit. Functions draw their indices in text order.
-	m.Mem = append(m.Mem, mem...)
-	for _, s := range mod.syms {
+	mod := &dynModule{
+		name: name, owner: owner, layout: p.layout,
+		syms:     make([]*symbol, len(p.recs)),
+		refs:     moduleRefs(o, p.syms),
+		dataBase: dataBase, dataEnd: p.dataEnd,
+		textBase: textStart, textEnd: p.textEnd,
+	}
+	m.Mem = slices.Grow(m.Mem, int(p.dataEnd-dataBase))[:p.dataEnd]
+	mod.writeInit(m.Mem, dataBase, p.dataEnd)
+	for i := range p.recs {
+		s := &p.recs[i]
+		s.mod = mod
 		if s.fn != nil {
 			s.index = m.nextIndex
 			m.nextIndex++
 		}
+		mod.syms[i] = s
 		m.dyn.syms[s.name] = s
 	}
-	mod.refs = moduleRefs(o, local)
-	mod.dataBase, mod.dataEnd = dataBase, addr
-	mod.textBase, mod.textEnd = textStart, text
-	m.dyn.textSize = text - m.Img.TextSize
+	m.dyn.textSize = p.textEnd - m.Img.TextSize
 	m.dyn.modules = append(m.dyn.modules, mod)
 	// New definitions can satisfy call sites previously resolved to a
 	// builtin or to undefined; drop the compiled dispatch caches.
@@ -440,8 +353,8 @@ func (m *M) CheckDynInvariants() error {
 				return fail("funcs %q and %q share index %d", other, s.name, s.index)
 			}
 			indexOf[s.index] = s.name
-			if s.addr != textBase+s.text || s.text < mod.textBase || s.text > mod.textEnd {
-				return fail("func %q at text offset %d is outside module %q", s.name, s.text, mod.name)
+			if text := s.addr - textBase; text < mod.textBase || text > mod.textEnd {
+				return fail("func %q at text offset %d is outside module %q", s.name, text, mod.name)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -164,6 +165,99 @@ func TestLoadDynamicUnresolvedRejected(t *testing.T) {
 	// Nothing was committed: memory length unchanged.
 	if m.dyn != nil && len(m.dyn.syms) != 0 {
 		t.Error("failed load leaked state")
+	}
+}
+
+// TestLoadDynamicInitializerOutsideObject: a module's data initializer
+// past the end of its object is refused with Load's message, and
+// nothing of the module is loaded.
+func TestLoadDynamicInitializerOutsideObject(t *testing.T) {
+	m := loadFile(t, fileWith())
+	mem := len(m.Mem)
+	mod := obj.NewFile("mod")
+	mod.Datas["d"] = &obj.Data{Name: "d", Size: 1, Init: []obj.DataInit{{Kind: obj.InitConst, Offset: 3, Val: 1}}}
+	mod.AddSym(&obj.Symbol{Name: "d", Kind: obj.SymData, Defined: true})
+	err := m.LoadDynamic(mod)
+	if err == nil || err.Error() != "machine: dynamic: data d: initializer offset 3 outside its 1 words" {
+		t.Errorf("err = %v, want the initializer outside d refused", err)
+	}
+	if len(m.Mem) != mem || len(m.DynModules()) != 0 || m.lookup("d") != nil {
+		t.Errorf("refused module left memory %d (was %d), modules %v", len(m.Mem), mem, m.DynModules())
+	}
+	if err := m.CheckDynInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLoadDynamicStrings: module code takes its string literals' addresses
+// from the module's own table, as image code does from the image's, on
+// both engines; an index past the table loads and traps when it runs,
+// with the trap image code gets.
+func TestLoadDynamicStrings(t *testing.T) {
+	base := fileWith(buildFunc("img_str", 0, 2, 0, []obj.Instr{
+		{Op: obj.OpAddrString, Dst: 1, Imm: 0, A: obj.NoReg},
+		{Op: obj.OpLoad, Dst: 1, A: 1},
+		{Op: obj.OpRet, A: 1, HasVal: true},
+	}))
+	base.Strings = []string{"i"}
+	mod := fileWith(
+		buildFunc("mod_str", 0, 2, 0, []obj.Instr{
+			{Op: obj.OpAddrString, Dst: 1, Imm: 1, A: obj.NoReg},
+			{Op: obj.OpLoad, Dst: 1, A: 1},
+			{Op: obj.OpRet, A: 1, HasVal: true},
+		}),
+		buildFunc("mod_bad", 0, 2, 0, []obj.Instr{
+			{Op: obj.OpConst, Dst: 0, Imm: 1},
+			{Op: obj.OpAddrString, Dst: 1, Imm: 2, A: obj.NoReg},
+			{Op: obj.OpRet, A: 1, HasVal: true},
+		}))
+	mod.Strings = []string{"x", "m"}
+	mi, mc := compiledPair(t, base)
+	for _, m := range []*M{mi, mc} {
+		if err := m.LoadDynamic(mod); err != nil {
+			t.Fatalf("%v: %v", m.Backend(), err)
+		}
+		for entry, want := range map[string]int64{"img_str": 'i', "mod_str": 'm'} {
+			if v, err := m.Run(entry); err != nil || v != want {
+				t.Errorf("%v: %s() = %d, %v; want %d", m.Backend(), entry, v, err, want)
+			}
+		}
+		var tr *Trap
+		if _, err := m.Run("mod_bad"); !errors.As(err, &tr) ||
+			*tr != (Trap{Kind: TrapBadStringIndex, Msg: "bad string literal index", Func: "mod_bad", PC: 1}) {
+			t.Errorf("%v: mod_bad: err = %v, want a bad-string-index trap at pc 1", m.Backend(), err)
+		}
+	}
+}
+
+// TestResetDataModule: ResetData restores a live module's data from the
+// module's own initial data, through a snapshot and a restore, counts
+// it, and skips it once the module is unloaded.
+func TestResetDataModule(t *testing.T) {
+	m := loadFile(t, fileWith())
+	mod := obj.NewFile("mod")
+	mod.Datas["k"] = &obj.Data{Name: "k", Size: 2, Init: []obj.DataInit{{Kind: obj.InitConst, Offset: 1, Val: 5}}}
+	mod.AddSym(&obj.Symbol{Name: "k", Kind: obj.SymData, Defined: true})
+	if err := m.LoadDynamic(mod); err != nil {
+		t.Fatal(err)
+	}
+	k, _ := m.resolveAddr("k")
+	snap := m.Snapshot()
+	for round := 0; round < 2; round++ {
+		m.Mem[k], m.Mem[k+1] = 9, 9
+		if n := m.ResetData([]string{"k", "absent"}); n != 1 {
+			t.Errorf("round %d: ResetData reset %d symbols, want 1", round, n)
+		}
+		if m.Mem[k] != 0 || m.Mem[k+1] != 5 {
+			t.Errorf("round %d: k = [%d %d], want [0 5]", round, m.Mem[k], m.Mem[k+1])
+		}
+		m.Restore(snap)
+	}
+	if err := m.UnloadDynamic("mod"); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.ResetData([]string{"k"}); n != 0 {
+		t.Errorf("ResetData of an unloaded module's data reset %d symbols", n)
 	}
 }
 

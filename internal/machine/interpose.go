@@ -87,27 +87,20 @@ func (m *M) interposed(sym string) string {
 	return sym
 }
 
-// ResetData restores the initial (load-time) contents of the static
-// image's global data for the given symbols, returning how many were
-// reset. Symbols that are not image globals — functions, dynamic-module
-// data, ambient names — are skipped: a dynamic module's initial bytes
-// are not retained, so restarting a dynamic instance is re-running its
-// initializers only. The supervision layer uses this to give a failed
+// ResetData restores the initial (load-time) contents of the given
+// data symbols, the image's or a live dynamic module's, from the initial
+// data runs of the layout each was placed in, returning how many were
+// reset. Names that are not defined data — functions, ambient names —
+// are skipped. The supervision layer uses this to give a failed
 // component a genuinely fresh start: statics back to their initializer
 // values, then its initializers re-run.
 func (m *M) ResetData(syms []string) int {
 	n := 0
-	for _, sym := range syms {
-		addr, ok := m.Img.GlobalAddr[sym]
-		if !ok {
-			continue
+	for _, name := range syms {
+		if s := m.lookup(name); s != nil && s.fn == nil {
+			m.Img.layoutOf(s).writeInit(m.Mem, s.addr, s.addr+s.size)
+			n++
 		}
-		d, ok := m.Img.File.Datas[sym]
-		if !ok {
-			continue
-		}
-		m.Img.writeInit(m.Mem, addr, min(addr+int64(d.Size), int64(len(m.Mem))))
-		n++
 	}
 	return n
 }

@@ -10,7 +10,6 @@ package machine
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -78,23 +77,21 @@ const (
 // strings, cost model) is only ever read after Load returns. The image's
 // symbol records are the base of every machine's namespace; a machine's
 // dynamic modules add records of their own in an overlay on M, never
-// here. The one sanctioned post-Load write is the build layer assigning
-// SymbolOwner exactly once, before any machine is created from the
-// image. Everything mutable at run time — memory, stack, dynamic
-// modules and their records, interposition redirects, hooks, counters —
-// lives on M, never on Image. Code that adds Image state must either
-// populate it fully inside Load or move it to M; internal/machine's
-// shared-image race test (shared_test.go) is the regression net for
-// violations.
+// here, each module with its own string table and initial data runs,
+// placed as the image's are. The one sanctioned post-Load write is the
+// build layer assigning SymbolOwner exactly once, before any machine is
+// created from the image. Everything mutable at run time — memory,
+// stack, dynamic modules and their records, interposition redirects,
+// hooks, counters — lives on M, never on Image. Code that adds Image
+// state must either populate it fully inside Load or move it to M;
+// internal/machine's shared-image race test (shared_test.go) is the
+// regression net for violations.
 type Image struct {
 	File       *obj.File
 	Entry      map[string]*obj.Func
 	GlobalAddr map[string]int64
 	FuncAddr   map[string]int64
-	strAddr    []int64
-	// init is the initial data segment as its runs of nonzero words, in
-	// ascending address order; every other word of it starts zero.
-	init      []dataRun
+	layout
 	TextSize  int64
 	DataWords int
 	costs     Costs
@@ -127,15 +124,34 @@ type Image struct {
 // module lists them and the machine's overlay maps their names, and
 // Snapshot and Restore copy them rather than share them, because two
 // fields may change after the load: a Restore from another machine
-// renumbers index, and the compiled engine fills in cf.
+// renumbers index, and the compiled engine fills in cf. A function's
+// text offset is addr − textBase.
 type symbol struct {
 	name  string
 	addr  int64
 	fn    *obj.Func  // nil for data
-	text  int64      // text offset in bytes (functions)
+	size  int64      // size in words (data)
 	index int        // dense index, CallInfo.Index (functions)
 	mod   *dynModule // the dynamic module that defined it; nil in the image
 	cf    *cfunc     // this machine's compiled form of a dynamic function
+}
+
+// layout is what placing an object file gives beside its records: the
+// addresses of its string literals, and its initial data as runs of
+// nonzero words in ascending address order; every other word of its
+// data starts zero. The image has one, and each dynamic module its own.
+type layout struct {
+	strAddr []int64
+	init    []dataRun
+}
+
+// layoutOf returns the layout the record s was placed in: its module's,
+// or the image's.
+func (img *Image) layoutOf(s *symbol) *layout {
+	if s.mod != nil {
+		return &s.mod.layout
+	}
+	return &img.layout
 }
 
 // LoadError reports a problem resolving an object file into an image.
@@ -148,79 +164,119 @@ func (e *LoadError) Error() string { return "machine: " + e.Msg }
 // symbols may be left undefined if the runtime provides them as builtins
 // (checked at call time).
 func Load(f *obj.File, costs Costs) (*Image, error) {
+	p, err := place(f, costs, nullGuard, 0, nil)
+	if err != nil {
+		return nil, err
+	}
 	img := &Image{
 		File:       f,
 		Entry:      f.Funcs,
 		GlobalAddr: make(map[string]int64, len(f.Datas)),
 		FuncAddr:   make(map[string]int64, len(f.Funcs)),
-		syms:       make(map[string]*symbol, len(f.Datas)+len(f.Funcs)),
-		funcs:      make([]*symbol, 0, len(f.Funcs)),
+		layout:     p.layout,
+		TextSize:   p.textEnd,
+		DataWords:  int(p.dataEnd),
 		costs:      costs,
+		syms:       p.syms,
+		funcs:      make([]*symbol, len(f.Funcs)),
 	}
-	// Every record lives in one array, sized so that it never moves.
-	recs := make([]symbol, 0, len(f.Datas)+len(f.Funcs))
-	record := func(s symbol) *symbol {
-		recs = append(recs, s)
-		return &recs[len(recs)-1]
-	}
-	// Data placement: globals first, then string literals.
-	addr := int64(nullGuard)
-	order := make([]string, 0, len(f.Datas))
-	for name := range f.Datas {
-		order = append(order, name)
-	}
-	// Deterministic placement.
-	slices.Sort(order)
-	for _, name := range order {
-		d := f.Datas[name]
-		img.GlobalAddr[name] = addr
-		img.syms[name] = record(symbol{name: name, addr: addr})
-		addr += int64(d.Size)
-	}
-	strAddr := make([]int64, len(f.Strings))
-	for i, s := range f.Strings {
-		strAddr[i] = addr
-		addr += int64(len(s)) + 1
-	}
-	img.strAddr = strAddr
-	img.DataWords = int(addr)
-	// Text placement, deterministic by name. Text order numbers the
-	// static functions 0…n−1.
-	fnames := make([]string, 0, len(f.Funcs))
-	for name := range f.Funcs {
-		fnames = append(fnames, name)
-	}
-	slices.Sort(fnames)
-	text := int64(0)
-	for _, name := range fnames {
-		if img.syms[name] != nil {
-			return nil, &LoadError{Msg: fmt.Sprintf("symbol %q defined as both data and function", name)}
-		}
-		fn := f.Funcs[name]
-		s := record(symbol{name: name, addr: textBase + text, fn: fn, text: text, index: len(img.funcs)})
-		img.funcs = append(img.funcs, s)
-		img.syms[name] = s
-		img.FuncAddr[name] = s.addr
-		text += int64(len(fn.Code)*costs.InstrBytes + costs.FuncPad)
-	}
-	img.TextSize = text
-	// Apply data initializers now that addresses exist.
-	if err := img.layoutInit(order); err != nil {
-		return nil, err
-	}
-	// Every OpAddrGlobal operand must resolve.
-	for fname, fn := range f.Funcs {
-		for i := range fn.Code {
-			if fn.Code[i].Op == obj.OpAddrGlobal && img.syms[fn.Code[i].Sym] == nil {
-				return nil, &LoadError{Msg: fmt.Sprintf(
-					"func %s: address of unresolved symbol %q", fname, fn.Code[i].Sym)}
-			}
+	for i := range p.recs {
+		if s := &p.recs[i]; s.fn == nil {
+			img.GlobalAddr[s.name] = s.addr
+		} else {
+			// Text order numbers the static functions 0…n−1.
+			s.index = i - len(f.Datas)
+			img.funcs[s.index] = s
+			img.FuncAddr[s.name] = s.addr
 		}
 	}
 	return img, nil
 }
 
-// dataRun is a stretch of nonzero words of an image's initial data.
+// placed is an object file laid out by place.
+type placed struct {
+	layout
+	recs    []symbol // data in name order, then functions in name order
+	syms    map[string]*symbol
+	dataEnd int64 // the word after its data and strings
+	textEnd int64 // the text offset after its functions
+}
+
+// place lays out the object file f, the image or a dynamic module, in
+// one array of records that never moves: its data objects in name order
+// from the word dataAt, then its string literals, and its functions in
+// name order from the text offset textAt. A name f does not define
+// resolves through outside, nil when nothing is outside f, and a name f
+// defines must be new there. Every OpAddrGlobal operand must resolve,
+// and every data initializer must lie inside its object, name a string
+// f has and refer to a symbol that resolves.
+func place(f *obj.File, costs Costs, dataAt, textAt int64, outside func(string) *symbol) (placed, *LoadError) {
+	n := len(f.Datas) + len(f.Funcs)
+	p := placed{recs: make([]symbol, 0, n), syms: make(map[string]*symbol, n)}
+	define := func(s symbol) *LoadError {
+		if p.syms[s.name] != nil {
+			return &LoadError{Msg: fmt.Sprintf("symbol %q defined as both data and function", s.name)}
+		}
+		if outside != nil && outside(s.name) != nil {
+			return &LoadError{Msg: fmt.Sprintf("symbol %q already defined", s.name)}
+		}
+		p.recs = append(p.recs, s)
+		p.syms[s.name] = &p.recs[len(p.recs)-1]
+		return nil
+	}
+	names := make([]string, 0, max(len(f.Datas), len(f.Funcs)))
+	addr := dataAt
+	for _, name := range sortedKeys(names, f.Datas) {
+		size := int64(f.Datas[name].Size)
+		if err := define(symbol{name: name, addr: addr, size: size}); err != nil {
+			return placed{}, err
+		}
+		addr += size
+	}
+	p.strAddr = make([]int64, len(f.Strings))
+	for i, s := range f.Strings {
+		p.strAddr[i] = addr
+		addr += int64(len(s)) + 1
+	}
+	text := textAt
+	for _, name := range sortedKeys(names, f.Funcs) {
+		fn := f.Funcs[name]
+		if err := define(symbol{name: name, addr: textBase + text, fn: fn}); err != nil {
+			return placed{}, err
+		}
+		text += int64(len(fn.Code)*costs.InstrBytes + costs.FuncPad)
+	}
+	p.dataEnd, p.textEnd = addr, text
+	resolve := func(name string) *symbol {
+		if s := p.syms[name]; s != nil || outside == nil {
+			return s
+		}
+		return outside(name)
+	}
+	for _, s := range p.recs[len(f.Datas):] {
+		for i := range s.fn.Code {
+			if in := &s.fn.Code[i]; in.Op == obj.OpAddrGlobal && resolve(in.Sym) == nil {
+				return placed{}, &LoadError{Msg: fmt.Sprintf("func %s: address of unresolved symbol %q", s.name, in.Sym)}
+			}
+		}
+	}
+	if err := p.layoutInit(f, p.recs[:len(f.Datas)], resolve); err != nil {
+		return placed{}, err
+	}
+	return p, nil
+}
+
+// sortedKeys returns the keys of m in order, in buf's array.
+func sortedKeys[V any](buf []string, m map[string]V) []string {
+	buf = buf[:0]
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
+// dataRun is a stretch of nonzero words of a layout's initial data.
 type dataRun struct {
 	addr  int64
 	words []int64
@@ -232,13 +288,12 @@ type initWord struct {
 	val int64
 }
 
-// layoutInit builds the image's initial data runs: the globals in order,
-// which is ascending address order, and then the string literals, which
-// follow them. Only a global's own initializers can be out of order, so
-// they alone are sorted, and only when they are; of several
-// initializers of one word, the last wins.
-func (img *Image) layoutInit(order []string) error {
-	f := img.File
+// layoutInit builds the initial data runs of f's data records datas,
+// which are in ascending address order, and of its string literals,
+// which follow them. Only a data object's own initializers can be out
+// of order, so they alone are sorted, and only when they are; of
+// several initializers of one word, the last wins.
+func (l *layout) layoutInit(f *obj.File, datas []symbol, resolve func(string) *symbol) *LoadError {
 	n := 0
 	for _, d := range f.Datas {
 		n += len(d.Init)
@@ -249,26 +304,25 @@ func (img *Image) layoutInit(order []string) error {
 	b := runBuilder{words: make([]int64, 0, n)}
 	var words []initWord
 	byOffset := func(a, b initWord) int { return cmp.Compare(a.off, b.off) }
-	for _, name := range order {
-		d := f.Datas[name]
+	for _, d := range datas {
 		words = words[:0]
-		for _, init := range d.Init {
-			if init.Offset < 0 || init.Offset >= d.Size {
-				return &LoadError{Msg: fmt.Sprintf("data %s: initializer offset %d outside its %d words", name, init.Offset, d.Size)}
+		for _, init := range f.Datas[d.name].Init {
+			if init.Offset < 0 || int64(init.Offset) >= d.size {
+				return &LoadError{Msg: fmt.Sprintf("data %s: initializer offset %d outside its %d words", d.name, init.Offset, d.size)}
 			}
 			var v int64
 			switch init.Kind {
 			case obj.InitConst:
 				v = init.Val
 			case obj.InitString:
-				if init.Index < 0 || init.Index >= len(img.strAddr) {
-					return &LoadError{Msg: fmt.Sprintf("data %s: bad string index %d", name, init.Index)}
+				if init.Index < 0 || init.Index >= len(l.strAddr) {
+					return &LoadError{Msg: fmt.Sprintf("data %s: bad string index %d", d.name, init.Index)}
 				}
-				v = img.strAddr[init.Index]
+				v = l.strAddr[init.Index]
 			case obj.InitSym:
-				s := img.syms[init.Sym]
+				s := resolve(init.Sym)
 				if s == nil {
-					return &LoadError{Msg: fmt.Sprintf("data %s: unresolved symbol %q", name, init.Sym)}
+					return &LoadError{Msg: fmt.Sprintf("data %s: unresolved symbol %q", d.name, init.Sym)}
 				}
 				v = s.addr
 			}
@@ -277,19 +331,18 @@ func (img *Image) layoutInit(order []string) error {
 		if !slices.IsSortedFunc(words, byOffset) {
 			slices.SortStableFunc(words, byOffset)
 		}
-		base := img.GlobalAddr[name]
 		for i, w := range words {
 			if i+1 == len(words) || words[i+1].off != w.off {
-				b.put(base+int64(w.off), w.val)
+				b.put(d.addr+int64(w.off), w.val)
 			}
 		}
 	}
 	for i, s := range f.Strings {
 		for j := 0; j < len(s); j++ {
-			b.put(img.strAddr[i]+int64(j), int64(s[j]))
+			b.put(l.strAddr[i]+int64(j), int64(s[j]))
 		}
 	}
-	img.init = b.runs()
+	l.init = b.runs()
 	return nil
 }
 
@@ -326,10 +379,10 @@ func (b *runBuilder) runs() []dataRun {
 	return runs
 }
 
-// writeInit makes mem[lo:hi] the image's initial data for those
+// writeInit makes mem[lo:hi] the layout's initial data for those
 // addresses: the runs' words, and zero between them.
-func (img *Image) writeInit(mem []int64, lo, hi int64) {
-	runs := img.init
+func (l *layout) writeInit(mem []int64, lo, hi int64) {
+	runs := l.init
 	i := sort.Search(len(runs), func(i int) bool { return runs[i].addr+int64(len(runs[i].words)) > lo })
 	at := lo
 	for ; i < len(runs) && runs[i].addr < hi; i++ {
@@ -343,11 +396,12 @@ func (img *Image) writeInit(mem []int64, lo, hi int64) {
 }
 
 // initDiff returns the first address at which mem differs from the
-// image's initial data followed by zeros, and the word the image has
-// there; -1 when it does not differ. mem holds at least DataWords words.
-func (img *Image) initDiff(mem []int64) (int, int64) {
+// layout's initial data followed by zeros, and the word the layout has
+// there; -1 when it does not differ. mem holds at least every word of
+// the runs.
+func (l *layout) initDiff(mem []int64) (int, int64) {
 	at := 0
-	for _, r := range img.init {
+	for _, r := range l.init {
 		if i := firstNonzero(mem[at:r.addr]); i >= 0 {
 			return at + i, 0
 		}
@@ -923,7 +977,7 @@ func (m *M) execLoop(s *symbol, regs []int64, fp int64, pc int, model bool) (int
 	fn := s.fn
 	var textOff, ib int64
 	if model {
-		textOff, ib = s.text, int64(m.Costs.InstrBytes)
+		textOff, ib = s.addr-textBase, int64(m.Costs.InstrBytes)
 	}
 	for {
 		if pc < 0 || pc >= len(fn.Code) {
@@ -979,14 +1033,13 @@ func (m *M) execLoop(s *symbol, regs []int64, fp int64, pc int, model bool) (int
 		case obj.OpAddrLocal:
 			regs[in.Dst] = fp + in.Imm
 		case obj.OpAddrString:
-			// String addresses are data addresses computed at load time;
-			// re-derive via the preloaded image: strings live after
-			// globals. Precomputed per-image table:
-			a, err := m.stringAddr(int(in.Imm))
-			if err != nil {
-				return 0, &Trap{Kind: TrapBadStringIndex, Msg: err.Error(), Func: fn.Name, PC: pc}
+			// A string's address is in the string table of the layout
+			// the function was placed in, the image's or its module's.
+			strs := m.Img.layoutOf(s).strAddr
+			if in.Imm < 0 || in.Imm >= int64(len(strs)) {
+				return 0, &Trap{Kind: TrapBadStringIndex, Msg: "bad string literal index", Func: fn.Name, PC: pc}
 			}
-			regs[in.Dst] = a
+			regs[in.Dst] = strs[in.Imm]
 		case obj.OpCall:
 			v, err := m.dispatch(in.Sym, regs, in.Args, fn, pc)
 			if err != nil {
@@ -1044,7 +1097,7 @@ func (m *M) dispatch(sym string, regs []int64, argRegs []obj.Reg, fn *obj.Func, 
 	if b, ok := m.Builtins[sym]; ok {
 		m.BuiltinCnt++
 		m.Cycles += m.Costs.Builtin
-		return m.callBuiltin(b, regs, argRegs)
+		return m.callBuiltin(b, regs, argRegs, fn.Name, pc)
 	}
 	return 0, &Trap{Kind: TrapUndefinedCall, Msg: "call to undefined function " + sym, Func: fn.Name, PC: pc}
 }
@@ -1053,8 +1106,10 @@ func (m *M) dispatch(sym string, regs []int64, argRegs []obj.Reg, fn *obj.Func, 
 // caller's registers into the LIFO argument arena, which keeps the
 // builtin path allocation-free like the register arena keeps simulated
 // calls; a builtin must not retain its argument slice past its own
-// return.
-func (m *M) callBuiltin(b Builtin, regs []int64, argRegs []obj.Reg) (int64, error) {
+// return. A *Trap the builtin returns without a Func is stamped with
+// the calling function and pc, so a device's refusal is attributed
+// like any other trap.
+func (m *M) callBuiltin(b Builtin, regs []int64, argRegs []obj.Reg, caller string, pc int) (int64, error) {
 	base := m.argTop
 	top := base + len(argRegs)
 	if top > len(m.argStack) {
@@ -1067,6 +1122,9 @@ func (m *M) callBuiltin(b Builtin, regs []int64, argRegs []obj.Reg) (int64, erro
 	m.argTop = top
 	v, err := b(m, argv)
 	m.argTop = base
+	if t, ok := err.(*Trap); ok && t.Func == "" {
+		t.Func, t.PC = caller, pc
+	}
 	return v, err
 }
 
@@ -1083,14 +1141,6 @@ func (m *M) store(addr, val int64, fn *obj.Func, pc int) error {
 	}
 	m.Mem[addr] = val
 	return nil
-}
-
-// stringAddr returns the data address of string literal i.
-func (m *M) stringAddr(i int) (int64, error) {
-	if i < 0 || i >= len(m.Img.strAddr) {
-		return 0, errors.New("bad string literal index")
-	}
-	return m.Img.strAddr[i], nil
 }
 
 // ReadCString reads a NUL-terminated string from simulated memory.

@@ -15,6 +15,7 @@ import (
 	"knit/internal/knit/lang"
 	"knit/internal/knit/link"
 	"knit/internal/machine"
+	"knit/internal/obj"
 	"knit/internal/oskit"
 )
 
@@ -26,11 +27,15 @@ import (
 // and CLI test data. On each it checks a new machine on a released,
 // scribbled buffer; ResetData of every data symbol, half at a time, on
 // a scribbled machine; and Snapshot, Restore and StateEqual on an
-// untouched machine and on one that ran its init schedule.
+// untouched machine and on one that ran its init schedule. It then
+// loads the image's linked object as a dynamic module and holds the
+// module's memory, and ResetData of its data symbols, to the same
+// reference at the module's addresses.
 func TestMemoryMatchesDenseReference(t *testing.T) {
 	n := 0
 	forEachRepositoryImage(t, func(label string, res *build.Result) {
 		checkImageMemory(t, label, res)
+		checkModuleMemory(t, label, res)
 		n++
 	})
 	t.Logf("%d images", n)
@@ -282,4 +287,51 @@ func checkImageMemory(t *testing.T, label string, res *build.Result) {
 	m.Release()
 	res.Forget(u)
 	res.Forget(r)
+}
+
+// checkModuleMemory loads res's linked object as a dynamic module on a
+// machine of an empty image, and checks the module's memory against
+// machine.DenseModuleInit, then ResetData of every module data symbol,
+// half at a time, on scribbled module memory: each resets to exactly
+// the words the load wrote, and every other word is left alone.
+func checkModuleMemory(t *testing.T, label string, res *build.Result) {
+	bare, err := machine.Load(obj.NewFile("bare"), machine.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.New(bare)
+	defer m.Release()
+	o := res.Object
+	if err := m.LoadDynamicAs("mod", "", o); err != nil {
+		t.Errorf("%s: load as a module: %v", label, err)
+		return
+	}
+	base, dense := machine.DenseModuleInit(m, "mod", o)
+	if a := firstDiff(m.Mem[base:], dense); a >= 0 {
+		t.Errorf("%s: module word %d is %d, reference has %d", label, base+int64(a), m.Mem[base+int64(a)], dense[min(a, len(dense)-1)])
+	}
+	names := make([]string, 0, len(o.Datas))
+	for name := range o.Datas {
+		names = append(names, name)
+	}
+	sort.Slice(names, func(i, j int) bool { return machine.Addr(m, names[i]) < machine.Addr(m, names[j]) })
+	scribble(m.Mem[base:])
+	want := slices.Clone(m.Mem)
+	for parity := 0; parity < 2; parity++ {
+		var syms []string
+		for i, name := range names {
+			if i%2 == parity {
+				syms = append(syms, name)
+				lo := machine.Addr(m, name)
+				hi := lo + int64(o.Datas[name].Size)
+				copy(want[lo:hi], dense[lo-base:hi-base])
+			}
+		}
+		if got := m.ResetData(syms); got != len(syms) {
+			t.Errorf("%s: ResetData reset %d of %d module symbols", label, got, len(syms))
+		}
+		if a := firstDiff(m.Mem, want); a >= 0 {
+			t.Errorf("%s: after module ResetData of half %d, word %d is %d, want %d", label, parity, a, m.Mem[a], want[a])
+		}
+	}
 }
